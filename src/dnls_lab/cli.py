@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import scenarios
 from .errors import DnlsLabError
+from .fields import _is_power_of_two
 from .io import write_field
 
 
@@ -144,6 +146,18 @@ SCENARIOS = {
 }
 
 
+# value ranges of the domain and solver keys, wherever a scenario has them
+VALUE_RULES = {
+    "kind": (lambda v: v in ("torus", "line"), "'torus' or 'line'"),
+    "n_points": (lambda v: v >= 8 and _is_power_of_two(v), "a power of two >= 8"),
+    "domain_scale": (_is_power_of_two, "a power of two"),
+    "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "t_final": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
+    "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
+}
+
+
 def validate_spec(spec: dict) -> dict:
     """Check the config against the scenario schema; returns resolved params.
 
@@ -185,6 +199,16 @@ def validate_spec(spec: dict) -> dict:
     extra_top = set(spec) - {"name", "scenario", "seed", "params", "out"}
     if extra_top:
         raise SchemaError(f"{sorted(extra_top)[0]}: unknown top-level key")
+    for key, (ok, valid) in VALUE_RULES.items():
+        if key in resolved and not ok(resolved[key]):
+            raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
+    if resolved.get("kind") == "torus" and resolved.get("domain_scale", 1) != 1:
+        raise SchemaError("params.domain_scale: must be 1 on the torus")
+    if "t_final" in resolved:  # every scenario with t_final also has dt
+        steps = np.rint(resolved["t_final"] / resolved["dt"])  # inf if dt is tiny
+        if steps < 1 or abs(steps * resolved["dt"] - resolved["t_final"]) > 1e-9:
+            raise SchemaError("params.t_final: must be a positive integer "
+                              "multiple of params.dt")
     return resolved
 
 

@@ -227,10 +227,27 @@ def _min_pad_factor(degree: int) -> int:
     return max(p, 2) if degree > 1 else 1
 
 
-def _pad_indices(n: int, n_fine: int) -> np.ndarray:
-    """Positions of the coarse FFT-ordered modes inside the fine lattice."""
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)  # 0..n/2-1, -n/2..-1
-    return np.mod(k, n_fine)
+def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int) -> np.ndarray:
+    """Samples on the n_fine-point grid of the field with the given coarse
+    FFT-ordered coefficients (..., n_points): zero-pad, inverse transform."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    h = domain.n_points // 2
+    cpad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
+    cpad[..., :h] = c[..., :h]
+    cpad[..., n_fine - h:] = c[..., h:]
+    return np.fft.ifft(cpad, axis=-1) * (SQRT_2PI / (domain.period / n_fine))
+
+
+def truncated_coeffs(domain: Domain, fine_values: np.ndarray) -> np.ndarray:
+    """Coarse coefficients of fine-grid samples: forward transform, keep the
+    coarse band, zero the coarse Nyquist mode (the one mode a borderline
+    pad factor can contaminate)."""
+    h, n_fine = domain.n_points // 2, fine_values.shape[-1]
+    cfine = np.fft.fft(fine_values, axis=-1)
+    out = np.concatenate((cfine[..., :h], cfine[..., n_fine - h:]), axis=-1)
+    out *= (domain.period / n_fine) / SQRT_2PI
+    out[..., h] = 0.0
+    return out
 
 
 def dealiased_product_coeffs(
@@ -245,33 +262,23 @@ def dealiased_product_coeffs(
     (..., n_points).  Every factor is zero-padded in frequency to pad_factor
     times the base resolution (raised automatically if the polynomial degree
     demands it), multiplied pointwise on the fine grid, and truncated back.
-    The coarse Nyquist mode of the result is zeroed; it is the one mode a
-    borderline pad factor can contaminate.
+    A factor passed more than once (the same array object) is padded and
+    transformed once, and its fine-grid copy is dropped after its last use.
     """
     if not coeff_arrays:
         raise ValueError("no factors")
     if conjugate is None:
         conjugate = [False] * len(coeff_arrays)
-    n = domain.n_points
-    p = max(pad_factor, _min_pad_factor(len(coeff_arrays)))
-    nf = p * n
-    dxf = domain.period / nf
-    idx = _pad_indices(n, nf)
-
-    prod = None
-    for c, cj in zip(coeff_arrays, conjugate):
-        c = np.asarray(c, dtype=np.complex128)
-        cpad = np.zeros(c.shape[:-1] + (nf,), dtype=np.complex128)
-        cpad[..., idx] = c
-        vals = np.fft.ifft(cpad, axis=-1) * (SQRT_2PI / dxf)
+    nf = max(pad_factor, _min_pad_factor(len(coeff_arrays))) * domain.n_points
+    fine, prod = {}, None
+    for i, (c, cj) in enumerate(zip(coeff_arrays, conjugate)):
+        vals = fine.pop(id(c)) if id(c) in fine else padded_values(domain, c, nf)
+        if any(later is c for later in coeff_arrays[i + 1:]):
+            fine[id(c)] = vals
         if cj:
             vals = np.conj(vals)
         prod = vals if prod is None else prod * vals
-
-    cfine = np.fft.fft(prod, axis=-1) * (dxf / SQRT_2PI)
-    out = cfine[..., idx]
-    out[..., n // 2] = 0.0
-    return out
+    return truncated_coeffs(domain, prod)
 
 
 def dealiased_product(

@@ -102,20 +102,9 @@ def dyadic_projection(f: SpectralField, N) -> SpectralField:
     return SpectralField(f.domain, mult * f.coeffs)
 
 
-def dyadic_projection_spacetime(u: SpaceTimeField, N) -> SpaceTimeField:
-    """P_N acting in xi only on a space-time field."""
-    mult = dyadic_multiplier(u.domain.xi, N)
-    return SpaceTimeField(u.lattice, mult[:, None] * u.coeffs, window=u.window)
-
-
 def bessel_potential(f: SpectralField, s: float) -> SpectralField:
     """J^s: multiply coefficients by <xi>^s."""
     return SpectralField(f.domain, bracket(f.domain.xi) ** s * f.coeffs)
-
-
-def bessel_potential_spacetime(u: SpaceTimeField, s: float) -> SpaceTimeField:
-    w = bracket(u.domain.xi) ** s
-    return SpaceTimeField(u.lattice, w[:, None] * u.coeffs, window=u.window)
 
 
 def modulation_weight(u: SpaceTimeField, s: float, sign: int) -> SpaceTimeField:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConservationError, EdgeDecayError, WrongDomainError
-from .fields import SQRT_2PI, Domain, GridFunction, Trajectory, _pad_indices
-from .fields import spectral_derivative
+from .fields import (SQRT_2PI, Domain, GridFunction, Trajectory, padded_values,
+                     spectral_derivative)
 
 EDGE_DECAY_TOL = 1e-10
 MU_DRIFT_TOL = 1e-8
@@ -56,13 +56,9 @@ def _density_antiderivative(f: GridFunction) -> tuple[np.ndarray, float]:
     coarse points, which form a subset of the fine grid.
     """
     dom = f.domain
-    n = dom.n_points
-    nf = 2 * n
+    nf = 2 * dom.n_points
     dxf = dom.period / nf
-    idx = _pad_indices(n, nf)
-    cpad = np.zeros(nf, dtype=np.complex128)
-    cpad[idx] = f.to_spectral().coeffs
-    vf = np.fft.ifft(cpad) * (SQRT_2PI / dxf)
+    vf = padded_values(dom, f.to_spectral().coeffs, nf)
     dens = np.abs(vf) ** 2
     chat = np.fft.fft(dens) * (dxf / SQRT_2PI)
     mean = float(np.real(chat[0]) * SQRT_2PI / dom.period)
@@ -154,11 +150,8 @@ def psi_functional(v: GridFunction) -> float:
     term_im = float(np.sum(2.0 * np.imag(v.values * np.conj(dxv.values))) * dom.dx)
     # |v|^4 has twice that band; sample it alias-free on a refined grid
     nf = 4 * dom.n_points
-    dxf = dom.period / nf
-    cpad = np.zeros(nf, dtype=np.complex128)
-    cpad[_pad_indices(dom.n_points, nf)] = v.to_spectral().coeffs
-    vf = np.fft.ifft(cpad) * (SQRT_2PI / dxf)
-    term_quartic = float(np.sum(np.abs(vf) ** 4) * dxf)
+    vf = padded_values(dom, v.to_spectral().coeffs, nf)
+    term_quartic = float(np.sum(np.abs(vf) ** 4) * (dom.period / nf))
     mu = mass_density_mean(v)
     return (term_im - 0.5 * term_quartic) / (2.0 * np.pi) + mu ** 2
 

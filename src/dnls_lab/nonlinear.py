@@ -2,10 +2,12 @@
 
 Physical-space evaluation is the fast path: pointwise products are
 dealiased by zero padding (see fields.dealiased_product_coeffs) and
-derivatives act spectrally.  The Fourier-side forms evaluate the same
-operations as explicit constrained convolution sums; they are brute-force
-cross-checks meant to catch sign or constraint transcription errors, so
-they are deliberately written index-by-index and limited to small grids.
+derivatives act spectrally; the gauged right-hand side builds its whole
+polynomial on one fine grid and truncates once.  The Fourier-side forms
+evaluate the same operations as explicit constrained convolution sums;
+they are brute-force cross-checks meant to catch sign or constraint
+transcription errors, so they are deliberately written index-by-index and
+limited to small grids.
 
 With the package's transform conventions the discrete convolution
 constants are (2 pi)^-1 * dxi^2 for the trilinear form and
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .fields import (Domain, GridFunction, SpectralField,
-                     dealiased_product_coeffs)
+from .fields import (Domain, GridFunction, SpectralField, _min_pad_factor,
+                     dealiased_product_coeffs, padded_values, truncated_coeffs)
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,27 +39,6 @@ class NonlinearityConfig:
     def __post_init__(self):
         if self.k_power < 0 or int(self.k_power) != self.k_power:
             raise ParameterError("k_power must be a nonnegative integer")
-
-
-@dataclass(frozen=True)
-class ConvolutionConstraint:
-    """Hyperplanes excluded from a torus convolution sum (empty on the line)."""
-
-    excluded: tuple[str, ...]
-    diagonal_term: bool
-
-    @classmethod
-    def trilinear(cls, domain: Domain) -> "ConvolutionConstraint":
-        if domain.kind == "torus":
-            return cls(("xi1 != xi", "xi2 != xi"), diagonal_term=True)
-        return cls((), diagonal_term=False)
-
-    @classmethod
-    def quintic(cls, domain: Domain) -> "ConvolutionConstraint":
-        if domain.kind == "torus":
-            return cls(("xi1+xi2+xi3+xi4 != 0", "xi1+xi2 != 0", "xi3+xi4 != 0"),
-                       diagonal_term=False)
-        return cls((), diagonal_term=False)
 
 
 def _deriv_mult(dom: Domain) -> np.ndarray:
@@ -289,17 +270,34 @@ def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
 
 def rhs_gauged(v: GridFunction, cfg: NonlinearityConfig,
                pad_factor: int = 4) -> GridFunction:
-    """-i T(v) - Q(v)/2 + lam |v|^(2k) v with the domain-correct T, Q."""
+    """-i T(v) - Q(v)/2 + lam |v|^(2k) v with the domain-correct T, Q.
+
+    -i v^2 conj(d_x v) - |v|^4 v / 2 + mu |v|^2 v (torus, mu = int |v|^2 / 2pi)
+    + lam |v|^(2k) v is built on one grid fine enough for degree max(5, 2k+1)
+    and truncated once; the torus scalar (2i int v d_x conj(v) + int |v|^4 / 2)
+    / 2pi - mu^2, and lam when k = 0, multiply v without truncation.  The
+    fine grid integrates |v|^4 exactly (band 2n < 4n).
+    """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
-    tri = trilinear_T_slices(v.domain, v.values, v.values, np.conj(v.values),
-                             pad_factor)
-    quint = quintic_Q_physical(v, pad_factor).values
-    vals = -1j * tri - 0.5 * quint
-    out = GridFunction(v.domain, vals)
-    if cfg.lam != 0.0:
-        out = out + power_nonlinearity(v, cfg.lam, cfg.k_power, pad_factor)
-    return out
+    dom = v.domain
+    k, lam = cfg.k_power, cfg.lam
+    nf = max(pad_factor, _min_pad_factor(max(5, 2 * k + 1))) * dom.n_points
+    c = v.to_spectral().coeffs
+    vf = padded_values(dom, c, nf)
+    v_dv = vf * np.conj(padded_values(dom, _deriv_mult(dom) * c, nf))
+    dens = vf.real ** 2 + vf.imag ** 2
+    g = -1j * v_dv - 0.5 * dens * dens
+    if lam != 0.0 and k > 0:
+        g += lam * dens ** k
+    scalar = lam if k == 0 else 0.0
+    if dom.kind == "torus":
+        w = dom.period / nf / TWO_PI
+        mu = np.sum(dens) * w
+        g += mu * dens
+        scalar += (2j * np.sum(v_dv) + 0.5 * np.sum(dens * dens)) * w - mu * mu
+    out = truncated_coeffs(dom, vf * g) + scalar * c
+    return SpectralField(dom, out).to_grid()
 
 
 def rhs(u: GridFunction, cfg: NonlinearityConfig, pad_factor: int = 4) -> GridFunction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Domain, GridFunction, SpectralField, Trajectory
+from .fields import Domain, GridFunction, SpectralField
 from .frequency import bracket
 
 
@@ -93,9 +93,3 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
         c = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
         out += c * np.exp(1j * (xi * xs - nu * ts))
     return out
-
-
-def mode_sum_trajectory(dom: Domain, times: np.ndarray, rng: np.random.Generator,
-                        **kw) -> Trajectory:
-    return Trajectory(dom, np.asarray(times, dtype=float),
-                      random_mode_sum_values(dom, times, rng, **kw))

@@ -109,11 +109,6 @@ def cal_z_norm(u: SpaceTimeField, s: float) -> float:
     return _blockwise(u, lambda v: zs_norm(v, s))
 
 
-def intersection_norm(u: SpaceTimeField, s: float, b: float) -> float:
-    """max of the dyadic-sup X^{s,b} norm and the dyadic-sup Y^{s,-1} norm."""
-    return max(frak_x_norm(u, s, b, +1), cal_y_norm(u, s, -1.0))
-
-
 def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:
     """Exact Cauchy-Schwarz constant with Y^{s,b1} <= C X^{s,b2,+} on u's lattice.
 
@@ -151,13 +146,6 @@ class TimeWindow:
         """chi(2t / T): equals 1 for |t| <= T/2, vanishes for |t| >= T."""
         return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support,
                    f"chi(2t/{t_support:g})")
-
-    @classmethod
-    def annulus(cls, scale: float) -> "TimeWindow":
-        """chi_T(t): supported on T/2 < |t| < 2T."""
-        from .frequency import cutoff_annulus
-        return cls(lambda t: cutoff_annulus(t, scale), -2.0 * scale, 2.0 * scale,
-                   f"chi_{scale:g}(t)")
 
 
 def window_trajectory(traj: Trajectory, window: TimeWindow) -> SpaceTimeField:

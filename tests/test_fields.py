@@ -6,7 +6,7 @@ import pytest
 from dnls_lab.errors import DomainMismatchError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField,
                              SpectralField, Trajectory, dealiased_product,
-                             spectral_derivative)
+                             dealiased_product_coeffs, spectral_derivative)
 
 
 class TestDomain:
@@ -105,6 +105,19 @@ class TestDealiasedProduct:
                               [False, True, False, True, False], pad_factor=8)
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) < 1e-10 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("conj", [[False, False, True],
+                                      [False, True, False, True, False]])
+    def test_repeated_factor_is_bit_identical_to_copies(self, conj):
+        # the original-form RHS passes one array several times; padding it
+        # once must not move a bit, since time-step error figures of about
+        # 1e-12 keep few stable digits
+        dom = Domain("torus", 64)
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=64) + 1j * rng.normal(size=64)
+        same = dealiased_product_coeffs(dom, [c] * len(conj), conj)
+        copies = dealiased_product_coeffs(dom, [c.copy() for _ in conj], conj)
+        assert np.array_equal(same, copies)
 
     def test_domain_mismatch(self):
         f = GridFunction.zero(Domain("torus", 64))

@@ -70,6 +70,33 @@ class TestValidation:
         with pytest.raises(SchemaError, match="scenario"):
             validate_spec({"scenario": "explode"})
 
+    @pytest.mark.parametrize("scenario,params,path", [
+        ("solve", {"kind": "foo"}, "kind"),
+        ("solve", {"n_points": 100}, "n_points"),
+        ("solve", {"n_points": 4}, "n_points"),
+        ("solve", {"kind": "line", "domain_scale": 3}, "domain_scale"),
+        ("solve", {"domain_scale": 2}, "domain_scale"),
+        ("solve", {"dt": -1.0}, "dt"),
+        ("solve", {"dt": 0.0}, "dt"),
+        ("solve", {"t_final": 2.0}, "t_final"),
+        ("solve", {"dt": 0.03}, "t_final"),
+        ("solve", {"dt": 0.2}, "t_final"),
+        ("solve", {"dt": 5e-324}, "t_final"),
+        ("solve", {"pad_factor": 8}, "pad_factor"),
+        ("solve", {"integrator": "rk45"}, "integrator"),
+        ("plane-wave", {"n_points": 12}, "n_points"),
+        ("gauge-equivalence", {"kind": "line", "domain_scale": 6}, "domain_scale"),
+        ("probe-trilinear", {"kind": "sphere"}, "kind"),
+        ("probe-strichartz", {"dt": -0.02}, "dt"),
+    ])
+    def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
+                                         params, path):
+        base = {} if scenario.startswith("probe") else {"dt": 1e-3, "t_final": 0.01}
+        code, _ = run({"scenario": scenario, "params": {**base, **params}},
+                      tmp_path)
+        assert code == 2
+        assert f"params.{path}" in capsys.readouterr().err
+
     def test_defaults_filled(self):
         params = validate_spec({"scenario": "plane-wave",
                                 "params": {"dt": 1e-3}})

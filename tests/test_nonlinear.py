@@ -5,11 +5,10 @@ import pytest
 
 from dnls_lab.errors import ParameterError, SizeLimitError
 from dnls_lab.fields import Domain, GridFunction, SpectralField
-from dnls_lab.nonlinear import (NonlinearityConfig, ConvolutionConstraint,
-                                power_nonlinearity, quintic_Q_fourier,
-                                quintic_Q_general, quintic_Q_physical,
-                                rhs_gauged, rhs_original, trilinear_T_fourier,
-                                trilinear_T_physical)
+from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
+                                quintic_Q_fourier, quintic_Q_general,
+                                quintic_Q_physical, rhs_gauged, rhs_original,
+                                trilinear_T_fourier, trilinear_T_physical)
 from dnls_lab.sampling import plane_wave, random_band_field
 
 
@@ -113,12 +112,6 @@ class TestTrilinear:
         with pytest.raises(SizeLimitError):
             trilinear_T_fourier(z, z, z)
 
-    def test_constraint_metadata(self):
-        c = ConvolutionConstraint.trilinear(Domain("torus", 32))
-        assert c.diagonal_term and len(c.excluded) == 2
-        c = ConvolutionConstraint.trilinear(Domain("line", 32, 2))
-        assert not c.diagonal_term and c.excluded == ()
-
 
 class TestQuintic:
     def test_zero(self):
@@ -152,10 +145,8 @@ class TestQuintic:
         # has zero mean against conj(v)-free content; directly test the
         # simplest invariant: mean of |v|^4 - (1/2pi) int |v|^4 is zero
         nf = 4 * dom.n_points
-        from dnls_lab.fields import SQRT_2PI, _pad_indices
-        cpad = np.zeros(nf, complex)
-        cpad[_pad_indices(dom.n_points, nf)] = v.to_spectral().coeffs
-        vf = np.fft.ifft(cpad) * (SQRT_2PI / (dom.period / nf))
+        from dnls_lab.fields import padded_values
+        vf = padded_values(dom, v.to_spectral().coeffs, nf)
         dens = np.abs(vf) ** 4
         m4 = np.sum(dens) * (dom.period / nf) / (2 * np.pi)
         assert np.sum(dens - m4) * (dom.period / nf) == pytest.approx(0.0, abs=1e-12)
@@ -228,6 +219,20 @@ class TestRhsGauged:
         diff = a.values - b.values
         expected = power_nonlinearity(v, 1.5, 1).values
         assert np.max(np.abs(diff - expected)) < 1e-11
+
+    @pytest.mark.parametrize("kind,n,scale", [("torus", 32, 1), ("torus", 256, 1),
+                                              ("line", 512, 4)])
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.3, 0), (1.0, 1), (-0.7, 2),
+                                       (0.3, 4)])
+    def test_fused_kernel_matches_reference_composition(self, kind, n, scale,
+                                                        lam, k):
+        # full band (Nyquist mode zero); k = 4 needs pad factor 8
+        v = random_small_field(n, seed=n + k, band=np.inf, kind=kind, scale=scale)
+        ref = (-1j * trilinear_T_physical(v, v, v.conj()).values
+               - 0.5 * quintic_Q_physical(v).values
+               + power_nonlinearity(v, lam, k).values)
+        out = rhs_gauged(v, NonlinearityConfig(lam, k, True)).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_original_config_rejected(self):
         dom = Domain("torus", 32)

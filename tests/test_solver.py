@@ -99,6 +99,31 @@ class TestSolve:
         assert errs[1] <= errs[0] / 8.0
         assert errs[2] <= errs[1] / 8.0
 
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+    def test_fourth_order_with_working_nonlinearity(self, kind, gauged,
+                                                    integrator):
+        # on a plane wave the nonlinearity only rotates the phase; here it
+        # moves the solution by several percent of its norm
+        if kind == "torus":
+            dom = Domain("torus", 32)
+            x = dom.x
+            u0 = GridFunction(dom, 0.5 * np.exp(1j * x) + 0.25 * np.exp(-2j * x)
+                              + 0.15j * np.exp(3j * x))
+        else:
+            dom = Domain("line", 64, 2)
+            u0 = gaussian_packet(dom, 0.6, 0.8, mode=1)
+        T = 0.2
+        finals = [solve(u0, small_cfg(dom, 1.0, 1, gauged, T / m, T,
+                                      integrator)).values[-1]
+                  for m in (16, 32, 64)]
+        e1 = np.linalg.norm(finals[0] - finals[1])
+        e2 = np.linalg.norm(finals[1] - finals[2])
+        assert 3.5 <= np.log2(e1 / e2) <= 4.5
+        free = free_trajectory(u0, np.array([0.0, T])).values[-1]
+        assert np.linalg.norm(finals[2] - free) > 1e-2 * np.linalg.norm(free)
+
     def test_ifrk4_agrees(self):
         assert plane_wave_error(1e-3, integrator="ifrk4") < 1e-9
 
