@@ -155,6 +155,8 @@ VALUE_RULES = {
     "t_final": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
     "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
+    "ensemble": (lambda v: v >= 1, "an integer >= 1"),
+    "t_values": (lambda v: len(v) > 0, "a non-empty list"),
 }
 
 
@@ -202,6 +204,9 @@ def validate_spec(spec: dict) -> dict:
     for key, (ok, valid) in VALUE_RULES.items():
         if key in resolved and not ok(resolved[key]):
             raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
+    for i, t in enumerate(resolved.get("t_values", [])):
+        if type(t) not in (int, float) or not 0 < t <= 1:  # type() rules out bools
+            raise SchemaError(f"params.t_values[{i}]: must be a number in (0, 1], got {t!r}")
     if resolved.get("kind") == "torus" and resolved.get("domain_scale", 1) != 1:
         raise SchemaError("params.domain_scale: must be 1 on the torus")
     if "t_final" in resolved:  # every scenario with t_final also has dt

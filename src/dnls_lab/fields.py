@@ -116,9 +116,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.domain.dx))
 
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def integral(self) -> complex:
         return complex(np.sum(self.values) * self.domain.dx)
 

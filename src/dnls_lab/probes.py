@@ -14,6 +14,7 @@ alone and not sampling noise.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,12 +24,12 @@ import numpy as np
 from .errors import ParameterError
 from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
                      dealiased_product_coeffs)
-from .frequency import dyadic_multiplier, dyadic_range
+from .frequency import dyadic_range
 from .multipliers import (REGIME_LABELS, domination_ratio_arrays, sample_points)
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
-from .spaces import (TimeWindow, besov_norm, cal_y_norm, frak_x_norm,
-                     window_trajectory, xsb_norm)
+from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
+                     frak_x_norm, window_trajectory, xsb_norm)
 from .solver import free_trajectory
 
 
@@ -257,15 +258,9 @@ def _corollary_rhs(fields: list[SpaceTimeField], s: float,
                    signs: list[int]) -> float:
     """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}."""
     half = [frak_x_norm(u, 0.5, 0.5, sg) for u, sg in zip(fields, signs)]
-    top = [frak_x_norm(u, s, 0.5, sg) for u, sg in zip(fields, signs)]
-    total = 0.0
-    for k in range(len(fields)):
-        prod = top[k]
-        for j in range(len(fields)):
-            if j != k:
-                prod *= half[j]
-        total += prod
-    return total
+    top = half if s == 0.5 else [frak_x_norm(u, s, 0.5, sg)
+                                 for u, sg in zip(fields, signs)]
+    return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(fields)))
 
 
 def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
@@ -448,37 +443,30 @@ def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    ns = dyadic_range(u.domain.xi_max)
-    xi = u.domain.xi
-    block = {}
-    block_s_plus = {}
-    for n in ns:
-        m = dyadic_multiplier(xi, n)[:, None]
-        bu = SpaceTimeField(u.lattice, m * u.coeffs)
-        block[n] = xsb_norm(bu, s, b, +1)
-        block_s_plus[n] = xsb_norm(bu, s + delta, b, +1)
-    frak = block[1] + (max(block[n] for n in ns[1:]) if len(ns) > 1 else 0.0)
-    frak_plus = block_s_plus[1] + (max(block_s_plus[n] for n in ns[1:])
-                                   if len(ns) > 1 else 0.0)
+    ns = np.array(dyadic_range(u.domain.xi_max), dtype=float)
+    block = block_norms(u, s, b)
+    block_s_plus = block_norms(u, s + delta, b)
+    frak = block[0] + block[1:].max(initial=0.0)
+    frak_plus = block_s_plus[0] + block_s_plus[1:].max(initial=0.0)
 
-    c_x = 1.0 + sum(float(n) ** (-delta) for n in ns[1:])
-    lhs_x = sum(float(n) ** (-delta) * block[n] for n in ns)
+    c_x = 1.0 + float(np.sum(ns[1:] ** -delta))
+    lhs_x = float(np.sum(ns ** -delta * block))
     ok_x = lhs_x <= c_x * frak * (1 + 1e-12)
 
-    c_y = 1.0 + 2.0 ** delta * sum(float(n) ** (-delta) for n in ns[1:])
-    lhs_y = sum(block[n] for n in ns)
+    c_y = 1.0 + 2.0 ** delta * float(np.sum(ns[1:] ** -delta))
+    lhs_y = float(np.sum(block))
     ok_y = lhs_y <= c_y * frak_plus * (1 + 1e-12)
 
     n_mid = ns[len(ns) // 2]
-    sim = [n for n in ns if n_mid / similarity <= n <= n_mid * similarity]
+    sim = (n_mid / similarity <= ns) & (ns <= n_mid * similarity)
     c_xx = 2 * int(np.floor(np.log2(similarity))) + 1
-    lhs_xx = sum(block[n] for n in sim)
-    ok_xx = lhs_xx <= c_xx * frak * (1 + 1e-12) and len(sim) <= c_xx
+    lhs_xx = float(np.sum(block[sim]))
+    ok_xx = lhs_xx <= c_xx * frak * (1 + 1e-12) and np.count_nonzero(sim) <= c_xx
 
-    low = [n for n in ns if n <= small_k]
+    low = ns <= small_k
     c_xxx = int(np.floor(np.log2(small_k))) + 1
-    lhs_xxx = sum(block[n] for n in low)
-    ok_xxx = lhs_xxx <= c_xxx * frak * (1 + 1e-12) and len(low) <= c_xxx
+    lhs_xxx = float(np.sum(block[low]))
+    ok_xxx = lhs_xxx <= c_xxx * frak * (1 + 1e-12) and np.count_nonzero(low) <= c_xxx
 
     all_ok = ok_x and ok_y and ok_xx and ok_xxx
     worst = max(lhs_x / (c_x * frak) if frak else 0.0,

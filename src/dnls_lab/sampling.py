@@ -84,12 +84,9 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
     else:
         sigma0 = np.exp(rng.uniform(np.log(4.0), np.log(max(tau_spread, 8.0))))
     xi_lattice = dom.xi[np.abs(dom.xi) <= band]
-    xs = dom.x[None, :]
-    ts = np.asarray(times)[:, None]
-    out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
-    for _ in range(n_modes):
-        xi = rng.choice(xi_lattice)
-        nu = char_sign * xi ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
-        c = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
-        out += c * np.exp(1j * (xi * xs - nu * ts))
-    return out
+    xi, nu, c = np.empty(n_modes), np.empty(n_modes), np.empty(n_modes, complex)
+    for j in range(n_modes):
+        xi[j] = rng.choice(xi_lattice)
+        nu[j] = char_sign * xi[j] ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
+        c[j] = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
+    return (c * np.exp(-1j * np.outer(times, nu))) @ np.exp(1j * np.outer(xi, dom.x))

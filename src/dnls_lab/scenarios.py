@@ -323,8 +323,7 @@ def _monotone_assertions(rep, prefix):
     out = []
     for key in ("sup_x_by_T", "sup_y_by_T"):
         series = rep.details[key]
-        ts = sorted((float(t) for t in series), reverse=True)
-        vals = [series[str(t) if str(t) in series else repr(t)] for t in ts]
+        vals = [series[t] for t in sorted(series, key=float, reverse=True)]
         ok = all(vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))
         out.append({"name": f"{prefix}_{key}_monotone", "value": 0.0 if ok else 1.0,
                     "threshold": 0.5, "op": "<=", "passed": bool(ok)})

@@ -5,6 +5,11 @@ Spatial norms (Sobolev, Besov) act on SpectralField; space-time norms
 All mixed norms use Riemann quadrature weights dxi and dtau; on the
 2 pi torus dxi == 1 and the xi sums are counting-measure sums.
 
+Dyadic block norms are one row reduction over tau times the (blocks x n)
+matrix of chi_N(xi)^2, cached per Domain (chi_N depends on xi alone and is
+>= 0); the <xi>^s <tau +/- xi^2>^b weights are cached per lattice, s, b and
+sign.  Both caches hold read-only arrays.
+
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the trajectory
 by a smooth time window and transform; the resulting value is an upper
@@ -15,12 +20,13 @@ monotone check performed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ExtensionError
-from .fields import SpaceTimeField, SpectralField, Trajectory
+from .fields import Domain, ModulationLattice, SpaceTimeField, SpectralField, Trajectory
 from .frequency import (bracket, cutoff_low, dyadic_multiplier, dyadic_range,
                         smooth_cutoff)
 
@@ -31,13 +37,18 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * f.domain.dxi))
 
 
-def _block_l2_norms(f: SpectralField) -> tuple[list[int], np.ndarray]:
-    ns = dyadic_range(f.domain.xi_max)
-    mags = np.abs(f.coeffs) ** 2 * f.domain.dxi
-    norms = np.array([
-        np.sqrt(np.sum(dyadic_multiplier(f.domain.xi, n) ** 2 * mags)) for n in ns
-    ])
-    return ns, norms
+@lru_cache(maxsize=8)
+def _chi_sq(domain: Domain) -> np.ndarray:
+    """(blocks, n) matrix of chi_N(xi)^2, one row per N in dyadic_range."""
+    m = np.array([dyadic_multiplier(domain.xi, n) ** 2
+                  for n in dyadic_range(domain.xi_max)])
+    m.flags.writeable = False
+    return m
+
+
+def _low_plus_sup(norms: np.ndarray) -> float:
+    """Low-block norm plus the sup over the higher dyadic blocks."""
+    return float(norms[0] + norms[1:].max(initial=0.0))
 
 
 def besov_norm(f: SpectralField, s: float, q: float = np.inf) -> float:
@@ -48,33 +59,44 @@ def besov_norm(f: SpectralField, s: float, q: float = np.inf) -> float:
     """
     if q not in (2, np.inf):
         raise ValueError("q must be 2 or inf")
-    ns, norms = _block_l2_norms(f)
-    low = norms[0]
-    if len(ns) == 1:
-        return float(low)
-    weighted = np.array([n ** s for n in ns[1:]]) * norms[1:]
-    tail = np.max(weighted) if q == np.inf else np.sqrt(np.sum(weighted ** 2))
-    return float(low + tail)
+    norms = np.sqrt(_chi_sq(f.domain) @ (np.abs(f.coeffs) ** 2 * f.domain.dxi))
+    weighted = np.array(dyadic_range(f.domain.xi_max)[1:], dtype=float) ** s * norms[1:]
+    tail = weighted.max(initial=0.0) if q == np.inf else np.sqrt(np.sum(weighted ** 2))
+    return float(norms[0] + tail)
 
 
-def _xsb_weight(u: SpaceTimeField, s: float, b: float, sign: int) -> np.ndarray:
-    xi = u.domain.xi[:, None]
-    tau = u.lattice.tau[None, :]
-    return bracket(xi) ** s * bracket(tau + sign * xi ** 2) ** b
+@lru_cache(maxsize=16)
+def _xsb_weight(lattice: ModulationLattice, s: float, b: float, sign: int) -> np.ndarray:
+    xi = lattice.domain.xi[:, None]
+    w = bracket(xi) ** s * bracket(lattice.tau[None, :] + sign * xi ** 2) ** b
+    w.flags.writeable = False
+    return w
+
+
+def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.ndarray:
+    """Per-xi squared contributions: ||u||^2 = sum(rows) and, since chi_N
+    depends on xi alone, ||P_N u||^2 = chi_N^2 . rows."""
+    wc = _xsb_weight(u.lattice, s, b, sign) * np.abs(u.coeffs)
+    if space == "X":
+        return np.sum(wc ** 2, axis=1) * (u.domain.dxi * u.lattice.dtau)
+    return (np.sum(wc, axis=1) * u.lattice.dtau) ** 2 * u.domain.dxi
+
+
+def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
+                space: str = "X") -> np.ndarray:
+    """||P_N u|| in X^{s,b,sign} (space "X") or Y^{s,b} (space "Y", sign +1)
+    for every N in dyadic_range, in one pass over u."""
+    return np.sqrt(_chi_sq(u.domain) @ _rows(u, s, b, sign, space))
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
-    w = _xsb_weight(u, s, b, sign)
-    quad = u.domain.dxi * u.lattice.dtau
-    return float(np.sqrt(np.sum((w * np.abs(u.coeffs)) ** 2) * quad))
+    return float(np.sqrt(np.sum(_rows(u, s, b, sign, "X"))))
 
 
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """Y^{s,b} norm: inner L1 in tau, outer L2 in xi (sign + weight)."""
-    w = _xsb_weight(u, s, b, +1)
-    inner = np.sum(w * np.abs(u.coeffs), axis=1) * u.lattice.dtau
-    return float(np.sqrt(np.sum(inner ** 2) * u.domain.dxi))
+    return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
 
 
 def zs_norm(u: SpaceTimeField, s: float) -> float:
@@ -82,31 +104,17 @@ def zs_norm(u: SpaceTimeField, s: float) -> float:
     return xsb_norm(u, s, 0.5, +1) + ysb_norm(u, s, 0.0)
 
 
-def _blockwise(u: SpaceTimeField, norm_fn: Callable[[SpaceTimeField], float]) -> float:
-    """Low-block norm plus the sup over the higher dyadic blocks."""
-    ns = dyadic_range(u.domain.xi_max)
-    xi = u.domain.xi
-    vals = []
-    for n in ns:
-        mult = dyadic_multiplier(xi, n)
-        block = SpaceTimeField(u.lattice, mult[:, None] * u.coeffs)
-        vals.append(norm_fn(block))
-    if len(vals) == 1:
-        return float(vals[0])
-    return float(vals[0] + max(vals[1:]))
-
-
 def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     """||P_1 u||_{X^{s,b,sign}} + sup_{N>1} ||P_N u||_{X^{s,b,sign}}."""
-    return _blockwise(u, lambda v: xsb_norm(v, s, b, sign))
+    return _low_plus_sup(block_norms(u, s, b, sign))
 
 
 def cal_y_norm(u: SpaceTimeField, s: float, b: float) -> float:
-    return _blockwise(u, lambda v: ysb_norm(v, s, b))
+    return _low_plus_sup(block_norms(u, s, b, space="Y"))
 
 
 def cal_z_norm(u: SpaceTimeField, s: float) -> float:
-    return _blockwise(u, lambda v: zs_norm(v, s))
+    return _low_plus_sup(block_norms(u, s, 0.5) + block_norms(u, s, 0.0, space="Y"))
 
 
 def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:

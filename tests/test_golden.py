@@ -1,0 +1,50 @@
+"""Scenario reports against golden copies (tests/golden/<name>.json).
+
+The goldens are the reports of the specs below; a change that reorders
+float operations keeps them, a change of behaviour does not.  To refresh
+a golden on purpose, run its spec through dnls_lab.cli.run and copy the
+report.json over.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dnls_lab.cli import run
+
+from tests_support import golden_mismatches
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "probe-trilinear": {"scenario": "probe-trilinear", "seed": 1,
+                        "params": {"ensemble": 4}},
+    "probe-multilinear-k1": {"scenario": "probe-multilinear", "seed": 2,
+                             "params": {"k": 1, "ensemble": 4}},
+    "probe-multilinear-k2": {"scenario": "probe-multilinear", "seed": 3,
+                             "params": {"k": 2, "s": 0.75, "ensemble": 4}},
+    "probe-quintic": {"scenario": "probe-multilinear", "seed": 4,
+                      "params": {"quintic": True, "ensemble": 3}},
+    "dyadic-checks": {"scenario": "dyadic-checks", "seed": 5, "params": {}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(tmp_path, name):
+    code, _ = run(dict(CASES[name], name=name), tmp_path)
+    assert code == 0
+    # keys, strings and booleans (assertion outcomes) match exactly,
+    # numbers by the golden rule
+    assert golden_mismatches(json.loads((tmp_path / "report.json").read_text()),
+                             json.loads((GOLDEN_DIR / f"{name}.json").read_text())) == []
+
+
+def test_comparator_rule():
+    assert golden_mismatches({"a": [1.0, 2.0]}, {"a": [1.0, 2.0 + 1e-11]}) == []
+    assert golden_mismatches({"a": 1.0 + 1e-9}, {"a": 1.0}) == [".a: 1.000000001 != 1.0"]
+    # below the roundoff floor only growth counts
+    assert golden_mismatches(3e-13, 1e-13) == []
+    assert golden_mismatches(2e-12, 1e-13) != []
+    assert golden_mismatches({"ok": True}, {"ok": False}) != []
+    assert golden_mismatches({"a": 1}, {"b": 1}) != []

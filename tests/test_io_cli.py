@@ -88,14 +88,35 @@ class TestValidation:
         ("gauge-equivalence", {"kind": "line", "domain_scale": 6}, "domain_scale"),
         ("probe-trilinear", {"kind": "sphere"}, "kind"),
         ("probe-strichartz", {"dt": -0.02}, "dt"),
+        ("probe-trilinear", {"ensemble": 0}, "ensemble"),
+        ("probe-trilinear", {"ensemble": -3}, "ensemble"),
+        ("probe-trilinear", {"t_values": []}, "t_values"),
+        ("probe-trilinear", {"t_values": ["a"]}, "t_values[0]"),
+        ("probe-trilinear", {"t_values": [0.5, 0.0]}, "t_values[1]"),
+        ("probe-trilinear", {"t_values": [1.5]}, "t_values[0]"),
+        ("probe-trilinear", {"t_values": [True]}, "t_values[0]"),
+        ("probe-multilinear", {"ensemble": 0}, "ensemble"),
+        ("probe-multilinear", {"t_values": []}, "t_values"),
+        ("probe-multilinear", {"t_values": [0.5, None]}, "t_values[1]"),
+        ("probe-strichartz", {"ensemble": 0}, "ensemble"),
+        ("probe-smult", {"ensemble": -1}, "ensemble"),
+        ("gauge-roundtrip", {"ensemble": 0}, "ensemble"),
+        ("flowmap", {"ensemble": 0}, "ensemble"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
-        base = {} if scenario.startswith("probe") else {"dt": 1e-3, "t_final": 0.01}
+        base = {} if scenario.startswith(("probe", "gauge-r")) \
+            else {"dt": 1e-3, "t_final": 0.01}
         code, _ = run({"scenario": scenario, "params": {**base, **params}},
                       tmp_path)
         assert code == 2
         assert f"params.{path}" in capsys.readouterr().err
+
+    def test_integer_t_values_run(self, tmp_path):
+        code, report = run({"scenario": "probe-trilinear",
+                            "params": {"t_values": [1, 0.5], "ensemble": 1}}, tmp_path)
+        assert code == 0
+        assert sorted(report["probe_reports"][0]["details"]["sup_x_by_T"]) == ["0.5", "1"]
 
     def test_defaults_filled(self):
         params = validate_spec({"scenario": "plane-wave",

@@ -158,3 +158,53 @@ class TestBesovProduct:
                                  rng=np.random.default_rng(7))
         assert np.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert rep.refinement_stable
+
+
+class TestWorkerCount:
+    """Reports must not depend on DNLS_LAB_THREADS: samples draw from
+    pre-drawn per-sample seeds, and worker threads share the weight cache."""
+
+    @pytest.mark.parametrize("probe", [
+        lambda: trilinear_probe(ensemble=4, rng=np.random.default_rng(8)),
+        lambda: multilinear_probe(quintic=True, ensemble=3,
+                                  rng=np.random.default_rng(9)),
+    ], ids=["trilinear", "quintic"])
+    def test_same_report_with_two_workers(self, monkeypatch, probe):
+        monkeypatch.delenv("DNLS_LAB_THREADS", raising=False)
+        serial = probe().to_json()
+        monkeypatch.setenv("DNLS_LAB_THREADS", "2")
+        assert probe().to_json() == serial
+
+
+def _mode_sum_reference(dom, times, rng, n_modes=12, band=8.0, tau_spread=20.0,
+                        char_sign=+1):
+    """random_mode_sum_values as one full-size exp per mode."""
+    u = rng.random()
+    if u < 0.5:
+        sigma0 = np.exp(rng.uniform(np.log(1e-2), np.log(0.5)))
+    elif u < 0.75:
+        sigma0 = np.exp(rng.uniform(np.log(0.5), np.log(4.0)))
+    else:
+        sigma0 = np.exp(rng.uniform(np.log(4.0), np.log(max(tau_spread, 8.0))))
+    xi_lattice = dom.xi[np.abs(dom.xi) <= band]
+    out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
+    for _ in range(n_modes):
+        xi = rng.choice(xi_lattice)
+        nu = char_sign * xi ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
+        c = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
+        out += c * np.exp(1j * (xi * dom.x[None, :] - nu * times[:, None]))
+    return out
+
+
+class TestModeSum:
+    @pytest.mark.parametrize("dom,band,char_sign", [
+        (Domain("torus", 32), 8.0, +1), (Domain("torus", 32), 2.0, -1),
+        (Domain("line", 64, 4), 4.0, +1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_mode_loop(self, dom, band, char_sign, seed):
+        times = -4.0 + np.arange(1024) / 128.0
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_mode_sum_values(dom, times, r1, band=band, char_sign=char_sign)
+        ref = _mode_sum_reference(dom, times, r2, band=band, char_sign=char_sign)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert r1.random() == r2.random()   # same draws, same generator state

@@ -8,9 +8,11 @@ from dnls_lab.fields import (Domain, ModulationLattice, SpaceTimeField,
                              SpectralField, Trajectory)
 from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_trajectory
-from dnls_lab.spaces import (TimeWindow, besov_norm, cal_y_norm, cal_z_norm,
-                             frak_x_norm, sobolev_norm, window_trajectory,
-                             xsb_norm, xy_embedding_constant, ysb_norm, zs_norm)
+from dnls_lab.frequency import dyadic_multiplier, dyadic_projection, dyadic_range
+from dnls_lab.spaces import (TimeWindow, _chi_sq, _xsb_weight, besov_norm,
+                             cal_y_norm, cal_z_norm, frak_x_norm, sobolev_norm,
+                             window_trajectory, xsb_norm, xy_embedding_constant,
+                             ysb_norm, zs_norm)
 
 TORUS = Domain("torus", 64)
 
@@ -152,6 +154,73 @@ class TestSpaceTimeNorms:
                      lambda v: frak_x_norm(v, 0.5, -0.5, +1),
                      lambda v: cal_z_norm(v, 0.5)):
             assert norm(u.scaled(2.5)) == pytest.approx(2.5 * norm(u), rel=1e-10)
+
+
+def _random_field(dom, n_t, seed):
+    dt = 1.0 / 128.0
+    lat = ModulationLattice(dom, n_t, dt, -0.5 * n_t * dt)
+    rng = np.random.default_rng(seed)
+    return SpaceTimeField(lat, rng.normal(size=(dom.n_points, n_t))
+                          + 1j * rng.normal(size=(dom.n_points, n_t)))
+
+
+def _reference_sup(u, norm):
+    """Low block plus sup over higher blocks, one SpaceTimeField per block."""
+    vals = [norm(SpaceTimeField(u.lattice,
+                                dyadic_multiplier(u.domain.xi, n)[:, None] * u.coeffs))
+            for n in dyadic_range(u.domain.xi_max)]
+    return vals[0] + max(vals[1:], default=0.0)
+
+
+ONE_PASS_LATTICES = [(Domain("torus", 32), 1024), (Domain("line", 64, 4), 256),
+                     (Domain("line", 8, 4), 64)]
+
+
+class TestOnePassBlockNorms:
+    """The one-pass block norms against the explicit per-block reference."""
+
+    def test_single_block_lattice(self):
+        assert dyadic_range(Domain("line", 8, 4).xi_max) == [1]
+
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("b", [0.5, -0.5, -7.0 / 16.0])
+    def test_frak_x(self, dom, n_t, sign, b):
+        u = _random_field(dom, n_t, 1)
+        ref = _reference_sup(u, lambda v: xsb_norm(v, 0.5, b, sign))
+        assert frak_x_norm(u, 0.5, b, sign) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    @pytest.mark.parametrize("b", [-1.0, 0.0])
+    def test_cal_y(self, dom, n_t, b):
+        u = _random_field(dom, n_t, 2)
+        ref = _reference_sup(u, lambda v: ysb_norm(v, 0.5, b))
+        assert cal_y_norm(u, 0.5, b) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    def test_cal_z(self, dom, n_t):
+        u = _random_field(dom, n_t, 3)
+        ref = _reference_sup(u, lambda v: zs_norm(v, 0.75))
+        assert cal_z_norm(u, 0.75) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("dom", [d for d, _ in ONE_PASS_LATTICES])
+    @pytest.mark.parametrize("q", [2, np.inf])
+    def test_besov(self, dom, q):
+        f = random_band_field(dom, np.random.default_rng(4), band=dom.xi_max)
+        ns = dyadic_range(dom.xi_max)
+        blocks = [dyadic_projection(f, n).l2_norm() for n in ns]
+        tail = [n ** 0.5 * v for n, v in zip(ns[1:], blocks[1:])]
+        ref = blocks[0] + (max(tail, default=0.0) if q == np.inf
+                           else np.sqrt(sum(v * v for v in tail)))
+        assert besov_norm(f, 0.5, q) == pytest.approx(ref, rel=1e-12)
+
+    def test_cached_weights_are_read_only(self):
+        u = _random_field(Domain("torus", 32), 64, 5)
+        frak_x_norm(u, 0.5, 0.5, +1)
+        with pytest.raises(ValueError):
+            _xsb_weight(u.lattice, 0.5, 0.5, +1)[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            _chi_sq(u.domain)[0, 0] = 0.0
 
 
 class TestWindowTrajectory:

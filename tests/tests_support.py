@@ -1,5 +1,8 @@
 """Helpers shared across test modules."""
 
+import math
+import sys
+
 import numpy as np
 
 from dnls_lab.fields import Domain, ModulationLattice, SpaceTimeField
@@ -15,3 +18,39 @@ def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
     coeffs[n // 2, :] = 0.0
     coeffs[:, n_t // 2] = 0.0
     return SpaceTimeField(lat, coeffs)
+
+
+# Golden report comparison: numbers agree to GOLDEN_RTOL relative.  A
+# golden number below GOLDEN_ROUNDOFF in magnitude has no stable digits,
+# so it only may not grow past GOLDEN_GROWTH times its golden magnitude
+# (or machine epsilon, if larger).
+GOLDEN_RTOL = 1e-10
+GOLDEN_ROUNDOFF = 1e-12
+GOLDEN_GROWTH = 10
+
+
+def _close(value, golden) -> bool:
+    numbers = (int, float)
+    if isinstance(value, bool) or isinstance(golden, bool) or not (
+            isinstance(value, numbers) and isinstance(golden, numbers)):
+        return value == golden
+    if math.isnan(value) or math.isnan(golden):
+        return math.isnan(value) and math.isnan(golden)
+    if abs(golden) < GOLDEN_ROUNDOFF:
+        return abs(value) <= GOLDEN_GROWTH * max(abs(golden), sys.float_info.epsilon)
+    return abs(value - golden) <= GOLDEN_RTOL * abs(golden)
+
+
+def golden_mismatches(report, golden, path="") -> list[str]:
+    """JSON paths at which a report tree differs from its golden tree."""
+    if isinstance(report, dict) and isinstance(golden, dict):
+        if report.keys() != golden.keys():
+            return [f"{path}: keys {sorted(report)} != {sorted(golden)}"]
+        return [m for k in golden
+                for m in golden_mismatches(report[k], golden[k], f"{path}.{k}")]
+    if isinstance(report, list) and isinstance(golden, list):
+        if len(report) != len(golden):
+            return [f"{path}: length {len(report)} != {len(golden)}"]
+        return [m for i, (a, b) in enumerate(zip(report, golden))
+                for m in golden_mismatches(a, b, f"{path}[{i}]")]
+    return [] if _close(report, golden) else [f"{path}: {report!r} != {golden!r}"]
