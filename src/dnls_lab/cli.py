@@ -156,8 +156,39 @@ VALUE_RULES = {
     "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
     "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
     "ensemble": (lambda v: v >= 1, "an integer >= 1"),
-    "t_values": (lambda v: len(v) > 0, "a non-empty list"),
 }
+
+# entries of the list keys, which must be non-empty; type() rules out bools
+ENTRY_RULES = {
+    "t_values": (lambda v: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]"),
+    "sigmas": (lambda v: type(v) is int and _is_power_of_two(v), "an integer power of two"),
+    "eps_list": (lambda v: type(v) in (int, float) and 0 < v < math.inf,
+                 "a positive finite number"),
+}
+
+# keys of solve's `initial` object by type, as scenarios._initial_data reads them
+INITIAL_KEYS = {
+    "plane": ("amplitude", "mode"),
+    "trig": ("h1_norm",),
+    "gaussian": ("amplitude", "width", "center", "mode", "h1_norm"),
+    "random": ("band", "h1_norm"),
+}
+
+
+def _check_initial(initial: dict, kind: str):
+    typ = initial.get("type", "trig" if kind == "torus" else "gaussian")
+    if not isinstance(typ, str) or typ not in INITIAL_KEYS:
+        raise SchemaError(f"params.initial.type: must be one of "
+                          f"{sorted(INITIAL_KEYS)}, got {typ!r}")
+    if typ == "trig" and kind != "torus":
+        raise SchemaError("params.initial.type: 'trig' is periodic, torus only")
+    for key, val in initial.items():
+        if key == "type":
+            continue
+        if key not in INITIAL_KEYS[typ]:
+            raise SchemaError(f"params.initial.{key}: unknown key for type {typ!r}")
+        if type(val) not in (int, float) or not math.isfinite(val):
+            raise SchemaError(f"params.initial.{key}: must be a finite number, got {val!r}")
 
 
 def validate_spec(spec: dict) -> dict:
@@ -204,9 +235,14 @@ def validate_spec(spec: dict) -> dict:
     for key, (ok, valid) in VALUE_RULES.items():
         if key in resolved and not ok(resolved[key]):
             raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
-    for i, t in enumerate(resolved.get("t_values", [])):
-        if type(t) not in (int, float) or not 0 < t <= 1:  # type() rules out bools
-            raise SchemaError(f"params.t_values[{i}]: must be a number in (0, 1], got {t!r}")
+    for key, (ok, valid) in ENTRY_RULES.items():
+        if resolved.get(key) == []:
+            raise SchemaError(f"params.{key}: must be a non-empty list, got []")
+        for i, v in enumerate(resolved.get(key, [])):
+            if not ok(v):
+                raise SchemaError(f"params.{key}[{i}]: must be {valid}, got {v!r}")
+    if "initial" in resolved:
+        _check_initial(resolved["initial"], resolved["kind"])
     if resolved.get("kind") == "torus" and resolved.get("domain_scale", 1) != 1:
         raise SchemaError("params.domain_scale: must be 1 on the torus")
     if "t_final" in resolved:  # every scenario with t_final also has dt
@@ -214,6 +250,10 @@ def validate_spec(spec: dict) -> dict:
         if steps < 1 or abs(steps * resolved["dt"] - resolved["t_final"]) > 1e-9:
             raise SchemaError("params.t_final: must be a positive integer "
                               "multiple of params.dt")
+        for i, sigma in enumerate(resolved.get("sigmas", [])):
+            if sigma > resolved["t_final"] ** -0.5:  # int vs float: no overflow
+                raise SchemaError(f"params.sigmas[{i}]: sigma^2 * t_final must be "
+                                  f"<= 1, got {sigma}^2 * {resolved['t_final']}")
     return resolved
 
 

@@ -21,45 +21,12 @@ delta-dependent weights used near the resonant set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frequency import bracket
 
 REGIME_LABELS = ("uniform", "I", "IIa", "IIb1+", "IIb1-", "IIb2",
                  "IIIa1", "IIIa2", "IIIb", "IIIc")
-
-MULTIPLIER_TAGS = ("M", "M0", "M1", "M2", "M3", "M4",
-                   "Mt", "Mt0", "Mt1", "Mt2", "Mt3", "Mt4")
-
-
-@dataclass(frozen=True)
-class MultiplierPoint:
-    """One point on the convolution hyperplane; xi and tau are derived."""
-
-    xi_vec: tuple[float, float, float]
-    tau_vec: tuple[float, float, float]
-
-    @property
-    def xi(self) -> float:
-        return float(sum(self.xi_vec))
-
-    @property
-    def tau(self) -> float:
-        return float(sum(self.tau_vec))
-
-
-@dataclass(frozen=True)
-class MultiplierKind:
-    tag: str
-    delta: float = 1.0 / 24.0
-
-    def __post_init__(self):
-        if self.tag not in MULTIPLIER_TAGS:
-            raise ValueError(f"unknown multiplier tag {self.tag!r}")
-        if not 0.0 < self.delta < 1.0 / 6.0:
-            raise ValueError("delta must lie in (0, 1/6)")
 
 
 def modulation_magnitudes(xi1, xi2, xi3, tau1, tau2, tau3):
@@ -109,12 +76,6 @@ def resonance_scale(xi1, xi2, xi3, tau1, tau2, tau3):
     ]), axis=0)
 
 
-def resonance_check(p: MultiplierPoint) -> tuple[float, float]:
-    """Residuals (r1, r2) for a single point."""
-    r1, r2, _ = resonance_residuals(*p.xi_vec, *p.tau_vec)
-    return float(r1), float(r2)
-
-
 def eval_multiplier_arrays(tag: str, xi1, xi2, xi3, tau1, tau2, tau3,
                            delta: float = 1.0 / 24.0) -> np.ndarray:
     """|multiplier| evaluated vectorized over point arrays."""
@@ -159,14 +120,6 @@ def eval_multiplier_arrays(tag: str, xi1, xi2, xi3, tau1, tau2, tau3,
     if tag in ("Mt", "Mt1", "Mt2", "Mt3", "Mt4"):
         out = out / b_out ** 0.5
     return out
-
-
-def eval_multiplier(kind: MultiplierKind, p: MultiplierPoint) -> float:
-    vals = eval_multiplier_arrays(kind.tag,
-                                  *(np.asarray([c]) for c in p.xi_vec),
-                                  *(np.asarray([c]) for c in p.tau_vec),
-                                  delta=kind.delta)
-    return float(vals[0])
 
 
 def domination_ratio_arrays(family: str, xi1, xi2, xi3, tau1, tau2, tau3,

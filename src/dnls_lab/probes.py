@@ -14,6 +14,8 @@ alone and not sampling noise.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +25,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
-                     dealiased_product_coeffs)
+                     dealiased_product, dealiased_product_coeffs)
 from .frequency import dyadic_range
-from .multipliers import (REGIME_LABELS, domination_ratio_arrays, sample_points)
+from .multipliers import (REGIME_LABELS, domination_ratio_arrays,
+                          eval_multiplier_arrays, sample_points)
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
 from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
@@ -106,7 +109,6 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
         xi = xi1 + xi2 + xi3
         case2 = (np.abs(xi) <= 2 * np.abs(xi1)) & (np.abs(xi) <= 2 * np.abs(xi2))
         if np.any(case2):
-            from .multipliers import eval_multiplier_arrays
             num = eval_multiplier_arrays(family, *pts, delta=delta)
             den = eval_multiplier_arrays("M4" if family == "M" else "Mt4",
                                          *pts, delta=delta)
@@ -225,33 +227,43 @@ def _nested_sups(raw: dict) -> dict:
     return out
 
 
-_QUINTIC_TUPLES: list[tuple[int, ...]] | None = None
-
-
-def _quintic_resonant_tuples() -> list[tuple[int, ...]]:
+@functools.cache
+def _quintic_resonant_tuples() -> tuple[tuple[int, ...], ...]:
     """Integer mode tuples (x1..x5) whose conjugate-alternating quintic
     output lands exactly on the characteristic while respecting the torus
     constraints x1 != x2, x3 != x4, x1 - x2 + x3 - x4 != 0."""
-    global _QUINTIC_TUPLES
-    if _QUINTIC_TUPLES is None:
-        found = []
-        rng5 = range(-4, 5)
-        for x1 in rng5:
-            for x2 in rng5:
-                if x1 == x2:
-                    continue
-                for x3 in rng5:
-                    for x4 in rng5:
-                        if x3 == x4 or x1 - x2 + x3 - x4 == 0:
-                            continue
-                        for x5 in rng5:
-                            out = x1 - x2 + x3 - x4 + x5
-                            nu = (x1 ** 2 - x2 ** 2 + x3 ** 2
-                                  - x4 ** 2 + x5 ** 2)
-                            if out * out == nu:
-                                found.append((x1, x2, x3, x4, x5))
-        _QUINTIC_TUPLES = found
-    return _QUINTIC_TUPLES
+    return tuple((x1, x2, x3, x4, x5)
+                 for x1, x2, x3, x4, x5 in itertools.product(range(-4, 5), repeat=5)
+                 if x1 != x2 and x3 != x4 and x1 - x2 + x3 - x4 != 0
+                 and (x1 - x2 + x3 - x4 + x5) ** 2
+                 == x1 ** 2 - x2 ** 2 + x3 ** 2 - x4 ** 2 + x5 ** 2)
+
+
+def _on_window_support(w: np.ndarray, form, factors: list[np.ndarray]) -> np.ndarray:
+    """form(factors) on the time slices from the first to the last nonzero
+    entry of the window values w, exact zeros on the other slices.
+
+    Every form used here transforms each slice on its own along the last
+    axis, and a slice whose factors all vanish gives exactly 0, so the
+    result equals form(factors) on the full lattice bit for bit.
+    """
+    out = np.zeros(np.shape(factors[0]), dtype=np.complex128)
+    nz = np.flatnonzero(w)
+    if nz.size:
+        kept = slice(nz[0], nz[-1] + 1)
+        out[kept] = form([f[kept] for f in factors])
+    return out
+
+
+def _plain_product(dom: Domain, vs: list[np.ndarray]) -> np.ndarray:
+    """v1 v2 ... on arrays of time slices, one dealiased pair at a time."""
+    prod = vs[0].copy()
+    for v in vs[1:]:
+        cs = [np.fft.fft(a, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
+              for a in (prod, v)]
+        pc = dealiased_product_coeffs(dom, cs)
+        prod = np.fft.ifft(pc, axis=-1) * (np.sqrt(2 * np.pi) / dom.dx)
+    return prod
 
 
 def _corollary_rhs(fields: list[SpaceTimeField], s: float,
@@ -311,11 +323,11 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
                     random_mode_sum_values(dom, times, r, char_sign=-1)]
         out = {}
         for T in t_values:
-            w = TimeWindow.plateau(T)(times)[:, None]
-            v1, v2, v3 = (b_ * w for b_ in base)
-            tri = trilinear_T_slices(dom, v1, v2, v3)
+            w = TimeWindow.plateau(T)(times)
+            vs = [b_ * w[:, None] for b_ in base]
+            tri = _on_window_support(w, lambda f: trilinear_T_slices(dom, *f), vs)
             lhs = SpaceTimeField.from_time_values(dom, times, tri)
-            u = [SpaceTimeField.from_time_values(dom, times, v) for v in (v1, v2, v3)]
+            u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
             den = _corollary_rhs(u, s, signs=[+1, +1, -1])
             out[T] = (frak_x_norm(lhs, s, -0.5, +1) / den,
                       cal_y_norm(lhs, s, -1.0) / den)
@@ -392,18 +404,14 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
                     for _ in range(n_factors)]
         out = {}
         for T in t_values:
-            w = TimeWindow.plateau(T)(times)[:, None]
-            vs = [b * w for b in base]
+            w = TimeWindow.plateau(T)(times)
+            vs = [b * w[:, None] for b in base]
             if quintic:
                 args = [vs[0], np.conj(vs[1]), vs[2], np.conj(vs[3]), vs[4]]
-                prod = quintic_Q_general_slices(dom, args)
+                prod = _on_window_support(
+                    w, lambda f: quintic_Q_general_slices(dom, f), args)
             else:
-                prod = vs[0].copy()
-                for v in vs[1:]:
-                    cs = [np.fft.fft(a, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
-                          for a in (prod, v)]
-                    pc = dealiased_product_coeffs(dom, cs)
-                    prod = np.fft.ifft(pc, axis=-1) * (np.sqrt(2 * np.pi) / dom.dx)
+                prod = _on_window_support(w, lambda f: _plain_product(dom, f), vs)
             lhs = SpaceTimeField.from_time_values(dom, times, prod)
             u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
             den = _corollary_rhs(u, s, signs=[+1] * n_factors)
@@ -489,7 +497,6 @@ def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
-    from .fields import dealiased_product
     sup = 0.0
     for _ in range(ensemble):
         f1 = random_band_field(dom, rng, band=dom.xi_max / 4)

@@ -102,6 +102,28 @@ class TestValidation:
         ("probe-smult", {"ensemble": -1}, "ensemble"),
         ("gauge-roundtrip", {"ensemble": 0}, "ensemble"),
         ("flowmap", {"ensemble": 0}, "ensemble"),
+        ("scaling", {"sigmas": []}, "sigmas"),
+        ("scaling", {"sigmas": ["a"]}, "sigmas[0]"),
+        ("scaling", {"sigmas": [2, True]}, "sigmas[1]"),
+        ("scaling", {"sigmas": [3]}, "sigmas[0]"),
+        ("scaling", {"sigmas": [2.0]}, "sigmas[0]"),
+        ("scaling", {"sigmas": [0]}, "sigmas[0]"),
+        ("scaling", {"sigmas": [2, 16]}, "sigmas[1]"),  # 16^2 * 0.01 > 1
+        ("scaling", {"sigmas": [2 ** 600]}, "sigmas[0]"),
+        ("flowmap", {"eps_list": []}, "eps_list"),
+        ("flowmap", {"eps_list": ["x"]}, "eps_list[0]"),
+        ("flowmap", {"eps_list": [1e-2, -1e-3]}, "eps_list[1]"),
+        ("flowmap", {"eps_list": [0]}, "eps_list[0]"),
+        ("flowmap", {"eps_list": [False]}, "eps_list[0]"),
+        ("solve", {"initial": {"tipo": "plane"}}, "initial.tipo"),
+        ("solve", {"initial": {"type": "plane", "amplitude": "x"}}, "initial.amplitude"),
+        ("solve", {"initial": {"type": "wave"}}, "initial.type"),
+        ("solve", {"initial": {"type": ["plane"]}}, "initial.type"),
+        ("solve", {"initial": {"type": "plane", "width": 1.0}}, "initial.width"),
+        ("solve", {"initial": {"type": "random", "band": None}}, "initial.band"),
+        ("solve", {"initial": {"type": "trig", "h1_norm": True}}, "initial.h1_norm"),
+        ("solve", {"kind": "line", "domain_scale": 4, "initial": {"type": "trig"}},
+         "initial.type"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
@@ -111,6 +133,19 @@ class TestValidation:
                       tmp_path)
         assert code == 2
         assert f"params.{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,initial", [
+        ("torus", {"type": "plane", "amplitude": 0.5, "mode": 2}),
+        ("torus", {"h1_norm": 0.2}),
+        ("line", {"amplitude": 0.3, "width": 1.2, "center": 0, "mode": 1,
+                  "h1_norm": 0.3}),
+        ("line", {"type": "random", "band": 4.0, "h1_norm": 0.3}),
+    ])
+    def test_initial_keys_accepted(self, kind, initial):
+        params = validate_spec({"scenario": "solve", "params": {
+            "kind": kind, "domain_scale": 1 if kind == "torus" else 4,
+            "dt": 1e-3, "t_final": 0.01, "initial": initial}})
+        assert params["initial"] == initial
 
     def test_integer_t_values_run(self, tmp_path):
         code, report = run({"scenario": "probe-trilinear",

@@ -4,33 +4,31 @@ import numpy as np
 import pytest
 
 from dnls_lab.frequency import bracket
-from dnls_lab.multipliers import (MultiplierKind, MultiplierPoint,
-                                  REGIME_LABELS, classify_max_region,
-                                  domination_ratio_arrays, eval_multiplier,
-                                  eval_multiplier_arrays, resonance_check,
-                                  resonance_residuals, resonance_scale,
-                                  sample_points)
+from dnls_lab.multipliers import (REGIME_LABELS, classify_max_region,
+                                  domination_ratio_arrays,
+                                  eval_multiplier_arrays, resonance_residuals,
+                                  resonance_scale, sample_points)
 
 
 def point(xi_vec, tau_vec):
-    return MultiplierPoint(tuple(map(float, xi_vec)), tuple(map(float, tau_vec)))
+    """One hyperplane point as six length-1 coordinate arrays."""
+    return tuple(np.array([float(c)]) for c in (*xi_vec, *tau_vec))
 
 
 class TestResonance:
     def test_explicit_example(self):
         # xi = 6, both sides equal 2 * 5 * 4 = 40
-        p = point((1, 2, 3), (0.3, -0.7, 1.1))
-        combo = (p.tau + p.xi ** 2) - (p.tau_vec[0] + 1 + p.tau_vec[1] + 4
-                                       + p.tau_vec[2] - 9)
+        tau_vec = (0.3, -0.7, 1.1)
+        combo = (sum(tau_vec) + 6 ** 2) - (tau_vec[0] + 1 + tau_vec[1] + 4
+                                           + tau_vec[2] - 9)
         assert combo == pytest.approx(40.0)
-        r1, r2 = resonance_check(p)
-        assert r1 < 1e-12 and r2 < 1e-12
+        r1, r2, _ = resonance_residuals(*point((1, 2, 3), tau_vec))
+        assert r1[0] < 1e-12 and r2[0] < 1e-12
 
     def test_degenerate_factor(self):
         # xi1 = xi forces xi2 + xi3 = 0 and both sides vanish
-        p = point((5, 2, -2), (0.1, 0.2, 0.3))
-        r1, r2 = resonance_check(p)
-        assert r1 < 1e-12 and r2 < 1e-12
+        r1, r2, _ = resonance_residuals(*point((5, 2, -2), (0.1, 0.2, 0.3)))
+        assert r1[0] < 1e-12 and r2[0] < 1e-12
 
     @pytest.mark.parametrize("lattice", ["Z", "R"])
     def test_bulk_random(self, lattice):
@@ -45,12 +43,12 @@ class TestResonance:
 class TestMultiplierEvaluation:
     def test_zero_third_frequency(self):
         p = point((1, -1, 0), (0.5, 0.5, 0.5))
-        assert eval_multiplier(MultiplierKind("M"), p) == 0.0
+        assert eval_multiplier_arrays("M", *p)[0] == 0.0
 
     def test_origin_is_region_zero(self):
         p = point((0, 0, 0), (0, 0, 0))
-        assert eval_multiplier(MultiplierKind("M0"), p) == 1.0
-        assert eval_multiplier(MultiplierKind("M1"), p) == 0.0
+        assert eval_multiplier_arrays("M0", *p)[0] == 1.0
+        assert eval_multiplier_arrays("M1", *p)[0] == 0.0
 
     def test_indicator_partition(self):
         rng = np.random.default_rng(1)
@@ -68,7 +66,7 @@ class TestMultiplierEvaluation:
                * bracket(t2 + xi2 ** 2) ** 0.5 * bracket(t3 - xi3 ** 2) ** 0.5
                * bracket(xi1) ** 0.5 * bracket(xi2) ** 0.5 * bracket(xi3) ** 0.5)
         p = point((xi1, xi2, xi3), (t1, t2, t3))
-        assert eval_multiplier(MultiplierKind("M"), p) == pytest.approx(num / den)
+        assert eval_multiplier_arrays("M", *p)[0] == pytest.approx(num / den)
 
     def test_damped_family_identity(self):
         rng = np.random.default_rng(2)
@@ -81,10 +79,8 @@ class TestMultiplierEvaluation:
         assert np.max(np.abs(mt - expected)) < 1e-12 * max(np.max(m), 1.0)
 
     def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            MultiplierKind("M9")
-        with pytest.raises(ValueError):
-            MultiplierKind("M0", delta=0.2)
+        with pytest.raises(ValueError, match="M9"):
+            eval_multiplier_arrays("M9", *point((1, 2, 3), (0, 0, 0)))
 
 
 class TestDomination:

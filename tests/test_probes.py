@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from dnls_lab import probes
 from dnls_lab.errors import ParameterError
 from dnls_lab.fields import Domain, SpaceTimeField
+from dnls_lab.frequency import dyadic_range
+from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              multilinear_probe, sobolev_mult_probe,
                              strichartz_probe, strichartz_single_mode_ratio,
                              trilinear_probe)
 from dnls_lab.sampling import random_mode_sum_values
+from dnls_lab.spaces import TimeWindow, block_norms
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -145,6 +149,29 @@ class TestDyadicSums:
         with pytest.raises(ParameterError):
             dyadic_sum_check(self._field(0), delta=0.0)
 
+    def test_y_binding_pins_s_plus_delta_blocks(self):
+        # one travelling mode at xi = N in each block N = 2..16 (chi_N(N) = 1),
+        # scaled so that ||P_N u||_{X^{s,b}} = N^-delta: then (Y) is the
+        # binding inequality (small_k = 2 keeps (XXX) below it), so the
+        # reported sup is its ratio, built from the X^{s+delta,b} blocks
+        dom = Domain("torus", 64)
+        dt = 1.0 / 64.0
+        times = -2.0 + dt * np.arange(256)
+        delta, s, b = 0.25, 0.5, 0.5
+        ns = np.array(dyadic_range(dom.xi_max), dtype=float)
+        modes = {n: np.exp(1j * (n * dom.x[None, :] - n * n * times[:, None]))
+                 for n in (2, 4, 8, 16)}
+        unit = block_norms(SpaceTimeField.from_time_values(
+            dom, times, sum(modes.values())), s, b)
+        vals = sum(n ** -delta / unit[list(ns).index(n)] * m for n, m in modes.items())
+        u = SpaceTimeField.from_time_values(dom, times, vals)
+        rep = dyadic_sum_check(u, delta, s, b, small_k=2)
+        plus = block_norms(u, s + delta, b)
+        c_y = 1.0 + 2.0 ** delta * float(np.sum(ns[1:] ** -delta))
+        lhs_y = float(np.sum(block_norms(u, s, b)))
+        assert rep.sup_ratio == pytest.approx(
+            lhs_y / (c_y * (plus[0] + plus[1:].max())), rel=1e-12)
+
 
 class TestBesovProduct:
     def test_parameter_region(self):
@@ -174,6 +201,78 @@ class TestWorkerCount:
         serial = probe().to_json()
         monkeypatch.setenv("DNLS_LAB_THREADS", "2")
         assert probe().to_json() == serial
+
+
+_SUPPORT_DOMAINS = [Domain("torus", 32), Domain("line", 32)]
+_PRODUCT_FORMS = {
+    "trilinear": (3, lambda dom, f: trilinear_T_slices(dom, *f)),
+    "quintic": (5, lambda dom, f: quintic_Q_general_slices(dom, f)),
+    "pairwise-k1": (2, probes._plain_product),
+    "pairwise-k2": (3, probes._plain_product),
+}
+
+
+class TestWindowSupport:
+    """The probes' products evaluated on the window's slices only must equal
+    the full-lattice evaluation bit for bit."""
+
+    @staticmethod
+    def _factors(dom, times, w, n_factors, seed):
+        rng = np.random.default_rng(seed)
+        return [random_mode_sum_values(dom, times, rng) * w[:, None]
+                for _ in range(n_factors)]
+
+    @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("form", sorted(_PRODUCT_FORMS))
+    def test_default_windows_bit_identical(self, dom, form):
+        n_factors, fn = _PRODUCT_FORMS[form]
+        times = probes._base_times()
+        for T in (1.0, 0.5, 0.25, 0.125):
+            w = TimeWindow.plateau(T)(times)
+            vs = self._factors(dom, times, w, n_factors, seed=11)
+            full = fn(dom, vs)
+            kept = probes._on_window_support(w, lambda f: fn(dom, f), vs)
+            assert np.array_equal(kept, full)
+            assert np.count_nonzero(np.any(kept != 0, axis=-1)) < len(times)
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    @pytest.mark.parametrize("form", sorted(_PRODUCT_FORMS))
+    def test_window_reaching_lattice_edge(self, form, edge):
+        dom = Domain("torus", 32)
+        n_factors, fn = _PRODUCT_FORMS[form]
+        times = -1.0 + np.arange(256) / 128.0
+        w = TimeWindow.plateau(0.5)(times - times[0 if edge == "first" else -1])
+        assert w[0 if edge == "first" else -1] == 1.0
+        vs = self._factors(dom, times, w, n_factors, seed=12)
+        kept = probes._on_window_support(w, lambda f: fn(dom, f), vs)
+        assert np.array_equal(kept, fn(dom, vs))
+
+    def test_zero_window_gives_zeros(self):
+        dom = Domain("torus", 32)
+        times = probes._base_times()
+        vs = self._factors(dom, times, np.ones_like(times), 3, seed=13)
+
+        def never(f):
+            raise AssertionError("form evaluated under a zero window")
+
+        out = probes._on_window_support(np.zeros_like(times), never, vs)
+        assert out.shape == vs[0].shape and not np.any(out)
+
+    @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("probe", [
+        lambda dom: trilinear_probe(ensemble=3, dom=dom, rng=np.random.default_rng(14)),
+        lambda dom: multilinear_probe(k=1, ensemble=3, dom=dom,
+                                      rng=np.random.default_rng(15)),
+        lambda dom: multilinear_probe(k=2, ensemble=3, dom=dom,
+                                      rng=np.random.default_rng(16)),
+        lambda dom: multilinear_probe(quintic=True, ensemble=3, dom=dom,
+                                      rng=np.random.default_rng(17)),
+    ], ids=["trilinear", "k1", "k2", "quintic"])
+    def test_probe_report_unchanged(self, monkeypatch, dom, probe):
+        kept = probe(dom).to_json()
+        monkeypatch.setattr(probes, "_on_window_support",
+                            lambda w, form, factors: form(factors))
+        assert probe(dom).to_json() == kept
 
 
 def _mode_sum_reference(dom, times, rng, n_modes=12, band=8.0, tau_spread=20.0,
