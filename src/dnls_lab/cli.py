@@ -158,6 +158,22 @@ VALUE_RULES = {
     "ensemble": (lambda v: v >= 1, "an integer >= 1"),
 }
 
+# scenario-specific ranges: the conditions under which the library call behind
+# the scenario raises ParameterError, checked up front (NaN, which a library
+# check may let through, fails every rule); a rule sees all params
+SCENARIO_RULES = {
+    "probe-trilinear": [("s", lambda p: p["s"] >= 0.5, ">= 1/2")],
+    "probe-multilinear": [("k", lambda p: p["k"] in (0, 1, 2), "0, 1 or 2"),
+                          ("delta", lambda p: 0 < p["delta"] < 1 / 8, "in (0, 1/8)")],
+    "verify-domination": [("n", lambda p: p["n"] >= 10 ** 4, "an integer >= 10^4")],
+    "probe-strichartz": [("b", lambda p: p["b"] > 3 / 8, "> 3/8")],
+    "probe-smult": [("s", lambda p: p["s"] >= 0, ">= 0"),
+                    ("s1", lambda p: p["s1"] >= p["s"], ">= params.s"),
+                    ("s2", lambda p: p["s2"] >= p["s"] and p["s1"] + p["s2"] - p["s"] > 0.5,
+                     ">= params.s, with s1 + s2 - s > 1/2")],
+    "dyadic-checks": [("delta", lambda p: p["delta"] > 0, "positive")],
+}
+
 # entries of the list keys, which must be non-empty; type() rules out bools
 ENTRY_RULES = {
     "t_values": (lambda v: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]"),
@@ -173,6 +189,8 @@ INITIAL_KEYS = {
     "gaussian": ("amplitude", "width", "center", "mode", "h1_norm"),
     "random": ("band", "h1_norm"),
 }
+# the scales among them, which must be positive
+POSITIVE_INITIAL_KEYS = ("width", "h1_norm", "band")
 
 
 def _check_initial(initial: dict, kind: str):
@@ -189,6 +207,8 @@ def _check_initial(initial: dict, kind: str):
             raise SchemaError(f"params.initial.{key}: unknown key for type {typ!r}")
         if type(val) not in (int, float) or not math.isfinite(val):
             raise SchemaError(f"params.initial.{key}: must be a finite number, got {val!r}")
+        if key in POSITIVE_INITIAL_KEYS and val <= 0:
+            raise SchemaError(f"params.initial.{key}: must be positive, got {val!r}")
 
 
 def validate_spec(spec: dict) -> dict:
@@ -234,6 +254,9 @@ def validate_spec(spec: dict) -> dict:
         raise SchemaError(f"{sorted(extra_top)[0]}: unknown top-level key")
     for key, (ok, valid) in VALUE_RULES.items():
         if key in resolved and not ok(resolved[key]):
+            raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
+    for key, ok, valid in SCENARIO_RULES.get(scenario, []):
+        if not ok(resolved):
             raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
     for key, (ok, valid) in ENTRY_RULES.items():
         if resolved.get(key) == []:

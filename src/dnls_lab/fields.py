@@ -93,15 +93,24 @@ class Domain:
             raise DomainMismatchError(f"domains differ: {self} vs {other}")
 
 
+def _check_last_axis(arr: np.ndarray, n: int, what: str):
+    if arr.ndim < 1 or arr.shape[-1] != n:
+        raise ValueError(f"{what} shape does not match the grid")
+
+
 class GridFunction:
-    """Complex samples of a spatial field on a Domain grid (one time slice)."""
+    """Complex samples of a spatial field on a Domain grid.
+
+    values has shape (..., n_points): one time slice, or a stack of slices
+    on one domain that the transforms and the nonlinear kernels treat row
+    by row.  l2_norm and integral expect a single slice.
+    """
 
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: Domain, values: np.ndarray):
         values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (domain.n_points,):
-            raise ValueError("values shape does not match the grid")
+        _check_last_axis(values, domain.n_points, "values")
         self.domain = domain
         self.values = values
 
@@ -140,14 +149,14 @@ class GridFunction:
 
 
 class SpectralField:
-    """Complex Fourier coefficients on the lattice dual to a Domain grid."""
+    """Complex Fourier coefficients on the lattice dual to a Domain grid,
+    shape (..., n_points) like GridFunction.values."""
 
     __slots__ = ("domain", "coeffs")
 
     def __init__(self, domain: Domain, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (domain.n_points,):
-            raise ValueError("coeffs shape does not match the lattice")
+        _check_last_axis(coeffs, domain.n_points, "coeffs")
         self.domain = domain
         self.coeffs = coeffs
 
@@ -298,19 +307,22 @@ class Trajectory:
     """Time-ordered solution samples: values[l] is the slice at times[l].
 
     times are uniformly spaced and strictly increasing; diagnostics carries
-    solver metadata (per-slice mass, integrator info, ...).
+    solver metadata (per-slice mass, integrator info, ...).  values has
+    shape (n_slices, n_points), or (n_slices, ..., n_points) for a batched
+    solve, whose batch axes sit between time and space.
     """
 
     domain: Domain
     times: np.ndarray
-    values: np.ndarray  # (n_slices, n_points) complex physical samples
+    values: np.ndarray  # (n_slices, ..., n_points) complex physical samples
     config: object = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.times.size, self.domain.n_points):
+        if (self.values.ndim < 2 or self.values.shape[0] != self.times.size
+                or self.values.shape[-1] != self.domain.n_points):
             raise ValueError("trajectory shape mismatch")
         if self.times.size >= 2:
             steps = np.diff(self.times)
@@ -339,8 +351,8 @@ class Trajectory:
         return j
 
     def mass(self) -> np.ndarray:
-        """L2 norm of every slice."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1) * self.domain.dx)
+        """L2 norm of every slice (and batch member), shape values.shape[:-1]."""
+        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1) * self.domain.dx)
 
     def map_slices(self, fn) -> "Trajectory":
         out = np.stack([fn(GridFunction(self.domain, v)).values for v in self.values])

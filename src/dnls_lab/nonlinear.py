@@ -237,7 +237,8 @@ def quintic_Q_fourier(fs: list[SpectralField], size_limit: int = 32) -> Spectral
 
 def power_nonlinearity(v: GridFunction, lam: float, k: int,
                        pad_factor: int = 4) -> GridFunction:
-    """lam |v|^(2k) v, dealiased at the degree-(2k+1) product."""
+    """lam |v|^(2k) v, dealiased at the degree-(2k+1) product; v may be a
+    stack of slices (..., n)."""
     if k < 0:
         raise ParameterError("k must be >= 0")
     if lam == 0.0:
@@ -254,7 +255,7 @@ def power_nonlinearity(v: GridFunction, lam: float, k: int,
 
 def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
                  pad_factor: int = 4) -> GridFunction:
-    """i d_x(|u|^2 u) + lam |u|^(2k) u."""
+    """i d_x(|u|^2 u) + lam |u|^(2k) u, slice by slice for a stack (..., n)."""
     if cfg.gauged:
         raise ParameterError("rhs_original requires cfg.gauged = False")
     c = u.to_spectral().coeffs
@@ -276,7 +277,8 @@ def rhs_gauged(v: GridFunction, cfg: NonlinearityConfig,
     + lam |v|^(2k) v is built on one grid fine enough for degree max(5, 2k+1)
     and truncated once; the torus scalar (2i int v d_x conj(v) + int |v|^4 / 2)
     / 2pi - mu^2, and lam when k = 0, multiply v without truncation.  The
-    fine grid integrates |v|^4 exactly (band 2n < 4n).
+    fine grid integrates |v|^4 exactly (band 2n < 4n).  v may be a stack of
+    slices (..., n); the torus integrals are taken per slice.
     """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
@@ -293,9 +295,10 @@ def rhs_gauged(v: GridFunction, cfg: NonlinearityConfig,
     scalar = lam if k == 0 else 0.0
     if dom.kind == "torus":
         w = dom.period / nf / TWO_PI
-        mu = np.sum(dens) * w
+        mu = np.sum(dens, axis=-1, keepdims=True) * w
         g += mu * dens
-        scalar += (2j * np.sum(v_dv) + 0.5 * np.sum(dens * dens)) * w - mu * mu
+        scalar += (2j * np.sum(v_dv, axis=-1, keepdims=True)
+                   + 0.5 * np.sum(dens * dens, axis=-1, keepdims=True)) * w - mu * mu
     out = truncated_coeffs(dom, vf * g) + scalar * c
     return SpectralField(dom, out).to_grid()
 

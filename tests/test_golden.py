@@ -27,6 +27,16 @@ CASES = {
     "probe-quintic": {"scenario": "probe-multilinear", "seed": 4,
                       "params": {"quintic": True, "ensemble": 3}},
     "dyadic-checks": {"scenario": "dyadic-checks", "seed": 5, "params": {}},
+    "flowmap": {"scenario": "flowmap", "seed": 6,
+                "params": {"dt": 5e-3, "ensemble": 3}},
+    "flowmap-line-gauged": {"scenario": "flowmap", "seed": 7,
+                            "params": {"kind": "line", "n_points": 128,
+                                       "domain_scale": 2, "dt": 5e-3,
+                                       "ensemble": 2, "lambda": 1.0,
+                                       "k_power": 1, "gauged": True}},
+    "plane-wave": {"scenario": "plane-wave", "seed": 8,
+                   "params": {"dt": 1e-3, "n_points": 64, "lambda": 0.8,
+                              "k_power": 1}},
 }
 
 

@@ -124,10 +124,26 @@ class TestValidation:
         ("solve", {"initial": {"type": "trig", "h1_norm": True}}, "initial.h1_norm"),
         ("solve", {"kind": "line", "domain_scale": 4, "initial": {"type": "trig"}},
          "initial.type"),
+        ("solve", {"kind": "line", "domain_scale": 4,
+                   "initial": {"type": "gaussian", "width": 0}}, "initial.width"),
+        ("solve", {"initial": {"type": "trig", "h1_norm": -0.3}}, "initial.h1_norm"),
+        ("solve", {"initial": {"type": "random", "band": 0}}, "initial.band"),
+        ("probe-trilinear", {"s": 0.25}, "s"),
+        ("probe-multilinear", {"k": 3}, "k"),
+        ("probe-multilinear", {"delta": 0.5}, "delta"),
+        ("probe-multilinear", {"delta": 0.0}, "delta"),
+        ("verify-domination", {"n": 10}, "n"),
+        ("probe-strichartz", {"b": 0.3}, "b"),
+        ("probe-strichartz", {"b": float("nan")}, "b"),
+        ("probe-smult", {"s": -0.1}, "s"),
+        ("probe-smult", {"s1": 0.25}, "s1"),
+        ("probe-smult", {"s2": 0.25}, "s2"),
+        ("probe-smult", {"s": 0.0, "s1": 0.25, "s2": 0.25}, "s2"),
+        ("dyadic-checks", {"delta": 0.0}, "delta"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
-        base = {} if scenario.startswith(("probe", "gauge-r")) \
+        base = {} if scenario.startswith(("probe", "gauge-r", "verify", "dyadic")) \
             else {"dt": 1e-3, "t_final": 0.01}
         code, _ = run({"scenario": scenario, "params": {**base, **params}},
                       tmp_path)

@@ -10,8 +10,9 @@ from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
 from dnls_lab.solver import (SolverConfig, _phi, duhamel_apply,
-                             free_trajectory, linear_propagate, picard_iterate,
-                             rescale, solve, solve_two_sided)
+                             free_trajectory, linear_propagate,
+                             make_spectral_forcing, picard_iterate, rescale,
+                             solve, solve_two_sided)
 
 TORUS = Domain("torus", 64)
 
@@ -189,6 +190,64 @@ class TestSolve:
             SolverConfig(TORUS, NonlinearityConfig(), 3e-4, 0.05)
 
 
+class TestBatch:
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_batch_equals_member_solves(self, kind, gauged, integrator, k):
+        if kind == "torus":
+            dom = Domain("torus", 32)
+            rng = np.random.default_rng(11)
+            members = [scaled_to_h1(random_band_field(dom, rng, band=6.0).to_grid(), h)
+                       for h in (0.2, 0.3, 0.4)]
+        else:
+            dom = Domain("line", 64, 2)
+            members = [gaussian_packet(dom, a, 0.8, mode=m)
+                       for a, m in ((0.6, 1), (0.4, -1), (0.5, 2))]
+        cfg = small_cfg(dom, 1.0, k, gauged, 1e-3, 0.01, integrator)
+        batch = solve(GridFunction(dom, np.stack([u.values for u in members])), cfg)
+        assert batch.values.shape == (11, 3, dom.n_points)
+        assert batch.mass().shape == (11, 3)
+        for b, u in enumerate(members):
+            assert np.array_equal(batch.values[:, b], solve(u, cfg).values)
+
+    def test_backward_batch_equals_member_solves(self):
+        rng = np.random.default_rng(12)
+        members = [scaled_to_h1(random_band_field(TORUS, rng, band=8.0).to_grid(), 0.3)
+                   for _ in range(2)]
+        cfg = small_cfg(lam=1.0, k=1, T=0.01)
+        batch = solve(GridFunction(TORUS, np.stack([u.values for u in members])),
+                      cfg, direction=-1)
+        for b, u in enumerate(members):
+            assert np.array_equal(batch.values[:, b],
+                                  solve(u, cfg, direction=-1).values)
+
+    def test_one_member_blow_up_stops_the_batch(self):
+        cfg = small_cfg(dt=0.01, T=1.0)
+        with pytest.raises(BlowUpError) as alone:
+            solve(plane_wave(TORUS, 200.0, 1), cfg)
+        batch = np.stack([plane_wave(TORUS, a, 1).values for a in (0.1, 200.0, 0.1)])
+        with pytest.raises(BlowUpError) as err:
+            solve(GridFunction(TORUS, batch), cfg)
+        assert err.value.time == alone.value.time
+
+    def test_zero_member_is_not_a_blow_up(self):
+        rng = np.random.default_rng(13)
+        u0 = scaled_to_h1(random_band_field(TORUS, rng, band=8.0).to_grid(), 0.3)
+        batch = np.stack([np.zeros(TORUS.n_points, complex), u0.values])
+        traj = solve(GridFunction(TORUS, batch), small_cfg(lam=1.0, k=1))
+        assert np.all(traj.values[:, 0] == 0)
+
+    def test_edge_decay_checked_per_member(self):
+        dom = Domain("line", 128, 2)
+        good = gaussian_packet(dom, 0.5, 0.6)
+        solve(good, small_cfg(dom=dom))
+        batch = np.stack([good.values, plane_wave(dom, 0.5, 1).values])
+        with pytest.raises(EdgeDecayError):
+            solve(GridFunction(dom, batch), small_cfg(dom=dom))
+
+
 class TestDuhamel:
     def test_zero_forcing(self):
         times = 1e-3 * np.arange(11)
@@ -250,6 +309,36 @@ class TestPicard:
         diff = np.sqrt(np.sum(np.abs(res.trajectory.values - ref.values) ** 2,
                               axis=1) * dom.dx)
         assert np.max(diff) < 1e-6
+
+    @pytest.mark.parametrize("gauged", [False, True])
+    def test_matches_per_slice_loop(self, gauged):
+        # reference: the forcing slice by slice and a running trapezoid sum,
+        # which add in the order the batched forcing and cumsum do
+        dom = Domain("torus", 64)
+        rng = np.random.default_rng(14)
+        u0 = scaled_to_h1(random_band_field(dom, rng, band=8.0).to_grid(), 0.3)
+        cfg = small_cfg(dom=dom, lam=1.0, k=1, gauged=gauged, dt=2e-3, T=0.02)
+        nl = make_spectral_forcing(cfg)
+        times = cfg.dt * np.arange(cfg.n_steps + 1)
+        c0 = u0.to_spectral().coeffs
+        fwd = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
+        bwd = np.exp(+1j * times[:, None] * dom.xi[None, :] ** 2)
+        v, diffs = fwd * c0[None, :], []
+        for _ in range(3):
+            integrand = bwd * np.stack([nl(row) for row in v])
+            cum = np.zeros_like(integrand)
+            run = np.zeros(dom.n_points, dtype=np.complex128)
+            for l in range(1, cfg.n_steps + 1):
+                run = run + 0.5 * cfg.dt * (integrand[l - 1] + integrand[l])
+                cum[l] = run
+            v_next = fwd * (c0[None, :] + cum)
+            diffs.append(float(np.max(np.sqrt(
+                np.sum(np.abs(v_next - v) ** 2, axis=1) * dom.dxi))))
+            v = v_next
+        res = picard_iterate(u0, cfg, 3)
+        assert res.diff_norms == diffs
+        assert np.array_equal(res.trajectory.values,
+                              np.fft.ifft(v, axis=1) * (np.sqrt(2 * np.pi) / dom.dx))
 
     def test_longer_window_weakens_contraction(self):
         dom = Domain("torus", 128)
