@@ -15,8 +15,7 @@ from .nonlinear import (NonlinearityConfig, power_nonlinearity,
                         quintic_Q_fourier, quintic_Q_physical, rhs_gauged,
                         rhs_original, trilinear_T_fourier, trilinear_T_physical)
 from .solver import (PicardResult, SolverConfig, duhamel_apply, free_trajectory,
-                     linear_propagate, picard_iterate, rescale, solve,
-                     solve_two_sided)
+                     linear_propagate, picard_iterate, rescale, solve)
 from .spaces import (TimeWindow, besov_norm, cal_y_norm, cal_z_norm,
                      frak_x_norm, sobolev_norm, window_trajectory, xsb_norm,
                      ysb_norm, zs_norm)

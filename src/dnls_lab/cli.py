@@ -156,6 +156,12 @@ VALUE_RULES = {
     "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
     "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
     "ensemble": (lambda v: v >= 1, "an integer >= 1"),
+    # verify-domination's stability pass squares the doubled box
+    "box": (lambda v: v >= 1 and math.isfinite((2 * v) * (2 * v)),
+            ">= 1, with (2 box)^2 finite"),
+    "n_t": (lambda v: v >= 2, "an integer >= 2"),
+    "amplitude": (lambda v: v != 0, "nonzero"),
+    "k_power": (lambda v: v >= 0, "an integer >= 0"),
 }
 
 # scenario-specific ranges: the conditions under which the library call behind
@@ -241,6 +247,8 @@ def validate_spec(spec: dict) -> dict:
                 raise SchemaError(
                     f"params.{key}: expected {typ.__name__}, got "
                     f"{type(val).__name__}")
+            if typ is float and not math.isfinite(val):
+                raise SchemaError(f"params.{key}: must be a finite number, got {val!r}")
             resolved[key] = val
         elif required:
             raise SchemaError(f"params.{key}: missing required parameter")

@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, TimeRangeError
+from .errors import DomainMismatchError, EdgeDecayError, TimeRangeError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+EDGE_DECAY_TOL = 1e-10
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -210,6 +211,17 @@ def _conj_reverse(coeffs: np.ndarray) -> np.ndarray:
     return np.conj(coeffs[..., idx])
 
 
+def check_edge_decay(f: GridFunction, what: str):
+    """On the line, every row of f (..., n) must stay below EDGE_DECAY_TOL
+    at both box edges for `what` to hold; the torus has no edges."""
+    if f.domain.kind != "line":
+        return
+    edge = np.maximum(np.abs(f.values[..., 0]), np.abs(f.values[..., -1]))
+    if np.any(edge >= EDGE_DECAY_TOL):
+        raise EdgeDecayError(f"{what} needs |f| < {EDGE_DECAY_TOL:g} at the box "
+                             f"edges, got {np.max(edge):g}")
+
+
 def spectral_derivative(f):
     """d/dx via multiplication by i xi; the Nyquist mode is zeroed.
 
@@ -353,11 +365,6 @@ class Trajectory:
     def mass(self) -> np.ndarray:
         """L2 norm of every slice (and batch member), shape values.shape[:-1]."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1) * self.domain.dx)
-
-    def map_slices(self, fn) -> "Trajectory":
-        out = np.stack([fn(GridFunction(self.domain, v)).values for v in self.values])
-        return Trajectory(self.domain, self.times.copy(), out,
-                          config=self.config, diagnostics=dict(self.diagnostics))
 
 
 @dataclass(frozen=True)

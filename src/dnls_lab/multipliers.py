@@ -76,9 +76,16 @@ def resonance_scale(xi1, xi2, xi3, tau1, tau2, tau3):
     ]), axis=0)
 
 
-def eval_multiplier_arrays(tag: str, xi1, xi2, xi3, tau1, tau2, tau3,
-                           delta: float = 1.0 / 24.0) -> np.ndarray:
-    """|multiplier| evaluated vectorized over point arrays."""
+def multiplier_pieces(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
+                      delta: float = 1.0 / 24.0) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|M| and its five pieces M_0..M_4 over point arrays (family "M"), or
+    the Mt analogues (family "Mt").
+
+    The eight brackets and the max-modulation region are computed once and
+    shared by all six quantities.  Returns (numerator, [piece_0..piece_4]).
+    """
+    if family not in ("M", "Mt"):
+        raise ValueError(f"family must be 'M' or 'Mt', got {family!r}")
     xi = xi1 + xi2 + xi3
     tau = tau1 + tau2 + tau3
     b_out = bracket(tau + xi ** 2)
@@ -90,53 +97,42 @@ def eval_multiplier_arrays(tag: str, xi1, xi2, xi3, tau1, tau2, tau3,
     g2 = bracket(xi2)
     g3 = bracket(xi3)
     region = classify_max_region(xi1, xi2, xi3, tau1, tau2, tau3)
+    r_out, r1, r2, r3 = b_out ** 0.5, b1 ** 0.5, b2 ** 0.5, b3 ** 0.5
+    h1, h2 = g1 ** 0.5, g2 ** 0.5
+    ind = [(region == j).astype(float) for j in range(4)]
 
-    def ind(j):
-        return (region == j).astype(float)
-
-    if tag in ("M", "Mt"):
-        out = (g ** 0.5 * np.abs(xi3)
-               / (b_out ** 0.5 * b1 ** 0.5 * b2 ** 0.5 * b3 ** 0.5
-                  * g1 ** 0.5 * g2 ** 0.5 * g3 ** 0.5))
-    elif tag in ("M0",):
-        out = ind(0) / (b1 ** 0.5 * b2 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
-    elif tag in ("M1", "Mt1"):
-        out = ind(1) / (b_out ** 0.5 * b2 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
-    elif tag in ("M2", "Mt2"):
-        out = ind(2) / (b_out ** 0.5 * b1 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
-    elif tag in ("M3", "Mt3"):
-        out = ind(3) / (b_out ** 0.5 * b1 ** 0.5 * b2 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
-    elif tag in ("M4", "Mt4"):
-        out = 1.0 / (b_out ** (7.0 / 16.0) * b1 ** (7.0 / 16.0)
-                     * b2 ** (7.0 / 16.0) * b3 ** (7.0 / 16.0))
-    elif tag == "Mt0":
-        e = 0.5 + delta
-        return ind(0) / (b1 ** e * b2 ** e * b3 ** e
-                         * g ** (0.5 - 3.0 * delta) * g1 ** 0.5 * g2 ** 0.5
-                         * g3 ** (0.5 - 3.0 * delta))
+    num = g ** 0.5 * np.abs(xi3) / (r_out * r1 * r2 * r3 * h1 * h2 * g3 ** 0.5)
+    if family == "M":
+        piece0 = ind[0] / (r1 * r2 * r3 * h1 * h2)
     else:
-        raise ValueError(f"unknown multiplier tag {tag!r}")
-
-    if tag in ("Mt", "Mt1", "Mt2", "Mt3", "Mt4"):
-        out = out / b_out ** 0.5
-    return out
+        e = 0.5 + delta
+        piece0 = ind[0] / (b1 ** e * b2 ** e * b3 ** e * g ** (0.5 - 3.0 * delta)
+                           * h1 * h2 * g3 ** (0.5 - 3.0 * delta))
+    pieces = [
+        piece0,
+        ind[1] / (r_out * r2 * r3 * h1 * h2),
+        ind[2] / (r_out * r1 * r3 * h1 * h2),
+        ind[3] / (r_out * r1 * r2 * h1 * h2),
+        1.0 / (b_out ** (7.0 / 16.0) * b1 ** (7.0 / 16.0)
+               * b2 ** (7.0 / 16.0) * b3 ** (7.0 / 16.0)),
+    ]
+    if family == "Mt":
+        num = num / r_out
+        pieces[1:] = [p / r_out for p in pieces[1:]]
+    return num, pieces
 
 
 def domination_ratio_arrays(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
-                            delta: float = 1.0 / 24.0) -> np.ndarray:
-    """|M| / sum_j M_j (family "M") or the Mt analogue; 0/0 counts as 0.
+                            delta: float = 1.0 / 24.0) -> tuple[np.ndarray, np.ndarray]:
+    """|M| / sum_j M_j (family "M") or the Mt analogue, and |M| / M_4, the
+    ratio of case II; 0/0 counts as 0.
 
-    The denominator is strictly positive away from nothing (the j=4 piece
-    never vanishes), so the ratio is always finite.
+    The denominators are strictly positive (the j=4 piece never vanishes),
+    so both ratios are always finite.
     """
-    if family not in ("M", "Mt"):
-        raise ValueError("family must be 'M' or 'Mt'")
-    args = (xi1, xi2, xi3, tau1, tau2, tau3)
-    num = eval_multiplier_arrays(family, *args, delta=delta)
-    den = sum(eval_multiplier_arrays(f"{family}{j}" if family == "M" else f"Mt{j}",
-                                     *args, delta=delta)
-              for j in range(5))
-    return np.where(num == 0.0, 0.0, num / den)
+    num, pieces = multiplier_pieces(family, xi1, xi2, xi3, tau1, tau2, tau3, delta)
+    return (np.where(num == 0.0, 0.0, num / sum(pieces)),
+            np.where(num == 0.0, 0.0, num / pieces[4]))
 
 
 # ---------------------------------------------------------------------------

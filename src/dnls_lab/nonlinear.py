@@ -185,14 +185,6 @@ def quintic_Q_physical(v: GridFunction, pad_factor: int = 4) -> GridFunction:
     return GridFunction(v.domain, out)
 
 
-def quintic_Q_general(factors: list[GridFunction], pad_factor: int = 4) -> GridFunction:
-    dom = factors[0].domain
-    for f in factors[1:]:
-        dom.require_same(f.domain)
-    out = quintic_Q_general_slices(dom, [f.values for f in factors], pad_factor)
-    return GridFunction(dom, out)
-
-
 def quintic_Q_fourier(fs: list[SpectralField], size_limit: int = 32) -> SpectralField:
     """Constrained-convolution oracle for the quintic term.
 

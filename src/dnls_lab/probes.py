@@ -27,8 +27,7 @@ from .errors import ParameterError
 from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
                      dealiased_product, dealiased_product_coeffs)
 from .frequency import dyadic_range
-from .multipliers import (REGIME_LABELS, domination_ratio_arrays,
-                          eval_multiplier_arrays, sample_points)
+from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
 from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
@@ -97,7 +96,7 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
     per_regime = max(1, n // len(REGIME_LABELS))
     for regime in REGIME_LABELS:
         pts = sample_points(rng, per_regime, box, lattice, regime)
-        r = domination_ratio_arrays(family, *pts, delta=delta)
+        r, over_m4 = domination_ratio_arrays(family, *pts, delta=delta)
         j = int(np.argmax(r))
         per_case[regime] = float(r[j])
         if r[j] > overall:
@@ -109,11 +108,7 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
         xi = xi1 + xi2 + xi3
         case2 = (np.abs(xi) <= 2 * np.abs(xi1)) & (np.abs(xi) <= 2 * np.abs(xi2))
         if np.any(case2):
-            num = eval_multiplier_arrays(family, *pts, delta=delta)
-            den = eval_multiplier_arrays("M4" if family == "M" else "Mt4",
-                                         *pts, delta=delta)
-            ratios = np.where(num == 0, 0.0, num / den)[case2]
-            case2_sup = max(case2_sup, float(np.max(ratios)))
+            case2_sup = max(case2_sup, float(np.max(over_m4[case2])))
     return overall, per_case, argmax_point, case2_sup
 
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowUpError, EdgeDecayError, ParameterError,
-                     TimeRangeError, WrongDomainError)
-from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory)
+from .errors import BlowUpError, ParameterError, TimeRangeError, WrongDomainError
+from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
+                     check_edge_decay)
 from .nonlinear import NonlinearityConfig, rhs
 
 PHI_SERIES_RADIUS = 0.5
@@ -158,14 +158,6 @@ def make_spectral_forcing(cfg: SolverConfig):
     return nl
 
 
-def _check_edges(u0: GridFunction):
-    if u0.domain.kind == "line":
-        edge = np.maximum(np.abs(u0.values[..., 0]), np.abs(u0.values[..., -1]))
-        if np.any(edge >= 1e-10):
-            raise EdgeDecayError(
-                f"initial data must vanish at the box edges (got {np.max(edge):g})")
-
-
 def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajectory:
     """March the Cauchy problem from t=0 with the configured integrator.
 
@@ -176,7 +168,7 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
     grows by BLOWUP_FACTOR over its initial sup or turns non-finite.
     """
     cfg.domain.require_same(u0.domain)
-    _check_edges(u0)
+    check_edge_decay(u0, "initial data on the line")
     if direction not in (+1, -1):
         raise ParameterError("direction must be +1 or -1")
     h = direction * cfg.dt
@@ -208,18 +200,6 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
     traj.diagnostics["mass"] = traj.mass()
     traj.diagnostics["integrator"] = cfg.integrator
     traj.diagnostics["direction"] = direction
-    return traj
-
-
-def solve_two_sided(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
-    """Forward and backward marches from t = 0 glued into one trajectory."""
-    fwd = solve(u0, cfg, direction=+1)
-    bwd = solve(u0, cfg, direction=-1)
-    times = np.concatenate([bwd.times[:-1], fwd.times])
-    values = np.concatenate([bwd.values[:-1], fwd.values])
-    traj = Trajectory(cfg.domain, times, values, config=cfg)
-    traj.diagnostics["mass"] = traj.mass()
-    traj.diagnostics["integrator"] = cfg.integrator
     return traj
 
 
@@ -264,7 +244,7 @@ def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardRe
     below 1 three times in a row.
     """
     cfg.domain.require_same(u0.domain)
-    _check_edges(u0)
+    check_edge_decay(u0, "initial data on the line")
     dom = cfg.domain
     nl = make_spectral_forcing(cfg)
     n_steps = cfg.n_steps

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnls_lab import gauge
 from dnls_lab.errors import ConservationError, EdgeDecayError, WrongDomainError
-from dnls_lab.fields import Domain, GridFunction, Trajectory
+from dnls_lab.fields import SQRT_2PI, Domain, GridFunction, Trajectory
 from dnls_lab.gauge import (gauge_forward, gauge_inverse, gauge_phase,
                             gauge_report, gauge_trajectory, mass_density_mean,
                             psi_functional)
 from dnls_lab.sampling import plane_wave, random_decaying_field
+from dnls_lab.solver import free_trajectory
 from dnls_lab.spaces import besov_norm
 
 TORUS = Domain("torus", 256)
@@ -162,6 +164,77 @@ class TestGaugeTrajectory:
         assert rep.round_trip_error < 1e-12
         assert rep.modulus_error < 1e-13
         assert rep.mu_drift == 0.0
+
+
+def _stack(dom, seed, rows=5):
+    rng = np.random.default_rng(seed)
+    band = 8.0 if dom.kind == "line" else 32.0
+    return GridFunction(dom, np.array([random_decaying_field(dom, rng, band=band).values
+                                       for _ in range(rows)]))
+
+
+def _per_slice_gauge(traj, inverse):
+    """The trajectory gauge one slice at a time."""
+    dom = traj.domain
+    out = np.empty_like(traj.values)
+    mus = np.sum(np.abs(traj.values) ** 2, axis=1) * dom.dx / (2.0 * np.pi)
+    mu0 = float(mus[0])
+    for l, t in enumerate(traj.times):
+        u = GridFunction(dom, traj.values[l])
+        if dom.kind == "line":
+            out[l] = (gauge_inverse(u) if inverse else gauge_forward(u)).values
+            continue
+        shift = 2.0 * mu0 * t
+        if not inverse:
+            coeffs = gauge_forward(u).to_spectral().coeffs * np.exp(-1j * shift * dom.xi)
+            out[l] = np.fft.ifft(coeffs) * (SQRT_2PI / dom.dx)
+        else:
+            coeffs = u.to_spectral().coeffs * np.exp(+1j * shift * dom.xi)
+            w = GridFunction(dom, np.fft.ifft(coeffs) * (SQRT_2PI / dom.dx))
+            out[l] = gauge_inverse(w).values
+    return out
+
+
+class TestRowWise:
+    @pytest.mark.parametrize("dom", [TORUS, LINE], ids=["torus", "line"])
+    def test_stack_matches_rows(self, dom):
+        f = _stack(dom, 20)
+        phase = gauge_phase(f)
+        fwd = gauge_forward(f)
+        inv = gauge_inverse(f)
+        for i, row in enumerate(f.values):
+            u = GridFunction(dom, row)
+            one = gauge_phase(u)
+            assert np.array_equal(phase.values[i], one.values)
+            if dom.kind == "torus":
+                assert np.array_equal(phase.mu[i], one.mu)
+            assert np.array_equal(fwd.values[i], gauge_forward(u).values)
+            assert np.array_equal(inv.values[i], gauge_inverse(u).values)
+
+    def test_line_edge_checked_per_row(self):
+        f = _stack(LINE, 21, rows=3)
+        f.values[1] = plane_wave(LINE, 0.5, 1).values
+        with pytest.raises(EdgeDecayError):
+            gauge_forward(f)
+
+    @pytest.mark.parametrize("dom", [TORUS, LINE], ids=["torus", "line"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_trajectory_over_row_blocks(self, monkeypatch, dom, inverse):
+        # blocks of 4 rows; 11 slices leave a short last block
+        monkeypatch.setattr(gauge, "BLOCK_BYTES", 4 * 2 * dom.n_points * 16)
+        u0 = GridFunction(dom, _stack(dom, 22, rows=1).values[0])
+        traj = free_trajectory(u0, 0.002 * np.arange(11))
+        out = gauge_trajectory(traj, inverse=inverse)
+        assert np.array_equal(out.values, _per_slice_gauge(traj, inverse))
+
+    def test_report_over_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(gauge, "BLOCK_BYTES", 3 * 2 * TORUS.n_points * 16)
+        f = _stack(TORUS, 23, rows=7)
+        rep = gauge_report(Trajectory(TORUS, np.arange(7.0), f.values))
+        rows = [GridFunction(TORUS, v) for v in f.values]
+        rt = max(float(np.max(np.abs(gauge_inverse(gauge_forward(u)).values - u.values)))
+                 for u in rows)
+        assert rep.round_trip_error == rt
 
 
 class TestPsiFunctional:

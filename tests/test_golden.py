@@ -37,6 +37,21 @@ CASES = {
     "plane-wave": {"scenario": "plane-wave", "seed": 8,
                    "params": {"dt": 1e-3, "n_points": 64, "lambda": 0.8,
                               "k_power": 1}},
+    "gauge-roundtrip": {"scenario": "gauge-roundtrip", "seed": 9,
+                        "params": {"n_points": 64, "ensemble": 12}},
+    "gauge-roundtrip-line": {"scenario": "gauge-roundtrip", "seed": 10,
+                             "params": {"kind": "line", "n_points": 256,
+                                        "domain_scale": 4, "ensemble": 12}},
+    "gauge-equivalence": {"scenario": "gauge-equivalence", "seed": 11,
+                          "params": {"n_points": 64, "dt": 5e-3}},
+    "gauge-equivalence-line": {"scenario": "gauge-equivalence", "seed": 12,
+                               "params": {"kind": "line", "n_points": 512,
+                                          "domain_scale": 4, "dt": 1e-2,
+                                          "l_refine": False}},
+    "verify-resonance": {"scenario": "verify-resonance", "seed": 13,
+                         "params": {"n": 5000}},
+    "verify-domination": {"scenario": "verify-domination", "seed": 14,
+                          "params": {"n": 10 ** 4}},
 }
 
 

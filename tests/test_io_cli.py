@@ -140,6 +140,31 @@ class TestValidation:
         ("probe-smult", {"s2": 0.25}, "s2"),
         ("probe-smult", {"s": 0.0, "s1": 0.25, "s2": 0.25}, "s2"),
         ("dyadic-checks", {"delta": 0.0}, "delta"),
+        ("verify-resonance", {"box": 0.5}, "box"),
+        ("verify-resonance", {"box": 0}, "box"),
+        ("verify-domination", {"box": -5}, "box"),
+        ("verify-resonance", {"box": float("inf")}, "box"),
+        ("verify-domination", {"box": 1e300}, "box"),
+        ("verify-domination", {"box": 1e154}, "box"),  # (2 box)^2 overflows
+        ("probe-strichartz", {"n_t": 0}, "n_t"),
+        ("probe-strichartz", {"n_t": 1}, "n_t"),
+        ("plane-wave", {"amplitude": 0}, "amplitude"),
+        ("dyadic-checks", {"b": float("nan")}, "b"),
+        ("dyadic-checks", {"b": float("inf")}, "b"),
+        ("dyadic-checks", {"s": float("nan")}, "s"),
+        ("dyadic-checks", {"s": float("inf")}, "s"),
+        ("solve", {"k_power": -1}, "k_power"),
+        ("plane-wave", {"k_power": -1}, "k_power"),
+        ("gauge-equivalence", {"k_power": -1}, "k_power"),
+        ("flowmap", {"k_power": -1}, "k_power"),
+        ("solve", {"lambda": float("nan")}, "lambda"),
+        ("solve", {"lambda": float("inf")}, "lambda"),
+        ("flowmap", {"r": float("nan")}, "r"),
+        ("flowmap", {"r": float("inf")}, "r"),
+        ("gauge-equivalence", {"h1_norm": float("nan")}, "h1_norm"),
+        ("gauge-equivalence", {"h1_norm": float("inf")}, "h1_norm"),
+        ("probe-multilinear", {"s": float("nan")}, "s"),
+        ("probe-trilinear", {"s": float("inf")}, "s"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):

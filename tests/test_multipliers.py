@@ -5,9 +5,47 @@ import pytest
 
 from dnls_lab.frequency import bracket
 from dnls_lab.multipliers import (REGIME_LABELS, classify_max_region,
-                                  domination_ratio_arrays,
-                                  eval_multiplier_arrays, resonance_residuals,
-                                  resonance_scale, sample_points)
+                                  domination_ratio_arrays, multiplier_pieces,
+                                  resonance_residuals, resonance_scale,
+                                  sample_points)
+
+
+def per_tag(tag, xi1, xi2, xi3, tau1, tau2, tau3, delta):
+    """One multiplier per call, each with its own brackets and region."""
+    xi = xi1 + xi2 + xi3
+    tau = tau1 + tau2 + tau3
+    b_out = bracket(tau + xi ** 2)
+    b1 = bracket(tau1 + xi1 ** 2)
+    b2 = bracket(tau2 + xi2 ** 2)
+    b3 = bracket(tau3 - xi3 ** 2)
+    g, g1, g2, g3 = bracket(xi), bracket(xi1), bracket(xi2), bracket(xi3)
+    region = classify_max_region(xi1, xi2, xi3, tau1, tau2, tau3)
+
+    def ind(j):
+        return (region == j).astype(float)
+
+    if tag == "Mt0":
+        e = 0.5 + delta
+        return ind(0) / (b1 ** e * b2 ** e * b3 ** e
+                         * g ** (0.5 - 3.0 * delta) * g1 ** 0.5 * g2 ** 0.5
+                         * g3 ** (0.5 - 3.0 * delta))
+    base = tag.replace("Mt", "M")
+    if base == "M":
+        out = (g ** 0.5 * np.abs(xi3)
+               / (b_out ** 0.5 * b1 ** 0.5 * b2 ** 0.5 * b3 ** 0.5
+                  * g1 ** 0.5 * g2 ** 0.5 * g3 ** 0.5))
+    elif base == "M0":
+        out = ind(0) / (b1 ** 0.5 * b2 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
+    elif base == "M1":
+        out = ind(1) / (b_out ** 0.5 * b2 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
+    elif base == "M2":
+        out = ind(2) / (b_out ** 0.5 * b1 ** 0.5 * b3 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
+    elif base == "M3":
+        out = ind(3) / (b_out ** 0.5 * b1 ** 0.5 * b2 ** 0.5 * g1 ** 0.5 * g2 ** 0.5)
+    else:
+        out = 1.0 / (b_out ** (7.0 / 16.0) * b1 ** (7.0 / 16.0)
+                     * b2 ** (7.0 / 16.0) * b3 ** (7.0 / 16.0))
+    return out / b_out ** 0.5 if tag.startswith("Mt") else out
 
 
 def point(xi_vec, tau_vec):
@@ -43,12 +81,13 @@ class TestResonance:
 class TestMultiplierEvaluation:
     def test_zero_third_frequency(self):
         p = point((1, -1, 0), (0.5, 0.5, 0.5))
-        assert eval_multiplier_arrays("M", *p)[0] == 0.0
+        assert multiplier_pieces("M", *p)[0][0] == 0.0
 
     def test_origin_is_region_zero(self):
         p = point((0, 0, 0), (0, 0, 0))
-        assert eval_multiplier_arrays("M0", *p)[0] == 1.0
-        assert eval_multiplier_arrays("M1", *p)[0] == 0.0
+        _, pieces = multiplier_pieces("M", *p)
+        assert pieces[0][0] == 1.0
+        assert pieces[1][0] == 0.0
 
     def test_indicator_partition(self):
         rng = np.random.default_rng(1)
@@ -66,29 +105,52 @@ class TestMultiplierEvaluation:
                * bracket(t2 + xi2 ** 2) ** 0.5 * bracket(t3 - xi3 ** 2) ** 0.5
                * bracket(xi1) ** 0.5 * bracket(xi2) ** 0.5 * bracket(xi3) ** 0.5)
         p = point((xi1, xi2, xi3), (t1, t2, t3))
-        assert eval_multiplier_arrays("M", *p)[0] == pytest.approx(num / den)
+        assert multiplier_pieces("M", *p)[0][0] == pytest.approx(num / den)
 
     def test_damped_family_identity(self):
         rng = np.random.default_rng(2)
         pts = sample_points(rng, 1000, 50.0, "R", "uniform")
-        m = eval_multiplier_arrays("M", *pts)
-        mt = eval_multiplier_arrays("Mt", *pts)
+        m, _ = multiplier_pieces("M", *pts)
+        mt, _ = multiplier_pieces("Mt", *pts)
         xi = pts[0] + pts[1] + pts[2]
         tau = pts[3] + pts[4] + pts[5]
         expected = m / bracket(tau + xi ** 2) ** 0.5
         assert np.max(np.abs(mt - expected)) < 1e-12 * max(np.max(m), 1.0)
 
-    def test_kind_validation(self):
+    def test_family_validation(self):
         with pytest.raises(ValueError, match="M9"):
-            eval_multiplier_arrays("M9", *point((1, 2, 3), (0, 0, 0)))
+            multiplier_pieces("M9", *point((1, 2, 3), (0, 0, 0)))
+
+    @pytest.mark.parametrize("family", ["M", "Mt"])
+    @pytest.mark.parametrize("lattice", ["Z", "R"])
+    def test_pieces_match_per_tag_formulas(self, family, lattice):
+        # the helper shares brackets and regions between the six quantities
+        # but keeps every product's association order: bitwise equal to one
+        # evaluation per tag
+        rng = np.random.default_rng(12)
+        delta = 1.0 / 24.0
+        for regime in REGIME_LABELS:
+            pts = sample_points(rng, 500, 100.0, lattice, regime)
+            num, pieces = multiplier_pieces(family, *pts, delta=delta)
+            ref_num = per_tag(family, *pts, delta=delta)
+            ref_pieces = [per_tag(f"{family}{j}", *pts, delta=delta) for j in range(5)]
+            assert np.array_equal(num, ref_num)
+            for piece, ref in zip(pieces, ref_pieces):
+                assert np.array_equal(piece, ref)
+            ratio, over_m4 = domination_ratio_arrays(family, *pts, delta=delta)
+            assert np.array_equal(ratio, np.where(ref_num == 0.0, 0.0,
+                                                  ref_num / sum(ref_pieces)))
+            assert np.array_equal(over_m4, np.where(ref_num == 0.0, 0.0,
+                                                    ref_num / ref_pieces[4]))
 
 
 class TestDomination:
     def test_zero_numerator_counts_as_zero(self):
-        r = domination_ratio_arrays("M", np.array([1.0]), np.array([-1.0]),
-                                    np.array([0.0]), np.array([0.0]),
-                                    np.array([0.0]), np.array([0.0]))
+        r, over_m4 = domination_ratio_arrays("M", np.array([1.0]), np.array([-1.0]),
+                                             np.array([0.0]), np.array([0.0]),
+                                             np.array([0.0]), np.array([0.0]))
         assert r[0] == 0.0
+        assert over_m4[0] == 0.0
 
     @pytest.mark.parametrize("family", ["M", "Mt"])
     @pytest.mark.parametrize("lattice", ["Z", "R"])
@@ -98,7 +160,7 @@ class TestDomination:
         for regime in REGIME_LABELS:
             pts = sample_points(rng, 2000, 100.0, lattice, regime)
             worst = max(worst, float(np.max(
-                domination_ratio_arrays(family, *pts))))
+                domination_ratio_arrays(family, *pts)[0])))
         assert np.isfinite(worst)
         assert worst < 10.0
 
@@ -108,10 +170,10 @@ class TestDomination:
         xi = pts[0] + pts[1] + pts[2]
         case2 = (np.abs(xi) <= 2 * np.abs(pts[0])) & (np.abs(xi) <= 2 * np.abs(pts[1]))
         assert np.any(case2)
-        num = eval_multiplier_arrays("M", *pts)
-        den = eval_multiplier_arrays("M4", *pts)
-        ratio = np.where(num == 0, 0.0, num / den)[case2]
+        num, pieces = multiplier_pieces("M", *pts)
+        ratio = np.where(num == 0, 0.0, num / pieces[4])[case2]
         assert np.max(ratio) < 10.0
+        assert np.array_equal(domination_ratio_arrays("M", *pts)[1][case2], ratio)
 
     def test_ratio_scale_invariance(self):
         # the domination ratio is homogeneous of degree zero under a joint
@@ -121,8 +183,8 @@ class TestDomination:
         lam = 2.0
         scaled = (lam * pts[0], lam * pts[1], lam * pts[2],
                   lam ** 2 * pts[3], lam ** 2 * pts[4], lam ** 2 * pts[5])
-        a = domination_ratio_arrays("M", *pts)
-        b = domination_ratio_arrays("M", *scaled)
+        a, _ = domination_ratio_arrays("M", *pts)
+        b, _ = domination_ratio_arrays("M", *scaled)
         # not equal pointwise (brackets are inhomogeneous) but both bounded
         # by the same constant; check boundedness and finiteness here
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))

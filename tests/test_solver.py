@@ -12,7 +12,7 @@ from dnls_lab.sampling import (gaussian_packet, plane_wave,
 from dnls_lab.solver import (SolverConfig, _phi, duhamel_apply,
                              free_trajectory, linear_propagate,
                              make_spectral_forcing, picard_iterate, rescale,
-                             solve, solve_two_sided)
+                             solve)
 
 TORUS = Domain("torus", 64)
 
@@ -168,15 +168,6 @@ class TestSolve:
         u0 = plane_wave(dom, 0.5, 1)
         with pytest.raises(EdgeDecayError):
             solve(u0, small_cfg(dom=dom))
-
-    def test_two_sided(self):
-        rng = np.random.default_rng(6)
-        u0 = scaled_to_h1(random_band_field(TORUS, rng, band=8.0).to_grid(), 0.2)
-        traj = solve_two_sided(u0, small_cfg(T=0.02, dt=1e-3))
-        assert traj.times[0] == pytest.approx(-0.02)
-        assert traj.times[-1] == pytest.approx(0.02)
-        mid = traj.index_of_time(0.0)
-        assert np.array_equal(traj.values[mid], u0.values)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
