@@ -156,12 +156,15 @@ VALUE_RULES = {
     "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
     "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
     "ensemble": (lambda v: v >= 1, "an integer >= 1"),
-    # verify-domination's stability pass squares the doubled box
-    "box": (lambda v: v >= 1 and math.isfinite((2 * v) * (2 * v)),
-            ">= 1, with (2 box)^2 finite"),
+    # verify-domination's stability pass doubles the box; above 1e55 a
+    # product of brackets in its multiplier pieces overflows (worst case
+    # between 3.5e55 and 4e55)
+    "box": (lambda v: 1 <= v <= 1e55,
+            "in [1, 1e55], where every multiplier piece stays finite"),
     "n_t": (lambda v: v >= 2, "an integer >= 2"),
     "amplitude": (lambda v: v != 0, "nonzero"),
     "k_power": (lambda v: v >= 0, "an integer >= 0"),
+    "r": (lambda v: v > 0, "positive"),
 }
 
 # scenario-specific ranges: the conditions under which the library call behind

@@ -9,7 +9,11 @@ Transform conventions, fixed here once and used by every other module:
   is a plain counting-measure sum there.
 * space-time: uhat(xi, tau) = dt/sqrt(2 pi) * sum_l exp(-i t_l tau) * fhat_l(xi),
   i.e. the kernel is exp(-i (x xi + t tau)) with the same symmetric
-  normalization on the time axis.
+  normalization on the time axis.  The tau transform is an FFT over the
+  slice index times dt/sqrt(2 pi) exp(-i t_0 tau), t_0 the first sample
+  time; that factor is cached per ModulationLattice.  A SpaceTimeField
+  may carry a leading batch axis: a stack of fields on one lattice,
+  transformed and normed in one call.
 
 The real line is approximated by a torus of period 2 pi * domain_scale
 ("line" kind); data must decay well inside the box for the approximation
@@ -23,7 +27,7 @@ same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -406,8 +410,20 @@ class ModulationLattice:
         return self.t0 + self.dt * np.arange(self.n_t)
 
 
+@lru_cache(maxsize=8)
+def _tau_factor(lattice: ModulationLattice) -> np.ndarray:
+    """dt/sqrt(2 pi) * exp(-i t0 tau): the tau transform's normalization and
+    the phase that moves its time origin to t0; cached per lattice, read-only."""
+    factor = (lattice.dt / SQRT_2PI) * np.exp(-1j * lattice.t0 * lattice.tau)
+    factor.flags.writeable = False
+    return factor
+
+
 class SpaceTimeField:
-    """Coefficients on a ModulationLattice; coeffs[k, m] sits at (xi_k, tau_m).
+    """Coefficients on a ModulationLattice; coeffs[..., k, m] sits at
+    (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
+    lattice, which the transforms and the block norms of spaces treat
+    member by member; l2_norm and lp_norm expect a single field.
 
     window records the time window used to build the field, when any.
     """
@@ -416,7 +432,7 @@ class SpaceTimeField:
 
     def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray, window=None):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (lattice.domain.n_points, lattice.n_t):
+        if coeffs.shape[-2:] != (lattice.domain.n_points, lattice.n_t):
             raise ValueError("coeffs shape does not match the lattice")
         self.lattice = lattice
         self.coeffs = coeffs
@@ -433,33 +449,42 @@ class SpaceTimeField:
 
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray,
-                         values: np.ndarray, window=None) -> "SpaceTimeField":
-        """Build from physical samples values[l, j] = u(x_j, t_l)."""
+                         values, window=None) -> "SpaceTimeField":
+        """Build from physical samples values[..., l, j] = u(x_j, t_l), or
+        from a SpectralField of their per-slice coefficients (..., n_t, n).
+
+        The tau transform runs along the last axis of the (..., n, n_t)
+        transpose of the slice coefficients: coefficients stored xi-major
+        (passed as the swapped view of a contiguous (..., n, n_t) array)
+        are transformed without a copy.
+        """
         times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=np.complex128)
         dt = float(times[1] - times[0])
         lat = ModulationLattice(domain, times.size, dt, float(times[0]))
-        # spatial transform slice-by-slice, then the tau transform along time
-        slices_hat = np.fft.fft(values, axis=1) * (domain.dx / SQRT_2PI)
-        g = slices_hat.T  # (n_points, n_t)
-        ghat = np.fft.fft(g, axis=1) * (dt / SQRT_2PI)
-        phase = np.exp(-1j * lat.t0 * lat.tau)
-        return cls(lat, ghat * phase[None, :], window=window)
+        if isinstance(values, SpectralField):
+            domain.require_same(values.domain)
+            slices_hat = values.coeffs
+        else:
+            values = np.asarray(values, dtype=np.complex128)
+            slices_hat = np.fft.fft(values, axis=-1) * (domain.dx / SQRT_2PI)
+        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
+        ghat *= _tau_factor(lat)
+        return cls(lat, ghat, window=window)
 
     def to_time_values(self) -> np.ndarray:
-        """Physical samples u(x_j, t_l), shape (n_t, n_points)."""
+        """Physical samples u(x_j, t_l), shape (..., n_t, n_points)."""
         lat = self.lattice
         phase = np.exp(1j * lat.t0 * lat.tau)
-        g = np.fft.ifft(self.coeffs * phase[None, :], axis=1) * (SQRT_2PI / lat.dt)
-        slices_hat = g.T
-        return np.fft.ifft(slices_hat, axis=1) * (SQRT_2PI / self.domain.dx)
+        g = np.fft.ifft(self.coeffs * phase, axis=-1) * (SQRT_2PI / lat.dt)
+        slices_hat = np.swapaxes(g, -1, -2)
+        return np.fft.ifft(slices_hat, axis=-1) * (SQRT_2PI / self.domain.dx)
 
     def conj(self) -> "SpaceTimeField":
         """Coefficients of conj(u): conj of the value at (-xi, -tau)."""
         c = _conj_reverse(self.coeffs)          # flip tau axis
-        n = self.coeffs.shape[0]
+        n = self.coeffs.shape[-2]
         idx = (-np.arange(n)) % n               # flip xi axis (already conjugated)
-        return SpaceTimeField(self.lattice, c[idx, :], window=self.window)
+        return SpaceTimeField(self.lattice, c[..., idx, :], window=self.window)
 
     def l2_norm(self) -> float:
         w = self.domain.dxi * self.lattice.dtau

@@ -9,7 +9,16 @@ the reported constants do not depend on the sampler's scale.
 
 The T-refinement probes reuse the same base fields for every window size;
 the reported sup-ratio trend across T then reflects the window effect
-alone and not sampling noise.
+alone and not sampling noise.  They also factor the window out of the
+product forms: the window w(t) is real and every form (the trilinear T,
+the quintic Q and the plain products) acts slice by slice and is
+multilinear in each slice, its torus mean corrections included, so
+F(w u1, ..., w um) = w^m F(u1, ..., um).  Each sample evaluates its form
+once, on the slices that some window keeps, and scales it by w_T^m per
+window.  In exact arithmetic this is the same number; in floating point
+each element of the windowed product is rounded once more (a relative
+change of order 1e-16), and the spatial transforms commute with the
+per-slice scaling in the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
+from .fields import (SQRT_2PI, Domain, SpaceTimeField, SpectralField, Trajectory,
                      dealiased_product, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
@@ -201,9 +210,10 @@ def _base_times(dt: float = 1.0 / 128.0, half_span: float = 4.0) -> np.ndarray:
 
 def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int = +1,
                amp: complex = 1.0) -> np.ndarray:
-    """Travelling wave amp exp(i(k x - char_sign k^2 t)) on the time grid."""
-    return amp * np.exp(1j * (k * dom.x[None, :]
-                              - char_sign * k * k * np.asarray(times)[:, None]))
+    """Travelling wave amp exp(i(k x - char_sign k^2 t)) on the time grid, as
+    the outer product of its time factor and its space factor."""
+    return np.outer(amp * np.exp(-1j * char_sign * k * k * np.asarray(times)),
+                    np.exp(1j * k * dom.x))
 
 
 def _nested_sups(raw: dict) -> dict:
@@ -226,28 +236,20 @@ def _nested_sups(raw: dict) -> dict:
 def _quintic_resonant_tuples() -> tuple[tuple[int, ...], ...]:
     """Integer mode tuples (x1..x5) whose conjugate-alternating quintic
     output lands exactly on the characteristic while respecting the torus
-    constraints x1 != x2, x3 != x4, x1 - x2 + x3 - x4 != 0."""
-    return tuple((x1, x2, x3, x4, x5)
-                 for x1, x2, x3, x4, x5 in itertools.product(range(-4, 5), repeat=5)
-                 if x1 != x2 and x3 != x4 and x1 - x2 + x3 - x4 != 0
-                 and (x1 - x2 + x3 - x4 + x5) ** 2
-                 == x1 ** 2 - x2 ** 2 + x3 ** 2 - x4 ** 2 + x5 ** 2)
+    constraints x1 != x2, x3 != x4, x1 - x2 + x3 - x4 != 0; entries in
+    -4..4, in lexicographic order."""
+    x = np.indices((9,) * 5).reshape(5, -1) - 4
+    x1, x2, x3, x4, x5 = x
+    keep = ((x1 != x2) & (x3 != x4) & (x1 - x2 + x3 - x4 != 0)
+            & ((x1 - x2 + x3 - x4 + x5) ** 2
+               == x1 ** 2 - x2 ** 2 + x3 ** 2 - x4 ** 2 + x5 ** 2))
+    return tuple(map(tuple, x[:, keep].T.tolist()))
 
 
-def _on_window_support(w: np.ndarray, form, factors: list[np.ndarray]) -> np.ndarray:
-    """form(factors) on the time slices from the first to the last nonzero
-    entry of the window values w, exact zeros on the other slices.
-
-    Every form used here transforms each slice on its own along the last
-    axis, and a slice whose factors all vanish gives exactly 0, so the
-    result equals form(factors) on the full lattice bit for bit.
-    """
-    out = np.zeros(np.shape(factors[0]), dtype=np.complex128)
+def _support(w: np.ndarray) -> slice:
+    """The time slices from the first to the last nonzero entry of w."""
     nz = np.flatnonzero(w)
-    if nz.size:
-        kept = slice(nz[0], nz[-1] + 1)
-        out[kept] = form([f[kept] for f in factors])
-    return out
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
 def _plain_product(dom: Domain, vs: list[np.ndarray]) -> np.ndarray:
@@ -261,13 +263,64 @@ def _plain_product(dom: Domain, vs: list[np.ndarray]) -> np.ndarray:
     return prod
 
 
-def _corollary_rhs(fields: list[SpaceTimeField], s: float,
-                   signs: list[int]) -> float:
-    """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}."""
-    half = [frak_x_norm(u, 0.5, 0.5, sg) for u, sg in zip(fields, signs)]
-    top = half if s == 0.5 else [frak_x_norm(u, s, 0.5, sg)
-                                 for u, sg in zip(fields, signs)]
-    return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(fields)))
+def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> float:
+    """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}
+    over the members u_k of a batched field; each run of equal signs is
+    normed in one call."""
+    half, top, start = [], [], 0
+    for sg, run in itertools.groupby(signs):
+        stop = start + len(list(run))
+        u_run = SpaceTimeField(u.lattice, u.coeffs[start:stop])
+        h = frak_x_norm(u_run, 0.5, 0.5, sg)
+        half += h.tolist()
+        top += (h if s == 0.5 else frak_x_norm(u_run, s, 0.5, sg)).tolist()
+        start = stop
+    return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(signs)))
+
+
+def _window_ratios(dom: Domain, times: np.ndarray, t_values, base: list[np.ndarray],
+                   form, signs: list[int], s: float, b_out: float) -> dict:
+    """One sample's ratios ||F||_{frak X^{s,b_out}} / RHS and ||F||_{cal Y^{s,-1}}
+    / RHS for every window size T, F being form(w_T base) and RHS the
+    corollary right-hand side of the windowed factors w_T base.
+
+    The form and the spatial transforms run once per sample, on the slices
+    that some window keeps; each window's stack (w^deg form(base), w base)
+    is then transformed in time in one FFT and normed in one call per norm.
+    """
+    ws = np.array([TimeWindow.plateau(T)(times) for T in t_values])
+    kept = _support(np.any(ws, axis=0))
+    base = [f[kept] for f in base]
+    deg = len(base)
+    slices_hat = np.fft.fft(np.array([form(base), *base]), axis=-1) * (dom.dx / SQRT_2PI)
+    by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
+    stack = np.zeros(by_xi.shape[:-1] + (len(times),), dtype=np.complex128)
+    out = {}
+    for T, w in zip(t_values, ws[:, kept]):
+        np.multiply(by_xi, np.array([w ** deg] + [w] * deg)[:, None, :],
+                    out=stack[..., kept])
+        u = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)))
+        lhs = SpaceTimeField(u.lattice, u.coeffs[0])
+        den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[1:]), s, signs)
+        out[T] = (frak_x_norm(lhs, s, b_out, +1) / den,
+                  cal_y_norm(lhs, s, -1.0) / den)
+    return out
+
+
+def _window_report(name: str, results: list[dict], t_values, params: dict) -> ProbeReport:
+    """Per-T sups over the samples' window ratios, nested over T."""
+    raw_x = {T: max(r[T][0] for r in results) for T in t_values}
+    raw_y = {T: max(r[T][1] for r in results) for T in t_values}
+    sup_x, sup_y = _nested_sups(raw_x), _nested_sups(raw_y)
+    return ProbeReport(
+        name=name, samples=len(results),
+        sup_ratio=max(max(sup_x.values()), max(sup_y.values())),
+        refinement_stable=None, params=params,
+        details={"sup_x_by_T": {str(T): v for T, v in sup_x.items()},
+                 "sup_y_by_T": {str(T): v for T, v in sup_y.items()},
+                 "window_sup_x": {str(T): v for T, v in raw_x.items()},
+                 "window_sup_y": {str(T): v for T, v in raw_y.items()}})
 
 
 def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
@@ -316,32 +369,14 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
             base = [random_mode_sum_values(dom, times, r),
                     random_mode_sum_values(dom, times, r),
                     random_mode_sum_values(dom, times, r, char_sign=-1)]
-        out = {}
-        for T in t_values:
-            w = TimeWindow.plateau(T)(times)
-            vs = [b_ * w[:, None] for b_ in base]
-            tri = _on_window_support(w, lambda f: trilinear_T_slices(dom, *f), vs)
-            lhs = SpaceTimeField.from_time_values(dom, times, tri)
-            u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
-            den = _corollary_rhs(u, s, signs=[+1, +1, -1])
-            out[T] = (frak_x_norm(lhs, s, -0.5, +1) / den,
-                      cal_y_norm(lhs, s, -1.0) / den)
-        return out
+        return _window_ratios(dom, times, t_values, base,
+                              lambda f: trilinear_T_slices(dom, *f),
+                              [+1, +1, -1], s, -0.5)
 
-    results = _map_samples(one, seeds)
-    raw_x = {T: max(r[T][0] for r in results) for T in t_values}
-    raw_y = {T: max(r[T][1] for r in results) for T in t_values}
-    sup_x, sup_y = _nested_sups(raw_x), _nested_sups(raw_y)
-    return ProbeReport(
-        name="trilinear", samples=ensemble,
-        sup_ratio=max(max(sup_x.values()), max(sup_y.values())),
-        refinement_stable=None,
-        params={"s": s, "t_values": list(t_values), "dt": dt,
-                "n_points": dom.n_points, "kind": dom.kind},
-        details={"sup_x_by_T": {str(T): v for T, v in sup_x.items()},
-                 "sup_y_by_T": {str(T): v for T, v in sup_y.items()},
-                 "window_sup_x": {str(T): v for T, v in raw_x.items()},
-                 "window_sup_y": {str(T): v for T, v in raw_y.items()}})
+    return _window_report(
+        "trilinear", _map_samples(one, seeds), t_values,
+        {"s": s, "t_values": list(t_values), "dt": dt,
+         "n_points": dom.n_points, "kind": dom.kind})
 
 
 def multilinear_probe(k: int = 1, s: float = 0.5,
@@ -365,6 +400,13 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
     n_factors = 5 if quintic else k + 1
     b_out = -3.0 / 8.0 - delta
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
+    if quintic:
+        def form(f):
+            return quintic_Q_general_slices(
+                dom, [f[0], np.conj(f[1]), f[2], np.conj(f[3]), f[4]])
+    else:
+        def form(f):
+            return _plain_product(dom, f)
 
     def one(seed):
         r = np.random.default_rng(seed)
@@ -397,37 +439,13 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
         else:
             base = [random_mode_sum_values(dom, times, r)
                     for _ in range(n_factors)]
-        out = {}
-        for T in t_values:
-            w = TimeWindow.plateau(T)(times)
-            vs = [b * w[:, None] for b in base]
-            if quintic:
-                args = [vs[0], np.conj(vs[1]), vs[2], np.conj(vs[3]), vs[4]]
-                prod = _on_window_support(
-                    w, lambda f: quintic_Q_general_slices(dom, f), args)
-            else:
-                prod = _on_window_support(w, lambda f: _plain_product(dom, f), vs)
-            lhs = SpaceTimeField.from_time_values(dom, times, prod)
-            u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
-            den = _corollary_rhs(u, s, signs=[+1] * n_factors)
-            out[T] = (frak_x_norm(lhs, s, b_out, +1) / den,
-                      cal_y_norm(lhs, s, -1.0) / den)
-        return out
+        return _window_ratios(dom, times, t_values, base, form,
+                              [+1] * n_factors, s, b_out)
 
-    results = _map_samples(one, seeds)
-    raw_x = {T: max(r[T][0] for r in results) for T in t_values}
-    raw_y = {T: max(r[T][1] for r in results) for T in t_values}
-    sup_x, sup_y = _nested_sups(raw_x), _nested_sups(raw_y)
-    return ProbeReport(
-        name="quintic" if quintic else f"multilinear-k{k}", samples=ensemble,
-        sup_ratio=max(max(sup_x.values()), max(sup_y.values())),
-        refinement_stable=None,
-        params={"k": k, "s": s, "delta": delta, "quintic": quintic,
-                "t_values": list(t_values), "dt": dt, "kind": dom.kind},
-        details={"sup_x_by_T": {str(T): v for T, v in sup_x.items()},
-                 "sup_y_by_T": {str(T): v for T, v in sup_y.items()},
-                 "window_sup_x": {str(T): v for T, v in raw_x.items()},
-                 "window_sup_y": {str(T): v for T, v in raw_y.items()}})
+    return _window_report(
+        "quintic" if quintic else f"multilinear-k{k}", _map_samples(one, seeds),
+        t_values, {"k": k, "s": s, "delta": delta, "quintic": quintic,
+                   "t_values": list(t_values), "dt": dt, "kind": dom.kind})
 
 
 # ---------------------------------------------------------------------------

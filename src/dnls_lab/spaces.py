@@ -8,7 +8,11 @@ All mixed norms use Riemann quadrature weights dxi and dtau; on the
 Dyadic block norms are one row reduction over tau times the (blocks x n)
 matrix of chi_N(xi)^2, cached per Domain (chi_N depends on xi alone and is
 >= 0); the <xi>^s <tau +/- xi^2>^b weights are cached per lattice, s, b and
-sign.  Both caches hold read-only arrays.
+sign.  Both caches hold read-only arrays.  block_norms, frak_x_norm,
+cal_y_norm and cal_z_norm accept a SpaceTimeField with a leading batch
+axis and then return one value per member (a float for a single field),
+equal bit for bit to one call per member; xsb_norm and ysb_norm take a
+single field.
 
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the trajectory
@@ -46,9 +50,11 @@ def _chi_sq(domain: Domain) -> np.ndarray:
     return m
 
 
-def _low_plus_sup(norms: np.ndarray) -> float:
-    """Low-block norm plus the sup over the higher dyadic blocks."""
-    return float(norms[0] + norms[1:].max(initial=0.0))
+def _low_plus_sup(norms: np.ndarray):
+    """Low-block norm plus the sup over the higher dyadic blocks (last axis):
+    a float for a single field, one value per member for a batch."""
+    out = norms[..., 0] + norms[..., 1:].max(axis=-1, initial=0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def besov_norm(f: SpectralField, s: float, q: float = np.inf) -> float:
@@ -74,28 +80,32 @@ def _xsb_weight(lattice: ModulationLattice, s: float, b: float, sign: int) -> np
 
 
 def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.ndarray:
-    """Per-xi squared contributions: ||u||^2 = sum(rows) and, since chi_N
-    depends on xi alone, ||P_N u||^2 = chi_N^2 . rows."""
-    wc = _xsb_weight(u.lattice, s, b, sign) * np.abs(u.coeffs)
+    """Per-xi squared contributions (..., n): ||u||^2 = sum(rows) and, since
+    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows."""
+    wc = np.abs(u.coeffs)
+    wc *= _xsb_weight(u.lattice, s, b, sign)
     if space == "X":
-        return np.sum(wc ** 2, axis=1) * (u.domain.dxi * u.lattice.dtau)
-    return (np.sum(wc, axis=1) * u.lattice.dtau) ** 2 * u.domain.dxi
+        return np.sum(np.square(wc, out=wc), axis=-1) * (u.domain.dxi * u.lattice.dtau)
+    return (np.sum(wc, axis=-1) * u.lattice.dtau) ** 2 * u.domain.dxi
 
 
 def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
                 space: str = "X") -> np.ndarray:
     """||P_N u|| in X^{s,b,sign} (space "X") or Y^{s,b} (space "Y", sign +1)
-    for every N in dyadic_range, in one pass over u."""
-    return np.sqrt(_chi_sq(u.domain) @ _rows(u, s, b, sign, space))
+    for every N in dyadic_range, in one pass over u; shape (..., blocks).
+    Each member's row goes through the same matrix-vector product, so a
+    batched call equals one call per member bit for bit."""
+    rows = _rows(u, s, b, sign, space)
+    return np.sqrt(np.matmul(_chi_sq(u.domain), rows[..., None])[..., 0])
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
-    """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
+    """X^{s,b,+/-} norm of a single field: weighted L2 over the (xi, tau) lattice."""
     return float(np.sqrt(np.sum(_rows(u, s, b, sign, "X"))))
 
 
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
-    """Y^{s,b} norm: inner L1 in tau, outer L2 in xi (sign + weight)."""
+    """Y^{s,b} norm of a single field: inner L1 in tau, outer L2 in xi."""
     return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
 
 
@@ -104,16 +114,16 @@ def zs_norm(u: SpaceTimeField, s: float) -> float:
     return xsb_norm(u, s, 0.5, +1) + ysb_norm(u, s, 0.0)
 
 
-def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
+def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
     """||P_1 u||_{X^{s,b,sign}} + sup_{N>1} ||P_N u||_{X^{s,b,sign}}."""
     return _low_plus_sup(block_norms(u, s, b, sign))
 
 
-def cal_y_norm(u: SpaceTimeField, s: float, b: float) -> float:
+def cal_y_norm(u: SpaceTimeField, s: float, b: float):
     return _low_plus_sup(block_norms(u, s, b, space="Y"))
 
 
-def cal_z_norm(u: SpaceTimeField, s: float) -> float:
+def cal_z_norm(u: SpaceTimeField, s: float):
     return _low_plus_sup(block_norms(u, s, 0.5) + block_norms(u, s, 0.0, space="Y"))
 
 

@@ -182,3 +182,30 @@ class TestSpaceTimeField:
         u = SpaceTimeField.from_time_values(dom, times, vals)
         direct = SpaceTimeField.from_time_values(dom, times, np.conj(vals))
         assert np.max(np.abs(u.conj().coeffs - direct.coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    def test_batch_equals_one_call_per_member(self, dom):
+        rng = np.random.default_rng(8)
+        times = -1.0 + np.arange(128) / 64.0
+        vals = rng.normal(size=(3, 128, dom.n_points)) \
+            + 1j * rng.normal(size=(3, 128, dom.n_points))
+        single = [SpaceTimeField.from_time_values(dom, times, v) for v in vals]
+        batch = SpaceTimeField.from_time_values(dom, times, vals)
+        assert batch.coeffs.shape == (3, dom.n_points, 128)
+        for j, u in enumerate(single):
+            assert np.array_equal(batch.coeffs[j], u.coeffs)
+            assert np.array_equal(batch.to_time_values()[j], u.to_time_values())
+            assert np.array_equal(batch.conj().coeffs[j], u.conj().coeffs)
+        # per-slice coefficients, stored xi-major as the probes keep them
+        slices_hat = np.fft.fft(vals, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
+        by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
+        spectral = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
+        assert np.array_equal(spectral.coeffs, batch.coeffs)
+
+    def test_spectral_input_must_match_domain(self):
+        times = 0.1 * np.arange(8)
+        f = SpectralField(Domain("torus", 16), np.zeros((8, 16)))
+        with pytest.raises(DomainMismatchError):
+            SpaceTimeField.from_time_values(Domain("torus", 32), times, f)

@@ -1,6 +1,7 @@
 """Field dumps, config validation, and the scenario runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,12 @@ class TestValidation:
         ("gauge-equivalence", {"h1_norm": float("inf")}, "h1_norm"),
         ("probe-multilinear", {"s": float("nan")}, "s"),
         ("probe-trilinear", {"s": float("inf")}, "s"),
+        ("flowmap", {"r": 0}, "r"),
+        ("flowmap", {"r": -1}, "r"),
+        ("flowmap", {"r": -0.5}, "r"),
+        ("verify-domination", {"box": 1.01e55}, "box"),
+        ("verify-resonance", {"box": 1.01e55}, "box"),
+        ("verify-domination", {"box": 1e77}, "box"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
@@ -174,6 +181,17 @@ class TestValidation:
                       tmp_path)
         assert code == 2
         assert f"params.{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["verify-domination", "verify-resonance"])
+    def test_largest_box_runs_without_warnings(self, tmp_path, scenario):
+        # at the bound, every bracket and multiplier piece (doubled box
+        # included) stays finite, so no overflow warning is raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run({"scenario": scenario,
+                           "params": {"box": 1e55, "n": 10 ** 4}}, tmp_path)
+        assert code in (0, 1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("kind,initial", [
         ("torus", {"type": "plane", "amplitude": 0.5, "mode": 2}),

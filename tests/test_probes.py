@@ -1,5 +1,8 @@
 """Sampling probes for the estimate inequalities."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              strichartz_probe, strichartz_single_mode_ratio,
                              trilinear_probe)
 from dnls_lab.sampling import random_mode_sum_values
-from dnls_lab.spaces import TimeWindow, block_norms
+from dnls_lab.spaces import TimeWindow, block_norms, cal_y_norm, frak_x_norm
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -213,14 +216,25 @@ _PRODUCT_FORMS = {
 
 
 class TestWindowSupport:
-    """The probes' products evaluated on the window's slices only must equal
-    the full-lattice evaluation bit for bit."""
+    """The probes evaluate their products on the slices that the windows keep;
+    the full-lattice evaluation must equal that bit for bit there and be
+    exactly zero elsewhere."""
 
     @staticmethod
     def _factors(dom, times, w, n_factors, seed):
         rng = np.random.default_rng(seed)
         return [random_mode_sum_values(dom, times, rng) * w[:, None]
                 for _ in range(n_factors)]
+
+    @staticmethod
+    def _assert_support_evaluation_exact(fn, dom, w, vs):
+        full = fn(dom, vs)
+        kept = probes._support(w)
+        assert np.array_equal(fn(dom, [v[kept] for v in vs]), full[kept])
+        outside = np.ones(len(w), dtype=bool)
+        outside[kept] = False
+        assert not np.any(full[outside])
+        return kept
 
     @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("form", sorted(_PRODUCT_FORMS))
@@ -230,10 +244,8 @@ class TestWindowSupport:
         for T in (1.0, 0.5, 0.25, 0.125):
             w = TimeWindow.plateau(T)(times)
             vs = self._factors(dom, times, w, n_factors, seed=11)
-            full = fn(dom, vs)
-            kept = probes._on_window_support(w, lambda f: fn(dom, f), vs)
-            assert np.array_equal(kept, full)
-            assert np.count_nonzero(np.any(kept != 0, axis=-1)) < len(times)
+            kept = self._assert_support_evaluation_exact(fn, dom, w, vs)
+            assert kept.stop - kept.start < len(times)
 
     @pytest.mark.parametrize("edge", ["first", "last"])
     @pytest.mark.parametrize("form", sorted(_PRODUCT_FORMS))
@@ -244,19 +256,13 @@ class TestWindowSupport:
         w = TimeWindow.plateau(0.5)(times - times[0 if edge == "first" else -1])
         assert w[0 if edge == "first" else -1] == 1.0
         vs = self._factors(dom, times, w, n_factors, seed=12)
-        kept = probes._on_window_support(w, lambda f: fn(dom, f), vs)
-        assert np.array_equal(kept, fn(dom, vs))
+        kept = self._assert_support_evaluation_exact(fn, dom, w, vs)
+        assert (kept.start == 0) if edge == "first" else (kept.stop == len(times))
 
     def test_zero_window_gives_zeros(self):
-        dom = Domain("torus", 32)
+        # an all-zero window keeps no slice, so no form is evaluated
         times = probes._base_times()
-        vs = self._factors(dom, times, np.ones_like(times), 3, seed=13)
-
-        def never(f):
-            raise AssertionError("form evaluated under a zero window")
-
-        out = probes._on_window_support(np.zeros_like(times), never, vs)
-        assert out.shape == vs[0].shape and not np.any(out)
+        assert times[probes._support(np.zeros_like(times))].size == 0
 
     @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("probe", [
@@ -270,8 +276,7 @@ class TestWindowSupport:
     ], ids=["trilinear", "k1", "k2", "quintic"])
     def test_probe_report_unchanged(self, monkeypatch, dom, probe):
         kept = probe(dom).to_json()
-        monkeypatch.setattr(probes, "_on_window_support",
-                            lambda w, form, factors: form(factors))
+        monkeypatch.setattr(probes, "_support", lambda w: slice(None))
         assert probe(dom).to_json() == kept
 
 
@@ -307,3 +312,90 @@ class TestModeSum:
         ref = _mode_sum_reference(dom, times, r2, band=band, char_sign=char_sign)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert r1.random() == r2.random()   # same draws, same generator state
+
+
+def _mode_wave_reference(dom, times, k, char_sign=+1, amp=1.0):
+    """_mode_wave as one full-size exp."""
+    return amp * np.exp(1j * (k * dom.x[None, :] - char_sign * k * k * times[:, None]))
+
+
+class TestModeWave:
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("k,char_sign", [(8, +1), (-6, -1), (3, +1), (0, +1)])
+    def test_matches_full_size_exp(self, dom, k, char_sign):
+        times = probes._base_times()
+        amp = 0.7 - 1.3j
+        got = probes._mode_wave(dom, times, k, char_sign, amp)
+        ref = _mode_wave_reference(dom, times, k, char_sign, amp)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestQuinticResonantTuples:
+    def test_matches_tuple_filter(self):
+        ref = tuple((x1, x2, x3, x4, x5)
+                    for x1, x2, x3, x4, x5 in itertools.product(range(-4, 5), repeat=5)
+                    if x1 != x2 and x3 != x4 and x1 - x2 + x3 - x4 != 0
+                    and (x1 - x2 + x3 - x4 + x5) ** 2
+                    == x1 ** 2 - x2 ** 2 + x3 ** 2 - x4 ** 2 + x5 ** 2)
+        got = probes._quintic_resonant_tuples()
+        assert got == ref
+        assert all(type(m) is int for m in got[0])
+
+
+def _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out):
+    """The per-window loop of the unbatched probes: window every factor,
+    evaluate the form per T on the window's slices, transform each field on
+    its own and take one norm call per field."""
+    out = {}
+    for T in t_values:
+        w = TimeWindow.plateau(T)(times)
+        vs = [f * w[:, None] for f in base]
+        nz = np.flatnonzero(w)
+        kept = slice(nz[0], nz[-1] + 1)
+        prod = np.zeros_like(vs[0])
+        prod[kept] = form([v[kept] for v in vs])
+        lhs = SpaceTimeField.from_time_values(dom, times, prod)
+        u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
+        half = [frak_x_norm(f, 0.5, 0.5, sg) for f, sg in zip(u, signs)]
+        top = half if s == 0.5 else [frak_x_norm(f, s, 0.5, sg)
+                                     for f, sg in zip(u, signs)]
+        den = sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(u)))
+        out[T] = (frak_x_norm(lhs, s, b_out, +1) / den,
+                  cal_y_norm(lhs, s, -1.0) / den)
+    return out
+
+
+# form on the unwindowed factors, factor count, signs, output b
+_WINDOW_FORMS = {
+    "trilinear": (lambda dom, f: trilinear_T_slices(dom, *f), 3, [+1, +1, -1], -0.5),
+    "k0": (probes._plain_product, 1, [+1], -3 / 8 - 1 / 16),
+    "k1": (probes._plain_product, 2, [+1, +1], -3 / 8 - 1 / 16),
+    "k2": (probes._plain_product, 3, [+1, +1, +1], -3 / 8 - 1 / 16),
+    "quintic": (lambda dom, f: quintic_Q_general_slices(
+        dom, [f[0], np.conj(f[1]), f[2], np.conj(f[3]), f[4]]),
+        5, [+1] * 5, -3 / 8 - 1 / 16),
+}
+
+
+class TestWindowRatios:
+    """The per-sample helper (form once, scaled per window; one transform and
+    one norm call per window stack) against the per-window reference loop."""
+
+    @pytest.mark.parametrize("t_values", [(0.3,), (1.0, 0.7, 0.2)], ids=["one", "three"])
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("name", sorted(_WINDOW_FORMS))
+    def test_matches_per_window_loop(self, name, dom, s, t_values):
+        fn, n_factors, signs, b_out = _WINDOW_FORMS[name]
+        times = probes._base_times()
+        rng = np.random.default_rng(21)
+        base = [random_mode_sum_values(dom, times, rng, char_sign=sg) for sg in signs]
+        form = lambda f: fn(dom, f)  # noqa: E731
+        got = probes._window_ratios(dom, times, t_values, base, form, signs, s, b_out)
+        ref = _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out)
+        assert list(got) == list(t_values)
+        for T in t_values:
+            assert got[T] == pytest.approx(ref[T], rel=1e-12, abs=0)

@@ -10,7 +10,7 @@ from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_trajectory
 from dnls_lab.frequency import dyadic_multiplier, dyadic_projection, dyadic_range
 from dnls_lab.spaces import (TimeWindow, _chi_sq, _xsb_weight, besov_norm,
-                             cal_y_norm, cal_z_norm, frak_x_norm, sobolev_norm,
+                             block_norms, cal_y_norm, cal_z_norm, frak_x_norm, sobolev_norm,
                              window_trajectory, xsb_norm, xy_embedding_constant,
                              ysb_norm, zs_norm)
 
@@ -221,6 +221,37 @@ class TestOnePassBlockNorms:
             _xsb_weight(u.lattice, 0.5, 0.5, +1)[0, 0] = 0.0
         with pytest.raises(ValueError):
             _chi_sq(u.domain)[0, 0] = 0.0
+
+
+class TestBatchedNorms:
+    """A batched field is normed member by member, bit for bit."""
+
+    @staticmethod
+    def _batch(dom, n_t):
+        fields = [_random_field(dom, n_t, seed) for seed in (10, 11, 12)]
+        return fields, SpaceTimeField(fields[0].lattice, [u.coeffs for u in fields])
+
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    @pytest.mark.parametrize("s,b,sign,space", [
+        (0.5, 0.5, +1, "X"), (0.75, 0.5, -1, "X"), (0.5, -7.0 / 16.0, +1, "X"),
+        (0.5, -1.0, +1, "Y"), (0.75, 0.0, +1, "Y")])
+    def test_block_norms(self, dom, n_t, s, b, sign, space):
+        fields, batch = self._batch(dom, n_t)
+        got = block_norms(batch, s, b, sign, space)
+        assert got.shape == (3, len(dyadic_range(dom.xi_max)))
+        assert np.array_equal(got, [block_norms(u, s, b, sign, space) for u in fields])
+
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    def test_norms(self, dom, n_t):
+        fields, batch = self._batch(dom, n_t)
+        for norm in (lambda v: frak_x_norm(v, 0.5, 0.5, +1),
+                     lambda v: frak_x_norm(v, 0.75, -0.4375, -1),
+                     lambda v: cal_y_norm(v, 0.5, -1.0),
+                     lambda v: cal_z_norm(v, 0.75)):
+            got = norm(batch)
+            single = [norm(u) for u in fields]
+            assert all(type(v) is float for v in single)
+            assert got.shape == (3,) and np.array_equal(got, single)
 
 
 class TestWindowTrajectory:
