@@ -1,7 +1,8 @@
 """Batch experiment runner: `dnls-lab <scenario> --config cfg.json`.
 
-Configuration is one JSON object; the scenario schema below validates it
-and fills defaults.  Each run writes into the output directory:
+Configuration is one JSON object.  The scenario's schema gives every key
+its type, default and range rule; a rule may read the keys listed before
+it.  Each run writes into the output directory:
 
     report.json     machine-readable results (deterministic for a fixed
                     config + seed: no timestamps inside)
@@ -9,8 +10,8 @@ and fills defaults.  Each run writes into the output directory:
     plotdata/*.tsv  two-column series for external plotting
     fields/*.fd     optional field dumps
 
-Exit codes: 0 all in-scenario assertions passed, 1 an assertion failed,
-2 the config did not validate.
+Exit codes: 0 all in-scenario assertions passed, 1 an assertion failed or
+the run aborted, 2 the config did not validate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -35,179 +37,53 @@ class SchemaError(Exception):
     pass
 
 
-# name -> (runner, {param: (type, required, default)})
-SCENARIOS = {
-    "solve": (scenarios.run_solve, {
-        "kind": (str, False, "torus"),
-        "n_points": (int, False, 256),
-        "domain_scale": (int, False, 1),
-        "dt": (float, True, None),
-        "t_final": (float, True, None),
-        "lambda": (float, False, 0.0),
-        "k_power": (int, False, 0),
-        "gauged": (bool, False, False),
-        "integrator": (str, False, "etdrk4"),
-        "pad_factor": (int, False, 4),
-        "initial": (dict, False, {"type": "trig", "h1_norm": 0.3}),
-    }),
-    "plane-wave": (scenarios.run_plane_wave, {
-        "n_points": (int, False, 256),
-        "dt": (float, True, None),
-        "t_final": (float, False, 0.1),
-        "amplitude": (float, False, 0.5),
-        "lambda": (float, False, 0.0),
-        "k_power": (int, False, 0),
-        "refine": (bool, False, True),
-    }),
-    "gauge-roundtrip": (scenarios.run_gauge_roundtrip, {
-        "kind": (str, False, "torus"),
-        "n_points": (int, False, 256),
-        "domain_scale": (int, False, 1),
-        "ensemble": (int, False, 100),
-    }),
-    "gauge-equivalence": (scenarios.run_gauge_equivalence, {
-        "kind": (str, False, "torus"),
-        "n_points": (int, False, 256),
-        "domain_scale": (int, False, 1),
-        "dt": (float, True, None),
-        "t_final": (float, False, 0.05),
-        "h1_norm": (float, False, 0.3),
-        "lambda": (float, False, 1.0),
-        "k_power": (int, False, 1),
-        "l_refine": (bool, False, True),
-    }),
-    "scaling": (scenarios.run_scaling, {
-        "kind": (str, False, "line"),
-        "n_points": (int, False, 256),
-        "domain_scale": (int, False, 4),
-        "dt": (float, True, None),
-        "t_final": (float, False, 0.05),
-        "sigmas": (list, False, [2, 4]),
-    }),
-    "flowmap": (scenarios.run_flowmap, {
-        "kind": (str, False, "torus"),
-        "n_points": (int, False, 128),
-        "domain_scale": (int, False, 1),
-        "dt": (float, True, None),
-        "t_final": (float, False, 0.05),
-        "r": (float, False, 0.5),
-        "eps_list": (list, False, [1e-2, 1e-3, 1e-4]),
-        "ensemble": (int, False, 10),
-        "lambda": (float, False, 0.0),
-        "k_power": (int, False, 0),
-        "gauged": (bool, False, False),
-    }),
-    "verify-resonance": (scenarios.run_verify_resonance, {
-        "n": (int, False, 10 ** 6),
-        "box": (float, False, 1e3),
-    }),
-    "verify-domination": (scenarios.run_verify_domination, {
-        "n": (int, False, 10 ** 5),
-        "box": (float, False, 100.0),
-        "delta": (float, False, 1.0 / 24.0),
-    }),
-    "probe-strichartz": (scenarios.run_probe_strichartz, {
-        "b": (float, False, 0.5),
-        "ensemble": (int, False, 100),
-        "n_points": (int, False, 32),
-        "n_t": (int, False, 256),
-        "dt": (float, False, 0.02),
-    }),
-    "probe-trilinear": (scenarios.run_probe_trilinear, {
-        "s": (float, False, 0.5),
-        "t_values": (list, False, [1.0, 0.5, 0.25, 0.125]),
-        "ensemble": (int, False, 100),
-        "n_points": (int, False, 32),
-        "kind": (str, False, "torus"),
-    }),
-    "probe-multilinear": (scenarios.run_probe_multilinear, {
-        "k": (int, False, 1),
-        "s": (float, False, 0.5),
-        "t_values": (list, False, [1.0, 0.5, 0.25, 0.125]),
-        "ensemble": (int, False, 50),
-        "n_points": (int, False, 32),
-        "kind": (str, False, "torus"),
-        "delta": (float, False, 1.0 / 16.0),
-        "quintic": (bool, False, False),
-    }),
-    "probe-smult": (scenarios.run_probe_smult, {
-        "s": (float, False, 0.5),
-        "s1": (float, False, 0.5),
-        "s2": (float, False, 0.75),
-        "ensemble": (int, False, 100),
-        "n_points": (int, False, 256),
-    }),
-    "dyadic-checks": (scenarios.run_dyadic_checks, {
-        "delta": (float, False, 0.25),
-        "s": (float, False, 0.5),
-        "b": (float, False, 0.5),
-        "n_points": (int, False, 64),
-    }),
-}
+# one config key, required where it has no default: ok(value, params) is its
+# range rule and `valid` says what it accepts; a list key must be non-empty
+# and its rule checks each entry
+Key = namedtuple("Key", "type default ok valid", defaults=(None, None, ""))
+
+# `solve` keeps every time slice: (steps + 1) * n_points * 16 bytes per
+# member, 410 MB at 10^5 steps of 256 points
+MAX_STEPS = 10 ** 5
 
 
-# value ranges of the domain and solver keys, wherever a scenario has them
-VALUE_RULES = {
-    "kind": (lambda v: v in ("torus", "line"), "'torus' or 'line'"),
-    "n_points": (lambda v: v >= 8 and _is_power_of_two(v), "a power of two >= 8"),
-    "domain_scale": (_is_power_of_two, "a power of two"),
-    "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "t_final": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "pad_factor": (lambda v: v in (2, 4), "2 or 4"),
-    "integrator": (lambda v: v in ("etdrk4", "ifrk4"), "'etdrk4' or 'ifrk4'"),
-    "ensemble": (lambda v: v >= 1, "an integer >= 1"),
-    # verify-domination's stability pass doubles the box; above 1e55 a
-    # product of brackets in its multiplier pieces overflows (worst case
-    # between 3.5e55 and 4e55)
-    "box": (lambda v: 1 <= v <= 1e55,
-            "in [1, 1e55], where every multiplier piece stays finite"),
-    "n_t": (lambda v: v >= 2, "an integer >= 2"),
-    "amplitude": (lambda v: v != 0, "nonzero"),
-    "k_power": (lambda v: v >= 0, "an integer >= 0"),
-    "r": (lambda v: v > 0, "positive"),
-}
+def _whole_steps(t: float, dt: float) -> bool:
+    steps = np.rint(t / dt)  # inf if dt is tiny
+    return 1 <= steps <= MAX_STEPS and abs(steps * dt - t) <= 1e-9
 
-# scenario-specific ranges: the conditions under which the library call behind
-# the scenario raises ParameterError, checked up front (NaN, which a library
-# check may let through, fails every rule); a rule sees all params
-SCENARIO_RULES = {
-    "probe-trilinear": [("s", lambda p: p["s"] >= 0.5, ">= 1/2")],
-    "probe-multilinear": [("k", lambda p: p["k"] in (0, 1, 2), "0, 1 or 2"),
-                          ("delta", lambda p: 0 < p["delta"] < 1 / 8, "in (0, 1/8)")],
-    "verify-domination": [("n", lambda p: p["n"] >= 10 ** 4, "an integer >= 10^4")],
-    "probe-strichartz": [("b", lambda p: p["b"] > 3 / 8, "> 3/8")],
-    "probe-smult": [("s", lambda p: p["s"] >= 0, ">= 0"),
-                    ("s1", lambda p: p["s1"] >= p["s"], ">= params.s"),
-                    ("s2", lambda p: p["s2"] >= p["s"] and p["s1"] + p["s2"] - p["s"] > 0.5,
-                     ">= params.s, with s1 + s2 - s > 1/2")],
-    "dyadic-checks": [("delta", lambda p: p["delta"] > 0, "positive")],
-}
 
-# entries of the list keys, which must be non-empty; type() rules out bools
-ENTRY_RULES = {
-    "t_values": (lambda v: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]"),
-    "sigmas": (lambda v: type(v) is int and _is_power_of_two(v), "an integer power of two"),
-    "eps_list": (lambda v: type(v) in (int, float) and 0 < v < math.inf,
-                 "a positive finite number"),
-}
+# the rules that several keys share, as (ok, valid); type() rules out bools
+KIND = (lambda v, p: v in ("torus", "line"), "'torus' or 'line'")
+N_POINTS = (lambda v, p: v >= 8 and _is_power_of_two(v), "a power of two >= 8")
+DOMAIN_SCALE = (lambda v, p: _is_power_of_two(v) and (v == 1 or p["kind"] == "line"),
+                "a power of two, and 1 on the torus")
+POSITIVE = (lambda v, p: v > 0, "positive")
+AT_LEAST_ONE = (lambda v, p: v >= 1, "an integer >= 1")
+NON_NEGATIVE = (lambda v, p: v >= 0, ">= 0")
+T_FINAL = (lambda v, p: 0 < v <= 1 and _whole_steps(v, p["dt"]),
+           f"in (0, 1] and 1 to {MAX_STEPS} steps of params.dt")
+# verify-domination's stability pass doubles the box; above 1e55 a product of
+# brackets in its multiplier pieces overflows (worst case 3.5e55 to 4e55)
+BOX = (lambda v, p: 1 <= v <= 1e55, "in [1, 1e55], where every multiplier piece stays finite")
+T_VALUES = (lambda v, p: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]")
 
-# keys of solve's `initial` object by type, as scenarios._initial_data reads them
+# keys of solve's `initial` object by type, as scenarios._initial_data reads
+# them, each marked True where it is a scale and must be positive
 INITIAL_KEYS = {
-    "plane": ("amplitude", "mode"),
-    "trig": ("h1_norm",),
-    "gaussian": ("amplitude", "width", "center", "mode", "h1_norm"),
-    "random": ("band", "h1_norm"),
+    "plane": dict(amplitude=False, mode=False),
+    "trig": dict(h1_norm=True),
+    "gaussian": dict(amplitude=False, width=True, center=False, mode=False, h1_norm=True),
+    "random": dict(band=True, h1_norm=True),
 }
-# the scales among them, which must be positive
-POSITIVE_INITIAL_KEYS = ("width", "h1_norm", "band")
 
 
-def _check_initial(initial: dict, kind: str):
-    typ = initial.get("type", "trig" if kind == "torus" else "gaussian")
+def _initial_ok(initial: dict, p: dict) -> bool:
+    """The rule of solve's `initial`; raises with the path of the offence."""
+    typ = initial.get("type", "trig" if p["kind"] == "torus" else "gaussian")
     if not isinstance(typ, str) or typ not in INITIAL_KEYS:
         raise SchemaError(f"params.initial.type: must be one of "
                           f"{sorted(INITIAL_KEYS)}, got {typ!r}")
-    if typ == "trig" and kind != "torus":
+    if typ == "trig" and p["kind"] != "torus":
         raise SchemaError("params.initial.type: 'trig' is periodic, torus only")
     for key, val in initial.items():
         if key == "type":
@@ -216,14 +92,144 @@ def _check_initial(initial: dict, kind: str):
             raise SchemaError(f"params.initial.{key}: unknown key for type {typ!r}")
         if type(val) not in (int, float) or not math.isfinite(val):
             raise SchemaError(f"params.initial.{key}: must be a finite number, got {val!r}")
-        if key in POSITIVE_INITIAL_KEYS and val <= 0:
+        if INITIAL_KEYS[typ][key] and val <= 0:
             raise SchemaError(f"params.initial.{key}: must be positive, got {val!r}")
+    return True
+
+
+# name -> (runner, {param: Key}); the ranges include those for which the
+# library raises ParameterError, so that such a value exits 2 with its path
+SCENARIOS = {
+    "solve": (scenarios.run_solve, {
+        "kind": Key(str, "torus", *KIND),
+        "n_points": Key(int, 256, *N_POINTS),
+        "domain_scale": Key(int, 1, *DOMAIN_SCALE),
+        "dt": Key(float, None, *POSITIVE),
+        "t_final": Key(float, None, *T_FINAL),
+        "lambda": Key(float, 0.0),
+        "k_power": Key(int, 0, *NON_NEGATIVE),
+        "gauged": Key(bool, False),
+        "integrator": Key(str, "etdrk4", lambda v, p: v in ("etdrk4", "ifrk4"),
+                          "'etdrk4' or 'ifrk4'"),
+        "pad_factor": Key(int, 4, lambda v, p: v in (2, 4), "2 or 4"),
+        "initial": Key(dict, {"type": "trig", "h1_norm": 0.3}, _initial_ok),
+    }),
+    "plane-wave": (scenarios.run_plane_wave, {
+        "n_points": Key(int, 256, *N_POINTS),
+        "dt": Key(float, None, *POSITIVE),
+        # the exact solution's L2 norm and frequency stay finite and nonzero
+        "amplitude": Key(float, 0.5, lambda v, p: 1e-150 <= abs(v) <= 1e150,
+                         "nonzero, with |amplitude| in [1e-150, 1e150]"),
+        "lambda": Key(float, 0.0),
+        "k_power": Key(int, 0, lambda v, p: v >= 0 and v * math.log10(abs(p["amplitude"])) <= 150,
+                       ">= 0, with |params.amplitude|^(2 k_power) <= 1e300"),
+        "refine": Key(bool, True),
+        # the refinement study steps to t_final by REFINE_DTS too
+        "t_final": Key(float, 0.1, lambda v, p: T_FINAL[0](v, p) and (
+            not p["refine"] or _whole_steps(v, scenarios.REFINE_DTS[0])),
+            f"{T_FINAL[1]}, and of {scenarios.REFINE_DTS[0]} with params.refine"),
+    }),
+    "gauge-roundtrip": (scenarios.run_gauge_roundtrip, {
+        "kind": Key(str, "torus", *KIND),
+        "n_points": Key(int, 256, *N_POINTS),
+        "domain_scale": Key(int, 1, *DOMAIN_SCALE),
+        "ensemble": Key(int, 100, *AT_LEAST_ONE),
+    }),
+    "gauge-equivalence": (scenarios.run_gauge_equivalence, {
+        "kind": Key(str, "torus", *KIND),
+        "n_points": Key(int, 256, *N_POINTS),
+        "domain_scale": Key(int, 1, lambda v, p: DOMAIN_SCALE[0](v, p) and (
+            p["kind"] == "torus" or (v >= 4 and p["n_points"] >= 512)),
+            "a power of two: 1 on the torus, >= 4 with n_points >= 512 on the line"),
+        "dt": Key(float, None, *POSITIVE),
+        "t_final": Key(float, 0.05, *T_FINAL),
+        "h1_norm": Key(float, 0.3, *POSITIVE),
+        "lambda": Key(float, 1.0),
+        "k_power": Key(int, 1, *NON_NEGATIVE),
+        "l_refine": Key(bool, True),
+    }),
+    "scaling": (scenarios.run_scaling, {
+        "kind": Key(str, "line", lambda v, p: v == "line", "'line': rescaling changes the period"),
+        "n_points": Key(int, 256, *N_POINTS),
+        "domain_scale": Key(int, 4, *DOMAIN_SCALE),
+        "dt": Key(float, None, *POSITIVE),
+        "t_final": Key(float, 0.05, *T_FINAL),
+        "sigmas": Key(list, [2, 4], lambda v, p: type(v) is int and _is_power_of_two(v)
+                      and v <= p["t_final"] ** -0.5,  # int vs float: no overflow
+                      "an integer power of two with sigma^2 * params.t_final <= 1"),
+    }),
+    "flowmap": (scenarios.run_flowmap, {
+        "kind": Key(str, "torus", *KIND),
+        "n_points": Key(int, 128, *N_POINTS),
+        "domain_scale": Key(int, 1, *DOMAIN_SCALE),
+        "dt": Key(float, None, *POSITIVE),
+        "t_final": Key(float, 0.05, *T_FINAL),
+        "r": Key(float, 0.5, *POSITIVE),
+        "eps_list": Key(list, [1e-2, 1e-3, 1e-4],
+                        lambda v, p: type(v) in (int, float) and 0 < v < math.inf,
+                        "a positive finite number"),
+        "ensemble": Key(int, 10, *AT_LEAST_ONE),
+        "lambda": Key(float, 0.0),
+        "k_power": Key(int, 0, *NON_NEGATIVE),
+        "gauged": Key(bool, False),
+    }),
+    "verify-resonance": (scenarios.run_verify_resonance, {
+        "n": Key(int, 10 ** 6, *AT_LEAST_ONE),
+        "box": Key(float, 1e3, *BOX),
+    }),
+    "verify-domination": (scenarios.run_verify_domination, {
+        "n": Key(int, 10 ** 5, lambda v, p: v >= 10 ** 4, "an integer >= 10^4"),
+        "box": Key(float, 100.0, *BOX),
+        # where the box bound holds: Mt raises brackets to 1/2 + delta and 1/2 - 3 delta
+        "delta": Key(float, 1.0 / 24.0, lambda v, p: 0 <= v <= 1 / 8, "in [0, 1/8]"),
+    }),
+    "probe-strichartz": (scenarios.run_probe_strichartz, {
+        "b": Key(float, 0.5, lambda v, p: v > 3 / 8, "> 3/8"),
+        "ensemble": Key(int, 100, *AT_LEAST_ONE),
+        "n_points": Key(int, 32, *N_POINTS),
+        "n_t": Key(int, 256, lambda v, p: v >= 2, "an integer >= 2"),
+        # windows are at most 1 long; at 5e-324 the sample times coincide
+        "dt": Key(float, 0.02, lambda v, p: 1e-6 <= v <= 1, "in [1e-6, 1]"),
+    }),
+    "probe-trilinear": (scenarios.run_probe_trilinear, {
+        "s": Key(float, 0.5, lambda v, p: v >= 0.5, ">= 1/2"),
+        "t_values": Key(list, [1.0, 0.5, 0.25, 0.125], *T_VALUES),
+        "ensemble": Key(int, 100, *AT_LEAST_ONE),
+        "n_points": Key(int, 32, *N_POINTS),
+        "kind": Key(str, "torus", *KIND),
+    }),
+    "probe-multilinear": (scenarios.run_probe_multilinear, {
+        "k": Key(int, 1, lambda v, p: v in (0, 1, 2), "0, 1 or 2"),
+        "s": Key(float, 0.5),
+        "t_values": Key(list, [1.0, 0.5, 0.25, 0.125], *T_VALUES),
+        "ensemble": Key(int, 50, *AT_LEAST_ONE),
+        "n_points": Key(int, 32, *N_POINTS),
+        "kind": Key(str, "torus", *KIND),
+        "delta": Key(float, 1.0 / 16.0, lambda v, p: 0 < v < 1 / 8, "in (0, 1/8)"),
+        "quintic": Key(bool, False),
+    }),
+    "probe-smult": (scenarios.run_probe_smult, {
+        "s": Key(float, 0.5, *NON_NEGATIVE),
+        "s1": Key(float, 0.5, lambda v, p: v >= p["s"], ">= params.s"),
+        "s2": Key(float, 0.75, lambda v, p: v >= p["s"] and p["s1"] + v - p["s"] > 0.5,
+                  ">= params.s, with s1 + s2 - s > 1/2"),
+        "ensemble": Key(int, 100, *AT_LEAST_ONE),
+        "n_points": Key(int, 256, *N_POINTS),
+    }),
+    "dyadic-checks": (scenarios.run_dyadic_checks, {
+        "delta": Key(float, 0.25, *POSITIVE),
+        "s": Key(float, 0.5),
+        "b": Key(float, 0.5),
+        "n_points": Key(int, 64, *N_POINTS),
+    }),
+}
 
 
 def validate_spec(spec: dict) -> dict:
     """Check the config against the scenario schema; returns resolved params.
 
-    Error messages carry the JSON path of the offending entry.
+    One pass checks types and fills defaults, one checks the rules in schema
+    order.  Error messages carry the JSON path of the offending entry.
     """
     if not isinstance(spec, dict):
         raise SchemaError("config root must be a JSON object")
@@ -232,62 +238,46 @@ def validate_spec(spec: dict) -> dict:
         raise SchemaError(
             f"scenario: expected one of {sorted(SCENARIOS)}, got {scenario!r}")
     seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError("seed: must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError("seed: must be an integer >= 0")
+    if not isinstance(spec.get("name", ""), str):
+        raise SchemaError("name: must be a string")
     params_in = spec.get("params", {})
     if not isinstance(params_in, dict):
         raise SchemaError("params: must be a JSON object")
     _, schema = SCENARIOS[scenario]
     resolved = {}
-    for key, (typ, required, default) in schema.items():
-        if key in params_in:
-            val = params_in[key]
-            if typ is float and isinstance(val, int) and not isinstance(val, bool):
-                val = float(val)
-            if typ is int and isinstance(val, bool):
-                raise SchemaError(f"params.{key}: expected int, got bool")
-            if not isinstance(val, typ):
-                raise SchemaError(
-                    f"params.{key}: expected {typ.__name__}, got "
-                    f"{type(val).__name__}")
-            if typ is float and not math.isfinite(val):
-                raise SchemaError(f"params.{key}: must be a finite number, got {val!r}")
-            resolved[key] = val
-        elif required:
-            raise SchemaError(f"params.{key}: missing required parameter")
-        else:
+    for key, (typ, default, _, _) in schema.items():
+        if key not in params_in:
+            if default is None:
+                raise SchemaError(f"params.{key}: missing required parameter")
             resolved[key] = default
+            continue
+        val = params_in[key]
+        if typ is float and isinstance(val, int) and not isinstance(val, bool):
+            val = float(val) if abs(val) <= sys.float_info.max else math.inf
+        if typ is int and isinstance(val, bool):
+            raise SchemaError(f"params.{key}: expected int, got bool")
+        if not isinstance(val, typ):
+            raise SchemaError(
+                f"params.{key}: expected {typ.__name__}, got {type(val).__name__}")
+        if typ is float and not math.isfinite(val):
+            raise SchemaError(f"params.{key}: must be a finite number, got {val!r}")
+        resolved[key] = val
     unknown = set(params_in) - set(schema)
     if unknown:
         raise SchemaError(f"params.{sorted(unknown)[0]}: unknown parameter")
     extra_top = set(spec) - {"name", "scenario", "seed", "params", "out"}
     if extra_top:
         raise SchemaError(f"{sorted(extra_top)[0]}: unknown top-level key")
-    for key, (ok, valid) in VALUE_RULES.items():
-        if key in resolved and not ok(resolved[key]):
-            raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
-    for key, ok, valid in SCENARIO_RULES.get(scenario, []):
-        if not ok(resolved):
-            raise SchemaError(f"params.{key}: must be {valid}, got {resolved[key]!r}")
-    for key, (ok, valid) in ENTRY_RULES.items():
-        if resolved.get(key) == []:
+    for key, (typ, _, ok, valid) in schema.items():
+        val = resolved[key]
+        if typ is list and not val:
             raise SchemaError(f"params.{key}: must be a non-empty list, got []")
-        for i, v in enumerate(resolved.get(key, [])):
-            if not ok(v):
-                raise SchemaError(f"params.{key}[{i}]: must be {valid}, got {v!r}")
-    if "initial" in resolved:
-        _check_initial(resolved["initial"], resolved["kind"])
-    if resolved.get("kind") == "torus" and resolved.get("domain_scale", 1) != 1:
-        raise SchemaError("params.domain_scale: must be 1 on the torus")
-    if "t_final" in resolved:  # every scenario with t_final also has dt
-        steps = np.rint(resolved["t_final"] / resolved["dt"])  # inf if dt is tiny
-        if steps < 1 or abs(steps * resolved["dt"] - resolved["t_final"]) > 1e-9:
-            raise SchemaError("params.t_final: must be a positive integer "
-                              "multiple of params.dt")
-        for i, sigma in enumerate(resolved.get("sigmas", [])):
-            if sigma > resolved["t_final"] ** -0.5:  # int vs float: no overflow
-                raise SchemaError(f"params.sigmas[{i}]: sigma^2 * t_final must be "
-                                  f"<= 1, got {sigma}^2 * {resolved['t_final']}")
+        entries = [(f"{key}[{i}]", v) for i, v in enumerate(val)] if typ is list else [(key, val)]
+        for path, v in entries:
+            if ok and not ok(v, resolved):
+                raise SchemaError(f"params.{path}: must be {valid}, got {v!r}")
     return resolved
 
 
@@ -390,7 +380,7 @@ def main(argv=None) -> int:
             return 2
     if args.seed is not None:
         spec["seed"] = args.seed
-    out_dir = args.out or Path("runs") / spec.get("name", args.scenario)
+    out_dir = args.out or Path("runs") / str(spec.get("name", args.scenario))
     code, _ = run(spec, out_dir)
     return code
 

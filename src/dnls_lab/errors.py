@@ -41,6 +41,10 @@ class BlowUpError(DnlsLabError):
         super().__init__(message or f"blow-up detected at t={time!r}")
 
 
+class NonFiniteError(DnlsLabError, ValueError):
+    """A computed constant overflowed or turned NaN."""
+
+
 class ConservationError(DnlsLabError):
     """A conserved quantity drifted beyond tolerance along a trajectory."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NonFiniteError, ParameterError
 from .fields import (SQRT_2PI, Domain, SpaceTimeField, SpectralField, Trajectory,
                      dealiased_product, dealiased_product_coeffs)
 from .frequency import dyadic_range
@@ -76,7 +76,7 @@ class ProbeReport:
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
         if not np.isfinite(self.sup_ratio):
-            raise ValueError("empirical constant must be finite")
+            raise NonFiniteError("empirical constant must be finite")
 
     def to_json(self) -> dict:
         return {"name": self.name, "samples": self.samples,

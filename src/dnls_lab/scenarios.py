@@ -104,6 +104,10 @@ def _plane_wave_solve(n_points, amplitude, lam, k_power, dt,
     return traj, err.l2_norm() / GridFunction(dom, exact).l2_norm()
 
 
+# the refinement study's steps, above the roundoff floor
+REFINE_DTS = (0.05, 0.025, 0.0125)
+
+
 def run_plane_wave(params, rng):
     a, lam, kp = params["amplitude"], params["lambda"], params["k_power"]
     traj, err = _plane_wave_solve(params["n_points"], a, lam, kp,
@@ -113,8 +117,7 @@ def run_plane_wave(params, rng):
                "omega": 1.0 - a ** 2 + lam * a ** (2 * kp)}
     plot = {}
     if params["refine"]:
-        # convergence-order study at coarse steps, above the roundoff floor
-        dts = [0.05, 0.025, 0.0125]
+        dts = REFINE_DTS  # convergence-order study at coarse steps
         errs = [_plane_wave_solve(params["n_points"], a, lam, kp, h,
                                   params["t_final"])[1] for h in dts]
         floor = 1e-11

@@ -1,12 +1,18 @@
 """Field dumps, config validation, and the scenario runner."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dnls_lab.cli import SchemaError, main, run, validate_spec
+from dnls_lab.cli import SCENARIOS, SchemaError, main, run, validate_spec
 from dnls_lab.fields import Domain, SpectralField
 from dnls_lab.io import FieldDumpError, read_field, write_field
 from dnls_lab.sampling import random_band_field
@@ -172,6 +178,57 @@ class TestValidation:
         ("verify-domination", {"box": 1.01e55}, "box"),
         ("verify-resonance", {"box": 1.01e55}, "box"),
         ("verify-domination", {"box": 1e77}, "box"),
+        # every other (scenario, key) pair that had a rule before the rules
+        # moved into the schema, so that no move drops one unseen
+        ("plane-wave", {"dt": -1.0}, "dt"),
+        ("plane-wave", {"t_final": 1.5}, "t_final"),
+        ("gauge-roundtrip", {"kind": "sphere"}, "kind"),
+        ("gauge-roundtrip", {"n_points": 48}, "n_points"),
+        ("gauge-roundtrip", {"domain_scale": 2}, "domain_scale"),
+        ("gauge-equivalence", {"kind": "sphere"}, "kind"),
+        ("gauge-equivalence", {"n_points": 4}, "n_points"),
+        ("gauge-equivalence", {"dt": 0.0}, "dt"),
+        ("gauge-equivalence", {"t_final": 0.0105}, "t_final"),
+        ("scaling", {"kind": "sphere"}, "kind"),
+        ("scaling", {"n_points": 100}, "n_points"),
+        ("scaling", {"domain_scale": 6}, "domain_scale"),
+        ("scaling", {"dt": -1e-3}, "dt"),
+        ("scaling", {"t_final": 1.01}, "t_final"),
+        ("flowmap", {"kind": "sphere"}, "kind"),
+        ("flowmap", {"n_points": 0}, "n_points"),
+        ("flowmap", {"domain_scale": 4}, "domain_scale"),
+        ("flowmap", {"dt": -2e-3}, "dt"),
+        ("flowmap", {"dt": 3e-3}, "t_final"),
+        ("probe-strichartz", {"n_points": 24}, "n_points"),
+        ("probe-trilinear", {"n_points": 2}, "n_points"),
+        ("probe-multilinear", {"kind": "sphere"}, "kind"),
+        ("probe-multilinear", {"n_points": 33}, "n_points"),
+        ("probe-smult", {"n_points": 1000}, "n_points"),
+        ("dyadic-checks", {"n_points": 65}, "n_points"),
+        # values that once passed validation and then ended in a traceback
+        # or in the wrong exit code
+        ("verify-domination", {"n": 10 ** 4, "box": 1e10, "delta": 10}, "delta"),
+        ("verify-domination", {"n": 10 ** 4, "box": 1e10, "delta": -10}, "delta"),
+        ("verify-domination", {"delta": 0.126}, "delta"),
+        ("solve", {"dt": 1e-300, "t_final": 0.005}, "t_final"),
+        ("solve", {"dt": 4e-6, "t_final": 0.400004}, "t_final"),  # 10^5 + 1 steps
+        ("plane-wave", {"dt": 1e-300, "t_final": 0.05}, "t_final"),
+        ("gauge-equivalence", {"dt": 1e-300, "t_final": 0.005}, "t_final"),
+        ("scaling", {"dt": 1e-300, "t_final": 0.005}, "t_final"),
+        ("flowmap", {"dt": 1e-300, "t_final": 0.005}, "t_final"),
+        ("plane-wave", {"amplitude": 1e-200}, "amplitude"),
+        ("plane-wave", {"amplitude": -1e200}, "amplitude"),
+        ("plane-wave", {"amplitude": 2.0, "k_power": 600}, "k_power"),
+        ("gauge-equivalence", {"h1_norm": 0}, "h1_norm"),
+        ("gauge-equivalence", {"h1_norm": -0.3}, "h1_norm"),
+        ("plane-wave", {"dt": 0.015, "t_final": 0.03}, "t_final"),
+        ("plane-wave", {"dt": 0.025, "t_final": 0.075}, "t_final"),
+        ("gauge-equivalence", {"kind": "line", "domain_scale": 4}, "domain_scale"),
+        ("scaling", {"kind": "torus", "domain_scale": 1}, "kind"),
+        ("verify-resonance", {"n": -600}, "n"),
+        ("probe-strichartz", {"dt": 5e-324}, "dt"),
+        ("probe-strichartz", {"dt": 2.0}, "dt"),
+        ("solve", {"lambda": 10 ** 400}, "lambda"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
@@ -182,14 +239,19 @@ class TestValidation:
         assert code == 2
         assert f"params.{path}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario", ["verify-domination", "verify-resonance"])
-    def test_largest_box_runs_without_warnings(self, tmp_path, scenario):
+    @pytest.mark.parametrize("scenario,extra", [
+        pytest.param("verify-domination", {}, id="verify-domination"),
+        pytest.param("verify-domination", {"delta": 0.0}, id="verify-domination-delta=0"),
+        pytest.param("verify-domination", {"delta": 0.125}, id="verify-domination-delta=0.125"),
+        pytest.param("verify-resonance", {}, id="verify-resonance"),
+    ])
+    def test_largest_box_runs_without_warnings(self, tmp_path, scenario, extra):
         # at the bound, every bracket and multiplier piece (doubled box
         # included) stays finite, so no overflow warning is raised
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _ = run({"scenario": scenario,
-                           "params": {"box": 1e55, "n": 10 ** 4}}, tmp_path)
+                           "params": {"box": 1e55, "n": 10 ** 4, **extra}}, tmp_path)
         assert code in (0, 1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -206,6 +268,15 @@ class TestValidation:
             "dt": 1e-3, "t_final": 0.01, "initial": initial}})
         assert params["initial"] == initial
 
+    @pytest.mark.parametrize("params", [{"s": 400.0}, {"b": 400.0}])
+    def test_non_finite_constant_exits_1(self, tmp_path, capsys, params):
+        # the block weights overflow; no config range depends on s or b alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _ = run({"scenario": "dyadic-checks", "params": params}, tmp_path)
+        assert code == 1
+        assert "NonFiniteError" in capsys.readouterr().err
+
     def test_integer_t_values_run(self, tmp_path):
         code, report = run({"scenario": "probe-trilinear",
                             "params": {"t_values": [1, 0.5], "ensemble": 1}}, tmp_path)
@@ -217,6 +288,109 @@ class TestValidation:
                                 "params": {"dt": 1e-3}})
         assert params["n_points"] == 256
         assert params["amplitude"] == 0.5
+
+
+# one small valid config per scenario: every size key (n, n_points,
+# ensemble, n_t, the step count) at or below its default
+SMALL = {
+    "solve": {"n_points": 32, "dt": 0.025, "t_final": 0.1},
+    "plane-wave": {"n_points": 16, "dt": 0.025, "t_final": 0.1},
+    "gauge-roundtrip": {"n_points": 32, "ensemble": 2},
+    "gauge-equivalence": {"n_points": 32, "dt": 0.025, "t_final": 0.1},
+    "scaling": {"n_points": 64, "dt": 0.025, "t_final": 0.05},
+    "flowmap": {"n_points": 16, "dt": 0.025, "t_final": 0.1, "ensemble": 1,
+                "eps_list": [1e-2, 1e-3]},
+    "verify-resonance": {"n": 10 ** 4},
+    "verify-domination": {"n": 10 ** 4},
+    "probe-strichartz": {"ensemble": 1, "n_points": 8, "n_t": 16},
+    "probe-trilinear": {"ensemble": 1, "n_points": 8},
+    "probe-multilinear": {"ensemble": 1, "n_points": 8},
+    "probe-smult": {"ensemble": 1, "n_points": 16},
+    "dyadic-checks": {"n_points": 16},
+}
+# mutations of every key: wrong types, bools, zero, a negative, NaN, +-inf
+MUTATIONS = ["x", None, [], {}, True, False, 0, 0.0, -1, math.nan, math.inf, -math.inf]
+# values at and past each rule's boundary, and the values that once ended in
+# a traceback or a wrong exit code; none makes a run larger than SMALL's (a
+# tiny dt has more steps than any array can hold, so nothing is allocated)
+EDGES = {
+    "kind": ["torus", "line", "sphere"],
+    "n_points": [8, 4, 12],
+    "domain_scale": [1, 2, 3, 4],
+    "dt": [1e-300, 5e-324, 0.03, 0.05, 1.0],
+    "t_final": [1 + 1e-9, 0.03, 0.075, 0.005],
+    "k_power": [1, 2],
+    "box": [1.0, 0.999, 1e55, 1.01e55],
+    "n": [10 ** 4 - 1, 1],
+    "n_t": [2, 1],
+    "amplitude": [1e-200, 1e-150, 1e150, 1e200],
+    "h1_norm": [1e-200, 1e150],
+    "lambda": [1e300, -1e300],
+    "r": [1e-300, 1e300],
+    "delta": [1 / 8, 1 / 16, 10.0, -10.0, 1e-300],
+    "s": [0.5, 0.4999, 400.0, -400.0],
+    "s1": [0.5, 0.4999, 400.0],
+    "s2": [0.5, 0.4999, 400.0],
+    "b": [0.375, 0.376, 400.0, -400.0],
+    "k": [2, 3],
+    "sigmas": [[1], [3], [2 ** 600], [2.0]],
+    "eps_list": [[1e-300], [1e300]],
+    "t_values": [[1.0], [1e-300], [1 + 1e-9]],
+    "initial": [{"type": "trig", "h1_norm": 0}, {"type": "gaussian", "width": 1e-300},
+                {"type": "plane", "amplitude": 1e200}, {"type": "random", "band": 1e300}],
+}
+# keys whose sign is free, and those for which zero is in range; for every
+# other key, zero or the sign flip of a positive value must not run
+SIGNED = {"lambda", "amplitude", "s", "b"}
+ZERO_OK = {"lambda", "s", "b", "k", "k_power", "delta"}
+
+
+@st.composite
+def mutated_configs(draw):
+    """(scenario, params, must_reject): SMALL's resolved params with one key
+    mutated."""
+    scenario = draw(st.sampled_from(sorted(SMALL)))
+    params = validate_spec({"scenario": scenario, "params": SMALL[scenario]})
+    key = draw(st.sampled_from(sorted(SCENARIOS[scenario][1])))
+    old = params[key]
+    flips = []
+    if isinstance(old, list):
+        flips = [[-v for v in old]] + [[v] for v in MUTATIONS]
+    elif type(old) in (int, float) and old > 0:
+        flips = [-old]
+    huge = [10 ** 400] if type(old) is float else []  # past the float range
+    params[key] = draw(st.sampled_from(MUTATIONS + flips + huge + EDGES.get(key, [])))
+    new = params[key]
+    must_reject = (type(old) in (int, float) and old > 0 and type(new) in (int, float)
+                   and (new < 0 and key not in SIGNED or new == 0 and key not in ZERO_OK))
+    return scenario, params, must_reject
+
+
+class TestExitCodeContract:
+    @given(mutated_configs())
+    @example(("solve", {"dt": 1e-300, "t_final": 0.005}, False))
+    @example(("plane-wave", {"dt": 0.025, "amplitude": 1e-200}, False))
+    @example(("dyadic-checks", {"s": 400.0}, False))
+    @example(("gauge-equivalence", {"dt": 0.025, "h1_norm": 0.0}, True))
+    @example(("gauge-equivalence", {"dt": 0.025, "h1_norm": -0.3}, True))
+    @example(("plane-wave", {"dt": 0.015, "t_final": 0.03}, False))
+    @example(("plane-wave", {"dt": 0.025, "t_final": 0.075}, False))
+    @example(("verify-domination", {"n": 10 ** 4, "delta": -10.0}, True))
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    def test_bad_config_exits_2_and_no_run_raises(self, case):
+        # exit 0 or 1 without a traceback, or 2 with the JSON path; a value
+        # the library rejects (ParameterError) must not get past validation
+        scenario, params, must_reject = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _ = run({"scenario": scenario, "params": params}, out)
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert code != 2 or "config error: params." in err, err
+        assert code != 1 or "ParameterError" not in err, err
+        assert code == 2 or not must_reject, err
 
 
 class TestRun:
@@ -315,6 +489,18 @@ class TestMain:
                                    "params": {"dt": 1e-3, "t_final": 0.01}}))
         assert main(["plane-wave", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("top,path", [
+        ({"seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"name": 5}, "name"),
+    ])
+    def test_cli_bad_top_level_key_exits_2(self, tmp_path, capsys, top, path):
+        # without --out the run directory is named after `name`
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "dyadic-checks", **top}))
+        assert main(["dyadic-checks", "--config", str(cfg)]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
 
     def test_cli_defaults_without_config(self, tmp_path):
         assert main(["dyadic-checks", "--seed", "4",
