@@ -131,7 +131,8 @@ SCENARIOS = {
     }),
     "gauge-roundtrip": (scenarios.run_gauge_roundtrip, {
         "kind": Key(str, "torus", *KIND),
-        "n_points": Key(int, 256, *N_POINTS),
+        "n_points": Key(int, 256, lambda v, p: v >= 64 and _is_power_of_two(v),
+                        "a power of two >= 64, where the gauge image fits the lattice"),
         "domain_scale": Key(int, 1, *DOMAIN_SCALE),
         "ensemble": Key(int, 100, *AT_LEAST_ONE),
     }),
@@ -165,9 +166,9 @@ SCENARIOS = {
         "dt": Key(float, None, *POSITIVE),
         "t_final": Key(float, 0.05, *T_FINAL),
         "r": Key(float, 0.5, *POSITIVE),
-        "eps_list": Key(list, [1e-2, 1e-3, 1e-4],
-                        lambda v, p: type(v) in (int, float) and 0 < v < math.inf,
-                        "a positive finite number"),
+        "eps_list": Key(list, [1e-2, 1e-3, 1e-4], lambda v, p: type(v) in (int, float)
+                        and 1e-10 * p["r"] <= v < math.inf,
+                        "finite and >= 1e-10 * params.r, above the roundoff of u0 ~ 0.8 r"),
         "ensemble": Key(int, 10, *AT_LEAST_ONE),
         "lambda": Key(float, 0.0),
         "k_power": Key(int, 0, *NON_NEGATIVE),

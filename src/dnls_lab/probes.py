@@ -150,6 +150,8 @@ def domination_scan(family: str = "M", box: float = 100.0, n: int = 10 ** 5,
 
 def _strichartz_ratio(u: SpaceTimeField, b: float) -> float:
     den = xsb_norm(u, 0.0, b, +1)
+    if not np.isfinite(den):
+        return np.nan  # an overflowed norm, which the sup keeps
     return u.lp_norm(4.0) / den if den > 0 else 0.0
 
 
@@ -167,8 +169,8 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
             u0 = random_band_field(dom, rng, band=band).to_grid()
             traj = free_trajectory(u0, times)
         u = window_trajectory(traj, window)
-        sup = max(sup, _strichartz_ratio(u, b))
-    return sup
+        sup = np.maximum(sup, _strichartz_ratio(u, b))  # keeps a NaN
+    return float(sup)
 
 
 def strichartz_probe(b: float = 0.5, ensemble: int = 100,
@@ -184,7 +186,7 @@ def strichartz_probe(b: float = 0.5, ensemble: int = 100,
     sup2 = _strichartz_ensemble(dom, 2 * n_t, dt / 2, b, ensemble, rng)
     return ProbeReport(
         name="strichartz-L4", samples=2 * ensemble,
-        sup_ratio=max(sup1, sup2), refinement_stable=_stable(sup1, sup2),
+        sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
         params={"b": b, "n_points": dom.n_points, "n_t": n_t, "dt": dt},
         details={"sup_coarse": sup1, "sup_refined": sup2})
 
@@ -227,7 +229,7 @@ def _nested_sups(raw: dict) -> dict:
     ts = sorted(raw, reverse=True)
     out, running = {}, 0.0
     for t in reversed(ts):
-        running = max(running, raw[t])
+        running = float(np.maximum(running, raw[t]))  # keeps a NaN
         out[t] = running
     return out
 
@@ -309,13 +311,13 @@ def _window_ratios(dom: Domain, times: np.ndarray, t_values, base: list[np.ndarr
 
 
 def _window_report(name: str, results: list[dict], t_values, params: dict) -> ProbeReport:
-    """Per-T sups over the samples' window ratios, nested over T."""
-    raw_x = {T: max(r[T][0] for r in results) for T in t_values}
-    raw_y = {T: max(r[T][1] for r in results) for T in t_values}
+    """Per-T sups over the samples' window ratios, nested over T (keeping NaN)."""
+    raw_x = {T: float(np.max([r[T][0] for r in results])) for T in t_values}
+    raw_y = {T: float(np.max([r[T][1] for r in results])) for T in t_values}
     sup_x, sup_y = _nested_sups(raw_x), _nested_sups(raw_y)
     return ProbeReport(
         name=name, samples=len(results),
-        sup_ratio=max(max(sup_x.values()), max(sup_y.values())),
+        sup_ratio=float(np.max([*sup_x.values(), *sup_y.values()])),
         refinement_stable=None, params=params,
         details={"sup_x_by_T": {str(T): v for T, v in sup_x.items()},
                  "sup_y_by_T": {str(T): v for T, v in sup_y.items()},
@@ -516,9 +518,9 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
         f2 = random_band_field(dom, rng, band=dom.xi_max / 4)
         prod = dealiased_product([f1, f2]).to_spectral()
         den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
-        if den > 0:
-            sup = max(sup, besov_norm(prod, s, np.inf) / den)
-    return sup
+        if den != 0:  # a NaN norm gives a NaN ratio, which the sup keeps
+            sup = np.maximum(sup, besov_norm(prod, s, np.inf) / den)
+    return float(sup)
 
 
 def sobolev_mult_probe(s: float = 0.5, s1: float = 0.5, s2: float = 0.75,
@@ -536,6 +538,6 @@ def sobolev_mult_probe(s: float = 0.5, s1: float = 0.5, s2: float = 0.75,
     sup2 = _smult_ensemble(dom2, s, s1, s2, ensemble, rng)
     return ProbeReport(
         name="besov-product", samples=2 * ensemble,
-        sup_ratio=max(sup1, sup2), refinement_stable=_stable(sup1, sup2),
+        sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
         params={"s": s, "s1": s1, "s2": s2, "n_points": n_points, "kind": kind},
         details={"sup_coarse": sup1, "sup_fine": sup2})

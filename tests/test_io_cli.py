@@ -229,6 +229,10 @@ class TestValidation:
         ("probe-strichartz", {"dt": 5e-324}, "dt"),
         ("probe-strichartz", {"dt": 2.0}, "dt"),
         ("solve", {"lambda": 10 ** 400}, "lambda"),
+        ("gauge-roundtrip", {"n_points": 32}, "n_points"),
+        ("gauge-roundtrip", {"kind": "line", "n_points": 16}, "n_points"),
+        ("flowmap", {"eps_list": [1e-300]}, "eps_list[0]"),
+        ("flowmap", {"r": 1.0, "eps_list": [1e-2, 5e-11]}, "eps_list[1]"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
@@ -277,6 +281,26 @@ class TestValidation:
         assert code == 1
         assert "NonFiniteError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,params,why", [
+        ("probe-strichartz", {"b": 400.0, "ensemble": 1, "n_points": 8, "n_t": 16},
+         "NonFiniteError"),
+        ("probe-trilinear", {"s": 400.0, "ensemble": 1, "n_points": 8},
+         "NonFiniteError"),
+        ("probe-smult", {"s1": 400.0, "ensemble": 1, "n_points": 16},
+         "NonFiniteError"),
+        ("gauge-equivalence", {"h1_norm": 1e-200, "n_points": 32, "dt": 0.025,
+                               "t_final": 0.1}, "assertion failed: mass_rel_drift"),
+    ])
+    def test_nan_ratio_is_not_dropped_from_a_sup(self, tmp_path, capsys, scenario,
+                                                 params, why):
+        # the weights overflow (a NaN or infinite norm) or the mass underflows
+        # (0/0 drift); the sup or the drift must keep the NaN, not skip it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _ = run({"scenario": scenario, "params": params}, tmp_path)
+        assert code == 1
+        assert why in capsys.readouterr().err
+
     def test_integer_t_values_run(self, tmp_path):
         code, report = run({"scenario": "probe-trilinear",
                             "params": {"t_values": [1, 0.5], "ensemble": 1}}, tmp_path)
@@ -295,7 +319,7 @@ class TestValidation:
 SMALL = {
     "solve": {"n_points": 32, "dt": 0.025, "t_final": 0.1},
     "plane-wave": {"n_points": 16, "dt": 0.025, "t_final": 0.1},
-    "gauge-roundtrip": {"n_points": 32, "ensemble": 2},
+    "gauge-roundtrip": {"n_points": 64, "ensemble": 2},
     "gauge-equivalence": {"n_points": 32, "dt": 0.025, "t_final": 0.1},
     "scaling": {"n_points": 64, "dt": 0.025, "t_final": 0.05},
     "flowmap": {"n_points": 16, "dt": 0.025, "t_final": 0.1, "ensemble": 1,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import ParameterError, SizeLimitError
-from dnls_lab.fields import Domain, GridFunction, SpectralField
+from dnls_lab.fields import (Domain, GridFunction, SpectralField,
+                             dealiased_product_coeffs, spectral_derivative)
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 quintic_Q_fourier, quintic_Q_general_slices,
                                 quintic_Q_physical, rhs_gauged, rhs_original,
@@ -51,6 +52,45 @@ class TestRhsOriginal:
         with pytest.raises(ParameterError):
             rhs_original(GridFunction.zero(dom),
                          NonlinearityConfig(0.0, 0, True))
+
+    @staticmethod
+    def reference(u, lam, k, pad_factor):
+        # the dealiased cube, then i d_x, then the power term, each on its
+        # own fine grid
+        dom = u.domain
+        c = u.to_spectral().coeffs
+        cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
+                                        pad_factor)
+        dcube = spectral_derivative(SpectralField(dom, cube)).to_grid().values
+        return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
+
+    @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (21,)])
+    def test_one_pad_kernel_is_bitwise_the_reference(self, kind, n, scale, lam, k,
+                                                     batch):
+        # the batch of 21 rows is large enough for numpy to reuse temporaries
+        # in place, which must not change a product's bits
+        dom = Domain(kind, n, scale)
+        rng = np.random.default_rng(n + k)
+        u = GridFunction(dom, np.stack([
+            random_band_field(dom, rng, band=np.inf).to_grid().values
+            for _ in range(max(batch, default=1))]).reshape(batch + (n,)))
+        out = rhs_original(u, NonlinearityConfig(lam, k, False))
+        assert np.array_equal(out.values, self.reference(u, lam, k, 4))
+
+    @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
+    @pytest.mark.parametrize("k,pad_factor", [(4, 4), (2, 2)])
+    def test_one_pad_kernel_where_the_grids_differ(self, kind, n, scale, k,
+                                                   pad_factor):
+        # the cube alone would use a coarser grid than the power term; both
+        # are alias-free, so they agree up to roundoff
+        u = random_small_field(n, seed=n + k, band=np.inf, kind=kind, scale=scale)
+        out = rhs_original(u, NonlinearityConfig(1.3, k, False), pad_factor)
+        ref = self.reference(u, 1.3, k, pad_factor)
+        assert not np.array_equal(out.values, ref)
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestTrilinear:
@@ -198,14 +238,14 @@ class TestPowerNonlinearity:
 class TestRhsGauged:
     def test_zero(self):
         dom = Domain("torus", 32)
-        out = rhs_gauged(GridFunction.zero(dom), NonlinearityConfig(0, 0, True))
-        assert np.all(out.values == 0)
+        out = rhs_gauged(SpectralField.zero(dom), NonlinearityConfig(0, 0, True))
+        assert np.all(out.coeffs == 0)
 
     def test_single_mode_lambda_zero(self):
         dom = Domain("torus", 64)
         A = 0.8 + 0.1j
         v = plane_wave(dom, A, 1)
-        out = rhs_gauged(v, NonlinearityConfig(0.0, 0, True))
+        out = rhs_gauged(v.to_spectral(), NonlinearityConfig(0.0, 0, True)).to_grid()
         # -i (i |A|^2 v) - 0 = |A|^2 v
         expected = abs(A) ** 2 * v.values
         assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -214,8 +254,8 @@ class TestRhsGauged:
         dom = Domain("torus", 64)
         rng = np.random.default_rng(4)
         v = random_band_field(dom, rng, band=8.0).to_grid()
-        a = rhs_gauged(v, NonlinearityConfig(2.0, 1, True))
-        b = rhs_gauged(v, NonlinearityConfig(0.5, 1, True))
+        a = rhs_gauged(v.to_spectral(), NonlinearityConfig(2.0, 1, True)).to_grid()
+        b = rhs_gauged(v.to_spectral(), NonlinearityConfig(0.5, 1, True)).to_grid()
         diff = a.values - b.values
         expected = power_nonlinearity(v, 1.5, 1).values
         assert np.max(np.abs(diff - expected)) < 1e-11
@@ -231,20 +271,20 @@ class TestRhsGauged:
         ref = (-1j * trilinear_T_physical(v, v, v.conj()).values
                - 0.5 * quintic_Q_physical(v).values
                + power_nonlinearity(v, lam, k).values)
-        out = rhs_gauged(v, NonlinearityConfig(lam, k, True)).values
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        out = rhs_gauged(v.to_spectral(), NonlinearityConfig(lam, k, True))
+        assert np.max(np.abs(out.to_grid().values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_original_config_rejected(self):
         dom = Domain("torus", 32)
         with pytest.raises(ParameterError):
-            rhs_gauged(GridFunction.zero(dom), NonlinearityConfig(0, 0, False))
+            rhs_gauged(SpectralField.zero(dom), NonlinearityConfig(0, 0, False))
 
     def test_scalar_pieces_phase_invariant(self):
         dom = Domain("torus", 64)
         rng = np.random.default_rng(5)
         v = random_band_field(dom, rng, band=8.0).to_grid()
         w = GridFunction(dom, v.values * np.exp(0.81j))
-        a = rhs_gauged(v, NonlinearityConfig(1.0, 1, True))
-        b = rhs_gauged(w, NonlinearityConfig(1.0, 1, True))
+        a = rhs_gauged(v.to_spectral(), NonlinearityConfig(1.0, 1, True)).to_grid()
+        b = rhs_gauged(w.to_spectral(), NonlinearityConfig(1.0, 1, True)).to_grid()
         # the whole rhs is equivariant: rhs(e^{i theta} v) = e^{i theta} rhs(v)
         assert np.max(np.abs(b.values - np.exp(0.81j) * a.values)) < 1e-11

@@ -239,6 +239,35 @@ class TestBatch:
             solve(GridFunction(dom, batch), small_cfg(dom=dom))
 
 
+class TestForcingWork:
+    # a deterministic guard on the work per forcing call, with no timing:
+    # the gauged kernel pads v and d_x v and truncates once; the original
+    # form adds the coefficient round trip and its one stacked truncation
+    # and inversion
+    @pytest.mark.parametrize("dom", [TORUS, Domain("line", 128, 4)],
+                             ids=["torus", "line"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("gauged,ffts", [(True, 3), (False, 6)])
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.0, 0), (1.0, 1), (0.5, 3)])
+    def test_fft_calls_per_forcing_call(self, monkeypatch, dom, batch, gauged,
+                                        ffts, lam, k):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=gauged))
+        c = np.random.default_rng(15).normal(size=batch + (dom.n_points,)) + 0j
+        out = nl(c)
+        assert out.shape == c.shape
+        assert len(calls) == ffts
+
+
 class TestDuhamel:
     def test_zero_forcing(self):
         times = 1e-3 * np.arange(11)
