@@ -5,7 +5,8 @@ its type, default and range rule; a rule may read the keys listed before
 it.  Each run writes into the output directory:
 
     report.json     machine-readable results (deterministic for a fixed
-                    config + seed: no timestamps inside)
+                    config + seed: no timestamps inside), strict JSON with
+                    non-finite numbers as "NaN", "Infinity", "-Infinity"
     report.csv      flat metric rows, plus elapsed wall time
     plotdata/*.tsv  two-column series for external plotting
     fields/*.fd     optional field dumps
@@ -282,6 +283,19 @@ def validate_spec(spec: dict) -> dict:
     return resolved
 
 
+def _strict_json(obj):
+    """obj with every non-finite float spelled as a string ("NaN",
+    "Infinity", "-Infinity"), which strict JSON parsers accept; finite
+    numbers are left as they are."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def run(spec: dict, out_dir) -> tuple[int, dict]:
     """Validate, execute and persist one experiment; returns (exit code, report)."""
     try:
@@ -314,7 +328,8 @@ def run(spec: dict, out_dir) -> tuple[int, dict]:
         "probe_reports": result.get("reports", []),
         "passed": passed,
     }
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
+    (out / "report.json").write_text(json.dumps(_strict_json(report), sort_keys=True,
+                                                indent=2, allow_nan=False))
 
     with open(out / "report.csv", "w", newline="") as fh:
         w = csv.writer(fh)

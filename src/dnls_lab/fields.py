@@ -233,10 +233,16 @@ def spectral_derivative(f):
     """
     if isinstance(f, GridFunction):
         return spectral_derivative(f.to_spectral()).to_grid()
-    dom = f.domain
-    mult = 1j * dom.xi.copy()
-    mult[dom.n_points // 2] = 0.0
-    return SpectralField(dom, mult * f.coeffs)
+    return SpectralField(f.domain, _deriv_mult(f.domain) * f.coeffs)
+
+
+@lru_cache(maxsize=8)
+def _deriv_mult(domain: Domain) -> np.ndarray:
+    """i xi with the Nyquist mode zeroed; cached per domain, read-only."""
+    m = 1j * domain.xi
+    m[domain.n_points // 2] = 0.0
+    m.flags.writeable = False
+    return m
 
 
 def _min_pad_factor(degree: int) -> int:
@@ -249,24 +255,41 @@ def _min_pad_factor(degree: int) -> int:
     return max(p, 2) if degree > 1 else 1
 
 
-def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int) -> np.ndarray:
+def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int,
+                  pad: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the n_fine-point grid of the field with the given coarse
-    FFT-ordered coefficients (..., n_points): zero-pad, inverse transform."""
+    FFT-ordered coefficients (..., n_points): zero-pad, inverse transform.
+
+    pad and out are optional (..., n_fine) work arrays: pad must be zero
+    outside the coarse band, which is the only part written, and out
+    receives the samples."""
     c = np.asarray(coeffs, dtype=np.complex128)
     h = domain.n_points // 2
-    cpad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
-    cpad[..., :h] = c[..., :h]
-    cpad[..., n_fine - h:] = c[..., h:]
-    return np.fft.ifft(cpad, axis=-1) * (SQRT_2PI / (domain.period / n_fine))
+    if pad is None:
+        pad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
+    pad[..., :h] = c[..., :h]
+    pad[..., n_fine - h:] = c[..., h:]
+    out = np.fft.ifft(pad, axis=-1, out=out)
+    out *= SQRT_2PI / (domain.period / n_fine)
+    return out
 
 
-def truncated_coeffs(domain: Domain, fine_values: np.ndarray) -> np.ndarray:
+def truncated_coeffs(domain: Domain, fine_values: np.ndarray,
+                     spec: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Coarse coefficients of fine-grid samples: forward transform, keep the
     coarse band, zero the coarse Nyquist mode (the one mode a borderline
-    pad factor can contaminate)."""
+    pad factor can contaminate).
+
+    spec (shaped like fine_values) and out (..., n_points) are optional
+    work arrays for the fine spectrum and the result."""
     h, n_fine = domain.n_points // 2, fine_values.shape[-1]
-    cfine = np.fft.fft(fine_values, axis=-1)
-    out = np.concatenate((cfine[..., :h], cfine[..., n_fine - h:]), axis=-1)
+    cfine = np.fft.fft(fine_values, axis=-1, out=spec)
+    if out is None:
+        out = np.empty(cfine.shape[:-1] + (domain.n_points,), dtype=np.complex128)
+    out[..., :h] = cfine[..., :h]
+    out[..., h:] = cfine[..., n_fine - h:]
     out *= (domain.period / n_fine) / SQRT_2PI
     out[..., h] = 0.0
     return out

@@ -3,13 +3,17 @@
 Physical-space evaluation is the fast path: pointwise products are
 dealiased by zero padding (see fields.dealiased_product_coeffs) and
 derivatives act spectrally; each right-hand side pads once.  rhs_gauged is
-coefficients in and out, 3 FFTs per forcing call.  rhs_original keeps grid
-values, so the forcing's round trip (whose forward transform fixes the bits
-the plane-wave goldens pin) makes 6 until those goldens check an order of
-convergence instead.  The Fourier-side forms evaluate the same operations
-as explicit constrained convolution sums; they are brute-force cross-checks
-meant to catch sign or constraint transcription errors, so they are
-deliberately written index-by-index and limited to small grids.
+coefficients in and out, and it pads v and d_x v as one stack, so a forcing
+call makes 2 FFTs.  rhs_original keeps grid values, so the forcing's round
+trip (whose forward transform fixes the bits the plane-wave goldens pin)
+makes 6 until those goldens check an order of convergence instead.  Both
+write their intermediates into work arrays from rhs_work, which a caller
+that evaluates one form many times allocates once (the solver's forcing
+does); at n = 256 fresh fine-grid temporaries cost a call more time than
+its FFTs.  The Fourier-side forms evaluate the same operations as explicit
+constrained convolution sums; they are brute-force cross-checks meant to
+catch sign or constraint transcription errors, so they are deliberately
+written index-by-index and limited to small grids.
 
 With the package's transform conventions the discrete convolution
 constants are (2 pi)^-1 * dxi^2 for the trilinear form and
@@ -24,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .fields import (Domain, GridFunction, SpectralField, _min_pad_factor,
-                     dealiased_product_coeffs, padded_values, truncated_coeffs)
+from .fields import (Domain, GridFunction, SpectralField, _deriv_mult,
+                     _min_pad_factor, dealiased_product_coeffs, padded_values,
+                     truncated_coeffs)
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,12 +46,6 @@ class NonlinearityConfig:
     def __post_init__(self):
         if self.k_power < 0 or int(self.k_power) != self.k_power:
             raise ParameterError("k_power must be a nonnegative integer")
-
-
-def _deriv_mult(dom: Domain) -> np.ndarray:
-    m = 1j * dom.xi.copy()
-    m[dom.n_points // 2] = 0.0
-    return m
 
 
 def _integrals_of_pair(dom: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,37 +246,73 @@ def power_nonlinearity(v: GridFunction, lam: float, k: int,
     return GridFunction(v.domain, lam * vals)
 
 
+def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
+             pad_factor: int = 4) -> dict:
+    """Work arrays for one rhs_gauged or rhs_original call (by cfg.gauged)
+    on inputs of the given shape (..., n): the zero-padded spectra, whose
+    gaps stay zero, and the fine-grid and coarse intermediates.  A caller
+    that evaluates one form many times on one shape allocates them once."""
+    # the fine grid is alias-free for the quintic (gauged) or the cube
+    # (original) and for the power term
+    degree = max(5 if cfg.gauged else 3, 2 * cfg.k_power + 1)
+    nf = max(pad_factor, _min_pad_factor(degree)) * dom.n_points
+    batch, n = tuple(shape[:-1]), dom.n_points
+    c, r = np.complex128, np.float64
+    if cfg.gauged:
+        # c and d_x c stacked on the axis before the grid: one transform pads both
+        return {"stack": np.empty(batch + (2, n), c),
+                "pad": np.zeros(batch + (2, nf), c),
+                "fine": np.empty(batch + (2, nf), c),
+                "dens": np.empty(batch + (nf,), r),
+                "real": np.empty(batch + (nf,), r),
+                "g": np.empty(batch + (nf,), c),
+                "coarse": np.empty(batch + (n,), c)}
+    # one row for the cube, a second for the power term when it needs one
+    rows = (2 if cfg.lam != 0.0 and cfg.k_power > 0 else 1,)
+    return {"pad": np.zeros(batch + (nf,), c),
+            "pair": np.empty((2,) + batch + (nf,), c),
+            "fine": np.empty(rows + batch + (nf,), c),
+            "coarse": np.empty(rows + batch + (n,), c),
+            "vals": np.empty(rows + batch + (n,), c)}
+
+
 def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
-                 pad_factor: int = 4) -> GridFunction:
+                 pad_factor: int = 4, work: dict | None = None) -> GridFunction:
     """i d_x(|u|^2 u) + lam |u|^(2k) u row by row on one grid of degree max(3, 2k+1),
-    each term bitwise its own dealiased product when their grids coincide."""
+    each term bitwise its own dealiased product when their grids coincide.
+
+    work is rhs_work's arrays for u.values.shape, allocated here when not
+    given; the result is a fresh array either way."""
     if cfg.gauged:
         raise ParameterError("rhs_original requires cfg.gauged = False")
     dom, k, lam = u.domain, cfg.k_power, cfg.lam
-    nf = max(pad_factor, _min_pad_factor(max(3, 2 * k + 1))) * dom.n_points
-    vf = padded_values(dom, u.to_spectral().coeffs, nf)
-    vc = np.conj(vf)  # named: numpy may swap a temporary's product operands
-    # rows in place, vf freed first: a live fine-grid array costs fresh pages
-    if lam != 0.0 and k > 0:
-        fine = np.empty((2,) + vf.shape, dtype=np.complex128)
-        np.multiply(vf * vf, vc, out=fine[0])
+    if work is None:
+        work = rhs_work(dom, cfg, u.values.shape, pad_factor)
+    pair, fine = work["pair"], work["fine"]
+    vf, vc = pair
+    padded_values(dom, u.to_spectral().coeffs, vf.shape[-1], work["pad"], vf)
+    np.conjugate(vf, out=vc)
+    # every product keeps its operand order: the plane-wave goldens pin the bits
+    np.multiply(vf, vf, out=fine[0])
+    np.multiply(fine[0], vc, out=fine[0])
+    if len(fine) == 2:
         fine[1] = vf
         for _ in range(k):
-            np.multiply(fine[1] * vc, vf, out=fine[1])
-    else:
-        fine = (vf * vf * vc)[None]
-    del vf, vc
-    coeffs = truncated_coeffs(dom, fine)
-    coeffs[0] = _deriv_mult(dom) * coeffs[0]
-    vals = np.fft.ifft(coeffs) * (np.sqrt(TWO_PI) / dom.dx)
+            np.multiply(fine[1], vc, out=fine[1])
+            np.multiply(fine[1], vf, out=fine[1])
+    # the pair is free again: it takes the fine spectrum
+    coeffs = truncated_coeffs(dom, fine, pair[:len(fine)], work["coarse"])
+    np.multiply(_deriv_mult(dom), coeffs[0], out=coeffs[0])
+    vals = np.fft.ifft(coeffs, out=work["vals"])
+    vals *= np.sqrt(TWO_PI) / dom.dx
     out = 1j * vals[0]
     if lam != 0.0:
-        out = out + lam * (vals[1] if k > 0 else u.values)
+        out += lam * (vals[1] if k > 0 else u.values)
     return GridFunction(dom, out)
 
 
 def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
-               pad_factor: int = 4) -> SpectralField:
+               pad_factor: int = 4, work: dict | None = None) -> SpectralField:
     """-i T(v) - Q(v)/2 + lam |v|^(2k) v with the domain-correct T, Q.
 
     -i v^2 conj(d_x v) - |v|^4 v / 2 + mu |v|^2 v (torus, mu = int |v|^2 / 2pi)
@@ -285,25 +320,49 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
     and truncated once; the torus scalar (2i int v d_x conj(v) + int |v|^4 / 2)
     / 2pi - mu^2, and lam when k = 0, multiply v without truncation.  The
     fine grid integrates |v|^4 exactly (band 2n < 4n).  v may be a stack of
-    slices (..., n); the torus integrals are taken per slice.
+    slices (..., n); the torus integrals are taken per slice.  v and d_x v
+    are padded as one stack by one inverse transform.  work is rhs_work's
+    arrays for v.coeffs.shape, allocated here when not given; the result is
+    a fresh array either way.
     """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
     dom = v.domain
     k, lam = cfg.k_power, cfg.lam
-    nf = max(pad_factor, _min_pad_factor(max(5, 2 * k + 1))) * dom.n_points
     c = v.coeffs
-    vf = padded_values(dom, c, nf)
-    v_dv = vf * np.conj(padded_values(dom, _deriv_mult(dom) * c, nf))
-    dens = vf.real ** 2 + vf.imag ** 2
-    g = -1j * v_dv - 0.5 * dens * dens
-    if lam != 0.0 and k > 0:
-        g += lam * dens ** k
+    if work is None:
+        work = rhs_work(dom, cfg, c.shape, pad_factor)
+    stack, fine, g = work["stack"], work["fine"], work["g"]
+    dens, real = work["dens"], work["real"]
+    stack[..., 0, :] = c
+    np.multiply(_deriv_mult(dom), c, out=stack[..., 1, :])
+    nf = fine.shape[-1]
+    padded_values(dom, stack, nf, work["pad"], fine)
+    vf, v_dv = fine[..., 0, :], fine[..., 1, :]
+    np.conjugate(v_dv, out=v_dv)
+    np.multiply(vf, v_dv, out=v_dv)
+    np.square(vf.real, out=dens)
+    np.square(vf.imag, out=real)
+    dens += real
+    # g = -i v conj(d_x v) plus its real terms, each added to g.real
+    g_re = g.real
+    np.multiply(-1j, v_dv, out=g)
+    np.multiply(dens, dens, out=real)
+    real *= 0.5
+    g_re -= real
     scalar = lam if k == 0 else 0.0
     if dom.kind == "torus":
         w = dom.period / nf / TWO_PI
-        mu = np.sum(dens, axis=-1, keepdims=True) * w
-        g += mu * dens
-        scalar += (2j * np.sum(v_dv, axis=-1, keepdims=True)
-                   + 0.5 * np.sum(dens * dens, axis=-1, keepdims=True)) * w - mu * mu
-    return SpectralField(dom, truncated_coeffs(dom, vf * g) + scalar * c)
+        mu = dens.sum(axis=-1, keepdims=True) * w
+        scalar += (2j * v_dv.sum(axis=-1, keepdims=True)
+                   + real.sum(axis=-1, keepdims=True)) * w - mu * mu
+        np.multiply(mu, dens, out=real)
+        g_re += real
+    if lam != 0.0 and k > 0:
+        np.power(dens, k, out=real)
+        real *= lam
+        g_re += real
+    np.multiply(vf, g, out=g)
+    # vf is spent: its row takes the fine spectrum
+    coeffs = truncated_coeffs(dom, g, vf, work["coarse"])
+    return SpectralField(dom, coeffs + scalar * c)

@@ -23,8 +23,12 @@ are per member: on the line each member must vanish at the box edges,
 and a member blows up when its sup grows by BLOWUP_FACTOR over its own
 initial sup or turns non-finite; BlowUpError carries the earliest time at
 which any member does.  `picard_iterate` uses the same forcing with the
-time slices as its batch.  A forcing call makes 3 FFTs in the gauged form
+time slices as its batch.  A forcing call makes 2 FFTs in the gauged form
 and 6 in the original one (its grid round trip: see the nonlinear module).
+The forcing owns the right-hand side's work arrays, one set per input
+shape: a march allocates them once instead of on every call, and they are
+freed with the forcing rather than held by a module-level cache, which
+would outlive the solve and be shared by the probes' worker threads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import BlowUpError, ParameterError, TimeRangeError, WrongDomainError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
                      check_edge_decay)
-from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original
+from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original, rhs_work
 
 PHI_SERIES_RADIUS = 0.5
 PHI_SERIES_TERMS = 22
@@ -148,13 +152,19 @@ def _ifrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl) -> np.ndarray:
 
 def make_spectral_forcing(cfg: SolverConfig):
     """Duhamel forcing N(u) = -i * rhs(u) as a map on coefficient arrays
-    (..., n), row by row."""
+    (..., n), row by row, with one set of the right-hand side's work arrays
+    per input shape it meets.  Every call returns a fresh array, because the
+    steppers keep several stages alive."""
     dom, nonlin, pad = cfg.domain, cfg.nonlinearity, cfg.pad_factor
+    works: dict[tuple, dict] = {}
 
     def nl(c: np.ndarray) -> np.ndarray:
+        work = works.get(c.shape)
+        if work is None:
+            work = works[c.shape] = rhs_work(dom, nonlin, c.shape, pad)
         if nonlin.gauged:
-            return -1j * rhs_gauged(SpectralField(dom, c), nonlin, pad).coeffs
-        f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, pad)
+            return -1j * rhs_gauged(SpectralField(dom, c), nonlin, pad, work).coeffs
+        f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, pad, work)
         return -1j * f.to_spectral().coeffs
 
     return nl

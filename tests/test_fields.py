@@ -5,8 +5,9 @@ import pytest
 
 from dnls_lab.errors import DomainMismatchError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField,
-                             SpectralField, Trajectory, dealiased_product,
-                             dealiased_product_coeffs, spectral_derivative)
+                             SpectralField, Trajectory, _deriv_mult,
+                             dealiased_product, dealiased_product_coeffs,
+                             spectral_derivative)
 
 
 class TestDomain:
@@ -74,6 +75,18 @@ class TestDerivative:
         expected = 2 * np.cos(2 * dom.x) - 3j * np.sin(3 * dom.x)
         out = spectral_derivative(f)
         assert np.max(np.abs(out.values - expected)) < 1e-12
+
+    def test_nyquist_mode_zeroed_by_one_shared_multiplier(self):
+        # the right-hand sides use the same cached i xi; a caller must not
+        # be able to change it for the others
+        dom = Domain("line", 32, 2)
+        f = SpectralField.unit_mass(dom, dom.xi[16]) + SpectralField.unit_mass(dom, 1.5)
+        out = spectral_derivative(f).coeffs
+        assert out[16] == 0 and out[3] == 1.5j
+        mult = _deriv_mult(dom)
+        assert mult is _deriv_mult(Domain("line", 32, 2))
+        with pytest.raises(ValueError):
+            mult[0] = 1.0
 
 
 class TestDealiasedProduct:

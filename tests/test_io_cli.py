@@ -300,6 +300,14 @@ class TestValidation:
             code, _ = run({"scenario": scenario, "params": params}, tmp_path)
         assert code == 1
         assert why in capsys.readouterr().err
+        if scenario == "gauge-equivalence":
+            # the run got as far as its report: strict JSON, the NaN spelled out
+            def refuse(token):
+                raise ValueError(f"bare {token} in report.json")
+
+            report = json.loads((tmp_path / "report.json").read_text(),
+                                parse_constant=refuse)
+            assert report["metrics"]["mass_rel_drift"] == "NaN"
 
     def test_integer_t_values_run(self, tmp_path):
         code, report = run({"scenario": "probe-trilinear",

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import ParameterError, SizeLimitError
-from dnls_lab.fields import (Domain, GridFunction, SpectralField,
-                             dealiased_product_coeffs, spectral_derivative)
+from dnls_lab.fields import Domain, GridFunction, SpectralField
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 quintic_Q_fourier, quintic_Q_general_slices,
                                 quintic_Q_physical, rhs_gauged, rhs_original,
                                 trilinear_T_fourier, trilinear_T_physical)
 from dnls_lab.sampling import plane_wave, random_band_field
+from tests_support import original_rhs_reference
 
 
 def random_small_field(n, seed, band=None, kind="torus", scale=1):
@@ -53,17 +53,6 @@ class TestRhsOriginal:
             rhs_original(GridFunction.zero(dom),
                          NonlinearityConfig(0.0, 0, True))
 
-    @staticmethod
-    def reference(u, lam, k, pad_factor):
-        # the dealiased cube, then i d_x, then the power term, each on its
-        # own fine grid
-        dom = u.domain
-        c = u.to_spectral().coeffs
-        cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
-                                        pad_factor)
-        dcube = spectral_derivative(SpectralField(dom, cube)).to_grid().values
-        return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
-
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
     @pytest.mark.parametrize("lam", [0.0, 1.3])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -78,7 +67,7 @@ class TestRhsOriginal:
             random_band_field(dom, rng, band=np.inf).to_grid().values
             for _ in range(max(batch, default=1))]).reshape(batch + (n,)))
         out = rhs_original(u, NonlinearityConfig(lam, k, False))
-        assert np.array_equal(out.values, self.reference(u, lam, k, 4))
+        assert np.array_equal(out.values, original_rhs_reference(u, lam, k, 4))
 
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
     @pytest.mark.parametrize("k,pad_factor", [(4, 4), (2, 2)])
@@ -88,7 +77,7 @@ class TestRhsOriginal:
         # are alias-free, so they agree up to roundoff
         u = random_small_field(n, seed=n + k, band=np.inf, kind=kind, scale=scale)
         out = rhs_original(u, NonlinearityConfig(1.3, k, False), pad_factor)
-        ref = self.reference(u, 1.3, k, pad_factor)
+        ref = original_rhs_reference(u, 1.3, k, pad_factor)
         assert not np.array_equal(out.values, ref)
         assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -5,7 +5,21 @@ import sys
 
 import numpy as np
 
-from dnls_lab.fields import Domain, ModulationLattice, SpaceTimeField
+from dnls_lab.fields import (Domain, ModulationLattice, SpaceTimeField,
+                             SpectralField, dealiased_product_coeffs,
+                             spectral_derivative)
+from dnls_lab.nonlinear import power_nonlinearity
+
+
+def original_rhs_reference(u, lam, k, pad_factor):
+    """i d_x(|u|^2 u) + lam |u|^(2k) u composed term by term: the dealiased
+    cube, then i d_x, then the power term, each on its own fine grid."""
+    dom = u.domain
+    c = u.to_spectral().coeffs
+    cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
+                                    pad_factor)
+    dcube = spectral_derivative(SpectralField(dom, cube)).to_grid().values
+    return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
 
 
 def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
