@@ -17,10 +17,6 @@ class InvalidDyadicIndexError(DnlsLabError, ValueError):
     """Dyadic index is not 1 or a positive power of two."""
 
 
-class InvalidIntervalError(DnlsLabError, ValueError):
-    """Interval projection called with a >= b."""
-
-
 class SizeLimitError(DnlsLabError):
     """Brute-force oracle invoked beyond its intended grid size."""
 
@@ -51,7 +47,3 @@ class ConservationError(DnlsLabError):
 
 class ParameterError(DnlsLabError, ValueError):
     """Probe parameters outside the admissible region."""
-
-
-class TimeRangeError(DnlsLabError, ValueError):
-    """Requested time lies outside the span of the supplied data."""

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, EdgeDecayError, TimeRangeError
+from .errors import DomainMismatchError, EdgeDecayError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 EDGE_DECAY_TOL = 1e-10
@@ -108,7 +108,7 @@ class GridFunction:
 
     values has shape (..., n_points): one time slice, or a stack of slices
     on one domain that the transforms and the nonlinear kernels treat row
-    by row.  l2_norm and integral expect a single slice.
+    by row.  l2_norm expects a single slice.
     """
 
     __slots__ = ("domain", "values")
@@ -130,18 +130,11 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.domain.dx))
 
-    def integral(self) -> complex:
-        return complex(np.sum(self.values) * self.domain.dx)
-
     def conj(self) -> "GridFunction":
         return GridFunction(self.domain, np.conj(self.values))
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self.values.copy())
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self.domain.require_same(other.domain)
-        return GridFunction(self.domain, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self.domain.require_same(other.domain)
@@ -193,19 +186,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.domain, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self.domain.require_same(other.domain)
-        return SpectralField(self.domain, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self.domain.require_same(other.domain)
-        return SpectralField(self.domain, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.domain, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 def _conj_reverse(coeffs: np.ndarray) -> np.ndarray:
@@ -326,21 +306,6 @@ def dealiased_product_coeffs(
     return truncated_coeffs(domain, prod)
 
 
-def dealiased_product(
-    factors: Sequence,
-    conjugate: Sequence[bool] | None = None,
-    pad_factor: int = 4,
-) -> GridFunction:
-    """Alias-free pointwise product of GridFunction/SpectralField factors."""
-    dom = factors[0].domain
-    coeffs = []
-    for f in factors:
-        dom.require_same(f.domain)
-        coeffs.append(f.coeffs if isinstance(f, SpectralField) else f.to_spectral().coeffs)
-    out = dealiased_product_coeffs(dom, coeffs, conjugate, pad_factor)
-    return SpectralField(dom, out).to_grid()
-
-
 @dataclass
 class Trajectory:
     """Time-ordered solution samples: values[l] is the slice at times[l].
@@ -383,12 +348,6 @@ class Trajectory:
     def slice_function(self, l: int) -> GridFunction:
         return GridFunction(self.domain, self.values[l])
 
-    def index_of_time(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise TimeRangeError(f"t={t} is not a slice time of the trajectory")
-        return j
-
     def mass(self) -> np.ndarray:
         """L2 norm of every slice (and batch member), shape values.shape[:-1]."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1) * self.domain.dx)
@@ -398,8 +357,8 @@ class Trajectory:
 class ModulationLattice:
     """(xi, tau) lattice dual to a uniformly sampled time span.
 
-    dtau = 2 pi / (n_t * dt) and tau_max = pi / dt are fixed by discrete
-    Fourier duality; tau values run over dtau * {-n_t/2, ..., n_t/2 - 1}
+    dtau = 2 pi / (n_t * dt) and the largest |tau|, pi / dt, are fixed by
+    discrete Fourier duality; tau values run over dtau * {-n_t/2, ..., n_t/2 - 1}
     in FFT order.  t0 is the first sample time of the underlying span.
     """
 
@@ -419,10 +378,6 @@ class ModulationLattice:
     @property
     def dtau(self) -> float:
         return 2.0 * np.pi / self.span
-
-    @property
-    def tau_max(self) -> float:
-        return np.pi / self.dt
 
     @cached_property
     def tau(self) -> np.ndarray:
@@ -518,16 +473,3 @@ class SpaceTimeField:
         vals = self.to_time_values()
         w = self.domain.dx * self.lattice.dt
         return float((np.sum(np.abs(vals) ** p) * w) ** (1.0 / p))
-
-    def scaled(self, factor: complex) -> "SpaceTimeField":
-        return SpaceTimeField(self.lattice, self.coeffs * factor, window=self.window)
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        if self.lattice != other.lattice:
-            raise DomainMismatchError("space-time lattices differ")
-        return SpaceTimeField(self.lattice, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        if self.lattice != other.lattice:
-            raise DomainMismatchError("space-time lattices differ")
-        return SpaceTimeField(self.lattice, self.coeffs - other.coeffs)

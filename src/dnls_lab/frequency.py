@@ -1,4 +1,4 @@
-"""Smooth cutoffs, dyadic projections, Bessel potentials, modulation weights.
+"""Smooth cutoffs and the dyadic Littlewood-Paley multipliers.
 
 The master bump chi is the concrete C-infinity cutoff
     chi(xi) = 1                                   for |xi| <= 1,
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDyadicIndexError, InvalidIntervalError
-from .fields import SpaceTimeField, SpectralField
+from .errors import InvalidDyadicIndexError
 
 
 def bracket(a):
@@ -54,20 +53,6 @@ def cutoff_annulus(xi, scale: float):
     return smooth_cutoff(xi / scale) - smooth_cutoff(2.0 * xi / scale)
 
 
-def unit_interval_cutoff(x):
-    """Smoothed indicator of [0,1]: equals 1 there, vanishes outside (-1, 2)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(arr)
-    out[(arr >= 0.0) & (arr <= 1.0)] = 1.0
-    rise = (arr > -1.0) & (arr < 0.0)
-    if np.any(rise):
-        out[rise] = _bump_ratio(arr[rise] + 1.0)
-    fall = (arr > 1.0) & (arr < 2.0)
-    if np.any(fall):
-        out[fall] = _bump_ratio(2.0 - arr[fall])
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
 def check_dyadic(N) -> int:
     """Validate membership in {1, 2, 4, 8, ...}."""
     n = int(N)
@@ -94,35 +79,3 @@ def dyadic_multiplier(xi: np.ndarray, N) -> np.ndarray:
     if n == 1:
         return cutoff_low(xi, 1.0)
     return cutoff_annulus(xi, float(n))
-
-
-def dyadic_projection(f: SpectralField, N) -> SpectralField:
-    """Littlewood-Paley block P_N f."""
-    mult = dyadic_multiplier(f.domain.xi, N)
-    return SpectralField(f.domain, mult * f.coeffs)
-
-
-def bessel_potential(f: SpectralField, s: float) -> SpectralField:
-    """J^s: multiply coefficients by <xi>^s."""
-    return SpectralField(f.domain, bracket(f.domain.xi) ** s * f.coeffs)
-
-
-def modulation_weight(u: SpaceTimeField, s: float, sign: int) -> SpaceTimeField:
-    """Multiply by <tau +/- xi^2>^s on the modulation lattice (sign = +1 or -1)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    xi = u.domain.xi[:, None]
-    tau = u.lattice.tau[None, :]
-    w = bracket(tau + sign * xi ** 2) ** s
-    return SpaceTimeField(u.lattice, w * u.coeffs, window=u.window)
-
-
-def interval_projection(f: SpectralField, a: float, b: float) -> SpectralField:
-    """P_{[a,b]}: multiply by the smoothed indicator of [a, b].
-
-    Equals 1 on [a, b] and vanishes outside (2a - b, 2b - a).
-    """
-    if not a < b:
-        raise InvalidIntervalError(f"need a < b, got [{a}, {b}]")
-    mult = unit_interval_cutoff((f.domain.xi - a) / (b - a))
-    return SpectralField(f.domain, mult * f.coeffs)

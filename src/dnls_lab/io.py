@@ -7,7 +7,8 @@ A field dump is one file:
 The payload holds the spectral coefficients in ascending-frequency order
 as interleaved little-endian float64 (re, im) pairs, 16 bytes per mode.
 The header records the domain, the capture time (when any), the dtype tag
-and a CRC32 of the payload; readers verify length and checksum.
+and a CRC32 of the payload; the reader checks the header's fields and
+verifies length and checksum, and raises FieldDumpError on any defect.
 """
 
 from __future__ import annotations
@@ -65,18 +66,23 @@ def read_field(path) -> tuple[SpectralField, dict]:
         header = json.loads(raw[:nl].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FieldDumpError(f"bad header: {e}") from e
+    if not isinstance(header, dict):
+        raise FieldDumpError("bad header: not a JSON object")
     if header.get("format") != FORMAT_TAG:
         raise FieldDumpError(f"unknown format {header.get('format')!r}")
-    n = int(header["n_points"])
+    try:
+        domain = Domain(header["kind"], header["n_points"], header["domain_scale"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FieldDumpError(f"bad header: {type(e).__name__}: {e}") from e
+    n = domain.n_points
     payload = raw[nl + 1:]
-    if len(payload) != 16 * n or len(payload) != header["payload_bytes"]:
+    if len(payload) != 16 * n or len(payload) != header.get("payload_bytes"):
         raise FieldDumpError(
             f"payload length {len(payload)} does not match 16 * {n}")
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != header.get("crc32"):
         raise FieldDumpError("payload checksum mismatch")
     flat = np.frombuffer(payload, dtype="<f8")
     coeffs_asc = flat[0::2] + 1j * flat[1::2]
-    domain = Domain(header["kind"], n, header["domain_scale"])
     order = _ascending_order(domain)
     coeffs = np.empty(n, dtype=np.complex128)
     coeffs[order] = coeffs_asc

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ParameterError
 from .fields import (SQRT_2PI, Domain, SpaceTimeField, SpectralField, Trajectory,
-                     dealiased_product, dealiased_product_coeffs)
+                     dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
@@ -189,16 +189,6 @@ def strichartz_probe(b: float = 0.5, ensemble: int = 100,
         sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
         params={"b": b, "n_points": dom.n_points, "n_t": n_t, "dt": dt},
         details={"sup_coarse": sup1, "sup_refined": sup2})
-
-
-def strichartz_single_mode_ratio(dom: Domain, mode: float, b: float,
-                                 n_t: int = 512, dt: float = 0.01) -> float:
-    """Ratio for the windowed free evolution of one Fourier mode."""
-    times = -0.5 * n_t * dt + dt * np.arange(n_t)
-    u0 = SpectralField.unit_mass(dom, mode).to_grid()
-    traj = free_trajectory(u0, times)
-    u = window_trajectory(traj, TimeWindow.bump(1.0))
-    return _strichartz_ratio(u, b)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +506,7 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
     for _ in range(ensemble):
         f1 = random_band_field(dom, rng, band=dom.xi_max / 4)
         f2 = random_band_field(dom, rng, band=dom.xi_max / 4)
-        prod = dealiased_product([f1, f2]).to_spectral()
+        prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
         den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
         if den != 0:  # a NaN norm gives a NaN ratio, which the sup keeps
             sup = np.maximum(sup, besov_norm(prod, s, np.inf) / den)

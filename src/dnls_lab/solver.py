@@ -1,5 +1,5 @@
-"""Time evolution: exact free propagator, exponential integrators, Duhamel
-quadrature, fixed-point iteration, and exact lattice rescaling.
+"""Time evolution: exact free evolution, exponential integrators, the
+Duhamel fixed-point iteration, and exact lattice rescaling.
 
 The linear part is diagonal in frequency, (U_t f)^(xi) = exp(-i t xi^2) fhat,
 and is treated exactly.  The default stepper is ETD-RK4 with the
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ParameterError, TimeRangeError, WrongDomainError
+from .errors import BlowUpError, ParameterError, WrongDomainError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
                      check_edge_decay)
 from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original, rhs_work
@@ -75,11 +75,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
-
-
-def linear_propagate(f: SpectralField, t: float) -> SpectralField:
-    """Exact free propagator U_t: multiply mode xi by exp(-i t xi^2)."""
-    return SpectralField(f.domain, np.exp(-1j * t * f.domain.xi ** 2) * f.coeffs)
 
 
 def free_trajectory(u0: GridFunction, times: np.ndarray) -> Trajectory:
@@ -213,29 +208,6 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
     traj.diagnostics["integrator"] = cfg.integrator
     traj.diagnostics["direction"] = direction
     return traj
-
-
-def duhamel_apply(forcing: Trajectory, t: float) -> GridFunction:
-    """Composite-trapezoid evaluation of int_0^t U_{t-t'} w(t') dt'.
-
-    forcing must be sampled on a uniform grid starting at 0 and t must be
-    one of its slice times.
-    """
-    if abs(forcing.times[0]) > 1e-12:
-        raise TimeRangeError("forcing must start at t = 0")
-    j = forcing.index_of_time(t)
-    dom = forcing.domain
-    if j == 0:
-        return GridFunction.zero(dom)
-    dt = forcing.dt
-    what = np.fft.fft(forcing.values[:j + 1], axis=1) * (dom.dx / SQRT_2PI)
-    phases = np.exp(+1j * forcing.times[:j + 1, None] * dom.xi[None, :] ** 2)
-    integrand = phases * what
-    weights = np.full(j + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    integral = np.sum(weights[:, None] * integrand, axis=0)
-    out = np.exp(-1j * t * dom.xi ** 2) * integral
-    return SpectralField(dom, out).to_grid()
 
 
 @dataclass

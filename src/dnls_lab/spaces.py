@@ -1,7 +1,8 @@
 """Norm evaluation on discrete fields.
 
 Spatial norms (Sobolev, Besov) act on SpectralField; space-time norms
-(X/Y/Z families and their dyadic-sup variants) act on SpaceTimeField.
+(X^{s,b} and Y^{s,b}, and their dyadic-sup variants frak X, cal Y and the
+solution space's cal Z) act on SpaceTimeField.
 All mixed norms use Riemann quadrature weights dxi and dtau; on the
 2 pi torus dxi == 1 and the xi sums are counting-measure sums.
 
@@ -107,11 +108,6 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """Y^{s,b} norm of a single field: inner L1 in tau, outer L2 in xi."""
     return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
-
-
-def zs_norm(u: SpaceTimeField, s: float) -> float:
-    """Z^s = X^{s,1/2} + Y^{s,0}."""
-    return xsb_norm(u, s, 0.5, +1) + ysb_norm(u, s, 0.0)
 
 
 def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):

@@ -1,0 +1,149 @@
+"""Guards on the package's public surface: every name the benchmark's layer
+tracer wraps must exist, and every public function, class and method must
+be reached from src or kept on purpose, with a reason."""
+
+import ast
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dnls_lab import cli
+from dnls_lab.fields import SpaceTimeField
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dnls_lab"
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+
+
+def _layertrace():
+    """perfbench/layertrace.py, loaded by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestTracerTargets:
+    def test_every_target_resolves(self):
+        missing = [f"dnls_lab.{m}.{a}" for m, a, _, _ in _layertrace().TARGETS
+                   if not hasattr(importlib.import_module(f"dnls_lab.{m}"), a)]
+        assert missing == []
+
+    def test_spacetime_transforms_exist(self):
+        assert callable(SpaceTimeField.__dict__["from_time_values"].__func__)
+        assert callable(SpaceTimeField.__dict__["to_time_values"])
+
+    def test_sweep_scenarios_are_cli_scenarios(self):
+        assert set(_layertrace().SWEEP_SCENARIOS) <= set(cli.SCENARIOS)
+
+    def test_importing_the_cli_loads_every_target_module(self):
+        # install() looks each module up in sys.modules after importing
+        # dnls_lab.cli alone; a fresh interpreter shows what that loads
+        code = ("import json, sys; import dnls_lab.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
+        loaded = set(json.loads(out))
+        assert {f"dnls_lab.{m}" for m, _, _, _ in _layertrace().TARGETS} <= loaded
+
+
+# Public symbols that nothing in src names, kept on purpose.  The tracer's
+# targets are kept as well, without an entry here.
+KEEP = {
+    "nonlinear.trilinear_T_fourier": "brute-force Fourier oracle of the trilinear form",
+    "nonlinear.quintic_Q_fourier": "brute-force Fourier oracle of the quintic form",
+    "nonlinear.trilinear_T_physical": "physical-space partner the trilinear oracle checks",
+    "nonlinear.quintic_Q_physical": "physical-space partner the quintic oracle checks",
+    "fields.SpectralField.conj_flip": "builds the conjugate factors the oracles take",
+    "nonlinear.power_nonlinearity": "bitwise reference of the original right-hand side "
+                                    "in tests_support (and a tracer target)",
+    "solver.picard_iterate": "the Duhamel fixed point of acceptance criterion A10",
+    "spaces.xy_embedding_constant": "the Y <= C X embedding of acceptance criterion A9",
+    "spaces.cal_z_norm": "the solution space's norm, checked against the paper's "
+                         "linear estimate",
+    "gauge.psi_functional": "the gauged torus flow's invariant, for the planned "
+                            "health checks",
+    "io.read_field": "the only decoder of the CLI's field dumps",
+    "fields.GridFunction.zero": "test fixture",
+    "fields.SpectralField.zero": "test fixture",
+    "fields.SpaceTimeField.zero": "test fixture",
+    "fields.SpectralField.unit_mass": "test fixture",
+    "spaces.TimeWindow.bump": "test fixture",
+}
+
+
+def _public_defs(tree: ast.Module, module: str):
+    """(qualified name, node) of every public top-level function and class
+    and every public non-dunder method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def unreached(sources: dict) -> list:
+    """Public names (as module.name or module.Class.method) of sources
+    {module: text} that no source reads outside their own definition.
+
+    A read is a loaded name or attribute with the same identifier; matching
+    by identifier alone can miss an unreached method whose name some other
+    object's attribute shares, but never flags a reached one."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    reads = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    out = []
+    for module, tree in trees.items():
+        for qual, node in _public_defs(tree, module):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(m != module or line not in own
+                       for m, line in reads.get(node.name, [])):
+                out.append(qual)
+    return out
+
+
+def _src_sources() -> dict:
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+class TestUnreachedPublicSymbols:
+    def test_every_public_symbol_is_reached_or_kept(self):
+        kept = set(KEEP) | {f"{m}.{a}" for m, a, _, _ in _layertrace().TARGETS}
+        assert [q for q in unreached(_src_sources()) if q not in kept] == []
+
+    def test_keep_entries_name_existing_symbols(self):
+        defined = {q for m, text in _src_sources().items()
+                   for q, _ in _public_defs(ast.parse(text), m)}
+        assert sorted(set(KEEP) - defined) == []
+
+    @pytest.mark.parametrize("anchor,added,name", [
+        ("", "def uncalled_helper(x):\n    return uncalled_helper(x - 1) if x else 0\n",
+         "fields.uncalled_helper"),
+        ("", "class Unused:\n    pass\n", "fields.Unused"),
+        ("class GridFunction:\n", "    def uncalled_method(self):\n        return self\n",
+         "fields.GridFunction.uncalled_method"),
+    ])
+    def test_an_uncalled_addition_fails_the_scan(self, anchor, added, name):
+        sources = _src_sources()
+        if anchor:
+            assert anchor in sources["fields"]
+            sources["fields"] = sources["fields"].replace(anchor, anchor + added, 1)
+        else:
+            sources["fields"] += "\n\n" + added
+        assert set(unreached(sources)) - set(unreached(_src_sources())) == {name}

@@ -1,4 +1,4 @@
-"""Cutoffs, dyadic projections, Bessel potentials, modulation weights."""
+"""Cutoffs and dyadic multipliers."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls_lab.errors import InvalidDyadicIndexError, InvalidIntervalError
-from dnls_lab.fields import Domain, ModulationLattice, SpaceTimeField, SpectralField
-from dnls_lab.frequency import (bracket, bessel_potential, cutoff_annulus,
-                                cutoff_low, dyadic_projection, dyadic_range,
-                                interval_projection, modulation_weight,
-                                smooth_cutoff, unit_interval_cutoff)
+from dnls_lab.errors import InvalidDyadicIndexError
+from dnls_lab.fields import Domain
+from dnls_lab.frequency import (bracket, cutoff_annulus, cutoff_low,
+                                dyadic_multiplier, dyadic_range, smooth_cutoff)
 
 
 def chi_ref(xi: float) -> float:
@@ -81,131 +79,28 @@ class TestSmoothCutoff:
             assert active <= 2
 
 
-class TestDyadicProjection:
+class TestDyadicMultiplier:
     def setup_method(self):
         self.dom = Domain("torus", 64)
+        self.xi = self.dom.xi
 
     def test_block_containing_its_scale(self):
-        f = SpectralField.unit_mass(self.dom, 2.0)
-        out = dyadic_projection(f, 2)
-        assert np.allclose(out.coeffs, f.coeffs)
+        assert dyadic_multiplier(np.array([2.0]), 2)[0] == 1.0
 
     def test_far_block_annihilates(self):
-        f = SpectralField.unit_mass(self.dom, 2.0)
-        out = dyadic_projection(f, 8)
         # chi_8(2) = chi(1/4) - chi(1/2) = 0
-        assert np.all(out.coeffs == 0)
+        assert dyadic_multiplier(np.array([2.0]), 8)[0] == 0.0
 
     def test_blocks_sum_to_identity(self):
-        rng = np.random.default_rng(0)
-        f = SpectralField(self.dom, rng.normal(size=64) + 1j * rng.normal(size=64))
-        total = np.zeros(64, dtype=complex)
-        for n in dyadic_range(self.dom.xi_max):
-            total += dyadic_projection(f, n).coeffs
-        assert np.max(np.abs(total - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+        total = sum(dyadic_multiplier(self.xi, n) for n in dyadic_range(self.dom.xi_max))
+        assert np.max(np.abs(total - 1.0)) < 1e-12
 
-    def test_l2_contraction(self):
-        rng = np.random.default_rng(1)
-        f = SpectralField(self.dom, rng.normal(size=64) + 1j * rng.normal(size=64))
+    def test_values_in_unit_interval(self):
         for n in (1, 2, 4, 16):
-            assert dyadic_projection(f, n).l2_norm() <= f.l2_norm() + 1e-14
+            m = dyadic_multiplier(self.xi, n)
+            assert np.all((0.0 <= m) & (m <= 1.0))
 
     @pytest.mark.parametrize("bad", [0, 3, -2, 2.5, 12])
     def test_invalid_index_rejected(self, bad):
-        f = SpectralField.zero(self.dom)
         with pytest.raises(InvalidDyadicIndexError):
-            dyadic_projection(f, bad)
-
-
-class TestBesselPotential:
-    def setup_method(self):
-        self.dom = Domain("torus", 64)
-
-    def test_zero_order_is_identity(self):
-        rng = np.random.default_rng(2)
-        f = SpectralField(self.dom, rng.normal(size=64) + 0j)
-        assert np.allclose(bessel_potential(f, 0.0).coeffs, f.coeffs)
-
-    def test_unit_mass_weight(self):
-        f = SpectralField.unit_mass(self.dom, 1.0)
-        out = bessel_potential(f, 2.0)
-        idx = int(np.argmin(np.abs(self.dom.xi - 1.0)))
-        assert out.coeffs[idx] == pytest.approx(2.0)
-
-    def test_inverse_composes_to_identity(self):
-        rng = np.random.default_rng(3)
-        f = SpectralField(self.dom, rng.normal(size=64) + 1j * rng.normal(size=64))
-        back = bessel_potential(bessel_potential(f, 1.7), -1.7)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
-
-
-def _lattice_with_unit_mass(xi0: float, tau0: float):
-    dom = Domain("torus", 16)
-    dt = np.pi / 32.0
-    lat = ModulationLattice(dom, 256, dt, -128 * dt)
-    u = SpaceTimeField.zero(lat)
-    ix = int(np.argmin(np.abs(dom.xi - xi0)))
-    it = int(np.argmin(np.abs(lat.tau - tau0)))
-    assert abs(lat.tau[it] - tau0) < 1e-12
-    u.coeffs[ix, it] = 1.0
-    return u, ix, it
-
-
-class TestModulationWeight:
-    def test_on_characteristic(self):
-        u, ix, it = _lattice_with_unit_mass(1.0, -1.0)
-        out = modulation_weight(u, 1.0, +1)
-        assert out.coeffs[ix, it] == pytest.approx(1.0)  # <(-1) + 1> = 1
-
-    def test_off_characteristic(self):
-        u, ix, it = _lattice_with_unit_mass(1.0, -1.0)
-        out = modulation_weight(u, 1.0, -1)
-        assert out.coeffs[ix, it] == pytest.approx(np.sqrt(5.0))  # <-2>
-
-    def test_zero_power_is_identity(self):
-        u, _, _ = _lattice_with_unit_mass(2.0, -1.0)
-        out = modulation_weight(u, 0.0, +1)
-        assert np.allclose(out.coeffs, u.coeffs)
-
-
-class TestIntervalProjection:
-    def setup_method(self):
-        self.dom = Domain("torus", 512)
-
-    def test_inside_unchanged(self):
-        # xi = 0.5 needs the finer line lattice
-        dom = Domain("line", 512, 2)
-        f = SpectralField.unit_mass(dom, 0.5)
-        out = interval_projection(f, 0.0, 1.0)
-        assert np.allclose(out.coeffs, f.coeffs)
-
-    def test_outside_support_annihilates(self):
-        f = SpectralField.unit_mass(self.dom, 5.0)
-        out = interval_projection(f, 0.0, 1.0)
-        assert np.all(out.coeffs == 0)
-
-    def test_invalid_interval(self):
-        f = SpectralField.zero(self.dom)
-        with pytest.raises(InvalidIntervalError):
-            interval_projection(f, 1.0, 1.0)
-
-    def test_unit_interval_cutoff_profile(self):
-        assert unit_interval_cutoff(0.0) == 1.0
-        assert unit_interval_cutoff(1.0) == 1.0
-        assert unit_interval_cutoff(-1.0) == 0.0
-        assert unit_interval_cutoff(2.0) == 0.0
-        assert 0.0 < unit_interval_cutoff(-0.5) < 1.0
-
-    def test_almost_orthogonality(self):
-        # brute force: partition into width-h cells, smoothed bumps overlap
-        # at most three cells, so the block-mass sum stays below 3 ||f||^2
-        dom = Domain("torus", 256)
-        rng = np.random.default_rng(4)
-        f = SpectralField(dom, rng.normal(size=256) + 1j * rng.normal(size=256))
-        h = 8.0
-        total = 0.0
-        k0 = int(np.floor(dom.xi.min() / h)) - 2
-        k1 = int(np.ceil(dom.xi.max() / h)) + 2
-        for k in range(k0, k1 + 1):
-            total += interval_projection(f, k * h, (k + 1) * h).l2_norm() ** 2
-        assert total <= 3.0 * f.l2_norm() ** 2 * (1 + 1e-12)
+            dyadic_multiplier(self.xi, bad)

@@ -52,6 +52,16 @@ CASES = {
                          "params": {"n": 5000}},
     "verify-domination": {"scenario": "verify-domination", "seed": 14,
                           "params": {"n": 10 ** 4}},
+    "probe-smult": {"scenario": "probe-smult", "seed": 15,
+                    "params": {"ensemble": 8, "n_points": 64}},
+    "probe-strichartz": {"scenario": "probe-strichartz", "seed": 16,
+                         "params": {"ensemble": 4, "n_t": 64}},
+    "solve": {"scenario": "solve", "seed": 17,
+              "params": {"n_points": 64, "dt": 1e-2, "t_final": 0.2,
+                         "lambda": 1.0, "k_power": 1, "gauged": True,
+                         "integrator": "ifrk4"}},
+    "scaling": {"scenario": "scaling", "seed": 18,
+                "params": {"n_points": 128, "dt": 5e-3, "t_final": 0.05}},
 }
 
 

@@ -58,6 +58,23 @@ class TestFieldDump:
         with pytest.raises(FieldDumpError):
             read_field(p)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda h: {k: v for k, v in h.items() if k != "n_points"},
+        lambda h: dict(h, n_points="x"),
+        lambda h: dict(h, n_points=32.9),
+        lambda h: dict(h, kind="circle"),
+        lambda h: list(h.items()),
+    ], ids=["missing-n_points", "non-integer-n_points", "fractional-n_points",
+            "unknown-kind", "list"])
+    def test_malformed_header_is_a_dump_error(self, tmp_path, mutate):
+        p = tmp_path / "f.fd"
+        write_field(p, SpectralField.unit_mass(Domain("torus", 32), 3.0))
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.dumps(mutate(json.loads(head))).encode("ascii")
+        p.write_bytes(header + b"\n" + payload)
+        with pytest.raises(FieldDumpError):
+            read_field(p)
+
 
 class TestValidation:
     def test_missing_required_parameter(self):

@@ -13,8 +13,7 @@ from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              multilinear_probe, sobolev_mult_probe,
-                             strichartz_probe, strichartz_single_mode_ratio,
-                             trilinear_probe)
+                             strichartz_probe, trilinear_probe)
 from dnls_lab.sampling import random_mode_sum_values
 from dnls_lab.spaces import TimeWindow, block_norms, cal_y_norm, frak_x_norm
 
@@ -65,12 +64,6 @@ class TestStrichartz:
                                rng=np.random.default_rng(1))
         assert np.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert rep.refinement_stable
-
-    def test_single_mode_ratio_mode_independent(self):
-        dom = Domain("torus", 32)
-        ratios = [strichartz_single_mode_ratio(dom, m, 0.5) for m in (1, 4, 8)]
-        for r in ratios[1:]:
-            assert r == pytest.approx(ratios[0], rel=0.05)
 
 
 class TestTrilinearProbe:

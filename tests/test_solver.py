@@ -1,16 +1,15 @@
-"""Propagator, exponential integrators, Duhamel quadrature, rescaling."""
+"""Free evolution, exponential integrators, Picard iteration, rescaling."""
 
 import numpy as np
 import pytest
 
 from dnls_lab.errors import (BlowUpError, EdgeDecayError, ParameterError,
-                             TimeRangeError, WrongDomainError)
+                             WrongDomainError)
 from dnls_lab.fields import Domain, GridFunction, SpectralField, Trajectory
 from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
-from dnls_lab.solver import (SolverConfig, _phi, duhamel_apply,
-                             free_trajectory, linear_propagate,
+from dnls_lab.solver import (SolverConfig, _phi, free_trajectory,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
 from tests_support import original_rhs_reference
@@ -42,34 +41,38 @@ class TestPhiFunctions:
                 1.0 / math.factorial(k))
 
 
-class TestLinearPropagate:
+def free_at(f: SpectralField, t: float) -> SpectralField:
+    """f evolved by the free flow to time t, through free_trajectory."""
+    return free_trajectory(f.to_grid(), np.array([t])).slice_function(0).to_spectral()
+
+
+class TestFreeTrajectory:
     def test_identity_at_zero(self):
         f = SpectralField.unit_mass(TORUS, 3.0)
-        assert np.allclose(linear_propagate(f, 0.0).coeffs, f.coeffs)
+        assert np.allclose(free_at(f, 0.0).coeffs, f.coeffs)
 
     def test_mode_two_quarter_pi(self):
         f = SpectralField.unit_mass(TORUS, 2.0)
-        out = linear_propagate(f, np.pi / 4.0)
+        out = free_at(f, np.pi / 4.0)
         idx = int(np.argmin(np.abs(TORUS.xi - 2)))
         assert out.coeffs[idx] == pytest.approx(-1.0, abs=1e-14)
 
     def test_unitary(self):
         rng = np.random.default_rng(0)
         f = random_band_field(TORUS, rng, band=16.0)
-        assert linear_propagate(f, 0.37).l2_norm() == pytest.approx(
-            f.l2_norm(), rel=1e-14)
+        assert free_at(f, 0.37).l2_norm() == pytest.approx(f.l2_norm(), rel=1e-14)
 
     def test_reversible(self):
         rng = np.random.default_rng(1)
         f = random_band_field(TORUS, rng, band=16.0)
-        back = linear_propagate(linear_propagate(f, 0.21), -0.21)
+        back = free_at(free_at(f, 0.21), -0.21)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-13
 
     def test_semigroup(self):
         rng = np.random.default_rng(2)
         f = random_band_field(TORUS, rng, band=16.0)
-        a = linear_propagate(linear_propagate(f, 0.1), 0.15)
-        b = linear_propagate(f, 0.25)
+        a = free_at(free_at(f, 0.1), 0.15)
+        b = free_at(f, 0.25)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
 
 
@@ -139,7 +142,7 @@ class TestSolve:
         for eps in (0.2, 0.1):
             u0 = eps * base
             traj = solve(u0, small_cfg(T=0.04, dt=5e-4))
-            lin = linear_propagate(u0.to_spectral(), 0.04).to_grid()
+            lin = free_trajectory(u0, np.array([0.04])).slice_function(0)
             devs.append((traj.slice_function(-1) - lin).l2_norm())
         ratio = devs[0] / devs[1]
         assert 6.0 < ratio < 10.0
@@ -329,48 +332,6 @@ class TestForcingWorkArrays:
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k))
         assert np.array_equal(nl(c), want)
         assert np.array_equal(nl(c), want)
-
-
-class TestDuhamel:
-    def test_zero_forcing(self):
-        times = 1e-3 * np.arange(11)
-        w = Trajectory(TORUS, times, np.zeros((11, 64), complex))
-        out = duhamel_apply(w, 0.01)
-        assert np.all(out.values == 0)
-
-    def test_free_wave_forcing_closed_form(self):
-        rng = np.random.default_rng(7)
-        g = random_band_field(TORUS, rng, band=8.0).to_grid()
-        times = 1e-3 * np.arange(51)
-        w = free_trajectory(g, times)
-        out = duhamel_apply(w, 0.05)
-        expect = 0.05 * linear_propagate(g.to_spectral(), 0.05).to_grid()
-        assert np.max(np.abs(out.values - expect.values)) < 1e-10
-
-    def test_second_order_quadrature(self):
-        # forcing U_{t'} e^{i alpha t'} g integrates to U_t g (e^{i alpha t}-1)/(i alpha)
-        rng = np.random.default_rng(8)
-        g = random_band_field(TORUS, rng, band=8.0).to_grid()
-        alpha, T = 11.0, 0.5
-        errs = []
-        for n_steps in (50, 100):
-            times = (T / n_steps) * np.arange(n_steps + 1)
-            vals = np.stack([
-                np.exp(1j * alpha * t)
-                * linear_propagate(g.to_spectral(), t).to_grid().values
-                for t in times])
-            w = Trajectory(TORUS, times, vals)
-            out = duhamel_apply(w, T)
-            expect = ((np.exp(1j * alpha * T) - 1.0) / (1j * alpha)) \
-                * linear_propagate(g.to_spectral(), T).to_grid().values
-            errs.append(np.max(np.abs(out.values - expect)))
-        assert 3.0 < errs[0] / errs[1] < 5.0
-
-    def test_time_outside_span(self):
-        times = 1e-3 * np.arange(11)
-        w = Trajectory(TORUS, times, np.zeros((11, 64), complex))
-        with pytest.raises(TimeRangeError):
-            duhamel_apply(w, 0.02)
 
 
 class TestPicard:
