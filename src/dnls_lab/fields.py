@@ -65,6 +65,12 @@ class Domain:
             raise ValueError("domain_scale must be a power of two")
         if self.kind == "torus" and self.domain_scale != 1:
             raise ValueError("torus domains have domain_scale == 1")
+        try:
+            finite = np.isfinite(self.period)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("domain_scale must give a finite period")
 
     @property
     def period(self) -> float:
@@ -401,7 +407,7 @@ class SpaceTimeField:
     """Coefficients on a ModulationLattice; coeffs[..., k, m] sits at
     (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
     lattice, which the transforms and the block norms of spaces treat
-    member by member; l2_norm and lp_norm expect a single field.
+    member by member; l2_norm expects a single field.
 
     window records the time window used to build the field, when any.
     """
@@ -444,7 +450,8 @@ class SpaceTimeField:
             slices_hat = values.coeffs
         else:
             values = np.asarray(values, dtype=np.complex128)
-            slices_hat = np.fft.fft(values, axis=-1) * (domain.dx / SQRT_2PI)
+            slices_hat = np.fft.fft(values, axis=-1)
+            slices_hat *= domain.dx / SQRT_2PI
         ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
         ghat *= _tau_factor(lat)
         return cls(lat, ghat, window=window)
@@ -467,9 +474,3 @@ class SpaceTimeField:
     def l2_norm(self) -> float:
         w = self.domain.dxi * self.lattice.dtau
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * w))
-
-    def lp_norm(self, p: float) -> float:
-        """Space-time Lebesgue norm from the physical samples."""
-        vals = self.to_time_values()
-        w = self.domain.dx * self.lattice.dt
-        return float((np.sum(np.abs(vals) ** p) * w) ** (1.0 / p))

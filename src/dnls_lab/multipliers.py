@@ -17,6 +17,12 @@ splits the trilinear symbol by which element of A is maximal (ties go to
 the lowest index, making the indicator sets a true partition); the "Mt"
 family is the same divided by <tau + xi^2>^(1/2), with Mt0 carrying the
 delta-dependent weights used near the resonant set.
+
+resonance_residuals and resonance_scale form each square once and take
+their maxima with chains of np.maximum over the point arrays, writing into
+their own temporaries, instead of stacking four or eight arrays of points:
+a max is exact, so the bits are those of the stacked max, and a scan of
+10^5 points holds a few point arrays instead of a stack and its copies.
 """
 
 from __future__ import annotations
@@ -52,28 +58,35 @@ def resonance_residuals(xi1, xi2, xi3, tau1, tau2, tau3):
     Returns (r1, r2, gap) with
       r1  = |combination - 2 (xi-xi1)(xi-xi2)|,
       r2  = | 2|(xi-xi1)(xi-xi2)| - 2|xi1+xi3||xi2+xi3| |,
-      gap = 4 max A - 2 |xi1+xi3||xi2+xi3|  (nonnegative up to roundoff).
+      gap = 4 max A - 2 |xi1+xi3||xi2+xi3|  (nonnegative up to roundoff),
+    over point arrays, which are read and never written.
     """
     xi = xi1 + xi2 + xi3
-    tau = tau1 + tau2 + tau3
-    combo = (tau + xi ** 2) - (tau1 + xi1 ** 2 + tau2 + xi2 ** 2 + tau3 - xi3 ** 2)
+    sq1, sq2, sq3 = xi1 ** 2, xi2 ** 2, xi3 ** 2
+    m0 = tau1 + tau2 + tau3 + xi ** 2           # tau + xi^2
+    combo = m0 - (tau1 + sq1 + tau2 + sq2 + tau3 - sq3)
     prod = 2.0 * (xi - xi1) * (xi - xi2)
-    r1 = np.abs(combo - prod)
+    r1 = np.abs(combo - prod, out=combo)
     rhs = 2.0 * np.abs(xi1 + xi3) * np.abs(xi2 + xi3)
-    r2 = np.abs(np.abs(prod) - rhs)
-    gap = 4.0 * np.max(modulation_magnitudes(xi1, xi2, xi3, tau1, tau2, tau3),
-                       axis=0) - rhs
+    r2 = np.abs(np.abs(prod, out=prod) - rhs, out=prod)
+    # the other three modulations are formed in place of their squares
+    max_a = np.abs(m0, out=m0)
+    for m in (np.add(tau1, sq1, out=sq1), np.add(tau2, sq2, out=sq2),
+              np.subtract(tau3, sq3, out=sq3)):
+        np.maximum(max_a, np.abs(m, out=m), out=max_a)
+    gap = np.subtract(4.0 * max_a, rhs, out=rhs)
     return r1, r2, gap
 
 
 def resonance_scale(xi1, xi2, xi3, tau1, tau2, tau3):
-    """Magnitude scale of the quantities entering the identity."""
-    xi = xi1 + xi2 + xi3
-    tau = tau1 + tau2 + tau3
-    return np.max(np.stack([
-        np.abs(tau), np.abs(tau1), np.abs(tau2), np.abs(tau3),
-        xi ** 2, xi1 ** 2, xi2 ** 2, xi3 ** 2,
-    ]), axis=0)
+    """Magnitude scale of the quantities entering the identity: the max of
+    |tau|, |tau_j|, xi^2 and xi_j^2 over point arrays."""
+    scale = np.abs(tau1 + tau2 + tau3)
+    for t in (tau1, tau2, tau3):
+        np.maximum(scale, np.abs(t), out=scale)
+    for x in (xi1 + xi2 + xi3, xi1, xi2, xi3):
+        np.maximum(scale, x ** 2, out=scale)
+    return scale
 
 
 def multiplier_pieces(family: str, xi1, xi2, xi3, tau1, tau2, tau3,

@@ -19,6 +19,20 @@ window.  In exact arithmetic this is the same number; in floating point
 each element of the windowed product is rounded once more (a relative
 change of order 1e-16), and the spatial transforms commute with the
 per-slice scaling in the same way.
+
+The Strichartz and Besov-product ensembles draw their samples in blocks,
+in the order a one-sample-at-a-time loop draws them, and evaluate each
+block in one batched pass: one free evolution (its phases exp(-i t xi^2)
+built once per block), one window transform and one X^{0,b} norm call per
+kind of sample, and one product and three Besov norm calls per block of
+pairs.  Each member gets the bits of its own call, and the generator ends
+in the same state.  The L^4 norm is summed from the trajectory samples
+already in hand, with w^4 factored out of |w u|^4, instead of inverting the
+windowed field's space-time transform (the inverse only reproduces the
+windowed samples, up to roundoff).  A block holds at most BLOCK_BYTES of
+space-time samples (Strichartz) or of padded-grid rows (the Besov pairs'
+two factors, product and spectrum), so a block, not the ensemble, sets
+the memory the ensembles add.
 """
 
 from __future__ import annotations
@@ -42,6 +56,11 @@ from .sampling import random_band_field, random_mode_sum_values
 from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
                      frak_x_norm, window_trajectory, xsb_norm)
 from .solver import free_trajectory
+
+
+# byte budget of one block of probe samples evaluated together (see the
+# module docstring)
+BLOCK_BYTES = 2 ** 20
 
 
 def worker_count() -> int:
@@ -148,28 +167,54 @@ def domination_scan(family: str = "M", box: float = 100.0, n: int = 10 ** 5,
 # Strichartz probe
 # ---------------------------------------------------------------------------
 
-def _strichartz_ratio(u: SpaceTimeField, b: float) -> float:
-    den = xsb_norm(u, 0.0, b, +1)
-    if not np.isfinite(den):
-        return np.nan  # an overflowed norm, which the sup keeps
-    return u.lp_norm(4.0) / den if den > 0 else 0.0
+def _blocks(count: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) sample ranges of at most
+    BLOCK_BYTES // row_bytes samples each, covering range(count)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _strichartz_ratios(traj: Trajectory, window: TimeWindow, b: float) -> np.ndarray:
+    """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}} for every member u of a
+    batched trajectory (values (n_t, B, n)): NaN where the X norm overflows,
+    which the sup keeps, and 0 where it vanishes.
+
+    The L^4 norm is summed from the samples in hand, w^4 factored out of
+    |w u|^4, rather than from the inverse transform of the windowed field."""
+    den = xsb_norm(window_trajectory(traj, window), 0.0, b, +1)
+    w4 = window(traj.times) ** 4
+    v4 = np.abs(traj.values)
+    l4 = (w4 @ np.sum(np.power(v4, 4, out=v4), axis=-1)
+          * (traj.domain.dx * traj.dt)) ** 0.25
+    ratio = np.divide(l4, den, out=np.zeros_like(l4), where=den > 0)
+    ratio[~np.isfinite(den)] = np.nan
+    return ratio
 
 
 def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
                          ensemble: int, rng: np.random.Generator) -> float:
+    """Sup of the ratios over the ensemble: even samples are random mode
+    sums, odd ones free evolutions of random data, drawn in sample order
+    and evaluated a block at a time."""
     times = -0.5 * n_t * dt + dt * np.arange(n_t)
     window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
     sup = 0.0
     band = min(8.0, dom.xi_max / 2)
-    for i in range(ensemble):
-        if i % 2 == 0:
-            vals = random_mode_sum_values(dom, times, rng, band=band)
-            traj = Trajectory(dom, times, vals)
-        else:
-            u0 = random_band_field(dom, rng, band=band).to_grid()
-            traj = free_trajectory(u0, times)
-        u = window_trajectory(traj, window)
-        sup = np.maximum(sup, _strichartz_ratio(u, b))  # keeps a NaN
+    for start, stop in _blocks(ensemble, 16 * n_t * dom.n_points):
+        sums, data = [], []
+        for i in range(start, stop):
+            if i % 2 == 0:
+                sums.append(random_mode_sum_values(dom, times, rng, band=band))
+            else:
+                data.append(random_band_field(dom, rng, band=band).coeffs)
+        trajs = []
+        if sums:
+            trajs.append(Trajectory(dom, times, np.stack(sums, axis=1)))
+        if data:
+            trajs.append(free_trajectory(SpectralField(dom, np.array(data)).to_grid(),
+                                         times))
+        for traj in trajs:
+            sup = np.maximum(sup, np.max(_strichartz_ratios(traj, window, b)))
     return float(sup)
 
 
@@ -502,14 +547,22 @@ def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
+    """Sup of the product ratios over random pairs (f1, f2), drawn in pair
+    order and evaluated a block at a time; a pair whose denominator
+    vanishes is skipped, and a NaN ratio is kept."""
     sup = 0.0
-    for _ in range(ensemble):
-        f1 = random_band_field(dom, rng, band=dom.xi_max / 4)
-        f2 = random_band_field(dom, rng, band=dom.xi_max / 4)
+    band = dom.xi_max / 4
+    # a pair's work: its two padded factors, their product and its
+    # spectrum, four rows on the 4x padded grid
+    for start, stop in _blocks(ensemble, 4 * 16 * 4 * dom.n_points):
+        pairs = np.array([[random_band_field(dom, rng, band=band).coeffs
+                           for _ in range(2)] for _ in range(start, stop)])
+        f1, f2 = SpectralField(dom, pairs[:, 0]), SpectralField(dom, pairs[:, 1])
         prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
+        num = besov_norm(prod, s, np.inf)
         den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
-        if den != 0:  # a NaN norm gives a NaN ratio, which the sup keeps
-            sup = np.maximum(sup, besov_norm(prod, s, np.inf) / den)
+        sup = np.maximum(sup, np.max(np.divide(num, den, out=np.zeros_like(num),
+                                               where=den != 0)))
     return float(sup)
 
 

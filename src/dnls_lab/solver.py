@@ -78,12 +78,18 @@ class SolverConfig:
 
 
 def free_trajectory(u0: GridFunction, times: np.ndarray) -> Trajectory:
-    """Exact linear evolution sampled at the given (uniform) times."""
+    """Exact linear evolution sampled at the given (uniform) times.
+
+    u0.values of shape (..., n) gives values (n_slices, ..., n), the
+    batch layout of `solve`; the phases exp(-i t xi^2) are built once for
+    the whole batch, and each member gets the bits of its own call."""
     dom = u0.domain
     c0 = u0.to_spectral().coeffs
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
-    values = np.fft.ifft(phases * c0[None, :], axis=1) * (SQRT_2PI / dom.dx)
+    phases = phases.reshape((times.size,) + (1,) * (c0.ndim - 1) + (dom.n_points,))
+    values = np.fft.ifft(phases * c0, axis=-1)
+    values *= SQRT_2PI / dom.dx
     return Trajectory(dom, times, values)
 
 

@@ -9,11 +9,11 @@ All mixed norms use Riemann quadrature weights dxi and dtau; on the
 Dyadic block norms are one row reduction over tau times the (blocks x n)
 matrix of chi_N(xi)^2, cached per Domain (chi_N depends on xi alone and is
 >= 0); the <xi>^s <tau +/- xi^2>^b weights are cached per lattice, s, b and
-sign.  Both caches hold read-only arrays.  block_norms, frak_x_norm,
-cal_y_norm and cal_z_norm accept a SpaceTimeField with a leading batch
-axis and then return one value per member (a float for a single field),
-equal bit for bit to one call per member; xsb_norm and ysb_norm take a
-single field.
+sign.  Both caches hold read-only arrays.  block_norms, xsb_norm,
+frak_x_norm, cal_y_norm and cal_z_norm accept a SpaceTimeField with a
+leading batch axis, and besov_norm a SpectralField with one; they then
+return one value per member (a float for a single field), equal bit for
+bit to one call per member; ysb_norm takes a single field.
 
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the trajectory
@@ -51,25 +51,31 @@ def _chi_sq(domain: Domain) -> np.ndarray:
     return m
 
 
-def _low_plus_sup(norms: np.ndarray):
-    """Low-block norm plus the sup over the higher dyadic blocks (last axis):
-    a float for a single field, one value per member for a batch."""
-    out = norms[..., 0] + norms[..., 1:].max(axis=-1, initial=0.0)
+def _member_values(out: np.ndarray):
+    """A float for a single field, one value per member for a batch."""
     return float(out) if out.ndim == 0 else out
 
 
-def besov_norm(f: SpectralField, s: float, q: float = np.inf) -> float:
+def _low_plus_sup(norms: np.ndarray):
+    """Low-block norm plus the sup over the higher dyadic blocks (last axis)."""
+    return _member_values(norms[..., 0] + norms[..., 1:].max(axis=-1, initial=0.0))
+
+
+def besov_norm(f: SpectralField, s: float, q: float = np.inf):
     """B^s_{2,q} norm with q in {2, inf}: low block plus the weighted tail.
 
     q = inf takes the sup of N^s ||P_N f|| over dyadic N > 1; q = 2 takes
-    the l2 sum of the same numbers.
+    the l2 sum of the same numbers.  A float for a single field, one value
+    per member for coefficients with a leading batch axis.
     """
     if q not in (2, np.inf):
         raise ValueError("q must be 2 or inf")
-    norms = np.sqrt(_chi_sq(f.domain) @ (np.abs(f.coeffs) ** 2 * f.domain.dxi))
-    weighted = np.array(dyadic_range(f.domain.xi_max)[1:], dtype=float) ** s * norms[1:]
-    tail = weighted.max(initial=0.0) if q == np.inf else np.sqrt(np.sum(weighted ** 2))
-    return float(norms[0] + tail)
+    sq = np.abs(f.coeffs) ** 2 * f.domain.dxi
+    norms = np.sqrt(np.matmul(_chi_sq(f.domain), sq[..., None])[..., 0])
+    weighted = np.array(dyadic_range(f.domain.xi_max)[1:], dtype=float) ** s * norms[..., 1:]
+    tail = (weighted.max(axis=-1, initial=0.0) if q == np.inf
+            else np.sqrt(np.sum(weighted ** 2, axis=-1)))
+    return _member_values(norms[..., 0] + tail)
 
 
 @lru_cache(maxsize=16)
@@ -100,9 +106,9 @@ def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
     return np.sqrt(np.matmul(_chi_sq(u.domain), rows[..., None])[..., 0])
 
 
-def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
-    """X^{s,b,+/-} norm of a single field: weighted L2 over the (xi, tau) lattice."""
-    return float(np.sqrt(np.sum(_rows(u, s, b, sign, "X"))))
+def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
+    """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
+    return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X"), axis=-1)))
 
 
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
@@ -167,13 +173,16 @@ def window_trajectory(traj: Trajectory, window: TimeWindow) -> SpaceTimeField:
 
     The window support must lie inside the trajectory's time span; the
     result is one admissible extension of the restricted solution, hence
-    an upper bound representative for restriction norms.
+    an upper bound representative for restriction norms.  A batched
+    trajectory, values (n_t, ..., n), gives a field with the same leading
+    batch axes, coeffs (..., n, n_t).
     """
     t0, t1 = traj.times[0], traj.times[-1]
     if window.t_lo < t0 - 1e-12 or window.t_hi > t1 + float(traj.times[1] - traj.times[0]) + 1e-12:
         raise ExtensionError(
             f"window support ({window.t_lo:g}, {window.t_hi:g}) exceeds the "
             f"trajectory span [{t0:g}, {t1:g}]")
-    w = window(traj.times)
-    vals = traj.values * np.asarray(w)[:, None]
-    return SpaceTimeField.from_time_values(traj.domain, traj.times, vals, window=window)
+    w = np.asarray(window(traj.times))
+    vals = traj.values * w.reshape(w.shape + (1,) * (traj.values.ndim - 1))
+    return SpaceTimeField.from_time_values(traj.domain, traj.times,
+                                           np.moveaxis(vals, 0, -2), window=window)

@@ -71,6 +71,9 @@ KEEP = {
     "gauge.psi_functional": "the gauged torus flow's invariant, for the planned "
                             "health checks",
     "io.read_field": "the only decoder of the CLI's field dumps",
+    "fields.SpaceTimeField.to_time_values": "the inverse space-time transform: "
+                                            "perfbench/layertrace.py's install wraps it "
+                                            "by name, and the round-trip tests use it",
     "fields.GridFunction.zero": "test fixture",
     "fields.SpectralField.zero": "test fixture",
     "fields.SpaceTimeField.zero": "test fixture",

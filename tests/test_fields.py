@@ -25,7 +25,10 @@ class TestDomain:
                                      {"kind": "torus", "n_points": 48},
                                      {"kind": "line", "n_points": 64,
                                       "domain_scale": 3},
-                                     {"kind": "plane", "n_points": 64}])
+                                     {"kind": "plane", "n_points": 64},
+                                     # 2 pi * 2^1022 overflows to inf
+                                     {"kind": "line", "n_points": 64,
+                                      "domain_scale": 2 ** 1022}])
     def test_invalid_domains(self, bad):
         with pytest.raises(ValueError):
             Domain(**bad)

@@ -64,8 +64,9 @@ class TestFieldDump:
         lambda h: dict(h, n_points=32.9),
         lambda h: dict(h, kind="circle"),
         lambda h: list(h.items()),
+        lambda h: dict(h, kind="line", domain_scale=2 ** 2000),
     ], ids=["missing-n_points", "non-integer-n_points", "fractional-n_points",
-            "unknown-kind", "list"])
+            "unknown-kind", "list", "overflowing-domain_scale"])
     def test_malformed_header_is_a_dump_error(self, tmp_path, mutate):
         p = tmp_path / "f.fd"
         write_field(p, SpectralField.unit_mass(Domain("torus", 32), 3.0))

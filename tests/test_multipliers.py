@@ -78,6 +78,40 @@ class TestResonance:
         assert np.min(gap / (1.0 + scale)) > -1e-9
 
 
+def stacked_residuals(xi1, xi2, xi3, tau1, tau2, tau3):
+    """The resonance residuals with max A taken over a (4, n) stack."""
+    xi = xi1 + xi2 + xi3
+    tau = tau1 + tau2 + tau3
+    combo = (tau + xi ** 2) - (tau1 + xi1 ** 2 + tau2 + xi2 ** 2 + tau3 - xi3 ** 2)
+    prod = 2.0 * (xi - xi1) * (xi - xi2)
+    rhs = 2.0 * np.abs(xi1 + xi3) * np.abs(xi2 + xi3)
+    mods = np.stack([np.abs(tau + xi ** 2), np.abs(tau1 + xi1 ** 2),
+                     np.abs(tau2 + xi2 ** 2), np.abs(tau3 - xi3 ** 2)])
+    return (np.abs(combo - prod), np.abs(np.abs(prod) - rhs),
+            4.0 * np.max(mods, axis=0) - rhs)
+
+
+def stacked_scale(xi1, xi2, xi3, tau1, tau2, tau3):
+    """The resonance scale as the max over an (8, n) stack."""
+    xi = xi1 + xi2 + xi3
+    tau = tau1 + tau2 + tau3
+    return np.max(np.stack([np.abs(tau), np.abs(tau1), np.abs(tau2), np.abs(tau3),
+                            xi ** 2, xi1 ** 2, xi2 ** 2, xi3 ** 2]), axis=0)
+
+
+class TestStackFreeResonance:
+    @pytest.mark.parametrize("lattice", ["Z", "R"])
+    @pytest.mark.parametrize("regime", REGIME_LABELS)
+    def test_bits_of_the_stacked_maxima(self, lattice, regime):
+        pts = sample_points(np.random.default_rng(17), 4000, 1e3, lattice, regime)
+        copies = [p.copy() for p in pts]
+        for got, ref in zip(resonance_residuals(*pts), stacked_residuals(*copies)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(resonance_scale(*pts), stacked_scale(*copies))
+        # the inputs are read, never written
+        assert all(np.array_equal(p, c) for p, c in zip(pts, copies))
+
+
 class TestMultiplierEvaluation:
     def test_zero_third_frequency(self):
         p = point((1, -1, 0), (0.5, 0.5, 0.5))

@@ -8,14 +8,17 @@ import pytest
 
 from dnls_lab import probes
 from dnls_lab.errors import ParameterError
-from dnls_lab.fields import Domain, SpaceTimeField
+from dnls_lab.fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
+                             dealiased_product_coeffs)
 from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              multilinear_probe, sobolev_mult_probe,
                              strichartz_probe, trilinear_probe)
-from dnls_lab.sampling import random_mode_sum_values
-from dnls_lab.spaces import TimeWindow, block_norms, cal_y_norm, frak_x_norm
+from dnls_lab.sampling import random_band_field, random_mode_sum_values
+from dnls_lab.solver import free_trajectory
+from dnls_lab.spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
+                             frak_x_norm, window_trajectory, xsb_norm)
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -392,3 +395,84 @@ class TestWindowRatios:
         assert list(got) == list(t_values)
         for T in t_values:
             assert got[T] == pytest.approx(ref[T], rel=1e-12, abs=0)
+
+
+def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
+    """The per-sample Strichartz loop the block-batched ensemble replaced:
+    one window transform, one X^{0,b} norm and one inverse transform for
+    the L^4 norm per sample."""
+    times = -0.5 * n_t * dt + dt * np.arange(n_t)
+    window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
+    sup = 0.0
+    band = min(8.0, dom.xi_max / 2)
+    for i in range(ensemble):
+        if i % 2 == 0:
+            traj = Trajectory(dom, times, random_mode_sum_values(dom, times, rng, band=band))
+        else:
+            traj = free_trajectory(random_band_field(dom, rng, band=band).to_grid(), times)
+        u = window_trajectory(traj, window)
+        den = xsb_norm(u, 0.0, b, +1)
+        vals = u.to_time_values()
+        lp = (np.sum(np.abs(vals) ** 4) * (dom.dx * u.lattice.dt)) ** 0.25
+        ratio = np.nan if not np.isfinite(den) else (lp / den if den > 0 else 0.0)
+        sup = np.maximum(sup, ratio)
+    return float(sup)
+
+
+def _reference_smult_ensemble(dom, s, s1, s2, ensemble, rng):
+    """The per-pair Besov-product loop the block-batched ensemble replaced."""
+    sup = 0.0
+    for _ in range(ensemble):
+        f1 = random_band_field(dom, rng, band=dom.xi_max / 4)
+        f2 = random_band_field(dom, rng, band=dom.xi_max / 4)
+        prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
+        den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
+        if den != 0:
+            sup = np.maximum(sup, besov_norm(prod, s, np.inf) / den)
+    return float(sup)
+
+
+class TestBlockBatchedEnsembles:
+    """Block-batched ensembles against the per-sample loops they replaced:
+    the same sup, and the generator left in the same state."""
+
+    @staticmethod
+    def _compare(batched, reference, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, ref = batched(rng_a), reference(rng_b)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    # samples per block: the default budget (8 at n_t 256, 32 points, so
+    # 11 samples leave a tail of 3), and 3 so that blocks start on odd samples
+    @pytest.mark.parametrize("per_block", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_t,dt,ensemble", [(256, 0.02, 11), (64, 0.05, 8)])
+    def test_strichartz_matches_per_sample_loop(self, monkeypatch, per_block, seed,
+                                                n_t, dt, ensemble):
+        dom = Domain("torus", 32)
+        if per_block is not None:
+            monkeypatch.setattr(probes, "BLOCK_BYTES", per_block * 16 * n_t * dom.n_points)
+        self._compare(
+            lambda r: probes._strichartz_ensemble(dom, n_t, dt, 0.5, ensemble, r),
+            lambda r: _reference_strichartz_ensemble(dom, n_t, dt, 0.5, ensemble, r),
+            seed)
+
+    @pytest.mark.parametrize("per_block", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_points,ensemble", [(256, 10), (64, 7)])
+    def test_smult_matches_per_pair_loop(self, monkeypatch, per_block, seed,
+                                         n_points, ensemble):
+        dom = Domain("torus", n_points)
+        if per_block is not None:
+            monkeypatch.setattr(probes, "BLOCK_BYTES", per_block * 4 * 16 * 4 * n_points)
+        self._compare(
+            lambda r: probes._smult_ensemble(dom, 0.5, 0.5, 0.75, ensemble, r),
+            lambda r: _reference_smult_ensemble(dom, 0.5, 0.5, 0.75, ensemble, r),
+            seed)
+
+    def test_blocks_cover_the_ensemble_in_order(self, monkeypatch):
+        monkeypatch.setattr(probes, "BLOCK_BYTES", 100)
+        assert probes._blocks(7, 30) == [(0, 3), (3, 6), (6, 7)]
+        assert probes._blocks(2, 10 ** 6) == [(0, 1), (1, 2)]
+        assert probes._blocks(6, 30) == [(0, 3), (3, 6)]

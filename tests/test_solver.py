@@ -9,6 +9,7 @@ from dnls_lab.fields import Domain, GridFunction, SpectralField, Trajectory
 from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
+from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _phi, free_trajectory,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
@@ -75,6 +76,18 @@ class TestFreeTrajectory:
         b = free_at(f, 0.25)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
 
+    @pytest.mark.parametrize("dom", [TORUS, Domain("line", 32, 2)], ids=lambda d: d.kind)
+    def test_batch_is_one_call_per_member(self, dom):
+        # values (n_slices, 2, 3, n), the batch layout of solve
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2, 3, dom.n_points)) + 1j * rng.normal(size=(2, 3, dom.n_points))
+        times = -0.3 + 0.01 * np.arange(40)
+        got = free_trajectory(GridFunction(dom, data), times)
+        assert got.values.shape == (40, 2, 3, dom.n_points)
+        for i, j in np.ndindex(2, 3):
+            one = free_trajectory(GridFunction(dom, data[i, j]), times)
+            assert np.array_equal(got.values[:, i, j], one.values)
+
 
 def plane_wave_error(dt, n=256, A=0.5, lam=0.0, k=0, T=0.1,
                      integrator="etdrk4"):
@@ -103,6 +116,15 @@ class TestSolve:
         errs = [plane_wave_error(dt, T=0.1) for dt in (0.05, 0.025, 0.0125)]
         assert errs[1] <= errs[0] / 8.0
         assert errs[2] <= errs[1] / 8.0
+
+    def test_plane_wave_scenario_order_without_a_floor(self):
+        # the config of the tier-1 plane-wave golden, through the scenario's
+        # own solve; its errors reach 2e-13, under the scenario's 1e-11
+        # floor, so this asks for the ratio alone: 4th order gives 16
+        errs = [_plane_wave_solve(64, 0.5, 0.8, 1, dt, 0.1)[1]
+                for dt in (0.1, 0.05, 0.025, 0.0125)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert min(ratios) >= 12.0, (errs, ratios)
 
     @pytest.mark.parametrize("kind", ["torus", "line"])
     @pytest.mark.parametrize("gauged", [False, True])

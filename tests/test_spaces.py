@@ -249,11 +249,38 @@ class TestBatchedNorms:
         for norm in (lambda v: frak_x_norm(v, 0.5, 0.5, +1),
                      lambda v: frak_x_norm(v, 0.75, -0.4375, -1),
                      lambda v: cal_y_norm(v, 0.5, -1.0),
-                     lambda v: cal_z_norm(v, 0.75)):
+                     lambda v: cal_z_norm(v, 0.75),
+                     lambda v: xsb_norm(v, 0.0, 0.5, +1),
+                     lambda v: xsb_norm(v, 0.5, -0.4375, -1)):
             got = norm(batch)
             single = [norm(u) for u in fields]
             assert all(type(v) is float for v in single)
             assert got.shape == (3,) and np.array_equal(got, single)
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 256), Domain("line", 64, 4),
+                                     Domain("line", 8, 4)], ids=lambda d: d.kind)
+    @pytest.mark.parametrize("s,q", [(0.5, np.inf), (0.75, np.inf), (0.5, 2)])
+    def test_besov(self, dom, s, q):
+        rng = np.random.default_rng(13)
+        coeffs = rng.normal(size=(2, 3, dom.n_points)) + 1j * rng.normal(size=(2, 3, dom.n_points))
+        got = besov_norm(SpectralField(dom, coeffs), s, q)
+        single = [[besov_norm(SpectralField(dom, c), s, q) for c in row] for row in coeffs]
+        assert all(type(v) is float for row in single for v in row)
+        assert got.shape == (2, 3) and np.array_equal(got, single)
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    def test_window_trajectory(self, dom):
+        rng = np.random.default_rng(14)
+        times = -2.0 + 0.02 * np.arange(200)
+        vals = rng.normal(size=(200, 4, dom.n_points)) + 1j * rng.normal(size=(200, 4, dom.n_points))
+        window = TimeWindow.plateau(1.0)
+        got = window_trajectory(Trajectory(dom, times, vals), window)
+        assert got.coeffs.shape == (4, dom.n_points, 200) and got.window is window
+        for j in range(4):
+            one = window_trajectory(Trajectory(dom, times, vals[:, j]), window)
+            assert got.lattice == one.lattice
+            assert np.array_equal(got.coeffs[j], one.coeffs)
 
 
 class TestWindowTrajectory:
