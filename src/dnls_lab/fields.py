@@ -26,7 +26,7 @@ same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -130,7 +130,8 @@ class GridFunction:
         return cls(domain, np.zeros(domain.n_points, dtype=np.complex128))
 
     def to_spectral(self) -> "SpectralField":
-        coeffs = np.fft.fft(self.values) * (self.domain.dx / SQRT_2PI)
+        coeffs = np.fft.fft(self.values)
+        coeffs *= self.domain.dx / SQRT_2PI
         return SpectralField(self.domain, coeffs)
 
     def l2_norm(self) -> float:
@@ -180,7 +181,8 @@ class SpectralField:
         return self.domain.xi
 
     def to_grid(self) -> GridFunction:
-        values = np.fft.ifft(self.coeffs) * (SQRT_2PI / self.domain.dx)
+        values = np.fft.ifft(self.coeffs)
+        values *= SQRT_2PI / self.domain.dx
         return GridFunction(self.domain, values)
 
     def l2_norm(self) -> float:
@@ -316,17 +318,14 @@ def dealiased_product_coeffs(
 class Trajectory:
     """Time-ordered solution samples: values[l] is the slice at times[l].
 
-    times are uniformly spaced and strictly increasing; diagnostics carries
-    solver metadata (per-slice mass, integrator info, ...).  values has
-    shape (n_slices, n_points), or (n_slices, ..., n_points) for a batched
+    times are uniformly spaced and strictly increasing.  values has shape
+    (n_slices, n_points), or (n_slices, ..., n_points) for a batched
     solve, whose batch axes sit between time and space.
     """
 
     domain: Domain
     times: np.ndarray
     values: np.ndarray  # (n_slices, ..., n_points) complex physical samples
-    config: object = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -408,19 +407,16 @@ class SpaceTimeField:
     (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
     lattice, which the transforms and the block norms of spaces treat
     member by member; l2_norm expects a single field.
-
-    window records the time window used to build the field, when any.
     """
 
-    __slots__ = ("lattice", "coeffs", "window")
+    __slots__ = ("lattice", "coeffs")
 
-    def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray, window=None):
+    def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape[-2:] != (lattice.domain.n_points, lattice.n_t):
             raise ValueError("coeffs shape does not match the lattice")
         self.lattice = lattice
         self.coeffs = coeffs
-        self.window = window
 
     @property
     def domain(self) -> Domain:
@@ -433,7 +429,7 @@ class SpaceTimeField:
 
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray,
-                         values, window=None) -> "SpaceTimeField":
+                         values) -> "SpaceTimeField":
         """Build from physical samples values[..., l, j] = u(x_j, t_l), or
         from a SpectralField of their per-slice coefficients (..., n_t, n).
 
@@ -454,7 +450,7 @@ class SpaceTimeField:
             slices_hat *= domain.dx / SQRT_2PI
         ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
         ghat *= _tau_factor(lat)
-        return cls(lat, ghat, window=window)
+        return cls(lat, ghat)
 
     def to_time_values(self) -> np.ndarray:
         """Physical samples u(x_j, t_l), shape (..., n_t, n_points)."""
@@ -469,7 +465,7 @@ class SpaceTimeField:
         c = _conj_reverse(self.coeffs)          # flip tau axis
         n = self.coeffs.shape[-2]
         idx = (-np.arange(n)) % n               # flip xi axis (already conjugated)
-        return SpaceTimeField(self.lattice, c[..., idx, :], window=self.window)
+        return SpaceTimeField(self.lattice, c[..., idx, :])
 
     def l2_norm(self) -> float:
         w = self.domain.dxi * self.lattice.dtau

@@ -40,16 +40,6 @@ MU_DRIFT_TOL = 1e-8
 BLOCK_BYTES = 2 ** 21
 
 
-@dataclass(frozen=True)
-class GaugePhase:
-    """Real phase samples of the gauge integral, plus the per-row mean used
-    (torus)."""
-
-    domain: Domain
-    values: np.ndarray
-    mu: np.ndarray | None
-
-
 def _torus_mus(values: np.ndarray, dom: Domain) -> np.ndarray:
     return np.sum(np.abs(values) ** 2, axis=-1) * dom.dx / (2.0 * np.pi)
 
@@ -70,41 +60,36 @@ def _density_antiderivative(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     coarse points, which form a subset of the fine grid.
     """
     dom = f.domain
-    nf = 2 * dom.n_points
-    dxf = dom.period / nf
-    vf = padded_values(dom, f.to_spectral().coeffs, nf)
-    dens = np.abs(vf) ** 2
-    chat = np.fft.fft(dens) * (dxf / SQRT_2PI)
+    fine = Domain(dom.kind, 2 * dom.n_points, dom.domain_scale)
+    vf = padded_values(dom, f.to_spectral().coeffs, fine.n_points)
+    chat = GridFunction(fine, np.abs(vf) ** 2).to_spectral().coeffs
     mean = np.real(chat[..., 0]) * SQRT_2PI / dom.period
-    xif = 2.0 * np.pi * np.fft.fftfreq(nf, d=dxf)
     ghat = np.zeros_like(chat)
-    ghat[..., 1:] = chat[..., 1:] / (1j * xif[1:])
-    anti = np.real(np.fft.ifft(ghat) * (SQRT_2PI / dxf))
+    ghat[..., 1:] = chat[..., 1:] / (1j * fine.xi[1:])
+    anti = np.real(SpectralField(fine, ghat).to_grid().values)
     return anti[..., ::2], mean
 
 
-def gauge_phase(f: GridFunction) -> GaugePhase:
-    """The gauge integral of every row: zero-mean antiderivative on the
-    torus, running integral from the left edge on the line."""
+def gauge_phase(f: GridFunction) -> np.ndarray:
+    """The real gauge integral of every row, shaped like f.values:
+    zero-mean antiderivative on the torus, running integral from the left
+    edge on the line."""
     anti, mean = _density_antiderivative(f)
     if f.domain.kind == "torus":
-        return GaugePhase(f.domain, anti, mu=mean)
+        return anti
     check_edge_decay(f, "the line gauge")
     x = f.domain.x
-    phase = mean[..., None] * (x - x[0]) + (anti - anti[..., :1])
-    return GaugePhase(f.domain, phase, mu=None)
+    return mean[..., None] * (x - x[0]) + (anti - anti[..., :1])
 
 
 def gauge_forward(f: GridFunction) -> GridFunction:
     """Multiply by exp(-i phase(|f|^2)); preserves |f| pointwise."""
-    phase = gauge_phase(f)
-    return GridFunction(f.domain, np.exp(-1j * phase.values) * f.values)
+    return GridFunction(f.domain, np.exp(-1j * gauge_phase(f)) * f.values)
 
 
 def gauge_inverse(g: GridFunction) -> GridFunction:
     """Exact inverse of gauge_forward: the phase depends only on |g| = |f|."""
-    phase = gauge_phase(g)
-    return GridFunction(g.domain, np.exp(+1j * phase.values) * g.values)
+    return GridFunction(g.domain, np.exp(+1j * gauge_phase(g)) * g.values)
 
 
 def _row_blocks(n_rows: int, dom: Domain):
@@ -113,31 +98,23 @@ def _row_blocks(n_rows: int, dom: Domain):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
-def _check_mu_drift(masses_mu: np.ndarray) -> float:
-    mu0 = masses_mu[0]
-    drift = float(np.max(np.abs(masses_mu - mu0)))
-    if drift > MU_DRIFT_TOL * max(1.0, mu0):
-        raise ConservationError(
-            f"mu drifted by {drift:g} along the trajectory; the flow that "
-            f"produced it did not conserve mass")
-    return drift
-
-
 def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
     """Gauge every slice; on the torus also translate by 2 mu t.
 
     mu is evaluated once on the initial slice (the transform is defined
-    with a single mean); its drift along the trajectory is a solver
-    diagnostic and raises when it exceeds tolerance.
+    with a single mean); its drift along the trajectory raises when it
+    exceeds tolerance, since the flow that produced it did not conserve
+    mass.
     """
     dom = traj.domain
-    diag = dict(traj.diagnostics)
     if dom.kind == "torus":
         mus = _torus_mus(traj.values, dom)
-        drift = _check_mu_drift(mus)
         mu0 = float(mus[0])
-        diag["gauge_mu"] = mu0
-        diag["gauge_mu_drift"] = drift
+        drift = float(np.max(np.abs(mus - mu0)))
+        if drift > MU_DRIFT_TOL * max(1.0, mu0):
+            raise ConservationError(
+                f"mu drifted by {drift:g} along the trajectory; the flow that "
+                f"produced it did not conserve mass")
         # slice l moves by 2 mu t_l (the inverse moves it back): one phase
         # row per slice on the coefficients
         shifts = 2.0 * mu0 * traj.times
@@ -151,7 +128,7 @@ def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
             translate = np.exp(turn * shifts[rows, None] * dom.xi)
             u = SpectralField(dom, u.to_spectral().coeffs * translate).to_grid()
         out[rows] = gauge_inverse(u).values if inverse else u.values
-    return Trajectory(dom, traj.times.copy(), out, config=traj.config, diagnostics=diag)
+    return Trajectory(dom, traj.times.copy(), out)
 
 
 def psi_functional(v: GridFunction) -> float:

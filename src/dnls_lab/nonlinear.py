@@ -1,19 +1,28 @@
-"""Right-hand-side nonlinearities and their Fourier-side oracles.
+"""Right-hand-side nonlinearities, the multilinear forms of the estimates,
+and their Fourier-side oracles.
 
-Physical-space evaluation is the fast path: pointwise products are
-dealiased by zero padding (see fields.dealiased_product_coeffs) and
-derivatives act spectrally; each right-hand side pads once.  rhs_gauged is
-coefficients in and out, and it pads v and d_x v as one stack, so a forcing
-call makes 2 FFTs.  rhs_original keeps grid values, so the forcing's round
-trip (whose forward transform fixes the bits the plane-wave goldens pin)
-makes 6 until those goldens check an order of convergence instead.  Both
-write their intermediates into work arrays from rhs_work, which a caller
-that evaluates one form many times allocates once (the solver's forcing
-does); at n = 256 fresh fine-grid temporaries cost a call more time than
-its FFTs.  The Fourier-side forms evaluate the same operations as explicit
-constrained convolution sums; they are brute-force cross-checks meant to
-catch sign or constraint transcription errors, so they are deliberately
-written index-by-index and limited to small grids.
+Pointwise products are dealiased by zero padding (see
+fields.dealiased_product_coeffs) and derivatives act spectrally; each
+right-hand side pads once.  rhs_gauged is coefficients in and out, and it
+pads v and d_x v as one stack, so a forcing call makes 2 FFTs.
+rhs_original keeps grid values, so the forcing's round trip (whose
+forward transform fixes the bits the plane-wave goldens pin) makes 6
+until those goldens check an order of convergence instead; its inverse
+into a work array is the one transform outside fields.  Both write their
+intermediates into work arrays from rhs_work, which a caller that
+evaluates one form many times allocates once (the solver's forcing does);
+at n = 256 fresh fine-grid temporaries cost a call more time than its
+FFTs.
+
+The multilinear forms trilinear_T_slices and quintic_Q_general_slices take
+and return FFT-ordered coefficient arrays (..., n), row by row.  Their
+torus corrections come from the coefficients too: a pair integral is
+int a b dx = sum_xi a^(xi) b^(-xi) dxi, and the quadruple integral is
+sqrt(2 pi) times the zero mode of the alias-free product.  The
+Fourier-side forms evaluate the same operations as explicit constrained
+convolution sums; they are brute-force cross-checks meant to catch sign
+or constraint transcription errors, so they are deliberately written
+index-by-index and limited to small grids.
 
 With the package's transform conventions the discrete convolution
 constants are (2 pi)^-1 * dxi^2 for the trilinear form and
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .fields import (Domain, GridFunction, SpectralField, _deriv_mult,
+from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, _deriv_mult,
                      _min_pad_factor, dealiased_product_coeffs, padded_values,
                      truncated_coeffs)
 
@@ -48,19 +57,24 @@ class NonlinearityConfig:
             raise ParameterError("k_power must be a nonnegative integer")
 
 
-def _integrals_of_pair(dom: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # int a*b dx over the box; exact for combined band < n, which holds for
-    # pairs of lattice fields away from Nyquist
-    return np.sum(a * b, axis=-1) * dom.dx
+def _pair_integrals(dom: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int a b dx = sum_xi a^(xi) b^(-xi) dxi for every row of the FFT-ordered
+    coefficients a, b (..., n), shape (..., 1): kept as arrays, because a
+    product of numpy complex scalars is rounded differently from the same
+    product in an array, and a row must get the bits of its own call."""
+    n = dom.n_points
+    return np.sum(a * b[..., -np.arange(n) % n], axis=-1, keepdims=True) * dom.dxi
 
 
 # ---------------------------------------------------------------------------
 # trilinear derivative term
 # ---------------------------------------------------------------------------
 
-def trilinear_T_slices(dom: Domain, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
+def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
                        pad_factor: int = 4) -> np.ndarray:
-    """General trilinear derivative form on arrays of time slices (..., n).
+    """General trilinear derivative form of the fields v1, v2, v3 with the
+    coefficients c1, c2, c3 (..., n), as coefficients, row by row; the
+    diagonal call is (c, c, conj_flip(c)).
 
     Line:  v1 * v2 * d_x v3.
     Torus: the same minus the two mean corrections
@@ -68,28 +82,13 @@ def trilinear_T_slices(dom: Domain, v1: np.ndarray, v2: np.ndarray, v3: np.ndarr
     which is the physical-space counterpart of excluding the xi1 = xi and
     xi2 = xi hyperplanes from the convolution sum.
     """
-    c1 = np.fft.fft(v1, axis=-1) * (dom.dx / np.sqrt(TWO_PI))
-    c2 = np.fft.fft(v2, axis=-1) * (dom.dx / np.sqrt(TWO_PI))
-    c3 = np.fft.fft(v3, axis=-1) * (dom.dx / np.sqrt(TWO_PI))
     d3 = _deriv_mult(dom) * c3
-    cube = dealiased_product_coeffs(dom, [c1, c2, d3], pad_factor=pad_factor)
-    out = np.fft.ifft(cube, axis=-1) * (np.sqrt(TWO_PI) / dom.dx)
+    out = dealiased_product_coeffs(dom, [c1, c2, d3], pad_factor=pad_factor)
     if dom.kind == "torus":
-        dxv3 = np.fft.ifft(d3, axis=-1) * (np.sqrt(TWO_PI) / dom.dx)
-        i23 = _integrals_of_pair(dom, v2, dxv3)
-        i13 = _integrals_of_pair(dom, v1, dxv3)
-        out = out - (i23[..., None] * v1 + i13[..., None] * v2) / TWO_PI
+        i23 = _pair_integrals(dom, c2, d3)
+        i13 = _pair_integrals(dom, c1, d3)
+        out -= (i23 * c1 + i13 * c2) / TWO_PI
     return out
-
-
-def trilinear_T_physical(v1: GridFunction, v2: GridFunction, v3: GridFunction,
-                         pad_factor: int = 4) -> GridFunction:
-    """Trilinear derivative term for one time slice; the diagonal call is
-    trilinear_T_physical(v, v, v.conj())."""
-    v1.domain.require_same(v2.domain)
-    v1.domain.require_same(v3.domain)
-    out = trilinear_T_slices(v1.domain, v1.values, v2.values, v3.values, pad_factor)
-    return GridFunction(v1.domain, out)
 
 
 def trilinear_T_fourier(f1: SpectralField, f2: SpectralField, f3: SpectralField,
@@ -143,9 +142,11 @@ def trilinear_T_fourier(f1: SpectralField, f2: SpectralField, f3: SpectralField,
 # quintic term
 # ---------------------------------------------------------------------------
 
-def quintic_Q_general_slices(dom: Domain, w: list[np.ndarray],
+def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray],
                              pad_factor: int = 4) -> np.ndarray:
-    """General five-factor form on arrays of time slices (..., n).
+    """General five-factor form of the fields w1..w5 with the coefficients
+    cs (..., n), as coefficients, row by row; the diagonal call is
+    (c, conj_flip(c), c, conj_flip(c), c).
 
     Line:  w1 w2 w3 w4 w5.
     Torus: the inclusion-exclusion complement of the hyperplanes
@@ -154,36 +155,22 @@ def quintic_Q_general_slices(dom: Domain, w: list[np.ndarray],
           - (1/2pi)(int w1 w2) w3 w4 w5 - (1/2pi)(int w3 w4) w1 w2 w5
           + 2 (1/2pi)^2 (int w1 w2)(int w3 w4) w5.
     """
-    if len(w) != 5:
+    if len(cs) != 5:
         raise ValueError("need exactly five factors")
-    cs = [np.fft.fft(v, axis=-1) * (dom.dx / np.sqrt(TWO_PI)) for v in w]
-    to_phys = lambda c: np.fft.ifft(c, axis=-1) * (np.sqrt(TWO_PI) / dom.dx)
-    full = to_phys(dealiased_product_coeffs(dom, cs, pad_factor=pad_factor))
+    out = dealiased_product_coeffs(dom, cs, pad_factor=pad_factor)
     if dom.kind == "line":
-        return full
-    i12 = _integrals_of_pair(dom, w[0], w[1])
-    i34 = _integrals_of_pair(dom, w[2], w[3])
-    # int w1 w2 w3 w4 dx: the truncation keeps the zero mode exact, so the
-    # grid sum of the alias-free quadruple product integrates it exactly
-    quad = to_phys(dealiased_product_coeffs(dom, cs[:4], pad_factor=pad_factor))
-    i1234 = np.sum(quad, axis=-1) * dom.dx
-    t345 = to_phys(dealiased_product_coeffs(dom, cs[2:], pad_factor=pad_factor))
-    t125 = to_phys(dealiased_product_coeffs(dom, [cs[0], cs[1], cs[4]],
-                                            pad_factor=pad_factor))
-    return (full
-            - (i1234[..., None] * w[4]) / TWO_PI
-            - (i12[..., None] * t345 + i34[..., None] * t125) / TWO_PI
-            + 2.0 * (i12 * i34)[..., None] * w[4] / TWO_PI ** 2)
-
-
-def quintic_Q_physical(v: GridFunction, pad_factor: int = 4) -> GridFunction:
-    """Diagonal quintic term: |v|^4 v on the line; on the torus the
-    mean-subtracted combination, via the general form with (v, conj v,
-    v, conj v, v)."""
-    vb = np.conj(v.values)
-    out = quintic_Q_general_slices(v.domain, [v.values, vb, v.values, vb, v.values],
-                                   pad_factor)
-    return GridFunction(v.domain, out)
+        return out
+    i12 = _pair_integrals(dom, cs[0], cs[1])
+    i34 = _pair_integrals(dom, cs[2], cs[3])
+    # int w1 w2 w3 w4 dx = sqrt(2 pi) times the zero mode, which the
+    # alias-free truncation keeps exact
+    i1234 = SQRT_2PI * dealiased_product_coeffs(dom, cs[:4], pad_factor=pad_factor)[..., :1]
+    t345 = dealiased_product_coeffs(dom, cs[2:], pad_factor=pad_factor)
+    t125 = dealiased_product_coeffs(dom, [cs[0], cs[1], cs[4]], pad_factor=pad_factor)
+    out -= i1234 * cs[4] / TWO_PI
+    out -= (i12 * t345 + i34 * t125) / TWO_PI
+    out += 2.0 * (i12 * i34) * cs[4] / TWO_PI ** 2
+    return out
 
 
 def quintic_Q_fourier(fs: list[SpectralField], size_limit: int = 32) -> SpectralField:
@@ -242,8 +229,7 @@ def power_nonlinearity(v: GridFunction, lam: float, k: int,
     coeffs = [c] * (2 * k + 1)
     conj = [False, True] * k + [False]
     out = dealiased_product_coeffs(v.domain, coeffs, conj, pad_factor)
-    vals = np.fft.ifft(out) * (np.sqrt(TWO_PI) / v.domain.dx)
-    return GridFunction(v.domain, lam * vals)
+    return GridFunction(v.domain, lam * SpectralField(v.domain, out).to_grid().values)
 
 
 def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,

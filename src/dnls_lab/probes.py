@@ -13,12 +13,14 @@ alone and not sampling noise.  They also factor the window out of the
 product forms: the window w(t) is real and every form (the trilinear T,
 the quintic Q and the plain products) acts slice by slice and is
 multilinear in each slice, its torus mean corrections included, so
-F(w u1, ..., w um) = w^m F(u1, ..., um).  Each sample evaluates its form
-once, on the slices that some window keeps, and scales it by w_T^m per
-window.  In exact arithmetic this is the same number; in floating point
-each element of the windowed product is rounded once more (a relative
-change of order 1e-16), and the spatial transforms commute with the
-per-slice scaling in the same way.
+F(w u1, ..., w um) = w^m F(u1, ..., um).  Each sample transforms its
+factors to coefficients once, on the slices that some window keeps,
+evaluates its form there (the forms are coefficients in and out), and
+scales the stack of form and factors by w_T^m and w_T per window.  In
+exact arithmetic this is the same number; in floating point each element
+of the windowed product is rounded once more (a relative change of order
+1e-16), and the spatial transform commutes with the per-slice scaling in
+the same way.
 
 The Strichartz and Besov-product ensembles draw their samples in blocks,
 in the order a one-sample-at-a-time loop draws them, and evaluate each
@@ -47,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ParameterError
-from .fields import (SQRT_2PI, Domain, SpaceTimeField, SpectralField, Trajectory,
-                     dealiased_product_coeffs)
+from .fields import (Domain, GridFunction, SpaceTimeField, SpectralField, Trajectory,
+                     _conj_reverse, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
@@ -289,14 +291,11 @@ def _support(w: np.ndarray) -> slice:
     return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
-def _plain_product(dom: Domain, vs: list[np.ndarray]) -> np.ndarray:
-    """v1 v2 ... on arrays of time slices, one dealiased pair at a time."""
-    prod = vs[0].copy()
-    for v in vs[1:]:
-        cs = [np.fft.fft(a, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
-              for a in (prod, v)]
-        pc = dealiased_product_coeffs(dom, cs)
-        prod = np.fft.ifft(pc, axis=-1) * (np.sqrt(2 * np.pi) / dom.dx)
+def _plain_product(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
+    """Coefficients (..., n) of v1 v2 ..., one dealiased pair at a time."""
+    prod = cs[0]
+    for c in cs[1:]:
+        prod = dealiased_product_coeffs(dom, [prod, c])
     return prod
 
 
@@ -319,17 +318,22 @@ def _window_ratios(dom: Domain, times: np.ndarray, t_values, base: list[np.ndarr
                    form, signs: list[int], s: float, b_out: float) -> dict:
     """One sample's ratios ||F||_{frak X^{s,b_out}} / RHS and ||F||_{cal Y^{s,-1}}
     / RHS for every window size T, F being form(w_T base) and RHS the
-    corollary right-hand side of the windowed factors w_T base.
+    corollary right-hand side of the windowed factors w_T base.  base holds
+    grid samples (n_t, n); form maps their coefficients to F's.
 
-    The form and the spatial transforms run once per sample, on the slices
-    that some window keeps; each window's stack (w^deg form(base), w base)
-    is then transformed in time in one FFT and normed in one call per norm.
+    The spatial transform of the factors and the form run once per sample,
+    on the slices that some window keeps, into one stack (form, factors);
+    each window's stack (w^deg form, w factors) is then transformed in time
+    in one FFT and normed in one call per norm.
     """
     ws = np.array([TimeWindow.plateau(T)(times) for T in t_values])
     kept = _support(np.any(ws, axis=0))
-    base = [f[kept] for f in base]
     deg = len(base)
-    slices_hat = np.fft.fft(np.array([form(base), *base]), axis=-1) * (dom.dx / SQRT_2PI)
+    slices_hat = np.empty((deg + 1,) + base[0][kept].shape, dtype=np.complex128)
+    for row, f in zip(slices_hat[1:], base):
+        row[...] = f[kept]
+    slices_hat[1:] = GridFunction(dom, slices_hat[1:]).to_spectral().coeffs
+    slices_hat[0] = form(slices_hat[1:])
     by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
     stack = np.zeros(by_xi.shape[:-1] + (len(times),), dtype=np.complex128)
     out = {}
@@ -407,7 +411,7 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
                     random_mode_sum_values(dom, times, r),
                     random_mode_sum_values(dom, times, r, char_sign=-1)]
         return _window_ratios(dom, times, t_values, base,
-                              lambda f: trilinear_T_slices(dom, *f),
+                              lambda c: trilinear_T_slices(dom, *c),
                               [+1, +1, -1], s, -0.5)
 
     return _window_report(
@@ -438,12 +442,12 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
     b_out = -3.0 / 8.0 - delta
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
     if quintic:
-        def form(f):
+        def form(c):
             return quintic_Q_general_slices(
-                dom, [f[0], np.conj(f[1]), f[2], np.conj(f[3]), f[4]])
+                dom, [c[0], _conj_reverse(c[1]), c[2], _conj_reverse(c[3]), c[4]])
     else:
-        def form(f):
-            return _plain_product(dom, f)
+        def form(c):
+            return _plain_product(dom, c)
 
     def one(seed):
         r = np.random.default_rng(seed)

@@ -29,6 +29,8 @@ The forcing owns the right-hand side's work arrays, one set per input
 shape: a march allocates them once instead of on every call, and they are
 freed with the forcing rather than held by a module-level cache, which
 would outlive the solve and be shared by the probes' worker threads.
+Every grid/coefficient transform here goes through GridFunction.to_spectral
+and SpectralField.to_grid, so fields alone applies the normalization.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ParameterError, WrongDomainError
-from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
+from .fields import (Domain, GridFunction, SpectralField, Trajectory,
                      check_edge_decay)
 from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original, rhs_work
 
@@ -88,9 +90,7 @@ def free_trajectory(u0: GridFunction, times: np.ndarray) -> Trajectory:
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
     phases = phases.reshape((times.size,) + (1,) * (c0.ndim - 1) + (dom.n_points,))
-    values = np.fft.ifft(phases * c0, axis=-1)
-    values *= SQRT_2PI / dom.dx
-    return Trajectory(dom, times, values)
+    return Trajectory(dom, times, SpectralField(dom, phases * c0).to_grid().values)
 
 
 def _phi(z: np.ndarray, k: int) -> np.ndarray:
@@ -198,10 +198,9 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
                        np.finfo(float).max)
     slices = np.empty((n_steps + 1,) + c.shape, dtype=np.complex128)
     slices[0] = u0.values
-    inv = SQRT_2PI / cfg.domain.dx
     for j in range(1, n_steps + 1):
         c = step(c, coeffs, nl)
-        vals = np.fft.ifft(c) * inv
+        vals = SpectralField(cfg.domain, c).to_grid().values
         if not (np.abs(vals).max(axis=-1) <= limit).all():
             raise BlowUpError(direction * j * cfg.dt)
         slices[j] = vals
@@ -209,11 +208,7 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
     if direction < 0:
         times = times[::-1].copy()
         slices = slices[::-1].copy()
-    traj = Trajectory(cfg.domain, times, slices, config=cfg)
-    traj.diagnostics["mass"] = traj.mass()
-    traj.diagnostics["integrator"] = cfg.integrator
-    traj.diagnostics["direction"] = direction
-    return traj
+    return Trajectory(cfg.domain, times, slices)
 
 
 @dataclass
@@ -268,10 +263,7 @@ def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardRe
                 break
         v = v_next
 
-    values = np.fft.ifft(v, axis=1) * (SQRT_2PI / dom.dx)
-    traj = Trajectory(dom, times, values, config=cfg,
-                      diagnostics={"picard_diffs": diffs,
-                                   "picard_contracted": contracted})
+    traj = Trajectory(dom, times, SpectralField(dom, v).to_grid().values)
     return PicardResult(traj, diffs, contracted)
 
 
@@ -289,16 +281,13 @@ def rescale(traj: Trajectory, sigma: int) -> Trajectory:
     if s != sigma or s < 1 or (s & (s - 1)) != 0:
         raise ParameterError("sigma must be a power of two")
     if s == 1:
-        return Trajectory(traj.domain, traj.times.copy(), traj.values.copy(),
-                          config=traj.config, diagnostics=dict(traj.diagnostics))
+        return Trajectory(traj.domain, traj.times.copy(), traj.values.copy())
     dom = traj.domain
     n = dom.n_points
     tgt = Domain("line", n * s, dom.domain_scale * s)
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     tgt_idx = np.mod(k, tgt.n_points)
-    coeffs = np.fft.fft(traj.values, axis=1) * (dom.dx / SQRT_2PI)
+    coeffs = GridFunction(dom, traj.values).to_spectral().coeffs
     big = np.zeros((traj.n_slices, tgt.n_points), dtype=np.complex128)
     big[:, tgt_idx] = np.sqrt(float(s)) * coeffs
-    values = np.fft.ifft(big, axis=1) * (SQRT_2PI / tgt.dx)
-    return Trajectory(tgt, (s ** 2) * traj.times, values,
-                      diagnostics={"rescaled_from": dom, "sigma": s})
+    return Trajectory(tgt, (s ** 2) * traj.times, SpectralField(tgt, big).to_grid().values)

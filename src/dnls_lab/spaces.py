@@ -185,4 +185,4 @@ def window_trajectory(traj: Trajectory, window: TimeWindow) -> SpaceTimeField:
     w = np.asarray(window(traj.times))
     vals = traj.values * w.reshape(w.shape + (1,) * (traj.values.ndim - 1))
     return SpaceTimeField.from_time_values(traj.domain, traj.times,
-                                           np.moveaxis(vals, 0, -2), window=window)
+                                           np.moveaxis(vals, 0, -2))

@@ -1,6 +1,7 @@
 """Guards on the package's public surface: every name the benchmark's layer
-tracer wraps must exist, and every public function, class and method must
-be reached from src or kept on purpose, with a reason."""
+tracer wraps must exist, every public function, class and method must be
+reached from src or kept on purpose, with a reason, and only fields calls
+the FFT (it alone applies the transform normalization dx/sqrt(2 pi))."""
 
 import ast
 import importlib
@@ -59,8 +60,6 @@ class TestTracerTargets:
 KEEP = {
     "nonlinear.trilinear_T_fourier": "brute-force Fourier oracle of the trilinear form",
     "nonlinear.quintic_Q_fourier": "brute-force Fourier oracle of the quintic form",
-    "nonlinear.trilinear_T_physical": "physical-space partner the trilinear oracle checks",
-    "nonlinear.quintic_Q_physical": "physical-space partner the quintic oracle checks",
     "fields.SpectralField.conj_flip": "builds the conjugate factors the oracles take",
     "nonlinear.power_nonlinearity": "bitwise reference of the original right-hand side "
                                     "in tests_support (and a tracer target)",
@@ -82,18 +81,24 @@ KEEP = {
 }
 
 
+def _defs(tree: ast.Module):
+    """(name, node) of every top-level function and class and every method
+    of a top-level class, the method named Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _public_defs(tree: ast.Module, module: str):
     """(qualified name, node) of every public top-level function and class
     and every public non-dunder method of a top-level class."""
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            continue
+    for name, node in _defs(tree):
         if not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item
+            yield f"{module}.{name}", node
 
 
 def unreached(sources: dict) -> list:
@@ -150,3 +155,49 @@ class TestUnreachedPublicSymbols:
         else:
             sources["fields"] += "\n\n" + added
         assert set(unreached(sources)) - set(unreached(_src_sources())) == {name}
+
+
+# Functions outside fields that call np.fft.fft / np.fft.ifft, each with its
+# reason; every other transform goes through fields.
+FFT_OUTSIDE_FIELDS = {
+    "nonlinear.rhs_original": "inverts its coarse coefficients into the work array "
+                              "rhs_work allocated, where SpectralField.to_grid "
+                              "would allocate a fresh one on every forcing call",
+}
+
+
+def fft_callers(sources: dict) -> list:
+    """module.function of every call of fft or ifft (as np.fft.fft, fft, ...)
+    in sources {module: text} outside fields."""
+    out = []
+    for module, text in sources.items():
+        if module == "fields":
+            continue
+        for name, node in _defs(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                continue  # its methods are scanned on their own
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if ident in ("fft", "ifft"):
+                    out.append(f"{module}.{name}")
+    return sorted(set(out))
+
+
+class TestTransformsInFields:
+    def test_only_listed_functions_call_the_fft_outside_fields(self):
+        assert fft_callers(_src_sources()) == sorted(FFT_OUTSIDE_FIELDS)
+
+    @pytest.mark.parametrize("added", [
+        "    chat = np.fft.fft(values)\n",
+        "    chat = np.fft.ifft(values, axis=-1)\n",
+    ])
+    def test_a_transform_outside_fields_fails_the_scan(self, added):
+        sources = _src_sources()
+        anchor = "def mass_density_mean(f: GridFunction) -> float:\n"
+        assert anchor in sources["gauge"]
+        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
+        assert set(fft_callers(sources)) - set(fft_callers(_src_sources())) == {
+            "gauge.mass_density_mean"}

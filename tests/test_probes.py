@@ -8,8 +8,8 @@ import pytest
 
 from dnls_lab import probes
 from dnls_lab.errors import ParameterError
-from dnls_lab.fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
-                             dealiased_product_coeffs)
+from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
+                             Trajectory, _conj_reverse, dealiased_product_coeffs)
 from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
@@ -218,9 +218,10 @@ class TestWindowSupport:
 
     @staticmethod
     def _factors(dom, times, w, n_factors, seed):
+        # the coefficients of windowed samples, as the probes feed the forms
         rng = np.random.default_rng(seed)
-        return [random_mode_sum_values(dom, times, rng) * w[:, None]
-                for _ in range(n_factors)]
+        return [GridFunction(dom, random_mode_sum_values(dom, times, rng) * w[:, None])
+                .to_spectral().coeffs for _ in range(n_factors)]
 
     @staticmethod
     def _assert_support_evaluation_exact(fn, dom, w, vs):
@@ -342,8 +343,8 @@ class TestQuinticResonantTuples:
 
 def _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out):
     """The per-window loop of the unbatched probes: window every factor,
-    evaluate the form per T on the window's slices, transform each field on
-    its own and take one norm call per field."""
+    evaluate the form per T on the coefficients of the window's slices,
+    transform each field on its own and take one norm call per field."""
     out = {}
     for T in t_values:
         w = TimeWindow.plateau(T)(times)
@@ -351,8 +352,8 @@ def _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out):
         nz = np.flatnonzero(w)
         kept = slice(nz[0], nz[-1] + 1)
         prod = np.zeros_like(vs[0])
-        prod[kept] = form([v[kept] for v in vs])
-        lhs = SpaceTimeField.from_time_values(dom, times, prod)
+        prod[kept] = form([GridFunction(dom, v[kept]).to_spectral().coeffs for v in vs])
+        lhs = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, prod))
         u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
         half = [frak_x_norm(f, 0.5, 0.5, sg) for f, sg in zip(u, signs)]
         top = half if s == 0.5 else [frak_x_norm(f, s, 0.5, sg)
@@ -363,14 +364,14 @@ def _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out):
     return out
 
 
-# form on the unwindowed factors, factor count, signs, output b
+# form on the coefficients of the factors, factor count, signs, output b
 _WINDOW_FORMS = {
     "trilinear": (lambda dom, f: trilinear_T_slices(dom, *f), 3, [+1, +1, -1], -0.5),
     "k0": (probes._plain_product, 1, [+1], -3 / 8 - 1 / 16),
     "k1": (probes._plain_product, 2, [+1, +1], -3 / 8 - 1 / 16),
     "k2": (probes._plain_product, 3, [+1, +1, +1], -3 / 8 - 1 / 16),
-    "quintic": (lambda dom, f: quintic_Q_general_slices(
-        dom, [f[0], np.conj(f[1]), f[2], np.conj(f[3]), f[4]]),
+    "quintic": (lambda dom, c: quintic_Q_general_slices(
+        dom, [c[0], _conj_reverse(c[1]), c[2], _conj_reverse(c[3]), c[4]]),
         5, [+1] * 5, -3 / 8 - 1 / 16),
 }
 

@@ -276,7 +276,7 @@ class TestBatchedNorms:
         vals = rng.normal(size=(200, 4, dom.n_points)) + 1j * rng.normal(size=(200, 4, dom.n_points))
         window = TimeWindow.plateau(1.0)
         got = window_trajectory(Trajectory(dom, times, vals), window)
-        assert got.coeffs.shape == (4, dom.n_points, 200) and got.window is window
+        assert got.coeffs.shape == (4, dom.n_points, 200)
         for j in range(4):
             one = window_trajectory(Trajectory(dom, times, vals[:, j]), window)
             assert got.lattice == one.lattice
