@@ -32,9 +32,9 @@ class EdgeDecayError(DnlsLabError):
 class BlowUpError(DnlsLabError):
     """Solution left the trust region during time stepping."""
 
-    def __init__(self, time, message=None):
+    def __init__(self, time):
         self.time = time
-        super().__init__(message or f"blow-up detected at t={time!r}")
+        super().__init__(f"blow-up detected at t={time!r}")
 
 
 class NonFiniteError(DnlsLabError, ValueError):

@@ -137,12 +137,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.domain.dx))
 
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.domain, np.conj(self.values))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values.copy())
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self.domain.require_same(other.domain)
         return GridFunction(self.domain, self.values - other.values)
@@ -192,9 +186,6 @@ class SpectralField:
         """Coefficients of the complex conjugate: (conj u)^(xi) = conj(u^(-xi))."""
         return SpectralField(self.domain, _conj_reverse(self.coeffs))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.domain, self.coeffs.copy())
-
 
 def _conj_reverse(coeffs: np.ndarray) -> np.ndarray:
     """conj(c[-k]) on an FFT-ordered axis (index 0 and Nyquist map to themselves)."""
@@ -214,13 +205,8 @@ def check_edge_decay(f: GridFunction, what: str):
                              f"edges, got {np.max(edge):g}")
 
 
-def spectral_derivative(f):
-    """d/dx via multiplication by i xi; the Nyquist mode is zeroed.
-
-    Accepts and returns either a GridFunction or a SpectralField.
-    """
-    if isinstance(f, GridFunction):
-        return spectral_derivative(f.to_spectral()).to_grid()
+def spectral_derivative(f: SpectralField) -> SpectralField:
+    """d/dx via multiplication by i xi; the Nyquist mode is zeroed."""
     return SpectralField(f.domain, _deriv_mult(f.domain) * f.coeffs)
 
 

@@ -137,12 +137,13 @@ def psi_functional(v: GridFunction) -> float:
     if v.domain.kind != "torus":
         raise WrongDomainError("psi is defined on the torus")
     dom = v.domain
-    dxv = spectral_derivative(v)
+    c = v.to_spectral()
+    dxv = spectral_derivative(c).to_grid()
     # band(v * conj(d_x v)) < n, so the plain grid sum integrates it exactly
     term_im = float(np.sum(2.0 * np.imag(v.values * np.conj(dxv.values))) * dom.dx)
     # |v|^4 has twice that band; sample it alias-free on a refined grid
     nf = 4 * dom.n_points
-    vf = padded_values(dom, v.to_spectral().coeffs, nf)
+    vf = padded_values(dom, c.coeffs, nf)
     term_quartic = float(np.sum(np.abs(vf) ** 4) * (dom.period / nf))
     mu = mass_density_mean(v)
     return (term_im - 0.5 * term_quartic) / (2.0 * np.pi) + mu ** 2

@@ -70,8 +70,8 @@ def _pair_integrals(dom: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # trilinear derivative term
 # ---------------------------------------------------------------------------
 
-def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
-                       pad_factor: int = 4) -> np.ndarray:
+def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray,
+                       c3: np.ndarray) -> np.ndarray:
     """General trilinear derivative form of the fields v1, v2, v3 with the
     coefficients c1, c2, c3 (..., n), as coefficients, row by row; the
     diagonal call is (c, c, conj_flip(c)).
@@ -83,7 +83,7 @@ def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray, c3: np.ndarr
     xi2 = xi hyperplanes from the convolution sum.
     """
     d3 = _deriv_mult(dom) * c3
-    out = dealiased_product_coeffs(dom, [c1, c2, d3], pad_factor=pad_factor)
+    out = dealiased_product_coeffs(dom, [c1, c2, d3])
     if dom.kind == "torus":
         i23 = _pair_integrals(dom, c2, d3)
         i13 = _pair_integrals(dom, c1, d3)
@@ -91,20 +91,20 @@ def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray, c3: np.ndarr
     return out
 
 
-def trilinear_T_fourier(f1: SpectralField, f2: SpectralField, f3: SpectralField,
-                        size_limit: int = 64) -> SpectralField:
+def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
+                        f3: SpectralField) -> SpectralField:
     """Constrained-convolution oracle for the trilinear term.
 
     Torus: sum over k1+k2+k3 = k with k1, k2 != k, plus the diagonal term
     f1(k) f2(k) (i xi(k)) f3(-k).  Line: the plain convolution sum.  Cost
-    is O(n^2) per output mode, hence the size limit.
+    is O(n^2) per output mode, hence the limit n <= 64.
     """
     dom = f1.domain
     dom.require_same(f2.domain)
     dom.require_same(f3.domain)
     n = dom.n_points
-    if n > size_limit:
-        raise SizeLimitError(f"trilinear oracle limited to n <= {size_limit}")
+    if n > 64:
+        raise SizeLimitError("trilinear oracle limited to n <= 64")
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)  # integer mode index
     kmin, kmax = k.min(), k.max()
     pos = np.argsort(k)          # position of mode value k in ascending order
@@ -142,8 +142,7 @@ def trilinear_T_fourier(f1: SpectralField, f2: SpectralField, f3: SpectralField,
 # quintic term
 # ---------------------------------------------------------------------------
 
-def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray],
-                             pad_factor: int = 4) -> np.ndarray:
+def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     """General five-factor form of the fields w1..w5 with the coefficients
     cs (..., n), as coefficients, row by row; the diagonal call is
     (c, conj_flip(c), c, conj_flip(c), c).
@@ -157,27 +156,28 @@ def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray],
     """
     if len(cs) != 5:
         raise ValueError("need exactly five factors")
-    out = dealiased_product_coeffs(dom, cs, pad_factor=pad_factor)
+    out = dealiased_product_coeffs(dom, cs)
     if dom.kind == "line":
         return out
     i12 = _pair_integrals(dom, cs[0], cs[1])
     i34 = _pair_integrals(dom, cs[2], cs[3])
     # int w1 w2 w3 w4 dx = sqrt(2 pi) times the zero mode, which the
     # alias-free truncation keeps exact
-    i1234 = SQRT_2PI * dealiased_product_coeffs(dom, cs[:4], pad_factor=pad_factor)[..., :1]
-    t345 = dealiased_product_coeffs(dom, cs[2:], pad_factor=pad_factor)
-    t125 = dealiased_product_coeffs(dom, [cs[0], cs[1], cs[4]], pad_factor=pad_factor)
+    i1234 = SQRT_2PI * dealiased_product_coeffs(dom, cs[:4])[..., :1]
+    t345 = dealiased_product_coeffs(dom, cs[2:])
+    t125 = dealiased_product_coeffs(dom, [cs[0], cs[1], cs[4]])
     out -= i1234 * cs[4] / TWO_PI
     out -= (i12 * t345 + i34 * t125) / TWO_PI
     out += 2.0 * (i12 * i34) * cs[4] / TWO_PI ** 2
     return out
 
 
-def quintic_Q_fourier(fs: list[SpectralField], size_limit: int = 32) -> SpectralField:
+def quintic_Q_fourier(fs: list[SpectralField]) -> SpectralField:
     """Constrained-convolution oracle for the quintic term.
 
     Torus: sum over k1+..+k5 = k excluding k1+k2+k3+k4 = 0, k1+k2 = 0 and
-    k3+k4 = 0.  Line: the plain sum.  O(n^4) per output mode.
+    k3+k4 = 0.  Line: the plain sum.  O(n^4) per output mode, hence the
+    limit n <= 32.
     """
     if len(fs) != 5:
         raise ValueError("need exactly five factors")
@@ -185,8 +185,8 @@ def quintic_Q_fourier(fs: list[SpectralField], size_limit: int = 32) -> Spectral
     for f in fs[1:]:
         dom.require_same(f.domain)
     n = dom.n_points
-    if n > size_limit:
-        raise SizeLimitError(f"quintic oracle limited to n <= {size_limit}")
+    if n > 32:
+        raise SizeLimitError("quintic oracle limited to n <= 32")
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     kmin, kmax = k.min(), k.max()
     c = [f.coeffs for f in fs]

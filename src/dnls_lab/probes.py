@@ -5,7 +5,12 @@ grid, so every probe reports an empirical sup constant together with a
 refinement-stability verdict: stable means the sup moves by less than a
 factor of two when the sampling box, resolution or ensemble doubles.
 Ratio probes are homogeneous of degree zero in the field amplitudes, so
-the reported constants do not depend on the sampler's scale.
+the reported constants do not depend on the sampler's scale.  Settings
+that every caller leaves at one value are constants here, and the reports
+still print them: the stability factor 2, the window probes' time grid
+(step 1/128 on [-4, 4)), the similarity factor C = 8 of the dyadic (XX)
+check, and the torus of the Besov-product probe.  The random fields'
+shapes are fixed in sampling.
 
 The T-refinement probes reuse the same base fields for every window size;
 the reported sup-ratio trend across T then reflects the window effect
@@ -63,6 +68,8 @@ from .solver import free_trajectory
 # byte budget of one block of probe samples evaluated together (see the
 # module docstring)
 BLOCK_BYTES = 2 ** 20
+# the window probes' time step, which their reports print
+_BASE_DT = 1.0 / 128.0
 
 
 def worker_count() -> int:
@@ -106,11 +113,12 @@ class ProbeReport:
                 "params": self.params, "details": self.details}
 
 
-def _stable(a: float, b: float, factor: float = 2.0) -> bool:
+def _stable(a: float, b: float) -> bool:
+    """The sups a and b differ by at most a factor of two."""
     hi, lo = max(a, b), min(a, b)
     if lo == 0.0:
         return hi == 0.0
-    return hi / lo <= factor
+    return hi / lo <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +221,7 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
         if sums:
             trajs.append(Trajectory(dom, times, np.stack(sums, axis=1)))
         if data:
-            trajs.append(free_trajectory(SpectralField(dom, np.array(data)).to_grid(),
-                                         times))
+            trajs.append(free_trajectory(SpectralField(dom, np.array(data)), times))
         for traj in trajs:
             sup = np.maximum(sup, np.max(_strichartz_ratios(traj, window, b)))
     return float(sup)
@@ -242,9 +249,9 @@ def strichartz_probe(b: float = 0.5, ensemble: int = 100,
 # trilinear / multilinear probes
 # ---------------------------------------------------------------------------
 
-def _base_times(dt: float = 1.0 / 128.0, half_span: float = 4.0) -> np.ndarray:
-    n_t = int(round(2 * half_span / dt))
-    return -half_span + dt * np.arange(n_t)
+def _base_times() -> np.ndarray:
+    """The window probes' time grid: step _BASE_DT on [-4, 4)."""
+    return -4.0 + _BASE_DT * np.arange(round(8.0 / _BASE_DT))
 
 
 def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int = +1,
@@ -366,11 +373,10 @@ def _window_report(name: str, results: list[dict], t_values, params: dict) -> Pr
 
 def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
                     ensemble: int = 100, dom: Domain | None = None,
-                    rng: np.random.Generator | None = None,
-                    dt: float = 1.0 / 128.0) -> ProbeReport:
+                    rng: np.random.Generator | None = None) -> ProbeReport:
     """Sup ratios of the trilinear derivative estimates across window sizes.
 
-    For each sample a triple of base fields on [-2, 2) is drawn once; for
+    For each sample a triple of base fields on [-4, 4) is drawn once; for
     every T it is supported in [-T, T] by the plateau window and the two
     ratios  ||T(u1,u2,u3)||_{frak X^{s,-1/2}} / RHS  and
     ||T(u1,u2,u3)||_{cal Y^{s,-1}} / RHS  are evaluated, RHS being the
@@ -383,7 +389,7 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
         raise ParameterError("window sizes must lie in (0, 1]")
     rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
-    times = _base_times(dt)
+    times = _base_times()
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
 
     def one(seed):
@@ -416,7 +422,7 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
 
     return _window_report(
         "trilinear", _map_samples(one, seeds), t_values,
-        {"s": s, "t_values": list(t_values), "dt": dt,
+        {"s": s, "t_values": list(t_values), "dt": _BASE_DT,
          "n_points": dom.n_points, "kind": dom.kind})
 
 
@@ -424,8 +430,7 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
                       t_values: tuple = (1.0, 0.5, 0.25, 0.125),
                       ensemble: int = 50, dom: Domain | None = None,
                       delta: float = 1.0 / 16.0, quintic: bool = False,
-                      rng: np.random.Generator | None = None,
-                      dt: float = 1.0 / 128.0) -> ProbeReport:
+                      rng: np.random.Generator | None = None) -> ProbeReport:
     """Sup ratios for the power-nonlinearity estimate (k+1 plain factors) or
     the constrained quintic form (quintic=True, five factors with slots 2
     and 4 conjugated)."""
@@ -437,7 +442,7 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
         raise ParameterError("window sizes must lie in (0, 1]")
     rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
-    times = _base_times(dt)
+    times = _base_times()
     n_factors = 5 if quintic else k + 1
     b_out = -3.0 / 8.0 - delta
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
@@ -486,7 +491,7 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
     return _window_report(
         "quintic" if quintic else f"multilinear-k{k}", _map_samples(one, seeds),
         t_values, {"k": k, "s": s, "delta": delta, "quintic": quintic,
-                   "t_values": list(t_values), "dt": dt, "kind": dom.kind})
+                   "t_values": list(t_values), "dt": _BASE_DT, "kind": dom.kind})
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +499,12 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
-                     b: float = 0.5, similarity: int = 8,
-                     small_k: int = 8) -> ProbeReport:
+                     b: float = 0.5, small_k: int = 8) -> ProbeReport:
     """Verify the four block-summation inequalities with explicit constants.
 
     (X)   sum_N N^(-delta) ||P_N u||_X <= (1 + sum_{N>1} N^(-delta)) frak(u)
     (Y)   sum_N ||P_N u||_{X^{s}} <= (1 + 2^delta sum_{N>1} N^(-delta)) frak^{s+delta}(u)
-    (XX)  sum_{N1 ~ N} ||P_{N1} u||_X <= (2 floor(log2 C) + 1) frak(u)
+    (XX)  sum_{N1 ~ N} ||P_{N1} u||_X <= (2 floor(log2 C) + 1) frak(u), C = 8
     (XXX) sum_{N <= k} ||P_N u||_X <= (floor(log2 k) + 1) frak(u)
     """
     if delta <= 0:
@@ -520,6 +524,7 @@ def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
     ok_y = lhs_y <= c_y * frak_plus * (1 + 1e-12)
 
     n_mid = ns[len(ns) // 2]
+    similarity = 8  # the C of (XX)
     sim = (n_mid / similarity <= ns) & (ns <= n_mid * similarity)
     c_xx = 2 * int(np.floor(np.log2(similarity))) + 1
     lhs_xx = float(np.sum(block[sim]))
@@ -563,8 +568,8 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
                            for _ in range(2)] for _ in range(start, stop)])
         f1, f2 = SpectralField(dom, pairs[:, 0]), SpectralField(dom, pairs[:, 1])
         prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
-        num = besov_norm(prod, s, np.inf)
-        den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
+        num = besov_norm(prod, s)
+        den = besov_norm(f1, s1) * besov_norm(f2, s2)
         sup = np.maximum(sup, np.max(np.divide(num, den, out=np.zeros_like(num),
                                                where=den != 0)))
     return float(sup)
@@ -572,19 +577,19 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
 
 def sobolev_mult_probe(s: float = 0.5, s1: float = 0.5, s2: float = 0.75,
                        ensemble: int = 100, n_points: int = 256,
-                       kind: str = "torus",
                        rng: np.random.Generator | None = None) -> ProbeReport:
     """sup of ||f1 f2||_{B^s} / (||f1||_{B^{s1}} ||f2||_{B^{s2}}) over random
-    pairs, at two resolutions; needs s >= 0, s1, s2 >= s, s1 + s2 - s > 1/2."""
+    pairs on the torus, at two resolutions; needs s >= 0, s1, s2 >= s,
+    s1 + s2 - s > 1/2."""
     if s < 0 or s1 < s or s2 < s or not (s1 + s2 - s > 0.5):
         raise ParameterError("need s >= 0, s1, s2 >= s and s1 + s2 - s > 1/2")
     rng = rng or np.random.default_rng(0)
-    dom1 = Domain(kind, n_points)
-    dom2 = Domain(kind, 2 * n_points)
+    dom1 = Domain("torus", n_points)
+    dom2 = Domain("torus", 2 * n_points)
     sup1 = _smult_ensemble(dom1, s, s1, s2, ensemble, rng)
     sup2 = _smult_ensemble(dom2, s, s1, s2, ensemble, rng)
     return ProbeReport(
         name="besov-product", samples=2 * ensemble,
         sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
-        params={"s": s, "s1": s1, "s2": s2, "n_points": n_points, "kind": kind},
+        params={"s": s, "s1": s1, "s2": s2, "n_points": n_points, "kind": "torus"},
         details={"sup_coarse": sup1, "sup_fine": sup2})

@@ -1,4 +1,11 @@
-"""Random and analytic test fields shared by probes, scenarios and tests."""
+"""Random and analytic test fields shared by probes, scenarios and tests.
+
+The random fields have fixed shapes, one value each in every caller:
+band fields fall off as <xi>^-1.5; decaying fields take a Gaussian
+envelope of width 0.06 * period on the line, whose value at the box edges,
+exp(-(1/2)(0.5/0.06)^2) ~ 8e-16, is far below the 1e-10 edge requirement;
+a mode sum has 12 modes and its broadband modulation scale reaches 20.
+"""
 
 from __future__ import annotations
 
@@ -20,28 +27,24 @@ def gaussian_packet(dom: Domain, amplitude: float = 1.0, width: float = 1.0,
     return GridFunction(dom, env * np.exp(1j * mode * dom.x))
 
 
-def random_band_field(dom: Domain, rng: np.random.Generator, band: float,
-                      decay: float = 1.5) -> SpectralField:
-    """Random coefficients supported on |xi| <= band with <xi>^-decay fall-off."""
+def random_band_field(dom: Domain, rng: np.random.Generator,
+                      band: float) -> SpectralField:
+    """Random coefficients supported on |xi| <= band with <xi>^-1.5 fall-off."""
     xi = dom.xi
     mask = np.abs(xi) <= band
-    amp = np.where(mask, bracket(xi) ** (-decay), 0.0)
+    amp = np.where(mask, bracket(xi) ** -1.5, 0.0)
     coeffs = amp * (rng.normal(size=dom.n_points) + 1j * rng.normal(size=dom.n_points))
     coeffs[dom.n_points // 2] = 0.0
     return SpectralField(dom, coeffs)
 
 
-def random_decaying_field(dom: Domain, rng: np.random.Generator, band: float,
-                          decay: float = 1.5, width_frac: float = 0.06) -> GridFunction:
-    """Random band-limited field forced to vanish at the line box edges.
-
-    A Gaussian envelope of width width_frac * period is applied in physical
-    space; exp(-(1/2)(0.5/width_frac)^2) ~ 8e-16 at the edges for the
-    default width, far below the 1e-10 edge requirement.
-    """
-    f = random_band_field(dom, rng, band, decay).to_grid()
+def random_decaying_field(dom: Domain, rng: np.random.Generator,
+                          band: float) -> GridFunction:
+    """Random band field, on the line times the Gaussian envelope of width
+    0.06 * period that makes it vanish at the box edges."""
+    f = random_band_field(dom, rng, band).to_grid()
     if dom.kind == "line":
-        env = np.exp(-(dom.x ** 2) / (2.0 * (width_frac * dom.period) ** 2))
+        env = np.exp(-(dom.x ** 2) / (2.0 * (0.06 * dom.period) ** 2))
         f = GridFunction(dom, f.values * env)
     return f
 
@@ -56,22 +59,20 @@ def scaled_to_h1(f: GridFunction, target: float) -> GridFunction:
 
 def scaled_to_besov(f: GridFunction, s: float, target: float) -> GridFunction:
     from .spaces import besov_norm
-    cur = besov_norm(f.to_spectral(), s, np.inf)
+    cur = besov_norm(f.to_spectral(), s)
     if cur == 0:
         return f
     return GridFunction(f.domain, f.values * (target / cur))
 
 
 def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Generator,
-                           n_modes: int = 12, band: float = 8.0,
-                           tau_spread: float = 20.0,
-                           char_sign: int = +1) -> np.ndarray:
+                           band: float = 8.0, char_sign: int = +1) -> np.ndarray:
     """Sum of travelling modes c_j exp(i xi_j x - i nu_j t), (n_t, n) samples.
 
     Every mode sits near the sign-chosen characteristic nu = char_sign xi^2
     up to an offset bounded by a modulation scale drawn once per field:
     strongly near-resonant (< 1/2) for about half the fields, intermediate
-    or broadband (up to tau_spread) for the rest.  The near-resonant fields
+    or broadband (up to 20) for the rest.  The near-resonant fields
     are the ones that saturate restriction-norm estimates -- window
     localization then dominates their modulation content -- while the
     broadband fields exercise the high-modulation weights.
@@ -82,8 +83,9 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
     elif u < 0.75:
         sigma0 = np.exp(rng.uniform(np.log(0.5), np.log(4.0)))
     else:
-        sigma0 = np.exp(rng.uniform(np.log(4.0), np.log(max(tau_spread, 8.0))))
+        sigma0 = np.exp(rng.uniform(np.log(4.0), np.log(20.0)))
     xi_lattice = dom.xi[np.abs(dom.xi) <= band]
+    n_modes = 12
     xi, nu, c = np.empty(n_modes), np.empty(n_modes), np.empty(n_modes, complex)
     for j in range(n_modes):
         xi[j] = rng.choice(xi_lattice)

@@ -29,10 +29,10 @@ from .solver import SolverConfig, rescale, solve
 from .spaces import besov_norm
 
 
-def _assertion(name, value, threshold, op="<="):
-    passed = value <= threshold if op == "<=" else value >= threshold
+def _assertion(name, value, threshold):
+    """An upper-bound assertion: passed when value <= threshold."""
     return {"name": name, "value": float(value), "threshold": float(threshold),
-            "op": op, "passed": bool(passed)}
+            "op": "<=", "passed": bool(value <= threshold)}
 
 
 def _domain(params) -> Domain:
@@ -246,7 +246,7 @@ def run_flowmap(params, rng):
     # (n_slices, ensemble, 1 + len(eps_list), n)
     vals = solve(GridFunction(dom, np.array(data)), cfg).values
     diffs = GridFunction(dom, vals[..., 1:, :] - vals[..., :1, :]).to_spectral().coeffs
-    norms = besov_norm(SpectralField(dom, diffs), 0.5, np.inf)
+    norms = besov_norm(SpectralField(dom, diffs), 0.5)
     # L[i, j]: sup over t of the B^{1/2}_{2,inf} ratio of the difference to
     # the difference of the data (slice 0)
     table = np.max(norms / norms[0], axis=0)
@@ -323,8 +323,7 @@ def _monotone_assertions(rep, prefix):
         series = rep.details[key]
         vals = [series[t] for t in sorted(series, key=float, reverse=True)]
         ok = all(vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))
-        out.append({"name": f"{prefix}_{key}_monotone", "value": 0.0 if ok else 1.0,
-                    "threshold": 0.5, "op": "<=", "passed": bool(ok)})
+        out.append(_assertion(f"{prefix}_{key}_monotone", 0.0 if ok else 1.0, 0.5))
     return out
 
 
@@ -376,6 +375,5 @@ def run_dyadic_checks(params, rng):
     rep = dyadic_sum_check(u, params["delta"], params["s"], params["b"])
     ok = rep.details["all_ok"]
     return {"metrics": {"worst_slack": rep.sup_ratio},
-            "assertions": [{"name": "dyadic_inequalities", "value": 0.0 if ok else 1.0,
-                            "threshold": 0.5, "op": "<=", "passed": bool(ok)}],
+            "assertions": [_assertion("dyadic_inequalities", 0.0 if ok else 1.0, 0.5)],
             "plotdata": {}, "reports": [rep.to_json()]}

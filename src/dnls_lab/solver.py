@@ -2,8 +2,9 @@
 Duhamel fixed-point iteration, and exact lattice rescaling.
 
 The linear part is diagonal in frequency, (U_t f)^(xi) = exp(-i t xi^2) fhat,
-and is treated exactly.  The default stepper is ETD-RK4 with the
-Cox-Matthews coefficients assembled from the phi functions
+and is treated exactly (`free_trajectory` applies it to coefficients).  The
+default stepper is ETD-RK4 with the Cox-Matthews coefficients assembled
+from the phi functions
 
     phi_k(z) = (exp(z) - sum_{j<k} z^j/j!) / z^k,
 
@@ -11,6 +12,8 @@ evaluated by the closed form for moderate |z| and by a truncated Taylor
 series for small |z| to avoid cancellation (Kassam & Trefethen, SIAM J.
 Sci. Comput. 26 (2005); Cox & Matthews, J. Comput. Phys. 176 (2002)).
 An integrating-factor RK4 is available as a cross-check.
+
+`solve` marches forward from t = 0 only: no caller integrates backward.
 
 Batch axis: `solve` advances a stack of initial data on one SolverConfig
 in one march.  u0.values of shape (B, n) gives coefficient arrays (B, n)
@@ -79,14 +82,15 @@ class SolverConfig:
         return round(self.t_final / self.dt)
 
 
-def free_trajectory(u0: GridFunction, times: np.ndarray) -> Trajectory:
-    """Exact linear evolution sampled at the given (uniform) times.
+def free_trajectory(u0: SpectralField, times: np.ndarray) -> Trajectory:
+    """Exact linear evolution of the coefficients u0 sampled at the given
+    (uniform) times.
 
-    u0.values of shape (..., n) gives values (n_slices, ..., n), the
+    u0.coeffs of shape (..., n) gives values (n_slices, ..., n), the
     batch layout of `solve`; the phases exp(-i t xi^2) are built once for
     the whole batch, and each member gets the bits of its own call."""
     dom = u0.domain
-    c0 = u0.to_spectral().coeffs
+    c0 = u0.coeffs
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
     phases = phases.reshape((times.size,) + (1,) * (c0.ndim - 1) + (dom.n_points,))
@@ -171,21 +175,18 @@ def make_spectral_forcing(cfg: SolverConfig):
     return nl
 
 
-def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajectory:
-    """March the Cauchy problem from t=0 with the configured integrator.
+def solve(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
+    """March the Cauchy problem forward from t=0 to t_final with the
+    configured integrator.
 
     u0 is one initial datum (n,) or a batch (..., n), marched together; the
-    Trajectory values are (n_slices, n) or (n_slices, ..., n).  direction = -1
-    integrates backward; the returned Trajectory is always ordered by
-    increasing time.  Raises BlowUpError when the sup norm of any member
-    grows by BLOWUP_FACTOR over its initial sup or turns non-finite.
+    Trajectory values are (n_slices, n) or (n_slices, ..., n).  Raises
+    BlowUpError when the sup norm of any member grows by BLOWUP_FACTOR over
+    its initial sup or turns non-finite.
     """
     cfg.domain.require_same(u0.domain)
     check_edge_decay(u0, "initial data on the line")
-    if direction not in (+1, -1):
-        raise ParameterError("direction must be +1 or -1")
-    h = direction * cfg.dt
-    coeffs = _EtdrkCoefficients(cfg.domain, h)
+    coeffs = _EtdrkCoefficients(cfg.domain, cfg.dt)
     nl = make_spectral_forcing(cfg)
     step = _etdrk4_step if cfg.integrator == "etdrk4" else _ifrk4_step
 
@@ -202,13 +203,9 @@ def solve(u0: GridFunction, cfg: SolverConfig, direction: int = +1) -> Trajector
         c = step(c, coeffs, nl)
         vals = SpectralField(cfg.domain, c).to_grid().values
         if not (np.abs(vals).max(axis=-1) <= limit).all():
-            raise BlowUpError(direction * j * cfg.dt)
+            raise BlowUpError(j * cfg.dt)
         slices[j] = vals
-    times = direction * cfg.dt * np.arange(n_steps + 1)
-    if direction < 0:
-        times = times[::-1].copy()
-        slices = slices[::-1].copy()
-    return Trajectory(cfg.domain, times, slices)
+    return Trajectory(cfg.domain, cfg.dt * np.arange(n_steps + 1), slices)
 
 
 @dataclass

@@ -9,7 +9,10 @@ All mixed norms use Riemann quadrature weights dxi and dtau; on the
 Dyadic block norms are one row reduction over tau times the (blocks x n)
 matrix of chi_N(xi)^2, cached per Domain (chi_N depends on xi alone and is
 >= 0); the <xi>^s <tau +/- xi^2>^b weights are cached per lattice, s, b and
-sign.  Both caches hold read-only arrays.  block_norms, xsb_norm,
+sign.  Both caches hold read-only arrays.  Every dyadic-sup norm is the
+low block plus the sup over N > 1 (_low_plus_sup), and every block norm
+comes from the chi_N^2 product (_dyadic_blocks); besov_norm is the paper's
+B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.  block_norms, xsb_norm,
 frak_x_norm, cal_y_norm and cal_z_norm accept a SpaceTimeField with a
 leading batch axis, and besov_norm a SpectralField with one; they then
 return one value per member (a float for a single field), equal bit for
@@ -51,6 +54,14 @@ def _chi_sq(domain: Domain) -> np.ndarray:
     return m
 
 
+def _dyadic_blocks(domain: Domain, rows: np.ndarray) -> np.ndarray:
+    """||P_N|| for every N in dyadic_range from the per-xi squared
+    contributions rows (..., n), shape (..., blocks): sqrt(chi_N^2 . rows),
+    one matrix-vector product per member, so a batch gets the bits of one
+    call per member."""
+    return np.sqrt(np.matmul(_chi_sq(domain), rows[..., None])[..., 0])
+
+
 def _member_values(out: np.ndarray):
     """A float for a single field, one value per member for a batch."""
     return float(out) if out.ndim == 0 else out
@@ -61,21 +72,13 @@ def _low_plus_sup(norms: np.ndarray):
     return _member_values(norms[..., 0] + norms[..., 1:].max(axis=-1, initial=0.0))
 
 
-def besov_norm(f: SpectralField, s: float, q: float = np.inf):
-    """B^s_{2,q} norm with q in {2, inf}: low block plus the weighted tail.
-
-    q = inf takes the sup of N^s ||P_N f|| over dyadic N > 1; q = 2 takes
-    the l2 sum of the same numbers.  A float for a single field, one value
-    per member for coefficients with a leading batch axis.
-    """
-    if q not in (2, np.inf):
-        raise ValueError("q must be 2 or inf")
-    sq = np.abs(f.coeffs) ** 2 * f.domain.dxi
-    norms = np.sqrt(np.matmul(_chi_sq(f.domain), sq[..., None])[..., 0])
-    weighted = np.array(dyadic_range(f.domain.xi_max)[1:], dtype=float) ** s * norms[..., 1:]
-    tail = (weighted.max(axis=-1, initial=0.0) if q == np.inf
-            else np.sqrt(np.sum(weighted ** 2, axis=-1)))
-    return _member_values(norms[..., 0] + tail)
+def besov_norm(f: SpectralField, s: float):
+    """B^s_{2,inf} norm: ||P_1 f|| + sup_{N>1} N^s ||P_N f||.  A float for a
+    single field, one value per member for coefficients with a leading
+    batch axis."""
+    blocks = _dyadic_blocks(f.domain, np.abs(f.coeffs) ** 2 * f.domain.dxi)
+    ns = np.array(dyadic_range(f.domain.xi_max), dtype=float)
+    return _low_plus_sup(ns ** s * blocks)
 
 
 @lru_cache(maxsize=16)
@@ -99,11 +102,8 @@ def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.nd
 def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
                 space: str = "X") -> np.ndarray:
     """||P_N u|| in X^{s,b,sign} (space "X") or Y^{s,b} (space "Y", sign +1)
-    for every N in dyadic_range, in one pass over u; shape (..., blocks).
-    Each member's row goes through the same matrix-vector product, so a
-    batched call equals one call per member bit for bit."""
-    rows = _rows(u, s, b, sign, space)
-    return np.sqrt(np.matmul(_chi_sq(u.domain), rows[..., None])[..., 0])
+    for every N in dyadic_range, in one pass over u; shape (..., blocks)."""
+    return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space))
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
@@ -150,22 +150,19 @@ class TimeWindow:
     fn: Callable[[np.ndarray], np.ndarray]
     t_lo: float
     t_hi: float
-    label: str
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
     @classmethod
-    def bump(cls, scale: float = 1.0) -> "TimeWindow":
-        """chi(t / scale): plateau |t| <= scale, support |t| < 2 scale."""
-        return cls(lambda t: smooth_cutoff(t / scale), -2.0 * scale, 2.0 * scale,
-                   f"chi(t/{scale:g})")
+    def bump(cls) -> "TimeWindow":
+        """chi(t): plateau |t| <= 1, support |t| < 2."""
+        return cls(smooth_cutoff, -2.0, 2.0)
 
     @classmethod
     def plateau(cls, t_support: float) -> "TimeWindow":
         """chi(2t / T): equals 1 for |t| <= T/2, vanishes for |t| >= T."""
-        return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support,
-                   f"chi(2t/{t_support:g})")
+        return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support)
 
 
 def window_trajectory(traj: Trajectory, window: TimeWindow) -> SpaceTimeField:

@@ -1,7 +1,9 @@
 """Guards on the package's public surface: every name the benchmark's layer
 tracer wraps must exist, every public function, class and method must be
-reached from src or kept on purpose, with a reason, and only fields calls
-the FFT (it alone applies the transform normalization dx/sqrt(2 pi))."""
+reached from src or kept on purpose, with a reason, every defaulted
+parameter must be set by some src call or kept on purpose, with a reason,
+and only fields calls the FFT (it alone applies the transform
+normalization dx/sqrt(2 pi))."""
 
 import ast
 import importlib
@@ -155,6 +157,125 @@ class TestUnreachedPublicSymbols:
         else:
             sources["fields"] += "\n\n" + added
         assert set(unreached(sources)) - set(unreached(_src_sources())) == {name}
+
+
+# Defaulted parameters that no src call sets, kept on purpose.
+OPTION_KEEP = {
+    "cli.main.argv": "the console entry point reads sys.argv; tests pass argv",
+    "nonlinear.power_nonlinearity.pad_factor": "tests_support's pad-2 bitwise "
+                                               "reference for rhs_original",
+    "probes.dyadic_sum_check.small_k": "tests reach the binding (Y) case at "
+                                       "small_k = 2",
+}
+
+
+def _functions(body, prefix: str, in_class: bool = False):
+    """(qualified name, node, is a method) of every function defined in
+    body, nested ones and methods included, named prefix.outer.inner."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{prefix}.{node.name}", node, in_class
+            yield from _functions(node.body, f"{prefix}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}.{node.name}", True)
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _option_sites(tree, module: str):
+    """(qualified name, name its calls use, [(parameter, position or None)])
+    of every function in tree, and of every @dataclass class, whose
+    parameters are its annotated fields in order, taken by Cls(...)."""
+    for qual, node, method in _functions(tree.body, module):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                       for d in node.decorator_list))
+        first = len(positional) - len(args.defaults)
+        params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None]
+        name = qual.split(".")[-2] if node.name == "__init__" else node.name
+        yield qual, name, params
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [f for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            yield (f"{module}.{node.name}", node.name,
+                   [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None])
+
+
+def unset_options(sources: dict) -> list:
+    """module.function.parameter of every defaulted parameter of a function
+    in sources {module: text}, and module.Cls.field of every defaulted field
+    of a @dataclass class there, that no call in sources passes, by keyword
+    or by position.
+
+    Calls match a function by identifier, as `unreached` does: a call
+    f(...) or obj.f(...) matches every function named f, and Cls(...)
+    matches Cls.__init__ and a dataclass Cls's fields; a method's positions
+    start after self or cls.  A call with *args or **kwargs counts as
+    passing every parameter.  Not caught: a parameter that a wrapper passes
+    on unset (in def g(p=1): f(p), the call sets f's p, and only g's own p
+    is listed); an __init__ parameter set only through super().__init__ or
+    a subclass's name (neither matches Cls); and a dataclass field set only
+    through dataclasses.replace."""
+    calls = {}
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            calls.setdefault(ident, []).append(
+                (star, len(node.args), {k.arg for k in node.keywords}))
+    out = []
+    for module, text in sources.items():
+        for qual, name, params in _option_sites(ast.parse(text), module):
+            for param, pos in params:
+                if not any(star or param in keywords or (pos is not None and pos < n_pos)
+                           for star, n_pos, keywords in calls.get(name, [])):
+                    out.append(f"{qual}.{param}")
+    return out
+
+
+class TestUnsetOptions:
+    def test_every_unset_option_is_kept(self):
+        assert [q for q in unset_options(_src_sources()) if q not in OPTION_KEEP] == []
+
+    def test_keep_entries_name_unset_options(self):
+        assert sorted(set(OPTION_KEEP) - set(unset_options(_src_sources()))) == []
+
+    @pytest.mark.parametrize("call,flagged", [
+        ("f(1)", {"fields.f.unused"}),
+        ("f(1, 2)", set()),
+        ("f(1, unused=2)", set()),
+        ("f(*(1, 2))", set()),
+    ])
+    def test_an_unset_option_fails_the_scan(self, call, flagged):
+        sources = _src_sources()
+        sources["fields"] += f"\n\ndef f(x, unused=1):\n    return x\n\n\n{call}\n"
+        assert set(unset_options(sources)) - set(unset_options(_src_sources())) == flagged
+
+    @pytest.mark.parametrize("added,flagged", [
+        ("@dataclass(frozen=True)\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1)\n",
+         {"fields.C.unused"}),
+        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\n", set()),
+        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, unused=2)\n",
+         set()),
+        # super().__init__ is not a call of E, so it sets nothing of E.__init__
+        ("class E(Exception):\n    def __init__(self, x, unused=1):\n"
+         "        super().__init__(x, x)\n\n\nE(1)\n", {"fields.E.__init__.unused"}),
+    ])
+    def test_an_unset_field_or_init_parameter_fails_the_scan(self, added, flagged):
+        sources = _src_sources()
+        sources["fields"] += "\n\n" + added
+        assert set(unset_options(sources)) - set(unset_options(_src_sources())) == flagged
 
 
 # Functions outside fields that call np.fft.fft / np.fft.ifft, each with its

@@ -71,7 +71,7 @@ class TestTransforms:
         dom = Domain("torus", 32)
         rng = np.random.default_rng(2)
         f = GridFunction(dom, rng.normal(size=32) + 1j * rng.normal(size=32))
-        direct = f.conj().to_spectral().coeffs
+        direct = GridFunction(dom, np.conj(f.values)).to_spectral().coeffs
         flipped = f.to_spectral().conj_flip().coeffs
         assert np.max(np.abs(direct - flipped)) < 1e-12
 
@@ -81,7 +81,7 @@ class TestDerivative:
         dom = Domain("torus", 64)
         f = GridFunction(dom, np.sin(2 * dom.x) + 1j * np.cos(3 * dom.x))
         expected = 2 * np.cos(2 * dom.x) - 3j * np.sin(3 * dom.x)
-        out = spectral_derivative(f)
+        out = spectral_derivative(f.to_spectral()).to_grid()
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_nyquist_mode_zeroed_by_one_shared_multiplier(self):

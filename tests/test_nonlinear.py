@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import ParameterError, SizeLimitError
-from dnls_lab.fields import Domain, GridFunction, SpectralField
+from dnls_lab.fields import Domain, GridFunction, SpectralField, dealiased_product_coeffs
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 quintic_Q_fourier, quintic_Q_general_slices,
                                 rhs_gauged, rhs_original, trilinear_T_fourier,
@@ -175,21 +175,18 @@ class TestQuintic:
         expected = np.abs(v.values) ** 4 * v.values
         assert np.max(np.abs(out.values - expected)) < 1e-10
 
-    def test_mean_subtraction_is_exact(self):
-        # the xi = 0 coefficient of (|v|^4 - mean) vanishes identically
+    @pytest.mark.parametrize("mode", [0, 1, 3])
+    def test_single_mode_corrections_cancel_the_product(self, mode):
+        # every term of Q(c, conj c, c, conj c, c) for one mode lies on the
+        # excluded hyperplane k1 + k2 = 0, so each of the four torus
+        # corrections is needed to cancel the plain product |v|^4 v
         dom = Domain("torus", 32)
-        rng = np.random.default_rng(1)
-        v = random_band_field(dom, rng, band=8.0).to_grid()
-        q = quintic_diagonal(v)
-        # reconstruct the scalar-subtracted factor indirectly: Q + 2mu(...)v
-        # has zero mean against conj(v)-free content; directly test the
-        # simplest invariant: mean of |v|^4 - (1/2pi) int |v|^4 is zero
-        nf = 4 * dom.n_points
-        from dnls_lab.fields import padded_values
-        vf = padded_values(dom, v.to_spectral().coeffs, nf)
-        dens = np.abs(vf) ** 4
-        m4 = np.sum(dens) * (dom.period / nf) / (2 * np.pi)
-        assert np.sum(dens - m4) * (dom.period / nf) == pytest.approx(0.0, abs=1e-12)
+        v = plane_wave(dom, 0.7, mode).to_spectral()
+        c, cb = v.coeffs, v.conj_flip().coeffs
+        plain = dealiased_product_coeffs(dom, [c, cb, c, cb, c])
+        assert np.max(np.abs(plain)) > 0.4
+        q = quintic_Q_general_slices(dom, [c, cb, c, cb, c])
+        assert np.max(np.abs(q)) < 1e-14
 
     @pytest.mark.parametrize("kind,scale", [("torus", 1), ("line", 2)])
     def test_oracle_equivalence_random(self, kind, scale):

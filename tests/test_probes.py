@@ -410,7 +410,7 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
         if i % 2 == 0:
             traj = Trajectory(dom, times, random_mode_sum_values(dom, times, rng, band=band))
         else:
-            traj = free_trajectory(random_band_field(dom, rng, band=band).to_grid(), times)
+            traj = free_trajectory(random_band_field(dom, rng, band=band), times)
         u = window_trajectory(traj, window)
         den = xsb_norm(u, 0.0, b, +1)
         vals = u.to_time_values()
@@ -427,9 +427,9 @@ def _reference_smult_ensemble(dom, s, s1, s2, ensemble, rng):
         f1 = random_band_field(dom, rng, band=dom.xi_max / 4)
         f2 = random_band_field(dom, rng, band=dom.xi_max / 4)
         prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
-        den = besov_norm(f1, s1, np.inf) * besov_norm(f2, s2, np.inf)
+        den = besov_norm(f1, s1) * besov_norm(f2, s2)
         if den != 0:
-            sup = np.maximum(sup, besov_norm(prod, s, np.inf) / den)
+            sup = np.maximum(sup, besov_norm(prod, s) / den)
     return float(sup)
 
 
