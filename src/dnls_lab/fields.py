@@ -2,8 +2,12 @@
 
 Transform conventions, fixed here once and used by every other module:
 
-* spatial:   coeff(xi) = dx/sqrt(2 pi) * sum_j exp(-i x_j xi) f(x_j),
-  inverted by f(x_j) = sqrt(2 pi)/dx * ifft(coeffs).  With this scaling
+* spatial:   coeff(xi) = dx/sqrt(2 pi) * sum_j exp(-i (x_j - x_0) xi) f(x_j),
+  x_0 the first grid point, i.e. dx/sqrt(2 pi) * fft(f), inverted by
+  f(x_j) = sqrt(2 pi)/dx * ifft(coeffs).  x_0 is 0 on the torus; on the
+  line it is -period/2, and exp(i x_0 xi_k) = (-1)^k, so there the
+  coefficient of exp(i xi_k x) is (-1)^k period/sqrt(2 pi)
+  (_plane_wave_coeffs).  With this scaling
   sum_j |f_j|^2 dx == sum_k |coeff_k|^2 dxi  (discrete Plancherel), where
   dxi = 2 pi / period, so dxi == 1 on the 2 pi torus and the spectral sum
   is a plain counting-measure sum there.
@@ -13,7 +17,13 @@ Transform conventions, fixed here once and used by every other module:
   slice index times dt/sqrt(2 pi) exp(-i t_0 tau), t_0 the first sample
   time; that factor is cached per ModulationLattice.  A SpaceTimeField
   may carry a leading batch axis: a stack of fields on one lattice,
-  transformed and normed in one call.
+  transformed and normed in one call.  It is built from per-slice
+  coefficients (a SpectralField) without a spatial transform, and a
+  caller that builds many fields of one shape passes its own output
+  array.
+* products:  padded to the smallest grid on which a product of their
+  degree is alias-free on the retained band (_min_pad_factor), unless
+  the caller asks for a larger one.
 
 The real line is approximated by a torus of period 2 pi * domain_scale
 ("line" kind); data must decay well inside the box for the approximation
@@ -219,6 +229,19 @@ def _deriv_mult(domain: Domain) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=8)
+def _plane_wave_coeffs(domain: Domain) -> np.ndarray:
+    """Coefficient of exp(i xi_k x) at each FFT index k: period/sqrt(2 pi)
+    exp(i xi_k x_0), where exp(i xi_k x_0) is 1 on the torus and exactly
+    (-1)^k on the line, whose grid starts at x_0 = -period/2; cached per
+    domain, read-only."""
+    w = np.full(domain.n_points, domain.period / SQRT_2PI, dtype=np.complex128)
+    if domain.kind == "line":
+        w[1::2] *= -1.0
+    w.flags.writeable = False
+    return w
+
+
 def _min_pad_factor(degree: int) -> int:
     """Smallest power-of-two pad factor that keeps a degree-m product
     alias-free on the retained band (the coarse Nyquist mode, which the
@@ -273,14 +296,16 @@ def dealiased_product_coeffs(
     domain: Domain,
     coeff_arrays: Sequence[np.ndarray],
     conjugate: Sequence[bool] | None = None,
-    pad_factor: int = 4,
+    pad_factor: int = 1,
 ) -> np.ndarray:
     """Alias-free pointwise product, vectorized over leading axes.
 
     Inputs and output are FFT-ordered spectral coefficient arrays of shape
     (..., n_points).  Every factor is zero-padded in frequency to pad_factor
-    times the base resolution (raised automatically if the polynomial degree
-    demands it), multiplied pointwise on the fine grid, and truncated back.
+    times the base resolution, raised to the smallest alias-free grid for
+    the polynomial degree (_min_pad_factor: 2x for two or three factors, 4x
+    for four to seven), which is also the default; it is multiplied pointwise
+    on the fine grid, and truncated back.
     A factor passed more than once (the same array object) is padded and
     transformed once, and its fine-grid copy is dropped after its last use.
     """
@@ -414,15 +439,18 @@ class SpaceTimeField:
                                      dtype=np.complex128))
 
     @classmethod
-    def from_time_values(cls, domain: Domain, times: np.ndarray,
-                         values) -> "SpaceTimeField":
+    def from_time_values(cls, domain: Domain, times: np.ndarray, values,
+                         out: np.ndarray | None = None) -> "SpaceTimeField":
         """Build from physical samples values[..., l, j] = u(x_j, t_l), or
         from a SpectralField of their per-slice coefficients (..., n_t, n).
 
         The tau transform runs along the last axis of the (..., n, n_t)
         transpose of the slice coefficients: coefficients stored xi-major
         (passed as the swapped view of a contiguous (..., n, n_t) array)
-        are transformed without a copy.
+        are transformed without a copy.  out, a (..., n, n_t) complex array,
+        receives the coefficients when given; the field then views it, so a
+        caller that reuses out across calls must be done with each field
+        before the next call, and must not share out between threads.
         """
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])
@@ -434,7 +462,7 @@ class SpaceTimeField:
             values = np.asarray(values, dtype=np.complex128)
             slices_hat = np.fft.fft(values, axis=-1)
             slices_hat *= domain.dx / SQRT_2PI
-        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
+        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1, out=out)
         ghat *= _tau_factor(lat)
         return cls(lat, ghat)
 

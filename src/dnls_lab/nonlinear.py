@@ -15,10 +15,13 @@ at n = 256 fresh fine-grid temporaries cost a call more time than its
 FFTs.
 
 The multilinear forms trilinear_T_slices and quintic_Q_general_slices take
-and return FFT-ordered coefficient arrays (..., n), row by row.  Their
-torus corrections come from the coefficients too: a pair integral is
-int a b dx = sum_xi a^(xi) b^(-xi) dxi, and the quadruple integral is
-sqrt(2 pi) times the zero mode of the alias-free product.  The
+and return FFT-ordered coefficient arrays (..., n), row by row, on the
+smallest alias-free grid (2x for the trilinear form, 4x for the quintic
+one).  Their torus corrections come from the coefficients too: a pair
+integral is int a b dx = sum_xi a^(xi) b^(-xi) dxi.  The quintic form
+pads each factor once and shares its fine-grid products between its main
+term and its corrections; the quadruple integral is the fine-grid sum of
+the four-factor product, which the 4x grid holds without aliasing.  The
 Fourier-side forms evaluate the same operations as explicit constrained
 convolution sums; they are brute-force cross-checks meant to catch sign
 or constraint transcription errors, so they are deliberately written
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, _deriv_mult,
+from .fields import (Domain, GridFunction, SpectralField, _deriv_mult,
                      _min_pad_factor, dealiased_product_coeffs, padded_values,
                      truncated_coeffs)
 
@@ -144,8 +147,8 @@ def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
 
 def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     """General five-factor form of the fields w1..w5 with the coefficients
-    cs (..., n), as coefficients, row by row; the diagonal call is
-    (c, conj_flip(c), c, conj_flip(c), c).
+    cs (..., n), one shape for all five, as coefficients, row by row; the
+    diagonal call is (c, conj_flip(c), c, conj_flip(c), c).
 
     Line:  w1 w2 w3 w4 w5.
     Torus: the inclusion-exclusion complement of the hyperplanes
@@ -153,19 +156,29 @@ def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
         P - (1/2pi)(int w1 w2 w3 w4) w5
           - (1/2pi)(int w1 w2) w3 w4 w5 - (1/2pi)(int w3 w4) w1 w2 w5
           + 2 (1/2pi)^2 (int w1 w2)(int w3 w4) w5.
+    Each factor is padded once, to the 4x grid that keeps a quintic
+    product alias-free; P, w3 w4 w5 and w1 w2 w5 are built there from the
+    shared products w1 w2 and w3 w4 and truncated in one stacked transform,
+    and int w1 w2 w3 w4 is the fine-grid sum of the four-factor product,
+    exact because that product's band fits the fine grid.
     """
     if len(cs) != 5:
         raise ValueError("need exactly five factors")
-    out = dealiased_product_coeffs(dom, cs)
+    nf = _min_pad_factor(5) * dom.n_points
+    pad = np.zeros(np.shape(cs[0])[:-1] + (nf,), dtype=np.complex128)
+    w12, w34, w5 = (padded_values(dom, cs[i], nf, pad) for i in (0, 2, 4))
+    w12 *= padded_values(dom, cs[1], nf, pad)
+    w34 *= padded_values(dom, cs[3], nf, pad)
+    fine = np.empty((3,) + w12.shape, dtype=np.complex128)  # P, w3w4w5, w1w2w5
+    np.multiply(w34, w5, out=fine[1])
+    np.multiply(w12, fine[1], out=fine[0])
     if dom.kind == "line":
-        return out
+        return truncated_coeffs(dom, fine[0])
+    np.multiply(w12, w5, out=fine[2])
+    i1234 = np.einsum("...j,...j->...", w12, w34)[..., None] * (dom.period / nf)
+    out, t345, t125 = truncated_coeffs(dom, fine)
     i12 = _pair_integrals(dom, cs[0], cs[1])
     i34 = _pair_integrals(dom, cs[2], cs[3])
-    # int w1 w2 w3 w4 dx = sqrt(2 pi) times the zero mode, which the
-    # alias-free truncation keeps exact
-    i1234 = SQRT_2PI * dealiased_product_coeffs(dom, cs[:4])[..., :1]
-    t345 = dealiased_product_coeffs(dom, cs[2:])
-    t125 = dealiased_product_coeffs(dom, [cs[0], cs[1], cs[4]])
     out -= i1234 * cs[4] / TWO_PI
     out -= (i12 * t345 + i34 * t125) / TWO_PI
     out += 2.0 * (i12 * i34) * cs[4] / TWO_PI ** 2

@@ -18,14 +18,16 @@ alone and not sampling noise.  They also factor the window out of the
 product forms: the window w(t) is real and every form (the trilinear T,
 the quintic Q and the plain products) acts slice by slice and is
 multilinear in each slice, its torus mean corrections included, so
-F(w u1, ..., w um) = w^m F(u1, ..., um).  Each sample transforms its
-factors to coefficients once, on the slices that some window keeps,
-evaluates its form there (the forms are coefficients in and out), and
-scales the stack of form and factors by w_T^m and w_T per window.  In
-exact arithmetic this is the same number; in floating point each element
-of the windowed product is rounded once more (a relative change of order
-1e-16), and the spatial transform commutes with the per-slice scaling in
-the same way.
+F(w u1, ..., w um) = w^m F(u1, ..., um).  A probe finds once the slices
+that some window keeps (255 of the 1024); each sample draws its factors
+as per-slice coefficients on those slices alone (the samplers write each
+travelling mode's coefficient directly, with no grid samples and no
+spatial transform), evaluates its form there (the forms are coefficients
+in and out), and scales the stack of form and factors by w_T^m and w_T per
+window.  In exact arithmetic this is the same number; in floating point
+each element of the windowed product is rounded once more (a relative
+change of order 1e-16).  Each window's stack is transformed in time into
+one work array that the sample allocates and no other thread sees.
 
 The Strichartz and Besov-product ensembles draw their samples in blocks,
 in the order a one-sample-at-a-time loop draws them, and evaluate each
@@ -54,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ParameterError
-from .fields import (Domain, GridFunction, SpaceTimeField, SpectralField, Trajectory,
-                     _conj_reverse, dealiased_product_coeffs)
+from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
+                     _conj_reverse, _plane_wave_coeffs, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
@@ -219,7 +221,8 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
                 data.append(random_band_field(dom, rng, band=band).coeffs)
         trajs = []
         if sums:
-            trajs.append(Trajectory(dom, times, np.stack(sums, axis=1)))
+            sums_hat = SpectralField(dom, np.stack(sums, axis=1))
+            trajs.append(Trajectory(dom, times, sums_hat.to_grid().values))
         if data:
             trajs.append(free_trajectory(SpectralField(dom, np.array(data)), times))
         for traj in trajs:
@@ -256,10 +259,15 @@ def _base_times() -> np.ndarray:
 
 def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int = +1,
                amp: complex = 1.0) -> np.ndarray:
-    """Travelling wave amp exp(i(k x - char_sign k^2 t)) on the time grid, as
-    the outer product of its time factor and its space factor."""
-    return np.outer(amp * np.exp(-1j * char_sign * k * k * np.asarray(times)),
-                    np.exp(1j * k * dom.x))
+    """Travelling wave amp exp(i(k x - char_sign k^2 t)) at the lattice
+    frequency k, as per-slice coefficients (n_t, n): the single column
+    amp exp(-i char_sign k^2 t) at the FFT index of k, times the
+    coefficient of exp(i k x) there."""
+    i = round(k / dom.dxi) % dom.n_points
+    out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
+    out[:, i] = (amp * _plane_wave_coeffs(dom)[i]) * np.exp(
+        -1j * char_sign * k * k * np.asarray(times))
+    return out
 
 
 def _nested_sups(raw: dict) -> dict:
@@ -321,34 +329,45 @@ def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> float:
     return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(signs)))
 
 
-def _window_ratios(dom: Domain, times: np.ndarray, t_values, base: list[np.ndarray],
-                   form, signs: list[int], s: float, b_out: float) -> dict:
-    """One sample's ratios ||F||_{frak X^{s,b_out}} / RHS and ||F||_{cal Y^{s,-1}}
-    / RHS for every window size T, F being form(w_T base) and RHS the
-    corollary right-hand side of the windowed factors w_T base.  base holds
-    grid samples (n_t, n); form maps their coefficients to F's.
-
-    The spatial transform of the factors and the form run once per sample,
-    on the slices that some window keeps, into one stack (form, factors);
-    each window's stack (w^deg form, w factors) is then transformed in time
-    in one FFT and normed in one call per norm.
-    """
+def _windows(times: np.ndarray, t_values) -> tuple[slice, dict]:
+    """The slices that some plateau window w_T keeps, and {T: w_T on them}."""
     ws = np.array([TimeWindow.plateau(T)(times) for T in t_values])
     kept = _support(np.any(ws, axis=0))
+    return kept, dict(zip(t_values, ws[:, kept]))
+
+
+def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
+                   base: list[np.ndarray], form, signs: list[int], s: float,
+                   b_out: float) -> dict:
+    """One sample's ratios ||F||_{frak X^{s,b_out}} / RHS and ||F||_{cal Y^{s,-1}}
+    / RHS for every window size T, F being form(w_T base) and RHS the
+    corollary right-hand side of the windowed factors w_T base.  kept and
+    windows come from _windows; base holds the factors' coefficients on the
+    kept slices (n_kept, n), and form maps them to F's.
+
+    The form runs once per sample, on the kept slices, into one stack
+    (form, factors); each window's stack (w^deg form, w factors) is then
+    transformed in time in one FFT, into a buffer this call owns, and
+    normed in one call per norm.
+    """
     deg = len(base)
-    slices_hat = np.empty((deg + 1,) + base[0][kept].shape, dtype=np.complex128)
-    for row, f in zip(slices_hat[1:], base):
-        row[...] = f[kept]
-    slices_hat[1:] = GridFunction(dom, slices_hat[1:]).to_spectral().coeffs
-    slices_hat[0] = form(slices_hat[1:])
-    by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
-    stack = np.zeros(by_xi.shape[:-1] + (len(times),), dtype=np.complex128)
+    factors = np.array(base)
+    by_xi = np.empty((deg + 1, dom.n_points, factors.shape[1]), dtype=np.complex128)
+    by_xi[0] = form(factors).T
+    by_xi[1:] = np.swapaxes(factors, -1, -2)
+    # one allocation holds the windowed stack and its tau transform: freed
+    # as one block larger than any before, it raises glibc's mmap and trim
+    # thresholds above what a sample uses, so later samples reuse heap
+    # pages, where two half-size blocks were returned to the system and
+    # faulted in again on every quintic sample
+    stack, ghat = np.zeros((2,) + by_xi.shape[:-1] + (len(times),),
+                           dtype=np.complex128)
     out = {}
-    for T, w in zip(t_values, ws[:, kept]):
+    for T, w in windows.items():
         np.multiply(by_xi, np.array([w ** deg] + [w] * deg)[:, None, :],
                     out=stack[..., kept])
         u = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)))
+            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)), out=ghat)
         lhs = SpaceTimeField(u.lattice, u.coeffs[0])
         den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[1:]), s, signs)
         out[T] = (frak_x_norm(lhs, s, b_out, +1) / den,
@@ -390,6 +409,8 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
     rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
     times = _base_times()
+    kept, windows = _windows(times, t_values)
+    tk = times[kept]
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
 
     def one(seed):
@@ -403,20 +424,20 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
             a = int(r.integers(1, 3))
             b = int(r.integers(1, 3))
             amps = r.normal(size=3) + 1j * r.normal(size=3)
-            base = [_mode_wave(dom, times, kk + a, +1, amps[0]),
-                    _mode_wave(dom, times, kk + b, +1, amps[1]),
-                    _mode_wave(dom, times, -kk, -1, amps[2])]
+            base = [_mode_wave(dom, tk, kk + a, +1, amps[0]),
+                    _mode_wave(dom, tk, kk + b, +1, amps[1]),
+                    _mode_wave(dom, tk, -kk, -1, amps[2])]
         elif pick < 0.5:
             # conjugate pairing puts the output near the first factor's
             # characteristic
-            u1 = random_mode_sum_values(dom, times, r)
-            u2 = random_mode_sum_values(dom, times, r)
-            base = [u1, u2, np.conj(u2)]
+            u1 = random_mode_sum_values(dom, tk, r)
+            u2 = random_mode_sum_values(dom, tk, r)
+            base = [u1, u2, _conj_reverse(u2)]
         else:
-            base = [random_mode_sum_values(dom, times, r),
-                    random_mode_sum_values(dom, times, r),
-                    random_mode_sum_values(dom, times, r, char_sign=-1)]
-        return _window_ratios(dom, times, t_values, base,
+            base = [random_mode_sum_values(dom, tk, r),
+                    random_mode_sum_values(dom, tk, r),
+                    random_mode_sum_values(dom, tk, r, char_sign=-1)]
+        return _window_ratios(dom, times, kept, windows, base,
                               lambda c: trilinear_T_slices(dom, *c),
                               [+1, +1, -1], s, -0.5)
 
@@ -443,6 +464,8 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
     rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
     times = _base_times()
+    kept, windows = _windows(times, t_values)
+    tk = times[kept]
     n_factors = 5 if quintic else k + 1
     b_out = -3.0 / 8.0 - delta
     seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
@@ -461,13 +484,13 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
             modes = _quintic_resonant_tuples()[
                 int(r.integers(0, len(_quintic_resonant_tuples())))]
             amps = r.normal(size=5) + 1j * r.normal(size=5)
-            base = [_mode_wave(dom, times, m, +1, a)
+            base = [_mode_wave(dom, tk, m, +1, a)
                     for m, a in zip(modes, amps)]
         elif quintic and pick < 0.5:
             # conjugate-paired saturator: slots (1,2) and (3,4) share a field
-            f1 = random_mode_sum_values(dom, times, r)
-            f3 = random_mode_sum_values(dom, times, r)
-            f5 = random_mode_sum_values(dom, times, r)
+            f1 = random_mode_sum_values(dom, tk, r)
+            f3 = random_mode_sum_values(dom, tk, r)
+            f5 = random_mode_sum_values(dom, tk, r)
             base = [f1, f1, f3, f3, f5]
         elif not quintic and k >= 1 and pick < 0.25:
             # exactly resonant plain-product modes: (a, 0) for two factors,
@@ -475,17 +498,17 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
             a = int(r.integers(1, 4))
             modes = [a, 0] if k == 1 else [2 * a, -a, 2 * a]
             amps = r.normal(size=k + 1) + 1j * r.normal(size=k + 1)
-            base = [_mode_wave(dom, times, m, +1, c)
+            base = [_mode_wave(dom, tk, m, +1, c)
                     for m, c in zip(modes, amps)]
         elif not quintic and k >= 1 and pick < 0.5:
             # near-DC saturator: all but one factor concentrated at low modes
-            base = [random_mode_sum_values(dom, times, r)]
-            base += [random_mode_sum_values(dom, times, r, band=2.0)
+            base = [random_mode_sum_values(dom, tk, r)]
+            base += [random_mode_sum_values(dom, tk, r, band=2.0)
                      for _ in range(n_factors - 1)]
         else:
-            base = [random_mode_sum_values(dom, times, r)
+            base = [random_mode_sum_values(dom, tk, r)
                     for _ in range(n_factors)]
-        return _window_ratios(dom, times, t_values, base, form,
+        return _window_ratios(dom, times, kept, windows, base, form,
                               [+1] * n_factors, s, b_out)
 
     return _window_report(
@@ -562,8 +585,8 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
     sup = 0.0
     band = dom.xi_max / 4
     # a pair's work: its two padded factors, their product and its
-    # spectrum, four rows on the 4x padded grid
-    for start, stop in _blocks(ensemble, 4 * 16 * 4 * dom.n_points):
+    # spectrum, four rows on the 2x grid that keeps a pair alias-free
+    for start, stop in _blocks(ensemble, 4 * 16 * 2 * dom.n_points):
         pairs = np.array([[random_band_field(dom, rng, band=band).coeffs
                            for _ in range(2)] for _ in range(start, stop)])
         f1, f2 = SpectralField(dom, pairs[:, 0]), SpectralField(dom, pairs[:, 1])

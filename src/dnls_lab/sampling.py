@@ -5,13 +5,15 @@ band fields fall off as <xi>^-1.5; decaying fields take a Gaussian
 envelope of width 0.06 * period on the line, whose value at the box edges,
 exp(-(1/2)(0.5/0.06)^2) ~ 8e-16, is far below the 1e-10 edge requirement;
 a mode sum has 12 modes and its broadband modulation scale reaches 20.
+A mode sum is returned as per-slice coefficients, which is what the
+probes consume; a caller that needs grid samples transforms them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Domain, GridFunction, SpectralField
+from .fields import Domain, GridFunction, SpectralField, _plane_wave_coeffs
 from .frequency import bracket
 
 
@@ -67,7 +69,8 @@ def scaled_to_besov(f: GridFunction, s: float, target: float) -> GridFunction:
 
 def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Generator,
                            band: float = 8.0, char_sign: int = +1) -> np.ndarray:
-    """Sum of travelling modes c_j exp(i xi_j x - i nu_j t), (n_t, n) samples.
+    """Sum of travelling modes c_j exp(i xi_j x - i nu_j t), as per-slice
+    coefficients (n_t, n) in FFT order.
 
     Every mode sits near the sign-chosen characteristic nu = char_sign xi^2
     up to an offset bounded by a modulation scale drawn once per field:
@@ -76,6 +79,12 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
     are the ones that saturate restriction-norm estimates -- window
     localization then dominates their modulation content -- while the
     broadband fields exercise the high-modulation weights.
+
+    The xi_j are lattice frequencies, so mode j is the single coefficient
+    c_j exp(-i nu_j t) at the FFT index of xi_j, times the coefficient of
+    exp(i xi_j x) (period / sqrt(2 pi), with the sign of the line's grid
+    origin): no grid samples are formed, and times may be any subset of a
+    time grid.
     """
     u = rng.random()
     if u < 0.5:
@@ -84,11 +93,16 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
         sigma0 = np.exp(rng.uniform(np.log(0.5), np.log(4.0)))
     else:
         sigma0 = np.exp(rng.uniform(np.log(4.0), np.log(20.0)))
-    xi_lattice = dom.xi[np.abs(dom.xi) <= band]
+    lattice = np.flatnonzero(np.abs(dom.xi) <= band)
     n_modes = 12
-    xi, nu, c = np.empty(n_modes), np.empty(n_modes), np.empty(n_modes, complex)
+    idx, nu = np.empty(n_modes, int), np.empty(n_modes)
+    c = np.empty(n_modes, complex)
     for j in range(n_modes):
-        xi[j] = rng.choice(xi_lattice)
-        nu[j] = char_sign * xi[j] ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
+        idx[j] = rng.choice(lattice)
+        nu[j] = char_sign * dom.xi[idx[j]] ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
         c[j] = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
-    return (c * np.exp(-1j * np.outer(times, nu))) @ np.exp(1j * np.outer(xi, dom.x))
+    columns = (c * _plane_wave_coeffs(dom)[idx]) * np.exp(-1j * np.outer(times, nu))
+    out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
+    for j in range(n_modes):
+        out[:, idx[j]] += columns[:, j]
+    return out

@@ -371,7 +371,7 @@ def run_dyadic_checks(params, rng):
     dt = 1.0 / 64.0
     times = -2.0 + dt * np.arange(256)
     vals = random_mode_sum_values(dom, times, rng, band=dom.xi_max / 2)
-    u = SpaceTimeField.from_time_values(dom, times, vals)
+    u = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, vals))
     rep = dyadic_sum_check(u, params["delta"], params["s"], params["b"])
     ok = rep.details["all_ok"]
     return {"metrics": {"worst_slack": rep.sup_ratio},

@@ -227,6 +227,12 @@ class TestSpaceTimeField:
         spectral = SpaceTimeField.from_time_values(
             dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
         assert np.array_equal(spectral.coeffs, batch.coeffs)
+        # into a caller's buffer: the same bits, and the field views it
+        buf = np.empty_like(batch.coeffs)
+        into = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)), out=buf)
+        assert np.shares_memory(into.coeffs, buf)
+        assert np.array_equal(into.coeffs, batch.coeffs)
 
     def test_spectral_input_must_match_domain(self):
         times = 0.1 * np.arange(8)

@@ -19,6 +19,7 @@ from dnls_lab.sampling import random_band_field, random_mode_sum_values
 from dnls_lab.solver import free_trajectory
 from dnls_lab.spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
                              frak_x_norm, window_trajectory, xsb_norm)
+from tests_support import count_ffts
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -123,7 +124,7 @@ class TestDyadicSums:
         dt = 1.0 / 64.0
         times = -2.0 + dt * np.arange(256)
         vals = random_mode_sum_values(dom, times, rng, band=dom.xi_max / 2)
-        return SpaceTimeField.from_time_values(dom, times, vals)
+        return SpaceTimeField.from_time_values(dom, times, SpectralField(dom, vals))
 
     def test_single_block_field(self):
         dom = Domain("torus", 64)
@@ -194,7 +195,9 @@ class TestWorkerCount:
         lambda: trilinear_probe(ensemble=4, rng=np.random.default_rng(8)),
         lambda: multilinear_probe(quintic=True, ensemble=3,
                                   rng=np.random.default_rng(9)),
-    ], ids=["trilinear", "quintic"])
+        lambda: multilinear_probe(k=1, ensemble=4, rng=np.random.default_rng(10)),
+        lambda: multilinear_probe(k=2, ensemble=4, rng=np.random.default_rng(11)),
+    ], ids=["trilinear", "quintic", "k1", "k2"])
     def test_same_report_with_two_workers(self, monkeypatch, probe):
         monkeypatch.delenv("DNLS_LAB_THREADS", raising=False)
         serial = probe().to_json()
@@ -220,8 +223,8 @@ class TestWindowSupport:
     def _factors(dom, times, w, n_factors, seed):
         # the coefficients of windowed samples, as the probes feed the forms
         rng = np.random.default_rng(seed)
-        return [GridFunction(dom, random_mode_sum_values(dom, times, rng) * w[:, None])
-                .to_spectral().coeffs for _ in range(n_factors)]
+        return [random_mode_sum_values(dom, times, rng) * w[:, None]
+                for _ in range(n_factors)]
 
     @staticmethod
     def _assert_support_evaluation_exact(fn, dom, w, vs):
@@ -306,7 +309,8 @@ class TestModeSum:
         times = -4.0 + np.arange(1024) / 128.0
         r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_mode_sum_values(dom, times, r1, band=band, char_sign=char_sign)
-        ref = _mode_sum_reference(dom, times, r2, band=band, char_sign=char_sign)
+        ref = GridFunction(dom, _mode_sum_reference(
+            dom, times, r2, band=band, char_sign=char_sign)).to_spectral().coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert r1.random() == r2.random()   # same draws, same generator state
 
@@ -324,7 +328,8 @@ class TestModeWave:
         times = probes._base_times()
         amp = 0.7 - 1.3j
         got = probes._mode_wave(dom, times, k, char_sign, amp)
-        ref = _mode_wave_reference(dom, times, k, char_sign, amp)
+        ref = GridFunction(dom, _mode_wave_reference(dom, times, k, char_sign, amp)
+                           ).to_spectral().coeffs
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -341,20 +346,26 @@ class TestQuinticResonantTuples:
         assert all(type(m) is int for m in got[0])
 
 
-def _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out):
-    """The per-window loop of the unbatched probes: window every factor,
-    evaluate the form per T on the coefficients of the window's slices,
-    transform each field on its own and take one norm call per field."""
+def _reference_window_ratios(dom, times, base_kept, t_values, base, form, signs,
+                             s, b_out):
+    """The per-window loop of the unbatched probes: window every factor's
+    coefficients (base, on the slices base_kept of times), evaluate the
+    form per T on the window's slices, transform each field on its own and
+    take one norm call per field."""
     out = {}
     for T in t_values:
         w = TimeWindow.plateau(T)(times)
-        vs = [f * w[:, None] for f in base]
+        vs = [np.zeros((len(times), dom.n_points), dtype=np.complex128) for _ in base]
+        for v, f in zip(vs, base):
+            v[base_kept] = f
+            v *= w[:, None]
         nz = np.flatnonzero(w)
         kept = slice(nz[0], nz[-1] + 1)
         prod = np.zeros_like(vs[0])
-        prod[kept] = form([GridFunction(dom, v[kept]).to_spectral().coeffs for v in vs])
+        prod[kept] = form([v[kept] for v in vs])
         lhs = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, prod))
-        u = [SpaceTimeField.from_time_values(dom, times, v) for v in vs]
+        u = [SpaceTimeField.from_time_values(dom, times, SpectralField(dom, v))
+             for v in vs]
         half = [frak_x_norm(f, 0.5, 0.5, sg) for f, sg in zip(u, signs)]
         top = half if s == 0.5 else [frak_x_norm(f, s, 0.5, sg)
                                      for f, sg in zip(u, signs)]
@@ -388,11 +399,15 @@ class TestWindowRatios:
     def test_matches_per_window_loop(self, name, dom, s, t_values):
         fn, n_factors, signs, b_out = _WINDOW_FORMS[name]
         times = probes._base_times()
+        kept, windows = probes._windows(times, t_values)
         rng = np.random.default_rng(21)
-        base = [random_mode_sum_values(dom, times, rng, char_sign=sg) for sg in signs]
+        base = [random_mode_sum_values(dom, times[kept], rng, char_sign=sg)
+                for sg in signs]
         form = lambda f: fn(dom, f)  # noqa: E731
-        got = probes._window_ratios(dom, times, t_values, base, form, signs, s, b_out)
-        ref = _reference_window_ratios(dom, times, t_values, base, form, signs, s, b_out)
+        got = probes._window_ratios(dom, times, kept, windows, base, form, signs,
+                                    s, b_out)
+        ref = _reference_window_ratios(dom, times, kept, t_values, base, form, signs,
+                                       s, b_out)
         assert list(got) == list(t_values)
         for T in t_values:
             assert got[T] == pytest.approx(ref[T], rel=1e-12, abs=0)
@@ -408,7 +423,8 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
     band = min(8.0, dom.xi_max / 2)
     for i in range(ensemble):
         if i % 2 == 0:
-            traj = Trajectory(dom, times, random_mode_sum_values(dom, times, rng, band=band))
+            vals = random_mode_sum_values(dom, times, rng, band=band)
+            traj = Trajectory(dom, times, SpectralField(dom, vals).to_grid().values)
         else:
             traj = free_trajectory(random_band_field(dom, rng, band=band), times)
         u = window_trajectory(traj, window)
@@ -431,6 +447,44 @@ def _reference_smult_ensemble(dom, s, s1, s2, ensemble, rng):
         if den != 0:
             sup = np.maximum(sup, besov_norm(prod, s) / den)
     return float(sup)
+
+
+class TestProbeWork:
+    # a deterministic guard on the work per probe sample, with no timing:
+    # the quintic form pads each factor once and truncates its products in
+    # one stacked transform; a window-probe sample transforms its stack in
+    # time once per window and its factors never in space
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    def test_quintic_pads_each_factor_once(self, monkeypatch, dom, batch):
+        rng = np.random.default_rng(31)
+        cs = [rng.normal(size=batch + (dom.n_points,)) + 1j * rng.normal(
+            size=batch + (dom.n_points,)) for _ in range(5)]
+        calls = count_ffts(monkeypatch)
+        out = quintic_Q_general_slices(dom, cs)
+        assert out.shape == batch + (dom.n_points,)
+        assert calls == {"fft": 1, "ifft": 5}
+
+    # form, and the forward and inverse FFTs of one call of it
+    @pytest.mark.parametrize("name,form_fft,form_ifft", [
+        ("k0", 0, 0), ("trilinear", 1, 3), ("quintic", 1, 5)])
+    @pytest.mark.parametrize("t_values", [(0.3,), (1.0, 0.5, 0.25, 0.125)],
+                             ids=["one", "four"])
+    def test_window_sample_transforms_once_per_window(self, monkeypatch, name,
+                                                      form_fft, form_ifft, t_values):
+        fn, n_factors, signs, b_out = _WINDOW_FORMS[name]
+        dom = Domain("torus", 32)
+        times = probes._base_times()
+        kept, windows = probes._windows(times, t_values)
+        rng = np.random.default_rng(32)
+        base = [random_mode_sum_values(dom, times[kept], rng) for _ in signs]
+        calls = count_ffts(monkeypatch)
+        got = probes._window_ratios(dom, times, kept, windows, base,
+                                    lambda f: fn(dom, f), signs, 0.5, b_out)
+        assert list(got) == list(t_values)
+        assert calls == {"fft": len(t_values) + form_fft, "ifft": form_ifft}
 
 
 class TestBlockBatchedEnsembles:
@@ -466,7 +520,7 @@ class TestBlockBatchedEnsembles:
                                          n_points, ensemble):
         dom = Domain("torus", n_points)
         if per_block is not None:
-            monkeypatch.setattr(probes, "BLOCK_BYTES", per_block * 4 * 16 * 4 * n_points)
+            monkeypatch.setattr(probes, "BLOCK_BYTES", per_block * 4 * 16 * 2 * n_points)
         self._compare(
             lambda r: probes._smult_ensemble(dom, 0.5, 0.5, 0.75, ensemble, r),
             lambda r: _reference_smult_ensemble(dom, 0.5, 0.5, 0.75, ensemble, r),

@@ -13,7 +13,7 @@ from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _phi, free_trajectory,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
-from tests_support import original_rhs_reference
+from tests_support import count_ffts, original_rhs_reference
 
 TORUS = Domain("torus", 64)
 
@@ -266,21 +266,12 @@ class TestForcingWork:
     @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.0, 0), (1.0, 1), (0.5, 3)])
     def test_fft_calls_per_forcing_call(self, monkeypatch, dom, batch, gauged,
                                         ffts, lam, k):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        calls = count_ffts(monkeypatch)
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=gauged))
         c = np.random.default_rng(15).normal(size=batch + (dom.n_points,)) + 0j
         out = nl(c)
         assert out.shape == c.shape
-        assert len(calls) == ffts
+        assert sum(calls.values()) == ffts
 
 
 def _coeff_rows(dom, n_rows, seed):

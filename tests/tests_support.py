@@ -22,6 +22,21 @@ def original_rhs_reference(u, lam, k, pad_factor):
     return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
 
 
+def count_ffts(monkeypatch) -> dict:
+    """Count the np.fft.fft and np.fft.ifft calls made from now on."""
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return calls
+
+
 def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
     """Random coefficients away from the lattice Nyquist edge (the edge has
     no mirror partner under (xi, tau) -> (-xi, -tau))."""
