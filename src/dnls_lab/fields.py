@@ -18,9 +18,10 @@ Transform conventions, fixed here once and used by every other module:
   time; that factor is cached per ModulationLattice.  A SpaceTimeField
   may carry a leading batch axis: a stack of fields on one lattice,
   transformed and normed in one call.  It is built from per-slice
-  coefficients (a SpectralField) without a spatial transform, and a
-  caller that builds many fields of one shape passes its own output
-  array.
+  coefficients (a SpectralField) without a spatial transform; a caller
+  that builds many fields of one shape passes its own output array, and
+  a caller that knows which xi rows carry data passes them, so that only
+  those rows are transformed (the others are exactly zero).
 * products:  padded to the smallest grid on which a product of their
   degree is alias-free on the retained band (_min_pad_factor), unless
   the caller asks for a larger one.
@@ -440,7 +441,8 @@ class SpaceTimeField:
 
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray, values,
-                         out: np.ndarray | None = None) -> "SpaceTimeField":
+                         out: np.ndarray | None = None,
+                         rows: np.ndarray | None = None) -> "SpaceTimeField":
         """Build from physical samples values[..., l, j] = u(x_j, t_l), or
         from a SpectralField of their per-slice coefficients (..., n_t, n).
 
@@ -451,6 +453,13 @@ class SpaceTimeField:
         receives the coefficients when given; the field then views it, so a
         caller that reuses out across calls must be done with each field
         before the next call, and must not share out between threads.
+
+        rows, a boolean (..., n) array, names the xi rows that may carry
+        data; the caller finds them (this call does not scan), and every
+        other row of the slice coefficients must be exactly zero.  Only
+        those rows are transformed, each with the bits of the full
+        transform, and every other row of the result is zero, whatever out
+        held before: the tau transform of a zero row is zero.
         """
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])
@@ -462,8 +471,17 @@ class SpaceTimeField:
             values = np.asarray(values, dtype=np.complex128)
             slices_hat = np.fft.fft(values, axis=-1)
             slices_hat *= domain.dx / SQRT_2PI
-        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1, out=out)
-        ghat *= _tau_factor(lat)
+        by_xi = np.swapaxes(slices_hat, -1, -2)
+        if rows is None:
+            ghat = np.fft.fft(by_xi, axis=-1, out=out)
+            ghat *= _tau_factor(lat)
+            return cls(lat, ghat)
+        live = by_xi[rows]                      # a copy, transformed in place
+        np.fft.fft(live, axis=-1, out=live)
+        live *= _tau_factor(lat)
+        ghat = np.empty(by_xi.shape, dtype=np.complex128) if out is None else out
+        ghat[~rows] = 0.0
+        ghat[rows] = live
         return cls(lat, ghat)
 
     def to_time_values(self) -> np.ndarray:

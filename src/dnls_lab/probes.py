@@ -29,19 +29,28 @@ each element of the windowed product is rounded once more (a relative
 change of order 1e-16).  Each window's stack is transformed in time into
 one work array that the sample allocates and no other thread sees.
 
+Most xi rows of such a stack are exactly zero: a 12-mode factor fills a
+few of the 32, a single-mode factor one.  A sample finds the rows with an
+entry != 0 once, on its kept slices (_live_rows), and every window
+transforms and norms those rows alone.  The tau transform of a zero row is
+zero and a zero row adds exactly 0 to every block norm, so the ratios keep
+their bits.
+
 The Strichartz and Besov-product ensembles draw their samples in blocks,
 in the order a one-sample-at-a-time loop draws them, and evaluate each
 block in one batched pass: one free evolution (its phases exp(-i t xi^2)
 built once per block), one window transform and one X^{0,b} norm call per
 kind of sample, and one product and three Besov norm calls per block of
 pairs.  Each member gets the bits of its own call, and the generator ends
-in the same state.  The L^4 norm is summed from the trajectory samples
-already in hand, with w^4 factored out of |w u|^4, instead of inverting the
-windowed field's space-time transform (the inverse only reproduces the
-windowed samples, up to roundoff).  A block holds at most BLOCK_BYTES of
-space-time samples (Strichartz) or of padded-grid rows (the Besov pairs'
-two factors, product and spectrum), so a block, not the ensemble, sets
-the memory the ensembles add.
+in the same state.  The Strichartz samples stay per-slice coefficients: the
+window multiplies them and the time transform and the X norm read their
+live rows alone, with no spatial transform.  The L^4 norm is summed from
+one inverse spatial transform of the block, with w^4 factored out of
+|w u|^4, instead of inverting the windowed field's space-time transform
+(the inverse only reproduces the windowed samples, up to roundoff).  A
+block holds at most BLOCK_BYTES of space-time samples (Strichartz) or of
+padded-grid rows (the Besov pairs' two factors, product and spectrum), so
+a block, not the ensemble, sets the memory the ensembles add.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ParameterError
-from .fields import (Domain, SpaceTimeField, SpectralField, Trajectory,
+from .fields import (Domain, SpaceTimeField, SpectralField,
                      _conj_reverse, _plane_wave_coeffs, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
@@ -64,7 +73,7 @@ from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
 from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
                      frak_x_norm, window_trajectory, xsb_norm)
-from .solver import free_trajectory
+from .solver import free_evolution
 
 
 # byte budget of one block of probe samples evaluated together (see the
@@ -186,18 +195,28 @@ def _blocks(count: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _strichartz_ratios(traj: Trajectory, window: TimeWindow, b: float) -> np.ndarray:
-    """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}} for every member u of a
-    batched trajectory (values (n_t, B, n)): NaN where the X norm overflows,
-    which the sup keeps, and 0 where it vanishes.
+def _live_rows(by_xi: np.ndarray) -> np.ndarray:
+    """The xi rows of a (..., n, n_t) coefficient stack with an entry != 0,
+    shape (..., n); a row of roundoff or NaN stays live."""
+    return np.any(by_xi != 0, axis=-1)
 
-    The L^4 norm is summed from the samples in hand, w^4 factored out of
-    |w u|^4, rather than from the inverse transform of the windowed field."""
-    den = xsb_norm(window_trajectory(traj, window), 0.0, b, +1)
-    w4 = window(traj.times) ** 4
-    v4 = np.abs(traj.values)
+
+def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWindow,
+                       b: float) -> np.ndarray:
+    """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}} for every member u of a
+    batch of per-slice coefficients (n_t, B, n): NaN where the X norm
+    overflows, which the sup keeps, and 0 where it vanishes.
+
+    The X norm windows the coefficients and transforms only their live xi
+    rows in time; the L^4 norm is summed from one inverse spatial transform
+    of the unwindowed coefficients, w^4 factored out of |w u|^4."""
+    live = _live_rows(np.moveaxis(slices.coeffs, 0, -1))
+    den = xsb_norm(window_trajectory(times, slices, window, rows=live), 0.0, b, +1,
+                   rows=live)
+    w4 = window(times) ** 4
+    v4 = np.abs(slices.to_grid().values)
     l4 = (w4 @ np.sum(np.power(v4, 4, out=v4), axis=-1)
-          * (traj.domain.dx * traj.dt)) ** 0.25
+          * (slices.domain.dx * (times[1] - times[0]))) ** 0.25
     ratio = np.divide(l4, den, out=np.zeros_like(l4), where=den > 0)
     ratio[~np.isfinite(den)] = np.nan
     return ratio
@@ -219,14 +238,13 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
                 sums.append(random_mode_sum_values(dom, times, rng, band=band))
             else:
                 data.append(random_band_field(dom, rng, band=band).coeffs)
-        trajs = []
+        blocks = []
         if sums:
-            sums_hat = SpectralField(dom, np.stack(sums, axis=1))
-            trajs.append(Trajectory(dom, times, sums_hat.to_grid().values))
+            blocks.append(SpectralField(dom, np.stack(sums, axis=1)))
         if data:
-            trajs.append(free_trajectory(SpectralField(dom, np.array(data)), times))
-        for traj in trajs:
-            sup = np.maximum(sup, np.max(_strichartz_ratios(traj, window, b)))
+            blocks.append(free_evolution(SpectralField(dom, np.array(data)), times))
+        for slices in blocks:
+            sup = np.maximum(sup, np.max(_strichartz_ratios(times, slices, window, b)))
     return float(sup)
 
 
@@ -314,17 +332,19 @@ def _plain_product(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     return prod
 
 
-def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> float:
+def _corollary_rhs(u: SpaceTimeField, rows: np.ndarray, s: float,
+                   signs: list[int]) -> float:
     """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}
-    over the members u_k of a batched field; each run of equal signs is
-    normed in one call."""
+    over the members u_k of a batched field whose xi rows `rows` (members,
+    n) may be nonzero; each run of equal signs is normed in one call."""
     half, top, start = [], [], 0
     for sg, run in itertools.groupby(signs):
         stop = start + len(list(run))
         u_run = SpaceTimeField(u.lattice, u.coeffs[start:stop])
-        h = frak_x_norm(u_run, 0.5, 0.5, sg)
+        h = frak_x_norm(u_run, 0.5, 0.5, sg, rows=rows[start:stop])
         half += h.tolist()
-        top += (h if s == 0.5 else frak_x_norm(u_run, s, 0.5, sg)).tolist()
+        top += (h if s == 0.5 else
+                frak_x_norm(u_run, s, 0.5, sg, rows=rows[start:stop])).tolist()
         start = stop
     return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(signs)))
 
@@ -355,6 +375,7 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
     by_xi = np.empty((deg + 1, dom.n_points, factors.shape[1]), dtype=np.complex128)
     by_xi[0] = form(factors).T
     by_xi[1:] = np.swapaxes(factors, -1, -2)
+    live = _live_rows(by_xi)
     # one allocation holds the windowed stack and its tau transform: freed
     # as one block larger than any before, it raises glibc's mmap and trim
     # thresholds above what a sample uses, so later samples reuse heap
@@ -367,11 +388,12 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
         np.multiply(by_xi, np.array([w ** deg] + [w] * deg)[:, None, :],
                     out=stack[..., kept])
         u = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)), out=ghat)
+            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)), out=ghat,
+            rows=live)
         lhs = SpaceTimeField(u.lattice, u.coeffs[0])
-        den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[1:]), s, signs)
-        out[T] = (frak_x_norm(lhs, s, b_out, +1) / den,
-                  cal_y_norm(lhs, s, -1.0) / den)
+        den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[1:]), live[1:], s, signs)
+        out[T] = (frak_x_norm(lhs, s, b_out, +1, rows=live[0]) / den,
+                  cal_y_norm(lhs, s, -1.0, rows=live[0]) / den)
     return out
 
 

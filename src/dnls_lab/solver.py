@@ -2,7 +2,7 @@
 Duhamel fixed-point iteration, and exact lattice rescaling.
 
 The linear part is diagonal in frequency, (U_t f)^(xi) = exp(-i t xi^2) fhat,
-and is treated exactly (`free_trajectory` applies it to coefficients).  The
+and is treated exactly (`free_evolution` applies it to coefficients).  The
 default stepper is ETD-RK4 with the Cox-Matthews coefficients assembled
 from the phi functions
 
@@ -82,11 +82,11 @@ class SolverConfig:
         return round(self.t_final / self.dt)
 
 
-def free_trajectory(u0: SpectralField, times: np.ndarray) -> Trajectory:
-    """Exact linear evolution of the coefficients u0 sampled at the given
-    (uniform) times.
+def free_evolution(u0: SpectralField, times: np.ndarray) -> SpectralField:
+    """Exact linear evolution of the coefficients u0, as its per-slice
+    coefficients at the given (uniform) times.
 
-    u0.coeffs of shape (..., n) gives values (n_slices, ..., n), the
+    u0.coeffs of shape (..., n) gives coefficients (n_slices, ..., n), the
     batch layout of `solve`; the phases exp(-i t xi^2) are built once for
     the whole batch, and each member gets the bits of its own call."""
     dom = u0.domain
@@ -94,7 +94,7 @@ def free_trajectory(u0: SpectralField, times: np.ndarray) -> Trajectory:
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
     phases = phases.reshape((times.size,) + (1,) * (c0.ndim - 1) + (dom.n_points,))
-    return Trajectory(dom, times, SpectralField(dom, phases * c0).to_grid().values)
+    return SpectralField(dom, phases * c0)
 
 
 def _phi(z: np.ndarray, k: int) -> np.ndarray:

@@ -16,13 +16,17 @@ B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.  block_no
 frak_x_norm, cal_y_norm and cal_z_norm accept a SpaceTimeField with a
 leading batch axis, and besov_norm a SpectralField with one; they then
 return one value per member (a float for a single field), equal bit for
-bit to one call per member; ysb_norm takes a single field.
+bit to one call per member; ysb_norm takes a single field.  block_norms,
+xsb_norm, frak_x_norm and cal_y_norm also take `rows`, a boolean (..., n)
+array of the xi rows that may be nonzero: only those are read (_rows), and
+every other row adds what a zero row adds (0, or NaN where the weight
+overflowed), so the value keeps the bits of the full reduction.
 
 Restriction norms over a finite time interval are handled through one
-canonical windowed extension (window_trajectory): multiply the trajectory
-by a smooth time window and transform; the resulting value is an upper
-bound for the infimum over all extensions, which suffices for every
-monotone check performed here.
+canonical windowed extension (window_trajectory): multiply the
+trajectory's per-slice coefficients by a smooth time window and transform
+in time; the resulting value is an upper bound for the infimum over all
+extensions, which suffices for every monotone check performed here.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExtensionError
-from .fields import Domain, ModulationLattice, SpaceTimeField, SpectralField, Trajectory
+from .fields import Domain, ModulationLattice, SpaceTimeField, SpectralField
 from .frequency import (bracket, cutoff_low, dyadic_multiplier, dyadic_range,
                         smooth_cutoff)
 
@@ -89,26 +93,53 @@ def _xsb_weight(lattice: ModulationLattice, s: float, b: float, sign: int) -> np
     return w
 
 
-def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _zero_row_terms(lattice: ModulationLattice, s: float, b: float, sign: int) -> np.ndarray:
+    """What an all-zero xi row adds to _rows, shape (n,): 0 where the
+    weight row is finite, NaN where it overflowed (0 * inf); cached per
+    lattice, s, b and sign, read-only."""
+    t = np.where(np.all(np.isfinite(_xsb_weight(lattice, s, b, sign)), axis=-1),
+                 0.0, np.nan)
+    t.flags.writeable = False
+    return t
+
+
+def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str,
+          rows: np.ndarray | None = None) -> np.ndarray:
     """Per-xi squared contributions (..., n): ||u||^2 = sum(rows) and, since
-    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows."""
-    wc = np.abs(u.coeffs)
-    wc *= _xsb_weight(u.lattice, s, b, sign)
+    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows.
+
+    rows, a boolean (..., n) array, names the xi rows of u that may be
+    nonzero; only those are read, and every other row adds what a zero row
+    adds, so the result has the bits of the full reduction."""
+    c, w = u.coeffs, _xsb_weight(u.lattice, s, b, sign)
+    if rows is not None:
+        c, w = c[rows], w[np.nonzero(rows)[-1]]
+    wc = np.abs(c)
+    wc *= w
     if space == "X":
-        return np.sum(np.square(wc, out=wc), axis=-1) * (u.domain.dxi * u.lattice.dtau)
-    return (np.sum(wc, axis=-1) * u.lattice.dtau) ** 2 * u.domain.dxi
+        r = np.sum(np.square(wc, out=wc), axis=-1) * (u.domain.dxi * u.lattice.dtau)
+    else:
+        r = (np.sum(wc, axis=-1) * u.lattice.dtau) ** 2 * u.domain.dxi
+    if rows is None:
+        return r
+    full = np.broadcast_to(_zero_row_terms(u.lattice, s, b, sign), rows.shape).copy()
+    full[rows] = r
+    return full
 
 
 def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
-                space: str = "X") -> np.ndarray:
+                space: str = "X", rows: np.ndarray | None = None) -> np.ndarray:
     """||P_N u|| in X^{s,b,sign} (space "X") or Y^{s,b} (space "Y", sign +1)
-    for every N in dyadic_range, in one pass over u; shape (..., blocks)."""
-    return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space))
+    for every N in dyadic_range, in one pass over u (over its xi rows
+    `rows` alone when given, see _rows); shape (..., blocks)."""
+    return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space, rows))
 
 
-def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
+def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1,
+             rows: np.ndarray | None = None):
     """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
-    return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X"), axis=-1)))
+    return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X", rows), axis=-1)))
 
 
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
@@ -116,13 +147,14 @@ def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
 
 
-def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
+def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1,
+                rows: np.ndarray | None = None):
     """||P_1 u||_{X^{s,b,sign}} + sup_{N>1} ||P_N u||_{X^{s,b,sign}}."""
-    return _low_plus_sup(block_norms(u, s, b, sign))
+    return _low_plus_sup(block_norms(u, s, b, sign, rows=rows))
 
 
-def cal_y_norm(u: SpaceTimeField, s: float, b: float):
-    return _low_plus_sup(block_norms(u, s, b, space="Y"))
+def cal_y_norm(u: SpaceTimeField, s: float, b: float, rows: np.ndarray | None = None):
+    return _low_plus_sup(block_norms(u, s, b, space="Y", rows=rows))
 
 
 def cal_z_norm(u: SpaceTimeField, s: float):
@@ -165,21 +197,26 @@ class TimeWindow:
         return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support)
 
 
-def window_trajectory(traj: Trajectory, window: TimeWindow) -> SpaceTimeField:
-    """Multiply a trajectory by a time window and transform to (xi, tau).
+def window_trajectory(times: np.ndarray, slices: SpectralField, window: TimeWindow,
+                      rows: np.ndarray | None = None) -> SpaceTimeField:
+    """Multiply a trajectory, given as its per-slice coefficients
+    slices.coeffs (n_t, ..., n) at the uniform times, by a time window and
+    transform in time to (xi, tau); no spatial transform is made.
 
     The window support must lie inside the trajectory's time span; the
     result is one admissible extension of the restricted solution, hence
-    an upper bound representative for restriction norms.  A batched
-    trajectory, values (n_t, ..., n), gives a field with the same leading
-    batch axes, coeffs (..., n, n_t).
+    an upper bound representative for restriction norms.  A batch,
+    coefficients (n_t, ..., n), gives a field with the same leading batch
+    axes, coeffs (..., n, n_t).  rows, a boolean (..., n) array, names the
+    xi rows that may be nonzero (see SpaceTimeField.from_time_values).
     """
-    t0, t1 = traj.times[0], traj.times[-1]
-    if window.t_lo < t0 - 1e-12 or window.t_hi > t1 + float(traj.times[1] - traj.times[0]) + 1e-12:
+    times = np.asarray(times, dtype=float)
+    t0, t1 = times[0], times[-1]
+    if window.t_lo < t0 - 1e-12 or window.t_hi > t1 + float(times[1] - times[0]) + 1e-12:
         raise ExtensionError(
             f"window support ({window.t_lo:g}, {window.t_hi:g}) exceeds the "
             f"trajectory span [{t0:g}, {t1:g}]")
-    w = np.asarray(window(traj.times))
-    vals = traj.values * w.reshape(w.shape + (1,) * (traj.values.ndim - 1))
-    return SpaceTimeField.from_time_values(traj.domain, traj.times,
-                                           np.moveaxis(vals, 0, -2))
+    c = slices.coeffs
+    w = np.asarray(window(times)).reshape((-1,) + (1,) * (c.ndim - 1))
+    windowed = SpectralField(slices.domain, np.moveaxis(c * w, 0, -2))
+    return SpaceTimeField.from_time_values(slices.domain, times, windowed, rows=rows)

@@ -234,6 +234,51 @@ class TestSpaceTimeField:
         assert np.shares_memory(into.coeffs, buf)
         assert np.array_equal(into.coeffs, batch.coeffs)
 
+    @staticmethod
+    def _rows_input(dom, n_t, seed, shift):
+        """Per-slice coefficients (3, n_t, n), stored xi-major, that vanish
+        off a row mask (3, n): member 0 keeps every third row, member 1
+        every fifth with a NaN in its first, member 2 none."""
+        rng = np.random.default_rng(seed)
+        n = dom.n_points
+        rows = np.zeros((3, n), dtype=bool)
+        rows[0, shift::3] = True
+        rows[1, shift::5] = True
+        by_xi = rng.normal(size=(3, n, n_t)) + 1j * rng.normal(size=(3, n, n_t))
+        by_xi[~rows] = 0.0
+        by_xi[1, shift, 7] = np.nan
+        return SpectralField(dom, np.swapaxes(by_xi, -1, -2)), rows
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    def test_rows_give_the_bits_of_the_full_transform(self, dom):
+        times = -1.0 + np.arange(128) / 64.0
+        slices, rows = self._rows_input(dom, 128, 9, 1)
+        dense = SpaceTimeField.from_time_values(dom, times, slices)
+        got = SpaceTimeField.from_time_values(dom, times, slices, rows=rows)
+        assert got.lattice == dense.lattice
+        assert np.array_equal(got.coeffs, dense.coeffs, equal_nan=True)
+        assert np.isnan(got.coeffs[1, 1]).all() and not np.any(got.coeffs[2])
+        # one member alone, and an all-zero input with no live row
+        one = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, slices.coeffs[0]), rows=rows[0])
+        assert np.array_equal(one.coeffs, dense.coeffs[0])
+        zero = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.zeros((128, dom.n_points))),
+            rows=np.zeros(dom.n_points, dtype=bool))
+        assert zero.coeffs.shape == (dom.n_points, 128) and not np.any(zero.coeffs)
+
+    def test_rows_into_a_reused_buffer_leave_no_stale_row(self):
+        dom = Domain("torus", 32)
+        times = -1.0 + np.arange(128) / 64.0
+        buf = np.full((3, dom.n_points, 128), 5.0 + 5.0j)
+        for seed, shift in ((10, 0), (11, 2)):
+            slices, rows = self._rows_input(dom, 128, seed, shift)
+            got = SpaceTimeField.from_time_values(dom, times, slices, out=buf, rows=rows)
+            assert np.shares_memory(got.coeffs, buf)
+            dense = SpaceTimeField.from_time_values(dom, times, slices)
+            assert np.array_equal(got.coeffs, dense.coeffs, equal_nan=True)
+
     def test_spectral_input_must_match_domain(self):
         times = 0.1 * np.arange(8)
         f = SpectralField(Domain("torus", 16), np.zeros((8, 16)))

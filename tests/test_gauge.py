@@ -12,7 +12,7 @@ from dnls_lab.gauge import (gauge_forward, gauge_inverse, gauge_phase,
                             gauge_report, gauge_trajectory, mass_density_mean,
                             psi_functional)
 from dnls_lab.sampling import plane_wave, random_decaying_field
-from dnls_lab.solver import free_trajectory
+from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import besov_norm
 
 TORUS = Domain("torus", 256)
@@ -223,7 +223,9 @@ class TestRowWise:
         # blocks of 4 rows; 11 slices leave a short last block
         monkeypatch.setattr(gauge, "BLOCK_BYTES", 4 * 2 * dom.n_points * 16)
         u0 = GridFunction(dom, _stack(dom, 22, rows=1).values[0])
-        traj = free_trajectory(u0.to_spectral(), 0.002 * np.arange(11))
+        times = 0.002 * np.arange(11)
+        traj = Trajectory(dom, times,
+                          free_evolution(u0.to_spectral(), times).to_grid().values)
         out = gauge_trajectory(traj, inverse=inverse)
         assert np.array_equal(out.values, _per_slice_gauge(traj, inverse))
 

@@ -9,16 +9,16 @@ import pytest
 from dnls_lab import probes
 from dnls_lab.errors import ParameterError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
-                             Trajectory, _conj_reverse, dealiased_product_coeffs)
+                             _conj_reverse, dealiased_product_coeffs)
 from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              multilinear_probe, sobolev_mult_probe,
                              strichartz_probe, trilinear_probe)
 from dnls_lab.sampling import random_band_field, random_mode_sum_values
-from dnls_lab.solver import free_trajectory
+from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
-                             frak_x_norm, window_trajectory, xsb_norm)
+                             frak_x_norm, xsb_norm)
 from tests_support import count_ffts
 
 
@@ -214,6 +214,24 @@ _PRODUCT_FORMS = {
 }
 
 
+# the four window probes at small ensembles, on a given domain
+_WINDOW_PROBES = {
+    "trilinear": lambda dom: trilinear_probe(ensemble=3, dom=dom,
+                                             rng=np.random.default_rng(14)),
+    "k1": lambda dom: multilinear_probe(k=1, ensemble=3, dom=dom,
+                                        rng=np.random.default_rng(15)),
+    "k2": lambda dom: multilinear_probe(k=2, ensemble=3, dom=dom,
+                                        rng=np.random.default_rng(16)),
+    "quintic": lambda dom: multilinear_probe(quintic=True, ensemble=3, dom=dom,
+                                             rng=np.random.default_rng(17)),
+}
+
+
+def _strichartz_small(dom):
+    return strichartz_probe(ensemble=5, dom=dom, n_t=64, dt=0.05,
+                            rng=np.random.default_rng(18))
+
+
 class TestWindowSupport:
     """The probes evaluate their products on the slices that the windows keep;
     the full-lattice evaluation must equal that bit for bit there and be
@@ -265,19 +283,22 @@ class TestWindowSupport:
         assert times[probes._support(np.zeros_like(times))].size == 0
 
     @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
-    @pytest.mark.parametrize("probe", [
-        lambda dom: trilinear_probe(ensemble=3, dom=dom, rng=np.random.default_rng(14)),
-        lambda dom: multilinear_probe(k=1, ensemble=3, dom=dom,
-                                      rng=np.random.default_rng(15)),
-        lambda dom: multilinear_probe(k=2, ensemble=3, dom=dom,
-                                      rng=np.random.default_rng(16)),
-        lambda dom: multilinear_probe(quintic=True, ensemble=3, dom=dom,
-                                      rng=np.random.default_rng(17)),
-    ], ids=["trilinear", "k1", "k2", "quintic"])
+    @pytest.mark.parametrize("probe", list(_WINDOW_PROBES.values()), ids=list(_WINDOW_PROBES))
     def test_probe_report_unchanged(self, monkeypatch, dom, probe):
         kept = probe(dom).to_json()
         monkeypatch.setattr(probes, "_support", lambda w: slice(None))
         assert probe(dom).to_json() == kept
+
+    @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("probe", [*_WINDOW_PROBES.values(), _strichartz_small],
+                             ids=[*_WINDOW_PROBES, "strichartz"])
+    def test_probe_report_unchanged_with_every_row_live(self, monkeypatch, dom, probe):
+        # the transforms and norms skip the xi rows that carry no data; with
+        # every row live they run on the whole lattice, with the same bits
+        live = probe(dom).to_json()
+        monkeypatch.setattr(probes, "_live_rows",
+                            lambda by_xi: np.ones(by_xi.shape[:-1], dtype=bool))
+        assert probe(dom).to_json() == live
 
 
 def _mode_sum_reference(dom, times, rng, n_modes=12, band=8.0, tau_spread=20.0,
@@ -415,19 +436,19 @@ class TestWindowRatios:
 
 def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
     """The per-sample Strichartz loop the block-batched ensemble replaced:
-    one window transform, one X^{0,b} norm and one inverse transform for
-    the L^4 norm per sample."""
+    the windowed grid samples of each sample transformed in space and time,
+    one X^{0,b} norm and one inverse transform for the L^4 norm."""
     times = -0.5 * n_t * dt + dt * np.arange(n_t)
     window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
     sup = 0.0
     band = min(8.0, dom.xi_max / 2)
     for i in range(ensemble):
         if i % 2 == 0:
-            vals = random_mode_sum_values(dom, times, rng, band=band)
-            traj = Trajectory(dom, times, SpectralField(dom, vals).to_grid().values)
+            slices = SpectralField(dom, random_mode_sum_values(dom, times, rng, band=band))
         else:
-            traj = free_trajectory(random_band_field(dom, rng, band=band), times)
-        u = window_trajectory(traj, window)
+            slices = free_evolution(random_band_field(dom, rng, band=band), times)
+        u = SpaceTimeField.from_time_values(
+            dom, times, slices.to_grid().values * window(times)[:, None])
         den = xsb_norm(u, 0.0, b, +1)
         vals = u.to_time_values()
         lp = (np.sum(np.abs(vals) ** 4) * (dom.dx * u.lattice.dt)) ** 0.25
@@ -453,7 +474,8 @@ class TestProbeWork:
     # a deterministic guard on the work per probe sample, with no timing:
     # the quintic form pads each factor once and truncates its products in
     # one stacked transform; a window-probe sample transforms its stack in
-    # time once per window and its factors never in space
+    # time once per window, only the xi rows of the stack that carry data,
+    # and its factors never in space
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
@@ -465,7 +487,7 @@ class TestProbeWork:
         calls = count_ffts(monkeypatch)
         out = quintic_Q_general_slices(dom, cs)
         assert out.shape == batch + (dom.n_points,)
-        assert calls == {"fft": 1, "ifft": 5}
+        assert (calls["fft"], calls["ifft"]) == (1, 5)
 
     # form, and the forward and inverse FFTs of one call of it
     @pytest.mark.parametrize("name,form_fft,form_ifft", [
@@ -480,11 +502,48 @@ class TestProbeWork:
         kept, windows = probes._windows(times, t_values)
         rng = np.random.default_rng(32)
         base = [random_mode_sum_values(dom, times[kept], rng) for _ in signs]
+        form_points, stack_rows = self._form_points_and_rows(
+            monkeypatch, dom, fn, base)
         calls = count_ffts(monkeypatch)
         got = probes._window_ratios(dom, times, kept, windows, base,
                                     lambda f: fn(dom, f), signs, 0.5, b_out)
         assert list(got) == list(t_values)
-        assert calls == {"fft": len(t_values) + form_fft, "ifft": form_ifft}
+        assert (calls["fft"], calls["ifft"]) == (len(t_values) + form_fft, form_ifft)
+        # each window transforms its stack's live rows, whole time axis each
+        assert stack_rows < (n_factors + 1) * dom.n_points
+        assert calls["points"] == form_points + len(t_values) * stack_rows * len(times)
+
+    @staticmethod
+    def _form_points_and_rows(monkeypatch, dom, fn, base):
+        """The points one form call transforms, and the count of (slot, xi)
+        rows of the sample's stack (form, factors) with a nonzero entry."""
+        with monkeypatch.context() as m:
+            calls = count_ffts(m)
+            prod = fn(dom, np.array(base))
+        rows = sum(int(np.count_nonzero(np.any(c != 0, axis=0))) for c in [prod, *base])
+        return calls["points"], rows
+
+    def test_single_mode_trilinear_sample_transforms_one_row_per_factor(
+            self, monkeypatch):
+        fn, _, signs, b_out = _WINDOW_FORMS["trilinear"]
+        dom = Domain("torus", 32)
+        times = probes._base_times()
+        t_values = (1.0, 0.5, 0.25, 0.125)
+        kept, windows = probes._windows(times, t_values)
+        tk = times[kept]
+        # the probe's minimal-modulation tuple kk = 5, a = b = 1
+        base = [probes._mode_wave(dom, tk, 6, +1, 1.0 + 0.5j),
+                probes._mode_wave(dom, tk, 6, +1, -0.3 + 1j),
+                probes._mode_wave(dom, tk, -5, -1, 0.8 - 0.2j)]
+        form_points, stack_rows = self._form_points_and_rows(
+            monkeypatch, dom, fn, base)
+        prod = fn(dom, np.array(base))
+        form_rows = int(np.count_nonzero(np.any(prod != 0, axis=0)))
+        assert form_rows >= 1 and stack_rows == form_rows + 3
+        calls = count_ffts(monkeypatch)
+        probes._window_ratios(dom, times, kept, windows, base,
+                              lambda f: fn(dom, f), signs, 0.5, b_out)
+        assert calls["points"] == form_points + len(t_values) * (form_rows + 3) * len(times)
 
 
 class TestBlockBatchedEnsembles:

@@ -5,11 +5,11 @@ import pytest
 
 from dnls_lab.errors import ExtensionError
 from dnls_lab.fields import (Domain, ModulationLattice, SpaceTimeField,
-                             SpectralField, Trajectory)
+                             SpectralField)
 from dnls_lab.sampling import random_band_field
-from dnls_lab.solver import free_trajectory
+from dnls_lab.solver import free_evolution
 from dnls_lab.frequency import dyadic_multiplier, dyadic_range
-from dnls_lab.spaces import (TimeWindow, _chi_sq, _xsb_weight, besov_norm,
+from dnls_lab.spaces import (TimeWindow, _chi_sq, _xsb_weight, _zero_row_terms, besov_norm,
                              block_norms, cal_y_norm, cal_z_norm, frak_x_norm, sobolev_norm,
                              window_trajectory, xsb_norm, xy_embedding_constant,
                              ysb_norm)
@@ -215,6 +215,8 @@ class TestOnePassBlockNorms:
             _xsb_weight(u.lattice, 0.5, 0.5, +1)[0, 0] = 0.0
         with pytest.raises(ValueError):
             _chi_sq(u.domain)[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            _zero_row_terms(u.lattice, 0.5, 0.5, +1)[0] = 1.0
 
 
 class TestBatchedNorms:
@@ -234,6 +236,42 @@ class TestBatchedNorms:
         got = block_norms(batch, s, b, sign, space)
         assert got.shape == (3, len(dyadic_range(dom.xi_max)))
         assert np.array_equal(got, [block_norms(u, s, b, sign, space) for u in fields])
+
+    # s = 400 overflows the weights above |xi| ~ 5, where a zero row adds
+    # NaN (0 * inf)
+    @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
+    @pytest.mark.parametrize("space", ["X", "Y"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("s,b", [(0.5, 0.5), (0.75, -1.0), (400.0, 0.5)])
+    def test_rows_give_the_bits_of_the_full_reduction(self, dom, n_t, space, sign, s, b):
+        _, batch = self._batch(dom, n_t)
+        n = dom.n_points
+        rows = np.zeros((3, n), dtype=bool)
+        rows[0, ::3] = True
+        rows[1, 1::2] = True     # member 2 has no live row
+        coeffs = np.where(rows[..., None], batch.coeffs, 0.0)
+        u = SpaceTimeField(batch.lattice, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._assert_rows_exact(u, rows, space, sign, s, b)
+
+    @staticmethod
+    def _assert_rows_exact(u, rows, space, sign, s, b):
+        dense = block_norms(u, s, b, sign, space)
+        got = block_norms(u, s, b, sign, space, rows=rows)
+        assert np.array_equal(got, dense, equal_nan=True)
+        assert np.array_equal(block_norms(SpaceTimeField(u.lattice, u.coeffs[0]), s, b,
+                                          sign, space, rows=rows[0]),
+                              dense[0], equal_nan=True)
+        if space == "X":
+            assert np.array_equal(xsb_norm(u, s, b, sign, rows=rows),
+                                  xsb_norm(u, s, b, sign), equal_nan=True)
+            assert np.array_equal(frak_x_norm(u, s, b, sign, rows=rows),
+                                  frak_x_norm(u, s, b, sign), equal_nan=True)
+        elif sign == +1:
+            assert np.array_equal(cal_y_norm(u, s, b, rows=rows), cal_y_norm(u, s, b),
+                                  equal_nan=True)
+        if s == 400.0 and u.domain.xi_max > 8:
+            assert np.isnan(dense).any()
 
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
     def test_norms(self, dom, n_t):
@@ -267,10 +305,10 @@ class TestBatchedNorms:
         times = -2.0 + 0.02 * np.arange(200)
         vals = rng.normal(size=(200, 4, dom.n_points)) + 1j * rng.normal(size=(200, 4, dom.n_points))
         window = TimeWindow.plateau(1.0)
-        got = window_trajectory(Trajectory(dom, times, vals), window)
+        got = window_trajectory(times, SpectralField(dom, vals), window)
         assert got.coeffs.shape == (4, dom.n_points, 200)
         for j in range(4):
-            one = window_trajectory(Trajectory(dom, times, vals[:, j]), window)
+            one = window_trajectory(times, SpectralField(dom, vals[:, j]), window)
             assert got.lattice == one.lattice
             assert np.array_equal(got.coeffs[j], one.coeffs)
 
@@ -279,16 +317,16 @@ class TestWindowTrajectory:
     def test_zero_trajectory(self):
         dom = Domain("torus", 16)
         times = -2.0 + 0.0625 * np.arange(64)
-        traj = Trajectory(dom, times, np.zeros((64, 16), complex))
-        u = window_trajectory(traj, TimeWindow.plateau(1.0))
+        u = window_trajectory(times, SpectralField(dom, np.zeros((64, 16))),
+                              TimeWindow.plateau(1.0))
         assert np.all(u.coeffs == 0)
 
     def test_window_support_must_fit(self):
         dom = Domain("torus", 16)
         times = 0.1 * np.arange(10)
-        traj = Trajectory(dom, times, np.zeros((10, 16), complex))
         with pytest.raises(ExtensionError):
-            window_trajectory(traj, TimeWindow.bump())
+            window_trajectory(times, SpectralField(dom, np.zeros((10, 16))),
+                              TimeWindow.bump())
 
     def test_free_single_mode_reduces_to_window_l2(self):
         # windowed free evolution of one mode: uhat(xi0, tau) = chihat(tau + xi0^2),
@@ -296,9 +334,9 @@ class TestWindowTrajectory:
         dom = Domain("torus", 32)
         dt = 1.0 / 64.0
         times = -4.0 + dt * np.arange(512)
-        traj = free_trajectory(SpectralField.unit_mass(dom, 3.0), times)
         w = TimeWindow.bump()
-        u = window_trajectory(traj, w)
+        u = window_trajectory(times, free_evolution(SpectralField.unit_mass(dom, 3.0), times),
+                              w)
         wvals = w(times)
         window_l2 = np.sqrt(np.sum(np.abs(wvals) ** 2) * dt)
         assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(window_l2, rel=1e-10)
@@ -314,8 +352,7 @@ class TestWindowTrajectory:
         ratios = []
         for _ in range(10):
             u0 = random_band_field(dom, rng, band=8.0)
-            traj = free_trajectory(u0, times)
-            u = window_trajectory(traj, TimeWindow.bump())
+            u = window_trajectory(times, free_evolution(u0, times), TimeWindow.bump())
             ratios.append(cal_z_norm(u, 0.5) / besov_norm(u0, 0.5))
         ratios = np.array(ratios)
         assert np.all(np.isfinite(ratios))
