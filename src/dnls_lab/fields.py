@@ -19,9 +19,8 @@ Transform conventions, fixed here once and used by every other module:
   may carry a leading batch axis: a stack of fields on one lattice,
   transformed and normed in one call.  It is built from per-slice
   coefficients (a SpectralField) without a spatial transform; a caller
-  that builds many fields of one shape passes its own output array, and
-  a caller that knows which xi rows carry data passes them, so that only
-  those rows are transformed (the others are exactly zero).
+  that knows which xi rows carry data passes those rows alone and gets a
+  compact field that keeps them alone (the others are exactly zero).
 * products:  padded to the smallest grid on which a product of their
   degree is alias-free on the retained band (_min_pad_factor), unless
   the caller asks for a larger one.
@@ -419,16 +418,27 @@ class SpaceTimeField:
     (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
     lattice, which the transforms and the block norms of spaces treat
     member by member; l2_norm expects a single field.
+
+    A compact field keeps only the xi rows that carry data, named by
+    rows, a boolean (members..., n) array: coeffs (..., m, n_t) holds them
+    in np.nonzero(rows) order, every other row being zero, and its leading
+    axes (a window axis) stack fields with these rows.  The block norms of
+    spaces read it; to_time_values and conj need a dense field (rows None).
     """
 
-    __slots__ = ("lattice", "coeffs")
+    __slots__ = ("lattice", "coeffs", "rows")
 
-    def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray):
+    def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray,
+                 rows: np.ndarray | None = None):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape[-2:] != (lattice.domain.n_points, lattice.n_t):
+        n = lattice.domain.n_points
+        m = n if rows is None else np.count_nonzero(rows)
+        if (coeffs.shape[-2:] != (m, lattice.n_t)
+                or (rows is not None and rows.shape[-1] != n)):
             raise ValueError("coeffs shape does not match the lattice")
         self.lattice = lattice
         self.coeffs = coeffs
+        self.rows = rows
 
     @property
     def domain(self) -> Domain:
@@ -441,7 +451,6 @@ class SpaceTimeField:
 
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray, values,
-                         out: np.ndarray | None = None,
                          rows: np.ndarray | None = None) -> "SpaceTimeField":
         """Build from physical samples values[..., l, j] = u(x_j, t_l), or
         from a SpectralField of their per-slice coefficients (..., n_t, n).
@@ -449,21 +458,22 @@ class SpaceTimeField:
         The tau transform runs along the last axis of the (..., n, n_t)
         transpose of the slice coefficients: coefficients stored xi-major
         (passed as the swapped view of a contiguous (..., n, n_t) array)
-        are transformed without a copy.  out, a (..., n, n_t) complex array,
-        receives the coefficients when given; the field then views it, so a
-        caller that reuses out across calls must be done with each field
-        before the next call, and must not share out between threads.
+        are transformed without a copy.
 
-        rows, a boolean (..., n) array, names the xi rows that may carry
-        data; the caller finds them (this call does not scan), and every
-        other row of the slice coefficients must be exactly zero.  Only
-        those rows are transformed, each with the bits of the full
-        transform, and every other row of the result is zero, whatever out
-        held before: the tau transform of a zero row is zero.
+        With rows, the xi rows that carry data, values is instead the
+        complex array (..., m, n_t) of their per-slice coefficients in the
+        compact field's order: it is transformed in place, each row with the
+        bits of the full transform, and becomes the compact field's coeffs.
+        The caller finds the rows (this call does not scan) and hands the
+        array over, so it must not share it between threads.
         """
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])
         lat = ModulationLattice(domain, times.size, dt, float(times[0]))
+        if rows is not None:
+            ghat = np.fft.fft(values, axis=-1, out=values)
+            ghat *= _tau_factor(lat)
+            return cls(lat, ghat, rows)
         if isinstance(values, SpectralField):
             domain.require_same(values.domain)
             slices_hat = values.coeffs
@@ -471,17 +481,8 @@ class SpaceTimeField:
             values = np.asarray(values, dtype=np.complex128)
             slices_hat = np.fft.fft(values, axis=-1)
             slices_hat *= domain.dx / SQRT_2PI
-        by_xi = np.swapaxes(slices_hat, -1, -2)
-        if rows is None:
-            ghat = np.fft.fft(by_xi, axis=-1, out=out)
-            ghat *= _tau_factor(lat)
-            return cls(lat, ghat)
-        live = by_xi[rows]                      # a copy, transformed in place
-        np.fft.fft(live, axis=-1, out=live)
-        live *= _tau_factor(lat)
-        ghat = np.empty(by_xi.shape, dtype=np.complex128) if out is None else out
-        ghat[~rows] = 0.0
-        ghat[rows] = live
+        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
+        ghat *= _tau_factor(lat)
         return cls(lat, ghat)
 
     def to_time_values(self) -> np.ndarray:

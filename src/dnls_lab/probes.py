@@ -26,21 +26,23 @@ spatial transform), evaluates its form there (the forms are coefficients
 in and out), and scales the stack of form and factors by w_T^m and w_T per
 window.  In exact arithmetic this is the same number; in floating point
 each element of the windowed product is rounded once more (a relative
-change of order 1e-16).  Each window's stack is transformed in time into
-one work array that the sample allocates and no other thread sees.
+change of order 1e-16).
 
 Most xi rows of such a stack are exactly zero: a 12-mode factor fills a
 few of the 32, a single-mode factor one.  A sample finds the rows with an
-entry != 0 once, on its kept slices (_live_rows), and every window
-transforms and norms those rows alone.  The tau transform of a zero row is
-zero and a zero row adds exactly 0 to every block norm, so the ratios keep
-their bits.
+entry != 0 once, on its kept slices (_live_rows), and keeps those rows
+alone: scaled for every window, the windows on a leading axis, they are
+transformed in time in one call into one compact field, which each norm
+call reads for all windows.  The tau transform of a zero row is zero and a
+zero row adds exactly 0 to every block norm, so the ratios keep their
+bits.  The windowed rows are a sample's one large array (no other thread
+sees it), and the norms take the moduli of one window at a time.
 
 The Strichartz and Besov-product ensembles draw their samples in blocks,
 in the order a one-sample-at-a-time loop draws them, and evaluate each
 block in one batched pass: one free evolution (its phases exp(-i t xi^2)
-built once per block), one window transform and one X^{0,b} norm call per
-kind of sample, and one product and three Besov norm calls per block of
+built once per ensemble), one window transform and one X^{0,b} norm call
+per kind of sample, and one product and three Besov norm calls per block of
 pairs.  Each member gets the bits of its own call, and the generator ends
 in the same state.  The Strichartz samples stay per-slice coefficients: the
 window multiplies them and the time transform and the X norm read their
@@ -211,8 +213,7 @@ def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWin
     rows in time; the L^4 norm is summed from one inverse spatial transform
     of the unwindowed coefficients, w^4 factored out of |w u|^4."""
     live = _live_rows(np.moveaxis(slices.coeffs, 0, -1))
-    den = xsb_norm(window_trajectory(times, slices, window, rows=live), 0.0, b, +1,
-                   rows=live)
+    den = xsb_norm(window_trajectory(times, slices, window, rows=live), 0.0, b, +1)
     w4 = window(times) ** 4
     v4 = np.abs(slices.to_grid().values)
     l4 = (w4 @ np.sum(np.power(v4, 4, out=v4), axis=-1)
@@ -332,21 +333,22 @@ def _plain_product(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     return prod
 
 
-def _corollary_rhs(u: SpaceTimeField, rows: np.ndarray, s: float,
-                   signs: list[int]) -> float:
+def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]:
     """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}
-    over the members u_k of a batched field whose xi rows `rows` (members,
-    n) may be nonzero; each run of equal signs is normed in one call."""
+    over the members u_k of a compact field, one value per window (leading
+    axis); each run of equal signs is normed in one call."""
+    edges = np.concatenate(([0], np.cumsum(np.count_nonzero(u.rows, axis=-1))))
     half, top, start = [], [], 0
     for sg, run in itertools.groupby(signs):
         stop = start + len(list(run))
-        u_run = SpaceTimeField(u.lattice, u.coeffs[start:stop])
-        h = frak_x_norm(u_run, 0.5, 0.5, sg, rows=rows[start:stop])
-        half += h.tolist()
-        top += (h if s == 0.5 else
-                frak_x_norm(u_run, s, 0.5, sg, rows=rows[start:stop])).tolist()
+        u_run = SpaceTimeField(u.lattice, u.coeffs[:, edges[start]:edges[stop]],
+                               u.rows[start:stop])
+        h = frak_x_norm(u_run, 0.5, 0.5, sg)
+        half.append(h)
+        top.append(h if s == 0.5 else frak_x_norm(u_run, s, 0.5, sg))
         start = stop
-    return sum(top[k] * math.prod(half[:k] + half[k + 1:]) for k in range(len(signs)))
+    return [sum(t[k] * math.prod(h[:k] + h[k + 1:]) for k in range(len(signs)))
+            for h, t in zip(np.hstack(half).tolist(), np.hstack(top).tolist())]
 
 
 def _windows(times: np.ndarray, t_values) -> tuple[slice, dict]:
@@ -366,9 +368,10 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
     kept slices (n_kept, n), and form maps them to F's.
 
     The form runs once per sample, on the kept slices, into one stack
-    (form, factors); each window's stack (w^deg form, w factors) is then
-    transformed in time in one FFT, into a buffer this call owns, and
-    normed in one call per norm.
+    (form, factors) whose live xi rows are found once; those rows, scaled
+    by w^deg (form) and w (factors) for every window, zero-padded in time
+    and with the windows on a leading axis, are transformed in one call
+    into one compact field, which each norm call reads for all windows.
     """
     deg = len(base)
     factors = np.array(base)
@@ -376,25 +379,21 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
     by_xi[0] = form(factors).T
     by_xi[1:] = np.swapaxes(factors, -1, -2)
     live = _live_rows(by_xi)
-    # one allocation holds the windowed stack and its tau transform: freed
-    # as one block larger than any before, it raises glibc's mmap and trim
-    # thresholds above what a sample uses, so later samples reuse heap
-    # pages, where two half-size blocks were returned to the system and
-    # faulted in again on every quintic sample
-    stack, ghat = np.zeros((2,) + by_xi.shape[:-1] + (len(times),),
-                           dtype=np.complex128)
-    out = {}
-    for T, w in windows.items():
-        np.multiply(by_xi, np.array([w ** deg] + [w] * deg)[:, None, :],
-                    out=stack[..., kept])
-        u = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(stack, -1, -2)), out=ghat,
-            rows=live)
-        lhs = SpaceTimeField(u.lattice, u.coeffs[0])
-        den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[1:]), live[1:], s, signs)
-        out[T] = (frak_x_norm(lhs, s, b_out, +1, rows=live[0]) / den,
-                  cal_y_norm(lhs, s, -1.0, rows=live[0]) / den)
-    return out
+    rows, m0 = by_xi[live], np.count_nonzero(live[0])
+    ws = np.array(list(windows.values()))[:, None, :]
+    # a block of one size for every sample (room for half the stack's rows),
+    # so that glibc serves each sample from the heap pages the last one freed
+    shape = (len(ws), len(rows), len(times))
+    stack = np.empty(len(ws) * max(len(rows), live.size // 2) * len(times),
+                     dtype=np.complex128)[:math.prod(shape)].reshape(shape)
+    stack[..., :kept.start] = stack[..., kept.stop:] = 0.0
+    np.multiply(rows[:m0], ws ** deg, out=stack[:, :m0, kept])
+    np.multiply(rows[m0:], ws, out=stack[:, m0:, kept])
+    u = SpaceTimeField.from_time_values(dom, times, stack, rows=live)
+    lhs = SpaceTimeField(u.lattice, u.coeffs[:, :m0], live[0])
+    den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[:, m0:], live[1:]), s, signs)
+    x, y = frak_x_norm(lhs, s, b_out, +1).tolist(), cal_y_norm(lhs, s, -1.0).tolist()
+    return {T: (x[i] / den[i], y[i] / den[i]) for i, T in enumerate(windows)}
 
 
 def _window_report(name: str, results: list[dict], t_values, params: dict) -> ProbeReport:

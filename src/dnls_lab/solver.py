@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,13 +89,24 @@ def free_evolution(u0: SpectralField, times: np.ndarray) -> SpectralField:
 
     u0.coeffs of shape (..., n) gives coefficients (n_slices, ..., n), the
     batch layout of `solve`; the phases exp(-i t xi^2) are built once for
-    the whole batch, and each member gets the bits of its own call."""
+    the whole batch and kept for the next call at the same times, and each
+    member gets the bits of its own call."""
     dom = u0.domain
     c0 = u0.coeffs
     times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
+    phases = _free_phases(dom, times.tobytes())
     phases = phases.reshape((times.size,) + (1,) * (c0.ndim - 1) + (dom.n_points,))
     return SpectralField(dom, phases * c0)
+
+
+@lru_cache(maxsize=4)
+def _free_phases(domain: Domain, times: bytes) -> np.ndarray:
+    """exp(-i t xi^2), (n_slices, n), at the float64 times given by their
+    bytes; cached per domain and times (a Strichartz ensemble), read-only."""
+    t = np.frombuffer(times)
+    phases = np.exp(-1j * t[:, None] * domain.xi[None, :] ** 2)
+    phases.flags.writeable = False
+    return phases
 
 
 def _phi(z: np.ndarray, k: int) -> np.ndarray:

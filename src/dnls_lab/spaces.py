@@ -16,11 +16,10 @@ B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.  block_no
 frak_x_norm, cal_y_norm and cal_z_norm accept a SpaceTimeField with a
 leading batch axis, and besov_norm a SpectralField with one; they then
 return one value per member (a float for a single field), equal bit for
-bit to one call per member; ysb_norm takes a single field.  block_norms,
-xsb_norm, frak_x_norm and cal_y_norm also take `rows`, a boolean (..., n)
-array of the xi rows that may be nonzero: only those are read (_rows), and
-every other row adds what a zero row adds (0, or NaN where the weight
-overflowed), so the value keeps the bits of the full reduction.
+bit to one call per member; ysb_norm takes a single field.  They also
+read a compact field (SpaceTimeField.rows) in place, one value per window
+and member (_rows): a row it leaves out adds what a zero row adds (0, or
+NaN where the weight overflowed), so each value keeps the dense bits.
 
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the
@@ -104,42 +103,45 @@ def _zero_row_terms(lattice: ModulationLattice, s: float, b: float, sign: int) -
     return t
 
 
-def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str,
-          rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-xi squared contributions (..., n): ||u||^2 = sum(rows) and, since
-    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows.
-
-    rows, a boolean (..., n) array, names the xi rows of u that may be
-    nonzero; only those are read, and every other row adds what a zero row
-    adds, so the result has the bits of the full reduction."""
-    c, w = u.coeffs, _xsb_weight(u.lattice, s, b, sign)
-    if rows is not None:
-        c, w = c[rows], w[np.nonzero(rows)[-1]]
+def _row_terms(c: np.ndarray, w: np.ndarray, lattice: ModulationLattice,
+               space: str) -> np.ndarray:
+    """Per-row squared contributions of coefficient rows c (..., n_t)
+    under their weight rows w."""
     wc = np.abs(c)
     wc *= w
     if space == "X":
-        r = np.sum(np.square(wc, out=wc), axis=-1) * (u.domain.dxi * u.lattice.dtau)
-    else:
-        r = (np.sum(wc, axis=-1) * u.lattice.dtau) ** 2 * u.domain.dxi
-    if rows is None:
-        return r
-    full = np.broadcast_to(_zero_row_terms(u.lattice, s, b, sign), rows.shape).copy()
-    full[rows] = r
+        return np.sum(np.square(wc, out=wc), axis=-1) * (lattice.domain.dxi * lattice.dtau)
+    return (np.sum(wc, axis=-1) * lattice.dtau) ** 2 * lattice.domain.dxi
+
+
+def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.ndarray:
+    """Per-xi squared contributions (..., n): ||u||^2 = sum(rows) and, since
+    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows.
+
+    A compact field is read one leading member (window) at a time, so the
+    moduli of one window exist at a time, and every row it leaves out adds
+    what a zero row adds: the result has the bits of the dense field's."""
+    w = _xsb_weight(u.lattice, s, b, sign)
+    if u.rows is None:
+        return _row_terms(u.coeffs, w, u.lattice, space)
+    w, lead = w[np.nonzero(u.rows)[-1]], u.coeffs.shape[:-2]
+    full = np.broadcast_to(_zero_row_terms(u.lattice, s, b, sign),
+                           lead + u.rows.shape).copy()
+    for i in np.ndindex(lead):
+        full[i][u.rows] = _row_terms(u.coeffs[i], w, u.lattice, space)
     return full
 
 
 def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
-                space: str = "X", rows: np.ndarray | None = None) -> np.ndarray:
+                space: str = "X") -> np.ndarray:
     """||P_N u|| in X^{s,b,sign} (space "X") or Y^{s,b} (space "Y", sign +1)
-    for every N in dyadic_range, in one pass over u (over its xi rows
-    `rows` alone when given, see _rows); shape (..., blocks)."""
-    return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space, rows))
+    for every N in dyadic_range, in one pass over u; shape (..., blocks)."""
+    return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space))
 
 
-def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1,
-             rows: np.ndarray | None = None):
+def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
     """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
-    return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X", rows), axis=-1)))
+    return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X"), axis=-1)))
 
 
 def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
@@ -147,14 +149,13 @@ def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
 
 
-def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1,
-                rows: np.ndarray | None = None):
+def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
     """||P_1 u||_{X^{s,b,sign}} + sup_{N>1} ||P_N u||_{X^{s,b,sign}}."""
-    return _low_plus_sup(block_norms(u, s, b, sign, rows=rows))
+    return _low_plus_sup(block_norms(u, s, b, sign))
 
 
-def cal_y_norm(u: SpaceTimeField, s: float, b: float, rows: np.ndarray | None = None):
-    return _low_plus_sup(block_norms(u, s, b, space="Y", rows=rows))
+def cal_y_norm(u: SpaceTimeField, s: float, b: float):
+    return _low_plus_sup(block_norms(u, s, b, space="Y"))
 
 
 def cal_z_norm(u: SpaceTimeField, s: float):
@@ -207,8 +208,9 @@ def window_trajectory(times: np.ndarray, slices: SpectralField, window: TimeWind
     result is one admissible extension of the restricted solution, hence
     an upper bound representative for restriction norms.  A batch,
     coefficients (n_t, ..., n), gives a field with the same leading batch
-    axes, coeffs (..., n, n_t).  rows, a boolean (..., n) array, names the
-    xi rows that may be nonzero (see SpaceTimeField.from_time_values).
+    axes, coeffs (..., n, n_t).  rows, a boolean (..., n) array of the xi
+    rows that carry data, gives the compact field of those rows alone
+    (see SpaceTimeField.from_time_values).
     """
     times = np.asarray(times, dtype=float)
     t0, t1 = times[0], times[-1]
@@ -216,7 +218,11 @@ def window_trajectory(times: np.ndarray, slices: SpectralField, window: TimeWind
         raise ExtensionError(
             f"window support ({window.t_lo:g}, {window.t_hi:g}) exceeds the "
             f"trajectory span [{t0:g}, {t1:g}]")
-    c = slices.coeffs
-    w = np.asarray(window(times)).reshape((-1,) + (1,) * (c.ndim - 1))
-    windowed = SpectralField(slices.domain, np.moveaxis(c * w, 0, -2))
-    return SpaceTimeField.from_time_values(slices.domain, times, windowed, rows=rows)
+    c, w = slices.coeffs, np.asarray(window(times))
+    if rows is not None:
+        live = np.moveaxis(c, 0, -1)[rows]
+        live *= w
+        return SpaceTimeField.from_time_values(slices.domain, times, live, rows=rows)
+    windowed = np.moveaxis(c * w.reshape((-1,) + (1,) * (c.ndim - 1)), 0, -2)
+    return SpaceTimeField.from_time_values(slices.domain, times,
+                                           SpectralField(slices.domain, windowed))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import DomainMismatchError
-from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField,
+from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeField,
                              SpectralField, Trajectory, _deriv_mult,
                              dealiased_product_coeffs, spectral_derivative)
 
@@ -227,12 +227,6 @@ class TestSpaceTimeField:
         spectral = SpaceTimeField.from_time_values(
             dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
         assert np.array_equal(spectral.coeffs, batch.coeffs)
-        # into a caller's buffer: the same bits, and the field views it
-        buf = np.empty_like(batch.coeffs)
-        into = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)), out=buf)
-        assert np.shares_memory(into.coeffs, buf)
-        assert np.array_equal(into.coeffs, batch.coeffs)
 
     @staticmethod
     def _rows_input(dom, n_t, seed, shift):
@@ -247,37 +241,69 @@ class TestSpaceTimeField:
         by_xi = rng.normal(size=(3, n, n_t)) + 1j * rng.normal(size=(3, n, n_t))
         by_xi[~rows] = 0.0
         by_xi[1, shift, 7] = np.nan
-        return SpectralField(dom, np.swapaxes(by_xi, -1, -2)), rows
+        return by_xi, rows
+
+    @staticmethod
+    def _dense_and_compact(dom, times, by_xi, rows):
+        """The dense field of per-slice coefficients stored xi-major, and
+        the compact field of the same data's live rows."""
+        dense = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
+        compact = SpaceTimeField.from_time_values(dom, times, by_xi[..., rows, :],
+                                                  rows=rows)
+        return dense, compact
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
-    def test_rows_give_the_bits_of_the_full_transform(self, dom):
+    def test_compact_rows_have_the_bits_of_the_dense_transform(self, dom):
         times = -1.0 + np.arange(128) / 64.0
-        slices, rows = self._rows_input(dom, 128, 9, 1)
-        dense = SpaceTimeField.from_time_values(dom, times, slices)
-        got = SpaceTimeField.from_time_values(dom, times, slices, rows=rows)
-        assert got.lattice == dense.lattice
-        assert np.array_equal(got.coeffs, dense.coeffs, equal_nan=True)
-        assert np.isnan(got.coeffs[1, 1]).all() and not np.any(got.coeffs[2])
-        # one member alone, and an all-zero input with no live row
-        one = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, slices.coeffs[0]), rows=rows[0])
-        assert np.array_equal(one.coeffs, dense.coeffs[0])
-        zero = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.zeros((128, dom.n_points))),
-            rows=np.zeros(dom.n_points, dtype=bool))
-        assert zero.coeffs.shape == (dom.n_points, 128) and not np.any(zero.coeffs)
+        by_xi, rows = self._rows_input(dom, 128, 9, 1)
+        dense, got = self._dense_and_compact(dom, times, by_xi, rows)
+        assert got.lattice == dense.lattice and got.rows is rows
+        assert got.coeffs.shape == (np.count_nonzero(rows), 128)
+        assert np.array_equal(got.coeffs, dense.coeffs[rows], equal_nan=True)
+        # the rows left out, member 2's included, are zero in the dense field
+        assert not np.any(dense.coeffs[~rows])
+        # the NaN entry spreads over its own row alone
+        nan_row = np.count_nonzero(rows[0])
+        assert np.isnan(got.coeffs[nan_row]).all()
+        assert not np.isnan(np.delete(got.coeffs, nan_row, axis=0)).any()
+        # one member alone
+        one = SpaceTimeField.from_time_values(dom, times, by_xi[0][rows[0]],
+                                              rows=rows[0])
+        assert np.array_equal(one.coeffs, dense.coeffs[0][rows[0]])
 
-    def test_rows_into_a_reused_buffer_leave_no_stale_row(self):
+    def test_compact_rows_on_a_window_axis(self):
         dom = Domain("torus", 32)
         times = -1.0 + np.arange(128) / 64.0
-        buf = np.full((3, dom.n_points, 128), 5.0 + 5.0j)
-        for seed, shift in ((10, 0), (11, 2)):
-            slices, rows = self._rows_input(dom, 128, seed, shift)
-            got = SpaceTimeField.from_time_values(dom, times, slices, out=buf, rows=rows)
-            assert np.shares_memory(got.coeffs, buf)
-            dense = SpaceTimeField.from_time_values(dom, times, slices)
-            assert np.array_equal(got.coeffs, dense.coeffs, equal_nan=True)
+        by_xi, rows = self._rows_input(dom, 128, 10, 2)
+        w = np.stack([np.cos(times), 0.5 + times ** 2])[:, None, None, :]
+        dense, got = self._dense_and_compact(dom, times, by_xi * w, rows)
+        assert got.coeffs.shape == (2, np.count_nonzero(rows), 128)
+        assert np.array_equal(got.coeffs, dense.coeffs[:, rows], equal_nan=True)
+        for j in range(2):
+            alone = SpaceTimeField.from_time_values(
+                dom, times, SpectralField(dom, np.swapaxes(by_xi * w[j], -1, -2)))
+            assert np.array_equal(got.coeffs[j], alone.coeffs[rows], equal_nan=True)
+
+    def test_compact_field_with_no_live_row(self):
+        dom = Domain("torus", 32)
+        times = -1.0 + np.arange(128) / 64.0
+        rows = np.zeros((2, 3, dom.n_points), dtype=bool)
+        by_xi = np.zeros((4, 2, 3, dom.n_points, 128), dtype=np.complex128)
+        dense, got = self._dense_and_compact(dom, times, by_xi, rows)
+        assert got.coeffs.shape == (4, 0, 128) and got.rows is rows
+        assert not np.any(dense.coeffs)
+
+    def test_compact_rows_must_match_coefficients(self):
+        lat = ModulationLattice(Domain("torus", 16), 8, 0.1, 0.0)
+        rows = np.zeros((2, 16), dtype=bool)
+        rows[:, 3] = True
+        SpaceTimeField(lat, np.zeros((5, 2, 8)), rows)
+        with pytest.raises(ValueError):
+            SpaceTimeField(lat, np.zeros((3, 8)), rows)
+        with pytest.raises(ValueError):
+            SpaceTimeField(lat, np.zeros((2, 8)), rows[:, :8])
 
     def test_spectral_input_must_match_domain(self):
         times = 0.1 * np.arange(8)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dnls_lab import probes
+from dnls_lab import probes, solver
 from dnls_lab.errors import ParameterError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
                              _conj_reverse, dealiased_product_coeffs)
@@ -409,8 +409,9 @@ _WINDOW_FORMS = {
 
 
 class TestWindowRatios:
-    """The per-sample helper (form once, scaled per window; one transform and
-    one norm call per window stack) against the per-window reference loop."""
+    """The per-sample helper (form once, scaled per window; one transform
+    and one call per norm for all windows) against the per-window reference
+    loop."""
 
     @pytest.mark.parametrize("t_values", [(0.3,), (1.0, 0.7, 0.2)], ids=["one", "three"])
     @pytest.mark.parametrize("s", [0.5, 0.75])
@@ -474,8 +475,8 @@ class TestProbeWork:
     # a deterministic guard on the work per probe sample, with no timing:
     # the quintic form pads each factor once and truncates its products in
     # one stacked transform; a window-probe sample transforms its stack in
-    # time once per window, only the xi rows of the stack that carry data,
-    # and its factors never in space
+    # time once for all its windows, only the xi rows of the stack that
+    # carry data, and its factors never in space
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
@@ -494,8 +495,9 @@ class TestProbeWork:
         ("k0", 0, 0), ("trilinear", 1, 3), ("quintic", 1, 5)])
     @pytest.mark.parametrize("t_values", [(0.3,), (1.0, 0.5, 0.25, 0.125)],
                              ids=["one", "four"])
-    def test_window_sample_transforms_once_per_window(self, monkeypatch, name,
-                                                      form_fft, form_ifft, t_values):
+    def test_window_sample_transforms_once_for_all_windows(self, monkeypatch, name,
+                                                           form_fft, form_ifft,
+                                                           t_values):
         fn, n_factors, signs, b_out = _WINDOW_FORMS[name]
         dom = Domain("torus", 32)
         times = probes._base_times()
@@ -508,8 +510,9 @@ class TestProbeWork:
         got = probes._window_ratios(dom, times, kept, windows, base,
                                     lambda f: fn(dom, f), signs, 0.5, b_out)
         assert list(got) == list(t_values)
-        assert (calls["fft"], calls["ifft"]) == (len(t_values) + form_fft, form_ifft)
-        # each window transforms its stack's live rows, whole time axis each
+        assert (calls["fft"], calls["ifft"]) == (1 + form_fft, form_ifft)
+        # the one transform takes the stack's live rows, whole time axis
+        # each, once per window
         assert stack_rows < (n_factors + 1) * dom.n_points
         assert calls["points"] == form_points + len(t_values) * stack_rows * len(times)
 
@@ -544,6 +547,13 @@ class TestProbeWork:
         probes._window_ratios(dom, times, kept, windows, base,
                               lambda f: fn(dom, f), signs, 0.5, b_out)
         assert calls["points"] == form_points + len(t_values) * (form_rows + 3) * len(times)
+
+    def test_strichartz_probe_builds_one_phase_table_per_ensemble(self):
+        # 13 and 25 blocks of free evolutions at the defaults, two time grids
+        solver._free_phases.cache_clear()
+        probes.strichartz_probe()
+        info = solver._free_phases.cache_info()
+        assert (info.misses, info.hits) == (2, 36)
 
 
 class TestBlockBatchedEnsembles:

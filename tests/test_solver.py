@@ -10,7 +10,7 @@ from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
 from dnls_lab.scenarios import _plane_wave_solve
-from dnls_lab.solver import (SolverConfig, _phi, free_evolution,
+from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
 from tests_support import count_ffts, original_rhs_reference
@@ -87,6 +87,21 @@ class TestFreeTrajectory:
         for i, j in np.ndindex(2, 3):
             one = free_evolution(SpectralField(dom, data[i, j]), times)
             assert np.array_equal(got.coeffs[:, i, j], one.coeffs)
+
+    def test_phase_table_is_built_once_per_times(self):
+        # the cached table has the bits of a fresh exp(-i t xi^2), and a
+        # second call at equal times (another array) reuses it
+        _free_phases.cache_clear()
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(3, TORUS.n_points)) + 1j * rng.normal(size=(3, TORUS.n_points))
+        times = -0.3 + 0.01 * np.arange(40)
+        fresh = np.exp(-1j * times[:, None] * TORUS.xi[None, :] ** 2)
+        for _ in range(2):
+            got = free_evolution(SpectralField(TORUS, data), times.copy())
+            assert np.array_equal(got.coeffs, fresh[:, None, :] * data)
+        free_evolution(SpectralField(TORUS, data), times[:-1])
+        info = _free_phases.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
 
 def plane_wave_error(dt, n=256, A=0.5, lam=0.0, k=0, T=0.1,

@@ -237,41 +237,76 @@ class TestBatchedNorms:
         assert got.shape == (3, len(dyadic_range(dom.xi_max)))
         assert np.array_equal(got, [block_norms(u, s, b, sign, space) for u in fields])
 
+    @staticmethod
+    def _compact(u, rows):
+        """The compact field of u's xi rows `rows` (members, n); u may add
+        leading (window) axes."""
+        return SpaceTimeField(u.lattice, u.coeffs[..., rows, :], rows)
+
     # s = 400 overflows the weights above |xi| ~ 5, where a zero row adds
     # NaN (0 * inf)
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
     @pytest.mark.parametrize("space", ["X", "Y"])
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("s,b", [(0.5, 0.5), (0.75, -1.0), (400.0, 0.5)])
-    def test_rows_give_the_bits_of_the_full_reduction(self, dom, n_t, space, sign, s, b):
+    def test_compact_rows_give_the_bits_of_the_dense_field(self, dom, n_t, space,
+                                                           sign, s, b):
         _, batch = self._batch(dom, n_t)
         n = dom.n_points
         rows = np.zeros((3, n), dtype=bool)
         rows[0, ::3] = True
         rows[1, 1::2] = True     # member 2 has no live row
         coeffs = np.where(rows[..., None], batch.coeffs, 0.0)
-        u = SpaceTimeField(batch.lattice, coeffs)
+        coeffs[1, 1, 5] = np.nan
+        # a leading window axis: the batch and a rescaled copy
+        u = SpaceTimeField(batch.lattice, coeffs * np.array([1.0, 0.375])[:, None, None, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            self._assert_rows_exact(u, rows, space, sign, s, b)
+            dense = self._assert_compact_exact(u, rows, space, sign, s, b)
+        # the NaN entry makes member 1's every block NaN, and no other's
+        assert np.isnan(dense[:, 1]).all()
+        if s != 400.0:
+            assert not np.isnan(dense[:, [0, 2]]).any()
+        elif dom.xi_max > 8:
+            assert np.isnan(dense).any()
+
+    @pytest.mark.parametrize("space,sign", [("X", +1), ("X", -1), ("Y", +1)])
+    @pytest.mark.parametrize("s", [0.5, 400.0])
+    def test_compact_field_with_no_live_row(self, space, sign, s):
+        dom, n_t = ONE_PASS_LATTICES[0]
+        _, batch = self._batch(dom, n_t)
+        u = SpaceTimeField(batch.lattice, np.zeros((2,) + batch.coeffs.shape))
+        rows = np.zeros((3, dom.n_points), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = self._assert_compact_exact(u, rows, space, sign, s, 0.5)
+        assert np.isnan(dense).any() if s == 400.0 else not np.any(dense)
 
     @staticmethod
-    def _assert_rows_exact(u, rows, space, sign, s, b):
+    def _compact(u, rows):
+        """The compact field of u's xi rows `rows`; u may add leading
+        (window) axes."""
+        return SpaceTimeField(u.lattice, u.coeffs[..., rows, :], rows)
+
+    def _assert_compact_exact(self, u, rows, space, sign, s, b):
+        """Every block norm of the compact field of u (windows, members, n,
+        n_t) against u's own, bit for bit; returns u's block norms."""
+        compact = self._compact(u, rows)
         dense = block_norms(u, s, b, sign, space)
-        got = block_norms(u, s, b, sign, space, rows=rows)
+        got = block_norms(compact, s, b, sign, space)
+        assert got.shape == dense.shape == u.coeffs.shape[:2] + (
+            len(dyadic_range(u.domain.xi_max)),)
         assert np.array_equal(got, dense, equal_nan=True)
-        assert np.array_equal(block_norms(SpaceTimeField(u.lattice, u.coeffs[0]), s, b,
-                                          sign, space, rows=rows[0]),
-                              dense[0], equal_nan=True)
+        one = SpaceTimeField(u.lattice, u.coeffs[0, 0])
+        assert np.array_equal(block_norms(self._compact(one, rows[0]), s, b, sign, space),
+                              dense[0, 0], equal_nan=True)
         if space == "X":
-            assert np.array_equal(xsb_norm(u, s, b, sign, rows=rows),
-                                  xsb_norm(u, s, b, sign), equal_nan=True)
-            assert np.array_equal(frak_x_norm(u, s, b, sign, rows=rows),
+            assert np.array_equal(xsb_norm(compact, s, b, sign), xsb_norm(u, s, b, sign),
+                                  equal_nan=True)
+            assert np.array_equal(frak_x_norm(compact, s, b, sign),
                                   frak_x_norm(u, s, b, sign), equal_nan=True)
         elif sign == +1:
-            assert np.array_equal(cal_y_norm(u, s, b, rows=rows), cal_y_norm(u, s, b),
+            assert np.array_equal(cal_y_norm(compact, s, b), cal_y_norm(u, s, b),
                                   equal_nan=True)
-        if s == 400.0 and u.domain.xi_max > 8:
-            assert np.isnan(dense).any()
+        return dense
 
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
     def test_norms(self, dom, n_t):
@@ -311,6 +346,19 @@ class TestBatchedNorms:
             one = window_trajectory(times, SpectralField(dom, vals[:, j]), window)
             assert got.lattice == one.lattice
             assert np.array_equal(got.coeffs[j], one.coeffs)
+        # the compact field of the live rows, member 3 with none
+        vals[:, :, 1::2] = 0.0
+        vals[:, 3] = 0.0
+        rows = np.any(np.moveaxis(vals, 0, -1) != 0, axis=-1)
+        compact = window_trajectory(times, SpectralField(dom, vals), window, rows=rows)
+        dense = window_trajectory(times, SpectralField(dom, vals), window)
+        assert compact.rows is rows and compact.lattice == dense.lattice
+        assert np.array_equal(compact.coeffs, dense.coeffs[rows])
+        # the dense field keeps the time-major input's layout, and a norm
+        # sums a strided tau axis in another order: compare with its rows
+        # stored tau-contiguous, as the compact field stores them
+        dense = SpaceTimeField(dense.lattice, np.ascontiguousarray(dense.coeffs))
+        assert np.array_equal(xsb_norm(compact, 0.0, 0.5), xsb_norm(dense, 0.0, 0.5))
 
 
 class TestWindowTrajectory:
