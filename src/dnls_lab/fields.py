@@ -465,7 +465,8 @@ class SpaceTimeField:
         compact field's order: it is transformed in place, each row with the
         bits of the full transform, and becomes the compact field's coeffs.
         The caller finds the rows (this call does not scan) and hands the
-        array over, so it must not share it between threads.
+        array over: it is the field's coeffs afterwards, not the caller's
+        slice coefficients.
         """
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])

@@ -35,8 +35,9 @@ alone: scaled for every window, the windows on a leading axis, they are
 transformed in time in one call into one compact field, which each norm
 call reads for all windows.  The tau transform of a zero row is zero and a
 zero row adds exactly 0 to every block norm, so the ratios keep their
-bits.  The windowed rows are a sample's one large array (no other thread
-sees it), and the norms take the moduli of one window at a time.
+bits.  The windowed rows are a sample's one large array (fresh per
+sample, so the time transform may overwrite it), and the norms take the
+moduli of one window at a time.
 
 The Strichartz and Besov-product ensembles draw their samples in blocks,
 in the order a one-sample-at-a-time loop draws them, and evaluate each
@@ -60,8 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,21 +84,10 @@ BLOCK_BYTES = 2 ** 20
 _BASE_DT = 1.0 / 128.0
 
 
-def worker_count() -> int:
-    """Worker cap from DNLS_LAB_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("DNLS_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _map_samples(fn, seeds):
-    """Deterministic map over pre-drawn seeds, optionally threaded."""
-    w = worker_count()
-    if w <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, seeds))
+    """Each probe's map over its pre-drawn sample seeds, in order.
+    perfbench/child.py's pool mode wraps it by name to time the samples."""
+    return [fn(s) for s in seeds]
 
 
 @dataclass

@@ -31,7 +31,7 @@ and 6 in the original one (its grid round trip: see the nonlinear module).
 The forcing owns the right-hand side's work arrays, one set per input
 shape: a march allocates them once instead of on every call, and they are
 freed with the forcing rather than held by a module-level cache, which
-would outlive the solve and be shared by the probes' worker threads.
+would outlive the solve.
 Every grid/coefficient transform here goes through GridFunction.to_spectral
 and SpectralField.to_grid, so fields alone applies the normalization.
 """

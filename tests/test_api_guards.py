@@ -1,9 +1,10 @@
 """Guards on the package's public surface: every name the benchmark's layer
-tracer wraps must exist, every public function, class and method must be
-reached from src or kept on purpose, with a reason, every defaulted
-parameter must be set by some src call or kept on purpose, with a reason,
-and only fields calls the FFT (it alone applies the transform
-normalization dx/sqrt(2 pi))."""
+tracer wraps or its workload process reads must exist, every public
+function, class and method must be reached from src or kept on purpose,
+with a reason, every defaulted parameter must be set by some src call or
+kept on purpose, with a reason, src reads no environment variable (every
+setting is a config field or a constant), and only fields calls the FFT
+(it alone applies the transform normalization dx/sqrt(2 pi))."""
 
 import ast
 import importlib
@@ -22,6 +23,7 @@ from dnls_lab.fields import SpaceTimeField
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dnls_lab"
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def _layertrace():
@@ -55,6 +57,44 @@ class TestTracerTargets:
                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
         loaded = set(json.loads(out))
         assert {f"dnls_lab.{m}" for m, _, _, _ in _layertrace().TARGETS} <= loaded
+        # the CLI's start-up loads no executor package (concurrent) and no
+        # logging; threading itself comes with numpy
+        assert {"concurrent", "logging"} & loaded == set()
+
+
+def seam_reads(text: str) -> set:
+    """module.attribute of every attribute that source text reads from a
+    dnls_lab module it imports by name (from dnls_lab import m), matched by
+    identifier, so a parameter that shares the module's name counts too."""
+    tree = ast.parse(text)
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "dnls_lab"
+               for a in node.names}
+    return {f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def _unresolved(reads: set) -> list:
+    return sorted(q for q in reads if not hasattr(
+        importlib.import_module("dnls_lab." + q.split(".")[0]), q.split(".", 1)[1]))
+
+
+class TestBenchmarkSeam:
+    """perfbench/child.py drives every workload through attributes of the
+    package (the pool mode wraps probes._map_samples by name); each must
+    resolve, or the benchmark crashes where no tier-1 test runs."""
+
+    def test_every_attribute_the_workload_process_reads_resolves(self):
+        reads = seam_reads(CHILD.read_text())
+        assert {"probes._map_samples", "cli.SCENARIOS", "cli.run"} <= reads
+        assert _unresolved(reads) == []
+
+    def test_a_missing_attribute_fails_the_scan(self):
+        text = CHILD.read_text()
+        added = text + "\n\nprobes.no_such_helper\n"
+        assert (set(_unresolved(seam_reads(added)))
+                - set(_unresolved(seam_reads(text)))) == {"probes.no_such_helper"}
 
 
 # Public symbols that nothing in src names, kept on purpose.  The tracer's
@@ -322,3 +362,52 @@ class TestTransformsInFields:
         sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
         assert set(fft_callers(sources)) - set(fft_callers(_src_sources())) == {
             "gauge.mass_density_mean"}
+
+
+# Functions (or <module> for top-level code) in src that read the process
+# environment, each with its reason.  None does: every setting is a config
+# field or a constant, so a run is fixed by its config and seed.
+ENV_READS_KEEP = {}
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def env_readers(sources: dict) -> list:
+    """module.function (module.<module> for top-level code) of every use of
+    os.environ, os.environb, os.getenv or os.getenvb, by attribute or by a
+    name imported from os, in sources {module: text}."""
+    out = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            where = getattr(node, "name", "<module>")
+            for sub in ast.walk(node):
+                if ((isinstance(sub, ast.Attribute) and sub.attr in _ENV_NAMES)
+                        or (isinstance(sub, ast.Name) and sub.id in _ENV_NAMES)
+                        or (isinstance(sub, ast.ImportFrom) and sub.module == "os"
+                            and any(a.name in _ENV_NAMES for a in sub.names))):
+                    out.add(f"{module}.{where}")
+    return sorted(out)
+
+
+class TestNoEnvironmentReads:
+    def test_only_listed_functions_read_the_environment(self):
+        assert env_readers(_src_sources()) == sorted(ENV_READS_KEEP)
+
+    @pytest.mark.parametrize("added", [
+        '    flag = os.environ.get("X")\n',
+        '    flag = os.environ["X"]\n',
+        '    flag = os.getenv("X", "1")\n',
+        '    from os import environ\n',
+    ])
+    def test_an_environment_read_fails_the_scan(self, added):
+        sources = _src_sources()
+        anchor = "def mass_density_mean(f: GridFunction) -> float:\n"
+        assert anchor in sources["gauge"]
+        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
+        assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
+            "gauge.mass_density_mean"}
+
+    def test_a_top_level_environment_read_fails_the_scan(self):
+        sources = _src_sources()
+        sources["probes"] += '\n\nTHREADS = os.environ.get("X", "1")\n'
+        assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
+            "probes.<module>"}

@@ -187,9 +187,11 @@ class TestBesovProduct:
         assert rep.refinement_stable
 
 
-class TestWorkerCount:
-    """Reports must not depend on DNLS_LAB_THREADS: samples draw from
-    pre-drawn per-sample seeds, and worker threads share the weight cache."""
+class TestSampleOrder:
+    """A sample's ratios depend on its own pre-drawn seed alone: evaluating
+    the samples in reverse order (and restoring their order) leaves the
+    report unchanged, so no state leaks between samples through caches or
+    work buffers."""
 
     @pytest.mark.parametrize("probe", [
         lambda: trilinear_probe(ensemble=4, rng=np.random.default_rng(8)),
@@ -198,11 +200,16 @@ class TestWorkerCount:
         lambda: multilinear_probe(k=1, ensemble=4, rng=np.random.default_rng(10)),
         lambda: multilinear_probe(k=2, ensemble=4, rng=np.random.default_rng(11)),
     ], ids=["trilinear", "quintic", "k1", "k2"])
-    def test_same_report_with_two_workers(self, monkeypatch, probe):
-        monkeypatch.delenv("DNLS_LAB_THREADS", raising=False)
-        serial = probe().to_json()
-        monkeypatch.setenv("DNLS_LAB_THREADS", "2")
-        assert probe().to_json() == serial
+    def test_same_report_in_reverse_sample_order(self, monkeypatch, probe):
+        forward = probe().to_json()
+        maps = []
+
+        def reversed_map(fn, seeds):
+            maps.append(len(seeds))
+            return [fn(s) for s in seeds[::-1]][::-1]
+        monkeypatch.setattr(probes, "_map_samples", reversed_map)
+        assert probe().to_json() == forward
+        assert maps  # the probe's samples went through the reversed map
 
 
 _SUPPORT_DOMAINS = [Domain("torus", 32), Domain("line", 32)]
