@@ -18,9 +18,12 @@ Transform conventions, fixed here once and used by every other module:
   time; that factor is cached per ModulationLattice.  A SpaceTimeField
   may carry a leading batch axis: a stack of fields on one lattice,
   transformed and normed in one call.  It is built from per-slice
-  coefficients (a SpectralField) without a spatial transform; a caller
-  that knows which xi rows carry data passes those rows alone and gets a
-  compact field that keeps them alone (the others are exactly zero).
+  coefficients without a spatial transform: a dense field from a
+  SpectralField, with its coeffs stored tau-contiguous however the input
+  was laid out, or a compact field of the xi rows that carry data
+  (_live_rows; the others are exactly zero) from those rows alone.
+  SpaceTimeField.members slices a compact field by member, so the
+  compact row order is known here alone.
 * products:  padded to the smallest grid on which a product of their
   degree is alias-free on the retained band (_min_pad_factor), unless
   the caller asks for a larger one.
@@ -180,10 +183,6 @@ class SpectralField:
         coeffs[int(np.argmin(np.abs(domain.xi - xi)))] = 1.0
         return cls(domain, coeffs)
 
-    @property
-    def xi(self) -> np.ndarray:
-        return self.domain.xi
-
     def to_grid(self) -> GridFunction:
         values = np.fft.ifft(self.coeffs)
         values *= SQRT_2PI / self.domain.dx
@@ -306,19 +305,15 @@ def dealiased_product_coeffs(
     the polynomial degree (_min_pad_factor: 2x for two or three factors, 4x
     for four to seven), which is also the default; it is multiplied pointwise
     on the fine grid, and truncated back.
-    A factor passed more than once (the same array object) is padded and
-    transformed once, and its fine-grid copy is dropped after its last use.
     """
     if not coeff_arrays:
         raise ValueError("no factors")
     if conjugate is None:
         conjugate = [False] * len(coeff_arrays)
     nf = max(pad_factor, _min_pad_factor(len(coeff_arrays))) * domain.n_points
-    fine, prod = {}, None
-    for i, (c, cj) in enumerate(zip(coeff_arrays, conjugate)):
-        vals = fine.pop(id(c)) if id(c) in fine else padded_values(domain, c, nf)
-        if any(later is c for later in coeff_arrays[i + 1:]):
-            fine[id(c)] = vals
+    prod = None
+    for c, cj in zip(coeff_arrays, conjugate):
+        vals = padded_values(domain, c, nf)
         if cj:
             vals = np.conj(vals)
         prod = vals if prod is None else prod * vals
@@ -354,12 +349,6 @@ class Trajectory:
     @property
     def n_slices(self) -> int:
         return self.times.size
-
-    @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            raise ValueError("trajectory has fewer than two slices")
-        return float(self.times[1] - self.times[0])
 
     def slice_function(self, l: int) -> GridFunction:
         return GridFunction(self.domain, self.values[l])
@@ -399,10 +388,6 @@ class ModulationLattice:
     def tau(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=self.dt)
 
-    @cached_property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_t)
-
 
 @lru_cache(maxsize=8)
 def _tau_factor(lattice: ModulationLattice) -> np.ndarray:
@@ -413,17 +398,23 @@ def _tau_factor(lattice: ModulationLattice) -> np.ndarray:
     return factor
 
 
+def _live_rows(by_xi: np.ndarray) -> np.ndarray:
+    """The xi rows of a (..., n, n_t) coefficient stack with an entry != 0,
+    shape (..., n); a row of roundoff or NaN stays live."""
+    return np.any(by_xi != 0, axis=-1)
+
+
 class SpaceTimeField:
     """Coefficients on a ModulationLattice; coeffs[..., k, m] sits at
     (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
     lattice, which the transforms and the block norms of spaces treat
-    member by member; l2_norm expects a single field.
+    member by member.
 
     A compact field keeps only the xi rows that carry data, named by
     rows, a boolean (members..., n) array: coeffs (..., m, n_t) holds them
     in np.nonzero(rows) order, every other row being zero, and its leading
     axes (a window axis) stack fields with these rows.  The block norms of
-    spaces read it; to_time_values and conj need a dense field (rows None).
+    spaces read it; to_time_values needs a dense field (rows None).
     """
 
     __slots__ = ("lattice", "coeffs", "rows")
@@ -452,21 +443,22 @@ class SpaceTimeField:
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray, values,
                          rows: np.ndarray | None = None) -> "SpaceTimeField":
-        """Build from physical samples values[..., l, j] = u(x_j, t_l), or
-        from a SpectralField of their per-slice coefficients (..., n_t, n).
+        """Build from a SpectralField of per-slice coefficients (..., n_t, n)
+        at the uniform times.
 
         The tau transform runs along the last axis of the (..., n, n_t)
-        transpose of the slice coefficients: coefficients stored xi-major
-        (passed as the swapped view of a contiguous (..., n, n_t) array)
-        are transformed without a copy.
+        transpose of the slice coefficients, copied tau-contiguous unless
+        they are stored xi-major (passed as the swapped view of a contiguous
+        (..., n, n_t) array), so that every dense field's coeffs are
+        tau-contiguous and its norms' bits do not depend on how it was built.
 
         With rows, the xi rows that carry data, values is instead the
         complex array (..., m, n_t) of their per-slice coefficients in the
         compact field's order: it is transformed in place, each row with the
         bits of the full transform, and becomes the compact field's coeffs.
-        The caller finds the rows (this call does not scan) and hands the
-        array over: it is the field's coeffs afterwards, not the caller's
-        slice coefficients.
+        The caller finds the rows (_live_rows; this call does not scan) and
+        hands the array over: it is the field's coeffs afterwards, not the
+        caller's slice coefficients.
         """
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])
@@ -475,16 +467,19 @@ class SpaceTimeField:
             ghat = np.fft.fft(values, axis=-1, out=values)
             ghat *= _tau_factor(lat)
             return cls(lat, ghat, rows)
-        if isinstance(values, SpectralField):
-            domain.require_same(values.domain)
-            slices_hat = values.coeffs
-        else:
-            values = np.asarray(values, dtype=np.complex128)
-            slices_hat = np.fft.fft(values, axis=-1)
-            slices_hat *= domain.dx / SQRT_2PI
-        ghat = np.fft.fft(np.swapaxes(slices_hat, -1, -2), axis=-1)
+        domain.require_same(values.domain)
+        by_xi = np.ascontiguousarray(np.swapaxes(values.coeffs, -1, -2))
+        ghat = np.fft.fft(by_xi, axis=-1)
         ghat *= _tau_factor(lat)
         return cls(lat, ghat)
+
+    def members(self, start: int, stop: int) -> "SpaceTimeField":
+        """The compact field of members start..stop-1 (the first axis of
+        rows) of a compact field, its leading (window) axes kept: their
+        rows are one run of the compact order, so coeffs is a view."""
+        lo, hi = (np.count_nonzero(self.rows[:i]) for i in (start, stop))
+        return SpaceTimeField(self.lattice, self.coeffs[..., lo:hi, :],
+                              self.rows[start:stop])
 
     def to_time_values(self) -> np.ndarray:
         """Physical samples u(x_j, t_l), shape (..., n_t, n_points)."""
@@ -493,14 +488,3 @@ class SpaceTimeField:
         g = np.fft.ifft(self.coeffs * phase, axis=-1) * (SQRT_2PI / lat.dt)
         slices_hat = np.swapaxes(g, -1, -2)
         return np.fft.ifft(slices_hat, axis=-1) * (SQRT_2PI / self.domain.dx)
-
-    def conj(self) -> "SpaceTimeField":
-        """Coefficients of conj(u): conj of the value at (-xi, -tau)."""
-        c = _conj_reverse(self.coeffs)          # flip tau axis
-        n = self.coeffs.shape[-2]
-        idx = (-np.arange(n)) % n               # flip xi axis (already conjugated)
-        return SpaceTimeField(self.lattice, c[..., idx, :])
-
-    def l2_norm(self) -> float:
-        w = self.domain.dxi * self.lattice.dtau
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * w))

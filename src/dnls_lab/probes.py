@@ -66,8 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ParameterError
-from .fields import (Domain, SpaceTimeField, SpectralField,
-                     _conj_reverse, _plane_wave_coeffs, dealiased_product_coeffs)
+from .fields import (Domain, SpaceTimeField, SpectralField, _conj_reverse,
+                     _live_rows, _plane_wave_coeffs, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
@@ -185,12 +185,6 @@ def _blocks(count: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _live_rows(by_xi: np.ndarray) -> np.ndarray:
-    """The xi rows of a (..., n, n_t) coefficient stack with an entry != 0,
-    shape (..., n); a row of roundoff or NaN stays live."""
-    return np.any(by_xi != 0, axis=-1)
-
-
 def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWindow,
                        b: float) -> np.ndarray:
     """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}} for every member u of a
@@ -200,8 +194,7 @@ def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWin
     The X norm windows the coefficients and transforms only their live xi
     rows in time; the L^4 norm is summed from one inverse spatial transform
     of the unwindowed coefficients, w^4 factored out of |w u|^4."""
-    live = _live_rows(np.moveaxis(slices.coeffs, 0, -1))
-    den = xsb_norm(window_trajectory(times, slices, window, rows=live), 0.0, b, +1)
+    den = xsb_norm(window_trajectory(times, slices, window), 0.0, b, +1)
     w4 = window(times) ** 4
     v4 = np.abs(slices.to_grid().values)
     l4 = (w4 @ np.sum(np.power(v4, 4, out=v4), axis=-1)
@@ -325,12 +318,10 @@ def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]
     """sum_k ||u_k||_{frak X^{s,1/2,sk}} prod_{j!=k} ||u_j||_{frak X^{1/2,1/2,sj}}
     over the members u_k of a compact field, one value per window (leading
     axis); each run of equal signs is normed in one call."""
-    edges = np.concatenate(([0], np.cumsum(np.count_nonzero(u.rows, axis=-1))))
     half, top, start = [], [], 0
     for sg, run in itertools.groupby(signs):
         stop = start + len(list(run))
-        u_run = SpaceTimeField(u.lattice, u.coeffs[:, edges[start]:edges[stop]],
-                               u.rows[start:stop])
+        u_run = u.members(start, stop)
         h = frak_x_norm(u_run, 0.5, 0.5, sg)
         half.append(h)
         top.append(h if s == 0.5 else frak_x_norm(u_run, s, 0.5, sg))
@@ -359,7 +350,8 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
     (form, factors) whose live xi rows are found once; those rows, scaled
     by w^deg (form) and w (factors) for every window, zero-padded in time
     and with the windows on a leading axis, are transformed in one call
-    into one compact field, which each norm call reads for all windows.
+    into one compact field, whose members (form, factors) each norm call
+    reads for all windows.
     """
     deg = len(base)
     factors = np.array(base)
@@ -378,9 +370,10 @@ def _window_ratios(dom: Domain, times: np.ndarray, kept: slice, windows: dict,
     np.multiply(rows[:m0], ws ** deg, out=stack[:, :m0, kept])
     np.multiply(rows[m0:], ws, out=stack[:, m0:, kept])
     u = SpaceTimeField.from_time_values(dom, times, stack, rows=live)
-    lhs = SpaceTimeField(u.lattice, u.coeffs[:, :m0], live[0])
-    den = _corollary_rhs(SpaceTimeField(u.lattice, u.coeffs[:, m0:], live[1:]), s, signs)
-    x, y = frak_x_norm(lhs, s, b_out, +1).tolist(), cal_y_norm(lhs, s, -1.0).tolist()
+    lhs = u.members(0, 1)
+    den = _corollary_rhs(u.members(1, deg + 1), s, signs)
+    x = frak_x_norm(lhs, s, b_out, +1)[:, 0].tolist()
+    y = cal_y_norm(lhs, s, -1.0)[:, 0].tolist()
     return {T: (x[i] / den[i], y[i] / den[i]) for i, T in enumerate(windows)}
 
 

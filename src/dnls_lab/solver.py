@@ -244,8 +244,8 @@ def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardRe
     n_steps = cfg.n_steps
     times = cfg.dt * np.arange(n_steps + 1)
     c0 = u0.to_spectral().coeffs
-    fwd = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)
-    bwd = np.exp(+1j * times[:, None] * dom.xi[None, :] ** 2)
+    fwd = _free_phases(dom, times.tobytes())
+    bwd = np.conj(fwd)
     v = fwd * c0[None, :]
 
     def advance(vcur: np.ndarray) -> np.ndarray:

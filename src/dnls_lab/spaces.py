@@ -24,8 +24,9 @@ NaN where the weight overflowed), so each value keeps the dense bits.
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the
 trajectory's per-slice coefficients by a smooth time window and transform
-in time; the resulting value is an upper bound for the infimum over all
-extensions, which suffices for every monotone check performed here.
+the xi rows that carry data in time, into a compact field; the resulting
+value is an upper bound for the infimum over all extensions, which
+suffices for every monotone check performed here.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExtensionError
-from .fields import Domain, ModulationLattice, SpaceTimeField, SpectralField
+from .fields import (Domain, ModulationLattice, SpaceTimeField, SpectralField,
+                     _live_rows)
 from .frequency import (bracket, cutoff_low, dyadic_multiplier, dyadic_range,
                         smooth_cutoff)
 
@@ -198,19 +200,18 @@ class TimeWindow:
         return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support)
 
 
-def window_trajectory(times: np.ndarray, slices: SpectralField, window: TimeWindow,
-                      rows: np.ndarray | None = None) -> SpaceTimeField:
+def window_trajectory(times: np.ndarray, slices: SpectralField,
+                      window: TimeWindow) -> SpaceTimeField:
     """Multiply a trajectory, given as its per-slice coefficients
     slices.coeffs (n_t, ..., n) at the uniform times, by a time window and
     transform in time to (xi, tau); no spatial transform is made.
 
     The window support must lie inside the trajectory's time span; the
     result is one admissible extension of the restricted solution, hence
-    an upper bound representative for restriction norms.  A batch,
-    coefficients (n_t, ..., n), gives a field with the same leading batch
-    axes, coeffs (..., n, n_t).  rows, a boolean (..., n) array of the xi
-    rows that carry data, gives the compact field of those rows alone
-    (see SpaceTimeField.from_time_values).
+    an upper bound representative for restriction norms.  It is the
+    compact field of the xi rows with a nonzero coefficient (_live_rows),
+    rows of shape (..., n) for a batch of coefficients (n_t, ..., n); only
+    those rows are windowed and transformed.
     """
     times = np.asarray(times, dtype=float)
     t0, t1 = times[0], times[-1]
@@ -218,11 +219,8 @@ def window_trajectory(times: np.ndarray, slices: SpectralField, window: TimeWind
         raise ExtensionError(
             f"window support ({window.t_lo:g}, {window.t_hi:g}) exceeds the "
             f"trajectory span [{t0:g}, {t1:g}]")
-    c, w = slices.coeffs, np.asarray(window(times))
-    if rows is not None:
-        live = np.moveaxis(c, 0, -1)[rows]
-        live *= w
-        return SpaceTimeField.from_time_values(slices.domain, times, live, rows=rows)
-    windowed = np.moveaxis(c * w.reshape((-1,) + (1,) * (c.ndim - 1)), 0, -2)
-    return SpaceTimeField.from_time_values(slices.domain, times,
-                                           SpectralField(slices.domain, windowed))
+    by_xi = np.moveaxis(slices.coeffs, 0, -1)
+    rows = _live_rows(by_xi)
+    live = by_xi[rows]
+    live *= np.asarray(window(times))
+    return SpaceTimeField.from_time_values(slices.domain, times, live, rows=rows)

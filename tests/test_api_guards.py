@@ -3,8 +3,10 @@ tracer wraps or its workload process reads must exist, every public
 function, class and method must be reached from src or kept on purpose,
 with a reason, every defaulted parameter must be set by some src call or
 kept on purpose, with a reason, src reads no environment variable (every
-setting is a config field or a constant), and only fields calls the FFT
-(it alone applies the transform normalization dx/sqrt(2 pi))."""
+setting is a config field or a constant), only fields calls the FFT
+(it alone applies the transform normalization dx/sqrt(2 pi)), and only
+fields calls the SpaceTimeField constructor (it alone knows the compact
+row order)."""
 
 import ast
 import importlib
@@ -327,9 +329,13 @@ FFT_OUTSIDE_FIELDS = {
 }
 
 
-def fft_callers(sources: dict) -> list:
-    """module.function of every call of fft or ifft (as np.fft.fft, fft, ...)
-    in sources {module: text} outside fields."""
+FFTS = ("fft", "ifft")
+
+
+def callers(sources: dict, names) -> list:
+    """module.function of every call of a function named in names (as
+    np.fft.fft, fft, fields.SpaceTimeField, ...) in sources {module: text}
+    outside fields."""
     out = []
     for module, text in sources.items():
         if module == "fields":
@@ -342,14 +348,14 @@ def fft_callers(sources: dict) -> list:
                     continue
                 f = call.func
                 ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if ident in ("fft", "ifft"):
+                if ident in names:
                     out.append(f"{module}.{name}")
     return sorted(set(out))
 
 
 class TestTransformsInFields:
     def test_only_listed_functions_call_the_fft_outside_fields(self):
-        assert fft_callers(_src_sources()) == sorted(FFT_OUTSIDE_FIELDS)
+        assert callers(_src_sources(), FFTS) == sorted(FFT_OUTSIDE_FIELDS)
 
     @pytest.mark.parametrize("added", [
         "    chat = np.fft.fft(values)\n",
@@ -360,8 +366,33 @@ class TestTransformsInFields:
         anchor = "def mass_density_mean(f: GridFunction) -> float:\n"
         assert anchor in sources["gauge"]
         sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
-        assert set(fft_callers(sources)) - set(fft_callers(_src_sources())) == {
+        assert set(callers(sources, FFTS)) - set(callers(_src_sources(), FFTS)) == {
             "gauge.mass_density_mean"}
+
+
+# Functions outside fields that call the SpaceTimeField constructor.  None
+# does: the others build fields through from_time_values and slice compact
+# ones with SpaceTimeField.members, so the compact row order is fields' alone.
+SPACETIME_FIELD_OUTSIDE_FIELDS = {}
+
+
+class TestSpaceTimeFieldsBuiltInFields:
+    def test_only_listed_functions_call_the_constructor_outside_fields(self):
+        assert callers(_src_sources(), ("SpaceTimeField",)) == sorted(
+            SPACETIME_FIELD_OUTSIDE_FIELDS)
+
+    @pytest.mark.parametrize("added", [
+        "    u = SpaceTimeField(u.lattice, u.coeffs[:, :1], u.rows[:1])\n",
+        "    u = fields.SpaceTimeField(u.lattice, u.coeffs)\n",
+    ])
+    def test_a_constructor_call_outside_fields_fails_the_scan(self, added):
+        sources = _src_sources()
+        anchor = "def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]:\n"
+        assert anchor in sources["probes"]
+        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
+        new = (set(callers(sources, ("SpaceTimeField",)))
+               - set(callers(_src_sources(), ("SpaceTimeField",))))
+        assert new == {"probes._corollary_rhs"}
 
 
 # Functions (or <module> for top-level code) in src that read the process

@@ -7,6 +7,7 @@ from dnls_lab.errors import DomainMismatchError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeField,
                              SpectralField, Trajectory, _deriv_mult,
                              dealiased_product_coeffs, spectral_derivative)
+from dnls_lab.spaces import block_norms, xsb_norm
 
 
 class TestDomain:
@@ -171,7 +172,7 @@ class TestSpaceTimeField:
         rng = np.random.default_rng(5)
         times = -1.0 + 0.125 * np.arange(16)
         vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         back = u.to_time_values()
         assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
 
@@ -181,7 +182,7 @@ class TestSpaceTimeField:
         times = -128 * dt + dt * np.arange(256)
         # u = e^{i(2x - 3t)}: uhat concentrated at (xi, tau) = (2, -3)
         vals = np.exp(1j * (2 * dom.x[None, :] - 3.0 * times[:, None]))
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         ix = int(np.argmin(np.abs(dom.xi - 2)))
         it = int(np.argmin(np.abs(u.lattice.tau + 3.0)))
         mag = np.abs(u.coeffs)
@@ -194,18 +195,9 @@ class TestSpaceTimeField:
         rng = np.random.default_rng(6)
         times = 0.05 * np.arange(64)
         vals = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         direct = np.sqrt(np.sum(np.abs(vals) ** 2) * dom.dx * 0.05)
-        assert u.l2_norm() == pytest.approx(direct, rel=1e-12)
-
-    def test_conj(self):
-        dom = Domain("torus", 16)
-        rng = np.random.default_rng(7)
-        times = 0.1 * np.arange(32)
-        vals = rng.normal(size=(32, 16)) + 1j * rng.normal(size=(32, 16))
-        u = SpaceTimeField.from_time_values(dom, times, vals)
-        direct = SpaceTimeField.from_time_values(dom, times, np.conj(vals))
-        assert np.max(np.abs(u.conj().coeffs - direct.coeffs)) < 1e-12
+        assert xsb_norm(u, 0.0, 0.0) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
@@ -214,19 +206,43 @@ class TestSpaceTimeField:
         times = -1.0 + np.arange(128) / 64.0
         vals = rng.normal(size=(3, 128, dom.n_points)) \
             + 1j * rng.normal(size=(3, 128, dom.n_points))
-        single = [SpaceTimeField.from_time_values(dom, times, v) for v in vals]
-        batch = SpaceTimeField.from_time_values(dom, times, vals)
+        single = [SpaceTimeField.from_time_values(dom, times,
+                                                  GridFunction(dom, v).to_spectral())
+                  for v in vals]
+        batch = SpaceTimeField.from_time_values(dom, times,
+                                                GridFunction(dom, vals).to_spectral())
         assert batch.coeffs.shape == (3, dom.n_points, 128)
         for j, u in enumerate(single):
             assert np.array_equal(batch.coeffs[j], u.coeffs)
             assert np.array_equal(batch.to_time_values()[j], u.to_time_values())
-            assert np.array_equal(batch.conj().coeffs[j], u.conj().coeffs)
         # per-slice coefficients, stored xi-major as the probes keep them
         slices_hat = np.fft.fft(vals, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
         by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
         spectral = SpaceTimeField.from_time_values(
             dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
         assert np.array_equal(spectral.coeffs, batch.coeffs)
+
+    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
+                             ids=lambda d: d.kind)
+    def test_dense_norms_do_not_depend_on_the_input_layout(self, dom):
+        # the same per-slice coefficients stored time-major (as a trajectory
+        # holds them) and xi-major (as the probes build them) give one
+        # tau-contiguous field, so every block norm has one set of bits
+        rng = np.random.default_rng(15)
+        times = -2.0 + 0.02 * np.arange(200)
+        by_time = rng.normal(size=(4, 200, dom.n_points)) \
+            + 1j * rng.normal(size=(4, 200, dom.n_points))
+        by_xi = np.ascontiguousarray(np.swapaxes(by_time, -1, -2))
+        a = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, by_time))
+        b = SpaceTimeField.from_time_values(
+            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
+        assert np.array_equal(a.coeffs, b.coeffs)
+        for s, bb, sign, space in [(0.0, 0.5, +1, "X"), (0.5, -0.4375, -1, "X"),
+                                   (0.5, 0.0, +1, "Y")]:
+            assert np.array_equal(block_norms(a, s, bb, sign, space),
+                                  block_norms(b, s, bb, sign, space))
+        assert np.array_equal(xsb_norm(a, 0.0, 0.5), xsb_norm(b, 0.0, 0.5))
+        assert a.coeffs.flags.c_contiguous and b.coeffs.flags.c_contiguous
 
     @staticmethod
     def _rows_input(dom, n_t, seed, shift):
@@ -294,6 +310,27 @@ class TestSpaceTimeField:
         dense, got = self._dense_and_compact(dom, times, by_xi, rows)
         assert got.coeffs.shape == (4, 0, 128) and got.rows is rows
         assert not np.any(dense.coeffs)
+
+    def test_members_slice_the_compact_order(self):
+        # members(start, stop) against slicing the compact rows by hand at
+        # the cumulative row counts of the members, every range included
+        dom = Domain("torus", 32)
+        times = -1.0 + np.arange(128) / 64.0
+        by_xi, rows = self._rows_input(dom, 128, 11, 0)
+        w = np.stack([np.cos(times), 0.5 + times ** 2])[:, None, None, :]
+        _, u = self._dense_and_compact(dom, times, by_xi * w, rows)
+        edges = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, axis=-1))))
+        for start in range(4):
+            for stop in range(start, 4):
+                got = u.members(start, stop)
+                assert got.lattice == u.lattice
+                assert np.array_equal(got.rows, rows[start:stop])
+                assert np.array_equal(got.coeffs,
+                                      u.coeffs[:, edges[start]:edges[stop]],
+                                      equal_nan=True)
+                assert np.shares_memory(got.coeffs, u.coeffs) or got.coeffs.size == 0
+        assert np.array_equal(block_norms(u.members(0, 1), 0.5, 0.5)[:, 0],
+                              block_norms(u, 0.5, 0.5)[:, 0], equal_nan=True)
 
     def test_compact_rows_must_match_coefficients(self):
         lat = ModulationLattice(Domain("torus", 16), 8, 0.1, 0.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dnls_lab import probes, solver
+from dnls_lab import probes, solver, spaces
 from dnls_lab.errors import ParameterError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
                              _conj_reverse, dealiased_product_coeffs)
@@ -131,7 +131,7 @@ class TestDyadicSums:
         dt = 1.0 / 64.0
         times = -2.0 + dt * np.arange(256)
         vals = np.exp(1j * (5 * dom.x[None, :] - 25.0 * times[:, None]))
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         rep = dyadic_sum_check(u, delta=0.25)
         assert rep.details["all_ok"]
 
@@ -162,9 +162,9 @@ class TestDyadicSums:
         modes = {n: np.exp(1j * (n * dom.x[None, :] - n * n * times[:, None]))
                  for n in (2, 4, 8, 16)}
         unit = block_norms(SpaceTimeField.from_time_values(
-            dom, times, sum(modes.values())), s, b)
+            dom, times, GridFunction(dom, sum(modes.values())).to_spectral()), s, b)
         vals = sum(n ** -delta / unit[list(ns).index(n)] * m for n, m in modes.items())
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         rep = dyadic_sum_check(u, delta, s, b, small_k=2)
         plus = block_norms(u, s + delta, b)
         c_y = 1.0 + 2.0 ** delta * float(np.sum(ns[1:] ** -delta))
@@ -301,11 +301,23 @@ class TestWindowSupport:
                              ids=[*_WINDOW_PROBES, "strichartz"])
     def test_probe_report_unchanged_with_every_row_live(self, monkeypatch, dom, probe):
         # the transforms and norms skip the xi rows that carry no data; with
-        # every row live they run on the whole lattice, with the same bits
+        # every row live they run on the whole lattice, with the same bits.
+        # The window probes find their rows in probes, the Strichartz probe
+        # in spaces.window_trajectory: each binding is patched, and the one
+        # the probe uses must be called
         live = probe(dom).to_json()
-        monkeypatch.setattr(probes, "_live_rows",
-                            lambda by_xi: np.ones(by_xi.shape[:-1], dtype=bool))
+        calls = {probes: 0, spaces: 0}
+
+        def every_row_live(module):
+            def rows(by_xi):
+                calls[module] += 1
+                return np.ones(by_xi.shape[:-1], dtype=bool)
+            return rows
+
+        for module in calls:
+            monkeypatch.setattr(module, "_live_rows", every_row_live(module))
         assert probe(dom).to_json() == live
+        assert calls[spaces if probe is _strichartz_small else probes] > 0
 
 
 def _mode_sum_reference(dom, times, rng, n_modes=12, band=8.0, tau_spread=20.0,
@@ -455,8 +467,8 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
             slices = SpectralField(dom, random_mode_sum_values(dom, times, rng, band=band))
         else:
             slices = free_evolution(random_band_field(dom, rng, band=band), times)
-        u = SpaceTimeField.from_time_values(
-            dom, times, slices.to_grid().values * window(times)[:, None])
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(
+            dom, slices.to_grid().values * window(times)[:, None]).to_spectral())
         den = xsb_norm(u, 0.0, b, +1)
         vals = u.to_time_values()
         lp = (np.sum(np.abs(vals) ** 4) * (dom.dx * u.lattice.dt)) ** 0.25

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import ExtensionError
-from dnls_lab.fields import (Domain, ModulationLattice, SpaceTimeField,
-                             SpectralField)
+from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeField,
+                             SpectralField, _conj_reverse)
 from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_evolution
 from dnls_lab.frequency import dyadic_multiplier, dyadic_range
@@ -93,15 +93,21 @@ class TestSpaceTimeNorms:
         assert ysb_norm(u, 0.0, 0.0) == pytest.approx(lat.dtau, rel=1e-12)
 
     def test_conjugation_symmetry(self):
+        # conj(u) has the coefficients conj(c(-xi, -tau)): _conj_reverse
+        # flips tau, _conj_reverse of the transpose flips xi, and the two
+        # conjugations it makes are undone by one more
         u = random_spacetime(3)
+        flipped = _conj_reverse(_conj_reverse(u.coeffs).T).T
+        conj_u = SpaceTimeField(u.lattice, np.conj(flipped))
         for s, b in ((0.5, 0.5), (0.0, -0.375)):
-            a = xsb_norm(u.conj(), s, b, -1)
+            a = xsb_norm(conj_u, s, b, -1)
             b_ = xsb_norm(u, s, b, +1)
             assert a == pytest.approx(b_, rel=1e-12)
 
     def test_l2_equals_x00(self):
         u = random_spacetime(4)
-        assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(u.l2_norm(), rel=1e-12)
+        l2 = np.sqrt(np.sum(np.abs(u.coeffs) ** 2) * u.domain.dxi * u.lattice.dtau)
+        assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(l2, rel=1e-12)
 
     def test_xy_embedding_with_exact_constant(self):
         # Cauchy-Schwarz over the tau grid makes this exact, field by field
@@ -117,7 +123,7 @@ class TestSpaceTimeNorms:
         rng = np.random.default_rng(5)
         vals = (rng.normal(size=(64,)) + 1j * rng.normal(size=(64,)))[:, None] \
             * np.exp(3j * dom.x)[None, :]
-        u = SpaceTimeField.from_time_values(dom, times, vals)
+        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         # supported in the N = 4 annulus (chi_2(3) and chi_4(3) overlap is
         # handled by taking a pure mode at xi = 3? both N=2 and N=4 see it)
         fr = frak_x_norm(u, 0.5, 0.5, +1)
@@ -237,12 +243,6 @@ class TestBatchedNorms:
         assert got.shape == (3, len(dyadic_range(dom.xi_max)))
         assert np.array_equal(got, [block_norms(u, s, b, sign, space) for u in fields])
 
-    @staticmethod
-    def _compact(u, rows):
-        """The compact field of u's xi rows `rows` (members, n); u may add
-        leading (window) axes."""
-        return SpaceTimeField(u.lattice, u.coeffs[..., rows, :], rows)
-
     # s = 400 overflows the weights above |xi| ~ 5, where a zero row adds
     # NaN (0 * inf)
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
@@ -339,26 +339,28 @@ class TestBatchedNorms:
         rng = np.random.default_rng(14)
         times = -2.0 + 0.02 * np.arange(200)
         vals = rng.normal(size=(200, 4, dom.n_points)) + 1j * rng.normal(size=(200, 4, dom.n_points))
+        vals[:, :, 1::2] = 0.0
+        vals[:, 3] = 0.0     # member 3 has no live row
         window = TimeWindow.plateau(1.0)
         got = window_trajectory(times, SpectralField(dom, vals), window)
-        assert got.coeffs.shape == (4, dom.n_points, 200)
+        rows = np.any(np.moveaxis(vals, 0, -1) != 0, axis=-1)
+        assert np.array_equal(got.rows, rows)
+        assert got.coeffs.shape == (np.count_nonzero(rows), 200)
+        # the dense field of the windowed coefficients, built on its own
+        windowed = np.moveaxis(vals * window(times)[:, None, None], 0, -2)
+        dense = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, windowed))
+        assert got.lattice == dense.lattice
+        assert np.array_equal(got.coeffs, dense.coeffs[rows])
+        assert not np.any(dense.coeffs[~rows])
+        for s, b, space in [(0.0, 0.5, "X"), (0.5, -1.0, "Y")]:
+            assert np.array_equal(block_norms(got, s, b, space=space),
+                                  block_norms(dense, s, b, space=space))
+        assert np.array_equal(xsb_norm(got, 0.0, 0.5), xsb_norm(dense, 0.0, 0.5))
+        # one member alone gives that member's rows of the batch
         for j in range(4):
             one = window_trajectory(times, SpectralField(dom, vals[:, j]), window)
-            assert got.lattice == one.lattice
-            assert np.array_equal(got.coeffs[j], one.coeffs)
-        # the compact field of the live rows, member 3 with none
-        vals[:, :, 1::2] = 0.0
-        vals[:, 3] = 0.0
-        rows = np.any(np.moveaxis(vals, 0, -1) != 0, axis=-1)
-        compact = window_trajectory(times, SpectralField(dom, vals), window, rows=rows)
-        dense = window_trajectory(times, SpectralField(dom, vals), window)
-        assert compact.rows is rows and compact.lattice == dense.lattice
-        assert np.array_equal(compact.coeffs, dense.coeffs[rows])
-        # the dense field keeps the time-major input's layout, and a norm
-        # sums a strided tau axis in another order: compare with its rows
-        # stored tau-contiguous, as the compact field stores them
-        dense = SpaceTimeField(dense.lattice, np.ascontiguousarray(dense.coeffs))
-        assert np.array_equal(xsb_norm(compact, 0.0, 0.5), xsb_norm(dense, 0.0, 0.5))
+            assert np.array_equal(one.rows, rows[j])
+            assert np.array_equal(one.coeffs, got.members(j, j + 1).coeffs)
 
 
 class TestWindowTrajectory:
@@ -367,7 +369,8 @@ class TestWindowTrajectory:
         times = -2.0 + 0.0625 * np.arange(64)
         u = window_trajectory(times, SpectralField(dom, np.zeros((64, 16))),
                               TimeWindow.plateau(1.0))
-        assert np.all(u.coeffs == 0)
+        assert u.coeffs.shape == (0, 64) and not np.any(u.rows)
+        assert xsb_norm(u, 0.5, 0.5) == 0.0 and ysb_norm(u, 0.5, 0.0) == 0.0
 
     def test_window_support_must_fit(self):
         dom = Domain("torus", 16)
