@@ -138,10 +138,6 @@ class GridFunction:
         self.domain = domain
         self.values = values
 
-    @classmethod
-    def zero(cls, domain: Domain) -> "GridFunction":
-        return cls(domain, np.zeros(domain.n_points, dtype=np.complex128))
-
     def to_spectral(self) -> "SpectralField":
         coeffs = np.fft.fft(self.values)
         coeffs *= self.domain.dx / SQRT_2PI
@@ -172,32 +168,15 @@ class SpectralField:
         self.domain = domain
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, domain: Domain) -> "SpectralField":
-        return cls(domain, np.zeros(domain.n_points, dtype=np.complex128))
-
-    @classmethod
-    def unit_mass(cls, domain: Domain, xi: float) -> "SpectralField":
-        """Coefficient 1 at the lattice frequency closest to xi, 0 elsewhere."""
-        coeffs = np.zeros(domain.n_points, dtype=np.complex128)
-        coeffs[int(np.argmin(np.abs(domain.xi - xi)))] = 1.0
-        return cls(domain, coeffs)
-
     def to_grid(self) -> GridFunction:
         values = np.fft.ifft(self.coeffs)
         values *= SQRT_2PI / self.domain.dx
         return GridFunction(self.domain, values)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.domain.dxi))
-
-    def conj_flip(self) -> "SpectralField":
-        """Coefficients of the complex conjugate: (conj u)^(xi) = conj(u^(-xi))."""
-        return SpectralField(self.domain, _conj_reverse(self.coeffs))
-
 
 def _conj_reverse(coeffs: np.ndarray) -> np.ndarray:
-    """conj(c[-k]) on an FFT-ordered axis (index 0 and Nyquist map to themselves)."""
+    """Coefficients of the complex conjugate, (conj u)^(xi) = conj(u^(-xi)):
+    conj(c[-k]) on an FFT-ordered axis (index 0 and Nyquist map to themselves)."""
     n = coeffs.shape[-1]
     idx = (-np.arange(n)) % n
     return np.conj(coeffs[..., idx])
@@ -214,14 +193,10 @@ def check_edge_decay(f: GridFunction, what: str):
                              f"edges, got {np.max(edge):g}")
 
 
-def spectral_derivative(f: SpectralField) -> SpectralField:
-    """d/dx via multiplication by i xi; the Nyquist mode is zeroed."""
-    return SpectralField(f.domain, _deriv_mult(f.domain) * f.coeffs)
-
-
 @lru_cache(maxsize=8)
 def _deriv_mult(domain: Domain) -> np.ndarray:
-    """i xi with the Nyquist mode zeroed; cached per domain, read-only."""
+    """The d/dx multiplier i xi with the Nyquist mode zeroed; cached per
+    domain, read-only."""
     m = 1j * domain.xi
     m[domain.n_points // 2] = 0.0
     m.flags.writeable = False
@@ -434,11 +409,6 @@ class SpaceTimeField:
     @property
     def domain(self) -> Domain:
         return self.lattice.domain
-
-    @classmethod
-    def zero(cls, lattice: ModulationLattice) -> "SpaceTimeField":
-        return cls(lattice, np.zeros((lattice.domain.n_points, lattice.n_t),
-                                     dtype=np.complex128))
 
     @classmethod
     def from_time_values(cls, domain: Domain, times: np.ndarray, values,

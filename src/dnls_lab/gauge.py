@@ -19,21 +19,19 @@ phase computed from the (identical) modulus of the output.
 
 The maps act row by row on values (..., n): one mean, antiderivative and
 edge check per row and every FFT along the last axis, so each row gets
-the bits of its own call.  `gauge_trajectory` and `gauge_report` map a
-trajectory in blocks of rows whose fine-grid work arrays take about
-BLOCK_BYTES each: the whole trajectory at once raised the peak memory of
-the gauge-equivalence runs by half.
+the bits of its own call.  `gauge_trajectory` maps a trajectory, and
+`gauge_report` a stack of rows, in blocks of rows whose fine-grid work
+arrays take about BLOCK_BYTES each: the whole trajectory at once raised
+the peak memory of the gauge-equivalence runs by half.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConservationError, WrongDomainError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
-                     check_edge_decay, padded_values, spectral_derivative)
+                     _deriv_mult, check_edge_decay, padded_values)
 
 MU_DRIFT_TOL = 1e-8
 # bytes of one fine-grid (2n-point complex) work array of a row block
@@ -42,13 +40,6 @@ BLOCK_BYTES = 2 ** 21
 
 def _torus_mus(values: np.ndarray, dom: Domain) -> np.ndarray:
     return np.sum(np.abs(values) ** 2, axis=-1) * dom.dx / (2.0 * np.pi)
-
-
-def mass_density_mean(f: GridFunction) -> float:
-    """mu(f) = ||f||_{L^2}^2 / (2 pi); defined on the torus only."""
-    if f.domain.kind != "torus":
-        raise WrongDomainError("mu is defined on the torus")
-    return float(_torus_mus(f.values, f.domain))
 
 
 def _density_antiderivative(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -133,44 +124,34 @@ def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
 
 def psi_functional(v: GridFunction) -> float:
     """Scalar mean functional of the gauged torus flow:
-    (1/2pi) int (2 Im(v d_x conj(v)) - |v|^4 / 2) dx + mu(v)^2."""
+    (1/2pi) int (2 Im(v d_x conj(v)) - |v|^4 / 2) dx + mu(v)^2, with
+    mu(v) = ||v||_{L^2}^2 / (2 pi)."""
     if v.domain.kind != "torus":
         raise WrongDomainError("psi is defined on the torus")
     dom = v.domain
     c = v.to_spectral()
-    dxv = spectral_derivative(c).to_grid()
+    dxv = SpectralField(dom, _deriv_mult(dom) * c.coeffs).to_grid()
     # band(v * conj(d_x v)) < n, so the plain grid sum integrates it exactly
     term_im = float(np.sum(2.0 * np.imag(v.values * np.conj(dxv.values))) * dom.dx)
     # |v|^4 has twice that band; sample it alias-free on a refined grid
     nf = 4 * dom.n_points
     vf = padded_values(dom, c.coeffs, nf)
     term_quartic = float(np.sum(np.abs(vf) ** 4) * (dom.period / nf))
-    mu = mass_density_mean(v)
+    mu = float(_torus_mus(v.values, dom))
     return (term_im - 0.5 * term_quartic) / (2.0 * np.pi) + mu ** 2
 
 
-@dataclass
-class GaugeReport:
-    """Round-trip and invariance diagnostics for a trajectory."""
-
-    round_trip_error: float
-    modulus_error: float
-    mu_drift: float
-
-
-def gauge_report(traj: Trajectory) -> GaugeReport:
-    """Max pointwise round-trip and modulus-preservation errors over the
-    slices, and the drift of mu (torus) or of the mass (line)."""
+def gauge_report(f: GridFunction) -> tuple[float, float]:
+    """(round-trip error, modulus error): the max pointwise errors of
+    gauge_inverse(gauge_forward(u)) - u and of |gauge_forward(u)| - |u| over
+    the rows u of f (..., n)."""
+    dom = f.domain
+    stack = f.values.reshape(-1, dom.n_points)
     rt = mod = 0.0
-    for rows in _row_blocks(traj.n_slices, traj.domain):
-        u = GridFunction(traj.domain, traj.values[rows])
+    for rows in _row_blocks(len(stack), dom):
+        u = GridFunction(dom, stack[rows])
         g = gauge_forward(u)
         back = gauge_inverse(g)
         rt = max(rt, float(np.max(np.abs(back.values - u.values))))
         mod = max(mod, float(np.max(np.abs(np.abs(g.values) - np.abs(u.values)))))
-    if traj.domain.kind == "torus":
-        invariant = _torus_mus(traj.values, traj.domain)
-    else:
-        invariant = traj.mass()
-    drift = float(np.max(np.abs(invariant - invariant[0])))
-    return GaugeReport(rt, mod, drift)
+    return rt, mod

@@ -77,7 +77,8 @@ def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray,
                        c3: np.ndarray) -> np.ndarray:
     """General trilinear derivative form of the fields v1, v2, v3 with the
     coefficients c1, c2, c3 (..., n), as coefficients, row by row; the
-    diagonal call is (c, c, conj_flip(c)).
+    diagonal call is (c, c, _conj_reverse(c)), the last being the
+    coefficients of conj(v).
 
     Line:  v1 * v2 * d_x v3.
     Torus: the same minus the two mean corrections
@@ -148,7 +149,7 @@ def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
 def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     """General five-factor form of the fields w1..w5 with the coefficients
     cs (..., n), one shape for all five, as coefficients, row by row; the
-    diagonal call is (c, conj_flip(c), c, conj_flip(c), c).
+    diagonal call is (c, _conj_reverse(c), c, _conj_reverse(c), c).
 
     Line:  w1 w2 w3 w4 w5.
     Torus: the inclusion-exclusion complement of the hyperplanes
@@ -252,7 +253,9 @@ def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
     gaps stay zero, and the fine-grid and coarse intermediates.  A caller
     that evaluates one form many times on one shape allocates them once."""
     # the fine grid is alias-free for the quintic (gauged) or the cube
-    # (original) and for the power term
+    # (original) and for the power term; the degree's minimum is 4 or more
+    # for the gauged form, so pad_factor (2 or 4) changes only the original
+    # form with k_power <= 1
     degree = max(5 if cfg.gauged else 3, 2 * cfg.k_power + 1)
     nf = max(pad_factor, _min_pad_factor(degree)) * dom.n_points
     batch, n = tuple(shape[:-1]), dom.n_points
@@ -311,18 +314,18 @@ def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
 
 
 def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
-               pad_factor: int = 4, work: dict | None = None) -> SpectralField:
+               work: dict | None = None) -> SpectralField:
     """-i T(v) - Q(v)/2 + lam |v|^(2k) v with the domain-correct T, Q.
 
     -i v^2 conj(d_x v) - |v|^4 v / 2 + mu |v|^2 v (torus, mu = int |v|^2 / 2pi)
-    + lam |v|^(2k) v is built on one grid fine enough for degree max(5, 2k+1)
-    and truncated once; the torus scalar (2i int v d_x conj(v) + int |v|^4 / 2)
-    / 2pi - mu^2, and lam when k = 0, multiply v without truncation.  The
-    fine grid integrates |v|^4 exactly (band 2n < 4n).  v may be a stack of
-    slices (..., n); the torus integrals are taken per slice.  v and d_x v
-    are padded as one stack by one inverse transform.  work is rhs_work's
-    arrays for v.coeffs.shape, allocated here when not given; the result is
-    a fresh array either way.
+    + lam |v|^(2k) v is built on the smallest alias-free grid for degree
+    max(5, 2k+1), 4x or more, and truncated once; the torus scalar
+    (2i int v d_x conj(v) + int |v|^4 / 2) / 2pi - mu^2, and lam when k = 0,
+    multiply v without truncation.  The fine grid integrates |v|^4 exactly
+    (band 2n < 4n).  v may be a stack of slices (..., n); the torus integrals
+    are taken per slice.  v and d_x v are padded as one stack by one inverse
+    transform.  work is rhs_work's arrays for v.coeffs.shape, allocated here
+    when not given; the result is a fresh array either way.
     """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
@@ -330,7 +333,7 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
     k, lam = cfg.k_power, cfg.lam
     c = v.coeffs
     if work is None:
-        work = rhs_work(dom, cfg, c.shape, pad_factor)
+        work = rhs_work(dom, cfg, c.shape)
     stack, fine, g = work["stack"], work["fine"], work["g"]
     dens, real = work["dens"], work["real"]
     stack[..., 0, :] = c

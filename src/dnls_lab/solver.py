@@ -180,7 +180,7 @@ def make_spectral_forcing(cfg: SolverConfig):
         if work is None:
             work = works[c.shape] = rhs_work(dom, nonlin, c.shape, pad)
         if nonlin.gauged:
-            return -1j * rhs_gauged(SpectralField(dom, c), nonlin, pad, work).coeffs
+            return -1j * rhs_gauged(SpectralField(dom, c), nonlin, work).coeffs
         f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, pad, work)
         return -1j * f.to_spectral().coeffs
 

@@ -1,8 +1,8 @@
 """Norm evaluation on discrete fields.
 
 Spatial norms (Sobolev, Besov) act on SpectralField; space-time norms
-(X^{s,b} and Y^{s,b}, and their dyadic-sup variants frak X, cal Y and the
-solution space's cal Z) act on SpaceTimeField.
+(X^{s,b} and Y^{s,b}, and their dyadic-sup variants frak X and cal Y) act
+on SpaceTimeField.
 All mixed norms use Riemann quadrature weights dxi and dtau; on the
 2 pi torus dxi == 1 and the xi sums are counting-measure sums.
 
@@ -12,11 +12,11 @@ matrix of chi_N(xi)^2, cached per Domain (chi_N depends on xi alone and is
 sign.  Both caches hold read-only arrays.  Every dyadic-sup norm is the
 low block plus the sup over N > 1 (_low_plus_sup), and every block norm
 comes from the chi_N^2 product (_dyadic_blocks); besov_norm is the paper's
-B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.  block_norms, xsb_norm,
-frak_x_norm, cal_y_norm and cal_z_norm accept a SpaceTimeField with a
-leading batch axis, and besov_norm a SpectralField with one; they then
-return one value per member (a float for a single field), equal bit for
-bit to one call per member; ysb_norm takes a single field.  They also
+B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.
+block_norms, xsb_norm, frak_x_norm and cal_y_norm accept a SpaceTimeField
+with a leading batch axis, and besov_norm a SpectralField with one; they
+then return one value per member (a float for a single field), equal bit
+for bit to one call per member; ysb_norm takes a single field.  They also
 read a compact field (SpaceTimeField.rows) in place, one value per window
 and member (_rows): a row it leaves out adds what a zero row adds (0, or
 NaN where the weight overflowed), so each value keeps the dense bits.
@@ -40,8 +40,7 @@ import numpy as np
 from .errors import ExtensionError
 from .fields import (Domain, ModulationLattice, SpaceTimeField, SpectralField,
                      _live_rows)
-from .frequency import (bracket, cutoff_low, dyadic_multiplier, dyadic_range,
-                        smooth_cutoff)
+from .frequency import bracket, cutoff_low, dyadic_multiplier, dyadic_range
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -160,10 +159,6 @@ def cal_y_norm(u: SpaceTimeField, s: float, b: float):
     return _low_plus_sup(block_norms(u, s, b, space="Y"))
 
 
-def cal_z_norm(u: SpaceTimeField, s: float):
-    return _low_plus_sup(block_norms(u, s, 0.5) + block_norms(u, s, 0.0, space="Y"))
-
-
 def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:
     """Exact Cauchy-Schwarz constant with Y^{s,b1} <= C X^{s,b2,+} on u's lattice.
 
@@ -188,11 +183,6 @@ class TimeWindow:
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
-
-    @classmethod
-    def bump(cls) -> "TimeWindow":
-        """chi(t): plateau |t| <= 1, support |t| < 2."""
-        return cls(smooth_cutoff, -2.0, 2.0)
 
     @classmethod
     def plateau(cls, t_support: float) -> "TimeWindow":

@@ -1,20 +1,22 @@
 """Guards on the package's public surface: every name the benchmark's layer
 tracer wraps or its workload process reads must exist, every public
-function, class and method must be reached from src or kept on purpose,
-with a reason, every defaulted parameter must be set by some src call or
-kept on purpose, with a reason, src reads no environment variable (every
-setting is a config field or a constant), only fields calls the FFT
-(it alone applies the transform normalization dx/sqrt(2 pi)), and only
-fields calls the SpaceTimeField constructor (it alone knows the compact
-row order)."""
+function, class and method must be named in src and every src function
+entered by the golden runs, or kept on purpose, with a reason, every
+defaulted parameter must be set by some src call or kept on purpose, with
+a reason, src reads no environment variable (every setting is a config
+field or a constant), only fields calls the FFT (it alone applies the
+transform normalization dx/sqrt(2 pi)), and only fields calls the
+SpaceTimeField constructor (it alone knows the compact row order)."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -99,30 +101,32 @@ class TestBenchmarkSeam:
                 - set(_unresolved(seam_reads(text)))) == {"probes.no_such_helper"}
 
 
-# Public symbols that nothing in src names, kept on purpose.  The tracer's
-# targets are kept as well, without an entry here.
+# Functions of src that no src code names (the AST scan) or that no golden
+# run enters (the reach scan), kept on purpose, as module.qualname; an entry
+# covers the functions nested in it.  The tracer's targets are kept as well,
+# without an entry here.
 KEEP = {
     "nonlinear.trilinear_T_fourier": "brute-force Fourier oracle of the trilinear form",
     "nonlinear.quintic_Q_fourier": "brute-force Fourier oracle of the quintic form",
-    "fields.SpectralField.conj_flip": "builds the conjugate factors the oracles take",
-    "nonlinear.power_nonlinearity": "bitwise reference of the original right-hand side "
-                                    "in tests_support (and a tracer target)",
+    "nonlinear.power_nonlinearity": "a tracer target and tests_support's bitwise "
+                                    "reference of the original right-hand side, until "
+                                    "that form takes coefficients",
     "solver.picard_iterate": "the Duhamel fixed point of acceptance criterion A10",
     "spaces.xy_embedding_constant": "the Y <= C X embedding of acceptance criterion A9",
-    "spaces.cal_z_norm": "the solution space's norm, checked against the paper's "
-                         "linear estimate",
     "gauge.psi_functional": "the gauged torus flow's invariant, for the planned "
                             "health checks",
     "io.read_field": "the only decoder of the CLI's field dumps",
     "fields.SpaceTimeField.to_time_values": "the inverse space-time transform: "
                                             "perfbench/layertrace.py's install wraps it "
                                             "by name, and the round-trip tests use it",
-    "fields.GridFunction.zero": "test fixture",
-    "fields.SpectralField.zero": "test fixture",
-    "fields.SpaceTimeField.zero": "test fixture",
-    "fields.SpectralField.unit_mass": "test fixture",
-    "spaces.TimeWindow.bump": "test fixture",
+    "cli.main": "the dnls-lab console entry point; the golden runs call cli.run",
+    "errors.BlowUpError.__init__": "runs only when a solve blows up, which no golden "
+                                   "run does",
 }
+
+
+def _kept() -> set:
+    return set(KEEP) | {f"{m}.{a}" for m, a, _, _ in _layertrace().TARGETS}
 
 
 def _defs(tree: ast.Module):
@@ -176,13 +180,10 @@ def _src_sources() -> dict:
 
 class TestUnreachedPublicSymbols:
     def test_every_public_symbol_is_reached_or_kept(self):
-        kept = set(KEEP) | {f"{m}.{a}" for m, a, _, _ in _layertrace().TARGETS}
-        assert [q for q in unreached(_src_sources()) if q not in kept] == []
+        assert [q for q in unreached(_src_sources()) if q not in _kept()] == []
 
     def test_keep_entries_name_existing_symbols(self):
-        defined = {q for m, text in _src_sources().items()
-                   for q, _ in _public_defs(ast.parse(text), m)}
-        assert sorted(set(KEEP) - defined) == []
+        assert sorted(set(KEEP) - src_functions(_src_sources())) == []
 
     @pytest.mark.parametrize("anchor,added,name", [
         ("", "def uncalled_helper(x):\n    return uncalled_helper(x - 1) if x else 0\n",
@@ -199,6 +200,111 @@ class TestUnreachedPublicSymbols:
         else:
             sources["fields"] += "\n\n" + added
         assert set(unreached(sources)) - set(unreached(_src_sources())) == {name}
+
+
+def _function_names(sources: dict) -> dict:
+    """{(module, first line, name): module.qualname} of every function that
+    sources {module: text} define, methods and nested functions included
+    (lambdas and comprehensions are part of the function around them, a
+    class body of the module), qualified as co_qualname qualifies them
+    from Python 3.11 on."""
+    out = {}
+
+    def walk(code, module, prefix):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            function = bool(const.co_flags & inspect.CO_OPTIMIZED)
+            qual = prefix + const.co_name
+            if function and not const.co_name.startswith("<"):
+                out[(module, const.co_firstlineno, const.co_name)] = f"{module}.{qual}"
+            walk(const, module, qual + (".<locals>." if function else "."))
+
+    for module, text in sources.items():
+        walk(compile(text, f"{module}.py", "exec"), module, "")
+    return out
+
+
+def src_functions(sources: dict) -> set:
+    """module.qualname of every function that sources {module: text} define."""
+    return set(_function_names(sources).values())
+
+
+def entered_functions(cases: dict, out_dir) -> set:
+    """module.qualname of every src function that cli.run enters on the
+    specs cases {name: spec}, recorded by one sys.setprofile hook."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        for name, spec in cases.items():
+            cli.run(dict(spec, name=name), Path(out_dir) / name)
+    finally:
+        sys.setprofile(None)
+    names, src = _function_names(_src_sources()), SRC.resolve()
+    return {names[(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)]
+            for c in codes
+            if not c.co_name.startswith("<") and Path(c.co_filename).resolve().parent == src}
+
+
+def unentered(functions: set, entered: set, kept) -> list:
+    """The functions (module.qualname) that were not entered and that no
+    name in kept covers, itself or as a function it nests."""
+    return sorted(f for f in functions - entered
+                  if not any(f == k or f.startswith(k + ".<locals>.") for k in kept))
+
+
+@pytest.fixture(scope="module")
+def golden_entered(tmp_path_factory) -> set:
+    """The src functions that tests/test_golden.py's cases enter, run in a
+    fresh interpreter so that no cache a test filled hides a call."""
+    out = tmp_path_factory.mktemp("reach")
+    code = ("import json, sys; import test_api_guards as g, test_golden; "
+            "json.dump(sorted(g.entered_functions(test_golden.CASES, sys.argv[1])), "
+            "open(sys.argv[2], 'w'))")
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    subprocess.run([sys.executable, "-c", code, str(out), str(out / "entered.json")],
+                   check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    return set(json.loads((out / "entered.json").read_text()))
+
+
+class TestReach:
+    """Every src function is entered by a golden run or kept on purpose.
+    The runs match functions by module and qualified name, so a method that
+    shares its name with a live one (which the AST scan counts as read) is
+    still seen."""
+
+    def test_every_function_is_entered_or_kept(self, golden_entered):
+        assert unentered(src_functions(_src_sources()), golden_entered, _kept()) == []
+
+    def test_keep_entries_are_not_entered(self, golden_entered):
+        assert sorted(set(KEEP) & golden_entered) == []
+
+    @pytest.mark.parametrize("anchor,added,name", [
+        # an unreached method that shares its name with Trajectory.mass
+        ("class SpectralField:\n", "    def mass(self):\n        return self\n",
+         "fields.SpectralField.mass"),
+        # the deleted SpectralField.l2_norm, whose name GridFunction.l2_norm shares
+        ("class SpectralField:\n", "    def l2_norm(self):\n        return self\n",
+         "fields.SpectralField.l2_norm"),
+        ("", "def uncalled_helper(x):\n    def inner():\n        return x\n"
+             "    return inner\n", "fields.uncalled_helper"),
+    ], ids=["name-of-a-live-method", "deleted-method-restored", "nested-helper"])
+    def test_an_unentered_function_fails_the_scan(self, golden_entered, anchor,
+                                                  added, name):
+        sources = _src_sources()
+        if anchor:
+            assert anchor in sources["fields"]
+            sources["fields"] = sources["fields"].replace(anchor, anchor + added, 1)
+        else:
+            sources["fields"] += "\n\n" + added
+        new = (set(unentered(src_functions(sources), golden_entered, _kept()))
+               - set(unentered(src_functions(_src_sources()), golden_entered, _kept())))
+        assert name in new and new <= {name, f"{name}.<locals>.inner"}
 
 
 # Defaulted parameters that no src call sets, kept on purpose.
@@ -363,11 +469,11 @@ class TestTransformsInFields:
     ])
     def test_a_transform_outside_fields_fails_the_scan(self, added):
         sources = _src_sources()
-        anchor = "def mass_density_mean(f: GridFunction) -> float:\n"
+        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
         assert anchor in sources["gauge"]
         sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
         assert set(callers(sources, FFTS)) - set(callers(_src_sources(), FFTS)) == {
-            "gauge.mass_density_mean"}
+            "gauge.gauge_phase"}
 
 
 # Functions outside fields that call the SpaceTimeField constructor.  None
@@ -431,11 +537,11 @@ class TestNoEnvironmentReads:
     ])
     def test_an_environment_read_fails_the_scan(self, added):
         sources = _src_sources()
-        anchor = "def mass_density_mean(f: GridFunction) -> float:\n"
+        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
         assert anchor in sources["gauge"]
         sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
         assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
-            "gauge.mass_density_mean"}
+            "gauge.gauge_phase"}
 
     def test_a_top_level_environment_read_fails_the_scan(self):
         sources = _src_sources()

@@ -8,32 +8,38 @@ from hypothesis import strategies as st
 from dnls_lab import gauge
 from dnls_lab.errors import ConservationError, EdgeDecayError, WrongDomainError
 from dnls_lab.fields import SQRT_2PI, Domain, GridFunction, Trajectory
-from dnls_lab.gauge import (gauge_forward, gauge_inverse, gauge_phase,
-                            gauge_report, gauge_trajectory, mass_density_mean,
-                            psi_functional)
+from dnls_lab.gauge import (_torus_mus, gauge_forward, gauge_inverse, gauge_phase,
+                            gauge_report, gauge_trajectory, psi_functional)
 from dnls_lab.sampling import plane_wave, random_decaying_field
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import besov_norm
+
+from tests_support import zero_grid
 
 TORUS = Domain("torus", 256)
 LINE = Domain("line", 512, 4)
 
 
+def mu(f: GridFunction) -> float:
+    """The torus gauge's mean mass density ||f||^2 / (2 pi)."""
+    return float(_torus_mus(f.values, f.domain))
+
+
 class TestMassDensityMean:
     def test_zero(self):
-        assert mass_density_mean(GridFunction.zero(TORUS)) == 0.0
+        assert mu(zero_grid(TORUS)) == 0.0
 
     def test_constant_one(self):
         f = GridFunction(TORUS, np.ones(256, complex))
-        assert mass_density_mean(f) == pytest.approx(1.0, rel=1e-14)
+        assert mu(f) == pytest.approx(1.0, rel=1e-14)
 
     def test_plane_wave(self):
         f = plane_wave(TORUS, 0.5 + 0.5j, 1)
-        assert mass_density_mean(f) == pytest.approx(0.5, rel=1e-13)
+        assert mu(f) == pytest.approx(0.5, rel=1e-13)
 
-    def test_wrong_domain(self):
-        with pytest.raises(WrongDomainError):
-            mass_density_mean(GridFunction.zero(LINE))
+    def test_per_row(self):
+        f = GridFunction(TORUS, np.stack([np.ones(256, complex), 2 * np.ones(256)]))
+        assert _torus_mus(f.values, TORUS) == pytest.approx([1.0, 4.0], rel=1e-14)
 
 
 class TestGaugeForward:
@@ -63,14 +69,13 @@ class TestGaugeForward:
     def test_torus_phase_integrand_is_mean_free(self):
         rng = np.random.default_rng(2)
         f = random_decaying_field(TORUS, rng, band=32.0)
-        mu = mass_density_mean(f)
-        resid = np.sum(np.abs(f.values) ** 2 - mu) * TORUS.dx
+        resid = np.sum(np.abs(f.values) ** 2 - mu(f)) * TORUS.dx
         assert abs(resid) < 1e-12
 
 
 class TestGaugeInverse:
     def test_zero(self):
-        out = gauge_inverse(GridFunction.zero(TORUS))
+        out = gauge_inverse(zero_grid(TORUS))
         assert np.all(out.values == 0)
 
     @given(st.integers(0, 10 ** 6))
@@ -162,11 +167,9 @@ class TestGaugeTrajectory:
     def test_report(self):
         rng = np.random.default_rng(9)
         f = random_decaying_field(TORUS, rng, band=16.0)
-        traj = Trajectory(TORUS, np.array([0.0]), f.values[None, :])
-        rep = gauge_report(traj)
-        assert rep.round_trip_error < 1e-12
-        assert rep.modulus_error < 1e-13
-        assert rep.mu_drift == 0.0
+        rt, mod = gauge_report(f)
+        assert rt < 1e-12
+        assert mod < 1e-13
 
 
 def _stack(dom, seed, rows=5):
@@ -232,16 +235,16 @@ class TestRowWise:
     def test_report_over_row_blocks(self, monkeypatch):
         monkeypatch.setattr(gauge, "BLOCK_BYTES", 3 * 2 * TORUS.n_points * 16)
         f = _stack(TORUS, 23, rows=7)
-        rep = gauge_report(Trajectory(TORUS, np.arange(7.0), f.values))
+        rt, _ = gauge_report(f)
         rows = [GridFunction(TORUS, v) for v in f.values]
-        rt = max(float(np.max(np.abs(gauge_inverse(gauge_forward(u)).values - u.values)))
-                 for u in rows)
-        assert rep.round_trip_error == rt
+        assert rt == max(
+            float(np.max(np.abs(gauge_inverse(gauge_forward(u)).values - u.values)))
+            for u in rows)
 
 
 class TestPsiFunctional:
     def test_zero(self):
-        assert psi_functional(GridFunction.zero(TORUS)) == 0.0
+        assert psi_functional(zero_grid(TORUS)) == 0.0
 
     def test_constant_one(self):
         f = GridFunction(TORUS, np.ones(256, complex))
@@ -253,7 +256,7 @@ class TestPsiFunctional:
 
     def test_wrong_domain(self):
         with pytest.raises(WrongDomainError):
-            psi_functional(GridFunction.zero(LINE))
+            psi_functional(zero_grid(LINE))
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(10)

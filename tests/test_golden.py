@@ -26,6 +26,12 @@ CASES = {
                              "params": {"k": 2, "s": 0.75, "ensemble": 4}},
     "probe-quintic": {"scenario": "probe-multilinear", "seed": 4,
                       "params": {"quintic": True, "ensemble": 3}},
+    # seed 23 draws every sample branch (single-mode, conjugate-paired,
+    # random mode sums), the single-mode one included, which sets the sups
+    "probe-trilinear-branches": {"scenario": "probe-trilinear", "seed": 23,
+                                 "params": {"ensemble": 4}},
+    "probe-quintic-branches": {"scenario": "probe-multilinear", "seed": 23,
+                               "params": {"quintic": True, "ensemble": 3}},
     "dyadic-checks": {"scenario": "dyadic-checks", "seed": 5, "params": {}},
     "flowmap": {"scenario": "flowmap", "seed": 6,
                 "params": {"dt": 5e-3, "ensemble": 3}},

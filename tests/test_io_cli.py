@@ -16,6 +16,9 @@ from dnls_lab.cli import SCENARIOS, SchemaError, main, run, validate_spec
 from dnls_lab.fields import Domain, SpectralField
 from dnls_lab.io import FieldDumpError, read_field, write_field
 from dnls_lab.sampling import random_band_field
+from dnls_lab.spaces import sobolev_norm
+
+from tests_support import unit_mass
 
 
 class TestFieldDump:
@@ -33,14 +36,14 @@ class TestFieldDump:
 
     def test_rewrite_is_identical(self, tmp_path):
         dom = Domain("torus", 32)
-        f = SpectralField.unit_mass(dom, 3.0)
+        f = unit_mass(dom, 3.0)
         write_field(tmp_path / "a.fd", f)
         write_field(tmp_path / "b.fd", f)
         assert (tmp_path / "a.fd").read_bytes() == (tmp_path / "b.fd").read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         dom = Domain("torus", 32)
-        f = SpectralField.unit_mass(dom, 3.0)
+        f = unit_mass(dom, 3.0)
         p = tmp_path / "f.fd"
         write_field(p, f)
         raw = bytearray(p.read_bytes())
@@ -51,7 +54,7 @@ class TestFieldDump:
 
     def test_truncation_detected(self, tmp_path):
         dom = Domain("torus", 32)
-        f = SpectralField.unit_mass(dom, 3.0)
+        f = unit_mass(dom, 3.0)
         p = tmp_path / "f.fd"
         write_field(p, f)
         p.write_bytes(p.read_bytes()[:-16])
@@ -69,7 +72,7 @@ class TestFieldDump:
             "unknown-kind", "list", "overflowing-domain_scale"])
     def test_malformed_header_is_a_dump_error(self, tmp_path, mutate):
         p = tmp_path / "f.fd"
-        write_field(p, SpectralField.unit_mass(Domain("torus", 32), 3.0))
+        write_field(p, unit_mass(Domain("torus", 32), 3.0))
         head, payload = p.read_bytes().split(b"\n", 1)
         header = json.dumps(mutate(json.loads(head))).encode("ascii")
         p.write_bytes(header + b"\n" + payload)
@@ -283,12 +286,24 @@ class TestValidation:
         ("line", {"amplitude": 0.3, "width": 1.2, "center": 0, "mode": 1,
                   "h1_norm": 0.3}),
         ("line", {"type": "random", "band": 4.0, "h1_norm": 0.3}),
+        ("torus", {"type": "random", "band": 8.0, "h1_norm": 0.3}),
     ])
-    def test_initial_keys_accepted(self, kind, initial):
-        params = validate_spec({"scenario": "solve", "params": {
-            "kind": kind, "domain_scale": 1 if kind == "torus" else 4,
-            "dt": 1e-3, "t_final": 0.01, "initial": initial}})
-        assert params["initial"] == initial
+    def test_initial_keys_accepted(self, tmp_path, kind, initial):
+        spec = {"scenario": "solve", "seed": 5, "params": {
+            "kind": kind, "n_points": 64, "domain_scale": 1 if kind == "torus" else 4,
+            "dt": 1e-3, "t_final": 0.005, "initial": initial}}
+        assert validate_spec(spec)["initial"] == initial
+        # each type runs, conserves mass and takes its scale
+        code, report = run(spec, tmp_path)
+        assert code == 0
+        assert [a["name"] for a in report["assertions"] if a["passed"]] == [
+            "mass_rel_drift"]
+        u0, _ = read_field(tmp_path / "fields" / "initial.fd")
+        if "h1_norm" in initial:
+            assert sobolev_norm(u0, 1.0) == pytest.approx(initial["h1_norm"], rel=1e-12)
+        else:  # 0.5 exp(2ix): L2 norm 0.5 sqrt(2 pi)
+            assert report["metrics"]["mass_initial"] == pytest.approx(
+                0.5 * np.sqrt(2 * np.pi), rel=1e-12)
 
     @pytest.mark.parametrize("params", [{"s": 400.0}, {"b": 400.0}])
     def test_non_finite_constant_exits_1(self, tmp_path, capsys, params):

@@ -10,7 +10,7 @@ from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 rhs_gauged, rhs_original, trilinear_T_fourier,
                                 trilinear_T_slices)
 from dnls_lab.sampling import plane_wave, random_band_field
-from tests_support import original_rhs_reference
+from tests_support import conj_flip, original_rhs_reference, zero_grid, zero_spectral
 
 
 def random_small_field(n, seed, band=None, kind="torus", scale=1):
@@ -23,14 +23,14 @@ def random_small_field(n, seed, band=None, kind="torus", scale=1):
 def trilinear_diagonal(v: GridFunction) -> GridFunction:
     """T(v, v, conj v) on grid values, through the coefficient kernel."""
     c = v.to_spectral()
-    out = trilinear_T_slices(v.domain, c.coeffs, c.coeffs, c.conj_flip().coeffs)
+    out = trilinear_T_slices(v.domain, c.coeffs, c.coeffs, conj_flip(c).coeffs)
     return SpectralField(v.domain, out).to_grid()
 
 
 def quintic_diagonal(v: GridFunction) -> GridFunction:
     """Q(v, conj v, v, conj v, v) on grid values, through the coefficient kernel."""
     c = v.to_spectral()
-    cb = c.conj_flip().coeffs
+    cb = conj_flip(c).coeffs
     out = quintic_Q_general_slices(v.domain, [c.coeffs, cb, c.coeffs, cb, c.coeffs])
     return SpectralField(v.domain, out).to_grid()
 
@@ -38,7 +38,7 @@ def quintic_diagonal(v: GridFunction) -> GridFunction:
 class TestRhsOriginal:
     def test_zero(self):
         dom = Domain("torus", 64)
-        out = rhs_original(GridFunction.zero(dom), NonlinearityConfig())
+        out = rhs_original(zero_grid(dom), NonlinearityConfig())
         assert np.all(out.values == 0)
 
     def test_single_mode(self):
@@ -65,7 +65,7 @@ class TestRhsOriginal:
     def test_gauged_config_rejected(self):
         dom = Domain("torus", 64)
         with pytest.raises(ParameterError):
-            rhs_original(GridFunction.zero(dom),
+            rhs_original(zero_grid(dom),
                          NonlinearityConfig(0.0, 0, True))
 
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
@@ -125,15 +125,15 @@ class TestTrilinear:
 
     def test_oracle_zero(self):
         dom = Domain("torus", 32)
-        z = SpectralField.zero(dom)
+        z = zero_spectral(dom)
         assert np.all(trilinear_T_fourier(z, z, z).coeffs == 0)
 
     def test_oracle_single_mode_diagonal_term(self):
         dom = Domain("torus", 32)
         A = 0.6 + 0.2j
         v = plane_wave(dom, A, 1).to_spectral()
-        out = trilinear_T_fourier(v, v, v.conj_flip())
-        expected = trilinear_T_slices(dom, v.coeffs, v.coeffs, v.conj_flip().coeffs)
+        out = trilinear_T_fourier(v, v, conj_flip(v))
+        expected = trilinear_T_slices(dom, v.coeffs, v.coeffs, conj_flip(v).coeffs)
         assert np.max(np.abs(out.coeffs - expected)) < 1e-12
 
     @pytest.mark.parametrize("kind,scale", [("torus", 1), ("line", 2)])
@@ -142,14 +142,14 @@ class TestTrilinear:
         rng = np.random.default_rng(42)
         for _ in range(5):
             sv = random_band_field(dom, rng, band=dom.xi_max / 2)
-            fast = trilinear_T_slices(dom, sv.coeffs, sv.coeffs, sv.conj_flip().coeffs)
-            oracle = trilinear_T_fourier(sv, sv, sv.conj_flip())
+            fast = trilinear_T_slices(dom, sv.coeffs, sv.coeffs, conj_flip(sv).coeffs)
+            oracle = trilinear_T_fourier(sv, sv, conj_flip(sv))
             scale_ = max(np.max(np.abs(fast)), 1.0)
             assert np.max(np.abs(fast - oracle.coeffs)) < 1e-10 * scale_
 
     def test_oracle_size_limit(self):
         dom = Domain("torus", 128)
-        z = SpectralField.zero(dom)
+        z = zero_spectral(dom)
         with pytest.raises(SizeLimitError):
             trilinear_T_fourier(z, z, z)
 
@@ -157,7 +157,7 @@ class TestTrilinear:
 class TestQuintic:
     def test_zero(self):
         dom = Domain("torus", 32)
-        out = quintic_diagonal(GridFunction.zero(dom))
+        out = quintic_diagonal(zero_grid(dom))
         assert np.all(out.values == 0)
 
     def test_single_mode_torus_annihilates(self):
@@ -182,7 +182,7 @@ class TestQuintic:
         # corrections is needed to cancel the plain product |v|^4 v
         dom = Domain("torus", 32)
         v = plane_wave(dom, 0.7, mode).to_spectral()
-        c, cb = v.coeffs, v.conj_flip().coeffs
+        c, cb = v.coeffs, conj_flip(v).coeffs
         plain = dealiased_product_coeffs(dom, [c, cb, c, cb, c])
         assert np.max(np.abs(plain)) > 0.4
         q = quintic_Q_general_slices(dom, [c, cb, c, cb, c])
@@ -194,16 +194,16 @@ class TestQuintic:
         rng = np.random.default_rng(7)
         for _ in range(3):
             sv = random_band_field(dom, rng, band=dom.xi_max / 2)
-            c, cb = sv.coeffs, sv.conj_flip().coeffs
+            c, cb = sv.coeffs, conj_flip(sv).coeffs
             fast = quintic_Q_general_slices(dom, [c, cb, c, cb, c])
             oracle = quintic_Q_fourier(
-                [sv, sv.conj_flip(), sv, sv.conj_flip(), sv])
+                [sv, conj_flip(sv), sv, conj_flip(sv), sv])
             scale_ = max(np.max(np.abs(fast)), 1.0)
             assert np.max(np.abs(fast - oracle.coeffs)) < 1e-9 * scale_
 
     def test_oracle_size_limit(self):
         dom = Domain("torus", 64)
-        z = SpectralField.zero(dom)
+        z = zero_spectral(dom)
         with pytest.raises(SizeLimitError):
             quintic_Q_fourier([z] * 5)
 
@@ -274,7 +274,7 @@ class TestPowerNonlinearity:
 class TestRhsGauged:
     def test_zero(self):
         dom = Domain("torus", 32)
-        out = rhs_gauged(SpectralField.zero(dom), NonlinearityConfig(0, 0, True))
+        out = rhs_gauged(zero_spectral(dom), NonlinearityConfig(0, 0, True))
         assert np.all(out.coeffs == 0)
 
     def test_single_mode_lambda_zero(self):
@@ -313,7 +313,7 @@ class TestRhsGauged:
     def test_original_config_rejected(self):
         dom = Domain("torus", 32)
         with pytest.raises(ParameterError):
-            rhs_gauged(SpectralField.zero(dom), NonlinearityConfig(0, 0, False))
+            rhs_gauged(zero_spectral(dom), NonlinearityConfig(0, 0, False))
 
     def test_scalar_pieces_phase_invariant(self):
         dom = Domain("torus", 64)

@@ -13,7 +13,7 @@ from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
-from tests_support import count_ffts, original_rhs_reference
+from tests_support import count_ffts, original_rhs_reference, unit_mass, zero_grid
 
 TORUS = Domain("torus", 64)
 
@@ -49,11 +49,11 @@ def free_at(f: SpectralField, t: float) -> SpectralField:
 
 class TestFreeTrajectory:
     def test_identity_at_zero(self):
-        f = SpectralField.unit_mass(TORUS, 3.0)
+        f = unit_mass(TORUS, 3.0)
         assert np.allclose(free_at(f, 0.0).coeffs, f.coeffs)
 
     def test_mode_two_quarter_pi(self):
-        f = SpectralField.unit_mass(TORUS, 2.0)
+        f = unit_mass(TORUS, 2.0)
         out = free_at(f, np.pi / 4.0)
         idx = int(np.argmin(np.abs(TORUS.xi - 2)))
         assert out.coeffs[idx] == pytest.approx(-1.0, abs=1e-14)
@@ -61,7 +61,8 @@ class TestFreeTrajectory:
     def test_unitary(self):
         rng = np.random.default_rng(0)
         f = random_band_field(TORUS, rng, band=16.0)
-        assert free_at(f, 0.37).l2_norm() == pytest.approx(f.l2_norm(), rel=1e-14)
+        assert np.linalg.norm(free_at(f, 0.37).coeffs) == pytest.approx(
+            np.linalg.norm(f.coeffs), rel=1e-14)
 
     def test_reversible(self):
         rng = np.random.default_rng(1)
@@ -118,7 +119,7 @@ def plane_wave_error(dt, n=256, A=0.5, lam=0.0, k=0, T=0.1,
 
 class TestSolve:
     def test_zero_data(self):
-        traj = solve(GridFunction.zero(TORUS), small_cfg())
+        traj = solve(zero_grid(TORUS), small_cfg())
         assert np.all(traj.values == 0)
 
     def test_plane_wave_exactness(self):
@@ -353,7 +354,7 @@ class TestForcingWorkArrays:
 
 class TestPicard:
     def test_zero_data(self):
-        res = picard_iterate(GridFunction.zero(TORUS), small_cfg(), 4)
+        res = picard_iterate(zero_grid(TORUS), small_cfg(), 4)
         assert np.all(res.trajectory.values == 0)
 
     def test_contraction_and_agreement(self):

@@ -9,34 +9,40 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeF
 from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_evolution
 from dnls_lab.frequency import dyadic_multiplier, dyadic_range
-from dnls_lab.spaces import (TimeWindow, _chi_sq, _xsb_weight, _zero_row_terms, besov_norm,
-                             block_norms, cal_y_norm, cal_z_norm, frak_x_norm, sobolev_norm,
-                             window_trajectory, xsb_norm, xy_embedding_constant,
-                             ysb_norm)
+from dnls_lab.spaces import (TimeWindow, _chi_sq, _low_plus_sup, _xsb_weight,
+                             _zero_row_terms, besov_norm, block_norms, cal_y_norm,
+                             frak_x_norm, sobolev_norm, window_trajectory, xsb_norm,
+                             xy_embedding_constant, ysb_norm)
+
+from tests_support import (bump_window, random_spacetime, unit_mass, zero_spacetime,
+                           zero_spectral)
 
 TORUS = Domain("torus", 64)
 
 
-from tests_support import random_spacetime
+def cal_z_norm(u: SpaceTimeField, s: float):
+    """The solution space's norm: the low block plus the sup over N > 1 of
+    ||P_N u||_{X^{s,1/2}} + ||P_N u||_{Y^{s,0}}, from the one-pass blocks."""
+    return _low_plus_sup(block_norms(u, s, 0.5) + block_norms(u, s, 0.0, space="Y"))
 
 
 class TestSpatialNorms:
     def test_zero(self):
-        z = SpectralField.zero(TORUS)
+        z = zero_spectral(TORUS)
         assert besov_norm(z, 0.5) == 0.0
         assert sobolev_norm(z, 0.5) == 0.0
 
     def test_sobolev_unit_masses(self):
-        assert sobolev_norm(SpectralField.unit_mass(TORUS, 0), 3.0) == 1.0
-        assert sobolev_norm(SpectralField.unit_mass(TORUS, 1), 2.0) == pytest.approx(2.0)
+        assert sobolev_norm(unit_mass(TORUS, 0), 3.0) == 1.0
+        assert sobolev_norm(unit_mass(TORUS, 1), 2.0) == pytest.approx(2.0)
 
     def test_besov_single_block(self):
-        f = SpectralField.unit_mass(TORUS, 2.0)
+        f = unit_mass(TORUS, 2.0)
         # only the N = 2 block is active under the chosen bump
         assert besov_norm(f, 0.5) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_besov_below_sobolev_on_example(self):
-        f = SpectralField.unit_mass(TORUS, 2.0)
+        f = unit_mass(TORUS, 2.0)
         h = sobolev_norm(f, 0.5)
         assert h == pytest.approx(5.0 ** 0.25, rel=1e-12)
         assert besov_norm(f, 0.5) <= h * (1 + 1e-12)
@@ -65,7 +71,7 @@ class TestSpaceTimeNorms:
     def test_zero(self):
         dom = Domain("torus", 16)
         lat = ModulationLattice(dom, 64, 0.05, 0.0)
-        z = SpaceTimeField.zero(lat)
+        z = zero_spacetime(lat)
         assert xsb_norm(z, 0.5, 0.5) == 0.0
         assert ysb_norm(z, 0.5, 0.0) == 0.0
         assert frak_x_norm(z, 0.5, 0.5) == 0.0
@@ -76,7 +82,7 @@ class TestSpaceTimeNorms:
         dom = Domain("torus", 16)
         dt = np.pi / 32
         lat = ModulationLattice(dom, 256, dt, -128 * dt)
-        u = SpaceTimeField.zero(lat)
+        u = zero_spacetime(lat)
         ix = int(np.argmin(np.abs(dom.xi - 1.0)))
         it = int(np.argmin(np.abs(lat.tau + 1.0)))
         u.coeffs[ix, it] = 1.0
@@ -208,8 +214,8 @@ class TestOnePassBlockNorms:
     def test_besov(self, dom):
         f = random_band_field(dom, np.random.default_rng(4), band=dom.xi_max)
         ns = dyadic_range(dom.xi_max)
-        blocks = [SpectralField(dom, dyadic_multiplier(dom.xi, n) * f.coeffs).l2_norm()
-                  for n in ns]
+        blocks = [np.sqrt(np.sum(np.abs(dyadic_multiplier(dom.xi, n) * f.coeffs) ** 2)
+                          * dom.dxi) for n in ns]
         ref = blocks[0] + max((n ** 0.5 * v for n, v in zip(ns[1:], blocks[1:])),
                               default=0.0)
         assert besov_norm(f, 0.5) == pytest.approx(ref, rel=1e-12)
@@ -377,7 +383,7 @@ class TestWindowTrajectory:
         times = 0.1 * np.arange(10)
         with pytest.raises(ExtensionError):
             window_trajectory(times, SpectralField(dom, np.zeros((10, 16))),
-                              TimeWindow.bump())
+                              bump_window())
 
     def test_free_single_mode_reduces_to_window_l2(self):
         # windowed free evolution of one mode: uhat(xi0, tau) = chihat(tau + xi0^2),
@@ -385,8 +391,8 @@ class TestWindowTrajectory:
         dom = Domain("torus", 32)
         dt = 1.0 / 64.0
         times = -4.0 + dt * np.arange(512)
-        w = TimeWindow.bump()
-        u = window_trajectory(times, free_evolution(SpectralField.unit_mass(dom, 3.0), times),
+        w = bump_window()
+        u = window_trajectory(times, free_evolution(unit_mass(dom, 3.0), times),
                               w)
         wvals = w(times)
         window_l2 = np.sqrt(np.sum(np.abs(wvals) ** 2) * dt)
@@ -403,7 +409,7 @@ class TestWindowTrajectory:
         ratios = []
         for _ in range(10):
             u0 = random_band_field(dom, rng, band=8.0)
-            u = window_trajectory(times, free_evolution(u0, times), TimeWindow.bump())
+            u = window_trajectory(times, free_evolution(u0, times), bump_window())
             ratios.append(cal_z_norm(u, 0.5) / besov_norm(u0, 0.5))
         ratios = np.array(ratios)
         assert np.all(np.isfinite(ratios))

@@ -5,10 +5,42 @@ import sys
 
 import numpy as np
 
-from dnls_lab.fields import (Domain, ModulationLattice, SpaceTimeField,
-                             SpectralField, dealiased_product_coeffs,
-                             spectral_derivative)
+from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
+                             SpaceTimeField, SpectralField, _conj_reverse,
+                             _deriv_mult, dealiased_product_coeffs)
+from dnls_lab.frequency import smooth_cutoff
 from dnls_lab.nonlinear import power_nonlinearity
+from dnls_lab.spaces import TimeWindow
+
+
+def zero_grid(dom: Domain) -> GridFunction:
+    return GridFunction(dom, np.zeros(dom.n_points, dtype=np.complex128))
+
+
+def zero_spectral(dom: Domain) -> SpectralField:
+    return SpectralField(dom, np.zeros(dom.n_points, dtype=np.complex128))
+
+
+def zero_spacetime(lat: ModulationLattice) -> SpaceTimeField:
+    return SpaceTimeField(lat, np.zeros((lat.domain.n_points, lat.n_t),
+                                        dtype=np.complex128))
+
+
+def unit_mass(dom: Domain, xi: float) -> SpectralField:
+    """Coefficient 1 at the lattice frequency closest to xi, 0 elsewhere."""
+    coeffs = np.zeros(dom.n_points, dtype=np.complex128)
+    coeffs[int(np.argmin(np.abs(dom.xi - xi)))] = 1.0
+    return SpectralField(dom, coeffs)
+
+
+def conj_flip(f: SpectralField) -> SpectralField:
+    """Coefficients of the complex conjugate: (conj u)^(xi) = conj(u^(-xi))."""
+    return SpectralField(f.domain, _conj_reverse(f.coeffs))
+
+
+def bump_window() -> TimeWindow:
+    """chi(t): plateau |t| <= 1, support |t| < 2."""
+    return TimeWindow(smooth_cutoff, -2.0, 2.0)
 
 
 def original_rhs_reference(u, lam, k, pad_factor):
@@ -18,7 +50,7 @@ def original_rhs_reference(u, lam, k, pad_factor):
     c = u.to_spectral().coeffs
     cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
                                     pad_factor)
-    dcube = spectral_derivative(SpectralField(dom, cube)).to_grid().values
+    dcube = SpectralField(dom, _deriv_mult(dom) * cube).to_grid().values
     return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
 
 
