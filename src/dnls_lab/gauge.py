@@ -144,7 +144,7 @@ def psi_functional(v: GridFunction) -> float:
 def gauge_report(f: GridFunction) -> tuple[float, float]:
     """(round-trip error, modulus error): the max pointwise errors of
     gauge_inverse(gauge_forward(u)) - u and of |gauge_forward(u)| - |u| over
-    the rows u of f (..., n)."""
+    the rows u of f (..., n); a NaN error is kept."""
     dom = f.domain
     stack = f.values.reshape(-1, dom.n_points)
     rt = mod = 0.0
@@ -152,6 +152,6 @@ def gauge_report(f: GridFunction) -> tuple[float, float]:
         u = GridFunction(dom, stack[rows])
         g = gauge_forward(u)
         back = gauge_inverse(g)
-        rt = max(rt, float(np.max(np.abs(back.values - u.values))))
-        mod = max(mod, float(np.max(np.abs(np.abs(g.values) - np.abs(u.values)))))
-    return rt, mod
+        rt = np.maximum(rt, np.max(np.abs(back.values - u.values)))
+        mod = np.maximum(mod, np.max(np.abs(np.abs(g.values) - np.abs(u.values))))
+    return float(rt), float(mod)

@@ -12,21 +12,23 @@ still print them: the stability factor 2, the window probes' time grid
 check, and the torus of the Besov-product probe.  The random fields'
 shapes are fixed in sampling.
 
-The T-refinement probes reuse the same base fields for every window size;
-the reported sup-ratio trend across T then reflects the window effect
-alone and not sampling noise.  They also factor the window out of the
-product forms: the window w(t) is real and every form (the trilinear T,
-the quintic Q and the plain products) acts slice by slice and is
-multilinear in each slice, its torus mean corrections included, so
-F(w u1, ..., w um) = w^m F(u1, ..., um).  A probe finds once the slices
-that some window keeps (255 of the 1024); each sample draws its factors
-as per-slice coefficients on those slices alone (the samplers write each
-travelling mode's coefficient directly, with no grid samples and no
-spatial transform), evaluates its form there (the forms are coefficients
-in and out), and scales the stack of form and factors by w_T^m and w_T per
-window.  In exact arithmetic this is the same number; in floating point
-each element of the windowed product is rounded once more (a relative
-change of order 1e-16).
+The trilinear and multilinear window probes share one driver,
+_window_probe, with one factor draw per family (_trilinear_draw,
+_quintic_draw, _power_draw), single-mode tuples built by _single_modes.
+The driver reuses the same base fields for every window size, so the
+sup-ratio trend across T reflects the window effect, not sampling noise.
+It also factors the window out of the product forms: the window w(t) is
+real and every form (the trilinear T, the quintic Q and the plain
+products) acts slice by slice and is multilinear in each slice, its torus
+mean corrections included, so F(w u1, ..., w um) = w^m F(u1, ..., um).  A
+probe finds once the slices that some window keeps (255 of the 1024); each
+sample draws its factors as per-slice coefficients on those slices alone
+(the samplers write each travelling mode's coefficient directly, with no
+grid samples and no spatial transform), evaluates its form there (the
+forms are coefficients in and out), and scales the stack of form and
+factors by w_T^m and w_T per window.  In exact arithmetic this is the same
+number; in floating point each element of the windowed product is rounded
+once more (a relative change of order 1e-16).
 
 Most xi rows of such a stack are exactly zero: a 12-mode factor fills a
 few of the 32, a single-mode factor one.  A sample finds the rows with an
@@ -392,6 +394,89 @@ def _window_report(name: str, results: list[dict], t_values, params: dict) -> Pr
                  "window_sup_y": {str(T): v for T, v in raw_y.items()}})
 
 
+def _window_probe(name: str, dom: Domain, t_values, ensemble: int,
+                  rng: np.random.Generator, draw, form, signs: list[int], s: float,
+                  b_out: float, params: dict) -> ProbeReport:
+    """The window probes' driver: each sample draws its factors as
+    draw(r, dom, tk), r seeded by the sample's pre-drawn seed and tk the kept
+    slices, and _window_ratios evaluates form on them for every window size;
+    the report's params gain t_values, dt and kind."""
+    if not all(0 < T <= 1 for T in t_values):
+        raise ParameterError("window sizes must lie in (0, 1]")
+    times = _base_times()
+    kept, windows = _windows(times, t_values)
+    tk = times[kept]
+    seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
+
+    def one(seed):
+        base = draw(np.random.default_rng(seed), dom, tk)
+        return _window_ratios(dom, times, kept, windows, base, form, signs, s, b_out)
+
+    return _window_report(name, _map_samples(one, seeds), t_values,
+                          dict(params, t_values=list(t_values), dt=_BASE_DT,
+                               kind=dom.kind))
+
+
+def _single_modes(r: np.random.Generator, dom: Domain, tk: np.ndarray, modes,
+                  signs: list[int]) -> list[np.ndarray]:
+    """One travelling wave per mode and sign, complex normal amplitudes (real parts first)."""
+    amps = r.normal(size=len(modes)) + 1j * r.normal(size=len(modes))
+    return [_mode_wave(dom, tk, m, sg, a) for m, sg, a in zip(modes, signs, amps)]
+
+
+def _trilinear_draw(r: np.random.Generator, dom: Domain, tk: np.ndarray) -> list[np.ndarray]:
+    """Three factors: single modes (1/4), conjugate-paired (1/4), mode sums."""
+    pick = r.random()
+    if pick < 0.25:
+        # minimal-modulation single-mode tuple: with xi1+xi3 = a and
+        # xi2+xi3 = b the output modulation is exactly 2ab, the
+        # smallest the excluded hyperplanes allow
+        kk, a, b = (int(r.integers(lo, hi)) for lo, hi in ((2, 7), (1, 3), (1, 3)))
+        return _single_modes(r, dom, tk, [kk + a, kk + b, -kk], [+1, +1, -1])
+    if pick < 0.5:
+        # conjugate pairing puts the output near the first factor's characteristic
+        u1, u2 = (random_mode_sum_values(dom, tk, r) for _ in range(2))
+        return [u1, u2, _conj_reverse(u2)]
+    return [random_mode_sum_values(dom, tk, r, char_sign=sg) for sg in (+1, +1, -1)]
+
+
+def _quintic_draw(r: np.random.Generator, dom: Domain, tk: np.ndarray) -> list[np.ndarray]:
+    """Five factors: resonant single modes (1/4), conjugate-paired (1/4), mode sums."""
+    pick = r.random()
+    if pick < 0.25:
+        tuples = _quintic_resonant_tuples()
+        return _single_modes(r, dom, tk, tuples[int(r.integers(0, len(tuples)))],
+                             [+1] * 5)
+    if pick < 0.5:
+        # conjugate-paired saturator: slots (1,2) and (3,4) share a field
+        f1, f3, f5 = (random_mode_sum_values(dom, tk, r) for _ in range(3))
+        return [f1, f1, f3, f3, f5]
+    return [random_mode_sum_values(dom, tk, r) for _ in range(5)]
+
+
+def _power_draw(k: int, r: np.random.Generator, dom: Domain, tk: np.ndarray) -> list[np.ndarray]:
+    """k + 1 factors: for k >= 1 resonant single modes (1/4), near-DC (1/4) or
+    mode sums; for k = 0 one mode sum."""
+    pick = r.random()
+    if k >= 1 and pick < 0.25:
+        # exactly resonant plain-product modes: (a, 0) for two factors,
+        # (2a, -a, 2a) for three
+        a = int(r.integers(1, 4))
+        return _single_modes(r, dom, tk, [a, 0] if k == 1 else [2 * a, -a, 2 * a],
+                             [+1] * (k + 1))
+    if k >= 1 and pick < 0.5:
+        # near-DC saturator: all but one factor concentrated at low modes
+        return [random_mode_sum_values(dom, tk, r)] + [
+            random_mode_sum_values(dom, tk, r, band=2.0) for _ in range(k)]
+    return [random_mode_sum_values(dom, tk, r) for _ in range(k + 1)]
+
+
+def _quintic_form(dom: Domain, c) -> np.ndarray:
+    """Q(c1, conj c2, c3, conj c4, c5) on per-slice coefficients."""
+    return quintic_Q_general_slices(
+        dom, [c[0], _conj_reverse(c[1]), c[2], _conj_reverse(c[3]), c[4]])
+
+
 def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
                     ensemble: int = 100, dom: Domain | None = None,
                     rng: np.random.Generator | None = None) -> ProbeReport:
@@ -406,47 +491,11 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
     """
     if not s >= 0.5:
         raise ParameterError("need s >= 1/2")
-    if not all(0 < T <= 1 for T in t_values):
-        raise ParameterError("window sizes must lie in (0, 1]")
-    rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
-    times = _base_times()
-    kept, windows = _windows(times, t_values)
-    tk = times[kept]
-    seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
-
-    def one(seed):
-        r = np.random.default_rng(seed)
-        pick = r.random()
-        if pick < 0.25:
-            # minimal-modulation single-mode tuple: with xi1+xi3 = a and
-            # xi2+xi3 = b the output modulation is exactly 2ab, the
-            # smallest the excluded hyperplanes allow
-            kk = int(r.integers(2, 7))
-            a = int(r.integers(1, 3))
-            b = int(r.integers(1, 3))
-            amps = r.normal(size=3) + 1j * r.normal(size=3)
-            base = [_mode_wave(dom, tk, kk + a, +1, amps[0]),
-                    _mode_wave(dom, tk, kk + b, +1, amps[1]),
-                    _mode_wave(dom, tk, -kk, -1, amps[2])]
-        elif pick < 0.5:
-            # conjugate pairing puts the output near the first factor's
-            # characteristic
-            u1 = random_mode_sum_values(dom, tk, r)
-            u2 = random_mode_sum_values(dom, tk, r)
-            base = [u1, u2, _conj_reverse(u2)]
-        else:
-            base = [random_mode_sum_values(dom, tk, r),
-                    random_mode_sum_values(dom, tk, r),
-                    random_mode_sum_values(dom, tk, r, char_sign=-1)]
-        return _window_ratios(dom, times, kept, windows, base,
-                              lambda c: trilinear_T_slices(dom, *c),
-                              [+1, +1, -1], s, -0.5)
-
-    return _window_report(
-        "trilinear", _map_samples(one, seeds), t_values,
-        {"s": s, "t_values": list(t_values), "dt": _BASE_DT,
-         "n_points": dom.n_points, "kind": dom.kind})
+    return _window_probe(
+        "trilinear", dom, t_values, ensemble, rng or np.random.default_rng(0),
+        _trilinear_draw, lambda c: trilinear_T_slices(dom, *c), [+1, +1, -1], s,
+        -0.5, {"s": s, "n_points": dom.n_points})
 
 
 def multilinear_probe(k: int = 1, s: float = 0.5,
@@ -461,62 +510,17 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
         raise ParameterError("k must be 0, 1 or 2")
     if not 0 < delta < 1.0 / 8.0:
         raise ParameterError("delta must lie in (0, 1/8)")
-    if not all(0 < T <= 1 for T in t_values):
-        raise ParameterError("window sizes must lie in (0, 1]")
-    rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
-    times = _base_times()
-    kept, windows = _windows(times, t_values)
-    tk = times[kept]
-    n_factors = 5 if quintic else k + 1
-    b_out = -3.0 / 8.0 - delta
-    seeds = rng.integers(0, 2 ** 63 - 1, size=ensemble)
     if quintic:
-        def form(c):
-            return quintic_Q_general_slices(
-                dom, [c[0], _conj_reverse(c[1]), c[2], _conj_reverse(c[3]), c[4]])
+        name, draw, form, n_factors = "quintic", _quintic_draw, _quintic_form, 5
     else:
-        def form(c):
-            return _plain_product(dom, c)
-
-    def one(seed):
-        r = np.random.default_rng(seed)
-        pick = r.random()
-        if quintic and pick < 0.25:
-            modes = _quintic_resonant_tuples()[
-                int(r.integers(0, len(_quintic_resonant_tuples())))]
-            amps = r.normal(size=5) + 1j * r.normal(size=5)
-            base = [_mode_wave(dom, tk, m, +1, a)
-                    for m, a in zip(modes, amps)]
-        elif quintic and pick < 0.5:
-            # conjugate-paired saturator: slots (1,2) and (3,4) share a field
-            f1 = random_mode_sum_values(dom, tk, r)
-            f3 = random_mode_sum_values(dom, tk, r)
-            f5 = random_mode_sum_values(dom, tk, r)
-            base = [f1, f1, f3, f3, f5]
-        elif not quintic and k >= 1 and pick < 0.25:
-            # exactly resonant plain-product modes: (a, 0) for two factors,
-            # (2a, -a, 2a) for three
-            a = int(r.integers(1, 4))
-            modes = [a, 0] if k == 1 else [2 * a, -a, 2 * a]
-            amps = r.normal(size=k + 1) + 1j * r.normal(size=k + 1)
-            base = [_mode_wave(dom, tk, m, +1, c)
-                    for m, c in zip(modes, amps)]
-        elif not quintic and k >= 1 and pick < 0.5:
-            # near-DC saturator: all but one factor concentrated at low modes
-            base = [random_mode_sum_values(dom, tk, r)]
-            base += [random_mode_sum_values(dom, tk, r, band=2.0)
-                     for _ in range(n_factors - 1)]
-        else:
-            base = [random_mode_sum_values(dom, tk, r)
-                    for _ in range(n_factors)]
-        return _window_ratios(dom, times, kept, windows, base, form,
-                              [+1] * n_factors, s, b_out)
-
-    return _window_report(
-        "quintic" if quintic else f"multilinear-k{k}", _map_samples(one, seeds),
-        t_values, {"k": k, "s": s, "delta": delta, "quintic": quintic,
-                   "t_values": list(t_values), "dt": _BASE_DT, "kind": dom.kind})
+        name, draw, form, n_factors = (f"multilinear-k{k}",
+                                       functools.partial(_power_draw, k),
+                                       _plain_product, k + 1)
+    return _window_probe(
+        name, dom, t_values, ensemble, rng or np.random.default_rng(0), draw,
+        functools.partial(form, dom), [+1] * n_factors, s, -3.0 / 8.0 - delta,
+        {"k": k, "s": s, "delta": delta, "quintic": quintic})
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,6 @@ def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm, lam,
 
 def run_gauge_equivalence(params, rng):
     dom = _domain(params)
-    if dom.kind == "line" and (dom.domain_scale < 4 or dom.n_points < 512):
-        raise ParameterError(
-            "line gauge-equivalence needs a wide, well-resolved box: "
-            "domain_scale >= 4 and n_points >= 512")
     disc, drift = _gauge_equivalence_discrepancy(
         dom, params["dt"], params["t_final"], params["h1_norm"],
         params["lambda"], params["k_power"], rng)
@@ -200,8 +196,6 @@ def run_gauge_equivalence(params, rng):
 
 def run_scaling(params, rng):
     dom = _domain(params)
-    if dom.kind != "line":
-        raise ParameterError("scaling runs on the line approximation")
     cfg = SolverConfig(dom, NonlinearityConfig(0.0, 0, False),
                        params["dt"], params["t_final"])
     u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), 0.3)
@@ -276,8 +270,8 @@ def run_verify_resonance(params, rng):
         per = max(1, n // len(REGIME_LABELS))
         for regime in REGIME_LABELS:
             for v in _resonance_batch(rng, per, params["box"], lattice, regime):
-                worst = max(worst, v)
-        metrics[f"max_rel_residual_{lattice}"] = worst
+                worst = np.maximum(worst, v)  # keeps a NaN
+        metrics[f"max_rel_residual_{lattice}"] = float(worst)
         assertions.append(_assertion(f"resonance_residual_{lattice}", worst, 1e-9))
     return {"metrics": metrics, "assertions": assertions, "plotdata": {}}
 

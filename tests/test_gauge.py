@@ -171,6 +171,15 @@ class TestGaugeTrajectory:
         assert rt < 1e-12
         assert mod < 1e-13
 
+    def test_report_keeps_a_nan(self):
+        # every sup keeps a NaN: a NaN row gives NaN errors, not 0
+        dom = Domain("torus", 64)
+        rows = _stack(dom, 24, rows=3).values
+        rows[1, 5] = np.nan
+        with np.errstate(invalid="ignore"):
+            rt, mod = gauge_report(GridFunction(dom, rows))
+        assert np.isnan(rt) and np.isnan(mod)
+
 
 def _stack(dom, seed, rows=5):
     rng = np.random.default_rng(seed)

@@ -32,6 +32,17 @@ CASES = {
                                  "params": {"ensemble": 4}},
     "probe-quintic-branches": {"scenario": "probe-multilinear", "seed": 23,
                                "params": {"quintic": True, "ensemble": 3}},
+    # k = 0 (one factor, no resonant branch) and its k0_embedding_ratio
+    # assertion
+    "probe-multilinear-k0": {"scenario": "probe-multilinear", "seed": 19,
+                             "params": {"k": 0, "ensemble": 4}},
+    # seed 5 draws picks 0.81, 0.84, 0.37 and 0.19, so the (2a, -a, 2a)
+    # resonant branch too, which seed 3 above never draws
+    "probe-multilinear-k2-branches": {"scenario": "probe-multilinear", "seed": 5,
+                                      "params": {"k": 2, "s": 0.75, "ensemble": 4}},
+    # the line's (-1)^k plane-wave coefficients
+    "probe-trilinear-line": {"scenario": "probe-trilinear", "seed": 23,
+                             "params": {"kind": "line", "ensemble": 4}},
     "dyadic-checks": {"scenario": "dyadic-checks", "seed": 5, "params": {}},
     "flowmap": {"scenario": "flowmap", "seed": 6,
                 "params": {"dt": 5e-3, "ensemble": 3}},

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dnls_lab import scenarios
 from dnls_lab.cli import SCENARIOS, SchemaError, main, run, validate_spec
 from dnls_lab.fields import Domain, SpectralField
 from dnls_lab.io import FieldDumpError, read_field, write_field
+from dnls_lab.multipliers import resonance_residuals
 from dnls_lab.sampling import random_band_field
 from dnls_lab.spaces import sobolev_norm
 
@@ -488,6 +490,18 @@ class TestRun:
         run(spec, tmp_path / "b")
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_nan_resonance_residual_exits_1(self, tmp_path, monkeypatch):
+        # every sup keeps a NaN: a NaN residual fails its assertion
+        def nan_residuals(*pts):
+            r1, r2, gap = resonance_residuals(*pts)
+            return np.full_like(r1, np.nan), r2, gap
+
+        monkeypatch.setattr(scenarios, "resonance_residuals", nan_residuals)
+        code, report = run({"scenario": "verify-resonance", "seed": 7,
+                            "params": {"n": 5000}}, tmp_path)
+        assert code == 1
+        assert math.isnan(report["metrics"]["max_rel_residual_Z"])
 
     def test_solve_scenario_writes_artifacts(self, tmp_path):
         spec = {"scenario": "solve", "seed": 3,

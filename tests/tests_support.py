@@ -1,7 +1,9 @@
 """Helpers shared across test modules."""
 
-import math
+import functools
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -84,29 +86,32 @@ def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
     return SpaceTimeField(lat, coeffs)
 
 
-# Golden report comparison: numbers agree to GOLDEN_RTOL relative.  A
-# golden number below GOLDEN_ROUNDOFF in magnitude has no stable digits,
-# so it only may not grow past GOLDEN_GROWTH times its golden magnitude
-# (or machine epsilon, if larger).
-GOLDEN_RTOL = 1e-10
-GOLDEN_ROUNDOFF = 1e-12
-GOLDEN_GROWTH = 10
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _close(value, golden) -> bool:
-    numbers = (int, float)
-    if isinstance(value, bool) or isinstance(golden, bool) or not (
-            isinstance(value, numbers) and isinstance(golden, numbers)):
-        return value == golden
-    if math.isnan(value) or math.isnan(golden):
-        return math.isnan(value) and math.isnan(golden)
-    if abs(golden) < GOLDEN_ROUNDOFF:
-        return abs(value) <= GOLDEN_GROWTH * max(abs(golden), sys.float_info.epsilon)
-    return abs(value - golden) <= GOLDEN_RTOL * abs(golden)
+@functools.cache
+def _benchmark_run():
+    """perfbench/run.py, loaded by path (perfbench is no package), with
+    perfbench/ on the path while it loads so that its `import layertrace`
+    resolves."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return mod
 
 
 def golden_mismatches(report, golden, path="") -> list[str]:
-    """JSON paths at which a report tree differs from its golden tree."""
+    """JSON paths at which a report tree differs from its golden tree.
+
+    Keys, strings and booleans match exactly; numbers by the benchmark's
+    rule (perfbench/run.py's _close): they agree to 1e-10 relative, and a
+    golden number below 1e-12 in magnitude, which has no stable digits, only
+    may not grow past 10 times its golden magnitude (or machine epsilon, if
+    larger)."""
     if isinstance(report, dict) and isinstance(golden, dict):
         if report.keys() != golden.keys():
             return [f"{path}: keys {sorted(report)} != {sorted(golden)}"]
@@ -117,4 +122,4 @@ def golden_mismatches(report, golden, path="") -> list[str]:
             return [f"{path}: length {len(report)} != {len(golden)}"]
         return [m for i, (a, b) in enumerate(zip(report, golden))
                 for m in golden_mismatches(a, b, f"{path}[{i}]")]
-    return [] if _close(report, golden) else [f"{path}: {report!r} != {golden!r}"]
+    return [] if _benchmark_run()._close(report, golden) else [f"{path}: {report!r} != {golden!r}"]
