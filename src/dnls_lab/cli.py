@@ -40,7 +40,8 @@ class SchemaError(Exception):
 
 # one config key, required where it has no default: ok(value, params) is its
 # range rule and `valid` says what it accepts; a list key must be non-empty
-# and its rule checks each entry
+# and its rule checks each entry.  A callable default, like a rule, reads
+# the keys before it: default(params)
 Key = namedtuple("Key", "type default ok valid", defaults=(None, None, ""))
 
 # `solve` keeps every time slice: (steps + 1) * n_points * 16 bytes per
@@ -113,7 +114,8 @@ SCENARIOS = {
         "integrator": Key(str, "etdrk4", lambda v, p: v in ("etdrk4", "ifrk4"),
                           "'etdrk4' or 'ifrk4'"),
         "pad_factor": Key(int, 4, lambda v, p: v in (2, 4), "2 or 4"),
-        "initial": Key(dict, {"type": "trig", "h1_norm": 0.3}, _initial_ok),
+        "initial": Key(dict, lambda p: {"type": "trig", "h1_norm": 0.3}
+                       if p["kind"] == "torus" else {"type": "gaussian"}, _initial_ok),
     }),
     "plane-wave": (scenarios.run_plane_wave, {
         "n_points": Key(int, 256, *N_POINTS),
@@ -253,7 +255,7 @@ def validate_spec(spec: dict) -> dict:
         if key not in params_in:
             if default is None:
                 raise SchemaError(f"params.{key}: missing required parameter")
-            resolved[key] = default
+            resolved[key] = default(resolved) if callable(default) else default
             continue
         val = params_in[key]
         if typ is float and isinstance(val, int) and not isinstance(val, bool):

@@ -55,6 +55,13 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _row_blocks(count: int, row_bytes: int, budget: int) -> list[slice]:
+    """Consecutive slices of at most budget // row_bytes rows each (one at
+    least), covering range(count) in order."""
+    step = max(1, budget // row_bytes)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 @dataclass(frozen=True)
 class Domain:
     """Uniform periodic spatial grid.

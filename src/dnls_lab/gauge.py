@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConservationError, WrongDomainError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
-                     _deriv_mult, check_edge_decay, padded_values)
+                     _deriv_mult, _row_blocks, check_edge_decay, padded_values)
 
 MU_DRIFT_TOL = 1e-8
 # bytes of one fine-grid (2n-point complex) work array of a row block
@@ -83,12 +83,6 @@ def gauge_inverse(g: GridFunction) -> GridFunction:
     return GridFunction(g.domain, np.exp(+1j * gauge_phase(g)) * g.values)
 
 
-def _row_blocks(n_rows: int, dom: Domain):
-    """Slices of at most BLOCK_BYTES // (bytes of one fine-grid row) rows."""
-    step = max(1, BLOCK_BYTES // (2 * dom.n_points * 16))
-    return (slice(i, i + step) for i in range(0, n_rows, step))
-
-
 def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
     """Gauge every slice; on the torus also translate by 2 mu t.
 
@@ -111,7 +105,7 @@ def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
         shifts = 2.0 * mu0 * traj.times
         turn = +1j if inverse else -1j
     out = np.empty_like(traj.values)
-    for rows in _row_blocks(traj.n_slices, dom):
+    for rows in _row_blocks(traj.n_slices, 2 * dom.n_points * 16, BLOCK_BYTES):
         u = GridFunction(dom, traj.values[rows])
         if not inverse:
             u = gauge_forward(u)
@@ -148,7 +142,7 @@ def gauge_report(f: GridFunction) -> tuple[float, float]:
     dom = f.domain
     stack = f.values.reshape(-1, dom.n_points)
     rt = mod = 0.0
-    for rows in _row_blocks(len(stack), dom):
+    for rows in _row_blocks(len(stack), 2 * dom.n_points * 16, BLOCK_BYTES):
         u = GridFunction(dom, stack[rows])
         g = gauge_forward(u)
         back = gauge_inverse(g)

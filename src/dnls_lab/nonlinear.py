@@ -7,8 +7,9 @@ right-hand side pads once.  rhs_gauged is coefficients in and out, and it
 pads v and d_x v as one stack, so a forcing call makes 2 FFTs.
 rhs_original keeps grid values, so the forcing's round trip (whose
 forward transform fixes the bits the plane-wave goldens pin) makes 6
-until those goldens check an order of convergence instead; its inverse
-into a work array is the one transform outside fields.  Both write their
+until those goldens check an order of convergence instead; it inverts its
+coarse coefficients into a work array through padded_values on the coarse
+grid, so that no transform runs outside fields.  Both write their
 intermediates into work arrays from rhs_work, which a caller that
 evaluates one form many times allocates once (the solver's forcing does);
 at n = 256 fresh fine-grid temporaries cost a call more time than its
@@ -305,8 +306,8 @@ def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
     # the pair is free again: it takes the fine spectrum
     coeffs = truncated_coeffs(dom, fine, pair[:len(fine)], work["coarse"])
     np.multiply(_deriv_mult(dom), coeffs[0], out=coeffs[0])
-    vals = np.fft.ifft(coeffs, out=work["vals"])
-    vals *= np.sqrt(TWO_PI) / dom.dx
+    # on the coarse grid there is no gap to pad: the coefficients are their own pad
+    vals = padded_values(dom, coeffs, dom.n_points, coeffs, work["vals"])
     out = 1j * vals[0]
     if lam != 0.0:
         out += lam * (vals[1] if k > 0 else u.values)

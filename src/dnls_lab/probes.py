@@ -69,7 +69,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ParameterError
 from .fields import (Domain, SpaceTimeField, SpectralField, _conj_reverse,
-                     _live_rows, _plane_wave_coeffs, dealiased_product_coeffs)
+                     _live_rows, _plane_wave_coeffs, _row_blocks,
+                     dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
@@ -124,6 +125,16 @@ def _stable(a: float, b: float) -> bool:
     return hi / lo <= 2.0
 
 
+def _refined(name: str, samples: int, sups: dict, params: dict, **details) -> ProbeReport:
+    """The report of a probe run twice: sups maps the two passes' detail keys
+    to their sups, whose larger (a NaN kept) is the sup and whose ratio is
+    the stability verdict; the other details ride along."""
+    a, b = sups.values()
+    return ProbeReport(name=name, samples=samples, sup_ratio=float(np.maximum(a, b)),
+                       refinement_stable=_stable(a, b), params=params,
+                       details=dict(sups, **details))
+
+
 # ---------------------------------------------------------------------------
 # multiplier domination
 # ---------------------------------------------------------------------------
@@ -140,7 +151,7 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
         r, over_m4 = domination_ratio_arrays(family, *pts, delta=delta)
         j = int(np.argmax(r))
         per_case[regime] = float(r[j])
-        if r[j] > overall:
+        if np.isnan(r[j]) or r[j] > overall:  # keeps a NaN
             overall = float(r[j])
             argmax_point = {"xi": [float(p[j]) for p in pts[:3]],
                             "tau": [float(p[j]) for p in pts[3:]],
@@ -149,7 +160,7 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
         xi = xi1 + xi2 + xi3
         case2 = (np.abs(xi) <= 2 * np.abs(xi1)) & (np.abs(xi) <= 2 * np.abs(xi2))
         if np.any(case2):
-            case2_sup = max(case2_sup, float(np.max(over_m4[case2])))
+            case2_sup = float(np.maximum(case2_sup, np.max(over_m4[case2])))
     return overall, per_case, argmax_point, case2_sup
 
 
@@ -163,29 +174,18 @@ def domination_scan(family: str = "M", box: float = 100.0, n: int = 10 ** 5,
     rng = rng or np.random.default_rng(0)
     sup1, per_case, argmax_point, case2 = _domination_pass(
         family, box, n, lattice, rng, delta)
-    sup2, _, _, _ = _domination_pass(family, 2.0 * box, n, lattice, rng, delta)
-    return ProbeReport(
-        name=f"domination-{family}-{lattice}",
-        samples=2 * n,
-        sup_ratio=max(sup1, sup2),
-        refinement_stable=_stable(sup1, sup2),
-        params={"box": box, "lattice": lattice, "delta": delta,
-                "sampling": "log-uniform magnitudes, case-labeled regimes"},
-        details={"sup_box": sup1, "sup_box_doubled": sup2,
-                 "per_case": per_case, "argmax": argmax_point,
-                 "case_ii_over_M4": case2})
+    sup2 = _domination_pass(family, 2.0 * box, n, lattice, rng, delta)[0]
+    return _refined(
+        f"domination-{family}-{lattice}", 2 * n,
+        {"sup_box": sup1, "sup_box_doubled": sup2},
+        {"box": box, "lattice": lattice, "delta": delta,
+         "sampling": "log-uniform magnitudes, case-labeled regimes"},
+        per_case=per_case, argmax=argmax_point, case_ii_over_M4=case2)
 
 
 # ---------------------------------------------------------------------------
 # Strichartz probe
 # ---------------------------------------------------------------------------
-
-def _blocks(count: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) sample ranges of at most
-    BLOCK_BYTES // row_bytes samples each, covering range(count)."""
-    step = max(1, BLOCK_BYTES // row_bytes)
-    return [(i, min(i + step, count)) for i in range(0, count, step)]
-
 
 def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWindow,
                        b: float) -> np.ndarray:
@@ -215,9 +215,9 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
     window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
     sup = 0.0
     band = min(8.0, dom.xi_max / 2)
-    for start, stop in _blocks(ensemble, 16 * n_t * dom.n_points):
+    for rows in _row_blocks(ensemble, 16 * n_t * dom.n_points, BLOCK_BYTES):
         sums, data = [], []
-        for i in range(start, stop):
+        for i in range(rows.start, rows.stop):
             if i % 2 == 0:
                 sums.append(random_mode_sum_values(dom, times, rng, band=band))
             else:
@@ -241,13 +241,11 @@ def strichartz_probe(b: float = 0.5, ensemble: int = 100,
         raise ParameterError("the L^4 bound needs b > 3/8")
     rng = rng or np.random.default_rng(0)
     dom = dom or Domain("torus", 32)
-    sup1 = _strichartz_ensemble(dom, n_t, dt, b, ensemble, rng)
-    sup2 = _strichartz_ensemble(dom, 2 * n_t, dt / 2, b, ensemble, rng)
-    return ProbeReport(
-        name="strichartz-L4", samples=2 * ensemble,
-        sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
-        params={"b": b, "n_points": dom.n_points, "n_t": n_t, "dt": dt},
-        details={"sup_coarse": sup1, "sup_refined": sup2})
+    return _refined(
+        "strichartz-L4", 2 * ensemble,
+        {"sup_coarse": _strichartz_ensemble(dom, n_t, dt, b, ensemble, rng),
+         "sup_refined": _strichartz_ensemble(dom, 2 * n_t, dt / 2, b, ensemble, rng)},
+        {"b": b, "n_points": dom.n_points, "n_t": n_t, "dt": dt})
 
 
 # ---------------------------------------------------------------------------
@@ -543,41 +541,33 @@ def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
     block_s_plus = block_norms(u, s + delta, b)
     frak = block[0] + block[1:].max(initial=0.0)
     frak_plus = block_s_plus[0] + block_s_plus[1:].max(initial=0.0)
-
-    c_x = 1.0 + float(np.sum(ns[1:] ** -delta))
-    lhs_x = float(np.sum(ns ** -delta * block))
-    ok_x = lhs_x <= c_x * frak * (1 + 1e-12)
-
-    c_y = 1.0 + 2.0 ** delta * float(np.sum(ns[1:] ** -delta))
-    lhs_y = float(np.sum(block))
-    ok_y = lhs_y <= c_y * frak_plus * (1 + 1e-12)
-
+    tail = float(np.sum(ns[1:] ** -delta))
     n_mid = ns[len(ns) // 2]
     similarity = 8  # the C of (XX)
     sim = (n_mid / similarity <= ns) & (ns <= n_mid * similarity)
-    c_xx = 2 * int(np.floor(np.log2(similarity))) + 1
-    lhs_xx = float(np.sum(block[sim]))
-    ok_xx = lhs_xx <= c_xx * frak * (1 + 1e-12) and np.count_nonzero(sim) <= c_xx
-
     low = ns <= small_k
-    c_xxx = int(np.floor(np.log2(small_k))) + 1
-    lhs_xxx = float(np.sum(block[low]))
-    ok_xxx = lhs_xxx <= c_xxx * frak * (1 + 1e-12) and np.count_nonzero(low) <= c_xxx
-
-    all_ok = ok_x and ok_y and ok_xx and ok_xxx
-    worst = max(lhs_x / (c_x * frak) if frak else 0.0,
-                lhs_y / (c_y * frak_plus) if frak_plus else 0.0,
-                lhs_xx / (c_xx * frak) if frak else 0.0,
-                lhs_xxx / (c_xxx * frak) if frak else 0.0)
+    # name: (constant, left side, bounding norm, capped block count): the
+    # (XX) and (XXX) sums take at most `constant` blocks, 0 leaves (X), (Y) uncapped
+    table = {
+        "X": (1.0 + tail, float(np.sum(ns ** -delta * block)), frak, 0),
+        "Y": (1.0 + 2.0 ** delta * tail, float(np.sum(block)), frak_plus, 0),
+        "XX": (2 * int(np.floor(np.log2(similarity))) + 1, float(np.sum(block[sim])),
+               frak, np.count_nonzero(sim)),
+        "XXX": (int(np.floor(np.log2(small_k))) + 1, float(np.sum(block[low])),
+                frak, np.count_nonzero(low)),
+    }
+    ok = {f"ok_{k}": bool(lhs <= c * norm * (1 + 1e-12) and cap <= c)
+          for k, (c, lhs, norm, cap) in table.items()}
+    # np.max keeps a NaN ratio
+    worst = np.max([lhs / (c * norm) if norm else 0.0
+                    for c, lhs, norm, _ in table.values()])
     return ProbeReport(
         name="dyadic-sums", samples=1, sup_ratio=float(worst),
         refinement_stable=None,
         params={"delta": delta, "s": s, "b": b,
                 "similarity": similarity, "small_k": small_k},
-        details={"ok_X": bool(ok_x), "ok_Y": bool(ok_y),
-                 "ok_XX": bool(ok_xx), "ok_XXX": bool(ok_xxx),
-                 "all_ok": bool(all_ok),
-                 "constants": {"X": c_x, "Y": c_y, "XX": c_xx, "XXX": c_xxx}})
+        details=dict(ok, all_ok=all(ok.values()),
+                     constants={k: row[0] for k, row in table.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +582,9 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
     band = dom.xi_max / 4
     # a pair's work: its two padded factors, their product and its
     # spectrum, four rows on the 2x grid that keeps a pair alias-free
-    for start, stop in _blocks(ensemble, 4 * 16 * 2 * dom.n_points):
+    for rows in _row_blocks(ensemble, 4 * 16 * 2 * dom.n_points, BLOCK_BYTES):
         pairs = np.array([[random_band_field(dom, rng, band=band).coeffs
-                           for _ in range(2)] for _ in range(start, stop)])
+                           for _ in range(2)] for _ in range(rows.start, rows.stop)])
         f1, f2 = SpectralField(dom, pairs[:, 0]), SpectralField(dom, pairs[:, 1])
         prod = SpectralField(dom, dealiased_product_coeffs(dom, [f1.coeffs, f2.coeffs]))
         num = besov_norm(prod, s)
@@ -613,12 +603,9 @@ def sobolev_mult_probe(s: float = 0.5, s1: float = 0.5, s2: float = 0.75,
     if s < 0 or s1 < s or s2 < s or not (s1 + s2 - s > 0.5):
         raise ParameterError("need s >= 0, s1, s2 >= s and s1 + s2 - s > 1/2")
     rng = rng or np.random.default_rng(0)
-    dom1 = Domain("torus", n_points)
-    dom2 = Domain("torus", 2 * n_points)
-    sup1 = _smult_ensemble(dom1, s, s1, s2, ensemble, rng)
-    sup2 = _smult_ensemble(dom2, s, s1, s2, ensemble, rng)
-    return ProbeReport(
-        name="besov-product", samples=2 * ensemble,
-        sup_ratio=float(np.maximum(sup1, sup2)), refinement_stable=_stable(sup1, sup2),
-        params={"s": s, "s1": s1, "s2": s2, "n_points": n_points, "kind": "torus"},
-        details={"sup_coarse": sup1, "sup_fine": sup2})
+    return _refined(
+        "besov-product", 2 * ensemble,
+        {"sup_coarse": _smult_ensemble(Domain("torus", n_points), s, s1, s2, ensemble, rng),
+         "sup_fine": _smult_ensemble(Domain("torus", 2 * n_points), s, s1, s2,
+                                     ensemble, rng)},
+        {"s": s, "s1": s1, "s2": s2, "n_points": n_points, "kind": "torus"})

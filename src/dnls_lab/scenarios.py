@@ -4,7 +4,8 @@ Every runner takes (params, rng) and returns a result dict with
 
     metrics     -- flat name -> number map for the CSV report,
     assertions  -- list of {name, value, threshold, op, passed},
-    plotdata    -- name -> list of (x, y) rows for TSV emission,
+    plotdata    -- name -> list of (x, y) rows for TSV emission, optional,
+    reports     -- the probe reports (ProbeReport.to_json()), optional,
     fields      -- name -> (SpectralField, time) to dump, optional.
 
 Thresholds are fixed here, not configurable: a scenario either meets its
@@ -33,6 +34,23 @@ def _assertion(name, value, threshold):
     """An upper-bound assertion: passed when value <= threshold."""
     return {"name": name, "value": float(value), "threshold": float(threshold),
             "op": "<=", "passed": bool(value <= threshold)}
+
+
+def _check(name, ok):
+    """A yes/no assertion: value 0 where ok holds, 1 where not, against 0.5."""
+    return _assertion(name, 0.0 if ok else 1.0, 0.5)
+
+
+def _mass_drift(*masses) -> float:
+    """The worst relative drift max_t |m(t) - m(0)| / m(0) over the mass
+    series; np.max keeps the NaN (or inf) of a zero or underflowing m(0),
+    which fails the drift assertion."""
+    return float(np.max([np.max(np.abs(m - m[0])) / m[0] for m in masses]))
+
+
+def _probe_result(rep, metrics, assertions) -> dict:
+    """A probe runner's result, rep's report included."""
+    return {"metrics": metrics, "assertions": assertions, "reports": [rep.to_json()]}
 
 
 def _domain(params) -> Domain:
@@ -76,7 +94,7 @@ def run_solve(params, rng):
     u0 = _initial_data(dom, params["initial"], rng)
     traj = solve(u0, cfg)
     masses = traj.mass()
-    drift = float(np.max(np.abs(masses - masses[0])) / masses[0]) if masses[0] else 0.0
+    drift = _mass_drift(masses)
     return {
         "metrics": {"mass_initial": float(masses[0]),
                     "mass_final": float(masses[-1]),
@@ -131,8 +149,7 @@ def run_plane_wave(params, rng):
         metrics[f"error_dt_{dts[0]:g}"] = errs[0]
         plot["error_vs_dt"] = list(zip(dts, errs))
     # mass conservation rides along on the main run
-    masses = traj.mass()
-    drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
+    drift = _mass_drift(traj.mass())
     metrics["mass_rel_drift"] = drift
     assertions.append(_assertion("mass_rel_drift", drift, 1e-9))
     return {"metrics": metrics, "assertions": assertions, "plotdata": plot}
@@ -151,7 +168,6 @@ def run_gauge_roundtrip(params, rng):
         "metrics": {"max_round_trip_error": rt, "max_modulus_error": mod},
         "assertions": [_assertion("round_trip_error", rt, 1e-12),
                        _assertion("modulus_error", mod, 1e-12)],
-        "plotdata": {},
     }
 
 
@@ -170,10 +186,7 @@ def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm, lam,
     recovered = gauge_trajectory(gauged, inverse=True)
     diffs = np.sqrt(np.sum(np.abs(direct.values - recovered.values) ** 2, axis=1)
                     * dom.dx)
-    # np.max keeps a NaN drift (mass 0/0), which the drift assertion fails
-    drift = np.max([np.max(np.abs(m - m[0])) / m[0]
-                    for m in (direct.mass(), gauged.mass())])
-    return float(np.max(diffs)), float(drift)
+    return float(np.max(diffs)), _mass_drift(direct.mass(), gauged.mass())
 
 
 def run_gauge_equivalence(params, rng):
@@ -191,7 +204,7 @@ def run_gauge_equivalence(params, rng):
             params["lambda"], params["k_power"], rng)
         metrics["sup_l2_discrepancy_double_box"] = disc2
         metrics["l_refinement_delta"] = abs(disc2 - disc)
-    return {"metrics": metrics, "assertions": assertions, "plotdata": {}}
+    return {"metrics": metrics, "assertions": assertions}
 
 
 def run_scaling(params, rng):
@@ -217,7 +230,7 @@ def run_scaling(params, rng):
         resid = float(np.max(rel))
         metrics[f"resolve_residual_sigma{sigma}"] = resid
         assertions.append(_assertion(f"resolve_residual_sigma{sigma}", resid, 1e-8))
-    return {"metrics": metrics, "assertions": assertions, "plotdata": {}}
+    return {"metrics": metrics, "assertions": assertions}
 
 
 def run_flowmap(params, rng):
@@ -273,7 +286,7 @@ def run_verify_resonance(params, rng):
                 worst = np.maximum(worst, v)  # keeps a NaN
         metrics[f"max_rel_residual_{lattice}"] = float(worst)
         assertions.append(_assertion(f"resonance_residual_{lattice}", worst, 1e-9))
-    return {"metrics": metrics, "assertions": assertions, "plotdata": {}}
+    return {"metrics": metrics, "assertions": assertions}
 
 
 def run_verify_domination(params, rng):
@@ -285,49 +298,38 @@ def run_verify_domination(params, rng):
             key = f"{family}_{lattice}"
             metrics[f"sup_ratio_{key}"] = rep.sup_ratio
             metrics[f"stable_{key}"] = float(rep.refinement_stable)
-            assertions.append(_assertion(f"domination_finite_{key}",
-                                         0.0 if np.isfinite(rep.sup_ratio) else 1.0,
-                                         0.5))
-            assertions.append(_assertion(f"domination_stable_{key}",
-                                         0.0 if rep.refinement_stable else 1.0,
-                                         0.5))
-    return {"metrics": metrics, "assertions": assertions, "plotdata": {}}
+            assertions += [_check(f"domination_finite_{key}", np.isfinite(rep.sup_ratio)),
+                           _check(f"domination_stable_{key}", rep.refinement_stable)]
+    return {"metrics": metrics, "assertions": assertions}
 
 
 def run_probe_strichartz(params, rng):
     rep = strichartz_probe(params["b"], params["ensemble"],
                            Domain("torus", params["n_points"]),
                            params["n_t"], params["dt"], rng)
-    return {
-        "metrics": {"sup_ratio": rep.sup_ratio,
-                    "stable": float(rep.refinement_stable)},
-        "assertions": [_assertion("strichartz_stable",
-                                  0.0 if rep.refinement_stable else 1.0, 0.5)],
-        "plotdata": {},
-        "reports": [rep.to_json()],
-    }
+    return _probe_result(rep, {"sup_ratio": rep.sup_ratio,
+                               "stable": float(rep.refinement_stable)},
+                         [_check("strichartz_stable", rep.refinement_stable)])
 
 
-def _monotone_assertions(rep, prefix):
-    out = []
+def _window_result(rep, prefix, extra=()):
+    """A window probe's result: its sup, the sups by T monotone in T (then
+    the extra assertions), and sup_x by T plotted."""
+    checks = []
     for key in ("sup_x_by_T", "sup_y_by_T"):
         series = rep.details[key]
         vals = [series[t] for t in sorted(series, key=float, reverse=True)]
-        ok = all(vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))
-        out.append(_assertion(f"{prefix}_{key}_monotone", 0.0 if ok else 1.0, 0.5))
-    return out
+        checks.append(_check(f"{prefix}_{key}_monotone", all(
+            vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))))
+    plot = [(float(t), v) for t, v in rep.details["sup_x_by_T"].items()]
+    return dict(_probe_result(rep, {"sup_ratio": rep.sup_ratio}, checks + list(extra)),
+                plotdata={"supratio_vs_T": plot})
 
 
 def run_probe_trilinear(params, rng):
-    rep = trilinear_probe(params["s"], tuple(params["t_values"]),
-                          params["ensemble"], Domain(params["kind"],
-                                                     params["n_points"]),
-                          rng)
-    plot = {"supratio_vs_T": [(float(t), v)
-                              for t, v in rep.details["sup_x_by_T"].items()]}
-    return {"metrics": {"sup_ratio": rep.sup_ratio},
-            "assertions": _monotone_assertions(rep, "trilinear"),
-            "plotdata": plot, "reports": [rep.to_json()]}
+    rep = trilinear_probe(params["s"], tuple(params["t_values"]), params["ensemble"],
+                          Domain(params["kind"], params["n_points"]), rng)
+    return _window_result(rep, "trilinear")
 
 
 def run_probe_multilinear(params, rng):
@@ -335,26 +337,20 @@ def run_probe_multilinear(params, rng):
                             params["ensemble"],
                             Domain(params["kind"], params["n_points"]),
                             params["delta"], params["quintic"], rng)
-    assertions = _monotone_assertions(rep, rep.name)
+    extra = []
     if params["k"] == 0 and not params["quintic"]:
-        sup_x = max(rep.details["sup_x_by_T"].values())
-        assertions.append(_assertion("k0_embedding_ratio", sup_x, 1.0))
-    plot = {"supratio_vs_T": [(float(t), v)
-                              for t, v in rep.details["sup_x_by_T"].items()]}
-    return {"metrics": {"sup_ratio": rep.sup_ratio},
-            "assertions": assertions, "plotdata": plot,
-            "reports": [rep.to_json()]}
+        extra.append(_assertion("k0_embedding_ratio",
+                                np.max(list(rep.details["sup_x_by_T"].values())), 1.0))
+    return _window_result(rep, rep.name, extra)
 
 
 def run_probe_smult(params, rng):
     rep = sobolev_mult_probe(params["s"], params["s1"], params["s2"],
                              params["ensemble"], params["n_points"],
                              rng=rng)
-    return {"metrics": {"sup_ratio": rep.sup_ratio,
-                        "stable": float(rep.refinement_stable)},
-            "assertions": [_assertion("smult_stable",
-                                      0.0 if rep.refinement_stable else 1.0, 0.5)],
-            "plotdata": {}, "reports": [rep.to_json()]}
+    return _probe_result(rep, {"sup_ratio": rep.sup_ratio,
+                               "stable": float(rep.refinement_stable)},
+                         [_check("smult_stable", rep.refinement_stable)])
 
 
 def run_dyadic_checks(params, rng):
@@ -364,7 +360,5 @@ def run_dyadic_checks(params, rng):
     vals = random_mode_sum_values(dom, times, rng, band=dom.xi_max / 2)
     u = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, vals))
     rep = dyadic_sum_check(u, params["delta"], params["s"], params["b"])
-    ok = rep.details["all_ok"]
-    return {"metrics": {"worst_slack": rep.sup_ratio},
-            "assertions": [_assertion("dyadic_inequalities", 0.0 if ok else 1.0, 0.5)],
-            "plotdata": {}, "reports": [rep.to_json()]}
+    return _probe_result(rep, {"worst_slack": rep.sup_ratio},
+                         [_check("dyadic_inequalities", rep.details["all_ok"])])

@@ -427,12 +427,8 @@ class TestUnsetOptions:
 
 
 # Functions outside fields that call np.fft.fft / np.fft.ifft, each with its
-# reason; every other transform goes through fields.
-FFT_OUTSIDE_FIELDS = {
-    "nonlinear.rhs_original": "inverts its coarse coefficients into the work array "
-                              "rhs_work allocated, where SpectralField.to_grid "
-                              "would allocate a fresh one on every forcing call",
-}
+# reason.  None does: every transform goes through fields.
+FFT_OUTSIDE_FIELDS = {}
 
 
 FFTS = ("fft", "ifft")

@@ -79,6 +79,25 @@ CASES = {
                          "integrator": "ifrk4"}},
     "scaling": {"scenario": "scaling", "seed": 18,
                 "params": {"n_points": 128, "dt": 5e-3, "t_final": 0.05}},
+    # the line return of the quintic form
+    "probe-quintic-line": {"scenario": "probe-multilinear", "seed": 23,
+                           "params": {"quintic": True, "kind": "line", "ensemble": 3}},
+    # the gaussian, plane and random initial data; an explicit empty
+    # `initial` takes the line's gaussian default whatever the key's default
+    "solve-line-gaussian": {"scenario": "solve", "seed": 24,
+                            "params": {"kind": "line", "n_points": 64,
+                                       "domain_scale": 4, "dt": 1e-2,
+                                       "t_final": 0.1, "initial": {}}},
+    "solve-plane": {"scenario": "solve", "seed": 26,
+                    "params": {"n_points": 64, "dt": 1e-2, "t_final": 0.1,
+                               "initial": {"type": "plane", "amplitude": 0.5,
+                                           "mode": 2}}},
+    # pad factor 2; at dt 1e-2 the drift (4.6e-10) sits near its 1e-9 bound
+    "solve-random": {"scenario": "solve", "seed": 25,
+                     "params": {"n_points": 64, "dt": 5e-3, "t_final": 0.1,
+                                "lambda": 0.5, "k_power": 1, "pad_factor": 2,
+                                "initial": {"type": "random", "band": 8,
+                                            "h1_norm": 0.3}}},
 }
 
 

@@ -307,6 +307,19 @@ class TestValidation:
             assert report["metrics"]["mass_initial"] == pytest.approx(
                 0.5 * np.sqrt(2 * np.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("kind,default", [
+        ("torus", {"type": "trig", "h1_norm": 0.3}),
+        ("line", {"type": "gaussian"}),
+    ])
+    def test_initial_default_follows_kind(self, tmp_path, kind, default):
+        # the torus takes its trig data, the line its gaussian packet
+        spec = {"scenario": "solve", "params": {
+            "kind": kind, "n_points": 64, "domain_scale": 1 if kind == "torus" else 4,
+            "dt": 1e-2, "t_final": 0.05}}
+        assert validate_spec(spec)["initial"] == default
+        code, report = run(spec, tmp_path)
+        assert code == 0 and report["params"]["initial"] == default
+
     @pytest.mark.parametrize("params", [{"s": 400.0}, {"b": 400.0}])
     def test_non_finite_constant_exits_1(self, tmp_path, capsys, params):
         # the block weights overflow; no config range depends on s or b alone
@@ -325,6 +338,9 @@ class TestValidation:
          "NonFiniteError"),
         ("gauge-equivalence", {"h1_norm": 1e-200, "n_points": 32, "dt": 0.025,
                                "t_final": 0.1}, "assertion failed: mass_rel_drift"),
+        ("solve", {"n_points": 32, "dt": 0.025, "t_final": 0.1,
+                   "initial": {"type": "plane", "amplitude": 1e-170}},
+         "assertion failed: mass_rel_drift"),
     ])
     def test_nan_ratio_is_not_dropped_from_a_sup(self, tmp_path, capsys, scenario,
                                                  params, why):
@@ -335,7 +351,7 @@ class TestValidation:
             code, _ = run({"scenario": scenario, "params": params}, tmp_path)
         assert code == 1
         assert why in capsys.readouterr().err
-        if scenario == "gauge-equivalence":
+        if scenario in ("gauge-equivalence", "solve"):
             # the run got as far as its report: strict JSON, the NaN spelled out
             def refuse(token):
                 raise ValueError(f"bare {token} in report.json")

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from dnls_lab import probes, solver, spaces
-from dnls_lab.errors import ParameterError
+from dnls_lab.errors import NonFiniteError, ParameterError
 from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
-                             _conj_reverse, dealiased_product_coeffs)
+                             _conj_reverse, _row_blocks, dealiased_product_coeffs)
 from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
@@ -56,6 +56,24 @@ class TestDominationScan:
             "uniform", "I", "IIa", "IIb1+", "IIb1-", "IIb2",
             "IIIa1", "IIIa2", "IIIb", "IIIc"}
         assert rep.details["argmax"] is not None
+
+    @pytest.mark.parametrize("nan_calls", [range(20), [0]], ids=["every", "first"])
+    def test_nan_ratio_is_kept(self, monkeypatch, nan_calls):
+        # a NaN in every regime's batch of both passes, or in the first batch
+        # alone, followed by finite ones: the sup keeps it, so the report raises
+        ratio_arrays, calls = probes.domination_ratio_arrays, []
+
+        def with_nan(*args, **kwargs):
+            r, over_m4 = ratio_arrays(*args, **kwargs)
+            if len(calls) in nan_calls:
+                r[len(r) // 2] = np.nan
+            calls.append(len(r))
+            return r, over_m4
+
+        monkeypatch.setattr(probes, "domination_ratio_arrays", with_nan)
+        with pytest.raises(NonFiniteError):
+            domination_scan(n=10 ** 4, rng=np.random.default_rng(0))
+        assert len(calls) == 20
 
 
 class TestStrichartz:
@@ -148,6 +166,17 @@ class TestDyadicSums:
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
             dyadic_sum_check(self._field(0), delta=0.0)
+
+    def test_nan_block_is_kept(self, monkeypatch):
+        # NaN X^{s+delta,b} blocks make the (Y) ratio NaN, which the sup of
+        # the four ratios keeps
+        def nan_plus(u, s, b):
+            out = block_norms(u, s, b)
+            return np.full_like(out, np.nan) if s == 0.75 else out
+
+        monkeypatch.setattr(probes, "block_norms", nan_plus)
+        with pytest.raises(NonFiniteError):
+            dyadic_sum_check(self._field(0), delta=0.25, s=0.5)
 
     def test_y_binding_pins_s_plus_delta_blocks(self):
         # one travelling mode at xi = N in each block N = 2..16 (chi_N(N) = 1),
@@ -614,8 +643,7 @@ class TestBlockBatchedEnsembles:
             lambda r: _reference_smult_ensemble(dom, 0.5, 0.5, 0.75, ensemble, r),
             seed)
 
-    def test_blocks_cover_the_ensemble_in_order(self, monkeypatch):
-        monkeypatch.setattr(probes, "BLOCK_BYTES", 100)
-        assert probes._blocks(7, 30) == [(0, 3), (3, 6), (6, 7)]
-        assert probes._blocks(2, 10 ** 6) == [(0, 1), (1, 2)]
-        assert probes._blocks(6, 30) == [(0, 3), (3, 6)]
+    def test_blocks_cover_the_ensemble_in_order(self):
+        assert _row_blocks(7, 30, 100) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert _row_blocks(2, 10 ** 6, 100) == [slice(0, 1), slice(1, 2)]
+        assert _row_blocks(6, 30, 100) == [slice(0, 3), slice(3, 6)]
