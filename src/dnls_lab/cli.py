@@ -85,8 +85,8 @@ def _initial_ok(initial: dict, p: dict) -> bool:
     if not isinstance(typ, str) or typ not in INITIAL_KEYS:
         raise SchemaError(f"params.initial.type: must be one of "
                           f"{sorted(INITIAL_KEYS)}, got {typ!r}")
-    if typ == "trig" and p["kind"] != "torus":
-        raise SchemaError("params.initial.type: 'trig' is periodic, torus only")
+    if typ in ("trig", "plane") and p["kind"] != "torus":
+        raise SchemaError(f"params.initial.type: {typ!r} is periodic, torus only")
     for key, val in initial.items():
         if key == "type":
             continue
@@ -96,6 +96,9 @@ def _initial_ok(initial: dict, p: dict) -> bool:
             raise SchemaError(f"params.initial.{key}: must be a finite number, got {val!r}")
         if INITIAL_KEYS[typ][key] and val <= 0:
             raise SchemaError(f"params.initial.{key}: must be positive, got {val!r}")
+        if key == "mode" and p["kind"] == "torus" and not float(val).is_integer():
+            raise SchemaError(f"params.initial.mode: must be an integer on the torus "
+                              f"(a periodic wave), got {val!r}")
     return True
 
 

@@ -96,7 +96,7 @@ def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
         mus = _torus_mus(traj.values, dom)
         mu0 = float(mus[0])
         drift = float(np.max(np.abs(mus - mu0)))
-        if drift > MU_DRIFT_TOL * max(1.0, mu0):
+        if not drift <= MU_DRIFT_TOL * max(1.0, mu0):  # a NaN drift raises
             raise ConservationError(
                 f"mu drifted by {drift:g} along the trajectory; the flow that "
                 f"produced it did not conserve mass")

@@ -35,23 +35,6 @@ REGIME_LABELS = ("uniform", "I", "IIa", "IIb1+", "IIb1-", "IIb2",
                  "IIIa1", "IIIa2", "IIIb", "IIIc")
 
 
-def modulation_magnitudes(xi1, xi2, xi3, tau1, tau2, tau3):
-    """The four modulation magnitudes, stacked along a new leading axis."""
-    xi = xi1 + xi2 + xi3
-    tau = tau1 + tau2 + tau3
-    return np.stack([
-        np.abs(tau + xi ** 2),
-        np.abs(tau1 + xi1 ** 2),
-        np.abs(tau2 + xi2 ** 2),
-        np.abs(tau3 - xi3 ** 2),
-    ])
-
-
-def classify_max_region(xi1, xi2, xi3, tau1, tau2, tau3) -> np.ndarray:
-    """Index (0..3) of the maximal modulation; ties resolve to the lowest."""
-    return np.argmax(modulation_magnitudes(xi1, xi2, xi3, tau1, tau2, tau3), axis=0)
-
-
 def resonance_residuals(xi1, xi2, xi3, tau1, tau2, tau3):
     """Residuals of the two resonance identities plus the max-A lower bound.
 
@@ -94,22 +77,22 @@ def multiplier_pieces(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
     """|M| and its five pieces M_0..M_4 over point arrays (family "M"), or
     the Mt analogues (family "Mt").
 
-    The eight brackets and the max-modulation region are computed once and
-    shared by all six quantities.  Returns (numerator, [piece_0..piece_4]).
+    The four modulations are formed once; their brackets and the
+    max-modulation region (the argmax of their moduli, ties to the lowest
+    index) are shared by all six quantities.  Returns (numerator,
+    [piece_0..piece_4]).
     """
     if family not in ("M", "Mt"):
         raise ValueError(f"family must be 'M' or 'Mt', got {family!r}")
     xi = xi1 + xi2 + xi3
-    tau = tau1 + tau2 + tau3
-    b_out = bracket(tau + xi ** 2)
-    b1 = bracket(tau1 + xi1 ** 2)
-    b2 = bracket(tau2 + xi2 ** 2)
-    b3 = bracket(tau3 - xi3 ** 2)
+    mods = [tau1 + tau2 + tau3 + xi ** 2, tau1 + xi1 ** 2, tau2 + xi2 ** 2,
+            tau3 - xi3 ** 2]
+    region = np.argmax(np.abs(mods), axis=0)
+    b_out, b1, b2, b3 = (bracket(m) for m in mods)
     g = bracket(xi)
     g1 = bracket(xi1)
     g2 = bracket(xi2)
     g3 = bracket(xi3)
-    region = classify_max_region(xi1, xi2, xi3, tau1, tau2, tau3)
     r_out, r1, r2, r3 = b_out ** 0.5, b1 ** 0.5, b2 ** 0.5, b3 ** 0.5
     h1, h2 = g1 ** 0.5, g2 ** 0.5
     ind = [(region == j).astype(float) for j in range(4)]

@@ -75,8 +75,8 @@ from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
-from .spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
-                     frak_x_norm, window_trajectory, xsb_norm)
+from .spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm, plateau,
+                     window_trajectory, xsb_norm)
 from .solver import free_evolution
 
 
@@ -187,17 +187,18 @@ def domination_scan(family: str = "M", box: float = 100.0, n: int = 10 ** 5,
 # Strichartz probe
 # ---------------------------------------------------------------------------
 
-def _strichartz_ratios(times: np.ndarray, slices: SpectralField, window: TimeWindow,
+def _strichartz_ratios(times: np.ndarray, slices: SpectralField, T: float,
                        b: float) -> np.ndarray:
-    """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}} for every member u of a
-    batch of per-slice coefficients (n_t, B, n): NaN where the X norm
-    overflows, which the sup keeps, and 0 where it vanishes.
+    """||w u||_{L^4_{t,x}} / ||w u||_{X^{0,b,+}}, w the plateau window of
+    half-width T, for every member u of a batch of per-slice coefficients
+    (n_t, B, n): NaN where the X norm overflows, which the sup keeps, and 0
+    where it vanishes.
 
     The X norm windows the coefficients and transforms only their live xi
     rows in time; the L^4 norm is summed from one inverse spatial transform
     of the unwindowed coefficients, w^4 factored out of |w u|^4."""
-    den = xsb_norm(window_trajectory(times, slices, window), 0.0, b, +1)
-    w4 = window(times) ** 4
+    den = xsb_norm(window_trajectory(times, slices, T), 0.0, b, +1)
+    w4 = plateau(times, T) ** 4
     v4 = np.abs(slices.to_grid().values)
     l4 = (w4 @ np.sum(np.power(v4, 4, out=v4), axis=-1)
           * (slices.domain.dx * (times[1] - times[0]))) ** 0.25
@@ -212,7 +213,7 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
     sums, odd ones free evolutions of random data, drawn in sample order
     and evaluated a block at a time."""
     times = -0.5 * n_t * dt + dt * np.arange(n_t)
-    window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
+    T = min(1.0, 0.45 * n_t * dt)
     sup = 0.0
     band = min(8.0, dom.xi_max / 2)
     for rows in _row_blocks(ensemble, 16 * n_t * dom.n_points, BLOCK_BYTES):
@@ -228,7 +229,7 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
         if data:
             blocks.append(free_evolution(SpectralField(dom, np.array(data)), times))
         for slices in blocks:
-            sup = np.maximum(sup, np.max(_strichartz_ratios(times, slices, window, b)))
+            sup = np.maximum(sup, np.max(_strichartz_ratios(times, slices, T, b)))
     return float(sup)
 
 
@@ -332,7 +333,7 @@ def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]
 
 def _windows(times: np.ndarray, t_values) -> tuple[slice, dict]:
     """The slices that some plateau window w_T keeps, and {T: w_T on them}."""
-    ws = np.array([TimeWindow.plateau(T)(times) for T in t_values])
+    ws = np.array([plateau(times, T) for T in t_values])
     kept = _support(np.any(ws, axis=0))
     return kept, dict(zip(t_values, ws[:, kept]))
 

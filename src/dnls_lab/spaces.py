@@ -23,17 +23,16 @@ NaN where the weight overflowed), so each value keeps the dense bits.
 
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the
-trajectory's per-slice coefficients by a smooth time window and transform
-the xi rows that carry data in time, into a compact field; the resulting
-value is an upper bound for the infimum over all extensions, which
-suffices for every monotone check performed here.
+trajectory's per-slice coefficients by the plateau window chi(2t/T) of
+half-width T (plateau) and transform the xi rows that carry data in time,
+into a compact field; the resulting value is an upper bound for the
+infimum over all extensions, which suffices for every monotone check
+performed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -173,44 +172,34 @@ def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:
     return float(np.sqrt(np.max(s)))
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Smooth time cutoff w(t) with known support (t_lo, t_hi)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    t_lo: float
-    t_hi: float
-
-    def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
-
-    @classmethod
-    def plateau(cls, t_support: float) -> "TimeWindow":
-        """chi(2t / T): equals 1 for |t| <= T/2, vanishes for |t| >= T."""
-        return cls(lambda t: cutoff_low(t, 0.5 * t_support), -t_support, t_support)
+def plateau(times: np.ndarray, T: float) -> np.ndarray:
+    """The plateau window chi(2t / T) of half-width T at the times: 1 for
+    |t| <= T/2, 0 for |t| >= T."""
+    return cutoff_low(times, 0.5 * T)
 
 
 def window_trajectory(times: np.ndarray, slices: SpectralField,
-                      window: TimeWindow) -> SpaceTimeField:
+                      T: float) -> SpaceTimeField:
     """Multiply a trajectory, given as its per-slice coefficients
-    slices.coeffs (n_t, ..., n) at the uniform times, by a time window and
-    transform in time to (xi, tau); no spatial transform is made.
+    slices.coeffs (n_t, ..., n) at the uniform times, by the plateau window
+    of half-width T and transform in time to (xi, tau); no spatial
+    transform is made.
 
-    The window support must lie inside the trajectory's time span; the
-    result is one admissible extension of the restricted solution, hence
-    an upper bound representative for restriction norms.  It is the
-    compact field of the xi rows with a nonzero coefficient (_live_rows),
-    rows of shape (..., n) for a batch of coefficients (n_t, ..., n); only
-    those rows are windowed and transformed.
+    The window support (-T, T) must lie inside the trajectory's time span
+    [t0, t1 + dt]; the result is one admissible extension of the restricted
+    solution, hence an upper bound representative for restriction norms.
+    It is the compact field of the xi rows with a nonzero coefficient
+    (_live_rows), rows of shape (..., n) for a batch of coefficients
+    (n_t, ..., n); only those rows are windowed and transformed.
     """
     times = np.asarray(times, dtype=float)
     t0, t1 = times[0], times[-1]
-    if window.t_lo < t0 - 1e-12 or window.t_hi > t1 + float(times[1] - times[0]) + 1e-12:
+    if -T < t0 - 1e-12 or T > t1 + float(times[1] - times[0]) + 1e-12:
         raise ExtensionError(
-            f"window support ({window.t_lo:g}, {window.t_hi:g}) exceeds the "
-            f"trajectory span [{t0:g}, {t1:g}]")
+            f"window support ({-T:g}, {T:g}) exceeds the trajectory span "
+            f"[{t0:g}, {t1:g}]")
     by_xi = np.moveaxis(slices.coeffs, 0, -1)
     rows = _live_rows(by_xi)
     live = by_xi[rows]
-    live *= np.asarray(window(times))
+    live *= plateau(times, T)
     return SpaceTimeField.from_time_values(slices.domain, times, live, rows=rows)

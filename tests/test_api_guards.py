@@ -1,5 +1,6 @@
 """Guards on the package's public surface: every name the benchmark's layer
-tracer wraps or its workload process reads must exist, every public
+tracer wraps or its workload process reads must exist, the golden runs
+under that tracer must keep their exit codes and report bytes, every public
 function, class and method must be named in src and every src function
 entered by the golden runs, or kept on purpose, with a reason, every
 defaulted parameter must be set by some src call or kept on purpose, with
@@ -230,10 +231,11 @@ def src_functions(sources: dict) -> set:
     return set(_function_names(sources).values())
 
 
-def entered_functions(cases: dict, out_dir) -> set:
-    """module.qualname of every src function that cli.run enters on the
-    specs cases {name: spec}, recorded by one sys.setprofile hook."""
-    codes = set()
+def entered_functions(cases: dict, out_dir) -> tuple[set, dict]:
+    """(module.qualname of every src function that cli.run enters on the
+    specs cases {name: spec}, recorded by one sys.setprofile hook, and
+    {name: exit code}); each report goes to out_dir/name."""
+    codes, exits = set(), {}
 
     def hook(frame, event, arg):
         if event == "call":
@@ -242,13 +244,13 @@ def entered_functions(cases: dict, out_dir) -> set:
     sys.setprofile(hook)
     try:
         for name, spec in cases.items():
-            cli.run(dict(spec, name=name), Path(out_dir) / name)
+            exits[name], _ = cli.run(dict(spec, name=name), Path(out_dir) / name)
     finally:
         sys.setprofile(None)
     names, src = _function_names(_src_sources()), SRC.resolve()
     return {names[(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)]
             for c in codes
-            if not c.co_name.startswith("<") and Path(c.co_filename).resolve().parent == src}
+            if not c.co_name.startswith("<") and Path(c.co_filename).resolve().parent == src}, exits
 
 
 def unentered(functions: set, entered: set, kept) -> list:
@@ -258,18 +260,35 @@ def unentered(functions: set, entered: set, kept) -> list:
                   if not any(f == k or f.startswith(k + ".<locals>.") for k in kept))
 
 
+def _fresh_golden_runs(code: str, out: Path, *paths) -> dict:
+    """Run code in a fresh interpreter with src, tests and paths importable,
+    as `code OUT RESULT`: its golden reports go under out, and the JSON it
+    writes to RESULT is returned."""
+    path = os.pathsep.join(map(str, [ROOT / "src", ROOT / "tests", *paths]))
+    proc = subprocess.run([sys.executable, "-c", code, str(out), str(out / "result.json")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((out / "result.json").read_text())
+
+
 @pytest.fixture(scope="module")
-def golden_entered(tmp_path_factory) -> set:
-    """The src functions that tests/test_golden.py's cases enter, run in a
-    fresh interpreter so that no cache a test filled hides a call."""
+def golden_runs(tmp_path_factory) -> tuple[Path, set, dict]:
+    """tests/test_golden.py's cases run untraced in a fresh interpreter, so
+    that no cache a test filled hides a call: (the directory of their
+    reports, the src functions they enter, {name: exit code})."""
     out = tmp_path_factory.mktemp("reach")
-    code = ("import json, sys; import test_api_guards as g, test_golden; "
-            "json.dump(sorted(g.entered_functions(test_golden.CASES, sys.argv[1])), "
-            "open(sys.argv[2], 'w'))")
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    subprocess.run([sys.executable, "-c", code, str(out), str(out / "entered.json")],
-                   check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=path))
-    return set(json.loads((out / "entered.json").read_text()))
+    res = _fresh_golden_runs(
+        "import json, sys; import test_api_guards as g, test_golden; "
+        "entered, codes = g.entered_functions(test_golden.CASES, sys.argv[1]); "
+        "json.dump({'entered': sorted(entered), 'codes': codes}, open(sys.argv[2], 'w'))",
+        out)
+    return out, set(res["entered"]), res["codes"]
+
+
+@pytest.fixture(scope="module")
+def golden_entered(golden_runs) -> set:
+    return golden_runs[1]
 
 
 class TestReach:
@@ -305,6 +324,35 @@ class TestReach:
         new = (set(unentered(src_functions(sources), golden_entered, _kept()))
                - set(unentered(src_functions(_src_sources()), golden_entered, _kept())))
         assert name in new and new <= {name, f"{name}.<locals>.inner"}
+
+
+# the per-layer metrics that perfbench/run.py adds itself, not layer_metrics
+RUN_METRICS = {"cli.report_bytes", "trace.overhead_ratio", "probes.pool_speedup",
+               "probes.pool_wait_s"}
+
+
+class TestTracedRuns:
+    """The benchmark's traced mode (perfbench/run.py --trace 1) wraps every
+    tracer target, and its tag functions read their targets' arguments by
+    position, so a signature change can break the traced runs alone."""
+
+    def test_traced_golden_runs_match_untraced(self, golden_runs, tmp_path):
+        untraced, _, codes = golden_runs
+        res = _fresh_golden_runs(
+            "import json, sys; import layertrace, test_golden; from dnls_lab import cli; "
+            "tracer = layertrace.Tracer(); layertrace.install(tracer); "
+            "codes = {n: cli.run(dict(s, name=n), f'{sys.argv[1]}/{n}')[0] "
+            "for n, s in test_golden.CASES.items()}; "
+            "json.dump({'codes': codes, 'metrics': sorted(layertrace.layer_metrics("
+            "tracer.spans))}, open(sys.argv[2], 'w'))",
+            tmp_path, LAYERTRACE.parent)
+        assert res["codes"] == codes
+        # the traced reports keep every byte of the untraced ones
+        assert [n for n in codes if (tmp_path / n / "report.json").read_bytes()
+                != (untraced / n / "report.json").read_bytes()] == []
+        per_layer = {m["name"] for m in
+                     json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+        assert sorted(per_layer - RUN_METRICS - set(res["metrics"])) == []
 
 
 # Defaulted parameters that no src call sets, kept on purpose.

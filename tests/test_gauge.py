@@ -164,6 +164,14 @@ class TestGaugeTrajectory:
         with pytest.raises(ConservationError):
             gauge_trajectory(traj)
 
+    def test_nan_drift_detected(self):
+        # one NaN sample makes the drift NaN, which must raise, not pass
+        dom = Domain("torus", 32)
+        vals = np.tile(0.3 * np.exp(1j * dom.x), (4, 1))
+        vals[2, 5] = np.nan
+        with pytest.raises(ConservationError):
+            gauge_trajectory(Trajectory(dom, 0.01 * np.arange(4), vals))
+
     def test_report(self):
         rng = np.random.default_rng(9)
         f = random_decaying_field(TORUS, rng, band=16.0)

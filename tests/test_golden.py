@@ -98,6 +98,10 @@ CASES = {
                                 "lambda": 0.5, "k_power": 1, "pad_factor": 2,
                                 "initial": {"type": "random", "band": 8,
                                             "h1_norm": 0.3}}},
+    # the gaussian rescaled to an H^1 norm
+    "solve-gaussian-h1": {"scenario": "solve", "seed": 27,
+                          "params": {"n_points": 64, "dt": 1e-2, "t_final": 0.1,
+                                     "initial": {"type": "gaussian", "h1_norm": 0.3}}},
 }
 
 

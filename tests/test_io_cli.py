@@ -256,6 +256,14 @@ class TestValidation:
         ("gauge-roundtrip", {"kind": "line", "n_points": 16}, "n_points"),
         ("flowmap", {"eps_list": [1e-300]}, "eps_list[0]"),
         ("flowmap", {"r": 1.0, "eps_list": [1e-2, 5e-11]}, "eps_list[1]"),
+        # data that cannot pass its own mass check (these exited 1): a plane
+        # wave never vanishes at the line's box edges, and a wave of
+        # non-integer mode is not periodic on the torus
+        ("solve", {"kind": "line", "domain_scale": 4, "initial": {"type": "plane"}},
+         "initial.type"),
+        ("solve", {"initial": {"type": "plane", "mode": 1.5}}, "initial.mode"),
+        ("solve", {"initial": {"type": "gaussian", "mode": 0.5}}, "initial.mode"),
+        ("solve", {"initial": {"type": "gaussian", "mode": -1e-9}}, "initial.mode"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):
@@ -289,6 +297,8 @@ class TestValidation:
                   "h1_norm": 0.3}),
         ("line", {"type": "random", "band": 4.0, "h1_norm": 0.3}),
         ("torus", {"type": "random", "band": 8.0, "h1_norm": 0.3}),
+        # an integral float is an integer mode
+        ("torus", {"type": "plane", "amplitude": 0.5, "mode": 2.0}),
     ])
     def test_initial_keys_accepted(self, tmp_path, kind, initial):
         spec = {"scenario": "solve", "seed": 5, "params": {

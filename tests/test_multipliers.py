@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dnls_lab.frequency import bracket
-from dnls_lab.multipliers import (REGIME_LABELS, classify_max_region,
-                                  domination_ratio_arrays, multiplier_pieces,
-                                  resonance_residuals, resonance_scale,
-                                  sample_points)
+from dnls_lab.multipliers import (REGIME_LABELS, domination_ratio_arrays,
+                                  multiplier_pieces, resonance_residuals,
+                                  resonance_scale, sample_points)
 
 
 def per_tag(tag, xi1, xi2, xi3, tau1, tau2, tau3, delta):
@@ -19,7 +18,9 @@ def per_tag(tag, xi1, xi2, xi3, tau1, tau2, tau3, delta):
     b2 = bracket(tau2 + xi2 ** 2)
     b3 = bracket(tau3 - xi3 ** 2)
     g, g1, g2, g3 = bracket(xi), bracket(xi1), bracket(xi2), bracket(xi3)
-    region = classify_max_region(xi1, xi2, xi3, tau1, tau2, tau3)
+    # the largest modulation, ties to the lowest index
+    region = np.argmax(np.abs([tau + xi ** 2, tau1 + xi1 ** 2, tau2 + xi2 ** 2,
+                               tau3 - xi3 ** 2]), axis=0)
 
     def ind(j):
         return (region == j).astype(float)
@@ -126,7 +127,9 @@ class TestMultiplierEvaluation:
     def test_indicator_partition(self):
         rng = np.random.default_rng(1)
         pts = sample_points(rng, 10 ** 4, 100.0, "R", "uniform")
-        total = sum((classify_max_region(*pts) == j).astype(int) for j in range(4))
+        # exactly one of the region pieces M_0..M_3 is nonzero at each point
+        _, pieces = multiplier_pieces("M", *pts)
+        total = sum((p != 0).astype(int) for p in pieces[:4])
         assert np.all(total == 1)
 
     def test_explicit_m_value(self):

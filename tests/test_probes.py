@@ -17,8 +17,8 @@ from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              strichartz_probe, trilinear_probe)
 from dnls_lab.sampling import random_band_field, random_mode_sum_values
 from dnls_lab.solver import free_evolution
-from dnls_lab.spaces import (TimeWindow, besov_norm, block_norms, cal_y_norm,
-                             frak_x_norm, xsb_norm)
+from dnls_lab.spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm,
+                             plateau, xsb_norm)
 from tests_support import count_ffts
 
 
@@ -296,7 +296,7 @@ class TestWindowSupport:
         n_factors, fn = _PRODUCT_FORMS[form]
         times = probes._base_times()
         for T in (1.0, 0.5, 0.25, 0.125):
-            w = TimeWindow.plateau(T)(times)
+            w = plateau(times, T)
             vs = self._factors(dom, times, w, n_factors, seed=11)
             kept = self._assert_support_evaluation_exact(fn, dom, w, vs)
             assert kept.stop - kept.start < len(times)
@@ -307,7 +307,7 @@ class TestWindowSupport:
         dom = Domain("torus", 32)
         n_factors, fn = _PRODUCT_FORMS[form]
         times = -1.0 + np.arange(256) / 128.0
-        w = TimeWindow.plateau(0.5)(times - times[0 if edge == "first" else -1])
+        w = plateau(times - times[0 if edge == "first" else -1], 0.5)
         assert w[0 if edge == "first" else -1] == 1.0
         vs = self._factors(dom, times, w, n_factors, seed=12)
         kept = self._assert_support_evaluation_exact(fn, dom, w, vs)
@@ -423,7 +423,7 @@ def _reference_window_ratios(dom, times, base_kept, t_values, base, form, signs,
     take one norm call per field."""
     out = {}
     for T in t_values:
-        w = TimeWindow.plateau(T)(times)
+        w = plateau(times, T)
         vs = [np.zeros((len(times), dom.n_points), dtype=np.complex128) for _ in base]
         for v, f in zip(vs, base):
             v[base_kept] = f
@@ -488,7 +488,7 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
     the windowed grid samples of each sample transformed in space and time,
     one X^{0,b} norm and one inverse transform for the L^4 norm."""
     times = -0.5 * n_t * dt + dt * np.arange(n_t)
-    window = TimeWindow.plateau(min(1.0, 0.45 * n_t * dt))
+    w = plateau(times, min(1.0, 0.45 * n_t * dt))
     sup = 0.0
     band = min(8.0, dom.xi_max / 2)
     for i in range(ensemble):
@@ -497,7 +497,7 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
         else:
             slices = free_evolution(random_band_field(dom, rng, band=band), times)
         u = SpaceTimeField.from_time_values(dom, times, GridFunction(
-            dom, slices.to_grid().values * window(times)[:, None]).to_spectral())
+            dom, slices.to_grid().values * w[:, None]).to_spectral())
         den = xsb_norm(u, 0.0, b, +1)
         vals = u.to_time_values()
         lp = (np.sum(np.abs(vals) ** 4) * (dom.dx * u.lattice.dt)) ** 0.25

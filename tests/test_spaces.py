@@ -9,13 +9,12 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeF
 from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_evolution
 from dnls_lab.frequency import dyadic_multiplier, dyadic_range
-from dnls_lab.spaces import (TimeWindow, _chi_sq, _low_plus_sup, _xsb_weight,
-                             _zero_row_terms, besov_norm, block_norms, cal_y_norm,
-                             frak_x_norm, sobolev_norm, window_trajectory, xsb_norm,
+from dnls_lab.spaces import (_chi_sq, _low_plus_sup, _xsb_weight, _zero_row_terms,
+                             besov_norm, block_norms, cal_y_norm, frak_x_norm,
+                             plateau, sobolev_norm, window_trajectory, xsb_norm,
                              xy_embedding_constant, ysb_norm)
 
-from tests_support import (bump_window, random_spacetime, unit_mass, zero_spacetime,
-                           zero_spectral)
+from tests_support import random_spacetime, unit_mass, zero_spacetime, zero_spectral
 
 TORUS = Domain("torus", 64)
 
@@ -347,13 +346,12 @@ class TestBatchedNorms:
         vals = rng.normal(size=(200, 4, dom.n_points)) + 1j * rng.normal(size=(200, 4, dom.n_points))
         vals[:, :, 1::2] = 0.0
         vals[:, 3] = 0.0     # member 3 has no live row
-        window = TimeWindow.plateau(1.0)
-        got = window_trajectory(times, SpectralField(dom, vals), window)
+        got = window_trajectory(times, SpectralField(dom, vals), 1.0)
         rows = np.any(np.moveaxis(vals, 0, -1) != 0, axis=-1)
         assert np.array_equal(got.rows, rows)
         assert got.coeffs.shape == (np.count_nonzero(rows), 200)
         # the dense field of the windowed coefficients, built on its own
-        windowed = np.moveaxis(vals * window(times)[:, None, None], 0, -2)
+        windowed = np.moveaxis(vals * plateau(times, 1.0)[:, None, None], 0, -2)
         dense = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, windowed))
         assert got.lattice == dense.lattice
         assert np.array_equal(got.coeffs, dense.coeffs[rows])
@@ -364,7 +362,7 @@ class TestBatchedNorms:
         assert np.array_equal(xsb_norm(got, 0.0, 0.5), xsb_norm(dense, 0.0, 0.5))
         # one member alone gives that member's rows of the batch
         for j in range(4):
-            one = window_trajectory(times, SpectralField(dom, vals[:, j]), window)
+            one = window_trajectory(times, SpectralField(dom, vals[:, j]), 1.0)
             assert np.array_equal(one.rows, rows[j])
             assert np.array_equal(one.coeffs, got.members(j, j + 1).coeffs)
 
@@ -373,17 +371,28 @@ class TestWindowTrajectory:
     def test_zero_trajectory(self):
         dom = Domain("torus", 16)
         times = -2.0 + 0.0625 * np.arange(64)
-        u = window_trajectory(times, SpectralField(dom, np.zeros((64, 16))),
-                              TimeWindow.plateau(1.0))
+        u = window_trajectory(times, SpectralField(dom, np.zeros((64, 16))), 1.0)
         assert u.coeffs.shape == (0, 64) and not np.any(u.rows)
         assert xsb_norm(u, 0.5, 0.5) == 0.0 and ysb_norm(u, 0.5, 0.0) == 0.0
 
+    def test_plateau(self):
+        # chi(2t / T): 1 on |t| <= T/2, 0 on |t| >= T, strictly between inside
+        w = plateau(np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0]), 2.0)
+        assert np.array_equal(w[[0, 2, 3, 4, 6]], [0.0, 1.0, 1.0, 1.0, 0.0])
+        assert 0.0 < w[1] < 1.0 and w[1] == w[5]
+
     def test_window_support_must_fit(self):
+        # (-T, T) must lie in [t0, t1 + dt]; here t1 + dt = t0 + 2
         dom = Domain("torus", 16)
-        times = 0.1 * np.arange(10)
-        with pytest.raises(ExtensionError):
-            window_trajectory(times, SpectralField(dom, np.zeros((10, 16))),
-                              bump_window())
+        zero = SpectralField(dom, np.zeros((20, 16)))
+        for t0, T, fits in [(-1.0, 1.0, True), (-1.0, 1.1, False),
+                            (-0.5, 1.0, False), (-0.5, 0.5, True)]:
+            times = t0 + 0.1 * np.arange(20)
+            if fits:
+                assert window_trajectory(times, zero, T).coeffs.shape == (0, 20)
+            else:
+                with pytest.raises(ExtensionError):
+                    window_trajectory(times, zero, T)
 
     def test_free_single_mode_reduces_to_window_l2(self):
         # windowed free evolution of one mode: uhat(xi0, tau) = chihat(tau + xi0^2),
@@ -391,10 +400,8 @@ class TestWindowTrajectory:
         dom = Domain("torus", 32)
         dt = 1.0 / 64.0
         times = -4.0 + dt * np.arange(512)
-        w = bump_window()
-        u = window_trajectory(times, free_evolution(unit_mass(dom, 3.0), times),
-                              w)
-        wvals = w(times)
+        u = window_trajectory(times, free_evolution(unit_mass(dom, 3.0), times), 2.0)
+        wvals = plateau(times, 2.0)
         window_l2 = np.sqrt(np.sum(np.abs(wvals) ** 2) * dt)
         assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(window_l2, rel=1e-10)
 
@@ -409,7 +416,7 @@ class TestWindowTrajectory:
         ratios = []
         for _ in range(10):
             u0 = random_band_field(dom, rng, band=8.0)
-            u = window_trajectory(times, free_evolution(u0, times), bump_window())
+            u = window_trajectory(times, free_evolution(u0, times), 2.0)
             ratios.append(cal_z_norm(u, 0.5) / besov_norm(u0, 0.5))
         ratios = np.array(ratios)
         assert np.all(np.isfinite(ratios))

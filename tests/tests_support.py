@@ -10,9 +10,7 @@ import numpy as np
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, _conj_reverse,
                              _deriv_mult, dealiased_product_coeffs)
-from dnls_lab.frequency import smooth_cutoff
 from dnls_lab.nonlinear import power_nonlinearity
-from dnls_lab.spaces import TimeWindow
 
 
 def zero_grid(dom: Domain) -> GridFunction:
@@ -38,11 +36,6 @@ def unit_mass(dom: Domain, xi: float) -> SpectralField:
 def conj_flip(f: SpectralField) -> SpectralField:
     """Coefficients of the complex conjugate: (conj u)^(xi) = conj(u^(-xi))."""
     return SpectralField(f.domain, _conj_reverse(f.coeffs))
-
-
-def bump_window() -> TimeWindow:
-    """chi(t): plateau |t| <= 1, support |t| < 2."""
-    return TimeWindow(smooth_cutoff, -2.0, 2.0)
 
 
 def original_rhs_reference(u, lam, k, pad_factor):
