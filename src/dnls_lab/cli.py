@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios
-from .errors import DnlsLabError
-from .fields import _is_power_of_two
+from .errors import DnlsLabError, EdgeDecayError
+from .fields import _is_power_of_two, check_edge_decay
 from .io import write_field
 
 
@@ -99,6 +99,14 @@ def _initial_ok(initial: dict, p: dict) -> bool:
         if key == "mode" and p["kind"] == "torus" and not float(val).is_integer():
             raise SchemaError(f"params.initial.mode: must be an integer on the torus "
                               f"(a periodic wave), got {val!r}")
+    if typ == "gaussian" and p["kind"] == "line":
+        # the packet the run builds, rescaled, must vanish at the box edges
+        # as solve requires; width and center alone do not say whether it does
+        try:
+            check_edge_decay(scenarios._initial_data(scenarios._domain(p), initial, None),
+                             "the gaussian packet")
+        except EdgeDecayError as err:
+            raise SchemaError(f"params.initial: {err}") from None
     return True
 
 

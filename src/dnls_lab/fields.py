@@ -146,9 +146,8 @@ class GridFunction:
         self.values = values
 
     def to_spectral(self) -> "SpectralField":
-        coeffs = np.fft.fft(self.values)
-        coeffs *= self.domain.dx / SQRT_2PI
-        return SpectralField(self.domain, coeffs)
+        return SpectralField(self.domain,
+                             scaled_fft(self.values, self.domain.dx / SQRT_2PI))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.domain.dx))
@@ -176,9 +175,8 @@ class SpectralField:
         self.coeffs = coeffs
 
     def to_grid(self) -> GridFunction:
-        values = np.fft.ifft(self.coeffs)
-        values *= SQRT_2PI / self.domain.dx
-        return GridFunction(self.domain, values)
+        return GridFunction(self.domain,
+                            scaled_ifft(self.coeffs, SQRT_2PI / self.domain.dx))
 
 
 def _conj_reverse(coeffs: np.ndarray) -> np.ndarray:
@@ -233,43 +231,80 @@ def _min_pad_factor(degree: int) -> int:
     return max(p, 2) if degree > 1 else 1
 
 
+def band(a: np.ndarray, n: int) -> np.ndarray:
+    """The coarse band of the FFT-ordered fine-grid array a (..., n_fine),
+    its first and last n/2 entries, as a (..., 2, n/2) view (the whole of a
+    when n_fine = n); coarse coefficients (..., n) reshaped to (..., 2, n/2)
+    line up with it entry by entry.  Splitting the last axis never copies,
+    so writes to the view reach a."""
+    h = n // 2
+    blocks = a.reshape(a.shape[:-1] + (a.shape[-1] // h, h))
+    return blocks[..., ::blocks.shape[-2] - 1, :]
+
+
 def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int,
-                  pad: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  pad: np.ndarray | None = None) -> np.ndarray:
     """Samples on the n_fine-point grid of the field with the given coarse
     FFT-ordered coefficients (..., n_points): zero-pad, inverse transform.
 
-    pad and out are optional (..., n_fine) work arrays: pad must be zero
-    outside the coarse band, which is the only part written, and out
-    receives the samples."""
+    pad is an optional (..., n_fine) work array that must be zero outside
+    the coarse band, which is the only part written."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    h = domain.n_points // 2
+    n = domain.n_points
     if pad is None:
         pad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
-    pad[..., :h] = c[..., :h]
-    pad[..., n_fine - h:] = c[..., h:]
-    out = np.fft.ifft(pad, axis=-1, out=out)
-    out *= SQRT_2PI / (domain.period / n_fine)
+    band(pad, n)[...] = c.reshape(c.shape[:-1] + (2, n // 2))
+    return scaled_ifft(pad, transform_scales(domain, n_fine)[0])
+
+
+def transform_scales(domain: Domain, n_grid: int) -> tuple[float, float]:
+    """(sqrt(2 pi)/h, h/sqrt(2 pi)), h = period/n_grid the spacing of the
+    domain's n_grid-point grid: the factors by which scaled_ifft gives its
+    samples and scaled_fft (or band_truncate, on a fine grid) its
+    coefficients, for a caller that forms them once (n_grid = n_points
+    gives to_grid's and to_spectral's)."""
+    h = domain.period / n_grid
+    return SQRT_2PI / h, h / SQRT_2PI
+
+
+def scaled_ifft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """scale times the inverse FFT of a along its last axis, into out when
+    given: to_grid's samples, or padded_values' once a holds the padded
+    coefficients."""
+    out = np.fft.ifft(a, axis=-1, out=out)
+    out *= scale
     return out
 
 
-def truncated_coeffs(domain: Domain, fine_values: np.ndarray,
-                     spec: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def scaled_fft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """scale times the FFT of a along its last axis, into out when given:
+    to_spectral's coefficients."""
+    out = np.fft.fft(a, axis=-1, out=out)
+    out *= scale
+    return out
+
+
+def truncated_coeffs(domain: Domain, fine_values: np.ndarray) -> np.ndarray:
     """Coarse coefficients of fine-grid samples: forward transform, keep the
     coarse band, zero the coarse Nyquist mode (the one mode a borderline
-    pad factor can contaminate).
+    pad factor can contaminate)."""
+    n = domain.n_points
+    out = np.empty(fine_values.shape[:-1] + (2, n // 2), dtype=np.complex128)
+    band_truncate(fine_values, transform_scales(domain, fine_values.shape[-1])[1],
+                  None, out)
+    return out.reshape(fine_values.shape[:-1] + (n,))
 
-    spec (shaped like fine_values) and out (..., n_points) are optional
-    work arrays for the fine spectrum and the result."""
-    h, n_fine = domain.n_points // 2, fine_values.shape[-1]
+
+def band_truncate(fine_values: np.ndarray, scale: float, spec: np.ndarray | None,
+                  out: np.ndarray) -> np.ndarray:
+    """truncated_coeffs into out, the coarse coefficients (..., n) held as
+    (..., 2, n/2), with its scale (fine grid spacing)/sqrt(2 pi) given and
+    the fine spectrum written into spec (shaped like fine_values) when
+    given: a caller that truncates one shape many times forms them once."""
     cfine = np.fft.fft(fine_values, axis=-1, out=spec)
-    if out is None:
-        out = np.empty(cfine.shape[:-1] + (domain.n_points,), dtype=np.complex128)
-    out[..., :h] = cfine[..., :h]
-    out[..., h:] = cfine[..., n_fine - h:]
-    out *= (domain.period / n_fine) / SQRT_2PI
-    out[..., h] = 0.0
+    out[...] = band(cfine, 2 * out.shape[-1])
+    out *= scale
+    out[..., 1, 0] = 0.0
     return out
 
 

@@ -4,16 +4,22 @@ and their Fourier-side oracles.
 Pointwise products are dealiased by zero padding (see
 fields.dealiased_product_coeffs) and derivatives act spectrally; each
 right-hand side pads once.  rhs_gauged is coefficients in and out, and it
-pads v and d_x v as one stack, so a forcing call makes 2 FFTs.
-rhs_original keeps grid values, so the forcing's round trip (whose
-forward transform fixes the bits the plane-wave goldens pin) makes 6
-until those goldens check an order of convergence instead; it inverts its
-coarse coefficients into a work array through padded_values on the coarse
-grid, so that no transform runs outside fields.  Both write their
-intermediates into work arrays from rhs_work, which a caller that
-evaluates one form many times allocates once (the solver's forcing does);
-at n = 256 fresh fine-grid temporaries cost a call more time than its
-FFTs.
+pads v and d_x v as one stack: its 2 FFTs are the whole forcing call's.
+rhs_original keeps grid values in and out: its span holds 4 FFTs (the
+forward transform of u, the padded inverse, the stacked truncation and
+the coarse inverse), and the forcing's round trip around it (whose
+forward transform fixes the bits the plane-wave goldens pin) adds 2,
+until those goldens check an order of convergence instead.  Both write
+their intermediates and their result into work arrays from rhs_work,
+which a caller that evaluates one form many times builds once (the
+solver's forcing does): rhs_work also holds the shape's constants, the
+derivative multiplier, the pad and truncate scales and (gauged) the
+torus weight, and the views of its arrays that a call reads
+and writes (rows, real parts, the coarse band of a padded spectrum as
+fields.band gives it), so that a call neither allocates nor rebuilds them
+from Domain properties and slices.  The transforms run through
+fields.scaled_fft, scaled_ifft and band_truncate, which take those scales and
+work arrays, so that no transform runs outside fields.
 
 The multilinear forms trilinear_T_slices and quintic_Q_general_slices take
 and return FFT-ordered coefficient arrays (..., n), row by row, on the
@@ -42,7 +48,8 @@ import numpy as np
 
 from .errors import ParameterError, SizeLimitError
 from .fields import (Domain, GridFunction, SpectralField, _deriv_mult,
-                     _min_pad_factor, dealiased_product_coeffs, padded_values,
+                     _min_pad_factor, band, band_truncate, dealiased_product_coeffs,
+                     padded_values, scaled_fft, scaled_ifft, transform_scales,
                      truncated_coeffs)
 
 TWO_PI = 2.0 * np.pi
@@ -249,10 +256,13 @@ def power_nonlinearity(v: GridFunction, lam: float, k: int,
 
 def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
              pad_factor: int = 4) -> dict:
-    """Work arrays for one rhs_gauged or rhs_original call (by cfg.gauged)
-    on inputs of the given shape (..., n): the zero-padded spectra, whose
-    gaps stay zero, and the fine-grid and coarse intermediates.  A caller
-    that evaluates one form many times on one shape allocates them once."""
+    """Work arrays and constants for rhs_gauged or rhs_original calls (by
+    cfg.gauged) on inputs of the given shape (..., n): the zero-padded
+    spectra, whose gaps stay zero, the fine-grid and coarse intermediates,
+    the array the result is written to, the views of them that a call
+    reads and writes, and the shape's derivative multiplier and transform
+    scales.  A caller that evaluates one form many times on one
+    shape builds them once."""
     # the fine grid is alias-free for the quintic (gauged) or the cube
     # (original) and for the power term; the degree's minimum is 4 or more
     # for the gauged form, so pad_factor (2 or 4) changes only the original
@@ -261,22 +271,50 @@ def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
     nf = max(pad_factor, _min_pad_factor(degree)) * dom.n_points
     batch, n = tuple(shape[:-1]), dom.n_points
     c, r = np.complex128, np.float64
+    pad_scale, trunc_scale = transform_scales(dom, nf)
+    # coarse coefficients held as (..., 2, n/2) line up with fields.band
+    halves = (2, n // 2)
+    work = {"deriv": _deriv_mult(dom), "pad_scale": pad_scale,
+            "trunc_scale": trunc_scale}
     if cfg.gauged:
         # c and d_x c stacked on the axis before the grid: one transform pads both
-        return {"stack": np.empty(batch + (2, n), c),
-                "pad": np.zeros(batch + (2, nf), c),
-                "fine": np.empty(batch + (2, nf), c),
+        pad = np.zeros(batch + (2, nf), c)
+        fine = np.empty(batch + (2, nf), c)
+        g = np.empty(batch + (nf,), c)
+        coarse = np.empty(batch + halves, c)
+        vf, pad_band = fine[..., 0, :], band(pad, n)
+        return {**work, "weight": dom.period / nf / TWO_PI,
+                "band_shape": batch + halves, "deriv_band": work["deriv"].reshape(halves),
+                "pad": pad, "pad_v": pad_band[..., 0, :, :],
+                "pad_dv": pad_band[..., 1, :, :],
+                "fine": fine, "vf": vf, "v_dv": fine[..., 1, :],
+                "vf_re": vf.real, "vf_im": vf.imag,
                 "dens": np.empty(batch + (nf,), r),
                 "real": np.empty(batch + (nf,), r),
-                "g": np.empty(batch + (nf,), c),
-                "coarse": np.empty(batch + (n,), c)}
-    # one row for the cube, a second for the power term when it needs one
+                "g": g, "g_re": g.real,
+                "coarse_band": coarse, "coarse": coarse.reshape(batch + (n,)),
+                "scaled": np.empty(batch + (n,), c)}
+    # one row for the cube, a second for the power term when it needs one;
+    # "grid" is free for a caller's own samples of u (the solver's forcing)
     rows = (2 if cfg.lam != 0.0 and cfg.k_power > 0 else 1,)
-    return {"pad": np.zeros(batch + (nf,), c),
-            "pair": np.empty((2,) + batch + (nf,), c),
-            "fine": np.empty(rows + batch + (nf,), c),
-            "coarse": np.empty(rows + batch + (n,), c),
-            "vals": np.empty(rows + batch + (n,), c)}
+    pad = np.zeros(batch + (nf,), c)
+    pair = np.empty((2,) + batch + (nf,), c)
+    fine = np.empty(rows + batch + (nf,), c)
+    spec = np.empty(batch + halves, c)
+    coarse = np.empty(rows + batch + halves, c)
+    coarse_flat = coarse.reshape(rows + batch + (n,))
+    vals = np.empty(rows + batch + (n,), c)
+    grid_scale, spec_scale = transform_scales(dom, n)
+    return {**work, "grid_scale": grid_scale, "spec_scale": spec_scale,
+            "grid": np.empty(batch + (n,), c),
+            "spec": spec.reshape(batch + (n,)), "spec_band": spec,
+            "pad": pad, "pad_band": band(pad, n),
+            # the pair holds u and conj(u), then the fine spectrum
+            "vf": pair[0], "vc": pair[1], "fine_spec": pair[:rows[0]],
+            "fine": fine, "cube": fine[0], "power": fine[-1],
+            "coarse_band": coarse, "coarse": coarse_flat, "dcube": coarse_flat[0],
+            "vals": vals, "vals_cube": vals[0], "vals_last": vals[-1],
+            "rhs": np.empty(batch + (n,), c)}
 
 
 def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
@@ -284,33 +322,40 @@ def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
     """i d_x(|u|^2 u) + lam |u|^(2k) u row by row on one grid of degree max(3, 2k+1),
     each term bitwise its own dealiased product when their grids coincide.
 
-    work is rhs_work's arrays for u.values.shape, allocated here when not
-    given; the result is a fresh array either way."""
+    work is rhs_work's arrays for u.values.shape, built here when not
+    given; the result is written into work["rhs"], which the next call with
+    the same work overwrites."""
     if cfg.gauged:
         raise ParameterError("rhs_original requires cfg.gauged = False")
     dom, k, lam = u.domain, cfg.k_power, cfg.lam
     if work is None:
         work = rhs_work(dom, cfg, u.values.shape, pad_factor)
-    pair, fine = work["pair"], work["fine"]
-    vf, vc = pair
-    padded_values(dom, u.to_spectral().coeffs, vf.shape[-1], work["pad"], vf)
+    vf, vc, fine, cube = work["vf"], work["vc"], work["fine"], work["cube"]
+    scaled_fft(u.values, work["spec_scale"], work["spec"])
+    work["pad_band"][...] = work["spec_band"]
+    scaled_ifft(work["pad"], work["pad_scale"], vf)
     np.conjugate(vf, out=vc)
     # every product keeps its operand order: the plane-wave goldens pin the bits
-    np.multiply(vf, vf, out=fine[0])
-    np.multiply(fine[0], vc, out=fine[0])
+    np.multiply(vf, vf, out=cube)
+    np.multiply(cube, vc, out=cube)
     if len(fine) == 2:
-        fine[1] = vf
+        power = work["power"]
+        power[...] = vf
         for _ in range(k):
-            np.multiply(fine[1], vc, out=fine[1])
-            np.multiply(fine[1], vf, out=fine[1])
+            np.multiply(power, vc, out=power)
+            np.multiply(power, vf, out=power)
     # the pair is free again: it takes the fine spectrum
-    coeffs = truncated_coeffs(dom, fine, pair[:len(fine)], work["coarse"])
-    np.multiply(_deriv_mult(dom), coeffs[0], out=coeffs[0])
-    # on the coarse grid there is no gap to pad: the coefficients are their own pad
-    vals = padded_values(dom, coeffs, dom.n_points, coeffs, work["vals"])
-    out = 1j * vals[0]
+    band_truncate(fine, work["trunc_scale"], work["fine_spec"], work["coarse_band"])
+    dcube = work["dcube"]
+    np.multiply(work["deriv"], dcube, out=dcube)
+    # on the coarse grid there is no gap to pad
+    scaled_ifft(work["coarse"], work["grid_scale"], work["vals"])
+    out, last = work["rhs"], work["vals_last"]
+    np.multiply(1j, work["vals_cube"], out=out)
     if lam != 0.0:
-        out += lam * (vals[1] if k > 0 else u.values)
+        # the last row takes the power term: its own row, or the spent cube's
+        np.multiply(lam, last if k > 0 else u.values, out=last)
+        out += last
     return GridFunction(dom, out)
 
 
@@ -325,8 +370,9 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
     multiply v without truncation.  The fine grid integrates |v|^4 exactly
     (band 2n < 4n).  v may be a stack of slices (..., n); the torus integrals
     are taken per slice.  v and d_x v are padded as one stack by one inverse
-    transform.  work is rhs_work's arrays for v.coeffs.shape, allocated here
-    when not given; the result is a fresh array either way.
+    transform.  work is rhs_work's arrays for v.coeffs.shape, built here
+    when not given; the result is written into work["coarse"], which the
+    next call with the same work overwrites.
     """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
@@ -335,27 +381,25 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
     c = v.coeffs
     if work is None:
         work = rhs_work(dom, cfg, c.shape)
-    stack, fine, g = work["stack"], work["fine"], work["g"]
-    dens, real = work["dens"], work["real"]
-    stack[..., 0, :] = c
-    np.multiply(_deriv_mult(dom), c, out=stack[..., 1, :])
-    nf = fine.shape[-1]
-    padded_values(dom, stack, nf, work["pad"], fine)
-    vf, v_dv = fine[..., 0, :], fine[..., 1, :]
+    fine, vf, v_dv = work["fine"], work["vf"], work["v_dv"]
+    g, g_re, dens, real = work["g"], work["g_re"], work["dens"], work["real"]
+    halves = c.reshape(work["band_shape"])
+    work["pad_v"][...] = halves
+    np.multiply(work["deriv_band"], halves, out=work["pad_dv"])
+    scaled_ifft(work["pad"], work["pad_scale"], fine)
     np.conjugate(v_dv, out=v_dv)
     np.multiply(vf, v_dv, out=v_dv)
-    np.square(vf.real, out=dens)
-    np.square(vf.imag, out=real)
+    np.square(work["vf_re"], out=dens)
+    np.square(work["vf_im"], out=real)
     dens += real
     # g = -i v conj(d_x v) plus its real terms, each added to g.real
-    g_re = g.real
     np.multiply(-1j, v_dv, out=g)
     np.multiply(dens, dens, out=real)
     real *= 0.5
     g_re -= real
     scalar = lam if k == 0 else 0.0
     if dom.kind == "torus":
-        w = dom.period / nf / TWO_PI
+        w = work["weight"]
         mu = dens.sum(axis=-1, keepdims=True) * w
         scalar += (2j * v_dv.sum(axis=-1, keepdims=True)
                    + real.sum(axis=-1, keepdims=True)) * w - mu * mu
@@ -367,5 +411,8 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
         g_re += real
     np.multiply(vf, g, out=g)
     # vf is spent: its row takes the fine spectrum
-    coeffs = truncated_coeffs(dom, g, vf, work["coarse"])
-    return SpectralField(dom, coeffs + scalar * c)
+    band_truncate(g, work["trunc_scale"], vf, work["coarse_band"])
+    coeffs, scaled = work["coarse"], work["scaled"]
+    np.multiply(scalar, c, out=scaled)
+    coeffs += scaled
+    return SpectralField(dom, coeffs)

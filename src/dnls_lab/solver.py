@@ -27,13 +27,29 @@ and a member blows up when its sup grows by BLOWUP_FACTOR over its own
 initial sup or turns non-finite; BlowUpError carries the earliest time at
 which any member does.  `picard_iterate` uses the same forcing with the
 time slices as its batch.  A forcing call makes 2 FFTs in the gauged form
-and 6 in the original one (its grid round trip: see the nonlinear module).
-The forcing owns the right-hand side's work arrays, one set per input
-shape: a march allocates them once instead of on every call, and they are
-freed with the forcing rather than held by a module-level cache, which
-would outlive the solve.
+and 6 in the original one (its grid round trip: see the nonlinear module),
+so a step makes 4 x 2 + 1 or 4 x 6 + 1, the 1 being the new slice's.
+The forcing owns the right-hand side's work arrays and per-shape constants,
+one set per input shape: a march builds them once instead of on every
+call, and they are freed with the forcing rather than held by a
+module-level cache, which would outlive the solve.
+
+The march allocates no stage, work or slice array per step (the blow-up
+check and the torus integrals still make small ones): `solve` builds the
+steppers' STAGES
+buffers once, a stepper advances the coefficients in place while the
+forcing writes each stage's -i rhs into that stage's buffer, and each new
+slice is transformed straight into its row of the trajectory.  Every
+trajectory keeps the bits of the textbook steppers on fresh arrays
+(tests_support.reference_march).  The benchmark's layer tracer times one
+`_etdrk4_step` / `_ifrk4_step` call per step and one `rhs_gauged` /
+`rhs_original` call per forcing call; the forcing looks the kernels up in
+this module's globals on every call, which is where the tracer rebinds
+them.
 Every grid/coefficient transform here goes through GridFunction.to_spectral
-and SpectralField.to_grid, so fields alone applies the normalization.
+and SpectralField.to_grid, or, in the march, through fields.scaled_fft and
+scaled_ifft with fields.transform_scales' factors, so fields alone applies
+the normalization.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ import numpy as np
 
 from .errors import BlowUpError, ParameterError, WrongDomainError
 from .fields import (Domain, GridFunction, SpectralField, Trajectory,
-                     check_edge_decay)
+                     check_edge_decay, scaled_fft, scaled_ifft, transform_scales)
 from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original, rhs_work
 
 PHI_SERIES_RADIUS = 0.5
@@ -131,7 +147,8 @@ def _phi(z: np.ndarray, k: int) -> np.ndarray:
 
 
 class _EtdrkCoefficients:
-    """Cox-Matthews ETD-RK4 tableau for the diagonal operator L = -i xi^2."""
+    """Cox-Matthews ETD-RK4 tableau for the diagonal operator L = -i xi^2,
+    with the steppers' per-solve products 2 f2, E2 h and 2 E2."""
 
     def __init__(self, domain: Domain, h: float):
         z = h * (-1j * domain.xi ** 2)
@@ -142,47 +159,100 @@ class _EtdrkCoefficients:
         self.f2 = h * (_phi(z, 2) - 2.0 * _phi(z, 3))
         self.f3 = h * (4.0 * _phi(z, 3) - _phi(z, 2))
         self.h = h
+        self.f2_twice = 2.0 * self.f2
+        self.E2_h = self.E2 * h
+        self.E2_twice = 2.0 * self.E2
 
 
-def _etdrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl) -> np.ndarray:
-    n0 = nl(c)
-    a = k.E2 * c + k.a0 * n0
-    na = nl(a)
-    b = k.E2 * c + k.a0 * na
-    nb = nl(b)
-    cstage = k.E2 * a + k.a0 * (2.0 * nb - n0)
-    nc = nl(cstage)
-    return k.E * c + k.f1 * n0 + 2.0 * k.f2 * (na + nb) + k.f3 * nc
+# Both steppers advance c in place through stages, solve's STAGES buffers
+# shaped like c, and have the forcing write each stage's N into its own
+# buffer.  Each line is one ufunc of the textbook expression, in its operand
+# order and association, so a step has the bits of
+#     a  = E2 c + a0 N(c)                 b = E2 c + a0 N(a)
+#     c' = E2 a + a0 (2 N(b) - N(c))
+#     c  <- E c + f1 N(c) + 2 f2 (N(a) + N(b)) + f3 N(c')
+# (ETD-RK4) and of
+#     ya = E2 (c + h/2 k1)   yb = E2 c + h/2 k2   yc = E c + E2 h k3
+#     c  <- E c + h/6 (E k1 + 2 E2 (k2 + k3) + k4)
+# (IF-RK4, k_i = N of the previous stage).  The products formed once, E2 c
+# and E c per step and 2 f2, E2 h and 2 E2 per solve, are exact repeats:
+# the expressions evaluate them first (2.0 * f2 * x is (2.0 * f2) * x).
+STAGES = 8
 
 
-def _ifrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl) -> np.ndarray:
-    h = k.h
-    k1 = nl(c)
-    ya = k.E2 * (c + 0.5 * h * k1)
-    k2 = nl(ya)
-    yb = k.E2 * c + 0.5 * h * k2
-    k3 = nl(yb)
-    yc = k.E * c + k.E2 * h * k3
-    k4 = nl(yc)
-    return k.E * c + (h / 6.0) * (k.E * k1 + 2.0 * k.E2 * (k2 + k3) + k4)
+def _etdrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl, stages) -> None:
+    n0, na, nb, nc, e2c, a, y, t = stages
+    nl(c, n0)
+    np.multiply(k.E2, c, out=e2c)
+    np.multiply(k.a0, n0, out=a)
+    np.add(e2c, a, out=a)
+    nl(a, na)
+    np.multiply(k.a0, na, out=y)
+    np.add(e2c, y, out=y)
+    nl(y, nb)
+    np.multiply(2.0, nb, out=t)
+    np.subtract(t, n0, out=t)
+    np.multiply(k.a0, t, out=t)
+    np.multiply(k.E2, a, out=y)
+    np.add(y, t, out=y)
+    nl(y, nc)
+    np.multiply(k.E, c, out=c)
+    np.multiply(k.f1, n0, out=t)
+    np.add(c, t, out=c)
+    np.add(na, nb, out=t)
+    np.multiply(k.f2_twice, t, out=t)
+    np.add(c, t, out=c)
+    np.multiply(k.f3, nc, out=t)
+    np.add(c, t, out=c)
+
+
+def _ifrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl, stages) -> None:
+    k1, k2, k3, k4, ec, y, t, _ = stages
+    half_h = 0.5 * k.h
+    nl(c, k1)
+    np.multiply(half_h, k1, out=t)
+    np.add(c, t, out=t)
+    np.multiply(k.E2, t, out=y)
+    nl(y, k2)
+    np.multiply(k.E2, c, out=y)
+    np.multiply(half_h, k2, out=t)
+    np.add(y, t, out=y)
+    nl(y, k3)
+    np.multiply(k.E, c, out=ec)
+    np.multiply(k.E2_h, k3, out=t)
+    np.add(ec, t, out=y)
+    nl(y, k4)
+    np.multiply(k.E, k1, out=y)
+    np.add(k2, k3, out=t)
+    np.multiply(k.E2_twice, t, out=t)
+    np.add(y, t, out=y)
+    np.add(y, k4, out=y)
+    np.multiply(k.h / 6.0, y, out=y)
+    np.add(ec, y, out=c)
 
 
 def make_spectral_forcing(cfg: SolverConfig):
-    """Duhamel forcing N(u) = -i * rhs(u) as a map on coefficient arrays
-    (..., n), row by row, with one set of the right-hand side's work arrays
-    per input shape it meets.  Every call returns a fresh array, because the
-    steppers keep several stages alive."""
+    """Duhamel forcing N(u) = -i * rhs(u) as a map nl(c, out=None) on
+    coefficient arrays (..., n), row by row, with one set of the right-hand
+    side's work arrays per input shape it meets.  N is written into out
+    when given (a stepper's stage buffer), and into a fresh array
+    otherwise: the work arrays hold the kernel's result only until the next
+    call."""
     dom, nonlin, pad = cfg.domain, cfg.nonlinearity, cfg.pad_factor
     works: dict[tuple, dict] = {}
 
-    def nl(c: np.ndarray) -> np.ndarray:
+    def nl(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         work = works.get(c.shape)
         if work is None:
             work = works[c.shape] = rhs_work(dom, nonlin, c.shape, pad)
         if nonlin.gauged:
-            return -1j * rhs_gauged(SpectralField(dom, c), nonlin, work).coeffs
-        f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, pad, work)
-        return -1j * f.to_spectral().coeffs
+            f = rhs_gauged(SpectralField(dom, c), nonlin, work).coeffs
+        else:
+            # the grid round trip, with the kernel's own transform scales
+            u = GridFunction(dom, scaled_ifft(c, work["grid_scale"], work["grid"]))
+            f = scaled_fft(rhs_original(u, nonlin, pad, work).values,
+                           work["spec_scale"], out)
+        return np.multiply(-1j, f, out=out)
 
     return nl
 
@@ -204,19 +274,20 @@ def solve(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
 
     n_steps = cfg.n_steps
     c = u0.to_spectral().coeffs.copy()
+    stages = tuple(np.empty((STAGES,) + c.shape, dtype=np.complex128))
     # a member's sup must stay <= its limit, which is finite: zero data may
     # grow but not turn non-finite
     linf0 = np.max(np.abs(u0.values), axis=-1)
     limit = np.minimum(np.where(linf0 > 0, BLOWUP_FACTOR * linf0, np.inf),
                        np.finfo(float).max)
+    grid_scale = transform_scales(cfg.domain, cfg.domain.n_points)[0]
     slices = np.empty((n_steps + 1,) + c.shape, dtype=np.complex128)
     slices[0] = u0.values
     for j in range(1, n_steps + 1):
-        c = step(c, coeffs, nl)
-        vals = SpectralField(cfg.domain, c).to_grid().values
+        step(c, coeffs, nl, stages)
+        vals = scaled_ifft(c, grid_scale, slices[j])
         if not (np.abs(vals).max(axis=-1) <= limit).all():
             raise BlowUpError(j * cfg.dt)
-        slices[j] = vals
     return Trajectory(cfg.domain, cfg.dt * np.arange(n_steps + 1), slices)
 
 

@@ -343,8 +343,8 @@ class TestTracedRuns:
             "tracer = layertrace.Tracer(); layertrace.install(tracer); "
             "codes = {n: cli.run(dict(s, name=n), f'{sys.argv[1]}/{n}')[0] "
             "for n, s in test_golden.CASES.items()}; "
-            "json.dump({'codes': codes, 'metrics': sorted(layertrace.layer_metrics("
-            "tracer.spans))}, open(sys.argv[2], 'w'))",
+            "json.dump({'codes': codes, 'metrics': layertrace.layer_metrics("
+            "tracer.spans)}, open(sys.argv[2], 'w'))",
             tmp_path, LAYERTRACE.parent)
         assert res["codes"] == codes
         # the traced reports keep every byte of the untraced ones
@@ -352,7 +352,17 @@ class TestTracedRuns:
                 != (untraced / n / "report.json").read_bytes()] == []
         per_layer = {m["name"] for m in
                      json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
-        assert sorted(per_layer - RUN_METRICS - set(res["metrics"])) == []
+        m = res["metrics"]
+        assert sorted(per_layer - RUN_METRICS - set(m)) == []
+        # the counters, not just their names: every step makes four forcing
+        # calls, each of which enters one traced kernel through the nonlinear
+        # module's attribute, with the kernel's own transforms inside its span
+        assert m["solver.steps"] > 0
+        assert m["solver.rhs_calls"] == 4 * m["solver.steps"]
+        assert (m["nonlinear.rhs_gauged.calls"] + m["nonlinear.rhs_original.calls"]
+                == m["solver.rhs_calls"])
+        assert m["nonlinear.fft_per_rhs_gauged"] == 2
+        assert m["nonlinear.fft_per_rhs_original"] == 4
 
 
 # Defaulted parameters that no src call sets, kept on purpose.

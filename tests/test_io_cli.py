@@ -264,6 +264,12 @@ class TestValidation:
         ("solve", {"initial": {"type": "plane", "mode": 1.5}}, "initial.mode"),
         ("solve", {"initial": {"type": "gaussian", "mode": 0.5}}, "initial.mode"),
         ("solve", {"initial": {"type": "gaussian", "mode": -1e-9}}, "initial.mode"),
+        # a line packet too wide or too far off center for the box: |u| is
+        # 8.0e-5 and 5.2e-9 at the edges (these exited 1)
+        ("solve", {"kind": "line", "n_points": 64, "domain_scale": 4,
+                   "initial": {"type": "gaussian", "width": 3.0}}, "initial"),
+        ("solve", {"kind": "line", "n_points": 64, "domain_scale": 4,
+                   "initial": {"type": "gaussian", "center": 5.0}}, "initial"),
     ])
     def test_bad_value_exits_2_with_path(self, tmp_path, capsys, scenario,
                                          params, path):

@@ -13,7 +13,8 @@ from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
-from tests_support import count_ffts, original_rhs_reference, unit_mass, zero_grid
+from tests_support import (count_ffts, original_rhs_reference, reference_march,
+                           unit_mass, zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -271,10 +272,10 @@ class TestBatch:
 
 
 class TestForcingWork:
-    # a deterministic guard on the work per forcing call, with no timing:
-    # the gauged kernel pads v and d_x v as one stack and truncates once;
-    # the original form adds the coefficient round trip and its one stacked
-    # truncation and inversion
+    # a deterministic guard on the work per forcing call and per solve step,
+    # with no timing: the gauged kernel pads v and d_x v as one stack and
+    # truncates once; the original form adds the coefficient round trip and
+    # its one stacked truncation and inversion
     @pytest.mark.parametrize("dom", [TORUS, Domain("line", 128, 4)],
                              ids=["torus", "line"])
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -288,6 +289,56 @@ class TestForcingWork:
         out = nl(c)
         assert out.shape == c.shape
         assert calls["fft"] + calls["ifft"] == ffts
+
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("gauged,per_step", [(True, 9), (False, 25)])
+    @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+    def test_fft_calls_per_solve_step(self, monkeypatch, kind, shape, gauged,
+                                      per_step, integrator):
+        # four forcing calls and the new slice's one inverse transform per
+        # step, after the one forward transform of the initial data
+        u0 = _batch_data(kind, shape)
+        cfg = SolverConfig(u0.domain, NonlinearityConfig(1.0, 1, gauged), 2e-3,
+                           0.01, integrator)
+        calls = count_ffts(monkeypatch)
+        solve(u0, cfg)
+        assert calls["fft"] + calls["ifft"] == 1 + cfg.n_steps * per_step
+
+
+def _batch_data(kind, shape):
+    """Initial data of the batch shape + (n,): distinct members, random band
+    fields on Domain("torus", 32), moving packets on Domain("line", 64, 2)."""
+    members = int(np.prod(shape, dtype=int))
+    if kind == "torus":
+        dom = Domain("torus", 32)
+        rng = np.random.default_rng(17)
+        rows = [scaled_to_h1(random_band_field(dom, rng, band=6.0).to_grid(),
+                             0.2 + 0.1 * i).values for i in range(members)]
+    else:
+        dom = Domain("line", 64, 2)
+        rows = [gaussian_packet(dom, 0.4 + 0.1 * i, 0.8, mode=1 + i).values
+                for i in range(members)]
+    return GridFunction(dom, np.reshape(rows, shape + (dom.n_points,)))
+
+
+class TestMarchOracle:
+    # solve's stage buffers and the kernels' work arrays against the
+    # steppers' textbook expressions on fresh arrays: every bit of every slice
+    @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.0, 1), (0.5, 2)])
+    @pytest.mark.parametrize("pad", [2, 4])
+    def test_solve_is_bitwise_the_expression_march(self, integrator, gauged, kind,
+                                                   shape, lam, k, pad):
+        u0 = _batch_data(kind, shape)
+        cfg = SolverConfig(u0.domain, NonlinearityConfig(lam, k, gauged), 2e-3,
+                           0.02, integrator, pad)
+        got = solve(u0, cfg).values
+        want = reference_march(u0, cfg)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _coeff_rows(dom, n_rows, seed):

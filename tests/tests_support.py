@@ -10,7 +10,8 @@ import numpy as np
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, _conj_reverse,
                              _deriv_mult, dealiased_product_coeffs)
-from dnls_lab.nonlinear import power_nonlinearity
+from dnls_lab.nonlinear import power_nonlinearity, rhs_gauged, rhs_original
+from dnls_lab.solver import _EtdrkCoefficients
 
 
 def zero_grid(dom: Domain) -> GridFunction:
@@ -47,6 +48,58 @@ def original_rhs_reference(u, lam, k, pad_factor):
                                     pad_factor)
     dcube = SpectralField(dom, _deriv_mult(dom) * cube).to_grid().values
     return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
+
+
+def _reference_forcing(cfg):
+    """-i rhs as the forcing computes it, with the kernels building their own
+    work arrays on every call (work=None) and each result a fresh array."""
+    dom, nonlin = cfg.domain, cfg.nonlinearity
+
+    def nl(c):
+        if nonlin.gauged:
+            return -1j * rhs_gauged(SpectralField(dom, c), nonlin).coeffs
+        f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, cfg.pad_factor)
+        return -1j * f.to_spectral().coeffs
+
+    return nl
+
+
+def _etdrk4_reference(c, k, nl):
+    n0 = nl(c)
+    a = k.E2 * c + k.a0 * n0
+    na = nl(a)
+    b = k.E2 * c + k.a0 * na
+    nb = nl(b)
+    cstage = k.E2 * a + k.a0 * (2.0 * nb - n0)
+    nc = nl(cstage)
+    return k.E * c + k.f1 * n0 + 2.0 * k.f2 * (na + nb) + k.f3 * nc
+
+
+def _ifrk4_reference(c, k, nl):
+    h = k.h
+    k1 = nl(c)
+    ya = k.E2 * (c + 0.5 * h * k1)
+    k2 = nl(ya)
+    yb = k.E2 * c + 0.5 * h * k2
+    k3 = nl(yb)
+    yc = k.E * c + k.E2 * h * k3
+    k4 = nl(yc)
+    return k.E * c + (h / 6.0) * (k.E * k1 + 2.0 * k.E2 * (k2 + k3) + k4)
+
+
+def reference_march(u0: GridFunction, cfg) -> np.ndarray:
+    """The slices (n_slices, ..., n) of solve(u0, cfg), from the textbook
+    expressions of the two steppers on fresh arrays: the bitwise oracle of
+    solve's stage buffers and work arrays (no blow-up check)."""
+    k = _EtdrkCoefficients(cfg.domain, cfg.dt)
+    nl = _reference_forcing(cfg)
+    step = _etdrk4_reference if cfg.integrator == "etdrk4" else _ifrk4_reference
+    c = u0.to_spectral().coeffs.copy()
+    slices = [u0.values]
+    for _ in range(cfg.n_steps):
+        c = step(c, k, nl)
+        slices.append(SpectralField(cfg.domain, c).to_grid().values)
+    return np.stack(slices)
 
 
 def count_ffts(monkeypatch) -> dict:
