@@ -161,8 +161,8 @@ def run_gauge_roundtrip(params, rng):
     }
 
 
-def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm, lam,
-                                   k_power, rng) -> tuple[float, float]:
+def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm,
+                                   lam, k_power) -> tuple[float, float]:
     """(sup-t L2 discrepancy, worst relative mass drift) for one domain."""
     if dom.kind == "torus":
         u0 = _smooth_torus_data(dom, h1_norm)
@@ -170,19 +170,24 @@ def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm, lam,
         u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
     cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
+    # at most two trajectories live at once: the gauged one is mapped back and
+    # dropped before the direct solve, whose values are then subtracted into
+    # the recovered ones (the solves and the map draw nothing, so the order
+    # changes no bit)
+    gauged = solve(gauge_forward(u0), cfg_gauged)
+    gauged_mass = gauged.mass()
+    diff = gauge_trajectory(gauged, inverse=True)
+    del gauged
     direct = solve(u0, cfg_orig)
-    v0 = gauge_forward(u0)
-    gauged = solve(v0, cfg_gauged)
-    recovered = gauge_trajectory(gauged, inverse=True)
-    diffs = Trajectory(dom, direct.times, direct.values - recovered.values).mass()
-    return float(np.max(diffs)), _mass_drift(direct.mass(), gauged.mass())
+    np.subtract(direct.values, diff.values, out=diff.values)
+    return float(np.max(diff.mass())), _mass_drift(direct.mass(), gauged_mass)
 
 
 def run_gauge_equivalence(params, rng):
     dom = _domain(params)
     disc, drift = _gauge_equivalence_discrepancy(
         dom, params["dt"], params["t_final"], params["h1_norm"],
-        params["lambda"], params["k_power"], rng)
+        params["lambda"], params["k_power"])
     metrics = {"sup_l2_discrepancy": disc, "mass_rel_drift": drift}
     assertions = [_assertion("gauge_equivalence_sup_l2", disc, 1e-6),
                   _assertion("mass_rel_drift", drift, 1e-9)]
@@ -190,7 +195,7 @@ def run_gauge_equivalence(params, rng):
         dom2 = Domain("line", dom.n_points * 2, dom.domain_scale * 2)
         disc2, _ = _gauge_equivalence_discrepancy(
             dom2, params["dt"], params["t_final"], params["h1_norm"],
-            params["lambda"], params["k_power"], rng)
+            params["lambda"], params["k_power"])
         metrics["sup_l2_discrepancy_double_box"] = disc2
         metrics["l_refinement_delta"] = abs(disc2 - disc)
     return {"metrics": metrics, "assertions": assertions}

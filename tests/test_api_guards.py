@@ -10,6 +10,7 @@ transform normalization dx/sqrt(2 pi)), and only fields calls the
 SpaceTimeField constructor (it alone knows the compact row order)."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -67,11 +68,26 @@ class TestTracerTargets:
         assert {"concurrent", "logging"} & loaded == set()
 
 
+@functools.lru_cache(maxsize=64)
+def _tree(text: str) -> ast.Module:
+    """ast.parse(text), once per source text.  No scan changes a tree it is
+    handed, so every scan shares it; a fault case's changed text is a key
+    of its own and gets its own tree."""
+    return ast.parse(text)
+
+
+@functools.lru_cache(maxsize=64)
+def _code(text: str, module: str) -> types.CodeType:
+    """The code object of module.py with source text, compiled once from
+    its shared tree (code objects are immutable)."""
+    return compile(_tree(text), f"{module}.py", "exec")
+
+
 def seam_reads(text: str) -> set:
     """module.attribute of every attribute that source text reads from a
     dnls_lab module it imports by name (from dnls_lab import m), matched by
     identifier, so a parameter that shares the module's name counts too."""
-    tree = ast.parse(text)
+    tree = _tree(text)
     modules = {a.asname or a.name: a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "dnls_lab"
                for a in node.names}
@@ -157,7 +173,7 @@ def unreached(sources: dict) -> list:
     A read is a loaded name or attribute with the same identifier; matching
     by identifier alone can miss an unreached method whose name some other
     object's attribute shares, but never flags a reached one."""
-    trees = {m: ast.parse(text) for m, text in sources.items()}
+    trees = {m: _tree(text) for m, text in sources.items()}
     reads = {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -222,7 +238,7 @@ def _function_names(sources: dict) -> dict:
             walk(const, module, qual + (".<locals>." if function else "."))
 
     for module, text in sources.items():
-        walk(compile(text, f"{module}.py", "exec"), module, "")
+        walk(_code(text, module), module, "")
     return out
 
 
@@ -431,7 +447,7 @@ def unset_options(sources: dict) -> list:
     through dataclasses.replace."""
     calls = {}
     for text in sources.values():
-        for node in ast.walk(ast.parse(text)):
+        for node in ast.walk(_tree(text)):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
@@ -442,7 +458,7 @@ def unset_options(sources: dict) -> list:
                 (star, len(node.args), {k.arg for k in node.keywords}))
     out = []
     for module, text in sources.items():
-        for qual, name, params in _option_sites(ast.parse(text), module):
+        for qual, name, params in _option_sites(_tree(text), module):
             for param, pos in params:
                 if not any(star or param in keywords or (pos is not None and pos < n_pos)
                            for star, n_pos, keywords in calls.get(name, [])):
@@ -500,7 +516,7 @@ def callers(sources: dict, names) -> list:
     for module, text in sources.items():
         if module == "fields":
             continue
-        for name, node in _defs(ast.parse(text)):
+        for name, node in _defs(_tree(text)):
             if isinstance(node, ast.ClassDef):
                 continue  # its methods are scanned on their own
             for call in ast.walk(node):
@@ -568,7 +584,7 @@ def env_readers(sources: dict) -> list:
     name imported from os, in sources {module: text}."""
     out = set()
     for module, text in sources.items():
-        for node in ast.parse(text).body:
+        for node in _tree(text).body:
             where = getattr(node, "name", "<module>")
             for sub in ast.walk(node):
                 if ((isinstance(sub, ast.Attribute) and sub.attr in _ENV_NAMES)

@@ -1,5 +1,7 @@
 """Gauge transformations, their inverses, and the scalar functionals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,8 @@ from dnls_lab.errors import ConservationError, EdgeDecayError, WrongDomainError
 from dnls_lab.fields import SQRT_2PI, Domain, GridFunction, Trajectory
 from dnls_lab.gauge import (_torus_mus, gauge_forward, gauge_inverse, gauge_phase,
                             gauge_report, gauge_trajectory, psi_functional)
-from dnls_lab.sampling import plane_wave, random_decaying_field
+from dnls_lab.sampling import gaussian_packet, plane_wave, random_decaying_field
+from dnls_lab.scenarios import _gauge_equivalence_discrepancy
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import besov_norm
 
@@ -257,6 +260,42 @@ class TestRowWise:
         assert rt == max(
             float(np.max(np.abs(gauge_inverse(gauge_forward(u)).values - u.values)))
             for u in rows)
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args), in bytes: numpy's data buffers
+    are traced, so it counts the arrays alive at once."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_gauge_equivalence_keeps_two_trajectories(self, monkeypatch):
+        # blocks of 4 rows leave the peak to the trajectories: two alive
+        # plus the real |.|^2 temporary of a mass, half of one; with the
+        # direct, gauged, recovered and difference trajectories all alive
+        # it is four and a half
+        dom = Domain("line", 512, 4)
+        monkeypatch.setattr(gauge, "BLOCK_BYTES", 4 * 2 * dom.n_points * 16)
+        dt, t_final = 1e-3, 0.1
+        trajectory = (round(t_final / dt) + 1) * dom.n_points * 16
+        peak = _traced_peak(_gauge_equivalence_discrepancy, dom, dt, t_final,
+                            0.3, 1.0, 1)
+        assert peak <= 2.75 * trajectory
+
+    def test_row_blocks_cost_less_than_a_trajectory(self):
+        # gauged-evolution's largest trajectory, 401 slices at n = 1024: the
+        # map's output plus one block's transients
+        dom = Domain("line", 1024, 8)
+        times = 5e-4 * np.arange(401)
+        u0 = gaussian_packet(dom, 0.3, 1.3, mode=1).to_spectral()
+        traj = Trajectory(dom, times, free_evolution(u0, times).to_grid().values)
+        peak = _traced_peak(gauge_trajectory, traj, True)
+        assert peak <= 1.5 * traj.values.nbytes
 
 
 class TestPsiFunctional:

@@ -10,7 +10,8 @@ from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 rhs_gauged, rhs_original, trilinear_T_fourier,
                                 trilinear_T_slices)
 from dnls_lab.sampling import plane_wave, random_band_field
-from tests_support import conj_flip, original_rhs_reference, zero_grid, zero_spectral
+from tests_support import (conj_flip, gauged_rhs_reference, original_rhs_reference,
+                           zero_grid, zero_spectral)
 
 
 def random_small_field(n, seed, band=None, kind="torus", scale=1):
@@ -309,6 +310,21 @@ class TestRhsGauged:
                + power_nonlinearity(v, lam, k).values)
         out = rhs_gauged(v.to_spectral(), NonlinearityConfig(lam, k, True))
         assert np.max(np.abs(out.to_grid().values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.3, 0), (1.0, 1), (-0.7, 2),
+                                       (0.3, 4)])
+    @pytest.mark.parametrize("batch", [(), (21,)])
+    def test_kernel_is_bitwise_the_reference(self, kind, n, scale, lam, k, batch):
+        # the work arrays keep the bits of the expressions on fresh arrays,
+        # down to a last-bit change of the torus scalar
+        dom = Domain(kind, n, scale)
+        rng = np.random.default_rng(n + k)
+        v = SpectralField(dom, np.stack([
+            random_band_field(dom, rng, band=np.inf).coeffs
+            for _ in range(max(batch, default=1))]).reshape(batch + (n,)))
+        out = rhs_gauged(v, NonlinearityConfig(lam, k, True))
+        assert np.array_equal(out.coeffs, gauged_rhs_reference(v, lam, k))
 
     def test_original_config_rejected(self):
         dom = Domain("torus", 32)

@@ -13,8 +13,8 @@ from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
-from tests_support import (count_ffts, original_rhs_reference, reference_march,
-                           unit_mass, zero_grid)
+from tests_support import (count_ffts, gauged_rhs_reference, original_rhs_reference,
+                           reference_march, unit_mass, zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -399,6 +399,20 @@ class TestForcingWorkArrays:
         want = -1j * GridFunction(
             dom, original_rhs_reference(u, lam, k, 4)).to_spectral().coeffs
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k))
+        assert np.array_equal(nl(c), want)
+        assert np.array_equal(nl(c), want)
+
+    @pytest.mark.parametrize("dom", [TORUS, Domain("line", 128, 4)],
+                             ids=["torus", "line"])
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.3, 0), (1.0, 1), (0.5, 3)])
+    @pytest.mark.parametrize("batch", [(), (21,)])
+    def test_gauged_forcing_is_bitwise_the_reference(self, dom, lam, k, batch):
+        # the march oracle cannot see a last-bit change of the forcing (a
+        # stage scales it by dt below the coefficients' ulp); this can
+        c = _coeff_rows(dom, max(batch, default=1), seed=40 + k).reshape(
+            batch + (dom.n_points,))
+        want = -1j * gauged_rhs_reference(SpectralField(dom, c), lam, k)
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=True))
         assert np.array_equal(nl(c), want)
         assert np.array_equal(nl(c), want)
 

@@ -9,8 +9,9 @@ import numpy as np
 
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, _conj_reverse,
-                             _deriv_mult, dealiased_product_coeffs)
-from dnls_lab.nonlinear import power_nonlinearity, rhs_gauged, rhs_original
+                             _deriv_mult, _min_pad_factor, dealiased_product_coeffs,
+                             padded_values, truncated_coeffs)
+from dnls_lab.nonlinear import power_nonlinearity, rhs_original
 from dnls_lab.solver import _EtdrkCoefficients
 
 
@@ -50,14 +51,46 @@ def original_rhs_reference(u, lam, k, pad_factor):
     return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
 
 
+def gauged_rhs_reference(v: SpectralField, lam, k) -> np.ndarray:
+    """rhs_gauged's coefficients from its expressions on fresh arrays, each
+    operation in the kernel's operand order (the torus scalar included, as
+    (..., 1) arrays): the bitwise oracle of its work arrays.  A stack is
+    taken row by row, since a row gets the bits of its own call; a whole
+    stack on fresh arrays would not: numpy writes a product into a large
+    temporary operand in place with the operands swapped, and a complex
+    product's rounding depends on their order."""
+    dom, c = v.domain, v.coeffs
+    if c.ndim > 1:
+        return np.stack([gauged_rhs_reference(SpectralField(dom, row), lam, k)
+                         for row in c])
+    nf = max(4, _min_pad_factor(max(5, 2 * k + 1))) * dom.n_points
+    vf = padded_values(dom, c, nf)
+    v_dv = vf * np.conjugate(padded_values(dom, _deriv_mult(dom) * c, nf))
+    dens = np.square(vf.real) + np.square(vf.imag)
+    quartic = dens * dens * 0.5
+    g = -1j * v_dv
+    g.real -= quartic
+    scalar = lam if k == 0 else 0.0
+    if dom.kind == "torus":
+        w = dom.period / nf / (2.0 * np.pi)
+        mu = dens.sum(axis=-1, keepdims=True) * w
+        scalar += (2j * v_dv.sum(axis=-1, keepdims=True)
+                   + quartic.sum(axis=-1, keepdims=True)) * w - mu * mu
+        g.real += mu * dens
+    if lam != 0.0 and k > 0:
+        g.real += np.power(dens, k) * lam
+    return truncated_coeffs(dom, vf * g) + scalar * c
+
+
 def _reference_forcing(cfg):
-    """-i rhs as the forcing computes it, with the kernels building their own
-    work arrays on every call (work=None) and each result a fresh array."""
+    """-i rhs from fresh arrays on every call: gauged_rhs_reference, and
+    rhs_original building its own work arrays (work=None)."""
     dom, nonlin = cfg.domain, cfg.nonlinearity
 
     def nl(c):
         if nonlin.gauged:
-            return -1j * rhs_gauged(SpectralField(dom, c), nonlin).coeffs
+            return -1j * gauged_rhs_reference(SpectralField(dom, c), nonlin.lam,
+                                              nonlin.k_power)
         f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, cfg.pad_factor)
         return -1j * f.to_spectral().coeffs
 
