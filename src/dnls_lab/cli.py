@@ -81,7 +81,7 @@ INITIAL_KEYS = {
 
 def _initial_ok(initial: dict, p: dict) -> bool:
     """The rule of solve's `initial`; raises with the path of the offence."""
-    typ = initial.get("type", "trig" if p["kind"] == "torus" else "gaussian")
+    typ = scenarios._initial_type(initial, p["kind"])
     if not isinstance(typ, str) or typ not in INITIAL_KEYS:
         raise SchemaError(f"params.initial.type: must be one of "
                           f"{sorted(INITIAL_KEYS)}, got {typ!r}")

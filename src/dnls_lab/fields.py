@@ -62,6 +62,21 @@ def _row_blocks(count: int, row_bytes: int, budget: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+# bytes of one float row block of _square_sums
+SQUARE_SUM_BLOCK_BYTES = 2 ** 18
+
+
+def _square_sums(values: np.ndarray) -> np.ndarray:
+    """sum |values|^2 along the last axis, shape values.shape[:-1], taken in
+    row blocks so that no temporary outgrows SQUARE_SUM_BLOCK_BYTES: each
+    row is reduced on its own, so every sum keeps the bits of the whole
+    array's."""
+    rows = values.reshape(-1, values.shape[-1])
+    blocks = _row_blocks(len(rows), 8 * rows.shape[1], SQUARE_SUM_BLOCK_BYTES)
+    sums = [np.sum(np.abs(rows[b]) ** 2, axis=-1) for b in blocks]
+    return np.concatenate(sums).reshape(values.shape[:-1])
+
+
 @dataclass(frozen=True)
 class Domain:
     """Uniform periodic spatial grid.
@@ -372,7 +387,7 @@ class Trajectory:
 
     def mass(self) -> np.ndarray:
         """L2 norm of every slice (and batch member), shape values.shape[:-1]."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1) * self.domain.dx)
+        return np.sqrt(_square_sums(self.values) * self.domain.dx)
 
 
 @dataclass(frozen=True)

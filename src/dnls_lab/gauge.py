@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConservationError, WrongDomainError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
-                     _deriv_mult, _row_blocks, check_edge_decay, padded_values)
+                     _deriv_mult, _row_blocks, _square_sums, check_edge_decay, padded_values)
 
 MU_DRIFT_TOL = 1e-8
 # bytes of one fine-grid (2n-point complex) work array of a row block
@@ -41,7 +41,7 @@ BLOCK_BYTES = 2 ** 19
 
 
 def _torus_mus(values: np.ndarray, dom: Domain) -> np.ndarray:
-    return np.sum(np.abs(values) ** 2, axis=-1) * dom.dx / (2.0 * np.pi)
+    return _square_sums(values) * dom.dx / (2.0 * np.pi)
 
 
 def _density_antiderivative(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -3,19 +3,19 @@ and their Fourier-side oracles.
 
 Pointwise products are dealiased by zero padding (see
 fields.dealiased_product_coeffs) and derivatives act spectrally; each
-right-hand side pads once.  rhs_gauged is coefficients in and out, and it
-pads v and d_x v as one stack: its 2 FFTs are the whole forcing call's.
-rhs_original keeps grid values in and out: its span holds 4 FFTs (the
-forward transform of u, the padded inverse, the stacked truncation and
-the coarse inverse), and the forcing's round trip around it (whose
-forward transform fixes the bits the plane-wave goldens pin) adds 2,
-until those goldens check an order of convergence instead.  Both write
-their intermediates and their result into work arrays from rhs_work,
-which a caller that evaluates one form many times builds once (the
-solver's forcing does): rhs_work also holds the shape's constants, the
-derivative multiplier, the pad and truncate scales and (gauged) the
-torus weight, and the views of its arrays that a call reads
-and writes (rows, real parts, the coarse band of a padded spectrum as
+right-hand side pads once.  Both right-hand sides take and return
+coefficients, rhs(v: SpectralField, cfg, work) -> SpectralField.
+rhs_gauged pads v and d_x v as one stack: its 2 FFTs are the whole
+forcing call's.  rhs_original makes 6: a grid round trip of v (whose
+forward transform fixes the bits the plane-wave goldens pin, until those
+goldens check an order of convergence instead), the padded inverse, the
+stacked truncation, the coarse inverse and the result's forward
+transform.  Both write their intermediates and their result into work
+arrays from rhs_work, which a caller that evaluates one form many times
+builds once (the solver's forcing does): rhs_work also holds the shape's
+constants, the derivative multiplier, the transform scales and (gauged)
+the torus weight, and the views of its arrays that a call reads and
+writes (rows, real parts, the coarse band of a padded spectrum as
 fields.band gives it), so that a call neither allocates nor rebuilds them
 from Domain properties and slices.  The transforms run through
 fields.scaled_fft, scaled_ifft and band_truncate, which take those scales and
@@ -254,8 +254,7 @@ def power_nonlinearity(v: GridFunction, lam: float, k: int,
     return GridFunction(v.domain, lam * SpectralField(v.domain, out).to_grid().values)
 
 
-def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
-             pad_factor: int = 4) -> dict:
+def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple, pad_factor: int) -> dict:
     """Work arrays and constants for rhs_gauged or rhs_original calls (by
     cfg.gauged) on inputs of the given shape (..., n): the zero-padded
     spectra, whose gaps stay zero, the fine-grid and coarse intermediates,
@@ -295,7 +294,8 @@ def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
                 "coarse_band": coarse, "coarse": coarse.reshape(batch + (n,)),
                 "scaled": np.empty(batch + (n,), c)}
     # one row for the cube, a second for the power term when it needs one;
-    # "grid" is free for a caller's own samples of u (the solver's forcing)
+    # "grid" holds the samples of u, and "spec" first its coefficients, then
+    # the result's
     rows = (2 if cfg.lam != 0.0 and cfg.k_power > 0 else 1,)
     pad = np.zeros(batch + (nf,), c)
     pair = np.empty((2,) + batch + (nf,), c)
@@ -317,21 +317,21 @@ def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple,
             "rhs": np.empty(batch + (n,), c)}
 
 
-def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
-                 pad_factor: int = 4, work: dict | None = None) -> GridFunction:
+def rhs_original(v: SpectralField, cfg: NonlinearityConfig, work: dict) -> SpectralField:
     """i d_x(|u|^2 u) + lam |u|^(2k) u row by row on one grid of degree max(3, 2k+1),
-    each term bitwise its own dealiased product when their grids coincide.
+    each term bitwise its own dealiased product when their grids coincide,
+    for the coefficients v of u.
 
-    work is rhs_work's arrays for u.values.shape, built here when not
-    given; the result is written into work["rhs"], which the next call with
-    the same work overwrites."""
+    work is rhs_work's arrays for v.coeffs.shape; the result is written into
+    work["spec"], which the next call with the same work overwrites.  The
+    grid round trip of v (the inverse transform into work["grid"] and the
+    forward one into work["spec"]) fixes the bits the plane-wave goldens pin."""
     if cfg.gauged:
         raise ParameterError("rhs_original requires cfg.gauged = False")
-    dom, k, lam = u.domain, cfg.k_power, cfg.lam
-    if work is None:
-        work = rhs_work(dom, cfg, u.values.shape, pad_factor)
+    k, lam = cfg.k_power, cfg.lam
     vf, vc, fine, cube = work["vf"], work["vc"], work["fine"], work["cube"]
-    scaled_fft(u.values, work["spec_scale"], work["spec"])
+    u = scaled_ifft(v.coeffs, work["grid_scale"], work["grid"])
+    spec = scaled_fft(u, work["spec_scale"], work["spec"])
     work["pad_band"][...] = work["spec_band"]
     scaled_ifft(work["pad"], work["pad_scale"], vf)
     np.conjugate(vf, out=vc)
@@ -354,13 +354,13 @@ def rhs_original(u: GridFunction, cfg: NonlinearityConfig,
     np.multiply(1j, work["vals_cube"], out=out)
     if lam != 0.0:
         # the last row takes the power term: its own row, or the spent cube's
-        np.multiply(lam, last if k > 0 else u.values, out=last)
+        np.multiply(lam, last if k > 0 else u, out=last)
         out += last
-    return GridFunction(dom, out)
+    # spec is free once padded: it takes the result's coefficients
+    return SpectralField(v.domain, scaled_fft(out, work["spec_scale"], spec))
 
 
-def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
-               work: dict | None = None) -> SpectralField:
+def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig, work: dict) -> SpectralField:
     """-i T(v) - Q(v)/2 + lam |v|^(2k) v with the domain-correct T, Q.
 
     -i v^2 conj(d_x v) - |v|^4 v / 2 + mu |v|^2 v (torus, mu = int |v|^2 / 2pi)
@@ -370,17 +370,15 @@ def rhs_gauged(v: SpectralField, cfg: NonlinearityConfig,
     multiply v without truncation.  The fine grid integrates |v|^4 exactly
     (band 2n < 4n).  v may be a stack of slices (..., n); the torus integrals
     are taken per slice.  v and d_x v are padded as one stack by one inverse
-    transform.  work is rhs_work's arrays for v.coeffs.shape, built here
-    when not given; the result is written into work["coarse"], which the
-    next call with the same work overwrites.
+    transform.  work is rhs_work's arrays for v.coeffs.shape; the result is
+    written into work["coarse"], which the next call with the same work
+    overwrites.
     """
     if not cfg.gauged:
         raise ParameterError("rhs_gauged requires cfg.gauged = True")
     dom = v.domain
     k, lam = cfg.k_power, cfg.lam
     c = v.coeffs
-    if work is None:
-        work = rhs_work(dom, cfg, c.shape)
     fine, vf, v_dv = work["fine"], work["vf"], work["v_dv"]
     g, g_re, dens, real = work["g"], work["g_re"], work["dens"], work["real"]
     halves = c.reshape(work["band_shape"])

@@ -56,8 +56,14 @@ def _domain(params) -> Domain:
     return Domain(params["kind"], params["n_points"], params["domain_scale"])
 
 
+def _initial_type(spec: dict, kind: str) -> str:
+    """solve's `initial` type: trig on the torus and gaussian on the line
+    unless spec names one."""
+    return spec.get("type", "trig" if kind == "torus" else "gaussian")
+
+
 def _initial_data(dom: Domain, spec: dict, rng) -> GridFunction:
-    kind = spec.get("type", "trig" if dom.kind == "torus" else "gaussian")
+    kind = _initial_type(spec, dom.kind)
     if kind == "plane":
         return plane_wave(dom, spec.get("amplitude", 0.5), spec.get("mode", 1))
     if kind == "trig":  # the config check keeps it on the torus

@@ -26,9 +26,10 @@ are per member: on the line each member must vanish at the box edges,
 and a member blows up when its sup grows by BLOWUP_FACTOR over its own
 initial sup or turns non-finite; BlowUpError carries the earliest time at
 which any member does.  `picard_iterate` uses the same forcing with the
-time slices as its batch.  A forcing call makes 2 FFTs in the gauged form
-and 6 in the original one (its grid round trip: see the nonlinear module),
-so a step makes 4 x 2 + 1 or 4 x 6 + 1, the 1 being the new slice's.
+time slices as its batch.  A forcing call is one kernel call on
+coefficients, 2 FFTs in the gauged form and 6 in the original one (its
+grid round trip included: see the nonlinear module), so a step makes
+4 x 2 + 1 or 4 x 6 + 1, the 1 being the new slice's.
 The forcing owns the right-hand side's work arrays and per-shape constants,
 one set per input shape: a march builds them once instead of on every
 call, and they are freed with the forcing rather than held by a
@@ -46,10 +47,10 @@ trajectory keeps the bits of the textbook steppers on fresh arrays
 `rhs_original` call per forcing call; the forcing looks the kernels up in
 this module's globals on every call, which is where the tracer rebinds
 them.
-Every grid/coefficient transform here goes through GridFunction.to_spectral
-and SpectralField.to_grid, or, in the march, through fields.scaled_fft and
-scaled_ifft with fields.transform_scales' factors, so fields alone applies
-the normalization.
+Outside the kernels, every grid/coefficient transform here goes through
+GridFunction.to_spectral and SpectralField.to_grid, or, for the march's
+new slices, through fields.scaled_ifft with fields.transform_scales'
+factor, so fields alone applies the normalization.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import BlowUpError, ParameterError, WrongDomainError
 from .fields import (Domain, GridFunction, SpectralField, Trajectory,
-                     check_edge_decay, scaled_fft, scaled_ifft, transform_scales)
+                     check_edge_decay, scaled_ifft, transform_scales)
 from .nonlinear import NonlinearityConfig, rhs_gauged, rhs_original, rhs_work
 
 PHI_SERIES_RADIUS = 0.5
@@ -245,14 +246,8 @@ def make_spectral_forcing(cfg: SolverConfig):
         work = works.get(c.shape)
         if work is None:
             work = works[c.shape] = rhs_work(dom, nonlin, c.shape, pad)
-        if nonlin.gauged:
-            f = rhs_gauged(SpectralField(dom, c), nonlin, work).coeffs
-        else:
-            # the grid round trip, with the kernel's own transform scales
-            u = GridFunction(dom, scaled_ifft(c, work["grid_scale"], work["grid"]))
-            f = scaled_fft(rhs_original(u, nonlin, pad, work).values,
-                           work["spec_scale"], out)
-        return np.multiply(-1j, f, out=out)
+        rhs = rhs_gauged if nonlin.gauged else rhs_original
+        return np.multiply(-1j, rhs(SpectralField(dom, c), nonlin, work).coeffs, out=out)
 
     return nl
 

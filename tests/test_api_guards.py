@@ -127,7 +127,7 @@ KEEP = {
     "nonlinear.quintic_Q_fourier": "brute-force Fourier oracle of the quintic form",
     "nonlinear.power_nonlinearity": "a tracer target and tests_support's bitwise "
                                     "reference of the original right-hand side, until "
-                                    "that form takes coefficients",
+                                    "that kernel drops its grid round trip",
     "solver.picard_iterate": "the Duhamel fixed point of acceptance criterion A10",
     "spaces.xy_embedding_constant": "the Y <= C X embedding of acceptance criterion A9",
     "gauge.psi_functional": "the gauged torus flow's invariant, for the planned "
@@ -378,7 +378,7 @@ class TestTracedRuns:
         assert (m["nonlinear.rhs_gauged.calls"] + m["nonlinear.rhs_original.calls"]
                 == m["solver.rhs_calls"])
         assert m["nonlinear.fft_per_rhs_gauged"] == 2
-        assert m["nonlinear.fft_per_rhs_original"] == 4
+        assert m["nonlinear.fft_per_rhs_original"] == 6
 
 
 # Defaulted parameters that no src call sets, kept on purpose.

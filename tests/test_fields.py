@@ -1,12 +1,14 @@
 """Grids, transforms, dealiased products, space-time fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dnls_lab.errors import DomainMismatchError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeField,
                              SpectralField, Trajectory, _deriv_mult,
-                             dealiased_product_coeffs)
+                             _square_sums, dealiased_product_coeffs)
 from dnls_lab.spaces import block_norms, xsb_norm
 
 from tests_support import conj_flip, unit_mass, zero_grid
@@ -167,6 +169,32 @@ class TestTrajectory:
         vals = np.ones((3, 16), complex)
         traj = Trajectory(dom, np.array([0.0, 0.1, 0.2]), vals)
         assert np.allclose(traj.mass(), np.sqrt(2 * np.pi))
+
+    def test_mass_sums_in_row_blocks(self):
+        # gauged-evolution's largest trajectory, 401 slices at n = 1024: a
+        # whole-array |.|^2 would allocate a float temporary half its size
+        dom = Domain("line", 1024, 8)
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=(401, 1024)) + 1j * rng.normal(size=(401, 1024))
+        traj = Trajectory(dom, 5e-4 * np.arange(401), vals)
+        tracemalloc.start()
+        try:
+            mass = traj.mass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * vals.nbytes
+        assert np.array_equal(
+            mass, np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) * dom.dx))
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 64), (401, 2, 64), (5000, 64)])
+    def test_square_sums_keep_the_whole_sums_bits(self, shape):
+        # each row is reduced on its own, however the rows are blocked
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _square_sums(vals)
+        assert got.shape == shape[:-1]
+        assert np.array_equal(got, np.sum(np.abs(vals) ** 2, axis=-1))
 
 
 class TestSpaceTimeField:

@@ -7,8 +7,8 @@ from dnls_lab.errors import ParameterError, SizeLimitError
 from dnls_lab.fields import Domain, GridFunction, SpectralField, dealiased_product_coeffs
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 quintic_Q_fourier, quintic_Q_general_slices,
-                                rhs_gauged, rhs_original, trilinear_T_fourier,
-                                trilinear_T_slices)
+                                rhs_gauged, rhs_original, rhs_work,
+                                trilinear_T_fourier, trilinear_T_slices)
 from dnls_lab.sampling import plane_wave, random_band_field
 from tests_support import (conj_flip, gauged_rhs_reference, original_rhs_reference,
                            zero_grid, zero_spectral)
@@ -36,17 +36,24 @@ def quintic_diagonal(v: GridFunction) -> GridFunction:
     return SpectralField(v.domain, out).to_grid()
 
 
+def with_work(rhs, v: SpectralField, cfg: NonlinearityConfig,
+              pad_factor: int = 4) -> SpectralField:
+    """rhs(v, cfg, work) on fresh work arrays for v's shape."""
+    return rhs(v, cfg, rhs_work(v.domain, cfg, v.coeffs.shape, pad_factor))
+
+
 class TestRhsOriginal:
     def test_zero(self):
         dom = Domain("torus", 64)
-        out = rhs_original(zero_grid(dom), NonlinearityConfig())
-        assert np.all(out.values == 0)
+        out = with_work(rhs_original, zero_spectral(dom), NonlinearityConfig())
+        assert np.all(out.coeffs == 0)
 
     def test_single_mode(self):
         dom = Domain("torus", 64)
         A, lam, k = 0.8 - 0.1j, 0.7, 1
         u = plane_wave(dom, A, 1)
-        out = rhs_original(u, NonlinearityConfig(lam, k, False))
+        out = with_work(rhs_original, u.to_spectral(),
+                        NonlinearityConfig(lam, k, False)).to_grid()
         # i d_x(|A|^2 u) = -|A|^2 u for mode 1; plus lam |A|^(2k) u
         expected = (-abs(A) ** 2 + lam * abs(A) ** (2 * k)) * u.values
         assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -60,14 +67,15 @@ class TestRhsOriginal:
         u = plane_wave(dom, A, 1)
         # i u_t = omega u, u_xx = -u
         lhs = omega * u.values - u.values
-        rhs_v = rhs_original(u, NonlinearityConfig(lam, k, False)).values
+        rhs_v = with_work(rhs_original, u.to_spectral(),
+                          NonlinearityConfig(lam, k, False)).to_grid().values
         assert np.max(np.abs(lhs - rhs_v)) < 1e-12
 
     def test_gauged_config_rejected(self):
         dom = Domain("torus", 64)
         with pytest.raises(ParameterError):
-            rhs_original(zero_grid(dom),
-                         NonlinearityConfig(0.0, 0, True))
+            with_work(rhs_original, zero_spectral(dom),
+                      NonlinearityConfig(0.0, 0, True))
 
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
     @pytest.mark.parametrize("lam", [0.0, 1.3])
@@ -79,11 +87,11 @@ class TestRhsOriginal:
         # in place, which must not change a product's bits
         dom = Domain(kind, n, scale)
         rng = np.random.default_rng(n + k)
-        u = GridFunction(dom, np.stack([
-            random_band_field(dom, rng, band=np.inf).to_grid().values
+        v = SpectralField(dom, np.stack([
+            random_band_field(dom, rng, band=np.inf).coeffs
             for _ in range(max(batch, default=1))]).reshape(batch + (n,)))
-        out = rhs_original(u, NonlinearityConfig(lam, k, False))
-        assert np.array_equal(out.values, original_rhs_reference(u, lam, k, 4))
+        out = with_work(rhs_original, v, NonlinearityConfig(lam, k, False))
+        assert np.array_equal(out.coeffs, original_rhs_reference(v, lam, k, 4))
 
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
     @pytest.mark.parametrize("k,pad_factor", [(4, 4), (2, 2)])
@@ -91,11 +99,12 @@ class TestRhsOriginal:
                                                    pad_factor):
         # the cube alone would use a coarser grid than the power term; both
         # are alias-free, so they agree up to roundoff
-        u = random_small_field(n, seed=n + k, band=np.inf, kind=kind, scale=scale)
-        out = rhs_original(u, NonlinearityConfig(1.3, k, False), pad_factor)
-        ref = original_rhs_reference(u, 1.3, k, pad_factor)
-        assert not np.array_equal(out.values, ref)
-        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        v = random_small_field(n, seed=n + k, band=np.inf, kind=kind,
+                               scale=scale).to_spectral()
+        out = with_work(rhs_original, v, NonlinearityConfig(1.3, k, False), pad_factor)
+        ref = original_rhs_reference(v, 1.3, k, pad_factor)
+        assert not np.array_equal(out.coeffs, ref)
+        assert np.max(np.abs(out.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestTrilinear:
@@ -275,14 +284,15 @@ class TestPowerNonlinearity:
 class TestRhsGauged:
     def test_zero(self):
         dom = Domain("torus", 32)
-        out = rhs_gauged(zero_spectral(dom), NonlinearityConfig(0, 0, True))
+        out = with_work(rhs_gauged, zero_spectral(dom), NonlinearityConfig(0, 0, True))
         assert np.all(out.coeffs == 0)
 
     def test_single_mode_lambda_zero(self):
         dom = Domain("torus", 64)
         A = 0.8 + 0.1j
         v = plane_wave(dom, A, 1)
-        out = rhs_gauged(v.to_spectral(), NonlinearityConfig(0.0, 0, True)).to_grid()
+        out = with_work(rhs_gauged, v.to_spectral(),
+                        NonlinearityConfig(0.0, 0, True)).to_grid()
         # -i (i |A|^2 v) - 0 = |A|^2 v
         expected = abs(A) ** 2 * v.values
         assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -291,8 +301,9 @@ class TestRhsGauged:
         dom = Domain("torus", 64)
         rng = np.random.default_rng(4)
         v = random_band_field(dom, rng, band=8.0).to_grid()
-        a = rhs_gauged(v.to_spectral(), NonlinearityConfig(2.0, 1, True)).to_grid()
-        b = rhs_gauged(v.to_spectral(), NonlinearityConfig(0.5, 1, True)).to_grid()
+        a, b = (with_work(rhs_gauged, v.to_spectral(),
+                          NonlinearityConfig(lam, 1, True)).to_grid()
+                for lam in (2.0, 0.5))
         diff = a.values - b.values
         expected = power_nonlinearity(v, 1.5, 1).values
         assert np.max(np.abs(diff - expected)) < 1e-11
@@ -308,7 +319,7 @@ class TestRhsGauged:
         ref = (-1j * trilinear_diagonal(v).values
                - 0.5 * quintic_diagonal(v).values
                + power_nonlinearity(v, lam, k).values)
-        out = rhs_gauged(v.to_spectral(), NonlinearityConfig(lam, k, True))
+        out = with_work(rhs_gauged, v.to_spectral(), NonlinearityConfig(lam, k, True))
         assert np.max(np.abs(out.to_grid().values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kind,n,scale", [("torus", 64, 1), ("line", 256, 4)])
@@ -323,20 +334,20 @@ class TestRhsGauged:
         v = SpectralField(dom, np.stack([
             random_band_field(dom, rng, band=np.inf).coeffs
             for _ in range(max(batch, default=1))]).reshape(batch + (n,)))
-        out = rhs_gauged(v, NonlinearityConfig(lam, k, True))
+        out = with_work(rhs_gauged, v, NonlinearityConfig(lam, k, True))
         assert np.array_equal(out.coeffs, gauged_rhs_reference(v, lam, k))
 
     def test_original_config_rejected(self):
         dom = Domain("torus", 32)
         with pytest.raises(ParameterError):
-            rhs_gauged(zero_spectral(dom), NonlinearityConfig(0, 0, False))
+            with_work(rhs_gauged, zero_spectral(dom), NonlinearityConfig(0, 0, False))
 
     def test_scalar_pieces_phase_invariant(self):
         dom = Domain("torus", 64)
         rng = np.random.default_rng(5)
         v = random_band_field(dom, rng, band=8.0).to_grid()
         w = GridFunction(dom, v.values * np.exp(0.81j))
-        a = rhs_gauged(v.to_spectral(), NonlinearityConfig(1.0, 1, True)).to_grid()
-        b = rhs_gauged(w.to_spectral(), NonlinearityConfig(1.0, 1, True)).to_grid()
+        a, b = (with_work(rhs_gauged, f.to_spectral(),
+                          NonlinearityConfig(1.0, 1, True)).to_grid() for f in (v, w))
         # the whole rhs is equivariant: rhs(e^{i theta} v) = e^{i theta} rhs(v)
         assert np.max(np.abs(b.values - np.exp(0.81j) * a.values)) < 1e-11

@@ -11,7 +11,7 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, _conj_reverse,
                              _deriv_mult, _min_pad_factor, dealiased_product_coeffs,
                              padded_values, truncated_coeffs)
-from dnls_lab.nonlinear import power_nonlinearity, rhs_original
+from dnls_lab.nonlinear import power_nonlinearity
 from dnls_lab.solver import _EtdrkCoefficients
 
 
@@ -40,15 +40,18 @@ def conj_flip(f: SpectralField) -> SpectralField:
     return SpectralField(f.domain, _conj_reverse(f.coeffs))
 
 
-def original_rhs_reference(u, lam, k, pad_factor):
-    """i d_x(|u|^2 u) + lam |u|^(2k) u composed term by term: the dealiased
-    cube, then i d_x, then the power term, each on its own fine grid."""
-    dom = u.domain
+def original_rhs_reference(v: SpectralField, lam, k, pad_factor) -> np.ndarray:
+    """rhs_original's coefficients for the coefficients v of u, i d_x(|u|^2 u)
+    + lam |u|^(2k) u composed term by term on the samples of u: the
+    dealiased cube, then i d_x, then the power term, each on its own fine
+    grid."""
+    dom, u = v.domain, v.to_grid()
     c = u.to_spectral().coeffs
     cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
                                     pad_factor)
     dcube = SpectralField(dom, _deriv_mult(dom) * cube).to_grid().values
-    return 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
+    rhs = 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
+    return GridFunction(dom, rhs).to_spectral().coeffs
 
 
 def gauged_rhs_reference(v: SpectralField, lam, k) -> np.ndarray:
@@ -84,15 +87,17 @@ def gauged_rhs_reference(v: SpectralField, lam, k) -> np.ndarray:
 
 def _reference_forcing(cfg):
     """-i rhs from fresh arrays on every call: gauged_rhs_reference, and
-    rhs_original building its own work arrays (work=None)."""
+    original_rhs_reference on the kernel's one fine grid, where each of its
+    terms is bitwise the kernel's."""
     dom, nonlin = cfg.domain, cfg.nonlinearity
+    lam, k = nonlin.lam, nonlin.k_power
+    pad = max(cfg.pad_factor, _min_pad_factor(max(3, 2 * k + 1)))
 
     def nl(c):
+        v = SpectralField(dom, c)
         if nonlin.gauged:
-            return -1j * gauged_rhs_reference(SpectralField(dom, c), nonlin.lam,
-                                              nonlin.k_power)
-        f = rhs_original(SpectralField(dom, c).to_grid(), nonlin, cfg.pad_factor)
-        return -1j * f.to_spectral().coeffs
+            return -1j * gauged_rhs_reference(v, lam, k)
+        return -1j * original_rhs_reference(v, lam, k, pad)
 
     return nl
 
