@@ -1,6 +1,9 @@
 """Reproducible experiment scenarios behind the command-line runner.
 
-Every runner takes (params, rng) and returns a result dict with
+Every runner takes (params, rng) and returns a result dict.  rng is the
+run's seeded numpy Generator, or None for a scenario that draws nothing
+(cli names those, so that such a run never imports numpy.random).  The
+result dict holds
 
     metrics     -- flat name -> number map for the CSV report,
     assertions  -- list of {name, value, threshold, op, passed},
@@ -176,14 +179,13 @@ def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm,
         u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
     cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
-    # at most two trajectories live at once: the gauged one is mapped back and
-    # dropped before the direct solve, whose values are then subtracted into
+    # at most two trajectories live at once: the gauged one is mapped back in
+    # place before the direct solve, whose values are then subtracted into
     # the recovered ones (the solves and the map draw nothing, so the order
     # changes no bit)
     gauged = solve(gauge_forward(u0), cfg_gauged)
     gauged_mass = gauged.mass()
     diff = gauge_trajectory(gauged, inverse=True)
-    del gauged
     direct = solve(u0, cfg_orig)
     np.subtract(direct.values, diff.values, out=diff.values)
     return float(np.max(diff.mass())), _mass_drift(direct.mass(), gauged_mass)

@@ -154,18 +154,34 @@ class TestGaugeTrajectory:
         times = 0.01 * np.arange(8)
         # synthetic mass-preserving trajectory: rigid phase rotations
         vals = np.stack([f.values * np.exp(-0.3j * t) for t in times])
-        traj = Trajectory(TORUS, times, vals)
-        back = gauge_trajectory(gauge_trajectory(traj), inverse=True)
-        assert np.max(np.abs(back.values - traj.values)) < 1e-11
+        # the map writes into its input, so the round trip runs on a copy
+        back = gauge_trajectory(gauge_trajectory(Trajectory(TORUS, times, vals.copy())),
+                                inverse=True)
+        assert np.max(np.abs(back.values - vals)) < 1e-11
 
     def test_mu_drift_detected(self):
         rng = np.random.default_rng(8)
         f = random_decaying_field(TORUS, rng, band=16.0)
         times = 0.01 * np.arange(4)
         vals = np.stack([(1.0 + 0.01 * l) * f.values for l in range(4)])
-        traj = Trajectory(TORUS, times, vals)
+        traj = Trajectory(TORUS, times, vals.copy())
         with pytest.raises(ConservationError):
             gauge_trajectory(traj)
+        # the check runs before the first write
+        assert np.array_equal(traj.values, vals)
+
+    def test_edge_failure_leaves_the_trajectory_as_it_was(self, monkeypatch):
+        # blocks of one row; the last slice reaches the box edge, and the map
+        # raises before it writes the first block
+        monkeypatch.setattr(gauge, "BLOCK_BYTES", 2 * LINE.n_points * 16)
+        f = _stack(LINE, 25, rows=4)
+        vals = f.values.copy()
+        vals[-1] = plane_wave(LINE, 0.5, 1).values
+        traj = Trajectory(LINE, 0.01 * np.arange(4), vals.copy())
+        for inverse in (False, True):
+            with pytest.raises(EdgeDecayError):
+                gauge_trajectory(traj, inverse=inverse)
+            assert np.array_equal(traj.values, vals)
 
     def test_nan_drift_detected(self):
         # one NaN sample makes the drift NaN, which must raise, not pass
@@ -249,8 +265,12 @@ class TestRowWise:
         times = 0.002 * np.arange(11)
         traj = Trajectory(dom, times,
                           free_evolution(u0.to_spectral(), times).to_grid().values)
+        values, expected = traj.values, _per_slice_gauge(traj, inverse)
         out = gauge_trajectory(traj, inverse=inverse)
-        assert np.array_equal(out.values, _per_slice_gauge(traj, inverse))
+        # in place: the input's rows hold the map, with the bits the
+        # out-of-place map had
+        assert out is traj and out.values is values
+        assert np.array_equal(values, expected)
 
     def test_report_over_row_blocks(self, monkeypatch):
         monkeypatch.setattr(gauge, "BLOCK_BYTES", 3 * 2 * TORUS.n_points * 16)
@@ -289,13 +309,14 @@ class TestPeakMemory:
 
     def test_row_blocks_cost_less_than_a_trajectory(self):
         # gauged-evolution's largest trajectory, 401 slices at n = 1024: the
-        # map's output plus one block's transients
+        # map writes in place, so one block's transients (0.37x; an output
+        # trajectory would add 1x)
         dom = Domain("line", 1024, 8)
         times = 5e-4 * np.arange(401)
         u0 = gaussian_packet(dom, 0.3, 1.3, mode=1).to_spectral()
         traj = Trajectory(dom, times, free_evolution(u0, times).to_grid().values)
         peak = _traced_peak(gauge_trajectory, traj, True)
-        assert peak <= 1.5 * traj.values.nbytes
+        assert peak <= 0.5 * traj.values.nbytes
 
 
 class TestPsiFunctional:

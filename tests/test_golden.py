@@ -65,6 +65,11 @@ CASES = {
                                "params": {"kind": "line", "n_points": 512,
                                           "domain_scale": 4, "dt": 1e-2,
                                           "l_refine": False}},
+    # the line box doubling: the smallest line config the schema takes, whose
+    # packet passes the edge check in both boxes (512 / 4 and 1024 / 8)
+    "gauge-equivalence-line-refine": {"scenario": "gauge-equivalence", "seed": 28,
+                                      "params": {"kind": "line", "n_points": 512,
+                                                 "domain_scale": 4, "dt": 1e-2}},
     "verify-resonance": {"scenario": "verify-resonance", "seed": 13,
                          "params": {"n": 5000}},
     "verify-domination": {"scenario": "verify-domination", "seed": 14,

@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,12 @@ from dnls_lab.multipliers import resonance_residuals
 from dnls_lab.sampling import random_band_field
 from dnls_lab.spaces import sobolev_norm
 
+from test_golden import CASES as GOLDEN_CASES
 from tests_support import unit_mass
+
+ROOT = Path(__file__).resolve().parents[1]
+# the scenarios whose runners draw nothing
+DRAW_FREE = {"gauge-equivalence", "plane-wave", "scaling"}
 
 
 class TestFieldDump:
@@ -551,6 +560,25 @@ class TestRun:
         code, report = run({"scenario": "dyadic-checks", "seed": 2,
                             "params": {}}, tmp_path)
         assert code == 0 and report["passed"]
+
+    def test_runs_that_draw_nothing_never_import_numpy_random(self, tmp_path):
+        # numpy.random, and OpenSSL through its `secrets` import, take about
+        # 6 MB of resident memory; a fresh interpreter runs the golden specs
+        # of the scenarios that draw nothing and must load neither
+        specs = {n: s for n, s in GOLDEN_CASES.items() if s["scenario"] in DRAW_FREE}
+        assert {s["scenario"] for s in specs.values()} == DRAW_FREE
+        code = ("import json, sys; from pathlib import Path; from dnls_lab.cli import run; "
+                "out = Path(sys.argv[2]); "
+                "codes = [run(dict(s, name=n), out / n)[0] "
+                "for n, s in json.loads(sys.argv[1]).items()]; "
+                "json.dump([codes, sorted({'numpy.random', 'secrets'} & set(sys.modules))], "
+                "open(out / 'result.json', 'w'))")
+        subprocess.run([sys.executable, "-c", code, json.dumps(specs), str(tmp_path)],
+                       check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        codes, loaded = json.loads((tmp_path / "result.json").read_text())
+        assert codes == [0] * len(specs)
+        assert loaded == []
 
 
 class TestFlowmap:
