@@ -23,6 +23,13 @@ their maxima with chains of np.maximum over the point arrays, writing into
 their own temporaries, instead of stacking four or eight arrays of points:
 a max is exact, so the bits are those of the stacked max, and a scan of
 10^5 points holds a few point arrays instead of a stack and its copies.
+
+sample_points forms each coordinate in the array of one of its draws (the
+exp of a log-uniform draw in place, the signed magnitudes and their rint
+in the sign arrays, the near-characteristic taus copied into the broadband
+ones) and drops its exponents and magnitudes once spent, with the draws,
+their order and every float operation unchanged: a batch peaks at about
+ten point arrays, at its last tau draw.
 """
 
 from __future__ import annotations
@@ -136,29 +143,41 @@ def domination_ratio_arrays(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
 # ---------------------------------------------------------------------------
 
 def _log_uniform(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+    draw = rng.uniform(np.log(lo), np.log(hi), size=n)
+    return np.exp(draw, out=draw)
 
 
 def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size=n)
 
 
+def _signed(signs: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """signs * mags, formed in the sign array."""
+    return np.multiply(signs, mags, out=signs)
+
+
 def _round_lattice(x: np.ndarray, lattice: str) -> np.ndarray:
-    return np.rint(x) if lattice == "Z" else x
+    """x rounded to the nearest integer in place on the "Z" lattice."""
+    return np.rint(x, out=x) if lattice == "Z" else x
 
 
 def _draw_taus(rng, mags, tau_box):
     """Half near-characteristic (tau_j ~ -/+ xi_j^2 up to a small jitter),
-    half broadband log-uniform up to the tau box."""
+    half broadband log-uniform up to the tau box: the near values are
+    copied into the broadband arrays, and each jitter is dropped once
+    spent."""
     n = mags[0].size
-    broad = [_signs(rng, n) * _log_uniform(rng, n, 1e-3, max(tau_box, 1.0))
+    broad = [_signed(_signs(rng, n), _log_uniform(rng, n, 1e-3, max(tau_box, 1.0)))
              for _ in range(3)]
-    jit = [_signs(rng, n) * _log_uniform(rng, n, 1e-3, 10.0) for _ in range(3)]
+    jit = [_signed(_signs(rng, n), _log_uniform(rng, n, 1e-3, 10.0)) for _ in range(3)]
     near = rng.random(n) < 0.5
-    tau1 = np.where(near, -mags[0] ** 2 + jit[0], broad[0])
-    tau2 = np.where(near, -mags[1] ** 2 + jit[1], broad[1])
-    tau3 = np.where(near, +mags[2] ** 2 + jit[2], broad[2])
-    return tau1, tau2, tau3
+    for j, (tau, mag) in enumerate(zip(broad, mags)):
+        near_value = mag ** 2
+        if j < 2:  # tau1, tau2 ~ -xi_j^2; tau3 ~ +xi3^2
+            np.negative(near_value, out=near_value)
+        np.add(near_value, jit.pop(0), out=near_value)
+        np.copyto(tau, near_value, where=near)
+    return tuple(broad)
 
 
 def _int_between(rng, lo, hi, n):
@@ -198,8 +217,10 @@ def sample_points(rng: np.random.Generator, n: int, box: float,
         gap = 4  # "<<" separation in dyadic exponents (factor 16)
 
         def shell(e):
-            mag = 2.0 ** e * (1.0 + rng.random(n))
-            return np.minimum(mag, box)
+            mag = rng.random(n)
+            np.add(1.0, mag, out=mag)
+            np.multiply(2.0 ** e, mag, out=mag)
+            return np.minimum(mag, box, out=mag)
 
         if regime == "I":
             e3 = _int_between(rng, gap + 1, emax + 1, n)
@@ -230,10 +251,12 @@ def sample_points(rng: np.random.Generator, n: int, box: float,
             e3 = np.maximum(e2 - gap, 0)
             e1 = np.maximum(e3 - gap, 0)
         m1, m2, m3 = shell(e1), shell(e2), shell(e3)
+        del e1, e2, e3
 
-    xi1 = _round_lattice(_signs(rng, n) * m1, lattice)
-    xi2 = _round_lattice(_signs(rng, n) * m2, lattice)
-    xi3 = _round_lattice(_signs(rng, n) * m3, lattice)
+    xi1 = _round_lattice(_signed(_signs(rng, n), m1), lattice)
+    xi2 = _round_lattice(_signed(_signs(rng, n), m2), lattice)
+    xi3 = _round_lattice(_signed(_signs(rng, n), m3), lattice)
+    del m1, m2
 
     if regime == "IIb1+":
         # keep |xi - xi1| = |xi2 + xi3| comfortably above N3^(-1/2)
@@ -247,6 +270,7 @@ def sample_points(rng: np.random.Generator, n: int, box: float,
             # empty configuration on the integer lattice; fall back to +
             same = np.sign(xi2) == -np.sign(xi3)
             xi3 = np.where(same, -xi3, xi3)
+    del m3
 
     tau1, tau2, tau3 = _draw_taus(rng, (xi1, xi2, xi3), tau_box)
     return xi1, xi2, xi3, tau1, tau2, tau3

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Domain, GridFunction, SpaceTimeField, SpectralField, Trajectory
+from .fields import (Domain, GridFunction, SpaceTimeField, SpectralField, Trajectory,
+                     _row_blocks)
 from .gauge import gauge_forward, gauge_report, gauge_trajectory
 from .multipliers import (REGIME_LABELS, resonance_residuals, resonance_scale,
                           sample_points)
@@ -268,13 +269,28 @@ def run_flowmap(params, rng):
     return {"metrics": metrics, "assertions": assertions, "plotdata": plot}
 
 
+# bytes of one point array's row block in _resonance_batch
+_RESONANCE_BLOCK_BYTES = 2 ** 17
+
+
 def _resonance_batch(rng, n, box, lattice, regime) -> tuple[float, float]:
     """(max relative residual, max relative gap deficit) of one regime's
-    batch of points; the batch's arrays are freed before the next draw."""
+    batch of points; the batch's arrays are freed before the next draw.
+
+    The residuals and scales are taken over row blocks of the points, at
+    most _RESONANCE_BLOCK_BYTES of each coordinate, so their temporaries
+    stay small beside the batch; the block maxima fold with np.maximum,
+    which keeps a NaN, and a max is exact, so the fold is the whole
+    batch's max."""
     pts = sample_points(rng, n, box, lattice, regime)
-    r1, r2, gap = resonance_residuals(*pts)
-    scale = 1.0 + resonance_scale(*pts)
-    return float(np.max(np.maximum(r1, r2) / scale)), float(np.max(-gap / scale))
+    residual = deficit = -np.inf
+    for rows in _row_blocks(n, 8, _RESONANCE_BLOCK_BYTES):
+        block = [p[rows] for p in pts]
+        r1, r2, gap = resonance_residuals(*block)
+        scale = 1.0 + resonance_scale(*block)
+        residual = np.maximum(residual, np.max(np.maximum(r1, r2) / scale))
+        deficit = np.maximum(deficit, np.max(-gap / scale))
+    return float(residual), float(deficit)
 
 
 def run_verify_resonance(params, rng):

@@ -1,7 +1,5 @@
 """Gauge transformations, their inverses, and the scalar functionals."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +15,7 @@ from dnls_lab.scenarios import _gauge_equivalence_discrepancy
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import besov_norm
 
-from tests_support import zero_grid
+from tests_support import traced_peak, zero_grid
 
 TORUS = Domain("torus", 256)
 LINE = Domain("line", 512, 4)
@@ -282,17 +280,6 @@ class TestRowWise:
             for u in rows)
 
 
-def _traced_peak(fn, *args) -> int:
-    """The tracemalloc peak of fn(*args), in bytes: numpy's data buffers
-    are traced, so it counts the arrays alive at once."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakMemory:
     def test_gauge_equivalence_keeps_two_trajectories(self, monkeypatch):
         # blocks of 4 rows leave the peak to the trajectories: two alive
@@ -303,8 +290,8 @@ class TestPeakMemory:
         monkeypatch.setattr(gauge, "BLOCK_BYTES", 4 * 2 * dom.n_points * 16)
         dt, t_final = 1e-3, 0.1
         trajectory = (round(t_final / dt) + 1) * dom.n_points * 16
-        peak = _traced_peak(_gauge_equivalence_discrepancy, dom, dt, t_final,
-                            0.3, 1.0, 1)
+        peak = traced_peak(_gauge_equivalence_discrepancy, dom, dt, t_final,
+                           0.3, 1.0, 1)
         assert peak <= 2.75 * trajectory
 
     def test_row_blocks_cost_less_than_a_trajectory(self):
@@ -315,7 +302,7 @@ class TestPeakMemory:
         times = 5e-4 * np.arange(401)
         u0 = gaussian_packet(dom, 0.3, 1.3, mode=1).to_spectral()
         traj = Trajectory(dom, times, free_evolution(u0, times).to_grid().values)
-        peak = _traced_peak(gauge_trajectory, traj, True)
+        peak = traced_peak(gauge_trajectory, traj, True)
         assert peak <= 0.5 * traj.values.nbytes
 
 

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from dnls_lab import scenarios
+from dnls_lab.fields import _row_blocks
 from dnls_lab.frequency import bracket
 from dnls_lab.multipliers import (REGIME_LABELS, domination_ratio_arrays,
                                   multiplier_pieces, resonance_residuals,
                                   resonance_scale, sample_points)
+from dnls_lab.scenarios import _RESONANCE_BLOCK_BYTES, _resonance_batch
+
+from tests_support import reference_sample_points, traced_peak
 
 
 def per_tag(tag, xi1, xi2, xi3, tau1, tau2, tau3, delta):
@@ -111,6 +116,64 @@ class TestStackFreeResonance:
         assert np.array_equal(resonance_scale(*pts), stacked_scale(*copies))
         # the inputs are read, never written
         assert all(np.array_equal(p, c) for p, c in zip(pts, copies))
+
+    # n = 1, one block, one block + 1, and a ragged batch of many blocks
+    BLOCK = _RESONANCE_BLOCK_BYTES // 8
+
+    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 10 ** 5 + 7])
+    @pytest.mark.parametrize("nan_at", [None, "middle block"])
+    def test_blocked_fold_is_the_whole_batch_max(self, monkeypatch, n, nan_at):
+        pts = sample_points(np.random.default_rng(29), n, 1e3, "R", "IIb1-")
+        if nan_at is not None:
+            blocks = _row_blocks(n, 8, _RESONANCE_BLOCK_BYTES)
+            pts[4][blocks[len(blocks) // 2].start] = np.nan
+        monkeypatch.setattr(scenarios, "sample_points",
+                            lambda *args: tuple(p.copy() for p in pts))
+        r1, r2, gap = stacked_residuals(*pts)
+        scale = 1.0 + stacked_scale(*pts)
+        whole = (np.max(np.maximum(r1, r2) / scale), np.max(-gap / scale))
+        got = _resonance_batch(None, n, 1e3, "R", "IIb1-")
+        assert np.array_equal(got, whole, equal_nan=True)
+        assert np.isnan(got).all() == (nan_at is not None)
+        if n > 10 ** 5:
+            assert len(_row_blocks(n, 8, _RESONANCE_BLOCK_BYTES)) > 2
+
+
+class TestSamplerStream:
+    """sample_points forms its points in place of its draws; the generator
+    calls, their order and sizes, and every float operation are those of
+    the expression oracle, so each output and the generator's final state
+    agree bit for bit.  The verify-resonance goldens sit below 1e-12 and
+    are compared one-sidedly, so they would not see a reordered draw."""
+
+    @pytest.mark.parametrize("seed", [3, 4242])
+    @pytest.mark.parametrize("lattice", ["Z", "R"])
+    @pytest.mark.parametrize("regime", REGIME_LABELS)
+    def test_bits_of_the_expression_oracle(self, seed, lattice, regime):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n, box in ((2000, 1e3), (1, 5.0)):
+            got = sample_points(rng, n, box, lattice, regime)
+            ref = reference_sample_points(ref_rng, n, box, lattice, regime)
+            for g, r in zip(got, ref, strict=True):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestPeakMemory:
+    # one point array of a 10^5-point batch, verify-resonance's regime size
+    POINTS = 8 * 10 ** 5
+
+    @pytest.mark.parametrize("lattice", ["Z", "R"])
+    @pytest.mark.parametrize("regime", REGIME_LABELS)
+    def test_resonance_batch_holds_few_point_arrays(self, lattice, regime):
+        # at the last draw: three xi, the three broadband taus (which
+        # become the points' taus), three jitters, the near mask and one
+        # temporary, about 10 point arrays, with the residuals in row
+        # blocks; a sampler that keeps its magnitudes and exponents alive
+        # and forms every expression in a fresh array reached 16 to 19
+        peak = traced_peak(_resonance_batch, np.random.default_rng(0), 10 ** 5,
+                           1e3, lattice, regime)
+        assert peak <= 12 * self.POINTS
 
 
 class TestMultiplierEvaluation:

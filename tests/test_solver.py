@@ -13,8 +13,9 @@ from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, picard_iterate, rescale,
                              solve)
-from tests_support import (count_ffts, gauged_rhs_reference, original_rhs_reference,
-                           reference_march, unit_mass, zero_grid)
+from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
+                           original_rhs_reference, reference_march, reverse,
+                           unit_mass, zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -222,6 +223,71 @@ class TestSolve:
                          integrator="euler")
         with pytest.raises(ParameterError):
             SolverConfig(TORUS, NonlinearityConfig(), 3e-4, 0.05)
+
+
+def _reversal_data(kind):
+    """B^{1/2}_{2,inf} endpoint data on the torus (n = 64); on the line
+    (n = 256, scale 4) a packet 0.8 gaussian e^{1.5 i x}, which stays clear
+    of the edges in both legs."""
+    if kind == "torus":
+        return besov_endpoint_data(Domain("torus", 64), np.random.default_rng(0))
+    dom = Domain("line", 256, 4)
+    return GridFunction(dom, gaussian_packet(dom, 0.8).values * np.exp(1.5j * dom.x))
+
+
+def _round_trip_error(u0, lam, k, gauged, integrator, dt, T=0.2):
+    """||R S_T R S_T u0 - u0|| / ||u0||, R the reversal map conj(f(-x))."""
+    cfg = small_cfg(u0.domain, lam, k, gauged, dt, T, integrator)
+    there = solve(u0, cfg).values[-1]
+    back = solve(GridFunction(u0.domain, reverse(there)), cfg).values[-1]
+    return np.linalg.norm(reverse(back) - u0.values) / np.linalg.norm(u0.values)
+
+
+class TestTimeReversal:
+    """For real lambda, if u solves the equation then so does
+    conj(u(-t, -x)), for the original and the gauged form alike, so with
+    R f = conj(f(-x)) the flow gives R S_T R S_T u0 = u0 on any data.
+
+    The steppers keep the symmetry: R Phi_h R = Phi_{-h}, and the round
+    trip Phi_{-h}^m Phi_h^m cancels the h^{p+1} local terms of an even
+    order p.  A fourth-order stepper's round trip error therefore falls by
+    about 32 per halving of dt here, while a stepper of order three or less
+    leaves at most 8: the test asks for 12 at every halving, with no floor,
+    and its finest error stays above 1e-13, where roundoff cannot carry it.
+    Faults it catches: a third-order stepper, a wrong ETD-RK4 stage
+    coefficient, a forcing that drops its 1j.  A fault that keeps the
+    equation reversible, such as a flipped sign of the derivative term,
+    passes it: catching that needs an oracle of the equation itself, an
+    exact solution or a conserved energy."""
+
+    @pytest.mark.parametrize("dom,g", [
+        (Domain("torus", 64),
+         lambda x: np.exp(1j * x) + 0.5 * np.exp(-2j * x) + 0.3j * np.exp(3j * x)),
+        (Domain("line", 256, 4),
+         lambda x: np.exp(-0.3 * (x - 0.5) ** 2 + 1j * x)),
+    ])
+    def test_reversal_map(self, dom, g):
+        # R samples conj(g(-x)) on both grids, and is an involution
+        f = g(dom.x)
+        assert np.allclose(reverse(f), np.conj(g(-dom.x)), rtol=0, atol=1e-14)
+        assert np.array_equal(reverse(reverse(f)), f)
+
+    @pytest.mark.parametrize("kind,gauged,integrator,lam,k,dts", [
+        ("torus", True, "etdrk4", 0.0, 0, (1e-2, 5e-3, 2.5e-3, 1.25e-3)),
+        ("torus", False, "etdrk4", 0.0, 0, (1e-2, 5e-3, 2.5e-3, 1.25e-3)),
+        ("line", True, "etdrk4", 0.0, 0, (1e-2, 5e-3, 2.5e-3)),
+        ("line", False, "etdrk4", 0.0, 0, (1e-2, 5e-3, 2.5e-3)),
+        ("torus", False, "ifrk4", 0.5, 2, (1e-2, 5e-3, 2.5e-3)),
+        ("torus", True, "ifrk4", 1.0, 1, (1e-2, 5e-3, 2.5e-3)),
+    ], ids=["torus-gauged-etdrk4", "torus-original-etdrk4", "line-gauged-etdrk4",
+            "line-original-etdrk4", "torus-original-ifrk4", "torus-gauged-ifrk4"])
+    def test_round_trip_is_fourth_order(self, kind, gauged, integrator, lam, k,
+                                        dts):
+        u0 = _reversal_data(kind)
+        errs = [_round_trip_error(u0, lam, k, gauged, integrator, dt) for dt in dts]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert min(ratios) >= 12.0, (errs, ratios)
+        assert errs[-1] > 1e-13, errs
 
 
 class TestBatch:

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              padded_values, truncated_coeffs)
 from dnls_lab.nonlinear import power_nonlinearity
 from dnls_lab.solver import _EtdrkCoefficients
+from dnls_lab.spaces import besov_norm
 
 
 def zero_grid(dom: Domain) -> GridFunction:
@@ -138,6 +140,104 @@ def reference_march(u0: GridFunction, cfg) -> np.ndarray:
         c = step(c, k, nl)
         slices.append(SpectralField(cfg.domain, c).to_grid().values)
     return np.stack(slices)
+
+
+def reference_sample_points(rng, n, box, lattice, regime):
+    """multipliers.sample_points written with a fresh array per expression:
+    the bitwise oracle of its draws (their order and their sizes) and of
+    the in-place arithmetic it forms its points with."""
+    def log_uniform(n, lo, hi):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+
+    def signs(n):
+        return rng.choice([-1.0, 1.0], size=n)
+
+    def round_lattice(x):
+        return np.rint(x) if lattice == "Z" else x
+
+    def int_between(lo, hi):
+        return rng.integers(lo, np.maximum(hi, lo + 1), size=n)
+
+    lo = 1.0 if lattice == "Z" else 1e-2
+    tau_box = box ** 2
+    if regime == "uniform":
+        m1, m2, m3 = (log_uniform(n, lo, box) for _ in range(3))
+    else:
+        emax = int(np.floor(np.log2(max(box, 8.0))))
+        gap = 4
+
+        def shell(e):
+            return np.minimum(2.0 ** e * (1.0 + rng.random(n)), box)
+
+        if regime == "I":
+            e3 = int_between(gap + 1, emax + 1)
+            e2 = np.maximum(e3 - gap - rng.integers(0, 3, size=n), 0)
+            e1 = rng.integers(0, np.maximum(e2, 1))
+        elif regime == "IIa":
+            e1 = e2 = e3 = int_between(0, emax + 1)
+        elif regime in ("IIb1+", "IIb1-", "IIb2"):
+            e2 = e3 = int_between(gap + 1, emax + 1)
+            e1 = np.maximum(e2 - gap - rng.integers(0, 3, size=n), 0)
+        elif regime == "IIIa1":
+            e2 = int_between(2 * gap + 1, emax + 1)
+            e1 = np.maximum(e2 - gap, 0)
+            e3 = np.maximum(e1 - gap, 0)
+        elif regime == "IIIa2":
+            e1 = e2 = int_between(gap + 1, emax + 1)
+            e3 = np.maximum(e2 - gap - rng.integers(0, 3, size=n), 0)
+        elif regime == "IIIb":
+            e2 = int_between(gap + 1, emax + 1)
+            e1 = e3 = np.maximum(e2 - gap - rng.integers(0, 3, size=n), 0)
+        else:  # IIIc
+            e2 = int_between(2 * gap + 1, emax + 1)
+            e3 = np.maximum(e2 - gap, 0)
+            e1 = np.maximum(e3 - gap, 0)
+        m1, m2, m3 = shell(e1), shell(e2), shell(e3)
+
+    xi1 = round_lattice(signs(n) * m1)
+    xi2 = round_lattice(signs(n) * m2)
+    xi3 = round_lattice(signs(n) * m3)
+    if regime == "IIb1-" and lattice == "R":
+        xi3 = -xi2 + rng.uniform(-1.0, 1.0, size=n) / np.sqrt(np.abs(m3) + 1.0)
+    elif regime in ("IIb1+", "IIb1-"):
+        xi3 = np.where(np.sign(xi2) == -np.sign(xi3), -xi3, xi3)
+
+    broad = [signs(n) * log_uniform(n, 1e-3, max(tau_box, 1.0)) for _ in range(3)]
+    jit = [signs(n) * log_uniform(n, 1e-3, 10.0) for _ in range(3)]
+    near = rng.random(n) < 0.5
+    tau1 = np.where(near, -xi1 ** 2 + jit[0], broad[0])
+    tau2 = np.where(near, -xi2 ** 2 + jit[1], broad[1])
+    tau3 = np.where(near, +xi3 ** 2 + jit[2], broad[2])
+    return xi1, xi2, xi3, tau1, tau2, tau3
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args), in bytes: numpy's data buffers
+    are traced, so it counts the arrays alive at once."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reverse(values: np.ndarray) -> np.ndarray:
+    """R f = conj(f(-x)) on grid values (..., n): the index map
+    j -> (n - j) mod n, on the torus (x_j = j dx) and on the line
+    (x_j = -L/2 + j dx) alike."""
+    return np.conj(np.roll(values[..., ::-1], 1, axis=-1))
+
+
+def besov_endpoint_data(dom: Domain, rng) -> GridFunction:
+    """u0^(xi) = <xi>^-1 exp(i theta_xi) on 0 < |xi| <= n/8 with random
+    phases, scaled to ||u0||_{B^{1/2}_{2,inf}} = 1: equal weight
+    N^{1/2} ||P_N u0|| in every dyadic block up to n/8."""
+    xi = dom.xi
+    band = (xi != 0.0) & (np.abs(xi) <= dom.n_points / 8)
+    coeffs = np.where(band, (1.0 + xi ** 2) ** -0.5, 0.0) * np.exp(
+        2j * np.pi * rng.random(dom.n_points))
+    return SpectralField(dom, coeffs / besov_norm(SpectralField(dom, coeffs), 0.5)).to_grid()
 
 
 def count_ffts(monkeypatch) -> dict:
