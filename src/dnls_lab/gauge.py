@@ -21,10 +21,13 @@ The maps act row by row on values (..., n): one mean, antiderivative and
 edge check per row and every FFT along the last axis, so each row gets
 the bits of its own call.  `gauge_trajectory` maps a trajectory in place,
 and `gauge_report` a stack of rows, in blocks of rows whose fine-grid
-work arrays take about BLOCK_BYTES each.  The budget keeps a block's
-transients (about five such arrays) below one trajectory of the
-gauge-equivalence runs (6.6 MB at n = 1024), so that mapping a
-trajectory costs a fraction of its bytes.
+work arrays take about BLOCK_BYTES each.  gauge-equivalence holds one
+trajectory (6.6 MB at n = 1024) while it maps it and while the direct
+solve streams into it; the budget keeps the map's transients (0.33 MB
+traced there, 5 % of the trajectory) below the streamed solve's own
+work, so that the map does not set that run's peak.  Twice the budget
+would (0.85 MB); a smaller one cannot lower the peak, which the solves
+then set, and makes the map slower.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
 
 MU_DRIFT_TOL = 1e-8
 # bytes of one fine-grid (2n-point complex) work array of a row block
-BLOCK_BYTES = 2 ** 19
+BLOCK_BYTES = 2 ** 16
 
 
 def _torus_mus(values: np.ndarray, dom: Domain) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (Domain, GridFunction, SpaceTimeField, SpectralField, Trajectory,
-                     _row_blocks)
+                     _row_blocks, _square_sums)
 from .gauge import gauge_forward, gauge_report, gauge_trajectory
 from .multipliers import (REGIME_LABELS, resonance_residuals, resonance_scale,
                           sample_points)
@@ -180,16 +180,23 @@ def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm,
         u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
     cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
-    # at most two trajectories live at once: the gauged one is mapped back in
-    # place before the direct solve, whose values are then subtracted into
-    # the recovered ones (the solves and the map draw nothing, so the order
-    # changes no bit)
+    # one trajectory alive: the gauged one is mapped back in place, and the
+    # direct solve streams its slices into it, each subtracted from its
+    # recovered row (the solves and the map draw nothing, so the order
+    # changes no bit; per-row sums keep the bits of whole-array ones)
     gauged = solve(gauge_forward(u0), cfg_gauged)
     gauged_mass = gauged.mass()
     diff = gauge_trajectory(gauged, inverse=True)
-    direct = solve(u0, cfg_orig)
-    np.subtract(direct.values, diff.values, out=diff.values)
-    return float(np.max(diff.mass())), _mass_drift(direct.mass(), gauged_mass)
+    rows = diff.values
+    direct_sq = np.empty(diff.n_slices)
+
+    def subtract(j, values):
+        np.subtract(values, rows[j], out=rows[j])
+        direct_sq[j] = _square_sums(values)
+
+    solve(u0, cfg_orig, each=subtract)
+    direct_mass = np.sqrt(direct_sq * dom.dx)
+    return float(np.max(diff.mass())), _mass_drift(direct_mass, gauged_mass)
 
 
 def run_gauge_equivalence(params, rng):

@@ -14,6 +14,10 @@ Sci. Comput. 26 (2005); Cox & Matthews, J. Comput. Phys. 176 (2002)).
 An integrating-factor RK4 is available as a cross-check.
 
 `solve` marches forward from t = 0 only: no caller integrates backward.
+It stores the trajectory, or, given a hook `each`, hands each slice's grid
+values to the hook in one reused buffer and stores nothing: that is how
+a quantity along a trajectory (a difference, a mass, an invariant) is
+taken without holding every slice.
 
 Batch axis: `solve` advances a stack of initial data on one SolverConfig
 in one march.  u0.values of shape (B, n) gives coefficient arrays (B, n)
@@ -37,10 +41,10 @@ module-level cache, which would outlive the solve.
 
 The march allocates no stage, work or slice array per step (the blow-up
 check and the torus integrals still make small ones): `solve` builds the
-steppers' STAGES
-buffers once, a stepper advances the coefficients in place while the
-forcing writes each stage's -i rhs into that stage's buffer, and each new
-slice is transformed straight into its row of the trajectory.  Every
+steppers' STAGES buffers once, a stepper advances the coefficients in
+place while the forcing writes each stage's -i rhs into that stage's
+buffer, and each new slice is transformed straight into its row of the
+trajectory, or into the hook's one buffer when streamed.  Every
 trajectory keeps the bits of the textbook steppers on fresh arrays
 (tests_support.reference_march).  The benchmark's layer tracer times one
 `_etdrk4_step` / `_ifrk4_step` call per step and one `rhs_gauged` /
@@ -252,7 +256,7 @@ def make_spectral_forcing(cfg: SolverConfig):
     return nl
 
 
-def solve(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
+def solve(u0: GridFunction, cfg: SolverConfig, each=None) -> Trajectory | None:
     """March the Cauchy problem forward from t=0 to t_final with the
     configured integrator.
 
@@ -260,6 +264,12 @@ def solve(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
     Trajectory values are (n_slices, n) or (n_slices, ..., n).  Raises
     BlowUpError when the sup norm of any member grows by BLOWUP_FACTOR over
     its initial sup or turns non-finite.
+
+    With a hook, solve stores no trajectory and returns None: it calls
+    each(j, values) for j = 0 .. n_steps, slice j's grid values shaped like
+    u0.values, once that slice has passed the blow-up check.  values is one
+    buffer that the next step overwrites, so a hook copies what it keeps;
+    a march that blows up at slice j has handed over slices 0 .. j-1.
     """
     cfg.domain.require_same(u0.domain)
     check_edge_decay(u0, "initial data on the line")
@@ -276,14 +286,21 @@ def solve(u0: GridFunction, cfg: SolverConfig) -> Trajectory:
     limit = np.minimum(np.where(linf0 > 0, BLOWUP_FACTOR * linf0, np.inf),
                        np.finfo(float).max)
     grid_scale = transform_scales(cfg.domain, cfg.domain.n_points)[0]
-    slices = np.empty((n_steps + 1,) + c.shape, dtype=np.complex128)
+    # a stored march transforms slice j into row j; a streamed one into its
+    # one row
+    keep = each is None
+    slices = np.empty((n_steps + 1 if keep else 1,) + c.shape, dtype=np.complex128)
     slices[0] = u0.values
+    if not keep:
+        each(0, slices[0])
     for j in range(1, n_steps + 1):
         step(c, coeffs, nl, stages)
-        vals = scaled_ifft(c, grid_scale, slices[j])
+        vals = scaled_ifft(c, grid_scale, slices[j if keep else 0])
         if not (np.abs(vals).max(axis=-1) <= limit).all():
             raise BlowUpError(j * cfg.dt)
-    return Trajectory(cfg.domain, cfg.dt * np.arange(n_steps + 1), slices)
+        if not keep:
+            each(j, vals)
+    return Trajectory(cfg.domain, cfg.dt * np.arange(n_steps + 1), slices) if keep else None
 
 
 @dataclass

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dnls_lab.errors import ParameterError, SizeLimitError
-from dnls_lab.fields import Domain, GridFunction, SpectralField, dealiased_product_coeffs
+from dnls_lab.fields import (Domain, GridFunction, SpectralField, _deriv_mult,
+                             dealiased_product_coeffs, padded_values)
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
                                 quintic_Q_fourier, quintic_Q_general_slices,
                                 rhs_gauged, rhs_original, rhs_work,
                                 trilinear_T_fourier, trilinear_T_slices)
-from dnls_lab.sampling import plane_wave, random_band_field
+from dnls_lab.sampling import gaussian_packet, plane_wave, random_band_field
 from tests_support import (conj_flip, gauged_rhs_reference, original_rhs_reference,
                            zero_grid, zero_spectral)
 
@@ -105,6 +106,72 @@ class TestRhsOriginal:
         ref = original_rhs_reference(v, 1.3, k, pad_factor)
         assert not np.array_equal(out.coeffs, ref)
         assert np.max(np.abs(out.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def energy(dom: Domain, c: np.ndarray, lam, k, cubic=1.5, sextic=0.5) -> float:
+    """E(u) = int |u_x|^2 + 3/2 Im int |u|^2 u conj(u_x) + 1/2 int |u|^6
+    + lam/(k+1) int |u|^(2k+2) for the coefficients c of u, with the two
+    gauge-born coefficients as parameters.  The integrands have degree at
+    most 6 (2k + 2 <= 6), so the sums on the 4x grid are exact."""
+    m = 4 * dom.n_points
+    u = padded_values(dom, c, m)
+    ux = padded_values(dom, _deriv_mult(dom) * c, m)
+    a = np.abs(u) ** 2
+    return float((np.sum(np.abs(ux) ** 2) + cubic * np.sum(np.imag(a * u * np.conj(ux)))
+                  + sextic * np.sum(a ** 3) + lam / (k + 1) * np.sum(a ** (k + 1)))
+                 * (dom.period / m))
+
+
+def energy_rate(u: GridFunction, lam, k, h=1e-5, **coefficients) -> float:
+    """dE/dt along the original flow u_t = i u_xx - i rhs_original(u), as
+    the central difference (E(u + h u_t) - E(u - h u_t)) / 2h."""
+    dom, c = u.domain, u.to_spectral().coeffs
+    cfg = NonlinearityConfig(lam, k, False)
+    rhs = with_work(rhs_original, SpectralField(dom, c), cfg).coeffs
+    ut = 1j * (-dom.xi ** 2 * c) - 1j * rhs
+    return (energy(dom, c + h * ut, lam, k, **coefficients)
+            - energy(dom, c - h * ut, lam, k, **coefficients)) / (2.0 * h)
+
+
+def chirped_packet(dom, amplitude, width, center, mode, chirp):
+    x = dom.x
+    return amplitude * np.exp(-(x - center) ** 2 / (2.0 * width ** 2)
+                              + 1j * (mode * x + chirp * (x - center) ** 2))
+
+
+class TestEnergy:
+    """The energy of the original equation is conserved, so dE/dt vanishes
+    at every u: an oracle of the equation itself, which checks the
+    right-hand side's terms and their signs against each other.  Packets
+    that time reversal maps to themselves (a real even envelope times one
+    mode) have dE/dt = 0 for any reversible functional, a wrong energy
+    included, so the data here are chirped or pairs of distinct packets.
+    A flipped sign of the derivative term keeps the equation reversible,
+    which TestTimeReversal in test_solver cannot see; here it moves
+    dE/dt far from zero."""
+
+    LINE = Domain("line", 1024, 8)
+    PACKETS = {
+        "chirp": chirped_packet(LINE, 0.8, 1.0, 0.0, 1, 0.3),
+        "chirp-pair": (chirped_packet(LINE, 0.6, 1.2, 0.5, -1, -0.2)
+                       + chirped_packet(LINE, 0.5, 0.9, -2.0, 2, 0.0)),
+        "pair": (gaussian_packet(LINE, 0.7, 1.0, 1.0, mode=1).values
+                 + 1j * gaussian_packet(LINE, 0.5, 0.8, -1.5, mode=-2).values),
+    }
+
+    @pytest.mark.parametrize("packet", sorted(PACKETS))
+    @pytest.mark.parametrize("lam,k", [(0.0, 0), (1.0, 1), (0.5, 2), (-1.0, 1)])
+    def test_energy_is_conserved(self, packet, lam, k):
+        u = GridFunction(self.LINE, self.PACKETS[packet])
+        assert abs(energy_rate(u, lam, k)) <= 1.1e-8
+
+    @pytest.mark.parametrize("packet", sorted(PACKETS))
+    def test_data_see_a_wrong_coefficient(self, packet):
+        # the oracle is not vacuous on these data: either gauge-born
+        # coefficient off moves dE/dt by 1e-3 or more
+        u = GridFunction(self.LINE, self.PACKETS[packet])
+        assert abs(energy_rate(u, 1.0, 1, cubic=1.0)) >= 1e-3
+        assert abs(energy_rate(u, 1.0, 1, sextic=0.25)) >= 1e-3
 
 
 class TestTrilinear:

@@ -15,7 +15,7 @@ from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              solve)
 from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
                            original_rhs_reference, reference_march, reverse,
-                           unit_mass, zero_grid)
+                           traced_peak, unit_mass, zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -405,6 +405,52 @@ class TestMarchOracle:
         got = solve(u0, cfg).values
         want = reference_march(u0, cfg)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStream:
+    # solve(u0, cfg, each) hands each slice to the hook in one reused buffer
+    # and stores nothing; the stored trajectory is the same march's
+    @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_each_slice_is_the_stored_row(self, integrator, gauged, kind, shape):
+        u0 = _batch_data(kind, shape)
+        cfg = SolverConfig(u0.domain, NonlinearityConfig(1.0, 1, gauged), 2e-3,
+                           0.02, integrator)
+        stored = solve(u0, cfg).values
+        seen = []
+
+        def each(j, values):
+            assert values.shape == u0.values.shape
+            seen.append((j, values.copy()))
+
+        assert solve(u0, cfg, each) is None
+        assert [j for j, _ in seen] == list(range(cfg.n_steps + 1))
+        for j, values in seen:
+            assert np.array_equal(values, stored[j])
+
+    def test_blow_up_after_the_last_good_slice(self):
+        cfg = small_cfg(dt=0.01, T=1.0)
+        u0 = plane_wave(TORUS, 200.0, 1)
+        with pytest.raises(BlowUpError) as stored:
+            solve(u0, cfg)
+        seen = []
+        with pytest.raises(BlowUpError) as streamed:
+            solve(u0, cfg, lambda j, values: seen.append(j))
+        assert streamed.value.time == stored.value.time
+        assert seen == list(range(round(stored.value.time / cfg.dt)))
+
+    def test_streamed_solve_stores_no_trajectory(self):
+        # a 401-slice march at n = 512 holds the stages, the forcing's work
+        # arrays and the one slice buffer: 0.16 of the trajectory, which a
+        # stored march (1.12) adds in full
+        dom = Domain("line", 512, 4)
+        u0 = gaussian_packet(dom, 0.6, 1.0, mode=1)
+        cfg = small_cfg(dom, 1.0, 1, False, 5e-4, 0.2)
+        trajectory = (cfg.n_steps + 1) * dom.n_points * 16
+        peak = traced_peak(solve, u0, cfg, lambda j, values: None)
+        assert peak <= 0.25 * trajectory
 
 
 def _coeff_rows(dom, n_rows, seed):

@@ -9,11 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
-                             SpaceTimeField, SpectralField, _conj_reverse,
-                             _deriv_mult, _min_pad_factor, dealiased_product_coeffs,
-                             padded_values, truncated_coeffs)
-from dnls_lab.nonlinear import power_nonlinearity
-from dnls_lab.solver import _EtdrkCoefficients
+                             SpaceTimeField, SpectralField, Trajectory,
+                             _conj_reverse, _deriv_mult, _min_pad_factor,
+                             dealiased_product_coeffs, padded_values,
+                             truncated_coeffs)
+from dnls_lab.gauge import gauge_forward, gauge_trajectory
+from dnls_lab.nonlinear import NonlinearityConfig, power_nonlinearity
+from dnls_lab.sampling import gaussian_packet, scaled_to_h1
+from dnls_lab.scenarios import _mass_drift, _smooth_torus_data
+from dnls_lab.solver import SolverConfig, _EtdrkCoefficients, solve
 from dnls_lab.spaces import besov_norm
 
 
@@ -140,6 +144,26 @@ def reference_march(u0: GridFunction, cfg) -> np.ndarray:
         c = step(c, k, nl)
         slices.append(SpectralField(cfg.domain, c).to_grid().values)
     return np.stack(slices)
+
+
+def gauge_equivalence_reference(dom: Domain, dt, t_final, h1_norm, lam,
+                                k_power) -> tuple[float, float]:
+    """scenarios._gauge_equivalence_discrepancy in its two-trajectory form:
+    both trajectories stored, the direct one subtracted from the recovered
+    one as whole arrays, and both masses taken from stored trajectories.
+    The bitwise oracle of the streamed discrepancy."""
+    if dom.kind == "torus":
+        u0 = _smooth_torus_data(dom, h1_norm)
+    else:
+        u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
+    cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
+    cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
+    gauged = solve(gauge_forward(u0), cfg_gauged)
+    gauged_mass = gauged.mass()
+    recovered = gauge_trajectory(gauged, inverse=True)
+    direct = solve(u0, cfg_orig)
+    diff = Trajectory(dom, direct.times, direct.values - recovered.values)
+    return float(np.max(diff.mass())), _mass_drift(direct.mass(), gauged_mass)
 
 
 def reference_sample_points(rng, n, box, lattice, regime):
