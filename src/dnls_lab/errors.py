@@ -17,10 +17,6 @@ class InvalidDyadicIndexError(DnlsLabError, ValueError):
     """Dyadic index is not 1 or a positive power of two."""
 
 
-class SizeLimitError(DnlsLabError):
-    """Brute-force oracle invoked beyond its intended grid size."""
-
-
 class ExtensionError(DnlsLabError):
     """Time window support exceeds the trajectory span."""
 

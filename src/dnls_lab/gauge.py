@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConservationError, WrongDomainError
+from .errors import ConservationError
 from .fields import (SQRT_2PI, Domain, GridFunction, SpectralField, Trajectory,
-                     _deriv_mult, _row_blocks, _square_sums, check_edge_decay, padded_values)
+                     _row_blocks, _square_sums, check_edge_decay, padded_values)
 
 MU_DRIFT_TOL = 1e-8
 # bytes of one fine-grid (2n-point complex) work array of a row block
@@ -123,25 +123,6 @@ def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
             u = SpectralField(dom, u.to_spectral().coeffs * translate).to_grid()
         traj.values[rows] = gauge_inverse(u).values if inverse else u.values
     return traj
-
-
-def psi_functional(v: GridFunction) -> float:
-    """Scalar mean functional of the gauged torus flow:
-    (1/2pi) int (2 Im(v d_x conj(v)) - |v|^4 / 2) dx + mu(v)^2, with
-    mu(v) = ||v||_{L^2}^2 / (2 pi)."""
-    if v.domain.kind != "torus":
-        raise WrongDomainError("psi is defined on the torus")
-    dom = v.domain
-    c = v.to_spectral()
-    dxv = SpectralField(dom, _deriv_mult(dom) * c.coeffs).to_grid()
-    # band(v * conj(d_x v)) < n, so the plain grid sum integrates it exactly
-    term_im = float(np.sum(2.0 * np.imag(v.values * np.conj(dxv.values))) * dom.dx)
-    # |v|^4 has twice that band; sample it alias-free on a refined grid
-    nf = 4 * dom.n_points
-    vf = padded_values(dom, c.coeffs, nf)
-    term_quartic = float(np.sum(np.abs(vf) ** 4) * (dom.period / nf))
-    mu = float(_torus_mus(v.values, dom))
-    return (term_im - 0.5 * term_quartic) / (2.0 * np.pi) + mu ** 2
 
 
 def gauge_report(f: GridFunction) -> tuple[float, float]:

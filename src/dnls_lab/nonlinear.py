@@ -1,5 +1,5 @@
-"""Right-hand-side nonlinearities, the multilinear forms of the estimates,
-and their Fourier-side oracles.
+"""Right-hand-side nonlinearities and the multilinear forms of the
+estimates.
 
 Pointwise products are dealiased by zero padding (see
 fields.dealiased_product_coeffs) and derivatives act spectrally; each
@@ -29,10 +29,8 @@ integral is int a b dx = sum_xi a^(xi) b^(-xi) dxi.  The quintic form
 pads each factor once and shares its fine-grid products between its main
 term and its corrections; the quadruple integral is the fine-grid sum of
 the four-factor product, which the 4x grid holds without aliasing.  The
-Fourier-side forms evaluate the same operations as explicit constrained
-convolution sums; they are brute-force cross-checks meant to catch sign
-or constraint transcription errors, so they are deliberately written
-index-by-index and limited to small grids.
+tests check both forms against brute-force constrained convolution sums,
+the Fourier oracles of tests/tests_support.py.
 
 With the package's transform conventions the discrete convolution
 constants are (2 pi)^-1 * dxi^2 for the trilinear form and
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
+from .errors import ParameterError
 from .fields import (Domain, GridFunction, SpectralField, _deriv_mult,
                      _min_pad_factor, band, band_truncate, dealiased_product_coeffs,
                      padded_values, scaled_fft, scaled_ifft, transform_scales,
@@ -103,53 +101,6 @@ def trilinear_T_slices(dom: Domain, c1: np.ndarray, c2: np.ndarray,
     return out
 
 
-def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
-                        f3: SpectralField) -> SpectralField:
-    """Constrained-convolution oracle for the trilinear term.
-
-    Torus: sum over k1+k2+k3 = k with k1, k2 != k, plus the diagonal term
-    f1(k) f2(k) (i xi(k)) f3(-k).  Line: the plain convolution sum.  Cost
-    is O(n^2) per output mode, hence the limit n <= 64.
-    """
-    dom = f1.domain
-    dom.require_same(f2.domain)
-    dom.require_same(f3.domain)
-    n = dom.n_points
-    if n > 64:
-        raise SizeLimitError("trilinear oracle limited to n <= 64")
-    k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)  # integer mode index
-    kmin, kmax = k.min(), k.max()
-    pos = np.argsort(k)          # position of mode value k in ascending order
-    sorted_k = k[pos]
-
-    def fetch(arr, kk):
-        # coefficient at integer mode kk (0 outside the lattice)
-        inside = (kk >= kmin) & (kk <= kmax)
-        kk_idx = np.mod(kk, n)
-        vals = arr[kk_idx]
-        return np.where(inside, vals, 0.0)
-
-    c1, c2, c3 = f1.coeffs, f2.coeffs, f3.coeffs
-    xi3_of = lambda kk: kk * dom.dxi
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    out = np.zeros(n, dtype=np.complex128)
-    constrained = dom.kind == "torus"
-    for i, kk in enumerate(k):
-        K3 = kk - K1 - K2
-        mask = (K3 >= kmin) & (K3 <= kmax)
-        if constrained:
-            mask &= (K1 != kk) & (K2 != kk)
-        term = (c1[np.mod(K1, n)] * c2[np.mod(K2, n)]
-                * (1j * xi3_of(K3)) * fetch(c3, K3))
-        acc = np.sum(np.where(mask, term, 0.0))
-        if constrained and -kk >= kmin and -kk <= kmax:
-            acc += c1[i] * c2[i] * (1j * kk * dom.dxi) * c3[np.mod(-kk, n)]
-        out[i] = acc
-    out *= dom.dxi ** 2 / TWO_PI
-    out[n // 2] = 0.0  # the fold mode is outside both paths' contract
-    return SpectralField(dom, out)
-
-
 # ---------------------------------------------------------------------------
 # quintic term
 # ---------------------------------------------------------------------------
@@ -192,45 +143,6 @@ def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     out -= (i12 * t345 + i34 * t125) / TWO_PI
     out += 2.0 * (i12 * i34) * cs[4] / TWO_PI ** 2
     return out
-
-
-def quintic_Q_fourier(fs: list[SpectralField]) -> SpectralField:
-    """Constrained-convolution oracle for the quintic term.
-
-    Torus: sum over k1+..+k5 = k excluding k1+k2+k3+k4 = 0, k1+k2 = 0 and
-    k3+k4 = 0.  Line: the plain sum.  O(n^4) per output mode, hence the
-    limit n <= 32.
-    """
-    if len(fs) != 5:
-        raise ValueError("need exactly five factors")
-    dom = fs[0].domain
-    for f in fs[1:]:
-        dom.require_same(f.domain)
-    n = dom.n_points
-    if n > 32:
-        raise SizeLimitError("quintic oracle limited to n <= 32")
-    k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    kmin, kmax = k.min(), k.max()
-    c = [f.coeffs for f in fs]
-    K1 = k[:, None, None, None]
-    K2 = k[None, :, None, None]
-    K3 = k[None, None, :, None]
-    K4 = k[None, None, None, :]
-    a = (c[0][:, None, None, None] * c[1][None, :, None, None]
-         * c[2][None, None, :, None] * c[3][None, None, None, :])
-    ksum = K1 + K2 + K3 + K4
-    base_mask = np.ones(ksum.shape, dtype=bool)
-    if dom.kind == "torus":
-        base_mask &= (ksum != 0) & ((K1 + K2) != 0) & ((K3 + K4) != 0)
-    out = np.zeros(n, dtype=np.complex128)
-    for i, kk in enumerate(k):
-        K5 = kk - ksum
-        mask = base_mask & (K5 >= kmin) & (K5 <= kmax)
-        term = a * c[4][np.mod(K5, n)]
-        out[i] = np.sum(np.where(mask, term, 0.0))
-    out *= dom.dxi ** 4 / TWO_PI ** 2
-    out[n // 2] = 0.0  # the fold mode is outside both paths' contract
-    return SpectralField(dom, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Time evolution: exact free evolution, exponential integrators, the
-Duhamel fixed-point iteration, and exact lattice rescaling.
+"""Time evolution: exact free evolution, exponential integrators and
+exact lattice rescaling.
 
 The linear part is diagonal in frequency, (U_t f)^(xi) = exp(-i t xi^2) fhat,
 and is treated exactly (`free_evolution` applies it to coefficients).  The
@@ -29,14 +29,13 @@ row), so each member gets exactly the bits of its own solve.  The checks
 are per member: on the line each member must vanish at the box edges,
 and a member blows up when its sup grows by BLOWUP_FACTOR over its own
 initial sup or turns non-finite; BlowUpError carries the earliest time at
-which any member does.  `picard_iterate` uses the same forcing with the
-time slices as its batch.  A forcing call is one kernel call on
+which any member does.  A forcing call is one kernel call on
 coefficients, 2 FFTs in the gauged form and 6 in the original one (its
 grid round trip included: see the nonlinear module), so a step makes
 4 x 2 + 1 or 4 x 6 + 1, the 1 being the new slice's.
-The forcing owns the right-hand side's work arrays and per-shape constants,
-one set per input shape: a march builds them once instead of on every
-call, and they are freed with the forcing rather than held by a
+The forcing owns the right-hand side's work arrays and constants for the
+one input shape it is made for: a march builds them once instead of on
+every call, and they are freed with the forcing rather than held by a
 module-level cache, which would outlive the solve.
 
 The march allocates no stage, work or slice array per step (the blow-up
@@ -236,20 +235,17 @@ def _ifrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl, stages) -> None:
     np.add(ec, y, out=c)
 
 
-def make_spectral_forcing(cfg: SolverConfig):
+def make_spectral_forcing(cfg: SolverConfig, shape: tuple):
     """Duhamel forcing N(u) = -i * rhs(u) as a map nl(c, out=None) on
-    coefficient arrays (..., n), row by row, with one set of the right-hand
-    side's work arrays per input shape it meets.  N is written into out
+    coefficient arrays c of the given shape (..., n), row by row, with the
+    right-hand side's work arrays for that shape.  N is written into out
     when given (a stepper's stage buffer), and into a fresh array
     otherwise: the work arrays hold the kernel's result only until the next
     call."""
-    dom, nonlin, pad = cfg.domain, cfg.nonlinearity, cfg.pad_factor
-    works: dict[tuple, dict] = {}
+    dom, nonlin = cfg.domain, cfg.nonlinearity
+    work = rhs_work(dom, nonlin, shape, cfg.pad_factor)
 
     def nl(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        work = works.get(c.shape)
-        if work is None:
-            work = works[c.shape] = rhs_work(dom, nonlin, c.shape, pad)
         rhs = rhs_gauged if nonlin.gauged else rhs_original
         return np.multiply(-1j, rhs(SpectralField(dom, c), nonlin, work).coeffs, out=out)
 
@@ -274,11 +270,11 @@ def solve(u0: GridFunction, cfg: SolverConfig, each=None) -> Trajectory | None:
     cfg.domain.require_same(u0.domain)
     check_edge_decay(u0, "initial data on the line")
     coeffs = _EtdrkCoefficients(cfg.domain, cfg.dt)
-    nl = make_spectral_forcing(cfg)
     step = _etdrk4_step if cfg.integrator == "etdrk4" else _ifrk4_step
 
     n_steps = cfg.n_steps
     c = u0.to_spectral().coeffs.copy()
+    nl = make_spectral_forcing(cfg, c.shape)
     stages = tuple(np.empty((STAGES,) + c.shape, dtype=np.complex128))
     # a member's sup must stay <= its limit, which is finite: zero data may
     # grow but not turn non-finite
@@ -301,62 +297,6 @@ def solve(u0: GridFunction, cfg: SolverConfig, each=None) -> Trajectory | None:
         if not keep:
             each(j, vals)
     return Trajectory(cfg.domain, cfg.dt * np.arange(n_steps + 1), slices) if keep else None
-
-
-@dataclass
-class PicardResult:
-    trajectory: Trajectory
-    diff_norms: list[float]
-    contracted: bool
-
-
-def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardResult:
-    """Fixed-point iteration of the Duhamel map on [0, t_final].
-
-    Starts from the free evolution and repeatedly applies
-    v -> U_t u0 + int_0^t U_{t-t'} N(v)(t') dt' with trapezoid quadrature on
-    the cfg time grid.  Returns the last iterate together with the
-    successive-difference norms max_t ||v_{m+1} - v_m||_{L^2}; iteration
-    stops early (with contracted = False) once the ratios fail to stay
-    below 1 three times in a row.
-    """
-    cfg.domain.require_same(u0.domain)
-    check_edge_decay(u0, "initial data on the line")
-    dom = cfg.domain
-    nl = make_spectral_forcing(cfg)
-    n_steps = cfg.n_steps
-    times = cfg.dt * np.arange(n_steps + 1)
-    c0 = u0.to_spectral().coeffs
-    fwd = _free_phases(dom, times.tobytes())
-    bwd = np.conj(fwd)
-    v = fwd * c0[None, :]
-
-    def advance(vcur: np.ndarray) -> np.ndarray:
-        # one forcing call on all slices, then the cumulative trapezoid
-        integrand = bwd * nl(vcur)
-        panels = 0.5 * cfg.dt * (integrand[:-1] + integrand[1:])
-        cum = np.concatenate((np.zeros_like(integrand[:1]),
-                              np.cumsum(panels, axis=0)))
-        return fwd * (c0[None, :] + cum)
-
-    diffs: list[float] = []
-    contracted = True
-    bad_streak = 0
-    for _ in range(n_iter):
-        v_next = advance(v)
-        d = float(np.max(np.sqrt(
-            np.sum(np.abs(v_next - v) ** 2, axis=1) * dom.dxi)))
-        diffs.append(d)
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            bad_streak = bad_streak + 1 if diffs[-1] >= diffs[-2] else 0
-            if bad_streak >= 3:
-                contracted = False
-                v = v_next
-                break
-        v = v_next
-
-    traj = Trajectory(dom, times, SpectralField(dom, v).to_grid().values)
-    return PicardResult(traj, diffs, contracted)
 
 
 def rescale(traj: Trajectory, sigma: int) -> Trajectory:

@@ -20,6 +20,9 @@ for bit to one call per member; ysb_norm takes a single field.  They also
 read a compact field (SpaceTimeField.rows) in place, one value per window
 and member (_rows): a row it leaves out adds what a zero row adds (0, or
 NaN where the weight overflowed), so each value keeps the dense bits.
+The exact lattice constant C of Y^{s,b1} <= C X^{s,b2}, which the
+acceptance tests check ysb_norm and xsb_norm against, is a test helper
+(tests/tests_support.py), since no run needs it.
 
 Restriction norms over a finite time interval are handled through one
 canonical windowed extension (window_trajectory): multiply the
@@ -156,20 +159,6 @@ def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
 
 def cal_y_norm(u: SpaceTimeField, s: float, b: float):
     return _low_plus_sup(block_norms(u, s, b, space="Y"))
-
-
-def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:
-    """Exact Cauchy-Schwarz constant with Y^{s,b1} <= C X^{s,b2,+} on u's lattice.
-
-    C = max_xi sqrt(sum_tau <tau + xi^2>^{2(b1-b2)} dtau); the inequality
-    then holds verbatim for every field on the lattice.
-    """
-    if not b2 > b1 + 0.5:
-        raise ValueError("need b2 > b1 + 1/2")
-    xi = u.domain.xi[:, None]
-    tau = u.lattice.tau[None, :]
-    s = np.sum(bracket(tau + xi ** 2) ** (2.0 * (b1 - b2)), axis=1) * u.lattice.dtau
-    return float(np.sqrt(np.max(s)))
 
 
 def plateau(times: np.ndarray, T: float) -> np.ndarray:

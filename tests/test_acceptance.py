@@ -16,19 +16,18 @@ from dnls_lab.fields import Domain, GridFunction
 from dnls_lab.gauge import gauge_forward, gauge_inverse, gauge_trajectory
 from dnls_lab.multipliers import (REGIME_LABELS, resonance_residuals,
                                   resonance_scale, sample_points)
-from dnls_lab.nonlinear import (NonlinearityConfig, quintic_Q_fourier,
-                                quintic_Q_general_slices, trilinear_T_fourier,
+from dnls_lab.nonlinear import (NonlinearityConfig, quintic_Q_general_slices,
                                 trilinear_T_slices)
 from dnls_lab.probes import (domination_scan, multilinear_probe,
                              trilinear_probe)
 from dnls_lab.sampling import (gaussian_packet, plane_wave, random_band_field,
                                random_decaying_field, scaled_to_besov,
                                scaled_to_h1)
-from dnls_lab.solver import SolverConfig, picard_iterate, rescale, solve
-from dnls_lab.spaces import (besov_norm, sobolev_norm, xsb_norm,
-                             xy_embedding_constant, ysb_norm)
+from dnls_lab.solver import SolverConfig, rescale, solve
+from dnls_lab.spaces import besov_norm, sobolev_norm, xsb_norm, ysb_norm
 
-from tests_support import conj_flip
+from tests_support import (conj_flip, picard_iterate, quintic_Q_fourier,
+                           trilinear_T_fourier, xy_embedding_constant)
 
 
 def report(name: str, passed: bool, detail: str):

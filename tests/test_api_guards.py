@@ -119,19 +119,14 @@ class TestBenchmarkSeam:
 
 
 # Functions of src that no src code names (the AST scan) or that no golden
-# run enters (the reach scan), kept on purpose, as module.qualname; an entry
-# covers the functions nested in it.  The tracer's targets are kept as well,
-# without an entry here.
+# run enters (the reach scan), kept on purpose because a caller outside src
+# needs them, as module.qualname; an entry covers the functions nested in it.
+# The tracer's targets are kept as well, without an entry here.  What only
+# tests call lives in tests/tests_support.py, not here.
 KEEP = {
-    "nonlinear.trilinear_T_fourier": "brute-force Fourier oracle of the trilinear form",
-    "nonlinear.quintic_Q_fourier": "brute-force Fourier oracle of the quintic form",
     "nonlinear.power_nonlinearity": "a tracer target and tests_support's bitwise "
                                     "reference of the original right-hand side, until "
                                     "that kernel drops its grid round trip",
-    "solver.picard_iterate": "the Duhamel fixed point of acceptance criterion A10",
-    "spaces.xy_embedding_constant": "the Y <= C X embedding of acceptance criterion A9",
-    "gauge.psi_functional": "the gauged torus flow's invariant, for the planned "
-                            "health checks",
     "io.read_field": "the only decoder of the CLI's field dumps",
     "fields.SpaceTimeField.to_time_values": "the inverse space-time transform: "
                                             "perfbench/layertrace.py's install wraps it "

@@ -9,13 +9,14 @@ from dnls_lab import gauge
 from dnls_lab.errors import ConservationError, EdgeDecayError, WrongDomainError
 from dnls_lab.fields import SQRT_2PI, Domain, GridFunction, Trajectory
 from dnls_lab.gauge import (_torus_mus, gauge_forward, gauge_inverse, gauge_phase,
-                            gauge_report, gauge_trajectory, psi_functional)
+                            gauge_report, gauge_trajectory)
 from dnls_lab.sampling import gaussian_packet, plane_wave, random_decaying_field
 from dnls_lab.scenarios import _gauge_equivalence_discrepancy
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import besov_norm
 
-from tests_support import gauge_equivalence_reference, traced_peak, zero_grid
+from tests_support import (gauge_equivalence_reference, psi_functional,
+                           traced_peak, zero_grid)
 
 TORUS = Domain("torus", 256)
 LINE = Domain("line", 512, 4)

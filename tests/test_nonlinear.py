@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from dnls_lab.errors import ParameterError, SizeLimitError
+from dnls_lab.errors import ParameterError
 from dnls_lab.fields import (Domain, GridFunction, SpectralField, _deriv_mult,
                              dealiased_product_coeffs, padded_values)
+from dnls_lab.gauge import gauge_forward
 from dnls_lab.nonlinear import (NonlinearityConfig, power_nonlinearity,
-                                quintic_Q_fourier, quintic_Q_general_slices,
-                                rhs_gauged, rhs_original, rhs_work,
-                                trilinear_T_fourier, trilinear_T_slices)
+                                quintic_Q_general_slices, rhs_gauged,
+                                rhs_original, rhs_work, trilinear_T_slices)
 from dnls_lab.sampling import gaussian_packet, plane_wave, random_band_field
-from tests_support import (conj_flip, gauged_rhs_reference, original_rhs_reference,
-                           zero_grid, zero_spectral)
+from tests_support import (SizeLimitError, conj_flip, gauged_rhs_reference,
+                           original_rhs_reference, quintic_Q_fourier,
+                           solitary_wave, trilinear_T_fourier, zero_grid,
+                           zero_spectral)
 
 
 def random_small_field(n, seed, band=None, kind="torus", scale=1):
@@ -172,6 +174,54 @@ class TestEnergy:
         u = GridFunction(self.LINE, self.PACKETS[packet])
         assert abs(energy_rate(u, 1.0, 1, cubic=1.0)) >= 1e-3
         assert abs(energy_rate(u, 1.0, 1, sextic=0.25)) >= 1e-3
+
+
+def wave_residual(omega, c, drift, gauged) -> float:
+    """max |i u_t + u_xx - rhs(u)| / max |rhs(u)| at t = 0 for the solitary
+    wave (omega, c) on TestSolitaryWave.LINE with lam = 0, where
+    u_t = i omega u + drift u_x (the wave's own when drift = c), and the
+    gauged kernel acts on gauge_forward(u)."""
+    dom = TestSolitaryWave.LINE
+    u = solitary_wave(dom, omega, c)
+    if gauged:
+        u = gauge_forward(u)
+    v = u.to_spectral()
+    d = _deriv_mult(dom)
+    rhs = with_work(rhs_gauged if gauged else rhs_original, v,
+                    NonlinearityConfig(0.0, 0, gauged)).coeffs
+    ut = 1j * omega * v.coeffs + drift * d * v.coeffs
+    return float(np.max(np.abs(1j * ut + d * d * v.coeffs - rhs)) / np.max(np.abs(rhs)))
+
+
+class TestSolitaryWave:
+    """The exact travelling wave (tests_support.solitary_wave) solves the
+    equation, so each kernel must balance i u_t + u_xx on it to roundoff:
+    an oracle of the equation, signs and constants included, and of the
+    line machinery.  The gauged wave gauge_forward(u) is a function of
+    x + c t times exp(i omega t) too (its phase integrates |u|^2 from the
+    left edge), so it obeys the same u_t.  n = 1024 leaves (1, 0.5)
+    under-resolved (residual 2.3e-6)."""
+
+    LINE = Domain("line", 2048, 16)
+    WAVES = [(1.0, 0.5), (1.0, -1.0)]
+
+    @pytest.mark.parametrize("omega,c", WAVES)
+    @pytest.mark.parametrize("gauged", [False, True], ids=["original", "gauged"])
+    def test_kernel_balances_the_wave(self, omega, c, gauged):
+        assert wave_residual(omega, c, c, gauged) <= 1e-10
+
+    @pytest.mark.parametrize("omega,c", WAVES)
+    @pytest.mark.parametrize("gauged", [False, True], ids=["original", "gauged"])
+    def test_wave_moving_the_other_way_does_not_balance(self, omega, c, gauged):
+        # the check bites: the same profile with the opposite velocity in u_t
+        assert wave_residual(omega, c, -c, gauged) >= 0.1
+
+    @pytest.mark.parametrize("omega,c", WAVES)
+    def test_mass_is_eight_arctan_q(self, omega, c):
+        u = solitary_wave(self.LINE, omega, c)
+        q = np.sqrt((2.0 * np.sqrt(omega) + c) / (2.0 * np.sqrt(omega) - c))
+        mass = np.sum(np.abs(u.values) ** 2) * self.LINE.dx
+        assert mass == pytest.approx(8.0 * np.arctan(q), rel=1e-12)
 
 
 class TestTrilinear:

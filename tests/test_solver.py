@@ -11,11 +11,10 @@ from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
 from dnls_lab.scenarios import _plane_wave_solve
 from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
-                             make_spectral_forcing, picard_iterate, rescale,
-                             solve)
+                             make_spectral_forcing, rescale, solve)
 from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
-                           original_rhs_reference, reference_march, reverse,
-                           traced_peak, unit_mass, zero_grid)
+                           original_rhs_reference, picard_iterate, reference_march,
+                           reverse, traced_peak, unit_mass, zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -350,8 +349,9 @@ class TestForcingWork:
     def test_fft_calls_per_forcing_call(self, monkeypatch, dom, batch, gauged,
                                         ffts, lam, k):
         calls = count_ffts(monkeypatch)
-        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=gauged))
         c = np.random.default_rng(15).normal(size=batch + (dom.n_points,)) + 0j
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=gauged),
+                                   c.shape)
         out = nl(c)
         assert out.shape == c.shape
         assert calls["fft"] + calls["ifft"] == ffts
@@ -468,9 +468,9 @@ class TestForcingWorkArrays:
                              ids=["torus", "line"])
     @pytest.mark.parametrize("gauged,lam,k", FORMS)
     def test_output_survives_a_later_call(self, dom, gauged, lam, k):
-        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k,
-                                             gauged=gauged))
         a, b = _coeff_rows(dom, 2, seed=31)
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k,
+                                             gauged=gauged), a.shape)
         first = nl(a)
         kept = first.copy()
         second = nl(b)
@@ -482,15 +482,13 @@ class TestForcingWorkArrays:
     @pytest.mark.parametrize("gauged,lam,k", FORMS)
     def test_shapes_in_turn_give_each_row_its_own_result(self, dom, gauged,
                                                          lam, k):
+        # one forcing per shape: the single-row one takes the rows in turn
         cfg = small_cfg(dom=dom, lam=lam, k=k, gauged=gauged)
         rows = _coeff_rows(dom, 3, seed=32)
-        single = [make_spectral_forcing(cfg)(r) for r in rows]
-        nl = make_spectral_forcing(cfg)
-        before = nl(rows[1])
-        batch = nl(rows)
-        after = nl(rows[2])
-        pairs = [(before, single[1]), (after, single[2])] + list(zip(batch, single))
-        for got, want in pairs:
+        nl_row = make_spectral_forcing(cfg, rows[0].shape)
+        single = [nl_row(r) for r in rows]
+        batch = make_spectral_forcing(cfg, rows.shape)(rows)
+        for got, want in zip(batch, single):
             if gauged:
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             else:
@@ -508,7 +506,7 @@ class TestForcingWorkArrays:
         c = _coeff_rows(dom, max(batch, default=1), seed=n + k).reshape(
             batch + (n,))
         want = -1j * original_rhs_reference(SpectralField(dom, c), lam, k, 4)
-        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k))
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k), c.shape)
         assert np.array_equal(nl(c), want)
         assert np.array_equal(nl(c), want)
 
@@ -522,7 +520,8 @@ class TestForcingWorkArrays:
         c = _coeff_rows(dom, max(batch, default=1), seed=40 + k).reshape(
             batch + (dom.n_points,))
         want = -1j * gauged_rhs_reference(SpectralField(dom, c), lam, k)
-        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=True))
+        nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=True),
+                                   c.shape)
         assert np.array_equal(nl(c), want)
         assert np.array_equal(nl(c), want)
 
@@ -555,7 +554,7 @@ class TestPicard:
         rng = np.random.default_rng(14)
         u0 = scaled_to_h1(random_band_field(dom, rng, band=8.0).to_grid(), 0.3)
         cfg = small_cfg(dom=dom, lam=1.0, k=1, gauged=gauged, dt=2e-3, T=0.02)
-        nl = make_spectral_forcing(cfg)
+        nl = make_spectral_forcing(cfg, (dom.n_points,))
         times = cfg.dt * np.arange(cfg.n_steps + 1)
         c0 = u0.to_spectral().coeffs
         fwd = np.exp(-1j * times[:, None] * dom.xi[None, :] ** 2)

@@ -8,13 +8,14 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeF
                              SpectralField, _conj_reverse)
 from dnls_lab.sampling import random_band_field
 from dnls_lab.solver import free_evolution
-from dnls_lab.frequency import dyadic_multiplier, dyadic_range
+from dnls_lab.frequency import bracket, dyadic_multiplier, dyadic_range
 from dnls_lab.spaces import (_chi_sq, _low_plus_sup, _xsb_weight, _zero_row_terms,
                              besov_norm, block_norms, cal_y_norm, frak_x_norm,
                              plateau, sobolev_norm, window_trajectory, xsb_norm,
-                             xy_embedding_constant, ysb_norm)
+                             ysb_norm)
 
-from tests_support import random_spacetime, unit_mass, zero_spacetime, zero_spectral
+from tests_support import (random_spacetime, unit_mass, xy_embedding_constant,
+                           zero_spacetime, zero_spectral)
 
 TORUS = Domain("torus", 64)
 
@@ -121,6 +122,22 @@ class TestSpaceTimeNorms:
             c = xy_embedding_constant(u, 0.0, 0.55)
             assert ysb_norm(u, 0.5, 0.0) <= c * xsb_norm(u, 0.5, 0.55, +1) * (1 + 1e-12)
 
+    def test_xy_embedding_constant_is_attained(self):
+        # the Cauchy-Schwarz extremal of one xi row, |u| = <tau + xi^2>^(b1 - 2 b2),
+        # has Y^{s,b1} / X^{s,b2} equal to that row's constant, so the largest
+        # ratio over the rows is C itself: a constant that is too large (which
+        # the inequality above lets pass) fails here
+        lat = random_spacetime(0, n=16, n_t=64).lattice
+        sigma = bracket(lat.tau[None, :] + lat.domain.xi[:, None] ** 2)
+        ratios = []
+        for row in range(lat.domain.n_points):
+            coeffs = np.zeros(sigma.shape, dtype=np.complex128)
+            coeffs[row] = sigma[row] ** (0.0 - 2 * 0.55)
+            v = SpaceTimeField(lat, coeffs)
+            ratios.append(ysb_norm(v, 0.5, 0.0) / xsb_norm(v, 0.5, 0.55, +1))
+        c = xy_embedding_constant(zero_spacetime(lat), 0.0, 0.55)
+        assert max(ratios) == pytest.approx(c, rel=1e-12)
+
     def test_single_block_field_frak_equals_xsb(self):
         dom = Domain("torus", 64)
         dt = 0.05
@@ -133,7 +150,7 @@ class TestSpaceTimeNorms:
         # handled by taking a pure mode at xi = 3? both N=2 and N=4 see it)
         fr = frak_x_norm(u, 0.5, 0.5, +1)
         # compare against direct decomposition
-        from dnls_lab.frequency import dyadic_multiplier, dyadic_range
+        from dnls_lab.frequency import bracket, dyadic_multiplier, dyadic_range
         ns = dyadic_range(dom.xi_max)
         blocks = []
         for n in ns:
@@ -144,7 +161,7 @@ class TestSpaceTimeNorms:
 
     def test_frak_below_block_sum(self):
         u = random_spacetime(6)
-        from dnls_lab.frequency import dyadic_multiplier, dyadic_range
+        from dnls_lab.frequency import bracket, dyadic_multiplier, dyadic_range
         ns = dyadic_range(u.domain.xi_max)
         total = 0.0
         for n in ns:

@@ -1,23 +1,30 @@
-"""Helpers shared across test modules."""
+"""Helpers shared across test modules, and the oracles and reference
+computations that only tests call (the brute-force Fourier oracles, the
+Duhamel iteration, the Y <= C X constant, the gauged torus functional psi,
+the exact solitary wave): src holds what a run reaches."""
 
 import functools
 import importlib.util
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from dnls_lab.errors import DnlsLabError, WrongDomainError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, Trajectory,
                              _conj_reverse, _deriv_mult, _min_pad_factor,
-                             dealiased_product_coeffs, padded_values,
-                             truncated_coeffs)
-from dnls_lab.gauge import gauge_forward, gauge_trajectory
-from dnls_lab.nonlinear import NonlinearityConfig, power_nonlinearity
+                             check_edge_decay, dealiased_product_coeffs,
+                             padded_values, truncated_coeffs)
+from dnls_lab.frequency import bracket
+from dnls_lab.gauge import _torus_mus, gauge_forward, gauge_trajectory
+from dnls_lab.nonlinear import TWO_PI, NonlinearityConfig, power_nonlinearity
 from dnls_lab.sampling import gaussian_packet, scaled_to_h1
 from dnls_lab.scenarios import _mass_drift, _smooth_torus_data
-from dnls_lab.solver import SolverConfig, _EtdrkCoefficients, solve
+from dnls_lab.solver import (SolverConfig, _EtdrkCoefficients, _free_phases,
+                             make_spectral_forcing, solve)
 from dnls_lab.spaces import besov_norm
 
 
@@ -44,6 +51,185 @@ def unit_mass(dom: Domain, xi: float) -> SpectralField:
 def conj_flip(f: SpectralField) -> SpectralField:
     """Coefficients of the complex conjugate: (conj u)^(xi) = conj(u^(-xi))."""
     return SpectralField(f.domain, _conj_reverse(f.coeffs))
+
+
+class SizeLimitError(DnlsLabError):
+    """Brute-force oracle invoked beyond its intended grid size."""
+
+
+def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
+                        f3: SpectralField) -> SpectralField:
+    """Constrained-convolution oracle for the trilinear term.
+
+    Torus: sum over k1+k2+k3 = k with k1, k2 != k, plus the diagonal term
+    f1(k) f2(k) (i xi(k)) f3(-k).  Line: the plain convolution sum.  Cost
+    is O(n^2) per output mode, hence the limit n <= 64.
+    """
+    dom = f1.domain
+    dom.require_same(f2.domain)
+    dom.require_same(f3.domain)
+    n = dom.n_points
+    if n > 64:
+        raise SizeLimitError("trilinear oracle limited to n <= 64")
+    k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)  # integer mode index
+    kmin, kmax = k.min(), k.max()
+    pos = np.argsort(k)          # position of mode value k in ascending order
+    sorted_k = k[pos]
+
+    def fetch(arr, kk):
+        # coefficient at integer mode kk (0 outside the lattice)
+        inside = (kk >= kmin) & (kk <= kmax)
+        kk_idx = np.mod(kk, n)
+        vals = arr[kk_idx]
+        return np.where(inside, vals, 0.0)
+
+    c1, c2, c3 = f1.coeffs, f2.coeffs, f3.coeffs
+    xi3_of = lambda kk: kk * dom.dxi
+    K1, K2 = np.meshgrid(k, k, indexing="ij")
+    out = np.zeros(n, dtype=np.complex128)
+    constrained = dom.kind == "torus"
+    for i, kk in enumerate(k):
+        K3 = kk - K1 - K2
+        mask = (K3 >= kmin) & (K3 <= kmax)
+        if constrained:
+            mask &= (K1 != kk) & (K2 != kk)
+        term = (c1[np.mod(K1, n)] * c2[np.mod(K2, n)]
+                * (1j * xi3_of(K3)) * fetch(c3, K3))
+        acc = np.sum(np.where(mask, term, 0.0))
+        if constrained and -kk >= kmin and -kk <= kmax:
+            acc += c1[i] * c2[i] * (1j * kk * dom.dxi) * c3[np.mod(-kk, n)]
+        out[i] = acc
+    out *= dom.dxi ** 2 / TWO_PI
+    out[n // 2] = 0.0  # the fold mode is outside both paths' contract
+    return SpectralField(dom, out)
+
+
+def quintic_Q_fourier(fs: list[SpectralField]) -> SpectralField:
+    """Constrained-convolution oracle for the quintic term.
+
+    Torus: sum over k1+..+k5 = k excluding k1+k2+k3+k4 = 0, k1+k2 = 0 and
+    k3+k4 = 0.  Line: the plain sum.  O(n^4) per output mode, hence the
+    limit n <= 32.
+    """
+    if len(fs) != 5:
+        raise ValueError("need exactly five factors")
+    dom = fs[0].domain
+    for f in fs[1:]:
+        dom.require_same(f.domain)
+    n = dom.n_points
+    if n > 32:
+        raise SizeLimitError("quintic oracle limited to n <= 32")
+    k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+    kmin, kmax = k.min(), k.max()
+    c = [f.coeffs for f in fs]
+    K1 = k[:, None, None, None]
+    K2 = k[None, :, None, None]
+    K3 = k[None, None, :, None]
+    K4 = k[None, None, None, :]
+    a = (c[0][:, None, None, None] * c[1][None, :, None, None]
+         * c[2][None, None, :, None] * c[3][None, None, None, :])
+    ksum = K1 + K2 + K3 + K4
+    base_mask = np.ones(ksum.shape, dtype=bool)
+    if dom.kind == "torus":
+        base_mask &= (ksum != 0) & ((K1 + K2) != 0) & ((K3 + K4) != 0)
+    out = np.zeros(n, dtype=np.complex128)
+    for i, kk in enumerate(k):
+        K5 = kk - ksum
+        mask = base_mask & (K5 >= kmin) & (K5 <= kmax)
+        term = a * c[4][np.mod(K5, n)]
+        out[i] = np.sum(np.where(mask, term, 0.0))
+    out *= dom.dxi ** 4 / TWO_PI ** 2
+    out[n // 2] = 0.0  # the fold mode is outside both paths' contract
+    return SpectralField(dom, out)
+
+
+def psi_functional(v: GridFunction) -> float:
+    """Scalar mean functional of the gauged torus flow:
+    (1/2pi) int (2 Im(v d_x conj(v)) - |v|^4 / 2) dx + mu(v)^2, with
+    mu(v) = ||v||_{L^2}^2 / (2 pi)."""
+    if v.domain.kind != "torus":
+        raise WrongDomainError("psi is defined on the torus")
+    dom = v.domain
+    c = v.to_spectral()
+    dxv = SpectralField(dom, _deriv_mult(dom) * c.coeffs).to_grid()
+    # band(v * conj(d_x v)) < n, so the plain grid sum integrates it exactly
+    term_im = float(np.sum(2.0 * np.imag(v.values * np.conj(dxv.values))) * dom.dx)
+    # |v|^4 has twice that band; sample it alias-free on a refined grid
+    nf = 4 * dom.n_points
+    vf = padded_values(dom, c.coeffs, nf)
+    term_quartic = float(np.sum(np.abs(vf) ** 4) * (dom.period / nf))
+    mu = float(_torus_mus(v.values, dom))
+    return (term_im - 0.5 * term_quartic) / (2.0 * np.pi) + mu ** 2
+
+
+def xy_embedding_constant(u: SpaceTimeField, b1: float, b2: float) -> float:
+    """Exact Cauchy-Schwarz constant with Y^{s,b1} <= C X^{s,b2,+} on u's lattice.
+
+    C = max_xi sqrt(sum_tau <tau + xi^2>^{2(b1-b2)} dtau); the inequality
+    then holds verbatim for every field on the lattice.
+    """
+    if not b2 > b1 + 0.5:
+        raise ValueError("need b2 > b1 + 1/2")
+    xi = u.domain.xi[:, None]
+    tau = u.lattice.tau[None, :]
+    s = np.sum(bracket(tau + xi ** 2) ** (2.0 * (b1 - b2)), axis=1) * u.lattice.dtau
+    return float(np.sqrt(np.max(s)))
+
+
+@dataclass
+class PicardResult:
+    trajectory: Trajectory
+    diff_norms: list[float]
+    contracted: bool
+
+
+def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardResult:
+    """Fixed-point iteration of the Duhamel map on [0, t_final].
+
+    Starts from the free evolution and repeatedly applies
+    v -> U_t u0 + int_0^t U_{t-t'} N(v)(t') dt' with trapezoid quadrature on
+    the cfg time grid.  Returns the last iterate together with the
+    successive-difference norms max_t ||v_{m+1} - v_m||_{L^2}; iteration
+    stops early (with contracted = False) once the ratios fail to stay
+    below 1 three times in a row.
+    """
+    cfg.domain.require_same(u0.domain)
+    check_edge_decay(u0, "initial data on the line")
+    dom = cfg.domain
+    nl = make_spectral_forcing(cfg, (cfg.n_steps + 1, dom.n_points))
+    n_steps = cfg.n_steps
+    times = cfg.dt * np.arange(n_steps + 1)
+    c0 = u0.to_spectral().coeffs
+    fwd = _free_phases(dom, times.tobytes())
+    bwd = np.conj(fwd)
+    v = fwd * c0[None, :]
+
+    def advance(vcur: np.ndarray) -> np.ndarray:
+        # one forcing call on all slices, then the cumulative trapezoid
+        integrand = bwd * nl(vcur)
+        panels = 0.5 * cfg.dt * (integrand[:-1] + integrand[1:])
+        cum = np.concatenate((np.zeros_like(integrand[:1]),
+                              np.cumsum(panels, axis=0)))
+        return fwd * (c0[None, :] + cum)
+
+    diffs: list[float] = []
+    contracted = True
+    bad_streak = 0
+    for _ in range(n_iter):
+        v_next = advance(v)
+        d = float(np.max(np.sqrt(
+            np.sum(np.abs(v_next - v) ** 2, axis=1) * dom.dxi)))
+        diffs.append(d)
+        if len(diffs) >= 2 and diffs[-2] > 0:
+            bad_streak = bad_streak + 1 if diffs[-1] >= diffs[-2] else 0
+            if bad_streak >= 3:
+                contracted = False
+                v = v_next
+                break
+        v = v_next
+
+    traj = Trajectory(dom, times, SpectralField(dom, v).to_grid().values)
+    return PicardResult(traj, diffs, contracted)
 
 
 def original_rhs_reference(v: SpectralField, lam, k, pad_factor) -> np.ndarray:
@@ -262,6 +448,31 @@ def besov_endpoint_data(dom: Domain, rng) -> GridFunction:
     coeffs = np.where(band, (1.0 + xi ** 2) ** -0.5, 0.0) * np.exp(
         2j * np.pi * rng.random(dom.n_points))
     return SpectralField(dom, coeffs / besov_norm(SpectralField(dom, coeffs), 0.5)).to_grid()
+
+
+def solitary_wave(dom: Domain, omega: float, c: float) -> GridFunction:
+    """The travelling wave u(t, x) = exp(i omega t) phi(-x - c t) of
+    i u_t + u_xx = i (|u|^2 u)_x at t = 0, sampled on the line dom, with
+
+        kappa = sqrt(4 omega - c^2)                  (4 omega > c^2)
+        q = sqrt((2 sqrt(omega) + c) / (2 sqrt(omega) - c))
+        Phi(y)^2 = kappa^2 / (sqrt(omega) cosh(kappa y) - c / 2)
+        m(y) = 4 (arctan(q tanh(kappa y / 2)) + arctan q),  m' = Phi^2
+        phi(y) = Phi(y) exp(i c y / 2 - (3i / 4) m(y)),
+
+    so that u_t = i omega u + c u_x and the mass is m(inf) = 8 arctan q,
+    below 4 pi (Colin & Ohta, Ann. IHP Anal. Non Lineaire 23 (2006); Kaup &
+    Newell, J. Math. Phys. 19 (1978)).  |u| decays like exp(-kappa |x| / 2),
+    which the box must hold."""
+    if not 4.0 * omega > c ** 2:
+        raise ValueError("need 4 omega > c^2")
+    kappa = np.sqrt(4.0 * omega - c ** 2)
+    root = np.sqrt(omega)
+    q = np.sqrt((2.0 * root + c) / (2.0 * root - c))
+    y = -dom.x
+    phi_sq = kappa ** 2 / (root * np.cosh(kappa * y) - c / 2.0)
+    m = 4.0 * (np.arctan(q * np.tanh(kappa * y / 2.0)) + np.arctan(q))
+    return GridFunction(dom, np.sqrt(phi_sq) * np.exp(1j * c * y / 2.0 - 0.75j * m))
 
 
 def count_ffts(monkeypatch) -> dict:
