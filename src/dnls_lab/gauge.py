@@ -88,7 +88,7 @@ def gauge_inverse(g: GridFunction) -> GridFunction:
     return GridFunction(g.domain, np.exp(+1j * gauge_phase(g)) * g.values)
 
 
-def gauge_trajectory(traj: Trajectory, inverse: bool = False) -> Trajectory:
+def gauge_trajectory(traj: Trajectory, inverse: bool) -> Trajectory:
     """Gauge every slice in place and return traj; on the torus also
     translate by 2 mu t.
 

@@ -33,7 +33,7 @@ def _ascending_order(domain: Domain) -> np.ndarray:
     return np.argsort(domain.xi, kind="stable")
 
 
-def write_field(path, f: SpectralField, time: float | None = None) -> None:
+def write_field(path, f: SpectralField, time: float | None) -> None:
     order = _ascending_order(f.domain)
     flat = np.empty(2 * f.domain.n_points, dtype="<f8")
     flat[0::2] = np.real(f.coeffs[order])

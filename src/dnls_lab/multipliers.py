@@ -80,7 +80,7 @@ def resonance_scale(xi1, xi2, xi3, tau1, tau2, tau3):
 
 
 def multiplier_pieces(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
-                      delta: float = 1.0 / 24.0) -> tuple[np.ndarray, list[np.ndarray]]:
+                      delta: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """|M| and its five pieces M_0..M_4 over point arrays (family "M"), or
     the Mt analogues (family "Mt").
 
@@ -126,7 +126,7 @@ def multiplier_pieces(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
 
 
 def domination_ratio_arrays(family: str, xi1, xi2, xi3, tau1, tau2, tau3,
-                            delta: float = 1.0 / 24.0) -> tuple[np.ndarray, np.ndarray]:
+                            delta: float) -> tuple[np.ndarray, np.ndarray]:
     """|M| / sum_j M_j (family "M") or the Mt analogue, and |M| / M_4, the
     ratio of case II; 0/0 counts as 0.
 
@@ -184,8 +184,8 @@ def _int_between(rng, lo, hi, n):
     return rng.integers(lo, np.maximum(hi, lo + 1), size=n)
 
 
-def sample_points(rng: np.random.Generator, n: int, box: float,
-                  lattice: str = "Z", regime: str = "uniform"):
+def sample_points(rng: np.random.Generator, n: int, box: float, lattice: str,
+                  regime: str):
     """Draw n hyperplane points with magnitudes shaped by the regime label.
 
     "uniform" draws all six free coordinates log-uniformly up to the box

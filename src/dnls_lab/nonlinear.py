@@ -57,9 +57,9 @@ TWO_PI = 2.0 * np.pi
 class NonlinearityConfig:
     """lam * |u|^(2 k_power) u strength plus the gauged/original switch."""
 
-    lam: float = 0.0
-    k_power: int = 0
-    gauged: bool = False
+    lam: float
+    k_power: int
+    gauged: bool
 
     def __post_init__(self):
         if self.k_power < 0 or int(self.k_power) != self.k_power:

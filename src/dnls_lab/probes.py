@@ -5,12 +5,13 @@ grid, so every probe reports an empirical sup constant together with a
 refinement-stability verdict: stable means the sup moves by less than a
 factor of two when the sampling box, resolution or ensemble doubles.
 Ratio probes are homogeneous of degree zero in the field amplitudes, so
-the reported constants do not depend on the sampler's scale.  Settings
-that every caller leaves at one value are constants here, and the reports
-still print them: the stability factor 2, the window probes' time grid
-(step 1/128 on [-4, 4)), the similarity factor C = 8 of the dyadic (XX)
-check, and the torus of the Besov-product probe.  The random fields'
-shapes are fixed in sampling.
+the reported constants do not depend on the sampler's scale.  Every
+probe setting that a run varies is an argument with no default (the CLI
+schema holds the defaults); the settings that no run varies are constants
+here, and the reports still print them: the stability factor 2, the
+window probes' time grid (step 1/128 on [-4, 4)), the similarity factor
+C = 8 of the dyadic (XX) check, and the torus of the Besov-product probe.
+The random fields' shapes are fixed in sampling.
 
 The trilinear and multilinear window probes share one driver,
 _window_probe, with one factor draw per family (_trilinear_draw,
@@ -63,7 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,8 +102,8 @@ class ProbeReport:
     samples: int
     sup_ratio: float
     refinement_stable: bool | None
-    params: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    params: dict
+    details: dict
 
     def __post_init__(self):
         if self.samples <= 0:
@@ -164,14 +165,12 @@ def _domination_pass(family: str, box: float, n: int, lattice: str,
     return overall, per_case, argmax_point, case2_sup
 
 
-def domination_scan(family: str = "M", box: float = 100.0, n: int = 10 ** 5,
-                    lattice: str = "Z", delta: float = 1.0 / 24.0,
-                    rng: np.random.Generator | None = None) -> ProbeReport:
+def domination_scan(family: str, box: float, n: int, lattice: str, delta: float,
+                    rng: np.random.Generator) -> ProbeReport:
     """Empirical sup of |M| / sum_j M_j (or the Mt family) over case-labeled
     samples, with a doubled-box stability check."""
     if n < 10 ** 4:
         raise ParameterError("need at least 1e4 samples")
-    rng = rng or np.random.default_rng(0)
     sup1, per_case, argmax_point, case2 = _domination_pass(
         family, box, n, lattice, rng, delta)
     sup2 = _domination_pass(family, 2.0 * box, n, lattice, rng, delta)[0]
@@ -233,15 +232,12 @@ def _strichartz_ensemble(dom: Domain, n_t: int, dt: float, b: float,
     return float(sup)
 
 
-def strichartz_probe(b: float = 0.5, ensemble: int = 100,
-                     dom: Domain | None = None, n_t: int = 256, dt: float = 0.02,
-                     rng: np.random.Generator | None = None) -> ProbeReport:
+def strichartz_probe(b: float, ensemble: int, dom: Domain, n_t: int, dt: float,
+                     rng: np.random.Generator) -> ProbeReport:
     """sup of ||u||_{L^4_{t,x}} / ||u||_{X^{0,b,+}} over random windowed
     fields and windowed free evolutions; requires b > 3/8."""
     if not b > 3.0 / 8.0:
         raise ParameterError("the L^4 bound needs b > 3/8")
-    rng = rng or np.random.default_rng(0)
-    dom = dom or Domain("torus", 32)
     return _refined(
         "strichartz-L4", 2 * ensemble,
         {"sup_coarse": _strichartz_ensemble(dom, n_t, dt, b, ensemble, rng),
@@ -258,8 +254,8 @@ def _base_times() -> np.ndarray:
     return -4.0 + _BASE_DT * np.arange(round(8.0 / _BASE_DT))
 
 
-def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int = +1,
-               amp: complex = 1.0) -> np.ndarray:
+def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int,
+               amp: complex) -> np.ndarray:
     """Travelling wave amp exp(i(k x - char_sign k^2 t)) at the lattice
     frequency k, as per-slice coefficients (n_t, n): the single column
     amp exp(-i char_sign k^2 t) at the FFT index of k, times the
@@ -476,9 +472,8 @@ def _quintic_form(dom: Domain, c) -> np.ndarray:
         dom, [c[0], _conj_reverse(c[1]), c[2], _conj_reverse(c[3]), c[4]])
 
 
-def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
-                    ensemble: int = 100, dom: Domain | None = None,
-                    rng: np.random.Generator | None = None) -> ProbeReport:
+def trilinear_probe(s: float, t_values: tuple, ensemble: int, dom: Domain,
+                    rng: np.random.Generator) -> ProbeReport:
     """Sup ratios of the trilinear derivative estimates across window sizes.
 
     For each sample a triple of base fields on [-4, 4) is drawn once; for
@@ -490,18 +485,15 @@ def trilinear_probe(s: float = 0.5, t_values: tuple = (1.0, 0.5, 0.25, 0.125),
     """
     if not s >= 0.5:
         raise ParameterError("need s >= 1/2")
-    dom = dom or Domain("torus", 32)
     return _window_probe(
-        "trilinear", dom, t_values, ensemble, rng or np.random.default_rng(0),
+        "trilinear", dom, t_values, ensemble, rng,
         _trilinear_draw, lambda c: trilinear_T_slices(dom, *c), [+1, +1, -1], s,
         -0.5, {"s": s, "n_points": dom.n_points})
 
 
-def multilinear_probe(k: int = 1, s: float = 0.5,
-                      t_values: tuple = (1.0, 0.5, 0.25, 0.125),
-                      ensemble: int = 50, dom: Domain | None = None,
-                      delta: float = 1.0 / 16.0, quintic: bool = False,
-                      rng: np.random.Generator | None = None) -> ProbeReport:
+def multilinear_probe(k: int, s: float, t_values: tuple, ensemble: int, dom: Domain,
+                      delta: float, quintic: bool,
+                      rng: np.random.Generator) -> ProbeReport:
     """Sup ratios for the power-nonlinearity estimate (k+1 plain factors) or
     the constrained quintic form (quintic=True, five factors with slots 2
     and 4 conjugated)."""
@@ -509,7 +501,6 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
         raise ParameterError("k must be 0, 1 or 2")
     if not 0 < delta < 1.0 / 8.0:
         raise ParameterError("delta must lie in (0, 1/8)")
-    dom = dom or Domain("torus", 32)
     if quintic:
         name, draw, form, n_factors = "quintic", _quintic_draw, _quintic_form, 5
     else:
@@ -517,7 +508,7 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
                                        functools.partial(_power_draw, k),
                                        _plain_product, k + 1)
     return _window_probe(
-        name, dom, t_values, ensemble, rng or np.random.default_rng(0), draw,
+        name, dom, t_values, ensemble, rng, draw,
         functools.partial(form, dom), [+1] * n_factors, s, -3.0 / 8.0 - delta,
         {"k": k, "s": s, "delta": delta, "quintic": quintic})
 
@@ -526,8 +517,8 @@ def multilinear_probe(k: int = 1, s: float = 0.5,
 # dyadic summation checks
 # ---------------------------------------------------------------------------
 
-def dyadic_sum_check(u: SpaceTimeField, delta: float = 0.25, s: float = 0.5,
-                     b: float = 0.5, small_k: int = 8) -> ProbeReport:
+def dyadic_sum_check(u: SpaceTimeField, delta: float, s: float, b: float,
+                     small_k: int = 8) -> ProbeReport:
     """Verify the four block-summation inequalities with explicit constants.
 
     (X)   sum_N N^(-delta) ||P_N u||_X <= (1 + sum_{N>1} N^(-delta)) frak(u)
@@ -595,15 +586,13 @@ def _smult_ensemble(dom: Domain, s, s1, s2, ensemble, rng) -> float:
     return float(sup)
 
 
-def sobolev_mult_probe(s: float = 0.5, s1: float = 0.5, s2: float = 0.75,
-                       ensemble: int = 100, n_points: int = 256,
-                       rng: np.random.Generator | None = None) -> ProbeReport:
+def sobolev_mult_probe(s: float, s1: float, s2: float, ensemble: int, n_points: int,
+                       rng: np.random.Generator) -> ProbeReport:
     """sup of ||f1 f2||_{B^s} / (||f1||_{B^{s1}} ||f2||_{B^{s2}}) over random
     pairs on the torus, at two resolutions; needs s >= 0, s1, s2 >= s,
     s1 + s2 - s > 1/2."""
     if s < 0 or s1 < s or s2 < s or not (s1 + s2 - s > 0.5):
         raise ParameterError("need s >= 0, s1, s2 >= s and s1 + s2 - s > 1/2")
-    rng = rng or np.random.default_rng(0)
     return _refined(
         "besov-product", 2 * ensemble,
         {"sup_coarse": _smult_ensemble(Domain("torus", n_points), s, s1, s2, ensemble, rng),

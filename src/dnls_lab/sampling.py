@@ -17,13 +17,13 @@ from .fields import Domain, GridFunction, SpectralField, _plane_wave_coeffs
 from .frequency import bracket
 
 
-def plane_wave(dom: Domain, amplitude: complex, mode: int = 1) -> GridFunction:
+def plane_wave(dom: Domain, amplitude: complex, mode: int) -> GridFunction:
     """A exp(i mode x) sampled on the grid."""
     return GridFunction(dom, amplitude * np.exp(1j * mode * dom.x))
 
 
-def gaussian_packet(dom: Domain, amplitude: float = 1.0, width: float = 1.0,
-                    center: float = 0.0, mode: int = 0) -> GridFunction:
+def gaussian_packet(dom: Domain, amplitude: float, width: float,
+                    center: float = 0.0, *, mode: int) -> GridFunction:
     """Modulated Gaussian; on the line the width must keep the edges empty."""
     env = amplitude * np.exp(-((dom.x - center) ** 2) / (2.0 * width ** 2))
     return GridFunction(dom, env * np.exp(1j * mode * dom.x))

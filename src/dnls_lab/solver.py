@@ -236,16 +236,15 @@ def _ifrk4_step(c: np.ndarray, k: _EtdrkCoefficients, nl, stages) -> None:
 
 
 def make_spectral_forcing(cfg: SolverConfig, shape: tuple):
-    """Duhamel forcing N(u) = -i * rhs(u) as a map nl(c, out=None) on
+    """Duhamel forcing N(u) = -i * rhs(u) as a map nl(c, out) on
     coefficient arrays c of the given shape (..., n), row by row, with the
-    right-hand side's work arrays for that shape.  N is written into out
-    when given (a stepper's stage buffer), and into a fresh array
-    otherwise: the work arrays hold the kernel's result only until the next
-    call."""
+    right-hand side's work arrays for that shape.  N is written into out, a
+    stepper's stage buffer, since the work arrays hold the kernel's result
+    only until the next call."""
     dom, nonlin = cfg.domain, cfg.nonlinearity
     work = rhs_work(dom, nonlin, shape, cfg.pad_factor)
 
-    def nl(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def nl(c: np.ndarray, out: np.ndarray) -> np.ndarray:
         rhs = rhs_gauged if nonlin.gauged else rhs_original
         return np.multiply(-1j, rhs(SpectralField(dom, c), nonlin, work).coeffs, out=out)
 

@@ -142,7 +142,7 @@ def block_norms(u: SpaceTimeField, s: float, b: float, sign: int = +1,
     return _dyadic_blocks(u.domain, _rows(u, s, b, sign, space))
 
 
-def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
+def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int):
     """X^{s,b,+/-} norm: weighted L2 over the (xi, tau) lattice."""
     return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X"), axis=-1)))
 
@@ -152,7 +152,7 @@ def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
 
 
-def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1):
+def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int):
     """||P_1 u||_{X^{s,b,sign}} + sup_{N>1} ||P_N u||_{X^{s,b,sign}}."""
     return _low_plus_sup(block_norms(u, s, b, sign))
 

@@ -26,8 +26,9 @@ from dnls_lab.sampling import (gaussian_packet, plane_wave, random_band_field,
 from dnls_lab.solver import SolverConfig, rescale, solve
 from dnls_lab.spaces import besov_norm, sobolev_norm, xsb_norm, ysb_norm
 
-from tests_support import (conj_flip, picard_iterate, quintic_Q_fourier,
-                           trilinear_T_fourier, xy_embedding_constant)
+from tests_support import (at_cli_defaults, conj_flip, picard_iterate,
+                           quintic_Q_fourier, trilinear_T_fourier,
+                           xy_embedding_constant)
 
 
 def report(name: str, passed: bool, detail: str):
@@ -217,7 +218,8 @@ def test_a8_multiplier_domination():
     ok = True
     for family in ("M", "Mt"):
         for lattice in ("Z", "R"):
-            rep = domination_scan(family, 100.0, 10 ** 5, lattice, rng=rng)
+            rep = at_cli_defaults(domination_scan, family, 100.0, 10 ** 5, lattice,
+                                  rng=rng)
             ok = ok and np.isfinite(rep.sup_ratio) and rep.refinement_stable
             details.append(f"{family}/{lattice} sup {rep.sup_ratio:.3f}"
                            f"{'' if rep.refinement_stable else ' UNSTABLE'}")
@@ -293,9 +295,9 @@ def test_a11_flow_map_continuity():
 def test_a12_estimate_probes():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    reps = [trilinear_probe(ensemble=100, rng=rng),
-            multilinear_probe(k=2, ensemble=100, rng=rng),
-            multilinear_probe(quintic=True, ensemble=100, rng=rng)]
+    reps = [at_cli_defaults(trilinear_probe, ensemble=100, rng=rng),
+            at_cli_defaults(multilinear_probe, k=2, ensemble=100, rng=rng),
+            at_cli_defaults(multilinear_probe, quintic=True, ensemble=100, rng=rng)]
     ok = True
     details = []
     for rep in reps:

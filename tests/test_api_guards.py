@@ -3,8 +3,9 @@ tracer wraps or its workload process reads must exist, the golden runs
 under that tracer must keep their exit codes and report bytes, every public
 function, class and method must be named in src and every src function
 entered by the golden runs, or kept on purpose, with a reason, every
-defaulted parameter must be set by some src call or kept on purpose, with
-a reason, src reads no environment variable (every setting is a config
+defaulted parameter must be set by some src call and left unset by
+another, or kept on purpose, with a reason, src reads no environment
+variable (every setting is a config
 field or a constant), only fields calls the FFT (it alone applies the
 transform normalization dx/sqrt(2 pi)), and only fields calls the
 SpaceTimeField constructor (it alone knows the compact row order)."""
@@ -425,6 +426,30 @@ def _option_sites(tree, module: str):
                    [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None])
 
 
+def _option_uses(sources: dict):
+    """(module.function.parameter, [whether each matching call sets it])
+    of every defaulted parameter of a function in sources {module: text},
+    and (module.Cls.field, [...]) of every defaulted field of a @dataclass
+    class there; a call sets a parameter by keyword or by position."""
+    calls = {}
+    for text in sources.values():
+        for node in ast.walk(_tree(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            calls.setdefault(ident, []).append(
+                (star, len(node.args), {k.arg for k in node.keywords}))
+    for module, text in sources.items():
+        for qual, name, params in _option_sites(_tree(text), module):
+            for param, pos in params:
+                yield f"{qual}.{param}", [
+                    star or param in keywords or (pos is not None and pos < n_pos)
+                    for star, n_pos, keywords in calls.get(name, [])]
+
+
 def unset_options(sources: dict) -> list:
     """module.function.parameter of every defaulted parameter of a function
     in sources {module: text}, and module.Cls.field of every defaulted field
@@ -440,25 +465,17 @@ def unset_options(sources: dict) -> list:
     is listed); an __init__ parameter set only through super().__init__ or
     a subclass's name (neither matches Cls); and a dataclass field set only
     through dataclasses.replace."""
-    calls = {}
-    for text in sources.values():
-        for node in ast.walk(_tree(text)):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            star = (any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(k.arg is None for k in node.keywords))
-            calls.setdefault(ident, []).append(
-                (star, len(node.args), {k.arg for k in node.keywords}))
-    out = []
-    for module, text in sources.items():
-        for qual, name, params in _option_sites(_tree(text), module):
-            for param, pos in params:
-                if not any(star or param in keywords or (pos is not None and pos < n_pos)
-                           for star, n_pos, keywords in calls.get(name, [])):
-                    out.append(f"{qual}.{param}")
-    return out
+    return [q for q, sets in _option_uses(sources) if not any(sets)]
+
+
+def always_set_options(sources: dict) -> list:
+    """module.function.parameter (or module.Cls.field) of every defaulted
+    parameter or field in sources {module: text} that every call in sources
+    passes, there being at least one: a default no call relies on.  Calls
+    match as in unset_options, so a call the match misses (a class that
+    builds itself through cls(...)) can make a relied-on default look set
+    by every call."""
+    return [q for q, sets in _option_uses(sources) if sets and all(sets)]
 
 
 class TestUnsetOptions:
@@ -493,6 +510,51 @@ class TestUnsetOptions:
         sources = _src_sources()
         sources["fields"] += "\n\n" + added
         assert set(unset_options(sources)) - set(unset_options(_src_sources())) == flagged
+
+
+# Defaulted parameters that every src call sets, kept on purpose.
+DEFAULT_KEEP = {
+    "fields.SpaceTimeField.__init__.rows": "from_time_values builds a dense field "
+                                           "through cls(lattice, coeffs), which the "
+                                           "name match does not see",
+}
+
+
+class TestAlwaysSetDefaults:
+    def test_every_always_set_default_is_kept(self):
+        assert [q for q in always_set_options(_src_sources())
+                if q not in DEFAULT_KEEP] == []
+
+    def test_keep_entries_name_always_set_defaults(self):
+        assert sorted(set(DEFAULT_KEEP) - set(always_set_options(_src_sources()))) == []
+
+    @pytest.mark.parametrize("calls,flagged", [
+        ("f(1, 2)\nf(1, unused=3)\n", {"fields.f.unused"}),
+        ("f(*(1, 2))\n", {"fields.f.unused"}),
+        ("f(1, 2)\nf(1)\n", set()),
+        ("", set()),  # no call at all is unset_options' case
+    ], ids=["set-by-every-call", "star-call", "unset-by-one-call", "no-call"])
+    def test_a_default_every_call_sets_fails_the_scan(self, calls, flagged):
+        sources = _src_sources()
+        sources["fields"] += f"\n\ndef f(x, unused=1):\n    return x\n\n\n{calls}"
+        assert (set(always_set_options(sources))
+                - set(always_set_options(_src_sources()))) == flagged
+
+    @pytest.mark.parametrize("added,flagged", [
+        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\n",
+         {"fields.C.unused"}),
+        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\nC(1)\n",
+         set()),
+        ("class E(Exception):\n    def __init__(self, x, unused=1):\n"
+         "        super().__init__(x)\n\n\nE(1, unused=2)\n", {"fields.E.__init__.unused"}),
+    ], ids=["field-set-by-every-call", "field-unset-by-one-call",
+            "init-parameter-set-by-every-call"])
+    def test_a_field_or_init_parameter_every_call_sets_fails_the_scan(self, added,
+                                                                      flagged):
+        sources = _src_sources()
+        sources["fields"] += "\n\n" + added
+        assert (set(always_set_options(sources))
+                - set(always_set_options(_src_sources()))) == flagged
 
 
 # Functions outside fields that call np.fft.fft / np.fft.ifft, each with its

@@ -228,7 +228,7 @@ class TestSpaceTimeField:
         vals = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
         u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
         direct = np.sqrt(np.sum(np.abs(vals) ** 2) * dom.dx * 0.05)
-        assert xsb_norm(u, 0.0, 0.0) == pytest.approx(direct, rel=1e-12)
+        assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
@@ -272,7 +272,7 @@ class TestSpaceTimeField:
                                    (0.5, 0.0, +1, "Y")]:
             assert np.array_equal(block_norms(a, s, bb, sign, space),
                                   block_norms(b, s, bb, sign, space))
-        assert np.array_equal(xsb_norm(a, 0.0, 0.5), xsb_norm(b, 0.0, 0.5))
+        assert np.array_equal(xsb_norm(a, 0.0, 0.5, +1), xsb_norm(b, 0.0, 0.5, +1))
         assert a.coeffs.flags.c_contiguous and b.coeffs.flags.c_contiguous
 
     @staticmethod

@@ -48,15 +48,15 @@ class TestFieldDump:
     def test_rewrite_is_identical(self, tmp_path):
         dom = Domain("torus", 32)
         f = unit_mass(dom, 3.0)
-        write_field(tmp_path / "a.fd", f)
-        write_field(tmp_path / "b.fd", f)
+        write_field(tmp_path / "a.fd", f, None)
+        write_field(tmp_path / "b.fd", f, None)
         assert (tmp_path / "a.fd").read_bytes() == (tmp_path / "b.fd").read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         dom = Domain("torus", 32)
         f = unit_mass(dom, 3.0)
         p = tmp_path / "f.fd"
-        write_field(p, f)
+        write_field(p, f, None)
         raw = bytearray(p.read_bytes())
         raw[-5] ^= 0xFF
         p.write_bytes(bytes(raw))
@@ -67,7 +67,7 @@ class TestFieldDump:
         dom = Domain("torus", 32)
         f = unit_mass(dom, 3.0)
         p = tmp_path / "f.fd"
-        write_field(p, f)
+        write_field(p, f, None)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(FieldDumpError):
             read_field(p)
@@ -83,7 +83,7 @@ class TestFieldDump:
             "unknown-kind", "list", "overflowing-domain_scale"])
     def test_malformed_header_is_a_dump_error(self, tmp_path, mutate):
         p = tmp_path / "f.fd"
-        write_field(p, unit_mass(Domain("torus", 32), 3.0))
+        write_field(p, unit_mass(Domain("torus", 32), 3.0), None)
         head, payload = p.read_bytes().split(b"\n", 1)
         header = json.dumps(mutate(json.loads(head))).encode("ascii")
         p.write_bytes(header + b"\n" + payload)

@@ -11,7 +11,10 @@ from dnls_lab.multipliers import (REGIME_LABELS, domination_ratio_arrays,
                                   resonance_scale, sample_points)
 from dnls_lab.scenarios import _RESONANCE_BLOCK_BYTES, _resonance_batch
 
-from tests_support import reference_sample_points, traced_peak
+from tests_support import cli_defaults, reference_sample_points, traced_peak
+
+# the delta of the Mt family that verify-domination runs at by default
+DELTA = cli_defaults("verify-domination")["delta"]
 
 
 def per_tag(tag, xi1, xi2, xi3, tau1, tau2, tau3, delta):
@@ -179,11 +182,11 @@ class TestPeakMemory:
 class TestMultiplierEvaluation:
     def test_zero_third_frequency(self):
         p = point((1, -1, 0), (0.5, 0.5, 0.5))
-        assert multiplier_pieces("M", *p)[0][0] == 0.0
+        assert multiplier_pieces("M", *p, DELTA)[0][0] == 0.0
 
     def test_origin_is_region_zero(self):
         p = point((0, 0, 0), (0, 0, 0))
-        _, pieces = multiplier_pieces("M", *p)
+        _, pieces = multiplier_pieces("M", *p, DELTA)
         assert pieces[0][0] == 1.0
         assert pieces[1][0] == 0.0
 
@@ -191,7 +194,7 @@ class TestMultiplierEvaluation:
         rng = np.random.default_rng(1)
         pts = sample_points(rng, 10 ** 4, 100.0, "R", "uniform")
         # exactly one of the region pieces M_0..M_3 is nonzero at each point
-        _, pieces = multiplier_pieces("M", *pts)
+        _, pieces = multiplier_pieces("M", *pts, DELTA)
         total = sum((p != 0).astype(int) for p in pieces[:4])
         assert np.all(total == 1)
 
@@ -205,13 +208,13 @@ class TestMultiplierEvaluation:
                * bracket(t2 + xi2 ** 2) ** 0.5 * bracket(t3 - xi3 ** 2) ** 0.5
                * bracket(xi1) ** 0.5 * bracket(xi2) ** 0.5 * bracket(xi3) ** 0.5)
         p = point((xi1, xi2, xi3), (t1, t2, t3))
-        assert multiplier_pieces("M", *p)[0][0] == pytest.approx(num / den)
+        assert multiplier_pieces("M", *p, DELTA)[0][0] == pytest.approx(num / den)
 
     def test_damped_family_identity(self):
         rng = np.random.default_rng(2)
         pts = sample_points(rng, 1000, 50.0, "R", "uniform")
-        m, _ = multiplier_pieces("M", *pts)
-        mt, _ = multiplier_pieces("Mt", *pts)
+        m, _ = multiplier_pieces("M", *pts, DELTA)
+        mt, _ = multiplier_pieces("Mt", *pts, DELTA)
         xi = pts[0] + pts[1] + pts[2]
         tau = pts[3] + pts[4] + pts[5]
         expected = m / bracket(tau + xi ** 2) ** 0.5
@@ -219,7 +222,7 @@ class TestMultiplierEvaluation:
 
     def test_family_validation(self):
         with pytest.raises(ValueError, match="M9"):
-            multiplier_pieces("M9", *point((1, 2, 3), (0, 0, 0)))
+            multiplier_pieces("M9", *point((1, 2, 3), (0, 0, 0)), DELTA)
 
     @pytest.mark.parametrize("family", ["M", "Mt"])
     @pytest.mark.parametrize("lattice", ["Z", "R"])
@@ -248,7 +251,7 @@ class TestDomination:
     def test_zero_numerator_counts_as_zero(self):
         r, over_m4 = domination_ratio_arrays("M", np.array([1.0]), np.array([-1.0]),
                                              np.array([0.0]), np.array([0.0]),
-                                             np.array([0.0]), np.array([0.0]))
+                                             np.array([0.0]), np.array([0.0]), DELTA)
         assert r[0] == 0.0
         assert over_m4[0] == 0.0
 
@@ -260,7 +263,7 @@ class TestDomination:
         for regime in REGIME_LABELS:
             pts = sample_points(rng, 2000, 100.0, lattice, regime)
             worst = max(worst, float(np.max(
-                domination_ratio_arrays(family, *pts)[0])))
+                domination_ratio_arrays(family, *pts, DELTA)[0])))
         assert np.isfinite(worst)
         assert worst < 10.0
 
@@ -270,10 +273,10 @@ class TestDomination:
         xi = pts[0] + pts[1] + pts[2]
         case2 = (np.abs(xi) <= 2 * np.abs(pts[0])) & (np.abs(xi) <= 2 * np.abs(pts[1]))
         assert np.any(case2)
-        num, pieces = multiplier_pieces("M", *pts)
+        num, pieces = multiplier_pieces("M", *pts, DELTA)
         ratio = np.where(num == 0, 0.0, num / pieces[4])[case2]
         assert np.max(ratio) < 10.0
-        assert np.array_equal(domination_ratio_arrays("M", *pts)[1][case2], ratio)
+        assert np.array_equal(domination_ratio_arrays("M", *pts, DELTA)[1][case2], ratio)
 
     def test_ratio_scale_invariance(self):
         # the domination ratio is homogeneous of degree zero under a joint
@@ -283,8 +286,8 @@ class TestDomination:
         lam = 2.0
         scaled = (lam * pts[0], lam * pts[1], lam * pts[2],
                   lam ** 2 * pts[3], lam ** 2 * pts[4], lam ** 2 * pts[5])
-        a, _ = domination_ratio_arrays("M", *pts)
-        b, _ = domination_ratio_arrays("M", *scaled)
+        a, _ = domination_ratio_arrays("M", *pts, DELTA)
+        b, _ = domination_ratio_arrays("M", *scaled, DELTA)
         # not equal pointwise (brackets are inhomogeneous) but both bounded
         # by the same constant; check boundedness and finiteness here
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))

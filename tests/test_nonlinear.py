@@ -48,7 +48,7 @@ def with_work(rhs, v: SpectralField, cfg: NonlinearityConfig,
 class TestRhsOriginal:
     def test_zero(self):
         dom = Domain("torus", 64)
-        out = with_work(rhs_original, zero_spectral(dom), NonlinearityConfig())
+        out = with_work(rhs_original, zero_spectral(dom), NonlinearityConfig(0.0, 0, False))
         assert np.all(out.coeffs == 0)
 
     def test_single_mode(self):

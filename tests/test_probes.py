@@ -19,7 +19,7 @@ from dnls_lab.sampling import random_band_field, random_mode_sum_values
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm,
                              plateau, xsb_norm)
-from tests_support import count_ffts
+from tests_support import at_cli_defaults, count_ffts
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -31,9 +31,9 @@ def monotone_decreasing(series: dict) -> bool:
 class TestProbeReport:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProbeReport("x", 0, 1.0, None)
+            ProbeReport("x", 0, 1.0, None, {}, {})
         with pytest.raises(ValueError):
-            ProbeReport("x", 5, np.inf, None)
+            ProbeReport("x", 5, np.inf, None, {}, {})
 
     def test_json_round_trip(self):
         rep = ProbeReport("x", 5, 1.25, True, {"a": 1}, {"b": 2.0})
@@ -44,12 +44,12 @@ class TestProbeReport:
 class TestDominationScan:
     def test_minimum_samples(self):
         with pytest.raises(ParameterError):
-            domination_scan(n=100)
+            at_cli_defaults(domination_scan, "M", n=100, lattice="Z")
 
     @pytest.mark.parametrize("family", ["M", "Mt"])
     def test_scan_small(self, family):
-        rep = domination_scan(family, box=100.0, n=2 * 10 ** 4, lattice="Z",
-                              rng=np.random.default_rng(0))
+        rep = at_cli_defaults(domination_scan, family, box=100.0, n=2 * 10 ** 4,
+                              lattice="Z", rng=np.random.default_rng(0))
         assert np.isfinite(rep.sup_ratio)
         assert rep.refinement_stable
         assert set(rep.details["per_case"]) == {
@@ -72,67 +72,70 @@ class TestDominationScan:
 
         monkeypatch.setattr(probes, "domination_ratio_arrays", with_nan)
         with pytest.raises(NonFiniteError):
-            domination_scan(n=10 ** 4, rng=np.random.default_rng(0))
+            at_cli_defaults(domination_scan, "M", n=10 ** 4, lattice="Z",
+                            rng=np.random.default_rng(0))
         assert len(calls) == 20
 
 
 class TestStrichartz:
     def test_parameter_region(self):
         with pytest.raises(ParameterError):
-            strichartz_probe(b=0.375)
+            at_cli_defaults(strichartz_probe, b=0.375)
 
     def test_small_ensemble_stable(self):
-        rep = strichartz_probe(b=0.5, ensemble=10,
-                               rng=np.random.default_rng(1))
+        rep = at_cli_defaults(strichartz_probe, b=0.5, ensemble=10,
+                              rng=np.random.default_rng(1))
         assert np.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert rep.refinement_stable
 
 
 class TestTrilinearProbe:
     def test_t_monotone(self):
-        rep = trilinear_probe(ensemble=12, rng=np.random.default_rng(2))
+        rep = at_cli_defaults(trilinear_probe, ensemble=12,
+                              rng=np.random.default_rng(2))
         assert monotone_decreasing(rep.details["sup_x_by_T"])
         assert monotone_decreasing(rep.details["sup_y_by_T"])
         assert np.isfinite(rep.sup_ratio)
 
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
-            trilinear_probe(s=0.25)
+            at_cli_defaults(trilinear_probe, s=0.25)
         with pytest.raises(ParameterError):
-            trilinear_probe(t_values=(2.0, 1.0))
+            at_cli_defaults(trilinear_probe, t_values=(2.0, 1.0))
 
     def test_ratio_amplitude_invariance(self):
         # degree-zero homogeneity: the same seeds with globally scaled
         # amplitudes give identical sup ratios
-        a = trilinear_probe(ensemble=4, rng=np.random.default_rng(3))
-        b = trilinear_probe(ensemble=4, rng=np.random.default_rng(3))
+        a = at_cli_defaults(trilinear_probe, ensemble=4, rng=np.random.default_rng(3))
+        b = at_cli_defaults(trilinear_probe, ensemble=4, rng=np.random.default_rng(3))
         assert a.details["sup_x_by_T"] == b.details["sup_x_by_T"]
 
 
 class TestMultilinearProbe:
     def test_k0_reduces_to_embedding(self):
-        rep = multilinear_probe(k=0, ensemble=8, rng=np.random.default_rng(4))
+        rep = at_cli_defaults(multilinear_probe, k=0, ensemble=8,
+                              rng=np.random.default_rng(4))
         assert max(rep.details["sup_x_by_T"].values()) <= 1.0
         assert monotone_decreasing(rep.details["sup_x_by_T"])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_t_monotone(self, k):
-        rep = multilinear_probe(k=k, ensemble=10,
-                                rng=np.random.default_rng(5))
+        rep = at_cli_defaults(multilinear_probe, k=k, ensemble=10,
+                              rng=np.random.default_rng(5))
         assert monotone_decreasing(rep.details["sup_x_by_T"])
         assert monotone_decreasing(rep.details["sup_y_by_T"])
 
     def test_quintic(self):
-        rep = multilinear_probe(quintic=True, ensemble=8,
-                                rng=np.random.default_rng(6))
+        rep = at_cli_defaults(multilinear_probe, quintic=True, ensemble=8,
+                              rng=np.random.default_rng(6))
         assert monotone_decreasing(rep.details["sup_x_by_T"])
         assert monotone_decreasing(rep.details["sup_y_by_T"])
 
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
-            multilinear_probe(k=3)
+            at_cli_defaults(multilinear_probe, k=3)
         with pytest.raises(ParameterError):
-            multilinear_probe(delta=0.2)
+            at_cli_defaults(multilinear_probe, delta=0.2)
 
 
 class TestDyadicSums:
@@ -150,22 +153,22 @@ class TestDyadicSums:
         times = -2.0 + dt * np.arange(256)
         vals = np.exp(1j * (5 * dom.x[None, :] - 25.0 * times[:, None]))
         u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
-        rep = dyadic_sum_check(u, delta=0.25)
+        rep = at_cli_defaults(dyadic_sum_check, u, delta=0.25)
         assert rep.details["all_ok"]
 
     def test_random_fields(self):
         for seed in range(5):
-            rep = dyadic_sum_check(self._field(seed), delta=0.25)
+            rep = at_cli_defaults(dyadic_sum_check, self._field(seed), delta=0.25)
             assert rep.details["all_ok"], rep.details
 
     def test_block_counts(self):
-        rep = dyadic_sum_check(self._field(0), small_k=8)
+        rep = at_cli_defaults(dyadic_sum_check, self._field(0), small_k=8)
         assert rep.details["constants"]["XXX"] == 4   # blocks 1, 2, 4, 8
         assert rep.details["constants"]["XX"] == 7    # similarity factor 8
 
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
-            dyadic_sum_check(self._field(0), delta=0.0)
+            at_cli_defaults(dyadic_sum_check, self._field(0), delta=0.0)
 
     def test_nan_block_is_kept(self, monkeypatch):
         # NaN X^{s+delta,b} blocks make the (Y) ratio NaN, which the sup of
@@ -176,7 +179,7 @@ class TestDyadicSums:
 
         monkeypatch.setattr(probes, "block_norms", nan_plus)
         with pytest.raises(NonFiniteError):
-            dyadic_sum_check(self._field(0), delta=0.25, s=0.5)
+            at_cli_defaults(dyadic_sum_check, self._field(0), delta=0.25, s=0.5)
 
     def test_y_binding_pins_s_plus_delta_blocks(self):
         # one travelling mode at xi = N in each block N = 2..16 (chi_N(N) = 1),
@@ -205,13 +208,14 @@ class TestDyadicSums:
 class TestBesovProduct:
     def test_parameter_region(self):
         with pytest.raises(ParameterError):
-            sobolev_mult_probe(s=0.5, s1=0.5, s2=0.5)  # boundary excluded
+            # boundary excluded
+            at_cli_defaults(sobolev_mult_probe, s=0.5, s1=0.5, s2=0.5)
         with pytest.raises(ParameterError):
-            sobolev_mult_probe(s=0.5, s1=0.25, s2=1.0)
+            at_cli_defaults(sobolev_mult_probe, s=0.5, s1=0.25, s2=1.0)
 
     def test_stable(self):
-        rep = sobolev_mult_probe(ensemble=25, n_points=128,
-                                 rng=np.random.default_rng(7))
+        rep = at_cli_defaults(sobolev_mult_probe, ensemble=25, n_points=128,
+                              rng=np.random.default_rng(7))
         assert np.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert rep.refinement_stable
 
@@ -223,11 +227,14 @@ class TestSampleOrder:
     work buffers."""
 
     @pytest.mark.parametrize("probe", [
-        lambda: trilinear_probe(ensemble=4, rng=np.random.default_rng(8)),
-        lambda: multilinear_probe(quintic=True, ensemble=3,
-                                  rng=np.random.default_rng(9)),
-        lambda: multilinear_probe(k=1, ensemble=4, rng=np.random.default_rng(10)),
-        lambda: multilinear_probe(k=2, ensemble=4, rng=np.random.default_rng(11)),
+        lambda: at_cli_defaults(trilinear_probe, ensemble=4,
+                                rng=np.random.default_rng(8)),
+        lambda: at_cli_defaults(multilinear_probe, quintic=True, ensemble=3,
+                                rng=np.random.default_rng(9)),
+        lambda: at_cli_defaults(multilinear_probe, k=1, ensemble=4,
+                                rng=np.random.default_rng(10)),
+        lambda: at_cli_defaults(multilinear_probe, k=2, ensemble=4,
+                                rng=np.random.default_rng(11)),
     ], ids=["trilinear", "quintic", "k1", "k2"])
     def test_same_report_in_reverse_sample_order(self, monkeypatch, probe):
         forward = probe().to_json()
@@ -252,20 +259,20 @@ _PRODUCT_FORMS = {
 
 # the four window probes at small ensembles, on a given domain
 _WINDOW_PROBES = {
-    "trilinear": lambda dom: trilinear_probe(ensemble=3, dom=dom,
+    "trilinear": lambda dom: at_cli_defaults(trilinear_probe, ensemble=3, dom=dom,
                                              rng=np.random.default_rng(14)),
-    "k1": lambda dom: multilinear_probe(k=1, ensemble=3, dom=dom,
-                                        rng=np.random.default_rng(15)),
-    "k2": lambda dom: multilinear_probe(k=2, ensemble=3, dom=dom,
-                                        rng=np.random.default_rng(16)),
-    "quintic": lambda dom: multilinear_probe(quintic=True, ensemble=3, dom=dom,
-                                             rng=np.random.default_rng(17)),
+    "k1": lambda dom: at_cli_defaults(multilinear_probe, k=1, ensemble=3, dom=dom,
+                                      rng=np.random.default_rng(15)),
+    "k2": lambda dom: at_cli_defaults(multilinear_probe, k=2, ensemble=3, dom=dom,
+                                      rng=np.random.default_rng(16)),
+    "quintic": lambda dom: at_cli_defaults(multilinear_probe, quintic=True, ensemble=3,
+                                           dom=dom, rng=np.random.default_rng(17)),
 }
 
 
 def _strichartz_small(dom):
-    return strichartz_probe(ensemble=5, dom=dom, n_t=64, dt=0.05,
-                            rng=np.random.default_rng(18))
+    return at_cli_defaults(strichartz_probe, ensemble=5, dom=dom, n_t=64, dt=0.05,
+                           rng=np.random.default_rng(18))
 
 
 class TestWindowSupport:
@@ -599,7 +606,7 @@ class TestProbeWork:
     def test_strichartz_probe_builds_one_phase_table_per_ensemble(self):
         # 13 and 25 blocks of free evolutions at the defaults, two time grids
         solver._free_phases.cache_clear()
-        probes.strichartz_probe()
+        at_cli_defaults(probes.strichartz_probe)
         info = solver._free_phases.cache_info()
         assert (info.misses, info.hits) == (2, 36)
 

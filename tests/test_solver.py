@@ -1,11 +1,15 @@
 """Free evolution, exponential integrators, Picard iteration, rescaling."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from dnls_lab.errors import (BlowUpError, EdgeDecayError, ParameterError,
                              WrongDomainError)
-from dnls_lab.fields import Domain, GridFunction, SpectralField, Trajectory
+from dnls_lab.fields import (Domain, GridFunction, SpectralField, Trajectory,
+                             check_edge_decay)
+from dnls_lab.gauge import gauge_forward, gauge_trajectory
 from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
@@ -14,7 +18,8 @@ from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
                              make_spectral_forcing, rescale, solve)
 from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
                            original_rhs_reference, picard_iterate, reference_march,
-                           reverse, traced_peak, unit_mass, zero_grid)
+                           reverse, solitary_wave, traced_peak, unit_mass,
+                           zero_grid)
 
 TORUS = Domain("torus", 64)
 
@@ -214,14 +219,14 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
-            SolverConfig(TORUS, NonlinearityConfig(), 0.1, 0.05)
+            SolverConfig(TORUS, NonlinearityConfig(0.0, 0, False), 0.1, 0.05)
         with pytest.raises(ParameterError):
-            SolverConfig(TORUS, NonlinearityConfig(), 1e-3, 1.5)
+            SolverConfig(TORUS, NonlinearityConfig(0.0, 0, False), 1e-3, 1.5)
         with pytest.raises(ParameterError):
-            SolverConfig(TORUS, NonlinearityConfig(), 1e-3, 0.05,
+            SolverConfig(TORUS, NonlinearityConfig(0.0, 0, False), 1e-3, 0.05,
                          integrator="euler")
         with pytest.raises(ParameterError):
-            SolverConfig(TORUS, NonlinearityConfig(), 3e-4, 0.05)
+            SolverConfig(TORUS, NonlinearityConfig(0.0, 0, False), 3e-4, 0.05)
 
 
 def _reversal_data(kind):
@@ -231,7 +236,7 @@ def _reversal_data(kind):
     if kind == "torus":
         return besov_endpoint_data(Domain("torus", 64), np.random.default_rng(0))
     dom = Domain("line", 256, 4)
-    return GridFunction(dom, gaussian_packet(dom, 0.8).values * np.exp(1.5j * dom.x))
+    return GridFunction(dom, gaussian_packet(dom, 0.8, 1.0, mode=0).values * np.exp(1.5j * dom.x))
 
 
 def _round_trip_error(u0, lam, k, gauged, integrator, dt, T=0.2):
@@ -289,6 +294,60 @@ class TestTimeReversal:
         assert errs[-1] > 1e-13, errs
 
 
+# the moving solitary wave of TestMovingSolitaryWave: (omega, c) and the
+# final time
+SOLITON = (1.0, 0.5)
+SOLITON_T = 0.2
+
+
+@functools.lru_cache(maxsize=None)
+def _soliton_run(n, scale, gauged, dt):
+    """(relative L2 error at SOLITON_T, final grid values) of the ETD-RK4
+    solve of the solitary wave on Domain("line", n, scale) with lambda = 0;
+    the gauged form solves gauge_forward(u0) and maps its trajectory back.
+    The exact wave exp(i omega T) u0(x + c T) is u0's coefficients times
+    exp(i xi c T), a spectral translation of the resolved profile."""
+    omega, c = SOLITON
+    dom = Domain("line", n, scale)
+    u0 = solitary_wave(dom, omega, c)
+    cfg = SolverConfig(dom, NonlinearityConfig(0.0, 0, gauged), dt, SOLITON_T)
+    if gauged:
+        last = gauge_trajectory(solve(gauge_forward(u0), cfg), True).values[-1]
+    else:
+        last = solve(u0, cfg).values[-1]
+    exact = np.exp(1j * omega * SOLITON_T) * SpectralField(
+        dom, u0.to_spectral().coeffs * np.exp(1j * c * SOLITON_T * dom.xi)).to_grid().values
+    return np.linalg.norm(last - exact) / np.linalg.norm(exact), last
+
+
+class TestMovingSolitaryWave:
+    """The exact wave u(t, x) = exp(i omega t) phi(-x - c t) at (omega, c) =
+    (1, 0.5), lambda = 0, moved to T = 0.2 on the line: an oracle of the
+    equation itself, which time reversal cannot be, on data where the
+    nonlinearity does real work.  Measured (n = 2048, scale 16, dt = 4e-3,
+    2e-3, 1e-3): original 1.33e-6, 8.08e-8, 5.01e-9; gauged, mapped back,
+    3.40e-8, 2.12e-9, 1.32e-10.  Each halving of dt must cut the error by
+    12 or more, with no floor, as a fourth-order march does (16)."""
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["original", "gauged"])
+    def test_error_is_fourth_order(self, gauged):
+        errs = [_soliton_run(2048, 16, gauged, dt)[0] for dt in (4e-3, 2e-3, 1e-3)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert min(ratios) >= 12.0, (errs, ratios)
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["original", "gauged"])
+    def test_wave_stays_clear_of_the_edges(self, gauged):
+        last = _soliton_run(2048, 16, gauged, 1e-3)[1]
+        check_edge_decay(GridFunction(Domain("line", 2048, 16), last),
+                         "the solitary wave at T")
+
+    def test_error_does_not_change_when_the_box_doubles(self):
+        # the error is the march's, not the box's: 8.0806e-8 in both
+        base = _soliton_run(2048, 16, False, 2e-3)[0]
+        doubled = _soliton_run(4096, 32, False, 2e-3)[0]
+        assert abs(doubled - base) <= 1e-4 * base, (base, doubled)
+
+
 class TestBatch:
     @pytest.mark.parametrize("kind", ["torus", "line"])
     @pytest.mark.parametrize("gauged", [False, True])
@@ -329,7 +388,7 @@ class TestBatch:
 
     def test_edge_decay_checked_per_member(self):
         dom = Domain("line", 128, 2)
-        good = gaussian_packet(dom, 0.5, 0.6)
+        good = gaussian_packet(dom, 0.5, 0.6, mode=0)
         solve(good, small_cfg(dom=dom))
         batch = np.stack([good.values, plane_wave(dom, 0.5, 1).values])
         with pytest.raises(EdgeDecayError):
@@ -352,7 +411,7 @@ class TestForcingWork:
         c = np.random.default_rng(15).normal(size=batch + (dom.n_points,)) + 0j
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=gauged),
                                    c.shape)
-        out = nl(c)
+        out = nl(c, np.empty_like(c))
         assert out.shape == c.shape
         assert calls["fft"] + calls["ifft"] == ffts
 
@@ -471,11 +530,13 @@ class TestForcingWorkArrays:
         a, b = _coeff_rows(dom, 2, seed=31)
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k,
                                              gauged=gauged), a.shape)
-        first = nl(a)
+        out_a, out_b = np.empty_like(a), np.empty_like(b)
+        first = nl(a, out_a)
         kept = first.copy()
-        second = nl(b)
+        second = nl(b, out_b)
+        # the result lands in the caller's buffer, which no later call touches
+        assert first is out_a and second is out_b
         assert np.array_equal(first, kept)
-        assert not np.shares_memory(first, second)
 
     @pytest.mark.parametrize("dom", [TORUS, Domain("line", 128, 4)],
                              ids=["torus", "line"])
@@ -486,8 +547,8 @@ class TestForcingWorkArrays:
         cfg = small_cfg(dom=dom, lam=lam, k=k, gauged=gauged)
         rows = _coeff_rows(dom, 3, seed=32)
         nl_row = make_spectral_forcing(cfg, rows[0].shape)
-        single = [nl_row(r) for r in rows]
-        batch = make_spectral_forcing(cfg, rows.shape)(rows)
+        single = [nl_row(r, np.empty_like(r)) for r in rows]
+        batch = make_spectral_forcing(cfg, rows.shape)(rows, np.empty_like(rows))
         for got, want in zip(batch, single):
             if gauged:
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -507,8 +568,8 @@ class TestForcingWorkArrays:
             batch + (n,))
         want = -1j * original_rhs_reference(SpectralField(dom, c), lam, k, 4)
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k), c.shape)
-        assert np.array_equal(nl(c), want)
-        assert np.array_equal(nl(c), want)
+        assert np.array_equal(nl(c, np.empty_like(c)), want)
+        assert np.array_equal(nl(c, np.empty_like(c)), want)
 
     @pytest.mark.parametrize("dom", [TORUS, Domain("line", 128, 4)],
                              ids=["torus", "line"])
@@ -522,8 +583,8 @@ class TestForcingWorkArrays:
         want = -1j * gauged_rhs_reference(SpectralField(dom, c), lam, k)
         nl = make_spectral_forcing(small_cfg(dom=dom, lam=lam, k=k, gauged=True),
                                    c.shape)
-        assert np.array_equal(nl(c), want)
-        assert np.array_equal(nl(c), want)
+        assert np.array_equal(nl(c, np.empty_like(c)), want)
+        assert np.array_equal(nl(c, np.empty_like(c)), want)
 
 
 class TestPicard:
@@ -561,7 +622,7 @@ class TestPicard:
         bwd = np.exp(+1j * times[:, None] * dom.xi[None, :] ** 2)
         v, diffs = fwd * c0[None, :], []
         for _ in range(3):
-            integrand = bwd * np.stack([nl(row) for row in v])
+            integrand = bwd * np.stack([nl(row, np.empty_like(row)) for row in v])
             cum = np.zeros_like(integrand)
             run = np.zeros(dom.n_points, dtype=np.complex128)
             for l in range(1, cfg.n_steps + 1):

@@ -72,9 +72,9 @@ class TestSpaceTimeNorms:
         dom = Domain("torus", 16)
         lat = ModulationLattice(dom, 64, 0.05, 0.0)
         z = zero_spacetime(lat)
-        assert xsb_norm(z, 0.5, 0.5) == 0.0
+        assert xsb_norm(z, 0.5, 0.5, +1) == 0.0
         assert ysb_norm(z, 0.5, 0.0) == 0.0
-        assert frak_x_norm(z, 0.5, 0.5) == 0.0
+        assert frak_x_norm(z, 0.5, 0.5, +1) == 0.0
         assert cal_y_norm(z, 0.5, 0.0) == 0.0
         assert cal_z_norm(z, 0.5) == 0.0
 
@@ -223,7 +223,7 @@ class TestOnePassBlockNorms:
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
     def test_cal_z(self, dom, n_t):
         u = _random_field(dom, n_t, 3)
-        ref = _reference_sup(u, lambda v: xsb_norm(v, 0.75, 0.5) + ysb_norm(v, 0.75, 0.0))
+        ref = _reference_sup(u, lambda v: xsb_norm(v, 0.75, 0.5, +1) + ysb_norm(v, 0.75, 0.0))
         assert cal_z_norm(u, 0.75) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("dom", [d for d, _ in ONE_PASS_LATTICES])
@@ -376,7 +376,7 @@ class TestBatchedNorms:
         for s, b, space in [(0.0, 0.5, "X"), (0.5, -1.0, "Y")]:
             assert np.array_equal(block_norms(got, s, b, space=space),
                                   block_norms(dense, s, b, space=space))
-        assert np.array_equal(xsb_norm(got, 0.0, 0.5), xsb_norm(dense, 0.0, 0.5))
+        assert np.array_equal(xsb_norm(got, 0.0, 0.5, +1), xsb_norm(dense, 0.0, 0.5, +1))
         # one member alone gives that member's rows of the batch
         for j in range(4):
             one = window_trajectory(times, SpectralField(dom, vals[:, j]), 1.0)
@@ -390,7 +390,7 @@ class TestWindowTrajectory:
         times = -2.0 + 0.0625 * np.arange(64)
         u = window_trajectory(times, SpectralField(dom, np.zeros((64, 16))), 1.0)
         assert u.coeffs.shape == (0, 64) and not np.any(u.rows)
-        assert xsb_norm(u, 0.5, 0.5) == 0.0 and ysb_norm(u, 0.5, 0.0) == 0.0
+        assert xsb_norm(u, 0.5, 0.5, +1) == 0.0 and ysb_norm(u, 0.5, 0.0) == 0.0
 
     def test_plateau(self):
         # chi(2t / T): 1 on |t| <= T/2, 0 on |t| >= T, strictly between inside

@@ -5,6 +5,7 @@ the exact solitary wave): src holds what a run reaches."""
 
 import functools
 import importlib.util
+import inspect
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dnls_lab import cli
 from dnls_lab.errors import DnlsLabError, WrongDomainError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, Trajectory,
@@ -73,8 +75,6 @@ def trilinear_T_fourier(f1: SpectralField, f2: SpectralField,
         raise SizeLimitError("trilinear oracle limited to n <= 64")
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)  # integer mode index
     kmin, kmax = k.min(), k.max()
-    pos = np.argsort(k)          # position of mode value k in ascending order
-    sorted_k = k[pos]
 
     def fetch(arr, kk):
         # coefficient at integer mode kk (0 outside the lattice)
@@ -206,7 +206,7 @@ def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardRe
 
     def advance(vcur: np.ndarray) -> np.ndarray:
         # one forcing call on all slices, then the cumulative trapezoid
-        integrand = bwd * nl(vcur)
+        integrand = bwd * nl(vcur, np.empty_like(vcur))
         panels = 0.5 * cfg.dt * (integrand[:-1] + integrand[1:])
         cum = np.concatenate((np.zeros_like(integrand[:1]),
                               np.cumsum(panels, axis=0)))
@@ -419,6 +419,46 @@ def reference_sample_points(rng, n, box, lattice, regime):
     tau2 = np.where(near, -xi2 ** 2 + jit[1], broad[1])
     tau3 = np.where(near, +xi3 ** 2 + jit[2], broad[2])
     return xi1, xi2, xi3, tau1, tau2, tau3
+
+
+def cli_defaults(scenario: str) -> dict:
+    """The default params of a CLI scenario, from its schema in
+    cli.SCENARIOS; the keys it requires are left out."""
+    _, schema = cli.SCENARIOS[scenario]
+    return {key: k.default for key, k in schema.items() if k.default is not None}
+
+
+# the CLI scenario whose runner calls each probe
+PROBE_SCENARIOS = {"trilinear_probe": "probe-trilinear",
+                   "multilinear_probe": "probe-multilinear",
+                   "strichartz_probe": "probe-strichartz",
+                   "sobolev_mult_probe": "probe-smult",
+                   "domination_scan": "verify-domination",
+                   "dyadic_sum_check": "dyadic-checks"}
+
+
+def at_cli_defaults(probe, *args, **kwargs):
+    """probe(*args, **kwargs) with every argument left out that has no
+    default set as a run of its scenario at the CLI's defaults sets it: the
+    scenario's default param of that name (t_values as a tuple), dom the
+    Domain of the default kind (the torus where the scenario has none) and
+    n_points, and rng seeded with the default seed 0.  An argument that is
+    no CLI key (domination_scan's family and lattice) must be given."""
+    defaults = cli_defaults(PROBE_SCENARIOS[probe.__name__])
+    signature = inspect.signature(probe)
+    bound = signature.bind_partial(*args, **kwargs).arguments
+    for name, param in signature.parameters.items():
+        if name in bound or param.default is not param.empty:
+            continue
+        if name == "dom":
+            bound[name] = Domain(defaults.get("kind", "torus"), defaults["n_points"])
+        elif name == "rng":
+            bound[name] = np.random.default_rng(0)
+        elif name == "t_values":
+            bound[name] = tuple(defaults[name])
+        else:
+            bound[name] = defaults[name]
+    return probe(**bound)
 
 
 def traced_peak(fn, *args) -> int:
