@@ -24,9 +24,16 @@ Transform conventions, fixed here once and used by every other module:
   (_live_rows; the others are exactly zero) from those rows alone.
   SpaceTimeField.members slices a compact field by member, so the
   compact row order is known here alone.
-* products:  padded to the smallest grid on which a product of their
-  degree is alias-free on the retained band (_min_pad_factor), unless
-  the caller asks for a larger one.
+* products:  every factor is padded by padded_values, the one allocating
+  pad, to the smallest grid on which a product of their degree is
+  alias-free on the retained band (_min_pad_factor); the right-hand sides
+  pad instead into preallocated buffers, through the views of their
+  coarse band that nonlinear.rhs_work, the one caller of band outside
+  fields, forms once.  Factors are multiplied left to right on named
+  operands, never as x * f(...): numpy's complex multiply is not bitwise
+  commutative, and numpy may evaluate such a product into the fresh
+  temporary f(...) returns with the operands swapped, which can move the
+  last bit and leave a row of a batch unequal to its own call.
 
 The real line is approximated by a torus of period 2 pi * domain_scale
 ("line" kind); data must decay well inside the box for the approximation
@@ -257,19 +264,16 @@ def band(a: np.ndarray, n: int) -> np.ndarray:
     return blocks[..., ::blocks.shape[-2] - 1, :]
 
 
-def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int,
-                  pad: np.ndarray | None = None) -> np.ndarray:
+def padded_values(domain: Domain, coeffs: np.ndarray, n_fine: int) -> np.ndarray:
     """Samples on the n_fine-point grid of the field with the given coarse
-    FFT-ordered coefficients (..., n_points): zero-pad, inverse transform.
-
-    pad is an optional (..., n_fine) work array that must be zero outside
-    the coarse band, which is the only part written."""
+    FFT-ordered coefficients (..., n_points), in a fresh array: the coarse
+    band is written into a zero-filled buffer, which is inverse-transformed
+    in place and returned."""
     c = np.asarray(coeffs, dtype=np.complex128)
     n = domain.n_points
-    if pad is None:
-        pad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
+    pad = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
     band(pad, n)[...] = c.reshape(c.shape[:-1] + (2, n // 2))
-    return scaled_ifft(pad, transform_scales(domain, n_fine)[0])
+    return scaled_ifft(pad, transform_scales(domain, n_fine)[0], pad)
 
 
 def transform_scales(domain: Domain, n_grid: int) -> tuple[float, float]:
@@ -284,8 +288,8 @@ def transform_scales(domain: Domain, n_grid: int) -> tuple[float, float]:
 
 def scaled_ifft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
     """scale times the inverse FFT of a along its last axis, into out when
-    given: to_grid's samples, or padded_values' once a holds the padded
-    coefficients."""
+    given (a itself for padded_values, which transforms its buffer in
+    place): to_grid's samples, or padded_values'."""
     out = np.fft.ifft(a, axis=-1, out=out)
     out *= scale
     return out
@@ -323,31 +327,24 @@ def band_truncate(fine_values: np.ndarray, scale: float, spec: np.ndarray | None
     return out
 
 
-def dealiased_product_coeffs(
-    domain: Domain,
-    coeff_arrays: Sequence[np.ndarray],
-    conjugate: Sequence[bool] | None = None,
-    pad_factor: int = 1,
-) -> np.ndarray:
+def dealiased_product_coeffs(domain: Domain,
+                             coeff_arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Alias-free pointwise product, vectorized over leading axes.
 
     Inputs and output are FFT-ordered spectral coefficient arrays of shape
-    (..., n_points).  Every factor is zero-padded in frequency to pad_factor
-    times the base resolution, raised to the smallest alias-free grid for
-    the polynomial degree (_min_pad_factor: 2x for two or three factors, 4x
-    for four to seven), which is also the default; it is multiplied pointwise
-    on the fine grid, and truncated back.
+    (..., n_points).  Every factor is padded by padded_values to the
+    smallest alias-free grid for the polynomial degree (_min_pad_factor: 2x
+    for two or three factors, 4x for four to seven), the factors are
+    multiplied there left to right, each product on named operands (see
+    the module docstring), and the product is truncated back.  A conjugate
+    factor is passed as its own coefficients (_conj_reverse).
     """
     if not coeff_arrays:
         raise ValueError("no factors")
-    if conjugate is None:
-        conjugate = [False] * len(coeff_arrays)
-    nf = max(pad_factor, _min_pad_factor(len(coeff_arrays))) * domain.n_points
+    nf = _min_pad_factor(len(coeff_arrays)) * domain.n_points
     prod = None
-    for c, cj in zip(coeff_arrays, conjugate):
+    for c in coeff_arrays:
         vals = padded_values(domain, c, nf)
-        if cj:
-            vals = np.conj(vals)
         prod = vals if prod is None else prod * vals
     return truncated_coeffs(domain, prod)
 

@@ -1,10 +1,14 @@
 """Right-hand-side nonlinearities and the multilinear forms of the
 estimates.
 
-Pointwise products are dealiased by zero padding (see
-fields.dealiased_product_coeffs) and derivatives act spectrally; each
-right-hand side pads once.  Both right-hand sides take and return
-coefficients, rhs(v: SpectralField, cfg, work) -> SpectralField.
+Pointwise products are dealiased by zero padding and derivatives act
+spectrally.  The multilinear forms and power_nonlinearity pad each factor
+through fields.padded_values, the one allocating pad (the trilinear form
+through fields.dealiased_product_coeffs); each right-hand side pads once,
+into the preallocated spectra of rhs_work, through its views of their
+coarse band (rhs_work is the one caller of fields.band outside fields).
+Both right-hand sides take and return coefficients, rhs(v: SpectralField,
+cfg, work) -> SpectralField.
 rhs_gauged pads v and d_x v as one stack: its 2 FFTs are the whole
 forcing call's.  rhs_original makes 6: a grid round trip of v (whose
 forward transform fixes the bits the plane-wave goldens pin, until those
@@ -125,10 +129,9 @@ def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
     if len(cs) != 5:
         raise ValueError("need exactly five factors")
     nf = _min_pad_factor(5) * dom.n_points
-    pad = np.zeros(np.shape(cs[0])[:-1] + (nf,), dtype=np.complex128)
-    w12, w34, w5 = (padded_values(dom, cs[i], nf, pad) for i in (0, 2, 4))
-    w12 *= padded_values(dom, cs[1], nf, pad)
-    w34 *= padded_values(dom, cs[3], nf, pad)
+    w12, w34, w5 = (padded_values(dom, cs[i], nf) for i in (0, 2, 4))
+    w12 *= padded_values(dom, cs[1], nf)
+    w34 *= padded_values(dom, cs[3], nf)
     fine = np.empty((3,) + w12.shape, dtype=np.complex128)  # P, w3w4w5, w1w2w5
     np.multiply(w34, w5, out=fine[1])
     np.multiply(w12, fine[1], out=fine[0])
@@ -151,19 +154,26 @@ def quintic_Q_general_slices(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
 
 def power_nonlinearity(v: GridFunction, lam: float, k: int,
                        pad_factor: int = 4) -> GridFunction:
-    """lam |v|^(2k) v, dealiased at the degree-(2k+1) product; v may be a
-    stack of slices (..., n)."""
+    """lam |v|^(2k) v, dealiased at the degree-(2k+1) product on the grid of
+    max(pad_factor, its smallest alias-free) times the base resolution; v may
+    be a stack of slices (..., n).  v is padded and conjugated once, and the
+    product v conj(v) v ... is formed left to right."""
     if k < 0:
         raise ParameterError("k must be >= 0")
     if lam == 0.0:
         return GridFunction(v.domain, np.zeros_like(v.values))
     if k == 0:
         return GridFunction(v.domain, lam * v.values)
-    c = v.to_spectral().coeffs
-    coeffs = [c] * (2 * k + 1)
-    conj = [False, True] * k + [False]
-    out = dealiased_product_coeffs(v.domain, coeffs, conj, pad_factor)
-    return GridFunction(v.domain, lam * SpectralField(v.domain, out).to_grid().values)
+    dom = v.domain
+    nf = max(pad_factor, _min_pad_factor(2 * k + 1)) * dom.n_points
+    vf = padded_values(dom, v.to_spectral().coeffs, nf)
+    vc = np.conj(vf)
+    prod = vf
+    for _ in range(k):
+        prod = prod * vc
+        prod = prod * vf
+    out = truncated_coeffs(dom, prod)
+    return GridFunction(dom, lam * SpectralField(dom, out).to_grid().values)
 
 
 def rhs_work(dom: Domain, cfg: NonlinearityConfig, shape: tuple, pad_factor: int) -> dict:

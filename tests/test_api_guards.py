@@ -603,6 +603,32 @@ class TestTransformsInFields:
             "gauge.gauge_phase"}
 
 
+# Functions outside fields that call fields.band, each with its reason.  A
+# padded factor is padded_values' fresh buffer; a hand-written pad would
+# write a coarse band through band.
+BAND_OUTSIDE_FIELDS = {
+    "nonlinear.rhs_work": "the right-hand sides pad into preallocated spectra, "
+                          "so that the march allocates nothing per call",
+}
+
+
+class TestPaddingInFields:
+    def test_only_listed_functions_call_band_outside_fields(self):
+        assert callers(_src_sources(), ("band",)) == sorted(BAND_OUTSIDE_FIELDS)
+
+    @pytest.mark.parametrize("added", [
+        "    band(pad, n)[...] = halves\n",
+        "    fields.band(pad, n)[...] = halves\n",
+    ])
+    def test_a_band_write_outside_fields_fails_the_scan(self, added):
+        sources = _src_sources()
+        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
+        assert anchor in sources["gauge"]
+        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
+        assert (set(callers(sources, ("band",)))
+                - set(callers(_src_sources(), ("band",)))) == {"gauge.gauge_phase"}
+
+
 # Functions outside fields that call the SpaceTimeField constructor.  None
 # does: the others build fields through from_time_values and slice compact
 # ones with SpaceTimeField.members, so the compact row order is fields' alone.

@@ -7,8 +7,10 @@ import pytest
 
 from dnls_lab.errors import DomainMismatchError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeField,
-                             SpectralField, Trajectory, _deriv_mult,
-                             _square_sums, dealiased_product_coeffs)
+                             SpectralField, Trajectory, _conj_reverse, _deriv_mult,
+                             _square_sums, band_truncate, dealiased_product_coeffs,
+                             padded_values, scaled_fft, scaled_ifft, truncated_coeffs)
+from dnls_lab.nonlinear import power_nonlinearity
 from dnls_lab.spaces import block_norms, xsb_norm
 
 from tests_support import conj_flip, unit_mass, zero_grid
@@ -104,12 +106,25 @@ class TestDerivative:
             mult[0] = 1.0
 
 
-def _product_values(factors, conjugate=None, pad_factor=4):
+def _product_values(factors):
     """Grid values of the dealiased product of GridFunction factors."""
     dom = factors[0].domain
-    out = dealiased_product_coeffs(dom, [f.to_spectral().coeffs for f in factors],
-                                   conjugate, pad_factor)
+    out = dealiased_product_coeffs(dom, [f.to_spectral().coeffs for f in factors])
     return SpectralField(dom, out).to_grid().values
+
+
+def _random_coeffs(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _named_product(dom, c1, c2, c3):
+    """The dealiased product of three factors written out: each padded by
+    padded_values, multiplied left to right on named operands, truncated."""
+    nf = 2 * dom.n_points
+    w1, w2, w3 = (padded_values(dom, c, nf) for c in (c1, c2, c3))
+    w12 = w1 * w2
+    prod = w12 * w3
+    return truncated_coeffs(dom, prod)
 
 
 class TestDealiasedProduct:
@@ -122,38 +137,106 @@ class TestDealiasedProduct:
         assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_cubic_with_conjugate(self):
+        # the conjugate factor lives in power_nonlinearity, which conjugates
+        # its padded samples
         dom = Domain("torus", 64)
         v = GridFunction(dom, 0.7 * np.exp(1j * dom.x) + 0.2 * np.exp(-2j * dom.x))
-        out = _product_values([v, v, v], [False, False, True])
+        out = power_nonlinearity(v, 1.0, 1).values
         exact = v.values * v.values * np.conj(v.values)
         assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_padding_insensitive_on_band_limited_data(self):
+        # the one pad factor a caller sets is power_nonlinearity's: the
+        # cube at 2x and 4x, the quintic at 4x and 8x
         dom = Domain("torus", 64)
         rng = np.random.default_rng(3)
         coeffs = np.zeros(64, complex)
         for k in range(-8, 9):  # occupies n/8 modes
             coeffs[k % 64] = rng.normal() + 1j * rng.normal()
         v = SpectralField(dom, coeffs).to_grid()
-        a = _product_values([v, v, v, v, v],
-                            [False, True, False, True, False], pad_factor=4)
-        b = _product_values([v, v, v, v, v],
-                            [False, True, False, True, False], pad_factor=8)
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) < 1e-10 * max(scale, 1.0)
+        for k, pad in [(1, 2), (2, 4)]:
+            a = power_nonlinearity(v, 1.0, k, pad).values
+            b = power_nonlinearity(v, 1.0, k, 2 * pad).values
+            scale = np.max(np.abs(a))
+            assert np.max(np.abs(a - b)) < 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("conj", [[False, False, True],
                                       [False, True, False, True, False]])
     def test_repeated_factor_is_bit_identical_to_copies(self, conj):
-        # the original-form RHS passes one array several times; padding it
-        # once must not move a bit, since time-step error figures of about
-        # 1e-12 keep few stable digits
+        # one array passed as several factors (trilinear_T_slices' diagonal
+        # call passes c twice) must not move a bit: padding a factor writes
+        # a fresh buffer, never its input or another factor's samples; the
+        # conjugate factors are passed as their own coefficients
         dom = Domain("torus", 64)
         rng = np.random.default_rng(8)
         c = rng.normal(size=64) + 1j * rng.normal(size=64)
-        same = dealiased_product_coeffs(dom, [c] * len(conj), conj)
-        copies = dealiased_product_coeffs(dom, [c.copy() for _ in conj], conj)
+        cb = _conj_reverse(c)
+        same = dealiased_product_coeffs(dom, [cb if j else c for j in conj])
+        copies = dealiased_product_coeffs(dom, [(cb if j else c).copy() for j in conj])
         assert np.array_equal(same, copies)
+
+    def test_is_the_named_left_to_right_product(self):
+        # numpy's complex multiply is not bitwise commutative, and it may
+        # evaluate x * f(...) into f(...)'s fresh temporary with the
+        # operands swapped (for arrays of 256 KiB or more, as the fine
+        # (8, 2048) product here): the product must keep its order
+        dom = Domain("line", 1024, 4)
+        cs = _random_coeffs(np.random.default_rng(11), (3, 8, 1024))
+        assert np.array_equal(dealiased_product_coeffs(dom, list(cs)),
+                              _named_product(dom, *cs))
+
+    def test_row_subset_keeps_the_bits_of_the_batch(self):
+        # the window probes evaluate a product on the kept slices alone, and
+        # must get the full batch's rows: here the batch's fine product is
+        # large enough for numpy to reuse a temporary, the subset's is not
+        dom = Domain("line", 1024, 4)
+        cs = _random_coeffs(np.random.default_rng(12), (3, 24, 1024))
+        rows = [0, 3, 4, 10, 23]
+        full = dealiased_product_coeffs(dom, list(cs))
+        sub = dealiased_product_coeffs(dom, [c[rows] for c in cs])
+        assert np.array_equal(sub, _named_product(dom, *cs[:, rows]))
+        assert np.array_equal(sub, full[rows])
+
+
+def _transform(op, n):
+    """The operation op of fields on stacks (..., n) of a torus domain's
+    coefficients or samples; band_truncate reads them as samples of a fine
+    grid on n points, and keeps the band of an n/2-point one."""
+    dom = Domain("torus", n)
+    return {
+        "scaled_fft": lambda x: scaled_fft(x, 0.3),
+        "scaled_ifft": lambda x: scaled_ifft(x, 1.7),
+        "scaled_ifft_in_place": lambda x: scaled_ifft(x, 1.7, x),
+        "padded_values": lambda x: padded_values(dom, x, 2 * n),
+        "band_truncate": lambda x: band_truncate(
+            x, 0.3, None, np.empty(x.shape[:-1] + (2, n // 4), dtype=np.complex128)),
+    }[op]
+
+
+class TestStackedTransforms:
+    """Each row of a (k, ..., n) stack gets exactly the bits of its own call:
+    the batched solver and probe paths, and any stacking of transforms,
+    rely on it."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("op", ["scaled_fft", "scaled_ifft", "scaled_ifft_in_place",
+                                    "padded_values", "band_truncate"])
+    def test_every_row_keeps_the_bits_of_its_own_call(self, op, n):
+        rng = np.random.default_rng(n)
+        f = _transform(op, n)
+        for k in range(1, 9):
+            stack = _random_coeffs(rng, (k, 2, n))
+            got = f(stack.copy())
+            for j in range(k):
+                for i in range(2):
+                    assert np.array_equal(got[j, i], f(stack[j, i].copy()))
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_in_place_inverse_keeps_the_bits_of_a_fresh_one(self, n):
+        # padded_values transforms its buffer in place
+        stack = _random_coeffs(np.random.default_rng(n), (8, 2, n))
+        fresh = scaled_ifft(stack, 1.7)
+        assert np.array_equal(scaled_ifft(stack, 1.7, stack), fresh)
 
 
 class TestTrajectory:

@@ -18,8 +18,7 @@ from dnls_lab.errors import DnlsLabError, WrongDomainError
 from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
                              SpaceTimeField, SpectralField, Trajectory,
                              _conj_reverse, _deriv_mult, _min_pad_factor,
-                             check_edge_decay, dealiased_product_coeffs,
-                             padded_values, truncated_coeffs)
+                             check_edge_decay, padded_values, truncated_coeffs)
 from dnls_lab.frequency import bracket
 from dnls_lab.gauge import _torus_mus, gauge_forward, gauge_trajectory
 from dnls_lab.nonlinear import TWO_PI, NonlinearityConfig, power_nonlinearity
@@ -235,12 +234,14 @@ def picard_iterate(u0: GridFunction, cfg: SolverConfig, n_iter: int) -> PicardRe
 def original_rhs_reference(v: SpectralField, lam, k, pad_factor) -> np.ndarray:
     """rhs_original's coefficients for the coefficients v of u, i d_x(|u|^2 u)
     + lam |u|^(2k) u composed term by term on the samples of u: the
-    dealiased cube, then i d_x, then the power term, each on its own fine
-    grid."""
+    dealiased cube (u u) conj(u) from one padded_values call, then i d_x,
+    then the power term, each on its own fine grid."""
     dom, u = v.domain, v.to_grid()
     c = u.to_spectral().coeffs
-    cube = dealiased_product_coeffs(dom, [c, c, c], [False, False, True],
-                                    pad_factor)
+    uf = padded_values(dom, c, max(pad_factor, _min_pad_factor(3)) * dom.n_points)
+    uc = np.conj(uf)
+    square = uf * uf
+    cube = truncated_coeffs(dom, square * uc)
     dcube = SpectralField(dom, _deriv_mult(dom) * cube).to_grid().values
     rhs = 1j * dcube + power_nonlinearity(u, lam, k, pad_factor).values
     return GridFunction(dom, rhs).to_spectral().coeffs
