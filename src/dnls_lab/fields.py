@@ -17,13 +17,10 @@ Transform conventions, fixed here once and used by every other module:
   slice index times dt/sqrt(2 pi) exp(-i t_0 tau), t_0 the first sample
   time; that factor is cached per ModulationLattice.  A SpaceTimeField
   may carry a leading batch axis: a stack of fields on one lattice,
-  transformed and normed in one call.  It is built from per-slice
-  coefficients without a spatial transform: a dense field from a
-  SpectralField, with its coeffs stored tau-contiguous however the input
-  was laid out, or a compact field of the xi rows that carry data
-  (_live_rows; the others are exactly zero) from those rows alone.
-  SpaceTimeField.members slices a compact field by member, so the
-  compact row order is known here alone.
+  transformed and normed in one call.  It holds only the xi rows that
+  carry data (_live_rows; the others are exactly zero), built from those
+  rows' per-slice coefficients alone, without a spatial transform.  SpaceTimeField.members slices it by
+  member, so the compact row order is known here alone.
 * products:  every factor is padded by padded_values, the one allocating
   pad, to the smallest grid on which a product of their degree is
   alias-free on the retained band (_min_pad_factor); the right-hand sides
@@ -434,27 +431,24 @@ def _live_rows(by_xi: np.ndarray) -> np.ndarray:
 
 
 class SpaceTimeField:
-    """Coefficients on a ModulationLattice; coeffs[..., k, m] sits at
-    (xi_k, tau_m).  Leading axes, when any, are a batch of fields on one
-    lattice, which the transforms and the block norms of spaces treat
-    member by member.
+    """Coefficients on a ModulationLattice of the xi rows that carry data.
 
-    A compact field keeps only the xi rows that carry data, named by
-    rows, a boolean (members..., n) array: coeffs (..., m, n_t) holds them
-    in np.nonzero(rows) order, every other row being zero, and its leading
-    axes (a window axis) stack fields with these rows.  The block norms of
-    spaces read it; to_time_values needs a dense field (rows None).
+    rows, a boolean (members..., n) array, names them: coeffs (..., m, n_t)
+    holds them in np.nonzero(rows) order, m = count_nonzero(rows), every
+    other row being zero; coeffs[..., j, k] sits at tau_k on the j-th live
+    row.  Leading axes of coeffs (a window axis) stack fields with these
+    rows.  Members and windows are batches that the transforms and the
+    block norms of spaces treat one by one; the norms read the live rows
+    in place.
     """
 
     __slots__ = ("lattice", "coeffs", "rows")
 
     def __init__(self, lattice: ModulationLattice, coeffs: np.ndarray,
-                 rows: np.ndarray | None = None):
+                 rows: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        n = lattice.domain.n_points
-        m = n if rows is None else np.count_nonzero(rows)
-        if (coeffs.shape[-2:] != (m, lattice.n_t)
-                or (rows is not None and rows.shape[-1] != n)):
+        if (coeffs.shape[-2:] != (np.count_nonzero(rows), lattice.n_t)
+                or rows.shape[-1] != lattice.domain.n_points):
             raise ValueError("coeffs shape does not match the lattice")
         self.lattice = lattice
         self.coeffs = coeffs
@@ -465,50 +459,44 @@ class SpaceTimeField:
         return self.lattice.domain
 
     @classmethod
-    def from_time_values(cls, domain: Domain, times: np.ndarray, values,
-                         rows: np.ndarray | None = None) -> "SpaceTimeField":
-        """Build from a SpectralField of per-slice coefficients (..., n_t, n)
-        at the uniform times.
+    def from_time_values(cls, domain: Domain, times: np.ndarray, values: np.ndarray,
+                         rows: np.ndarray) -> "SpaceTimeField":
+        """Build the field of the xi rows `rows` from their per-slice
+        coefficients at the uniform times.
 
-        The tau transform runs along the last axis of the (..., n, n_t)
-        transpose of the slice coefficients, copied tau-contiguous unless
-        they are stored xi-major (passed as the swapped view of a contiguous
-        (..., n, n_t) array), so that every dense field's coeffs are
-        tau-contiguous and its norms' bits do not depend on how it was built.
-
-        With rows, the xi rows that carry data, values is instead the
-        complex array (..., m, n_t) of their per-slice coefficients in the
-        compact field's order: it is transformed in place, each row with the
-        bits of the full transform, and becomes the compact field's coeffs.
-        The caller finds the rows (_live_rows; this call does not scan) and
-        hands the array over: it is the field's coeffs afterwards, not the
-        caller's slice coefficients.
+        values is the C-contiguous complex array (..., m, n_t) of those
+        rows' coefficients, xi-major in the compact order: it is transformed
+        in place along its last axis, each row with the bits of the
+        transform of all n rows, and becomes the field's coeffs, so the
+        caller hands it over.  The caller finds the rows (_live_rows; this
+        call does not scan).
         """
+        if not values.flags.c_contiguous:
+            raise ValueError("values must be C-contiguous")
         times = np.asarray(times, dtype=float)
         dt = float(times[1] - times[0])
         lat = ModulationLattice(domain, times.size, dt, float(times[0]))
-        if rows is not None:
-            ghat = np.fft.fft(values, axis=-1, out=values)
-            ghat *= _tau_factor(lat)
-            return cls(lat, ghat, rows)
-        domain.require_same(values.domain)
-        by_xi = np.ascontiguousarray(np.swapaxes(values.coeffs, -1, -2))
-        ghat = np.fft.fft(by_xi, axis=-1)
+        ghat = np.fft.fft(values, axis=-1, out=values)
         ghat *= _tau_factor(lat)
-        return cls(lat, ghat)
+        return cls(lat, ghat, rows)
 
     def members(self, start: int, stop: int) -> "SpaceTimeField":
-        """The compact field of members start..stop-1 (the first axis of
-        rows) of a compact field, its leading (window) axes kept: their
-        rows are one run of the compact order, so coeffs is a view."""
+        """The field of members start..stop-1 (the first axis of rows), its
+        leading (window) axes kept: their rows are one run of the compact
+        order, so coeffs is a view."""
         lo, hi = (np.count_nonzero(self.rows[:i]) for i in (start, stop))
         return SpaceTimeField(self.lattice, self.coeffs[..., lo:hi, :],
                               self.rows[start:stop])
 
     def to_time_values(self) -> np.ndarray:
-        """Physical samples u(x_j, t_l), shape (..., n_t, n_points)."""
+        """Physical samples u(x_j, t_l), shape (..., members..., n_t,
+        n_points): the live rows are written into a zero array of every
+        row, which is transformed back in tau and then in x."""
         lat = self.lattice
-        phase = np.exp(1j * lat.t0 * lat.tau)
-        g = np.fft.ifft(self.coeffs * phase, axis=-1) * (SQRT_2PI / lat.dt)
+        full = np.zeros(self.coeffs.shape[:-2] + self.rows.shape + (lat.n_t,),
+                        dtype=np.complex128)
+        full[..., self.rows, :] = self.coeffs
+        full *= np.exp(1j * lat.t0 * lat.tau)
+        g = np.fft.ifft(full, axis=-1) * (SQRT_2PI / lat.dt)
         slices_hat = np.swapaxes(g, -1, -2)
         return np.fft.ifft(slices_hat, axis=-1) * (SQRT_2PI / self.domain.dx)

@@ -13,13 +13,13 @@ sign.  Both caches hold read-only arrays.  Every dyadic-sup norm is the
 low block plus the sup over N > 1 (_low_plus_sup), and every block norm
 comes from the chi_N^2 product (_dyadic_blocks); besov_norm is the paper's
 B^s_{2,inf} (q = inf only), the same rule on the blocks N^s ||P_N f||.
-block_norms, xsb_norm, frak_x_norm and cal_y_norm accept a SpaceTimeField
-with a leading batch axis, and besov_norm a SpectralField with one; they
-then return one value per member (a float for a single field), equal bit
-for bit to one call per member; ysb_norm takes a single field.  They also
-read a compact field (SpaceTimeField.rows) in place, one value per window
-and member (_rows): a row it leaves out adds what a zero row adds (0, or
-NaN where the weight overflowed), so each value keeps the dense bits.
+Every norm returns one value per member (a float for a single field),
+equal bit for bit to one call per member: sobolev_norm and besov_norm for
+a SpectralField with a leading batch axis, and the space-time norms for
+each window and member of a SpaceTimeField, whose live rows (rows) they
+read in place (_rows): a row the field leaves out adds what a zero row
+adds (0, or NaN where the weight overflowed), so each value has the bits
+of the field with every row held.
 The exact lattice constant C of Y^{s,b1} <= C X^{s,b2}, which the
 acceptance tests check ysb_norm and xsb_norm against, is a test helper
 (tests/tests_support.py), since no run needs it.
@@ -45,10 +45,12 @@ from .fields import (Domain, ModulationLattice, SpaceTimeField, SpectralField,
 from .frequency import bracket, cutoff_low, dyadic_multiplier, dyadic_range
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm: the L2 norm of <xi>^s fhat on the lattice."""
+def sobolev_norm(f: SpectralField, s: float):
+    """H^s norm: the L2 norm of <xi>^s fhat on the lattice, one value per
+    member for coefficients with a leading batch axis."""
     w = bracket(f.domain.xi) ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * f.domain.dxi))
+    return _member_values(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2, axis=-1)
+                                  * f.domain.dxi))
 
 
 @lru_cache(maxsize=8)
@@ -118,16 +120,15 @@ def _row_terms(c: np.ndarray, w: np.ndarray, lattice: ModulationLattice,
 
 
 def _rows(u: SpaceTimeField, s: float, b: float, sign: int, space: str) -> np.ndarray:
-    """Per-xi squared contributions (..., n): ||u||^2 = sum(rows) and, since
-    chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows.
+    """Per-xi squared contributions (..., members..., n): ||u||^2 = sum(rows)
+    and, since chi_N depends on xi alone, ||P_N u||^2 = chi_N^2 . rows.
 
-    A compact field is read one leading member (window) at a time, so the
-    moduli of one window exist at a time, and every row it leaves out adds
-    what a zero row adds: the result has the bits of the dense field's."""
-    w = _xsb_weight(u.lattice, s, b, sign)
-    if u.rows is None:
-        return _row_terms(u.coeffs, w, u.lattice, space)
-    w, lead = w[np.nonzero(u.rows)[-1]], u.coeffs.shape[:-2]
+    The field is read one leading (window) index at a time, so the moduli
+    of one window exist at a time, and every row it leaves out adds what a
+    zero row adds: the result has the bits of the field with every row
+    held."""
+    w = _xsb_weight(u.lattice, s, b, sign)[np.nonzero(u.rows)[-1]]
+    lead = u.coeffs.shape[:-2]
     full = np.broadcast_to(_zero_row_terms(u.lattice, s, b, sign),
                            lead + u.rows.shape).copy()
     for i in np.ndindex(lead):
@@ -147,9 +148,9 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int):
     return _member_values(np.sqrt(np.sum(_rows(u, s, b, sign, "X"), axis=-1)))
 
 
-def ysb_norm(u: SpaceTimeField, s: float, b: float) -> float:
-    """Y^{s,b} norm of a single field: inner L1 in tau, outer L2 in xi."""
-    return float(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"))))
+def ysb_norm(u: SpaceTimeField, s: float, b: float):
+    """Y^{s,b} norm: inner L1 in tau, outer L2 in xi."""
+    return _member_values(np.sqrt(np.sum(_rows(u, s, b, +1, "Y"), axis=-1)))
 
 
 def frak_x_norm(u: SpaceTimeField, s: float, b: float, sign: int):

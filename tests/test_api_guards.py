@@ -4,9 +4,10 @@ under that tracer must keep their exit codes and report bytes, every public
 function, class and method must be named in src and every src function
 entered by the golden runs, or kept on purpose, with a reason, every
 defaulted parameter must be set by some src call and left unset by
-another, or kept on purpose, with a reason, src reads no environment
-variable (every setting is a config
-field or a constant), only fields calls the FFT (it alone applies the
+another, or kept on purpose, with a reason, every read of a dict key with
+a default (.get, .setdefault) must be kept on purpose, with a reason, src
+reads no environment variable (every setting is a config field or a
+constant), only fields calls the FFT (it alone applies the
 transform normalization dx/sqrt(2 pi)), and only fields calls the
 SpaceTimeField constructor (it alone knows the compact row order)."""
 
@@ -513,11 +514,7 @@ class TestUnsetOptions:
 
 
 # Defaulted parameters that every src call sets, kept on purpose.
-DEFAULT_KEEP = {
-    "fields.SpaceTimeField.__init__.rows": "from_time_values builds a dense field "
-                                           "through cls(lattice, coeffs), which the "
-                                           "name match does not see",
-}
+DEFAULT_KEEP = {}
 
 
 class TestAlwaysSetDefaults:
@@ -555,6 +552,71 @@ class TestAlwaysSetDefaults:
         sources["fields"] += "\n\n" + added
         assert (set(always_set_options(sources))
                 - set(always_set_options(_src_sources()))) == flagged
+
+
+# Functions of src that read a key with a default, .get(key, default) or
+# .setdefault(key, default), each with its reason.  The option guards above
+# see defaulted parameters alone; a default read out of a dict is one they
+# miss, and a runner's keys have theirs in the CLI schema only.
+DICT_DEFAULT_KEEP = {
+    "cli.validate_spec": "the top-level spec keys seed, name and params are optional",
+    "cli.run": "the optional top-level keys seed and name, and the optional result "
+               "keys reports, plotdata and fields",
+    "cli.main": "a --config file may leave out the scenario and the name",
+    "scenarios._initial_type": "solve's `initial` object: its type defaults by domain "
+                               "kind",
+    "scenarios._initial_data": "solve's `initial` keys: their defaults depend on the "
+                               "type and the domain, which the flat CLI schema cannot say",
+}
+
+
+def dict_defaults(sources: dict) -> dict:
+    """{module.function: [line of each call]} of every .get(key, default) or
+    .setdefault(key, default) call in sources {module: text}, under the
+    top-level function or class around it (module.<module> for top-level
+    code), as env_readers names them.  A call matches by attribute name and
+    two positional arguments, whatever object it is made on."""
+    out = {}
+    for module, text in sources.items():
+        for node in _tree(text).body:
+            where = f"{module}.{getattr(node, 'name', '<module>')}"
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in ("get", "setdefault")
+                        and len(call.args) == 2):
+                    out.setdefault(where, []).append(call.lineno)
+    return out
+
+
+class TestDictDefaults:
+    def test_every_dict_default_is_kept(self):
+        assert {f: lines for f, lines in dict_defaults(_src_sources()).items()
+                if f not in DICT_DEFAULT_KEEP} == {}
+
+    def test_keep_entries_read_dict_defaults(self):
+        assert sorted(set(DICT_DEFAULT_KEEP) - set(dict_defaults(_src_sources()))) == []
+
+    @pytest.mark.parametrize("added,flagged", [
+        ('    n = params.get("ensemble", 100)\n', {"scenarios.run_dyadic_checks"}),
+        ('    params.setdefault("ensemble", 100)\n', {"scenarios.run_dyadic_checks"}),
+        ('    def inner(p):\n        return p.get("s", 0.5)\n',
+         {"scenarios.run_dyadic_checks"}),
+        ('    n = params.get("ensemble")\n', set()),
+        ('    n = params["ensemble"]\n', set()),
+    ], ids=["get", "setdefault", "nested", "get-without-default", "subscript"])
+    def test_a_planted_dict_default_fails_the_scan(self, added, flagged):
+        sources = _src_sources()
+        anchor = "def run_dyadic_checks(params, rng):\n"
+        assert anchor in sources["scenarios"]
+        sources["scenarios"] = sources["scenarios"].replace(anchor, anchor + added, 1)
+        assert (set(dict_defaults(sources))
+                - set(dict_defaults(_src_sources()))) == flagged
+
+    def test_a_top_level_dict_default_fails_the_scan(self):
+        sources = _src_sources()
+        sources["scenarios"] += '\n\nENSEMBLE = {}.get("ensemble", 100)\n'
+        assert (set(dict_defaults(sources))
+                - set(dict_defaults(_src_sources()))) == {"scenarios.<module>"}
 
 
 # Functions outside fields that call np.fft.fft / np.fft.ifft, each with its

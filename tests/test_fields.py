@@ -13,7 +13,7 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice, SpaceTimeF
 from dnls_lab.nonlinear import power_nonlinearity
 from dnls_lab.spaces import block_norms, xsb_norm
 
-from tests_support import conj_flip, unit_mass, zero_grid
+from tests_support import conj_flip, dense_spacetime, unit_mass, zero_grid
 
 
 class TestDomain:
@@ -286,7 +286,7 @@ class TestSpaceTimeField:
         rng = np.random.default_rng(5)
         times = -1.0 + 0.125 * np.arange(16)
         vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         back = u.to_time_values()
         assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
 
@@ -296,7 +296,7 @@ class TestSpaceTimeField:
         times = -128 * dt + dt * np.arange(256)
         # u = e^{i(2x - 3t)}: uhat concentrated at (xi, tau) = (2, -3)
         vals = np.exp(1j * (2 * dom.x[None, :] - 3.0 * times[:, None]))
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         ix = int(np.argmin(np.abs(dom.xi - 2)))
         it = int(np.argmin(np.abs(u.lattice.tau + 3.0)))
         mag = np.abs(u.coeffs)
@@ -309,7 +309,7 @@ class TestSpaceTimeField:
         rng = np.random.default_rng(6)
         times = 0.05 * np.arange(64)
         vals = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         direct = np.sqrt(np.sum(np.abs(vals) ** 2) * dom.dx * 0.05)
         assert xsb_norm(u, 0.0, 0.0, +1) == pytest.approx(direct, rel=1e-12)
 
@@ -320,43 +320,20 @@ class TestSpaceTimeField:
         times = -1.0 + np.arange(128) / 64.0
         vals = rng.normal(size=(3, 128, dom.n_points)) \
             + 1j * rng.normal(size=(3, 128, dom.n_points))
-        single = [SpaceTimeField.from_time_values(dom, times,
-                                                  GridFunction(dom, v).to_spectral())
-                  for v in vals]
-        batch = SpaceTimeField.from_time_values(dom, times,
-                                                GridFunction(dom, vals).to_spectral())
+        slices_hat = GridFunction(dom, vals).to_spectral().coeffs
+        single = [dense_spacetime(dom, times, c) for c in slices_hat]
+        batch = dense_spacetime(dom, times, slices_hat)
         assert batch.coeffs.shape == (3, dom.n_points, 128)
         for j, u in enumerate(single):
             assert np.array_equal(batch.coeffs[j], u.coeffs)
             assert np.array_equal(batch.to_time_values()[j], u.to_time_values())
-        # per-slice coefficients, stored xi-major as the probes keep them
-        slices_hat = np.fft.fft(vals, axis=-1) * (dom.dx / np.sqrt(2 * np.pi))
+        # the same fields as three members of one field, not three windows
         by_xi = np.ascontiguousarray(np.swapaxes(slices_hat, -1, -2))
-        spectral = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
-        assert np.array_equal(spectral.coeffs, batch.coeffs)
-
-    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
-                             ids=lambda d: d.kind)
-    def test_dense_norms_do_not_depend_on_the_input_layout(self, dom):
-        # the same per-slice coefficients stored time-major (as a trajectory
-        # holds them) and xi-major (as the probes build them) give one
-        # tau-contiguous field, so every block norm has one set of bits
-        rng = np.random.default_rng(15)
-        times = -2.0 + 0.02 * np.arange(200)
-        by_time = rng.normal(size=(4, 200, dom.n_points)) \
-            + 1j * rng.normal(size=(4, 200, dom.n_points))
-        by_xi = np.ascontiguousarray(np.swapaxes(by_time, -1, -2))
-        a = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, by_time))
-        b = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
-        assert np.array_equal(a.coeffs, b.coeffs)
-        for s, bb, sign, space in [(0.0, 0.5, +1, "X"), (0.5, -0.4375, -1, "X"),
-                                   (0.5, 0.0, +1, "Y")]:
-            assert np.array_equal(block_norms(a, s, bb, sign, space),
-                                  block_norms(b, s, bb, sign, space))
-        assert np.array_equal(xsb_norm(a, 0.0, 0.5, +1), xsb_norm(b, 0.0, 0.5, +1))
-        assert a.coeffs.flags.c_contiguous and b.coeffs.flags.c_contiguous
+        members = SpaceTimeField.from_time_values(
+            dom, times, by_xi.reshape(-1, 128),
+            rows=np.ones((3, dom.n_points), dtype=bool))
+        assert np.array_equal(members.coeffs, batch.coeffs.reshape(-1, 128))
+        assert np.array_equal(members.to_time_values(), batch.to_time_values())
 
     @staticmethod
     def _rows_input(dom, n_t, seed, shift):
@@ -375,12 +352,11 @@ class TestSpaceTimeField:
 
     @staticmethod
     def _dense_and_compact(dom, times, by_xi, rows):
-        """The dense field of per-slice coefficients stored xi-major, and
-        the compact field of the same data's live rows."""
-        dense = SpaceTimeField.from_time_values(
-            dom, times, SpectralField(dom, np.swapaxes(by_xi, -1, -2)))
-        compact = SpaceTimeField.from_time_values(dom, times, by_xi[..., rows, :],
-                                                  rows=rows)
+        """The field with every row live of per-slice coefficients stored
+        xi-major, and the field of the same data's live rows."""
+        dense = dense_spacetime(dom, times, np.swapaxes(by_xi, -1, -2))
+        compact = SpaceTimeField.from_time_values(
+            dom, times, np.ascontiguousarray(by_xi[..., rows, :]), rows=rows)
         return dense, compact
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
@@ -412,8 +388,7 @@ class TestSpaceTimeField:
         assert got.coeffs.shape == (2, np.count_nonzero(rows), 128)
         assert np.array_equal(got.coeffs, dense.coeffs[:, rows], equal_nan=True)
         for j in range(2):
-            alone = SpaceTimeField.from_time_values(
-                dom, times, SpectralField(dom, np.swapaxes(by_xi * w[j], -1, -2)))
+            alone = dense_spacetime(dom, times, np.swapaxes(by_xi * w[j], -1, -2))
             assert np.array_equal(got.coeffs[j], alone.coeffs[rows], equal_nan=True)
 
     def test_compact_field_with_no_live_row(self):
@@ -456,8 +431,30 @@ class TestSpaceTimeField:
         with pytest.raises(ValueError):
             SpaceTimeField(lat, np.zeros((2, 8)), rows[:, :8])
 
-    def test_spectral_input_must_match_domain(self):
+    def test_round_trip_of_a_compact_field(self):
+        # a window axis and three members, member 2 with no live row: the
+        # live rows scattered back give every slice's samples, zero rows
+        # included
+        dom = Domain("line", 64, 4)
+        times = -1.0 + np.arange(128) / 64.0
+        by_xi, rows = self._rows_input(dom, 128, 12, 1)
+        by_xi[1, 1, 7] = 1.0    # no NaN: every sample is compared
+        w = np.stack([np.cos(times), 0.5 + times ** 2])[:, None, None, :]
+        by_xi = by_xi * w
+        expect = SpectralField(dom, np.swapaxes(by_xi, -1, -2)).to_grid().values
+        u = SpaceTimeField.from_time_values(
+            dom, times, np.ascontiguousarray(by_xi[..., rows, :]), rows=rows)
+        back = u.to_time_values()
+        assert back.shape == (2, 3, 128, dom.n_points)
+        assert np.max(np.abs(back - expect)) < 1e-12 * np.max(np.abs(expect))
+        assert not np.any(back[:, 2])
+
+    def test_strided_values_raise(self):
+        dom = Domain("torus", 16)
         times = 0.1 * np.arange(8)
-        f = SpectralField(Domain("torus", 16), np.zeros((8, 16)))
-        with pytest.raises(DomainMismatchError):
-            SpaceTimeField.from_time_values(Domain("torus", 32), times, f)
+        rows = np.zeros(16, dtype=bool)
+        rows[[1, 3]] = True
+        values = np.zeros((8, 2), dtype=np.complex128).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            SpaceTimeField.from_time_values(dom, times, values, rows=rows)
+        SpaceTimeField.from_time_values(dom, times, values.copy(), rows=rows)

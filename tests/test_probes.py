@@ -8,8 +8,8 @@ import pytest
 
 from dnls_lab import probes, solver, spaces
 from dnls_lab.errors import NonFiniteError, ParameterError
-from dnls_lab.fields import (Domain, GridFunction, SpaceTimeField, SpectralField,
-                             _conj_reverse, _row_blocks, dealiased_product_coeffs)
+from dnls_lab.fields import (Domain, GridFunction, SpectralField, _conj_reverse,
+                             _row_blocks, dealiased_product_coeffs)
 from dnls_lab.frequency import dyadic_range
 from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
@@ -19,7 +19,7 @@ from dnls_lab.sampling import random_band_field, random_mode_sum_values
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm,
                              plateau, xsb_norm)
-from tests_support import at_cli_defaults, count_ffts
+from tests_support import at_cli_defaults, count_ffts, dense_spacetime
 
 
 def monotone_decreasing(series: dict) -> bool:
@@ -145,14 +145,14 @@ class TestDyadicSums:
         dt = 1.0 / 64.0
         times = -2.0 + dt * np.arange(256)
         vals = random_mode_sum_values(dom, times, rng, band=dom.xi_max / 2)
-        return SpaceTimeField.from_time_values(dom, times, SpectralField(dom, vals))
+        return dense_spacetime(dom, times, vals)
 
     def test_single_block_field(self):
         dom = Domain("torus", 64)
         dt = 1.0 / 64.0
         times = -2.0 + dt * np.arange(256)
         vals = np.exp(1j * (5 * dom.x[None, :] - 25.0 * times[:, None]))
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         rep = at_cli_defaults(dyadic_sum_check, u, delta=0.25)
         assert rep.details["all_ok"]
 
@@ -193,10 +193,10 @@ class TestDyadicSums:
         ns = np.array(dyadic_range(dom.xi_max), dtype=float)
         modes = {n: np.exp(1j * (n * dom.x[None, :] - n * n * times[:, None]))
                  for n in (2, 4, 8, 16)}
-        unit = block_norms(SpaceTimeField.from_time_values(
-            dom, times, GridFunction(dom, sum(modes.values())).to_spectral()), s, b)
+        unit = block_norms(dense_spacetime(
+            dom, times, GridFunction(dom, sum(modes.values())).to_spectral().coeffs), s, b)
         vals = sum(n ** -delta / unit[list(ns).index(n)] * m for n, m in modes.items())
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         rep = dyadic_sum_check(u, delta, s, b, small_k=2)
         plus = block_norms(u, s + delta, b)
         c_y = 1.0 + 2.0 ** delta * float(np.sum(ns[1:] ** -delta))
@@ -439,9 +439,8 @@ def _reference_window_ratios(dom, times, base_kept, t_values, base, form, signs,
         kept = slice(nz[0], nz[-1] + 1)
         prod = np.zeros_like(vs[0])
         prod[kept] = form([v[kept] for v in vs])
-        lhs = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, prod))
-        u = [SpaceTimeField.from_time_values(dom, times, SpectralField(dom, v))
-             for v in vs]
+        lhs = dense_spacetime(dom, times, prod)
+        u = [dense_spacetime(dom, times, v) for v in vs]
         half = [frak_x_norm(f, 0.5, 0.5, sg) for f, sg in zip(u, signs)]
         top = half if s == 0.5 else [frak_x_norm(f, s, 0.5, sg)
                                      for f, sg in zip(u, signs)]
@@ -503,8 +502,8 @@ def _reference_strichartz_ensemble(dom, n_t, dt, b, ensemble, rng):
             slices = SpectralField(dom, random_mode_sum_values(dom, times, rng, band=band))
         else:
             slices = free_evolution(random_band_field(dom, rng, band=band), times)
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(
-            dom, slices.to_grid().values * w[:, None]).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(
+            dom, slices.to_grid().values * w[:, None]).to_spectral().coeffs)
         den = xsb_norm(u, 0.0, b, +1)
         vals = u.to_time_values()
         lp = (np.sum(np.abs(vals) ** 4) * (dom.dx * u.lattice.dt)) ** 0.25

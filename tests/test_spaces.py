@@ -14,8 +14,8 @@ from dnls_lab.spaces import (_chi_sq, _low_plus_sup, _xsb_weight, _zero_row_term
                              plateau, sobolev_norm, window_trajectory, xsb_norm,
                              ysb_norm)
 
-from tests_support import (random_spacetime, unit_mass, xy_embedding_constant,
-                           zero_spacetime, zero_spectral)
+from tests_support import (dense_spacetime, random_spacetime, unit_mass,
+                           xy_embedding_constant, zero_spacetime, zero_spectral)
 
 TORUS = Domain("torus", 64)
 
@@ -104,7 +104,7 @@ class TestSpaceTimeNorms:
         # conjugations it makes are undone by one more
         u = random_spacetime(3)
         flipped = _conj_reverse(_conj_reverse(u.coeffs).T).T
-        conj_u = SpaceTimeField(u.lattice, np.conj(flipped))
+        conj_u = SpaceTimeField(u.lattice, np.conj(flipped), u.rows)
         for s, b in ((0.5, 0.5), (0.0, -0.375)):
             a = xsb_norm(conj_u, s, b, -1)
             b_ = xsb_norm(u, s, b, +1)
@@ -133,7 +133,7 @@ class TestSpaceTimeNorms:
         for row in range(lat.domain.n_points):
             coeffs = np.zeros(sigma.shape, dtype=np.complex128)
             coeffs[row] = sigma[row] ** (0.0 - 2 * 0.55)
-            v = SpaceTimeField(lat, coeffs)
+            v = SpaceTimeField(lat, coeffs, np.ones(lat.domain.n_points, dtype=bool))
             ratios.append(ysb_norm(v, 0.5, 0.0) / xsb_norm(v, 0.5, 0.55, +1))
         c = xy_embedding_constant(zero_spacetime(lat), 0.0, 0.55)
         assert max(ratios) == pytest.approx(c, rel=1e-12)
@@ -145,7 +145,7 @@ class TestSpaceTimeNorms:
         rng = np.random.default_rng(5)
         vals = (rng.normal(size=(64,)) + 1j * rng.normal(size=(64,)))[:, None] \
             * np.exp(3j * dom.x)[None, :]
-        u = SpaceTimeField.from_time_values(dom, times, GridFunction(dom, vals).to_spectral())
+        u = dense_spacetime(dom, times, GridFunction(dom, vals).to_spectral().coeffs)
         # supported in the N = 4 annulus (chi_2(3) and chi_4(3) overlap is
         # handled by taking a pure mode at xi = 3? both N=2 and N=4 see it)
         fr = frak_x_norm(u, 0.5, 0.5, +1)
@@ -155,7 +155,7 @@ class TestSpaceTimeNorms:
         blocks = []
         for n in ns:
             m = dyadic_multiplier(dom.xi, n)[:, None]
-            blocks.append(xsb_norm(SpaceTimeField(u.lattice, m * u.coeffs),
+            blocks.append(xsb_norm(SpaceTimeField(u.lattice, m * u.coeffs, u.rows),
                                    0.5, 0.5, +1))
         assert fr == pytest.approx(blocks[0] + max(blocks[1:]), rel=1e-12)
 
@@ -166,7 +166,8 @@ class TestSpaceTimeNorms:
         total = 0.0
         for n in ns:
             m = dyadic_multiplier(u.domain.xi, n)[:, None]
-            total += xsb_norm(SpaceTimeField(u.lattice, m * u.coeffs), 0.5, 0.5, +1)
+            total += xsb_norm(SpaceTimeField(u.lattice, m * u.coeffs, u.rows),
+                              0.5, 0.5, +1)
         assert frak_x_norm(u, 0.5, 0.5, +1) <= total * (1 + 1e-12)
 
     def test_homogeneity(self):
@@ -175,7 +176,7 @@ class TestSpaceTimeNorms:
                      lambda v: ysb_norm(v, 0.5, 0.0),
                      lambda v: frak_x_norm(v, 0.5, -0.5, +1),
                      lambda v: cal_z_norm(v, 0.5)):
-            scaled = SpaceTimeField(u.lattice, 2.5 * u.coeffs)
+            scaled = SpaceTimeField(u.lattice, 2.5 * u.coeffs, u.rows)
             assert norm(scaled) == pytest.approx(2.5 * norm(u), rel=1e-10)
 
 
@@ -184,13 +185,15 @@ def _random_field(dom, n_t, seed):
     lat = ModulationLattice(dom, n_t, dt, -0.5 * n_t * dt)
     rng = np.random.default_rng(seed)
     return SpaceTimeField(lat, rng.normal(size=(dom.n_points, n_t))
-                          + 1j * rng.normal(size=(dom.n_points, n_t)))
+                          + 1j * rng.normal(size=(dom.n_points, n_t)),
+                          np.ones(dom.n_points, dtype=bool))
 
 
 def _reference_sup(u, norm):
     """Low block plus sup over higher blocks, one SpaceTimeField per block."""
     vals = [norm(SpaceTimeField(u.lattice,
-                                dyadic_multiplier(u.domain.xi, n)[:, None] * u.coeffs))
+                                dyadic_multiplier(u.domain.xi, n)[:, None] * u.coeffs,
+                                u.rows))
             for n in dyadic_range(u.domain.xi_max)]
     return vals[0] + max(vals[1:], default=0.0)
 
@@ -253,7 +256,8 @@ class TestBatchedNorms:
     @staticmethod
     def _batch(dom, n_t):
         fields = [_random_field(dom, n_t, seed) for seed in (10, 11, 12)]
-        return fields, SpaceTimeField(fields[0].lattice, [u.coeffs for u in fields])
+        return fields, SpaceTimeField(fields[0].lattice, [u.coeffs for u in fields],
+                                      fields[0].rows)
 
     @pytest.mark.parametrize("dom,n_t", ONE_PASS_LATTICES)
     @pytest.mark.parametrize("s,b,sign,space", [
@@ -281,7 +285,8 @@ class TestBatchedNorms:
         coeffs = np.where(rows[..., None], batch.coeffs, 0.0)
         coeffs[1, 1, 5] = np.nan
         # a leading window axis: the batch and a rescaled copy
-        u = SpaceTimeField(batch.lattice, coeffs * np.array([1.0, 0.375])[:, None, None, None])
+        u = SpaceTimeField(batch.lattice, coeffs * np.array([1.0, 0.375])[:, None, None, None],
+                           batch.rows)
         with np.errstate(over="ignore", invalid="ignore"):
             dense = self._assert_compact_exact(u, rows, space, sign, s, b)
         # the NaN entry makes member 1's every block NaN, and no other's
@@ -296,7 +301,7 @@ class TestBatchedNorms:
     def test_compact_field_with_no_live_row(self, space, sign, s):
         dom, n_t = ONE_PASS_LATTICES[0]
         _, batch = self._batch(dom, n_t)
-        u = SpaceTimeField(batch.lattice, np.zeros((2,) + batch.coeffs.shape))
+        u = SpaceTimeField(batch.lattice, np.zeros((2,) + batch.coeffs.shape), batch.rows)
         rows = np.zeros((3, dom.n_points), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             dense = self._assert_compact_exact(u, rows, space, sign, s, 0.5)
@@ -317,7 +322,7 @@ class TestBatchedNorms:
         assert got.shape == dense.shape == u.coeffs.shape[:2] + (
             len(dyadic_range(u.domain.xi_max)),)
         assert np.array_equal(got, dense, equal_nan=True)
-        one = SpaceTimeField(u.lattice, u.coeffs[0, 0])
+        one = SpaceTimeField(u.lattice, u.coeffs[0, 0], u.rows)
         assert np.array_equal(block_norms(self._compact(one, rows[0]), s, b, sign, space),
                               dense[0, 0], equal_nan=True)
         if space == "X":
@@ -338,7 +343,9 @@ class TestBatchedNorms:
                      lambda v: cal_y_norm(v, 0.5, -1.0),
                      lambda v: cal_z_norm(v, 0.75),
                      lambda v: xsb_norm(v, 0.0, 0.5, +1),
-                     lambda v: xsb_norm(v, 0.5, -0.4375, -1)):
+                     lambda v: xsb_norm(v, 0.5, -0.4375, -1),
+                     lambda v: ysb_norm(v, 0.5, 0.0),
+                     lambda v: ysb_norm(v, 0.75, -1.0)):
             got = norm(batch)
             single = [norm(u) for u in fields]
             assert all(type(v) is float for v in single)
@@ -350,10 +357,11 @@ class TestBatchedNorms:
     def test_besov(self, dom, s):
         rng = np.random.default_rng(13)
         coeffs = rng.normal(size=(2, 3, dom.n_points)) + 1j * rng.normal(size=(2, 3, dom.n_points))
-        got = besov_norm(SpectralField(dom, coeffs), s)
-        single = [[besov_norm(SpectralField(dom, c), s) for c in row] for row in coeffs]
-        assert all(type(v) is float for row in single for v in row)
-        assert got.shape == (2, 3) and np.array_equal(got, single)
+        for norm in (besov_norm, sobolev_norm):
+            got = norm(SpectralField(dom, coeffs), s)
+            single = [[norm(SpectralField(dom, c), s) for c in row] for row in coeffs]
+            assert all(type(v) is float for row in single for v in row)
+            assert got.shape == (2, 3) and np.array_equal(got, single)
 
     @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
                              ids=lambda d: d.kind)
@@ -369,7 +377,7 @@ class TestBatchedNorms:
         assert got.coeffs.shape == (np.count_nonzero(rows), 200)
         # the dense field of the windowed coefficients, built on its own
         windowed = np.moveaxis(vals * plateau(times, 1.0)[:, None, None], 0, -2)
-        dense = SpaceTimeField.from_time_values(dom, times, SpectralField(dom, windowed))
+        dense = dense_spacetime(dom, times, windowed)
         assert got.lattice == dense.lattice
         assert np.array_equal(got.coeffs, dense.coeffs[rows])
         assert not np.any(dense.coeffs[~rows])

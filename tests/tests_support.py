@@ -39,7 +39,19 @@ def zero_spectral(dom: Domain) -> SpectralField:
 
 def zero_spacetime(lat: ModulationLattice) -> SpaceTimeField:
     return SpaceTimeField(lat, np.zeros((lat.domain.n_points, lat.n_t),
-                                        dtype=np.complex128))
+                                        dtype=np.complex128),
+                          np.ones(lat.domain.n_points, dtype=bool))
+
+
+def dense_spacetime(dom: Domain, times: np.ndarray, slice_coeffs) -> SpaceTimeField:
+    """The space-time field of per-slice coefficients (..., n_t, n) at the
+    uniform times with every xi row live: rows np.ones(n), so coeffs has
+    the shape (..., n, n_t) of every row, its leading axes a stack of
+    fields.  The coefficients are copied xi-major first, so the caller's
+    array is not transformed and its layout does not matter."""
+    by_xi = np.swapaxes(np.asarray(slice_coeffs), -1, -2).astype(np.complex128, order="C")
+    return SpaceTimeField.from_time_values(dom, times, by_xi,
+                                           rows=np.ones(dom.n_points, dtype=bool))
 
 
 def unit_mass(dom: Domain, xi: float) -> SpectralField:
@@ -543,7 +555,7 @@ def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
     coeffs = rng.normal(size=(n, n_t)) + 1j * rng.normal(size=(n, n_t))
     coeffs[n // 2, :] = 0.0
     coeffs[:, n_t // 2] = 0.0
-    return SpaceTimeField(lat, coeffs)
+    return SpaceTimeField(lat, coeffs, np.ones(n, dtype=bool))
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
