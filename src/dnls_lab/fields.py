@@ -169,7 +169,7 @@ class GridFunction:
                              scaled_fft(self.values, self.domain.dx / SQRT_2PI))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.domain.dx))
+        return float(np.sqrt(_square_sums(self.values) * self.domain.dx))
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self.domain.require_same(other.domain)

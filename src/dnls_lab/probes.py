@@ -10,7 +10,8 @@ probe setting that a run varies is an argument with no default (the CLI
 schema holds the defaults); the settings that no run varies are constants
 here, and the reports still print them: the stability factor 2, the
 window probes' time grid (step 1/128 on [-4, 4)), the similarity factor
-C = 8 of the dyadic (XX) check, and the torus of the Besov-product probe.
+C = 8 of the dyadic (XX) check and the k = 8 of its (XXX) check, and the
+torus of the Besov-product probe.
 The random fields' shapes are fixed in sampling.
 
 The trilinear and multilinear window probes share one driver,
@@ -76,8 +77,8 @@ from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from .sampling import random_band_field, random_mode_sum_values
-from .spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm, plateau,
-                     window_trajectory, xsb_norm)
+from .spaces import (_low_plus_sup, besov_norm, block_norms, cal_y_norm, frak_x_norm,
+                     plateau, window_trajectory, xsb_norm)
 from .solver import free_evolution
 
 
@@ -517,25 +518,25 @@ def multilinear_probe(k: int, s: float, t_values: tuple, ensemble: int, dom: Dom
 # dyadic summation checks
 # ---------------------------------------------------------------------------
 
-def dyadic_sum_check(u: SpaceTimeField, delta: float, s: float, b: float,
-                     small_k: int = 8) -> ProbeReport:
+def dyadic_sum_check(u: SpaceTimeField, delta: float, s: float, b: float) -> ProbeReport:
     """Verify the four block-summation inequalities with explicit constants.
 
     (X)   sum_N N^(-delta) ||P_N u||_X <= (1 + sum_{N>1} N^(-delta)) frak(u)
     (Y)   sum_N ||P_N u||_{X^{s}} <= (1 + 2^delta sum_{N>1} N^(-delta)) frak^{s+delta}(u)
     (XX)  sum_{N1 ~ N} ||P_{N1} u||_X <= (2 floor(log2 C) + 1) frak(u), C = 8
-    (XXX) sum_{N <= k} ||P_N u||_X <= (floor(log2 k) + 1) frak(u)
+    (XXX) sum_{N <= k} ||P_N u||_X <= (floor(log2 k) + 1) frak(u), k = 8
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
     ns = np.array(dyadic_range(u.domain.xi_max), dtype=float)
     block = block_norms(u, s, b)
     block_s_plus = block_norms(u, s + delta, b)
-    frak = block[0] + block[1:].max(initial=0.0)
-    frak_plus = block_s_plus[0] + block_s_plus[1:].max(initial=0.0)
+    frak = _low_plus_sup(block)
+    frak_plus = _low_plus_sup(block_s_plus)
     tail = float(np.sum(ns[1:] ** -delta))
     n_mid = ns[len(ns) // 2]
     similarity = 8  # the C of (XX)
+    small_k = 8  # the k of (XXX)
     sim = (n_mid / similarity <= ns) & (ns <= n_mid * similarity)
     low = ns <= small_k
     # name: (constant, left side, bounding norm, capped block count): the

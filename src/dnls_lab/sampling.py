@@ -51,20 +51,20 @@ def random_decaying_field(dom: Domain, rng: np.random.Generator,
     return f
 
 
+def _rescaled(f: GridFunction, cur: float, target: float) -> GridFunction:
+    """f times target / cur, its norm cur in the caller's space; f itself
+    when cur is 0."""
+    return f if cur == 0 else GridFunction(f.domain, f.values * (target / cur))
+
+
 def scaled_to_h1(f: GridFunction, target: float) -> GridFunction:
     from .spaces import sobolev_norm
-    cur = sobolev_norm(f.to_spectral(), 1.0)
-    if cur == 0:
-        return f
-    return GridFunction(f.domain, f.values * (target / cur))
+    return _rescaled(f, sobolev_norm(f.to_spectral(), 1.0), target)
 
 
 def scaled_to_besov(f: GridFunction, s: float, target: float) -> GridFunction:
     from .spaces import besov_norm
-    cur = besov_norm(f.to_spectral(), s)
-    if cur == 0:
-        return f
-    return GridFunction(f.domain, f.values * (target / cur))
+    return _rescaled(f, besov_norm(f.to_spectral(), s), target)
 
 
 def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Generator,

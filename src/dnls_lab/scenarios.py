@@ -56,6 +56,14 @@ def _probe_result(rep, metrics, assertions) -> dict:
     return {"metrics": metrics, "assertions": assertions, "reports": [rep.to_json()]}
 
 
+def _refined_result(rep, name) -> dict:
+    """The result of a probe run at two refinements: its sup and stability
+    verdict, which the `name`_stable check asserts."""
+    return _probe_result(rep, {"sup_ratio": rep.sup_ratio,
+                               "stable": float(rep.refinement_stable)},
+                         [_check(f"{name}_stable", rep.refinement_stable)])
+
+
 def _domain(params) -> Domain:
     return Domain(params["kind"], params["n_points"], params["domain_scale"])
 
@@ -87,6 +95,12 @@ def _smooth_torus_data(dom: Domain, h1_norm: float) -> GridFunction:
     x = dom.x
     vals = np.exp(1j * x) + 0.5 * np.exp(-2j * x) + 0.3 * np.exp(3j * x)
     return scaled_to_h1(GridFunction(dom, vals), h1_norm)
+
+
+def _packet_data(dom: Domain, h1_norm: float) -> GridFunction:
+    """The mode-1 gaussian packet of width 1.3, scaled to the given H^1
+    norm: gauge-equivalence's data on the line, and scaling's."""
+    return scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
 
 
 def run_solve(params, rng):
@@ -174,10 +188,7 @@ def run_gauge_roundtrip(params, rng):
 def _gauge_equivalence_discrepancy(dom: Domain, dt, t_final, h1_norm,
                                    lam, k_power) -> tuple[float, float]:
     """(sup-t L2 discrepancy, worst relative mass drift) for one domain."""
-    if dom.kind == "torus":
-        u0 = _smooth_torus_data(dom, h1_norm)
-    else:
-        u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
+    u0 = (_smooth_torus_data if dom.kind == "torus" else _packet_data)(dom, h1_norm)
     cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
     # one trajectory alive: the gauged one is mapped back in place, and the
@@ -221,8 +232,7 @@ def run_scaling(params, rng):
     dom = _domain(params)
     cfg = SolverConfig(dom, NonlinearityConfig(0.0, 0, False),
                        params["dt"], params["t_final"])
-    u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), 0.3)
-    traj = solve(u0, cfg)
+    traj = solve(_packet_data(dom, 0.3), cfg)
     base_mass = traj.mass()
     metrics, assertions = {}, []
     for sigma in params["sigmas"]:
@@ -235,8 +245,8 @@ def run_scaling(params, rng):
                             sigma ** 2 * params["dt"],
                             sigma ** 2 * params["t_final"])
         re_solved = solve(scaled.slice_function(0), cfg2)
-        rel = np.sqrt(np.sum(np.abs(re_solved.values - scaled.values) ** 2, axis=1)
-                      / np.sum(np.abs(scaled.values) ** 2, axis=1))
+        rel = np.sqrt(_square_sums(re_solved.values - scaled.values)
+                      / _square_sums(scaled.values))
         resid = float(np.max(rel))
         metrics[f"resolve_residual_sigma{sigma}"] = resid
         assertions.append(_assertion(f"resolve_residual_sigma{sigma}", resid, 1e-8))
@@ -332,9 +342,7 @@ def run_probe_strichartz(params, rng):
     rep = strichartz_probe(params["b"], params["ensemble"],
                            Domain("torus", params["n_points"]),
                            params["n_t"], params["dt"], rng)
-    return _probe_result(rep, {"sup_ratio": rep.sup_ratio,
-                               "stable": float(rep.refinement_stable)},
-                         [_check("strichartz_stable", rep.refinement_stable)])
+    return _refined_result(rep, "strichartz")
 
 
 def _window_result(rep, prefix, extra=()):
@@ -373,9 +381,7 @@ def run_probe_smult(params, rng):
     rep = sobolev_mult_probe(params["s"], params["s1"], params["s2"],
                              params["ensemble"], params["n_points"],
                              rng=rng)
-    return _probe_result(rep, {"sup_ratio": rep.sup_ratio,
-                               "stable": float(rep.refinement_stable)},
-                         [_check("smult_stable", rep.refinement_stable)])
+    return _refined_result(rep, "smult")
 
 
 def run_dyadic_checks(params, rng):

@@ -159,9 +159,10 @@ class _EtdrkCoefficients:
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
         self.a0 = (h / 2.0) * _phi(z / 2.0, 1)
-        self.f1 = h * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
-        self.f2 = h * (_phi(z, 2) - 2.0 * _phi(z, 3))
-        self.f3 = h * (4.0 * _phi(z, 3) - _phi(z, 2))
+        phi1, phi2, phi3 = (_phi(z, k) for k in (1, 2, 3))
+        self.f1 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+        self.f2 = h * (phi2 - 2.0 * phi3)
+        self.f3 = h * (4.0 * phi3 - phi2)
         self.h = h
         self.f2_twice = 2.0 * self.f2
         self.E2_h = self.E2 * h

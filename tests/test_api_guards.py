@@ -8,8 +8,12 @@ another, or kept on purpose, with a reason, every read of a dict key with
 a default (.get, .setdefault) must be kept on purpose, with a reason, src
 reads no environment variable (every setting is a config field or a
 constant), only fields calls the FFT (it alone applies the
-transform normalization dx/sqrt(2 pi)), and only fields calls the
-SpaceTimeField constructor (it alone knows the compact row order)."""
+transform normalization dx/sqrt(2 pi)) or sums |values|^2 by hand
+(_square_sums is the one such sum), only spaces writes a dyadic-sup norm
+as the low block plus the sup of the others (_low_plus_sup is the one),
+and only fields calls the SpaceTimeField constructor (it alone knows the
+compact row order).  tests_support.src_code_lines, the src code-line count
+that a refactor must lower, is tested here on a synthetic module."""
 
 import ast
 import functools
@@ -27,6 +31,7 @@ import pytest
 
 from dnls_lab import cli
 from dnls_lab.fields import SpaceTimeField
+from tests_support import code_lines, src_code_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dnls_lab"
@@ -383,8 +388,6 @@ OPTION_KEEP = {
     "cli.main.argv": "the console entry point reads sys.argv; tests pass argv",
     "nonlinear.power_nonlinearity.pad_factor": "tests_support's pad-2 bitwise "
                                                "reference for rhs_original",
-    "probes.dyadic_sum_check.small_k": "tests reach the binding (Y) case at "
-                                       "small_k = 2",
 }
 
 
@@ -627,25 +630,33 @@ FFT_OUTSIDE_FIELDS = {}
 FFTS = ("fft", "ifft")
 
 
-def callers(sources: dict, names) -> list:
-    """module.function of every call of a function named in names (as
-    np.fft.fft, fft, fields.SpaceTimeField, ...) in sources {module: text}
-    outside fields."""
+def _ident(f) -> str | None:
+    """The name a call's function goes by: fft for np.fft.fft and for fft."""
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def sites(sources: dict, outside: str, found) -> list:
+    """module.function of every function or method in sources {module:
+    text}, outside the module `outside`, with a node for which found(node)
+    holds."""
     out = []
     for module, text in sources.items():
-        if module == "fields":
+        if module == outside:
             continue
         for name, node in _defs(_tree(text)):
             if isinstance(node, ast.ClassDef):
                 continue  # its methods are scanned on their own
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                f = call.func
-                ident = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if ident in names:
-                    out.append(f"{module}.{name}")
+            if any(found(sub) for sub in ast.walk(node)):
+                out.append(f"{module}.{name}")
     return sorted(set(out))
+
+
+def callers(sources: dict, names) -> list:
+    """module.function of every call of a function named in names (as
+    np.fft.fft, fft, fields.SpaceTimeField, ...) in sources {module: text}
+    outside fields."""
+    return sites(sources, "fields",
+                 lambda node: isinstance(node, ast.Call) and _ident(node.func) in names)
 
 
 class TestTransformsInFields:
@@ -689,6 +700,130 @@ class TestPaddingInFields:
         sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
         assert (set(callers(sources, ("band",)))
                 - set(callers(_src_sources(), ("band",)))) == {"gauge.gauge_phase"}
+
+
+# Functions outside fields that sum |values|^2 by hand,
+# np.sum(np.abs(x) ** 2, ...).  None does: fields._square_sums is the one
+# such sum (row-blocked, each row with the bits of the whole array's).
+SQUARE_SUMS_OUTSIDE_FIELDS = {}
+
+
+def _is_square_sum(node) -> bool:
+    """sum(abs(x) ** 2, ...), by any module's sum and abs, or
+    (abs(x) ** 2).sum(...)."""
+    if not (isinstance(node, ast.Call) and _ident(node.func) == "sum"):
+        return False
+    on = [node.func.value] if isinstance(node.func, ast.Attribute) else []
+    return any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Pow)
+               and isinstance(a.left, ast.Call) and _ident(a.left.func) == "abs"
+               and isinstance(a.right, ast.Constant) and a.right.value == 2
+               for a in on + node.args[:1])
+
+
+def square_sums(sources: dict) -> list:
+    return sites(sources, "fields", _is_square_sum)
+
+
+class TestSquareSumsInFields:
+    def test_only_listed_functions_sum_squares_outside_fields(self):
+        assert square_sums(_src_sources()) == sorted(SQUARE_SUMS_OUTSIDE_FIELDS)
+
+    @pytest.mark.parametrize("added,flagged", [
+        ("    m = np.sum(np.abs(f.values) ** 2, axis=-1)\n", {"gauge.gauge_phase"}),
+        ("    m = np.sum(np.abs(f.values) ** 2)\n", {"gauge.gauge_phase"}),
+        ("    m = np.sum(np.abs(f.values - g) ** 2, axis=1) * f.domain.dx\n",
+         {"gauge.gauge_phase"}),
+        ("    m = (np.abs(f.values) ** 2).sum(axis=-1)\n", {"gauge.gauge_phase"}),
+        ("    m = _square_sums(f.values)\n", set()),
+        ("    m = np.sum(w * np.abs(f.values) ** 2, axis=-1)\n", set()),
+        ("    m = np.abs(f.values) ** 2\n", set()),
+        ("    m = np.sum(np.abs(f.values) ** 4)\n", set()),
+    ], ids=["axis", "whole", "difference", "method", "helper", "weighted", "no-sum",
+            "fourth"])
+    def test_a_hand_written_square_sum_fails_the_scan(self, added, flagged):
+        sources = _src_sources()
+        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
+        assert anchor in sources["gauge"]
+        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
+        assert set(square_sums(sources)) - set(square_sums(_src_sources())) == flagged
+
+    def test_fields_may_sum_squares(self):
+        sources = _src_sources()
+        sources["fields"] += "\n\ndef f(v):\n    return np.sum(np.abs(v) ** 2)\n"
+        assert square_sums(sources) == square_sums(_src_sources())
+
+
+# Functions outside spaces that write a dyadic-sup norm by hand, the low
+# block plus the sup of the others, b[0] + b[1:].max(...).  None does:
+# spaces._low_plus_sup is the one such norm.
+LOW_PLUS_SUP_OUTSIDE_SPACES = {}
+
+
+def _last_index(node):
+    """The last index of a subscript: 0 for b[0] and for b[..., 0]."""
+    return node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
+
+
+def _is_low_block(node) -> bool:
+    """b[0] or b[..., 0]."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    i = _last_index(node)
+    return isinstance(i, ast.Constant) and i.value == 0
+
+
+def _is_high_sup(node) -> bool:
+    """b[1:].max(...), np.max(b[1:], ...) or either on b[..., 1:]."""
+    if not (isinstance(node, ast.Call) and _ident(node.func) in ("max", "amax")):
+        return False
+    on = [node.func.value] if isinstance(node.func, ast.Attribute) else []
+    for arg in on + node.args[:1]:
+        i = _last_index(arg) if isinstance(arg, ast.Subscript) else None
+        if (isinstance(i, ast.Slice) and isinstance(i.lower, ast.Constant)
+                and i.lower.value == 1 and i.upper is None):
+            return True
+    return False
+
+
+def _is_low_plus_sup(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and ((_is_low_block(node.left) and _is_high_sup(node.right))
+                 or (_is_high_sup(node.left) and _is_low_block(node.right))))
+
+
+def low_plus_sups(sources: dict) -> list:
+    return sites(sources, "spaces", _is_low_plus_sup)
+
+
+class TestDyadicSupsInSpaces:
+    def test_only_listed_functions_write_a_low_plus_sup_outside_spaces(self):
+        assert low_plus_sups(_src_sources()) == sorted(LOW_PLUS_SUP_OUTSIDE_SPACES)
+
+    @pytest.mark.parametrize("added,flagged", [
+        ("    n = b[0] + b[1:].max(initial=0.0)\n", {"probes._corollary_rhs"}),
+        ("    n = b[..., 0] + b[..., 1:].max(axis=-1, initial=0.0)\n",
+         {"probes._corollary_rhs"}),
+        ("    n = b[1:].max() + b[0]\n", {"probes._corollary_rhs"}),
+        ("    n = b[0] + np.max(b[1:])\n", {"probes._corollary_rhs"}),
+        ("    n = _low_plus_sup(b)\n", set()),
+        ("    n = b[0] + b[1:].sum()\n", set()),
+        ("    n = b[1] + b[1:].max()\n", set()),
+        ("    n = b[0] * b[1:].max()\n", set()),
+        ("    n = b[0] + b.max()\n", set()),
+    ], ids=["method", "batch", "swapped", "np-max", "helper", "sum", "other-block",
+            "product", "whole-sup"])
+    def test_a_hand_written_low_plus_sup_fails_the_scan(self, added, flagged):
+        sources = _src_sources()
+        anchor = ("def _corollary_rhs(u: SpaceTimeField, s: float, "
+                  "signs: list[int]) -> list[float]:\n")
+        assert anchor in sources["probes"]
+        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
+        assert set(low_plus_sups(sources)) - set(low_plus_sups(_src_sources())) == flagged
+
+    def test_spaces_may_write_one(self):
+        sources = _src_sources()
+        sources["spaces"] += "\n\ndef f(b):\n    return b[0] + b[1:].max()\n"
+        assert low_plus_sups(sources) == low_plus_sups(_src_sources())
 
 
 # Functions outside fields that call the SpaceTimeField constructor.  None
@@ -763,3 +898,41 @@ class TestNoEnvironmentReads:
         sources["probes"] += '\n\nTHREADS = os.environ.get("X", "1")\n'
         assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
             "probes.<module>"}
+
+
+SYNTHETIC_MODULE = '''"""A module docstring,
+over two lines."""
+
+import numpy as np  # a trailing comment keeps its line
+
+
+# a comment-only line
+def f(x):
+    """A docstring."""
+    s = """a string that is no docstring,
+    over two lines"""
+    return (x +
+            1)
+
+
+class C:
+    """A class docstring,
+    over two lines."""
+
+    y = np.pi
+'''
+
+
+class TestSrcCodeLines:
+    def test_a_synthetic_module(self):
+        # import, def, the string's two lines, return's two, class, y
+        assert code_lines(SYNTHETIC_MODULE) == 8
+
+    def test_a_package_directory_sums_its_modules(self, tmp_path):
+        (tmp_path / "a.py").write_text(SYNTHETIC_MODULE)
+        (tmp_path / "b.py").write_text("x = 1\n\n\n# done\n")
+        (tmp_path / "notes.txt").write_text("x = 1\n")
+        assert src_code_lines(tmp_path) == 9
+
+    def test_src_counts_every_module(self):
+        assert src_code_lines() == sum(code_lines(t) for t in _src_sources().values())

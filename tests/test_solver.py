@@ -14,8 +14,8 @@ from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
 from dnls_lab.scenarios import _plane_wave_solve
-from dnls_lab.solver import (SolverConfig, _free_phases, _phi, free_evolution,
-                             make_spectral_forcing, rescale, solve)
+from dnls_lab.solver import (SolverConfig, _EtdrkCoefficients, _free_phases, _phi,
+                             free_evolution, make_spectral_forcing, rescale, solve)
 from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
                            original_rhs_reference, picard_iterate, reference_march,
                            reverse, solitary_wave, traced_peak, unit_mass,
@@ -46,6 +46,31 @@ class TestPhiFunctions:
         for k in (1, 2, 3):
             assert _phi(np.array([0.0j]), k)[0] == pytest.approx(
                 1.0 / math.factorial(k))
+
+
+class TestEtdrkCoefficients:
+    @pytest.mark.parametrize("h", [1e-3, 0.05])
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("kind", ["torus", "line"])
+    def test_tableau_is_the_textbook_one(self, kind, n, h):
+        # every field bit for bit against the Cox-Matthews expressions built
+        # from fresh _phi calls: reference_march builds the same class, so
+        # the march oracle cannot see a wrong tableau (at these h both the
+        # series and the closed form of phi_k are taken)
+        dom = Domain(kind, n, 1 if kind == "torus" else 8)
+        z = h * (-1j * dom.xi ** 2)
+        want = {"E": np.exp(z), "E2": np.exp(z / 2.0),
+                "a0": (h / 2.0) * _phi(z / 2.0, 1),
+                "f1": h * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3)),
+                "f2": h * (_phi(z, 2) - 2.0 * _phi(z, 3)),
+                "f3": h * (4.0 * _phi(z, 3) - _phi(z, 2))}
+        want.update(f2_twice=2.0 * want["f2"], E2_h=want["E2"] * h,
+                    E2_twice=2.0 * want["E2"])
+        k = _EtdrkCoefficients(dom, h)
+        assert sorted(vars(k)) == sorted([*want, "h"])
+        assert k.h == h
+        for name, value in want.items():
+            assert np.array_equal(getattr(k, name), value), name
 
 
 def free_at(f: SpectralField, t: float) -> SpectralField:

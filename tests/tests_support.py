@@ -3,10 +3,13 @@ computations that only tests call (the brute-force Fourier oracles, the
 Duhamel iteration, the Y <= C X constant, the gauged torus functional psi,
 the exact solitary wave): src holds what a run reaches."""
 
+import ast
 import functools
 import importlib.util
 import inspect
+import io
 import sys
+import tokenize
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +25,7 @@ from dnls_lab.fields import (Domain, GridFunction, ModulationLattice,
 from dnls_lab.frequency import bracket
 from dnls_lab.gauge import _torus_mus, gauge_forward, gauge_trajectory
 from dnls_lab.nonlinear import TWO_PI, NonlinearityConfig, power_nonlinearity
-from dnls_lab.sampling import gaussian_packet, scaled_to_h1
-from dnls_lab.scenarios import _mass_drift, _smooth_torus_data
+from dnls_lab.scenarios import _mass_drift, _packet_data, _smooth_torus_data
 from dnls_lab.solver import (SolverConfig, _EtdrkCoefficients, _free_phases,
                              make_spectral_forcing, solve)
 from dnls_lab.spaces import besov_norm
@@ -351,10 +353,7 @@ def gauge_equivalence_reference(dom: Domain, dt, t_final, h1_norm, lam,
     both trajectories stored, the direct one subtracted from the recovered
     one as whole arrays, and both masses taken from stored trajectories.
     The bitwise oracle of the streamed discrepancy."""
-    if dom.kind == "torus":
-        u0 = _smooth_torus_data(dom, h1_norm)
-    else:
-        u0 = scaled_to_h1(gaussian_packet(dom, 1.0, 1.3, mode=1), h1_norm)
+    u0 = (_smooth_torus_data if dom.kind == "torus" else _packet_data)(dom, h1_norm)
     cfg_orig = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     cfg_gauged = SolverConfig(dom, NonlinearityConfig(lam, k_power, True), dt, t_final)
     gauged = solve(gauge_forward(u0), cfg_gauged)
@@ -559,6 +558,35 @@ def random_spacetime(seed, n=16, n_t=128, dt=np.pi / 64):
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "dnls_lab"
+
+# tokens that hold no code: a line of these alone is blank or a comment
+_NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The lines of the module source text that hold code: blank lines,
+    comment-only lines and the lines of module, class and function
+    docstrings are left out; a token over several lines (a string) counts
+    each of them."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NO_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_code_lines(src: Path = SRC) -> int:
+    """code_lines summed over the modules of the package directory src:
+    the src line count that a refactor must lower."""
+    return sum(code_lines(p.read_text()) for p in sorted(src.glob("*.py")))
 
 
 @functools.cache
