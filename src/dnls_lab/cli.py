@@ -57,6 +57,10 @@ def _whole_steps(t: float, dt: float) -> bool:
 # the rules that several keys share, as (ok, valid); type() rules out bools
 KIND = (lambda v, p: v in ("torus", "line"), "'torus' or 'line'")
 N_POINTS = (lambda v, p: v >= 8 and _is_power_of_two(v), "a power of two >= 8")
+# the window probes' modes reach |xi| = 8, strictly inside the lattice only
+# from 32 points on (probes._window_probe)
+_WINDOW_N_POINTS = (lambda v, p: v >= 32 and _is_power_of_two(v),
+                    "a power of two >= 32, where every probe mode lies inside the lattice")
 DOMAIN_SCALE = (lambda v, p: _is_power_of_two(v) and (v == 1 or p["kind"] == "line"),
                 "a power of two, and 1 on the torus")
 POSITIVE = (lambda v, p: v > 0, "positive")
@@ -210,7 +214,7 @@ SCENARIOS = {
         "s": Key(float, 0.5, lambda v, p: v >= 0.5, ">= 1/2"),
         "t_values": Key(list, [1.0, 0.5, 0.25, 0.125], *T_VALUES),
         "ensemble": Key(int, 100, *AT_LEAST_ONE),
-        "n_points": Key(int, 32, *N_POINTS),
+        "n_points": Key(int, 32, *_WINDOW_N_POINTS),
         "kind": Key(str, "torus", *KIND),
     }),
     "probe-multilinear": (scenarios.run_probe_multilinear, {
@@ -218,7 +222,7 @@ SCENARIOS = {
         "s": Key(float, 0.5),
         "t_values": Key(list, [1.0, 0.5, 0.25, 0.125], *T_VALUES),
         "ensemble": Key(int, 50, *AT_LEAST_ONE),
-        "n_points": Key(int, 32, *N_POINTS),
+        "n_points": Key(int, 32, *_WINDOW_N_POINTS),
         "kind": Key(str, "torus", *KIND),
         "delta": Key(float, 1.0 / 16.0, lambda v, p: 0 < v < 1 / 8, "in (0, 1/8)"),
         "quintic": Key(bool, False),

@@ -16,7 +16,9 @@ The random fields' shapes are fixed in sampling.
 
 The trilinear and multilinear window probes share one driver,
 _window_probe, with one factor draw per family (_trilinear_draw,
-_quintic_draw, _power_draw), single-mode tuples built by _single_modes.
+_quintic_draw, _power_draw), single-mode tuples built by _single_modes
+through sampling's one travelling-mode builder, and the power form's k + 1
+factors multiplied on one alias-free grid (_plain_product).
 The driver reuses the same base fields for every window size, so the
 sup-ratio trend across T reflects the window effect, not sampling noise.
 It also factors the window out of the product forms: the window w(t) is
@@ -71,12 +73,11 @@ import numpy as np
 
 from .errors import NonFiniteError, ParameterError
 from .fields import (Domain, SpaceTimeField, SpectralField, _conj_reverse,
-                     _live_rows, _plane_wave_coeffs, _row_blocks,
-                     dealiased_product_coeffs)
+                     _live_rows, _row_blocks, dealiased_product_coeffs)
 from .frequency import dyadic_range
 from .multipliers import REGIME_LABELS, domination_ratio_arrays, sample_points
 from .nonlinear import quintic_Q_general_slices, trilinear_T_slices
-from .sampling import random_band_field, random_mode_sum_values
+from .sampling import _travelling_modes, random_band_field, random_mode_sum_values
 from .spaces import (_low_plus_sup, besov_norm, block_norms, cal_y_norm, frak_x_norm,
                      plateau, window_trajectory, xsb_norm)
 from .solver import free_evolution
@@ -255,19 +256,6 @@ def _base_times() -> np.ndarray:
     return -4.0 + _BASE_DT * np.arange(round(8.0 / _BASE_DT))
 
 
-def _mode_wave(dom: Domain, times: np.ndarray, k: float, char_sign: int,
-               amp: complex) -> np.ndarray:
-    """Travelling wave amp exp(i(k x - char_sign k^2 t)) at the lattice
-    frequency k, as per-slice coefficients (n_t, n): the single column
-    amp exp(-i char_sign k^2 t) at the FFT index of k, times the
-    coefficient of exp(i k x) there."""
-    i = round(k / dom.dxi) % dom.n_points
-    out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
-    out[:, i] = (amp * _plane_wave_coeffs(dom)[i]) * np.exp(
-        -1j * char_sign * k * k * np.asarray(times))
-    return out
-
-
 def _nested_sups(raw: dict) -> dict:
     """Cumulative max over window scales <= T.
 
@@ -305,11 +293,9 @@ def _support(w: np.ndarray) -> slice:
 
 
 def _plain_product(dom: Domain, cs: list[np.ndarray]) -> np.ndarray:
-    """Coefficients (..., n) of v1 v2 ..., one dealiased pair at a time."""
-    prod = cs[0]
-    for c in cs[1:]:
-        prod = dealiased_product_coeffs(dom, [prod, c])
-    return prod
+    """Coefficients (..., n) of v1 v2 ..., formed on one alias-free grid; one
+    factor is its own product, with no transform."""
+    return cs[0] if len(cs) == 1 else dealiased_product_coeffs(dom, list(cs))
 
 
 def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]:
@@ -399,6 +385,10 @@ def _window_probe(name: str, dom: Domain, t_values, ensemble: int,
     the report's params gain t_values, dt and kind."""
     if not all(0 < T <= 1 for T in t_values):
         raise ParameterError("window sizes must lie in (0, 1]")
+    # the factors reach |xi| = 8 (the mode sums' band, the single modes'
+    # kk + b), which only a lattice with xi_max > 8 holds without aliasing
+    if not dom.xi_max > 8:
+        raise ParameterError("the probe modes need xi_max > 8 (n_points >= 32)")
     times = _base_times()
     kept, windows = _windows(times, t_values)
     tk = times[kept]
@@ -415,9 +405,11 @@ def _window_probe(name: str, dom: Domain, t_values, ensemble: int,
 
 def _single_modes(r: np.random.Generator, dom: Domain, tk: np.ndarray, modes,
                   signs: list[int]) -> list[np.ndarray]:
-    """One travelling wave per mode and sign, complex normal amplitudes (real parts first)."""
+    """One travelling wave a exp(i(m x - sg m^2 t)) per lattice mode m and
+    sign sg, complex normal amplitudes a (real parts first)."""
     amps = r.normal(size=len(modes)) + 1j * r.normal(size=len(modes))
-    return [_mode_wave(dom, tk, m, sg, a) for m, sg, a in zip(modes, signs, amps)]
+    return [_travelling_modes(dom, tk, [round(m / dom.dxi) % dom.n_points],
+                              [sg * m * m], [a]) for m, sg, a in zip(modes, signs, amps)]
 
 
 def _trilinear_draw(r: np.random.Generator, dom: Domain, tk: np.ndarray) -> list[np.ndarray]:

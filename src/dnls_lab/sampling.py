@@ -80,11 +80,8 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
     localization then dominates their modulation content -- while the
     broadband fields exercise the high-modulation weights.
 
-    The xi_j are lattice frequencies, so mode j is the single coefficient
-    c_j exp(-i nu_j t) at the FFT index of xi_j, times the coefficient of
-    exp(i xi_j x) (period / sqrt(2 pi), with the sign of the line's grid
-    origin): no grid samples are formed, and times may be any subset of a
-    time grid.
+    The xi_j are lattice frequencies, and _travelling_modes writes the
+    modes as coefficients.
     """
     u = rng.random()
     if u < 0.5:
@@ -101,8 +98,18 @@ def random_mode_sum_values(dom: Domain, times: np.ndarray, rng: np.random.Genera
         idx[j] = rng.choice(lattice)
         nu[j] = char_sign * dom.xi[idx[j]] ** 2 + sigma0 * rng.uniform(-1.0, 1.0)
         c[j] = (rng.normal() + 1j * rng.normal()) / np.sqrt(n_modes)
+    return _travelling_modes(dom, times, idx, nu, c)
+
+
+def _travelling_modes(dom: Domain, times: np.ndarray, idx, nu, c) -> np.ndarray:
+    """Sum of travelling modes c_j exp(i xi_j x - i nu_j t), xi_j the lattice
+    frequency at FFT index idx_j, as per-slice coefficients (n_t, n) in FFT
+    order: mode j is the single coefficient c_j exp(-i nu_j t) at idx_j,
+    times the coefficient of exp(i xi_j x) (period / sqrt(2 pi), with the
+    sign of the line's grid origin).  No grid samples are formed, and times
+    may be any subset of a time grid; modes that share an index add up."""
     columns = (c * _plane_wave_coeffs(dom)[idx]) * np.exp(-1j * np.outer(times, nu))
     out = np.zeros((len(times), dom.n_points), dtype=np.complex128)
-    for j in range(n_modes):
+    for j in range(len(idx)):
         out[:, idx[j]] += columns[:, j]
     return out

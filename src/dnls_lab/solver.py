@@ -130,19 +130,17 @@ def _free_phases(domain: Domain, times: bytes) -> np.ndarray:
 
 
 def _phi(z: np.ndarray, k: int) -> np.ndarray:
-    """phi_k with a series fallback on |z| < PHI_SERIES_RADIUS."""
+    """phi_k, k in {1, 2, 3}, from its definition (the module docstring's),
+    with a series fallback on |z| < PHI_SERIES_RADIUS."""
+    if k not in (1, 2, 3):
+        raise ValueError("k in {1,2,3}")
     z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < PHI_SERIES_RADIUS
     zs = np.where(small, 0.0, z)  # avoid 0/0 in the closed form
-    ez = np.exp(zs)
-    if k == 1:
-        closed = (ez - 1.0) / np.where(small, 1.0, zs)
-    elif k == 2:
-        closed = (ez - 1.0 - zs) / np.where(small, 1.0, zs) ** 2
-    elif k == 3:
-        closed = (ez - 1.0 - zs - zs ** 2 / 2.0) / np.where(small, 1.0, zs) ** 3
-    else:
-        raise ValueError("k in {1,2,3}")
+    closed = np.exp(zs)
+    for j in range(k):
+        closed = closed - zs ** j / math.factorial(j)
+    closed = closed / np.where(small, 1.0, zs) ** k
     # Taylor: sum_j z^j / (j+k)!  by Horner from the highest term
     series = np.zeros_like(z)
     for j in range(PHI_SERIES_TERMS, -1, -1):

@@ -702,6 +702,37 @@ class TestPaddingInFields:
                 - set(callers(_src_sources(), ("band",)))) == {"gauge.gauge_phase"}
 
 
+# Functions outside fields that call fields._plane_wave_coeffs, each with its
+# reason.  A travelling lattice mode has one builder; a second one would
+# write its coefficient again.
+PLANE_WAVE_COEFFS_OUTSIDE_FIELDS = {
+    "sampling._travelling_modes": "the one builder of travelling lattice modes, for "
+                                  "the mode sums and the probes' single modes",
+}
+
+
+class TestPlaneWaveCoeffsInSampling:
+    def test_only_listed_functions_call_the_coefficients_outside_fields(self):
+        assert callers(_src_sources(), ("_plane_wave_coeffs",)) == sorted(
+            PLANE_WAVE_COEFFS_OUTSIDE_FIELDS)
+
+    @pytest.mark.parametrize("added,flagged", [
+        ("    out[:, i] = amp * _plane_wave_coeffs(dom)[i]\n", {"probes._single_modes"}),
+        ("    w = fields._plane_wave_coeffs(dom)\n", {"probes._single_modes"}),
+        ("    out = _travelling_modes(dom, tk, [i], [nu], [amp])\n", set()),
+        ("    w = _plane_wave_coeffs\n", set()),
+    ], ids=["call", "module-call", "helper", "no-call"])
+    def test_a_second_mode_builder_fails_the_scan(self, added, flagged):
+        sources = _src_sources()
+        anchor = ("def _single_modes(r: np.random.Generator, dom: Domain, tk: np.ndarray, "
+                  "modes,\n                  signs: list[int]) -> list[np.ndarray]:\n")
+        assert anchor in sources["probes"]
+        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
+        new = (set(callers(sources, ("_plane_wave_coeffs",)))
+               - set(callers(_src_sources(), ("_plane_wave_coeffs",))))
+        assert new == flagged
+
+
 # Functions outside fields that sum |values|^2 by hand,
 # np.sum(np.abs(x) ** 2, ...).  None does: fields._square_sums is the one
 # such sum (row-blocked, each row with the bits of the whole array's).

@@ -235,6 +235,10 @@ class TestValidation:
         ("probe-trilinear", {"n_points": 2}, "n_points"),
         ("probe-multilinear", {"kind": "sphere"}, "kind"),
         ("probe-multilinear", {"n_points": 33}, "n_points"),
+        # the window probes' modes reach |xi| = 8, the Nyquist mode of 16 points
+        ("probe-trilinear", {"n_points": 16}, "n_points"),
+        ("probe-multilinear", {"n_points": 16}, "n_points"),
+        ("probe-multilinear", {"n_points": 8, "quintic": True}, "n_points"),
         ("probe-smult", {"n_points": 1000}, "n_points"),
         ("dyadic-checks", {"n_points": 65}, "n_points"),
         # values that once passed validation and then ended in a traceback
@@ -357,7 +361,7 @@ class TestValidation:
     @pytest.mark.parametrize("scenario,params,why", [
         ("probe-strichartz", {"b": 400.0, "ensemble": 1, "n_points": 8, "n_t": 16},
          "NonFiniteError"),
-        ("probe-trilinear", {"s": 400.0, "ensemble": 1, "n_points": 8},
+        ("probe-trilinear", {"s": 400.0, "ensemble": 1, "n_points": 32},
          "NonFiniteError"),
         ("probe-smult", {"s1": 400.0, "ensemble": 1, "n_points": 16},
          "NonFiniteError"),
@@ -411,8 +415,8 @@ SMALL = {
     "verify-resonance": {"n": 10 ** 4},
     "verify-domination": {"n": 10 ** 4},
     "probe-strichartz": {"ensemble": 1, "n_points": 8, "n_t": 16},
-    "probe-trilinear": {"ensemble": 1, "n_points": 8},
-    "probe-multilinear": {"ensemble": 1, "n_points": 8},
+    "probe-trilinear": {"ensemble": 1, "n_points": 32},
+    "probe-multilinear": {"ensemble": 1, "n_points": 32},
     "probe-smult": {"ensemble": 1, "n_points": 16},
     "dyadic-checks": {"n_points": 16},
 }

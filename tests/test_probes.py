@@ -15,7 +15,7 @@ from dnls_lab.nonlinear import quintic_Q_general_slices, trilinear_T_slices
 from dnls_lab.probes import (ProbeReport, domination_scan, dyadic_sum_check,
                              multilinear_probe, sobolev_mult_probe,
                              strichartz_probe, trilinear_probe)
-from dnls_lab.sampling import random_band_field, random_mode_sum_values
+from dnls_lab.sampling import _travelling_modes, random_band_field, random_mode_sum_values
 from dnls_lab.solver import free_evolution
 from dnls_lab.spaces import (besov_norm, block_norms, cal_y_norm, frak_x_norm,
                              plateau, xsb_norm)
@@ -138,6 +138,18 @@ class TestMultilinearProbe:
             at_cli_defaults(multilinear_probe, delta=0.2)
 
 
+class TestWindowProbeLattice:
+    # the factors reach |xi| = 8, which a lattice holds strictly inside only
+    # when xi_max > 8: on 16 points mode 8 is the Nyquist mode (xi = -8)
+    @pytest.mark.parametrize("dom", [Domain("torus", 16), Domain("line", 16),
+                                     Domain("line", 64, 4)],
+                             ids=["torus-16", "line-16", "line-64-scale-4"])
+    @pytest.mark.parametrize("probe", ["trilinear", "k1", "k2", "quintic"])
+    def test_a_lattice_without_room_raises(self, dom, probe):
+        with pytest.raises(ParameterError, match="xi_max > 8"):
+            _WINDOW_PROBES[probe](dom)
+
+
 class TestDyadicSums:
     def _field(self, seed):
         dom = Domain("torus", 64)
@@ -254,8 +266,8 @@ _SUPPORT_DOMAINS = [Domain("torus", 32), Domain("line", 32)]
 _PRODUCT_FORMS = {
     "trilinear": (3, lambda dom, f: trilinear_T_slices(dom, *f)),
     "quintic": (5, lambda dom, f: quintic_Q_general_slices(dom, f)),
-    "pairwise-k1": (2, probes._plain_product),
-    "pairwise-k2": (3, probes._plain_product),
+    "plain-k1": (2, probes._plain_product),
+    "plain-k2": (3, probes._plain_product),
 }
 
 
@@ -393,23 +405,67 @@ class TestModeSum:
         assert r1.random() == r2.random()   # same draws, same generator state
 
 
-def _mode_wave_reference(dom, times, k, char_sign=+1, amp=1.0):
-    """_mode_wave as one full-size exp."""
-    return amp * np.exp(1j * (k * dom.x[None, :] - char_sign * k * k * times[:, None]))
+def _travelling_modes_reference(dom, times, xi, nu, c):
+    """The coefficients of sum_j c_j exp(i(xi_j x - nu_j t)), from one
+    full-size exp per mode."""
+    vals = sum(a * np.exp(1j * (k * dom.x[None, :] - w * times[:, None]))
+               for k, w, a in zip(xi, nu, c))
+    return GridFunction(dom, vals).to_spectral().coeffs
 
 
-class TestModeWave:
-    @pytest.mark.parametrize("dom", [Domain("torus", 32), Domain("line", 64, 4)],
-                             ids=lambda d: d.kind)
+# lattices on which |xi| = 8, the probes' largest mode, lies strictly inside
+_MODE_DOMAINS = [Domain("torus", 32), Domain("line", 128, 4)]
+
+
+class TestTravellingModes:
+    @pytest.mark.parametrize("dom", _MODE_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("k,char_sign", [(8, +1), (-6, -1), (3, +1), (0, +1)])
-    def test_matches_full_size_exp(self, dom, k, char_sign):
+    def test_single_mode_matches_full_size_exp(self, dom, k, char_sign):
+        # the window probes' single-mode factor, its amplitude drawn first
         times = probes._base_times()
-        amp = 0.7 - 1.3j
-        got = probes._mode_wave(dom, times, k, char_sign, amp)
-        ref = GridFunction(dom, _mode_wave_reference(dom, times, k, char_sign, amp)
-                           ).to_spectral().coeffs
+        r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+        [got] = probes._single_modes(r1, dom, times, [k], [char_sign])
+        amp = r2.normal() + 1j * r2.normal()
+        ref = _travelling_modes_reference(dom, times, [k], [char_sign * k * k], [amp])
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("dom", _MODE_DOMAINS, ids=lambda d: d.kind)
+    def test_modes_on_one_index_add_up(self, dom):
+        # xi = 3 three times, each with its own frequency and amplitude
+        times = probes._base_times()
+        xi = [3, -5, 3, 0, 3]
+        nu = [9.0, -25.0, 9.5, 0.3, -2.0]
+        c = [0.7 - 1.3j, 0.2 + 0.1j, -1.1 + 0.4j, 0.5j, 0.9]
+        idx = [int(np.flatnonzero(dom.xi == k)[0]) for k in xi]
+        got = _travelling_modes(dom, times, idx, nu, c)
+        ref = _travelling_modes_reference(dom, times, xi, nu, c)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestPlainProduct:
+    def test_three_modes_through_the_coarse_nyquist_mode(self):
+        # u1 u2 lies on xi = 16, the Nyquist mode of 32 points, and u1 u2 u3
+        # on xi = 8: one product on an alias-free grid keeps it, a chain of
+        # truncated pairs would zero it
+        dom = Domain("torus", 32)
+        times = probes._base_times()[:64]
+        amps = [0.7 - 1.3j, 0.2 + 1.1j, -1.1 + 0.4j]
+        cs = [_travelling_modes(dom, times, [k % 32], [k * k], [a])
+              for k, a in zip([8, 8, -8], amps)]
+        got = probes._plain_product(dom, np.array(cs))
+        ref = _travelling_modes_reference(dom, times, [8], [3 * 64], [math.prod(amps)])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.min(np.abs(got[:, 8])) > 0.5 * np.max(np.abs(ref))
+
+    def test_two_factors_are_one_dealiased_product(self):
+        dom = Domain("torus", 32)
+        times = probes._base_times()[:64]
+        rng = np.random.default_rng(6)
+        cs = np.array([random_mode_sum_values(dom, times, rng) for _ in range(2)])
+        assert np.array_equal(probes._plain_product(dom, cs),
+                              dealiased_product_coeffs(dom, [cs[0], cs[1]]))
 
 
 class TestQuinticResonantTuples:
@@ -591,9 +647,9 @@ class TestProbeWork:
         kept, windows = probes._windows(times, t_values)
         tk = times[kept]
         # the probe's minimal-modulation tuple kk = 5, a = b = 1
-        base = [probes._mode_wave(dom, tk, 6, +1, 1.0 + 0.5j),
-                probes._mode_wave(dom, tk, 6, +1, -0.3 + 1j),
-                probes._mode_wave(dom, tk, -5, -1, 0.8 - 0.2j)]
+        base = [_travelling_modes(dom, tk, [6], [36], [1.0 + 0.5j]),
+                _travelling_modes(dom, tk, [6], [36], [-0.3 + 1j]),
+                _travelling_modes(dom, tk, [-5 % 32], [-25], [0.8 - 0.2j])]
         form_points, stack_rows = self._form_points_and_rows(
             monkeypatch, dom, fn, base)
         prod = fn(dom, np.array(base))

@@ -14,8 +14,9 @@ from dnls_lab.nonlinear import NonlinearityConfig
 from dnls_lab.sampling import (gaussian_packet, plane_wave,
                                random_band_field, scaled_to_h1)
 from dnls_lab.scenarios import _plane_wave_solve
-from dnls_lab.solver import (SolverConfig, _EtdrkCoefficients, _free_phases, _phi,
-                             free_evolution, make_spectral_forcing, rescale, solve)
+from dnls_lab.solver import (PHI_SERIES_RADIUS, SolverConfig, _EtdrkCoefficients,
+                             _free_phases, _phi, free_evolution, make_spectral_forcing,
+                             rescale, solve)
 from tests_support import (besov_endpoint_data, count_ffts, gauged_rhs_reference,
                            original_rhs_reference, picard_iterate, reference_march,
                            reverse, solitary_wave, traced_peak, unit_mass,
@@ -40,6 +41,32 @@ class TestPhiFunctions:
             import math
             series = sum(z ** j / math.factorial(j + k) for j in range(40))
             assert np.max(np.abs(vals - series)) < 1e-13
+
+    @pytest.mark.parametrize("h", [1e-3, 0.05])
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_closed_form_is_the_textbook_one(self, n, h):
+        # the loop over sum_{j<k} z^j / j! against the three closed forms
+        # written out, bit for bit (signed zeros included), on the tableau's
+        # arguments and on random ones
+        rng = np.random.default_rng(n)
+        dom = Domain("torus", n)
+        zs = [h * (-1j * dom.xi ** 2), h / 2.0 * (-1j * dom.xi ** 2),
+              rng.normal(size=n) * 10 + 1j * rng.normal(size=n) * 10]
+        for z in zs:
+            small = np.abs(z) < PHI_SERIES_RADIUS
+            zs_, d = np.where(small, 0.0, z), np.where(small, 1.0, z)
+            ez = np.exp(zs_)
+            closed = {1: (ez - 1.0) / d, 2: (ez - 1.0 - zs_) / d ** 2,
+                      3: (ez - 1.0 - zs_ - zs_ ** 2 / 2.0) / d ** 3}
+            for k, want in closed.items():
+                got = _phi(z, k)
+                assert np.array_equal(got[~small].view(np.uint64),
+                                      want[~small].view(np.uint64)), k
+
+    def test_k_outside_one_to_three_raises(self):
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                _phi(np.array([1.0j]), k)
 
     def test_phi_at_zero(self):
         import math
