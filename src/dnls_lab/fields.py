@@ -171,15 +171,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(_square_sums(self.values) * self.domain.dx))
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self.domain.require_same(other.domain)
-        return GridFunction(self.domain, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.domain, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 class SpectralField:
     """Complex Fourier coefficients on the lattice dual to a Domain grid,

@@ -113,12 +113,6 @@ class ProbeReport:
         if not np.isfinite(self.sup_ratio):
             raise NonFiniteError("empirical constant must be finite")
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "samples": self.samples,
-                "sup_ratio": self.sup_ratio,
-                "refinement_stable": self.refinement_stable,
-                "params": self.params, "details": self.details}
-
 
 def _stable(a: float, b: float) -> bool:
     """The sups a and b differ by at most a factor of two."""

@@ -8,7 +8,7 @@ result dict holds
     metrics     -- flat name -> number map for the CSV report,
     assertions  -- list of {name, value, threshold, op, passed},
     plotdata    -- name -> list of (x, y) rows for TSV emission, optional,
-    reports     -- the probe reports (ProbeReport.to_json()), optional,
+    reports     -- the probe reports (ProbeReport fields as a dict), optional,
     fields      -- name -> (SpectralField, time) to dump, optional.
 
 Thresholds are fixed here, not configurable: a scenario either meets its
@@ -16,6 +16,8 @@ contract or exits nonzero.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +55,7 @@ def _mass_drift(*masses) -> float:
 
 def _probe_result(rep, metrics, assertions) -> dict:
     """A probe runner's result, rep's report included."""
-    return {"metrics": metrics, "assertions": assertions, "reports": [rep.to_json()]}
+    return {"metrics": metrics, "assertions": assertions, "reports": [asdict(rep)]}
 
 
 def _refined_result(rep, name) -> dict:
@@ -136,7 +138,7 @@ def _plane_wave_solve(n_points, amplitude, lam, k_power, dt,
     cfg = SolverConfig(dom, NonlinearityConfig(lam, k_power, False), dt, t_final)
     traj = solve(plane_wave(dom, a, 1), cfg)
     exact = a * np.exp(1j * (dom.x - omega * t_final))
-    err = traj.slice_function(-1) - GridFunction(dom, exact)
+    err = GridFunction(dom, traj.values[-1] - exact)
     return traj, err.l2_norm() / GridFunction(dom, exact).l2_norm(), omega
 
 
@@ -176,7 +178,7 @@ def run_gauge_roundtrip(params, rng):
         # the gauge image is analytic but wider-band than its argument;
         # keep an 8x lattice headroom so the 1e-12 contract is meaningful
         f = random_decaying_field(dom, rng, band=dom.xi_max / 8)
-        members.append((f * (1.0 / f.l2_norm())).values)
+        members.append(f.values * (1.0 / f.l2_norm()))
     rt, mod = gauge_report(GridFunction(dom, np.array(members)))
     return {
         "metrics": {"max_round_trip_error": rt, "max_modulus_error": mod},

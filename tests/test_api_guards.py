@@ -1,19 +1,13 @@
-"""Guards on the package's public surface: every name the benchmark's layer
-tracer wraps or its workload process reads must exist, the golden runs
-under that tracer must keep their exit codes and report bytes, every public
-function, class and method must be named in src and every src function
-entered by the golden runs, or kept on purpose, with a reason, every
-defaulted parameter must be set by some src call and left unset by
-another, or kept on purpose, with a reason, every read of a dict key with
-a default (.get, .setdefault) must be kept on purpose, with a reason, src
-reads no environment variable (every setting is a config field or a
-constant), only fields calls the FFT (it alone applies the
-transform normalization dx/sqrt(2 pi)) or sums |values|^2 by hand
-(_square_sums is the one such sum), only spaces writes a dyadic-sup norm
-as the low block plus the sup of the others (_low_plus_sup is the one),
-and only fields calls the SpaceTimeField constructor (it alone knows the
-compact row order).  tests_support.src_code_lines, the src code-line count
-that a refactor must lower, is tested here on a synthetic module."""
+"""Guards on the package's public surface and its one-way design rules.
+Every name the benchmark's layer tracer wraps or its workload process reads
+must exist, and the golden runs under that tracer must keep their exit
+codes and report bytes.  Every public function, class and method must be
+named in src and every src function entered by the golden runs, or kept
+in KEEP with a reason.  Each one-way rule is a row of RULES: a scan of src
+and the keep dict of what it may find, each entry with its reason; PLANTED
+lists sources that each scan must flag and others it must not.
+tests_support.src_code_lines, the src code-line count that a refactor
+must lower, is tested here on a synthetic module."""
 
 import ast
 import functools
@@ -472,6 +466,10 @@ def unset_options(sources: dict) -> list:
     return [q for q, sets in _option_uses(sources) if not any(sets)]
 
 
+# Defaulted parameters that every src call sets, kept on purpose.
+DEFAULT_KEEP = {}
+
+
 def always_set_options(sources: dict) -> list:
     """module.function.parameter (or module.Cls.field) of every defaulted
     parameter or field in sources {module: text} that every call in sources
@@ -482,83 +480,8 @@ def always_set_options(sources: dict) -> list:
     return [q for q, sets in _option_uses(sources) if sets and all(sets)]
 
 
-class TestUnsetOptions:
-    def test_every_unset_option_is_kept(self):
-        assert [q for q in unset_options(_src_sources()) if q not in OPTION_KEEP] == []
-
-    def test_keep_entries_name_unset_options(self):
-        assert sorted(set(OPTION_KEEP) - set(unset_options(_src_sources()))) == []
-
-    @pytest.mark.parametrize("call,flagged", [
-        ("f(1)", {"fields.f.unused"}),
-        ("f(1, 2)", set()),
-        ("f(1, unused=2)", set()),
-        ("f(*(1, 2))", set()),
-    ])
-    def test_an_unset_option_fails_the_scan(self, call, flagged):
-        sources = _src_sources()
-        sources["fields"] += f"\n\ndef f(x, unused=1):\n    return x\n\n\n{call}\n"
-        assert set(unset_options(sources)) - set(unset_options(_src_sources())) == flagged
-
-    @pytest.mark.parametrize("added,flagged", [
-        ("@dataclass(frozen=True)\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1)\n",
-         {"fields.C.unused"}),
-        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\n", set()),
-        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, unused=2)\n",
-         set()),
-        # super().__init__ is not a call of E, so it sets nothing of E.__init__
-        ("class E(Exception):\n    def __init__(self, x, unused=1):\n"
-         "        super().__init__(x, x)\n\n\nE(1)\n", {"fields.E.__init__.unused"}),
-    ])
-    def test_an_unset_field_or_init_parameter_fails_the_scan(self, added, flagged):
-        sources = _src_sources()
-        sources["fields"] += "\n\n" + added
-        assert set(unset_options(sources)) - set(unset_options(_src_sources())) == flagged
-
-
-# Defaulted parameters that every src call sets, kept on purpose.
-DEFAULT_KEEP = {}
-
-
-class TestAlwaysSetDefaults:
-    def test_every_always_set_default_is_kept(self):
-        assert [q for q in always_set_options(_src_sources())
-                if q not in DEFAULT_KEEP] == []
-
-    def test_keep_entries_name_always_set_defaults(self):
-        assert sorted(set(DEFAULT_KEEP) - set(always_set_options(_src_sources()))) == []
-
-    @pytest.mark.parametrize("calls,flagged", [
-        ("f(1, 2)\nf(1, unused=3)\n", {"fields.f.unused"}),
-        ("f(*(1, 2))\n", {"fields.f.unused"}),
-        ("f(1, 2)\nf(1)\n", set()),
-        ("", set()),  # no call at all is unset_options' case
-    ], ids=["set-by-every-call", "star-call", "unset-by-one-call", "no-call"])
-    def test_a_default_every_call_sets_fails_the_scan(self, calls, flagged):
-        sources = _src_sources()
-        sources["fields"] += f"\n\ndef f(x, unused=1):\n    return x\n\n\n{calls}"
-        assert (set(always_set_options(sources))
-                - set(always_set_options(_src_sources()))) == flagged
-
-    @pytest.mark.parametrize("added,flagged", [
-        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\n",
-         {"fields.C.unused"}),
-        ("@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\nC(1, 2)\nC(1)\n",
-         set()),
-        ("class E(Exception):\n    def __init__(self, x, unused=1):\n"
-         "        super().__init__(x)\n\n\nE(1, unused=2)\n", {"fields.E.__init__.unused"}),
-    ], ids=["field-set-by-every-call", "field-unset-by-one-call",
-            "init-parameter-set-by-every-call"])
-    def test_a_field_or_init_parameter_every_call_sets_fails_the_scan(self, added,
-                                                                      flagged):
-        sources = _src_sources()
-        sources["fields"] += "\n\n" + added
-        assert (set(always_set_options(sources))
-                - set(always_set_options(_src_sources()))) == flagged
-
-
 # Functions of src that read a key with a default, .get(key, default) or
-# .setdefault(key, default), each with its reason.  The option guards above
+# .setdefault(key, default), each with its reason.  The option rules
 # see defaulted parameters alone; a default read out of a dict is one they
 # miss, and a runner's keys have theirs in the CLI schema only.
 DICT_DEFAULT_KEEP = {
@@ -573,53 +496,29 @@ DICT_DEFAULT_KEEP = {
 }
 
 
+def _top_level(sources: dict):
+    """(module.name, node) of every top-level statement of sources {module:
+    text}, named by the function or class it defines (module.<module> for
+    other top-level code)."""
+    for module, text in sources.items():
+        for node in _tree(text).body:
+            yield f"{module}.{getattr(node, 'name', '<module>')}", node
+
+
 def dict_defaults(sources: dict) -> dict:
     """{module.function: [line of each call]} of every .get(key, default) or
     .setdefault(key, default) call in sources {module: text}, under the
-    top-level function or class around it (module.<module> for top-level
-    code), as env_readers names them.  A call matches by attribute name and
-    two positional arguments, whatever object it is made on."""
+    top-level function or class around it (_top_level).  A call matches by
+    attribute name and two positional arguments, whatever object it is made
+    on."""
     out = {}
-    for module, text in sources.items():
-        for node in _tree(text).body:
-            where = f"{module}.{getattr(node, 'name', '<module>')}"
-            for call in ast.walk(node):
-                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in ("get", "setdefault")
-                        and len(call.args) == 2):
-                    out.setdefault(where, []).append(call.lineno)
+    for where, node in _top_level(sources):
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("get", "setdefault")
+                    and len(call.args) == 2):
+                out.setdefault(where, []).append(call.lineno)
     return out
-
-
-class TestDictDefaults:
-    def test_every_dict_default_is_kept(self):
-        assert {f: lines for f, lines in dict_defaults(_src_sources()).items()
-                if f not in DICT_DEFAULT_KEEP} == {}
-
-    def test_keep_entries_read_dict_defaults(self):
-        assert sorted(set(DICT_DEFAULT_KEEP) - set(dict_defaults(_src_sources()))) == []
-
-    @pytest.mark.parametrize("added,flagged", [
-        ('    n = params.get("ensemble", 100)\n', {"scenarios.run_dyadic_checks"}),
-        ('    params.setdefault("ensemble", 100)\n', {"scenarios.run_dyadic_checks"}),
-        ('    def inner(p):\n        return p.get("s", 0.5)\n',
-         {"scenarios.run_dyadic_checks"}),
-        ('    n = params.get("ensemble")\n', set()),
-        ('    n = params["ensemble"]\n', set()),
-    ], ids=["get", "setdefault", "nested", "get-without-default", "subscript"])
-    def test_a_planted_dict_default_fails_the_scan(self, added, flagged):
-        sources = _src_sources()
-        anchor = "def run_dyadic_checks(params, rng):\n"
-        assert anchor in sources["scenarios"]
-        sources["scenarios"] = sources["scenarios"].replace(anchor, anchor + added, 1)
-        assert (set(dict_defaults(sources))
-                - set(dict_defaults(_src_sources()))) == flagged
-
-    def test_a_top_level_dict_default_fails_the_scan(self):
-        sources = _src_sources()
-        sources["scenarios"] += '\n\nENSEMBLE = {}.get("ensemble", 100)\n'
-        assert (set(dict_defaults(sources))
-                - set(dict_defaults(_src_sources()))) == {"scenarios.<module>"}
 
 
 # Functions outside fields that call np.fft.fft / np.fft.ifft, each with its
@@ -627,18 +526,15 @@ class TestDictDefaults:
 FFT_OUTSIDE_FIELDS = {}
 
 
-FFTS = ("fft", "ifft")
-
-
 def _ident(f) -> str | None:
     """The name a call's function goes by: fft for np.fft.fft and for fft."""
     return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
-def sites(sources: dict, outside: str, found) -> list:
+def sites(sources: dict, outside: str | None, found) -> list:
     """module.function of every function or method in sources {module:
-    text}, outside the module `outside`, with a node for which found(node)
-    holds."""
+    text}, outside the module `outside` (None: in every module), with a
+    node for which found(node) holds."""
     out = []
     for module, text in sources.items():
         if module == outside:
@@ -659,23 +555,6 @@ def callers(sources: dict, names) -> list:
                  lambda node: isinstance(node, ast.Call) and _ident(node.func) in names)
 
 
-class TestTransformsInFields:
-    def test_only_listed_functions_call_the_fft_outside_fields(self):
-        assert callers(_src_sources(), FFTS) == sorted(FFT_OUTSIDE_FIELDS)
-
-    @pytest.mark.parametrize("added", [
-        "    chat = np.fft.fft(values)\n",
-        "    chat = np.fft.ifft(values, axis=-1)\n",
-    ])
-    def test_a_transform_outside_fields_fails_the_scan(self, added):
-        sources = _src_sources()
-        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
-        assert anchor in sources["gauge"]
-        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
-        assert set(callers(sources, FFTS)) - set(callers(_src_sources(), FFTS)) == {
-            "gauge.gauge_phase"}
-
-
 # Functions outside fields that call fields.band, each with its reason.  A
 # padded factor is padded_values' fresh buffer; a hand-written pad would
 # write a coarse band through band.
@@ -685,23 +564,6 @@ BAND_OUTSIDE_FIELDS = {
 }
 
 
-class TestPaddingInFields:
-    def test_only_listed_functions_call_band_outside_fields(self):
-        assert callers(_src_sources(), ("band",)) == sorted(BAND_OUTSIDE_FIELDS)
-
-    @pytest.mark.parametrize("added", [
-        "    band(pad, n)[...] = halves\n",
-        "    fields.band(pad, n)[...] = halves\n",
-    ])
-    def test_a_band_write_outside_fields_fails_the_scan(self, added):
-        sources = _src_sources()
-        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
-        assert anchor in sources["gauge"]
-        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
-        assert (set(callers(sources, ("band",)))
-                - set(callers(_src_sources(), ("band",)))) == {"gauge.gauge_phase"}
-
-
 # Functions outside fields that call fields._plane_wave_coeffs, each with its
 # reason.  A travelling lattice mode has one builder; a second one would
 # write its coefficient again.
@@ -709,28 +571,6 @@ PLANE_WAVE_COEFFS_OUTSIDE_FIELDS = {
     "sampling._travelling_modes": "the one builder of travelling lattice modes, for "
                                   "the mode sums and the probes' single modes",
 }
-
-
-class TestPlaneWaveCoeffsInSampling:
-    def test_only_listed_functions_call_the_coefficients_outside_fields(self):
-        assert callers(_src_sources(), ("_plane_wave_coeffs",)) == sorted(
-            PLANE_WAVE_COEFFS_OUTSIDE_FIELDS)
-
-    @pytest.mark.parametrize("added,flagged", [
-        ("    out[:, i] = amp * _plane_wave_coeffs(dom)[i]\n", {"probes._single_modes"}),
-        ("    w = fields._plane_wave_coeffs(dom)\n", {"probes._single_modes"}),
-        ("    out = _travelling_modes(dom, tk, [i], [nu], [amp])\n", set()),
-        ("    w = _plane_wave_coeffs\n", set()),
-    ], ids=["call", "module-call", "helper", "no-call"])
-    def test_a_second_mode_builder_fails_the_scan(self, added, flagged):
-        sources = _src_sources()
-        anchor = ("def _single_modes(r: np.random.Generator, dom: Domain, tk: np.ndarray, "
-                  "modes,\n                  signs: list[int]) -> list[np.ndarray]:\n")
-        assert anchor in sources["probes"]
-        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
-        new = (set(callers(sources, ("_plane_wave_coeffs",)))
-               - set(callers(_src_sources(), ("_plane_wave_coeffs",))))
-        assert new == flagged
 
 
 # Functions outside fields that sum |values|^2 by hand,
@@ -753,35 +593,6 @@ def _is_square_sum(node) -> bool:
 
 def square_sums(sources: dict) -> list:
     return sites(sources, "fields", _is_square_sum)
-
-
-class TestSquareSumsInFields:
-    def test_only_listed_functions_sum_squares_outside_fields(self):
-        assert square_sums(_src_sources()) == sorted(SQUARE_SUMS_OUTSIDE_FIELDS)
-
-    @pytest.mark.parametrize("added,flagged", [
-        ("    m = np.sum(np.abs(f.values) ** 2, axis=-1)\n", {"gauge.gauge_phase"}),
-        ("    m = np.sum(np.abs(f.values) ** 2)\n", {"gauge.gauge_phase"}),
-        ("    m = np.sum(np.abs(f.values - g) ** 2, axis=1) * f.domain.dx\n",
-         {"gauge.gauge_phase"}),
-        ("    m = (np.abs(f.values) ** 2).sum(axis=-1)\n", {"gauge.gauge_phase"}),
-        ("    m = _square_sums(f.values)\n", set()),
-        ("    m = np.sum(w * np.abs(f.values) ** 2, axis=-1)\n", set()),
-        ("    m = np.abs(f.values) ** 2\n", set()),
-        ("    m = np.sum(np.abs(f.values) ** 4)\n", set()),
-    ], ids=["axis", "whole", "difference", "method", "helper", "weighted", "no-sum",
-            "fourth"])
-    def test_a_hand_written_square_sum_fails_the_scan(self, added, flagged):
-        sources = _src_sources()
-        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
-        assert anchor in sources["gauge"]
-        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
-        assert set(square_sums(sources)) - set(square_sums(_src_sources())) == flagged
-
-    def test_fields_may_sum_squares(self):
-        sources = _src_sources()
-        sources["fields"] += "\n\ndef f(v):\n    return np.sum(np.abs(v) ** 2)\n"
-        assert square_sums(sources) == square_sums(_src_sources())
 
 
 # Functions outside spaces that write a dyadic-sup norm by hand, the low
@@ -826,60 +637,10 @@ def low_plus_sups(sources: dict) -> list:
     return sites(sources, "spaces", _is_low_plus_sup)
 
 
-class TestDyadicSupsInSpaces:
-    def test_only_listed_functions_write_a_low_plus_sup_outside_spaces(self):
-        assert low_plus_sups(_src_sources()) == sorted(LOW_PLUS_SUP_OUTSIDE_SPACES)
-
-    @pytest.mark.parametrize("added,flagged", [
-        ("    n = b[0] + b[1:].max(initial=0.0)\n", {"probes._corollary_rhs"}),
-        ("    n = b[..., 0] + b[..., 1:].max(axis=-1, initial=0.0)\n",
-         {"probes._corollary_rhs"}),
-        ("    n = b[1:].max() + b[0]\n", {"probes._corollary_rhs"}),
-        ("    n = b[0] + np.max(b[1:])\n", {"probes._corollary_rhs"}),
-        ("    n = _low_plus_sup(b)\n", set()),
-        ("    n = b[0] + b[1:].sum()\n", set()),
-        ("    n = b[1] + b[1:].max()\n", set()),
-        ("    n = b[0] * b[1:].max()\n", set()),
-        ("    n = b[0] + b.max()\n", set()),
-    ], ids=["method", "batch", "swapped", "np-max", "helper", "sum", "other-block",
-            "product", "whole-sup"])
-    def test_a_hand_written_low_plus_sup_fails_the_scan(self, added, flagged):
-        sources = _src_sources()
-        anchor = ("def _corollary_rhs(u: SpaceTimeField, s: float, "
-                  "signs: list[int]) -> list[float]:\n")
-        assert anchor in sources["probes"]
-        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
-        assert set(low_plus_sups(sources)) - set(low_plus_sups(_src_sources())) == flagged
-
-    def test_spaces_may_write_one(self):
-        sources = _src_sources()
-        sources["spaces"] += "\n\ndef f(b):\n    return b[0] + b[1:].max()\n"
-        assert low_plus_sups(sources) == low_plus_sups(_src_sources())
-
-
 # Functions outside fields that call the SpaceTimeField constructor.  None
 # does: the others build fields through from_time_values and slice compact
 # ones with SpaceTimeField.members, so the compact row order is fields' alone.
 SPACETIME_FIELD_OUTSIDE_FIELDS = {}
-
-
-class TestSpaceTimeFieldsBuiltInFields:
-    def test_only_listed_functions_call_the_constructor_outside_fields(self):
-        assert callers(_src_sources(), ("SpaceTimeField",)) == sorted(
-            SPACETIME_FIELD_OUTSIDE_FIELDS)
-
-    @pytest.mark.parametrize("added", [
-        "    u = SpaceTimeField(u.lattice, u.coeffs[:, :1], u.rows[:1])\n",
-        "    u = fields.SpaceTimeField(u.lattice, u.coeffs)\n",
-    ])
-    def test_a_constructor_call_outside_fields_fails_the_scan(self, added):
-        sources = _src_sources()
-        anchor = "def _corollary_rhs(u: SpaceTimeField, s: float, signs: list[int]) -> list[float]:\n"
-        assert anchor in sources["probes"]
-        sources["probes"] = sources["probes"].replace(anchor, anchor + added, 1)
-        new = (set(callers(sources, ("SpaceTimeField",)))
-               - set(callers(_src_sources(), ("SpaceTimeField",))))
-        assert new == {"probes._corollary_rhs"}
 
 
 # Functions (or <module> for top-level code) in src that read the process
@@ -893,42 +654,188 @@ def env_readers(sources: dict) -> list:
     """module.function (module.<module> for top-level code) of every use of
     os.environ, os.environb, os.getenv or os.getenvb, by attribute or by a
     name imported from os, in sources {module: text}."""
-    out = set()
-    for module, text in sources.items():
-        for node in _tree(text).body:
-            where = getattr(node, "name", "<module>")
-            for sub in ast.walk(node):
-                if ((isinstance(sub, ast.Attribute) and sub.attr in _ENV_NAMES)
-                        or (isinstance(sub, ast.Name) and sub.id in _ENV_NAMES)
-                        or (isinstance(sub, ast.ImportFrom) and sub.module == "os"
-                            and any(a.name in _ENV_NAMES for a in sub.names))):
-                    out.add(f"{module}.{where}")
-    return sorted(out)
+    return sorted({where for where, node in _top_level(sources) for sub in ast.walk(node)
+                   if (isinstance(sub, ast.Attribute) and sub.attr in _ENV_NAMES)
+                   or (isinstance(sub, ast.Name) and sub.id in _ENV_NAMES)
+                   or (isinstance(sub, ast.ImportFrom) and sub.module == "os"
+                       and any(a.name in _ENV_NAMES for a in sub.names))})
 
 
-class TestNoEnvironmentReads:
-    def test_only_listed_functions_read_the_environment(self):
-        assert env_readers(_src_sources()) == sorted(ENV_READS_KEEP)
+# Functions in src, fields included, that multiply x * f(...) with f one of
+# the package's fresh-array helpers, each with its reason.  None does: numpy
+# evaluates such a product into the temporary f returns, with its operands
+# swapped once that temporary is 256 KiB or more, and a complex product is
+# not bitwise commutative, so the bits would depend on the array's size.
+# Write x *= f(...) or name the operands.
+FRESH_RIGHT_OPERANDS = {}
+FRESH_ARRAY_HELPERS = ("padded_values", "truncated_coeffs", "dealiased_product_coeffs",
+                       "scaled_fft", "scaled_ifft", "trilinear_T_slices",
+                       "quintic_Q_general_slices")
 
-    @pytest.mark.parametrize("added", [
-        '    flag = os.environ.get("X")\n',
-        '    flag = os.environ["X"]\n',
-        '    flag = os.getenv("X", "1")\n',
-        '    from os import environ\n',
-    ])
-    def test_an_environment_read_fails_the_scan(self, added):
+
+def fresh_right_operands(sources: dict) -> list:
+    return sites(sources, None, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and isinstance(node.right, ast.Call)
+        and _ident(node.right.func) in FRESH_ARRAY_HELPERS))
+
+
+# rule: (its scan of sources {module: text}, giving module.function names,
+# and the keep dict of the names it may find, each with its reason)
+RULES = {
+    "unset-option": (unset_options, OPTION_KEEP),
+    "always-set-default": (always_set_options, DEFAULT_KEEP),
+    "dict-default": (dict_defaults, DICT_DEFAULT_KEEP),
+    "fft": (lambda s: callers(s, ("fft", "ifft")), FFT_OUTSIDE_FIELDS),
+    "band": (lambda s: callers(s, ("band",)), BAND_OUTSIDE_FIELDS),
+    "plane-wave-coeffs": (lambda s: callers(s, ("_plane_wave_coeffs",)),
+                          PLANE_WAVE_COEFFS_OUTSIDE_FIELDS),
+    "square-sum": (square_sums, SQUARE_SUMS_OUTSIDE_FIELDS),
+    "low-plus-sup": (low_plus_sups, LOW_PLUS_SUP_OUTSIDE_SPACES),
+    "spacetime-field": (lambda s: callers(s, ("SpaceTimeField",)),
+                        SPACETIME_FIELD_OUTSIDE_FIELDS),
+    "environment": (env_readers, ENV_READS_KEEP),
+    "operand-order": (fresh_right_operands, FRESH_RIGHT_OPERANDS),
+}
+
+
+@functools.cache
+def _found(rule: str) -> frozenset:
+    """What rule's scan finds in the unchanged src, scanned once."""
+    return frozenset(RULES[rule][0](_src_sources()))
+
+
+GAUGE_PHASE = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
+SINGLE_MODES = ("def _single_modes(r: np.random.Generator, dom: Domain, tk: np.ndarray, "
+                "modes,\n                  signs: list[int]) -> list[np.ndarray]:\n")
+COROLLARY_RHS = ("def _corollary_rhs(u: SpaceTimeField, s: float, "
+                 "signs: list[int]) -> list[float]:\n")
+RUN_DYADIC_CHECKS = "def run_dyadic_checks(params, rng):\n"
+PRODUCT_LOOP = "        vals = padded_values(domain, c, nf)\n"
+F = "def f(x, unused=1):\n    return x\n\n\n"
+C = "@dataclass\nclass C:\n    x: int\n    unused: int = 1\n\n\n"
+
+# (rule, module, the line the source is added after or None to append it,
+# the added source, the names the rule then finds that it did not before)
+PLANTED = [
+    ("unset-option", "fields", None, F + "f(1)\n", {"fields.f.unused"}),
+    ("unset-option", "fields", None, F + "f(1, 2)\n", set()),
+    ("unset-option", "fields", None, F + "f(1, unused=2)\n", set()),
+    ("unset-option", "fields", None, F + "f(*(1, 2))\n", set()),
+    ("unset-option", "fields", None, "@dataclass(frozen=True)\nclass C:\n    x: int\n"
+     "    unused: int = 1\n\n\nC(1)\n", {"fields.C.unused"}),
+    ("unset-option", "fields", None, C + "C(1, 2)\n", set()),
+    ("unset-option", "fields", None, C + "C(1, unused=2)\n", set()),
+    # super().__init__ is not a call of E, so it sets nothing of E.__init__
+    ("unset-option", "fields", None, "class E(Exception):\n    def __init__(self, x, "
+     "unused=1):\n        super().__init__(x, x)\n\n\nE(1)\n", {"fields.E.__init__.unused"}),
+    ("always-set-default", "fields", None, F + "f(1, 2)\nf(1, unused=3)\n", {"fields.f.unused"}),
+    ("always-set-default", "fields", None, F + "f(*(1, 2))\n", {"fields.f.unused"}),
+    ("always-set-default", "fields", None, F + "f(1, 2)\nf(1)\n", set()),
+    ("always-set-default", "fields", None, F, set()),  # no call is unset-option's case
+    ("always-set-default", "fields", None, C + "C(1, 2)\n", {"fields.C.unused"}),
+    ("always-set-default", "fields", None, C + "C(1, 2)\nC(1)\n", set()),
+    ("always-set-default", "fields", None, "class E(Exception):\n    def __init__(self, x, "
+     "unused=1):\n        super().__init__(x)\n\n\nE(1, unused=2)\n",
+     {"fields.E.__init__.unused"}),
+    ("dict-default", "scenarios", RUN_DYADIC_CHECKS, '    n = params.get("ensemble", 100)\n',
+     {"scenarios.run_dyadic_checks"}),
+    ("dict-default", "scenarios", RUN_DYADIC_CHECKS,
+     '    params.setdefault("ensemble", 100)\n', {"scenarios.run_dyadic_checks"}),
+    ("dict-default", "scenarios", RUN_DYADIC_CHECKS,
+     '    def inner(p):\n        return p.get("s", 0.5)\n', {"scenarios.run_dyadic_checks"}),
+    ("dict-default", "scenarios", RUN_DYADIC_CHECKS, '    n = params.get("ensemble")\n', set()),
+    ("dict-default", "scenarios", RUN_DYADIC_CHECKS, '    n = params["ensemble"]\n', set()),
+    ("dict-default", "scenarios", None, 'ENSEMBLE = {}.get("ensemble", 100)\n',
+     {"scenarios.<module>"}),
+    ("fft", "gauge", GAUGE_PHASE, "    chat = np.fft.fft(values)\n", {"gauge.gauge_phase"}),
+    ("fft", "gauge", GAUGE_PHASE, "    chat = np.fft.ifft(values, axis=-1)\n",
+     {"gauge.gauge_phase"}),
+    ("band", "gauge", GAUGE_PHASE, "    band(pad, n)[...] = halves\n", {"gauge.gauge_phase"}),
+    ("band", "gauge", GAUGE_PHASE, "    fields.band(pad, n)[...] = halves\n",
+     {"gauge.gauge_phase"}),
+    ("plane-wave-coeffs", "probes", SINGLE_MODES,
+     "    out[:, i] = amp * _plane_wave_coeffs(dom)[i]\n", {"probes._single_modes"}),
+    ("plane-wave-coeffs", "probes", SINGLE_MODES, "    w = fields._plane_wave_coeffs(dom)\n",
+     {"probes._single_modes"}),
+    ("plane-wave-coeffs", "probes", SINGLE_MODES,
+     "    out = _travelling_modes(dom, tk, [i], [nu], [amp])\n", set()),
+    ("plane-wave-coeffs", "probes", SINGLE_MODES, "    w = _plane_wave_coeffs\n", set()),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = np.sum(np.abs(f.values) ** 2, axis=-1)\n",
+     {"gauge.gauge_phase"}),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = np.sum(np.abs(f.values) ** 2)\n",
+     {"gauge.gauge_phase"}),
+    ("square-sum", "gauge", GAUGE_PHASE,
+     "    m = np.sum(np.abs(f.values - g) ** 2, axis=1) * f.domain.dx\n",
+     {"gauge.gauge_phase"}),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = (np.abs(f.values) ** 2).sum(axis=-1)\n",
+     {"gauge.gauge_phase"}),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = _square_sums(f.values)\n", set()),
+    ("square-sum", "gauge", GAUGE_PHASE,
+     "    m = np.sum(w * np.abs(f.values) ** 2, axis=-1)\n", set()),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = np.abs(f.values) ** 2\n", set()),
+    ("square-sum", "gauge", GAUGE_PHASE, "    m = np.sum(np.abs(f.values) ** 4)\n", set()),
+    ("square-sum", "fields", None, "def f(v):\n    return np.sum(np.abs(v) ** 2)\n", set()),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[0] + b[1:].max(initial=0.0)\n",
+     {"probes._corollary_rhs"}),
+    ("low-plus-sup", "probes", COROLLARY_RHS,
+     "    n = b[..., 0] + b[..., 1:].max(axis=-1, initial=0.0)\n", {"probes._corollary_rhs"}),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[1:].max() + b[0]\n",
+     {"probes._corollary_rhs"}),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[0] + np.max(b[1:])\n",
+     {"probes._corollary_rhs"}),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = _low_plus_sup(b)\n", set()),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[0] + b[1:].sum()\n", set()),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[1] + b[1:].max()\n", set()),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[0] * b[1:].max()\n", set()),
+    ("low-plus-sup", "probes", COROLLARY_RHS, "    n = b[0] + b.max()\n", set()),
+    ("low-plus-sup", "spaces", None, "def f(b):\n    return b[0] + b[1:].max()\n", set()),
+    ("spacetime-field", "probes", COROLLARY_RHS,
+     "    u = SpaceTimeField(u.lattice, u.coeffs[:, :1], u.rows[:1])\n",
+     {"probes._corollary_rhs"}),
+    ("spacetime-field", "probes", COROLLARY_RHS,
+     "    u = fields.SpaceTimeField(u.lattice, u.coeffs)\n", {"probes._corollary_rhs"}),
+    ("environment", "gauge", GAUGE_PHASE, '    flag = os.environ.get("X")\n',
+     {"gauge.gauge_phase"}),
+    ("environment", "gauge", GAUGE_PHASE, '    flag = os.environ["X"]\n', {"gauge.gauge_phase"}),
+    ("environment", "gauge", GAUGE_PHASE, '    flag = os.getenv("X", "1")\n',
+     {"gauge.gauge_phase"}),
+    ("environment", "gauge", GAUGE_PHASE, "    from os import environ\n", {"gauge.gauge_phase"}),
+    ("environment", "probes", None, 'THREADS = os.environ.get("X", "1")\n', {"probes.<module>"}),
+    ("operand-order", "fields", PRODUCT_LOOP,
+     "        prod = prod * padded_values(domain, c, nf)\n",
+     {"fields.dealiased_product_coeffs"}),
+    ("operand-order", "fields", PRODUCT_LOOP,
+     "        prod *= padded_values(domain, c, nf)\n", set()),
+    ("operand-order", "fields", PRODUCT_LOOP, "        prod = prod * vals\n", set()),
+    ("operand-order", "fields", PRODUCT_LOOP,
+     "        np.multiply(prod, padded_values(domain, c, nf), out=prod)\n", set()),
+]
+
+
+class TestRules:
+    """Each rule's scan of src finds only what its keep dict lists, and
+    still finds every entry there; each planted source makes it find what
+    its PLANTED row says, and no more."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_finding_is_kept(self, rule):
+        assert sorted(_found(rule) - set(RULES[rule][1])) == []
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_keep_entry_is_found(self, rule):
+        assert sorted(set(RULES[rule][1]) - _found(rule)) == []
+
+    @pytest.mark.parametrize("rule,module,anchor,added,flagged", PLANTED, ids=[
+        f"{r[0]}-{[q[0] for q in PLANTED[:i]].count(r[0])}" for i, r in enumerate(PLANTED)])
+    def test_a_planted_source_gives_its_findings(self, rule, module, anchor, added, flagged):
         sources = _src_sources()
-        anchor = "def gauge_phase(f: GridFunction) -> np.ndarray:\n"
-        assert anchor in sources["gauge"]
-        sources["gauge"] = sources["gauge"].replace(anchor, anchor + added, 1)
-        assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
-            "gauge.gauge_phase"}
-
-    def test_a_top_level_environment_read_fails_the_scan(self):
-        sources = _src_sources()
-        sources["probes"] += '\n\nTHREADS = os.environ.get("X", "1")\n'
-        assert set(env_readers(sources)) - set(env_readers(_src_sources())) == {
-            "probes.<module>"}
+        if anchor is None:
+            sources[module] += "\n\n" + added
+        else:
+            assert anchor in sources[module]
+            sources[module] = sources[module].replace(anchor, anchor + added, 1)
+        assert set(RULES[rule][0](sources)) - _found(rule) == flagged
 
 
 SYNTHETIC_MODULE = '''"""A module docstring,

@@ -89,7 +89,7 @@ class TestGaugeInverse:
         # inverse reads its modulus back from the lattice
         rng = np.random.default_rng(seed)
         f = random_decaying_field(TORUS, rng, band=TORUS.xi_max / 8)
-        f = f * (1.0 / f.l2_norm())
+        f = GridFunction(TORUS, f.values * (1.0 / f.l2_norm()))
         back = gauge_inverse(gauge_forward(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-12
 
@@ -357,9 +357,10 @@ class TestBilipschitz:
                 # pairs inside a bounded ball
                 scale = 0.5 / max(besov_norm(f.to_spectral(), 0.5),
                                   besov_norm(g.to_spectral(), 0.5))
-                f, g = scale * f, scale * g
-                num = besov_norm((gauge_forward(f) - gauge_forward(g)).to_spectral(), 0.5)
-                den = besov_norm((f - g).to_spectral(), 0.5)
+                f, g = GridFunction(dom, f.values * scale), GridFunction(dom, g.values * scale)
+                num = besov_norm(GridFunction(dom, gauge_forward(f).values
+                                              - gauge_forward(g).values).to_spectral(), 0.5)
+                den = besov_norm(GridFunction(dom, f.values - g.values).to_spectral(), 0.5)
                 if den > 0:
                     sup = max(sup, num / den)
             constants.append(sup)

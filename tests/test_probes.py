@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestProbeReport:
 
     def test_json_round_trip(self):
         rep = ProbeReport("x", 5, 1.25, True, {"a": 1}, {"b": 2.0})
-        d = rep.to_json()
+        d = asdict(rep)
         assert d["sup_ratio"] == 1.25 and d["params"]["a"] == 1
 
 
@@ -251,14 +252,14 @@ class TestSampleOrder:
                                 rng=np.random.default_rng(11)),
     ], ids=["trilinear", "quintic", "k1", "k2"])
     def test_same_report_in_reverse_sample_order(self, monkeypatch, probe):
-        forward = probe().to_json()
+        forward = asdict(probe())
         maps = []
 
         def reversed_map(fn, seeds):
             maps.append(len(seeds))
             return [fn(s) for s in seeds[::-1]][::-1]
         monkeypatch.setattr(probes, "_map_samples", reversed_map)
-        assert probe().to_json() == forward
+        assert asdict(probe()) == forward
         assert maps  # the probe's samples went through the reversed map
 
 
@@ -342,9 +343,9 @@ class TestWindowSupport:
     @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("probe", list(_WINDOW_PROBES.values()), ids=list(_WINDOW_PROBES))
     def test_probe_report_unchanged(self, monkeypatch, dom, probe):
-        kept = probe(dom).to_json()
+        kept = asdict(probe(dom))
         monkeypatch.setattr(probes, "_support", lambda w: slice(None))
-        assert probe(dom).to_json() == kept
+        assert asdict(probe(dom)) == kept
 
     @pytest.mark.parametrize("dom", _SUPPORT_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("probe", [*_WINDOW_PROBES.values(), _strichartz_small],
@@ -355,7 +356,7 @@ class TestWindowSupport:
         # The window probes find their rows in probes, the Strichartz probe
         # in spaces.window_trajectory: each binding is patched, and the one
         # the probe uses must be called
-        live = probe(dom).to_json()
+        live = asdict(probe(dom))
         calls = {probes: 0, spaces: 0}
 
         def every_row_live(module):
@@ -366,7 +367,7 @@ class TestWindowSupport:
 
         for module in calls:
             monkeypatch.setattr(module, "_live_rows", every_row_live(module))
-        assert probe(dom).to_json() == live
+        assert asdict(probe(dom)) == live
         assert calls[spaces if probe is _strichartz_small else probes] > 0
 
 
